@@ -19,18 +19,15 @@ exception Codegen_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Codegen_error s)) fmt
 
-(** Compile λm into a flatMap closure. [env] carries the fragment's free
-    scalars (Casper broadcasts these in the generated glue code). *)
-let compile_lam_m (env : Eval.env) (lm : Ir.lam_m) :
-    Value.t -> Value.t list =
- fun record ->
-  match Eval.apply_lam_m env lm record with
-  | `KV kvs -> List.map (fun (k, v) -> Value.Tuple [ k; v ]) kvs
-  | `V vs -> vs
+(** Compile λm into a flatMap closure, staged once per plan. [env]
+    carries the fragment's free scalars (Casper broadcasts these in the
+    generated glue code). *)
+let compile_lam_m (env : Eval.env) (lm : Ir.lam_m) : Value.t -> Value.t list =
+  Eval.stage_lam_m env lm
 
 let compile_lam_r (env : Eval.env) (lr : Ir.lam_r) :
     Value.t -> Value.t -> Value.t =
- fun a b -> Eval.apply_lam_r env lr a b
+  Eval.apply_lam_r env lr
 
 (** Is the λr of this reduce node commutative-associative? Checked the
     same way the compiler pipeline does before codegen. *)

@@ -25,13 +25,17 @@ type estimate = {
 (** Estimate emit-guard probabilities and the distinct-key count from a
     sample of input records. Guards are evaluated with λm parameters
     bound to each sampled record — the same counting the generated
-    monitor code performs. *)
+    monitor code performs. Guards and λms are staged once, then run on
+    every sampled record. *)
 let estimate_from_sample (frag : F.t) (entry : Eval.env)
     (summaries : Ir.summary list) (sample : Value.t list) : estimate =
   let params = List.map fst (Casper_synth.Lift.record_params frag) in
-  let bind r = try Some (Eval.bind_params entry params r) with _ -> None in
-  let envs = List.filter_map bind sample in
-  let n = List.length envs in
+  let bind = Eval.param_slots params in
+  (* records that bind to the fragment's parameters, with their slots *)
+  let bound =
+    List.filter_map (fun r -> try Some (r, bind r) with _ -> None) sample
+  in
+  let n = List.length bound in
   let guards =
     List.concat_map
       (fun (s : Ir.summary) ->
@@ -49,15 +53,16 @@ let estimate_from_sample (frag : F.t) (entry : Eval.env)
   let prob_of g =
     if n = 0 then 0.5
     else
+      let g = Eval.stage entry params g in
       let fired =
         List.length
           (List.filter
-             (fun env ->
-               match Eval.eval_expr env g with
+             (fun (_, slots) ->
+               match g slots with
                | Value.Bool true -> true
                | _ -> false
                | exception _ -> false)
-             envs)
+             bound)
       in
       float_of_int fired /. float_of_int n
   in
@@ -78,16 +83,17 @@ let estimate_from_sample (frag : F.t) (entry : Eval.env)
         match first_map s.Ir.pipeline with
         | None -> ()
         | Some lm ->
+            let f = Eval.apply_lam_m entry lm in
             List.iter
-              (fun env ->
-                match Eval.apply_lam_m env lm (List.assoc (List.hd params) env) with
+              (fun (r, _) ->
+                match f r with
                 | `KV kvs ->
                     List.iter
                       (fun (k, _) -> Hashtbl.replace tbl (Value.to_string k) ())
                       kvs
                 | `V _ -> ()
                 | exception _ -> ())
-              envs)
+              bound)
       summaries;
     float_of_int (max 1 (Hashtbl.length tbl))
   in

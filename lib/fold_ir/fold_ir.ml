@@ -28,12 +28,16 @@ type summary = {
   body : Ir.expr;  (** new accumulator value *)
 }
 
+(* the body is staged once per fold, with slots [acc; params...] *)
 let eval_fold (env : Eval.env) (s : summary) (init : Value.t)
     (records : Value.t list) : Value.t =
+  let body = Eval.stage env (s.acc :: s.params) s.body in
+  let bind = Eval.param_slots ~lead:1 s.params in
   List.fold_left
     (fun acc r ->
-      let env = Eval.bind_params env s.params r in
-      Eval.eval_expr ((s.acc, acc) :: env) s.body)
+      let slots = bind r in
+      slots.(0) <- acc;
+      body slots)
     init records
 
 let pp ppf (s : summary) =

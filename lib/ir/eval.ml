@@ -24,6 +24,9 @@ type bag =
   | Pairs of (Value.t * Value.t) list
   | Vals of Value.t list
 
+(** What λm emits for one record: key-value pairs or plain values. *)
+type emitted = [ `KV of (Value.t * Value.t) list | `V of Value.t list ]
+
 let num2 fi ff a b =
   let open Value in
   match (a, b) with
@@ -61,50 +64,74 @@ let eval_binop op a b =
   | Min -> num2 min Float.min a b
   | Max -> num2 max Float.max a b
 
+(* ------------------------------------------------------------------ *)
+(* Per-constructor helpers: [eval_expr], {!Memo.step} and staged code
+   all evaluate these constructors through here, so the three raise the
+   same errors. *)
+
+let lookup (env : env) (v : string) : Value.t =
+  match List.assoc_opt v env with
+  | Some x -> x
+  | None -> err "unbound IR variable %s" v
+
+let neg : Value.t -> Value.t = function
+  | Int n -> Int (-n)
+  | Float f -> Float (-.f)
+  | _ -> err "negation of non-number"
+
+let tuple_get (v : Value.t) (i : int) : Value.t =
+  match v with
+  | Tuple xs -> (
+      match List.nth_opt xs i with
+      | Some x -> x
+      | None -> err "tuple index %d out of range" i)
+  | _ -> err "tuple projection of non-tuple"
+
+let field (v : Value.t) (f : string) : Value.t =
+  match v with
+  | Struct (_, fields) -> (
+      match List.assoc_opt f fields with
+      | Some x -> x
+      | None -> err "no field %s" f)
+  | _ -> err "field access on non-struct"
+
+(** Apply a resolved library method ({!Library.resolve}), turning its
+    failures into [Eval_error]. Arguments are evaluated by the caller,
+    outside the handler. *)
+let call (f : Value.t list -> Value.t) (argv : Value.t list) : Value.t =
+  try f argv with
+  | Library.Unknown_method m -> err "unknown library method %s" m
+  | Value.Type_error m -> err "%s" m
+
+(** One-shot evaluation of [e] in [env]. Operands of a binary operator
+    are evaluated right to left ([b] before [a]), call arguments and
+    tuple components left to right; staged code keeps this order so the
+    same error surfaces when several operands would fail. *)
 let rec eval_expr (env : env) (e : expr) : Value.t =
   match e with
   | CInt n -> Int n
   | CFloat f -> Float f
   | CBool b -> Bool b
   | CStr s -> Str s
-  | Var v -> (
-      match List.assoc_opt v env with
-      | Some x -> x
-      | None -> err "unbound IR variable %s" v)
-  | Unop (Neg, a) -> (
-      match eval_expr env a with
-      | Int n -> Int (-n)
-      | Float f -> Float (-.f)
-      | _ -> err "negation of non-number")
+  | Var v -> lookup env v
+  | Unop (Neg, a) -> neg (eval_expr env a)
   | Unop (Not, a) -> Bool (not (Value.as_bool (eval_expr env a)))
   | Binop (And, a, b) ->
       if Value.as_bool (eval_expr env a) then eval_expr env b else Bool false
   | Binop (Or, a, b) ->
       if Value.as_bool (eval_expr env a) then Bool true else eval_expr env b
   | Binop (op, a, b) -> eval_binop op (eval_expr env a) (eval_expr env b)
-  | Call (f, args) -> (
-      let argv = List.map (eval_expr env) args in
-      try Library.apply f argv with
-      | Library.Unknown_method m -> err "unknown library method %s" m
-      | Value.Type_error m -> err "%s" m)
+  | Call (f, args) -> call (Library.resolve f) (List.map (eval_expr env) args)
   | MkTuple es -> Tuple (List.map (eval_expr env) es)
-  | TupleGet (a, i) -> (
-      match eval_expr env a with
-      | Tuple xs -> (
-          match List.nth_opt xs i with
-          | Some x -> x
-          | None -> err "tuple index %d out of range" i)
-      | _ -> err "tuple projection of non-tuple")
-  | Field (a, f) -> (
-      match eval_expr env a with
-      | Struct (_, fields) -> (
-          match List.assoc_opt f fields with
-          | Some x -> x
-          | None -> err "no field %s" f)
-      | _ -> err "field access on non-struct")
+  | TupleGet (a, i) -> tuple_get (eval_expr env a) i
+  | Field (a, f) -> field (eval_expr env a) f
   | If (c, t, e') ->
       if Value.as_bool (eval_expr env c) then eval_expr env t
       else eval_expr env e'
+
+let arity_error (params : string list) (elt : Value.t) =
+  err "λm arity mismatch: %d params vs record %s" (List.length params)
+    (Value.to_string elt)
 
 (** Bind λm parameters to the components of a record. *)
 let bind_params (env : env) (params : string list) (elt : Value.t) : env =
@@ -112,95 +139,266 @@ let bind_params (env : env) (params : string list) (elt : Value.t) : env =
   | [ p ], _ -> (p, elt) :: env
   | ps, Value.Tuple xs when List.length ps = List.length xs ->
       List.combine ps xs @ env
-  | ps, _ ->
-      err "λm arity mismatch: %d params vs record %s" (List.length ps)
-        (Value.to_string elt)
+  | ps, _ -> arity_error ps elt
 
-let apply_lam_m (env : env) (lm : lam_m) (elt : Value.t) :
-    [ `KV of (Value.t * Value.t) list | `V of Value.t list ] =
-  let env = bind_params env lm.m_params elt in
-  let kvs = ref [] and vs = ref [] in
-  List.iter
-    (fun { guard; payload } ->
-      let fire =
-        match guard with
-        | None -> true
-        | Some g -> Value.as_bool (eval_expr env g)
-      in
-      if fire then
-        match payload with
-        | KV (k, v) -> kvs := (eval_expr env k, eval_expr env v) :: !kvs
-        | Val v -> vs := eval_expr env v :: !vs)
-    lm.emits;
-  match (!kvs, !vs) with
-  | [], [] -> `KV [] (* nothing fired; caller unions, shape irrelevant *)
-  | kvs, [] -> `KV (List.rev kvs)
-  | [], vs -> `V (List.rev vs)
-  | _ -> err "λm mixes key-value and plain emits"
+(* ------------------------------------------------------------------ *)
+(* Staged evaluation (DESIGN.md §15).
 
-let apply_lam_r (env : env) (lr : lam_r) (a : Value.t) (b : Value.t) : Value.t
+   [stage env params e] compiles [e] once into an OCaml closure over an
+   array of slots, slot i holding the i-th name of [params] (the first
+   occurrence wins, as the innermost binding does in [eval_expr]'s env).
+   Every other variable is resolved in [env] while staging, and every
+   library method by name. The closure then evaluates [e] exactly as
+   [eval_expr] does in the env that binds [params] in front of [env]:
+   same value, same exception, same operand order. Errors are deferred
+   to run time, so staging itself never raises. *)
+
+type code = Value.t array -> Value.t
+
+let rec slot_of (v : string) (i : int) : string list -> int option = function
+  | [] -> None
+  | p :: ps -> if String.equal p v then Some i else slot_of v (i + 1) ps
+
+let stage (env : env) (params : string list) (e : expr) : code =
+  let rec go (e : expr) : code =
+    match e with
+    | CInt n ->
+        let v = Value.Int n in
+        fun _ -> v
+    | CFloat f ->
+        let v = Value.Float f in
+        fun _ -> v
+    | CBool b ->
+        let v = Value.Bool b in
+        fun _ -> v
+    | CStr s ->
+        let v = Value.Str s in
+        fun _ -> v
+    | Var v -> (
+        match slot_of v 0 params with
+        | Some i -> fun s -> s.(i)
+        | None -> (
+            match List.assoc_opt v env with
+            | Some x -> fun _ -> x
+            | None -> fun _ -> lookup env v))
+    | Unop (Neg, a) ->
+        let a = go a in
+        fun s -> neg (a s)
+    | Unop (Not, a) ->
+        let a = go a in
+        fun s -> Bool (not (Value.as_bool (a s)))
+    | Binop (And, a, b) ->
+        let a = go a and b = go b in
+        fun s -> if Value.as_bool (a s) then b s else Bool false
+    | Binop (Or, a, b) ->
+        let a = go a and b = go b in
+        fun s -> if Value.as_bool (a s) then Bool true else b s
+    | Binop (op, a, b) ->
+        let a = go a and b = go b in
+        fun s ->
+          let y = b s in
+          eval_binop op (a s) y
+    | Call (name, args) -> (
+        let f = Library.resolve name in
+        match List.map go args with
+        | [ a ] -> fun s -> call f [ a s ]
+        | [ a; b ] ->
+            fun s ->
+              let x = a s in
+              let y = b s in
+              call f [ x; y ]
+        | args -> fun s -> call f (List.map (fun a -> a s) args))
+    | MkTuple es -> (
+        match List.map go es with
+        | [ a; b ] ->
+            fun s ->
+              let x = a s in
+              let y = b s in
+              Tuple [ x; y ]
+        | es -> fun s -> Tuple (List.map (fun a -> a s) es))
+    | TupleGet (a, i) ->
+        let a = go a in
+        fun s -> tuple_get (a s) i
+    | Field (a, f) ->
+        let a = go a in
+        fun s -> field (a s) f
+    | If (c, t, e') ->
+        let c = go c and t = go t and e' = go e' in
+        fun s -> if Value.as_bool (c s) then t s else e' s
+  in
+  go e
+
+(** [param_slots ~lead params] binds a record to slots the way
+    [bind_params] binds it to names: slot [lead + i] holds the i-th
+    component (the whole record for a single parameter). The [lead]
+    leading slots are left for the caller to fill. *)
+let param_slots ?(lead = 0) (params : string list) : Value.t -> Value.t array
     =
-  eval_expr ((lr.r_left, a) :: (lr.r_right, b) :: env) lr.r_body
+  match params with
+  | [ _ ] -> fun elt -> Array.make (lead + 1) elt
+  | ps ->
+      let n = List.length ps in
+      fun elt ->
+        match elt with
+        | Value.Tuple xs when List.length xs = n ->
+            if lead = 0 then Array.of_list xs
+            else (
+              let a = Array.make (lead + n) elt in
+              List.iteri (fun i x -> a.(lead + i) <- x) xs;
+              a)
+        | _ -> arity_error ps elt
 
-let elements = function Records l -> l | Vals l -> l | Pairs l -> List.map (fun (k, v) -> Value.Tuple [ k; v ]) l
+let mixed_emits () = err "λm mixes key-value and plain emits"
 
-let rec eval_node (env : env) (datasets : (string * Value.t list) list)
-    (n : node) : bag =
+(** λm staged against [env]: the result runs every emit whose guard
+    holds on one record. Key-value emits are built with [kv] (value
+    evaluated before key); [finish] receives them and the plain values,
+    each in emit order. A record that fires both kinds raises once
+    every emit has run, so [finish] sees at most one non-empty list. *)
+let stage_emits ~(kv : Value.t -> Value.t -> 'k)
+    ~(finish : 'k list -> Value.t list -> 'r) (env : env) (lm : lam_m) :
+    Value.t -> 'r =
+  let code = stage env lm.m_params and bind = param_slots lm.m_params in
+  let staged =
+    List.map
+      (fun { guard; payload } ->
+        ( Option.map code guard,
+          match payload with
+          | KV (k, x) ->
+              let k = code k and x = code x in
+              Either.Left
+                (fun s ->
+                  let y = x s in
+                  kv (k s) y)
+          | Val x ->
+              let x = code x in
+              Either.Right x ))
+      lm.emits
+  in
+  let rec run s kvs vs = function
+    | [] -> (
+        match (kvs, vs) with
+        | _ :: _, _ :: _ -> mixed_emits ()
+        | _ -> finish (List.rev kvs) (List.rev vs))
+    | (guard, emit) :: rest -> (
+        match guard with
+        | Some g when not (Value.as_bool (g s)) -> run s kvs vs rest
+        | _ -> (
+            match emit with
+            | Either.Left f -> run s (f s :: kvs) vs rest
+            | Either.Right f -> run s kvs (f s :: vs) rest))
+  in
+  fun elt -> run (bind elt) [] [] staged
+
+(** [finish] for the IR's semantics: what one record emits, as
+    key-value pairs or plain values ([`KV []] when nothing fires). *)
+let kv_or_v kvs vs : emitted = match vs with [] -> `KV kvs | _ -> `V vs
+
+(** λm staged against [env], as the engine runs it: each record maps to
+    the records it emits, [Tuple [k; v]] for a key-value emit. *)
+let stage_lam_m : env -> lam_m -> Value.t -> Value.t list =
+  stage_emits
+    ~kv:(fun k v -> Value.Tuple [ k; v ])
+    ~finish:(fun kvs vs -> match vs with [] -> kvs | _ -> vs)
+
+(** λm staged against [env], in the IR's semantics ({!kv_or_v}).
+    Partially apply it once per node: staging happens then. *)
+let apply_lam_m : env -> lam_m -> Value.t -> emitted =
+  stage_emits ~kv:(fun k v -> (k, v)) ~finish:kv_or_v
+
+(** λr staged against [env]; partially apply it once per node. *)
+let apply_lam_r (env : env) (lr : lam_r) : Value.t -> Value.t -> Value.t =
+  let body = stage env [ lr.r_left; lr.r_right ] lr.r_body in
+  fun a b -> body [| a; b |]
+
+(** The elements a stage's output feeds to the next map: records and
+    plain values as they are, pairs as [Tuple [k; v]]. *)
+let elements = function
+  | Records l | Vals l -> l
+  | Pairs l -> List.map (fun (k, v) -> Value.Tuple [ k; v ]) l
+
+(* ------------------------------------------------------------------ *)
+(* Pipeline stages over bags, shared by [eval_node] and its memoized
+   mirror in {!Memo}. *)
+
+(** Union what [f i elt] emits for every element [elt] at index [i]. *)
+let map_bag (f : int -> Value.t -> emitted) (elts : Value.t list) : bag =
+  let kvs = ref [] and vs = ref [] in
+  List.iteri
+    (fun i elt ->
+      match f i elt with
+      | `KV l -> kvs := List.rev_append l !kvs
+      | `V l -> vs := List.rev_append l !vs)
+    elts;
+  match (List.rev !kvs, List.rev !vs) with
+  | [], [] -> Pairs []
+  | kvs, [] -> Pairs kvs
+  | [], vs -> Vals vs
+  | _ -> err "map emits mixed shapes across records"
+
+let dataset (datasets : (string * Value.t list) list) (d : string) :
+    Value.t list =
+  match List.assoc_opt d datasets with
+  | Some records -> records
+  | None -> err "unknown dataset %s" d
+
+(** A pipeline whose λs are staged: it evaluates the pipeline on any
+    datasets. Verification stages a summary once per entry state and
+    runs it on every prefix of the data. *)
+type staged_node = (string * Value.t list) list -> bag
+
+let map_node (src : staged_node) (f : Value.t -> emitted) : staged_node =
+ fun datasets -> map_bag (fun _ elt -> f elt) (elements (src datasets))
+
+(** Fold λr over each key's group of a bag of pairs, or over the whole
+    bag otherwise. *)
+let reduce_node (src : staged_node) (f : Value.t -> Value.t -> Value.t) :
+    staged_node =
+  let fold = function
+    | [] -> assert false
+    | v0 :: rest -> List.fold_left f v0 rest
+  in
+  fun datasets ->
+    match src datasets with
+    | Pairs kvs ->
+        Pairs
+          (List.map (fun (k, vs) -> (k, fold vs)) (Multiset.group_by_key kvs))
+    | Records [] | Vals [] -> Vals []
+    | Records l | Vals l -> Vals [ fold l ]
+
+(** All pairs with matching keys: (k,v1) ⋈ (k,v2) → (k,(v1,v2)). The
+    right input is evaluated before the left one. *)
+let join_node (a : staged_node) (b : staged_node) : staged_node =
+ fun datasets ->
+  match
+    let b = b datasets in
+    (a datasets, b)
+  with
+  | Pairs l1, Pairs l2 ->
+      Pairs
+        (List.concat_map
+           (fun (k1, v1) ->
+             List.filter_map
+               (fun (k2, v2) ->
+                 if Value.equal k1 k2 then Some (k1, Value.Tuple [ v1; v2 ])
+                 else None)
+               l2)
+           l1)
+  | _ -> err "join expects key-value inputs on both sides"
+
+(** Stage pipeline [n] against [env]. *)
+let rec stage_node (env : env) (n : node) : staged_node =
   match n with
-  | Data d -> (
-      match List.assoc_opt d datasets with
-      | Some records -> Records records
-      | None -> err "unknown dataset %s" d)
-  | Map (src, lm) -> (
-      let input = eval_node env datasets src in
-      let elts =
-        match input with
-        | Records l | Vals l -> l
-        | Pairs l -> List.map (fun (k, v) -> Value.Tuple [ k; v ]) l
-      in
-      let kvs = ref [] and vs = ref [] in
-      List.iter
-        (fun elt ->
-          match apply_lam_m env lm elt with
-          | `KV l -> kvs := List.rev_append l !kvs
-          | `V l -> vs := List.rev_append l !vs)
-        elts;
-      match (List.rev !kvs, List.rev !vs) with
-      | [], [] -> Pairs []
-      | kvs, [] -> Pairs kvs
-      | [], vs -> Vals vs
-      | _ -> err "map emits mixed shapes across records")
-  | Reduce (src, lr) -> (
-      match eval_node env datasets src with
-      | Pairs kvs ->
-          let groups = Multiset.group_by_key kvs in
-          Pairs
-            (List.map
-               (fun (k, vs) ->
-                 match vs with
-                 | [] -> assert false
-                 | v0 :: rest ->
-                     (k, List.fold_left (apply_lam_r env lr) v0 rest))
-               groups)
-      | Records l | Vals l -> (
-          match l with
-          | [] -> Vals []
-          | v0 :: rest -> Vals [ List.fold_left (apply_lam_r env lr) v0 rest ])
-      )
-  | Join (a, b) -> (
-      match (eval_node env datasets a, eval_node env datasets b) with
-      | Pairs l1, Pairs l2 ->
-          Pairs
-            (List.concat_map
-               (fun (k1, v1) ->
-                 List.filter_map
-                   (fun (k2, v2) ->
-                     if Value.equal k1 k2 then
-                       Some (k1, Value.Tuple [ v1; v2 ])
-                     else None)
-                   l2)
-               l1)
-      | _ -> err "join expects key-value inputs on both sides")
+  | Data d -> fun datasets -> Records (dataset datasets d)
+  | Map (src, lm) -> map_node (stage_node env src) (apply_lam_m env lm)
+  | Reduce (src, lr) ->
+      reduce_node (stage_node env src) (apply_lam_r env lr)
+  | Join (a, b) -> join_node (stage_node env a) (stage_node env b)
+
+(** The denotation of a pipeline node. *)
+let eval_node (env : env) (datasets : (string * Value.t list) list) (n : node)
+    : bag =
+  stage_node env n datasets
 
 (** Shape of an output variable, used to materialize pipeline results. *)
 type out_shape =
@@ -269,6 +467,13 @@ let extract_outputs (result : bag) (init : env)
       (var, value))
     s.bindings
 
+(** [apply_summary], staged once against [env]: the result takes the
+    datasets and the initial values. *)
+let stage_summary (env : env) (shapes : (string * out_shape) list)
+    (s : summary) : (string * Value.t list) list -> env -> env =
+  let run = stage_node env s.pipeline in
+  fun datasets init -> extract_outputs (run datasets) init shapes s
+
 let apply_summary (env : env) (datasets : (string * Value.t list) list)
     (init : env) (shapes : (string * out_shape) list) (s : summary) : env =
-  extract_outputs (eval_node env datasets s.pipeline) init shapes s
+  stage_summary env shapes s datasets init

@@ -132,10 +132,7 @@ let rec meval (cv : cenv) (e : expr) : Value.t =
   | CFloat f -> Float f
   | CBool b -> Bool b
   | CStr s -> Str s
-  | Var v -> (
-      match List.assoc_opt v cv.env with
-      | Some x -> x
-      | None -> Eval.err "unbound IR variable %s" v)
+  | Var v -> Eval.lookup cv.env v
   | _ -> (
       let eval_tbl = (shard ()).eval_tbl in
       let key = key (Hashcons.expr_id e) cv.env_id in
@@ -156,42 +153,23 @@ let rec meval (cv : cenv) (e : expr) : Value.t =
               Hashtbl.add eval_tbl key (Error ex);
               raise ex))
 
-(* one evaluation step, mirroring Eval.eval_expr exactly; leaf cases are
-   handled by [meval] above *)
+(* one evaluation step, mirroring Eval.eval_expr exactly through its
+   per-constructor helpers; leaf cases are handled by [meval] above *)
 and step (cv : cenv) (e : expr) : Value.t =
   match e with
   | CInt _ | CFloat _ | CBool _ | CStr _ | Var _ -> assert false
-  | Unop (Neg, a) -> (
-      match meval cv a with
-      | Int n -> Int (-n)
-      | Float f -> Float (-.f)
-      | _ -> Eval.err "negation of non-number")
+  | Unop (Neg, a) -> Eval.neg (meval cv a)
   | Unop (Not, a) -> Bool (not (Value.as_bool (meval cv a)))
   | Binop (And, a, b) ->
       if Value.as_bool (meval cv a) then meval cv b else Bool false
   | Binop (Or, a, b) ->
       if Value.as_bool (meval cv a) then Bool true else meval cv b
   | Binop (op, a, b) -> Eval.eval_binop op (meval cv a) (meval cv b)
-  | Call (f, args) -> (
-      let argv = List.map (meval cv) args in
-      try Library.apply f argv with
-      | Library.Unknown_method m -> Eval.err "unknown library method %s" m
-      | Value.Type_error m -> Eval.err "%s" m)
+  | Call (f, args) ->
+      Eval.call (Library.resolve f) (List.map (meval cv) args)
   | MkTuple es -> Tuple (List.map (meval cv) es)
-  | TupleGet (a, i) -> (
-      match meval cv a with
-      | Tuple xs -> (
-          match List.nth_opt xs i with
-          | Some x -> x
-          | None -> Eval.err "tuple index %d out of range" i)
-      | _ -> Eval.err "tuple projection of non-tuple")
-  | Field (a, f) -> (
-      match meval cv a with
-      | Struct (_, fields) -> (
-          match List.assoc_opt f fields with
-          | Some x -> x
-          | None -> Eval.err "no field %s" f)
-      | _ -> Eval.err "field access on non-struct")
+  | TupleGet (a, i) -> Eval.tuple_get (meval cv a) i
+  | Field (a, f) -> Eval.field (meval cv a) f
   | If (cnd, t, e') ->
       if Value.as_bool (meval cv cnd) then meval cv t else meval cv e'
 
@@ -274,7 +252,7 @@ end)
    independent, and the emit guard/key/value expressions are drawn from
    shared hash-consed pools — so the per-element evaluations repeat
    across candidates and across prefixes of one state. This mirror of
-   [Eval.eval_node] wraps each element environment once per state and
+   [Eval.stage_node] wraps each element environment once per state and
    routes emit evaluation through the [(expr id, env id)] memo table.
 
    Exactness: results and raised exception constructors are identical to
@@ -317,102 +295,53 @@ let map_elt_envs (base : cenv) (d : string) (params : string list)
       Hashtbl.replace elt_envs_tbl tkey { ec_elts = elts; ec_envs = envs };
       envs
 
-(* [Eval.apply_lam_m] against a pre-bound element env *)
-let apply_lam_m_c (cv : cenv) (lm : lam_m) :
-    [ `KV of (Value.t * Value.t) list | `V of Value.t list ] =
-  let kvs = ref [] and vs = ref [] in
-  List.iter
-    (fun { guard; payload } ->
-      let fire =
+(* [Eval.apply_lam_m] against a pre-bound element env, each emit
+   expression evaluated through the memo table: the same loop as
+   [Eval.stage_emits], unstaged, since the memo table already shares
+   the work across candidates *)
+let apply_lam_m_c (lm : lam_m) (cv : cenv) : Eval.emitted =
+  let rec run kvs vs = function
+    | [] -> (
+        match (kvs, vs) with
+        | _ :: _, _ :: _ -> Eval.mixed_emits ()
+        | _ -> Eval.kv_or_v (List.rev kvs) (List.rev vs))
+    | { guard; payload } :: rest -> (
         match guard with
-        | None -> true
-        | Some g -> Value.as_bool (eval cv g)
-      in
-      if fire then
-        match payload with
-        | KV (k, v) -> kvs := (eval cv k, eval cv v) :: !kvs
-        | Val v -> vs := eval cv v :: !vs)
-    lm.emits;
-  match (!kvs, !vs) with
-  | [], [] -> `KV []
-  | kvs, [] -> `KV (List.rev kvs)
-  | [], vs -> `V (List.rev vs)
-  | _ -> Eval.err "λm mixes key-value and plain emits"
+        | Some g when not (Value.as_bool (eval cv g)) -> run kvs vs rest
+        | _ -> (
+            match payload with
+            | KV (k, v) ->
+                let v = eval cv v in
+                run ((eval cv k, v) :: kvs) vs rest
+            | Val v -> run kvs (eval cv v :: vs) rest))
+  in
+  run [] [] lm.emits
 
-let collect_map (apply : Value.t -> int -> [ `KV of (Value.t * Value.t) list | `V of Value.t list ])
-    (elts : Value.t list) : Eval.bag =
-  let kvs = ref [] and vs = ref [] in
-  List.iteri
-    (fun j elt ->
-      match apply elt j with
-      | `KV l -> kvs := List.rev_append l !kvs
-      | `V l -> vs := List.rev_append l !vs)
-    elts;
-  match (List.rev !kvs, List.rev !vs) with
-  | [], [] -> Eval.Pairs []
-  | kvs, [] -> Eval.Pairs kvs
-  | [], vs -> Eval.Vals vs
-  | _ -> Eval.err "map emits mixed shapes across records"
-
-(* [Eval.eval_node], with the Map-over-source-data case memoized *)
-let rec eval_node_m (base : cenv) (datasets : (string * Value.t list) list)
-    (n : node) : Eval.bag =
+(* [Eval.stage_node], with the Map-over-source-data case memoized *)
+let rec stage_node_m (base : cenv) (n : node) : Eval.staged_node =
   match n with
-  | Data _ -> Eval.eval_node base.env datasets n
   | Map (Data d, lm) ->
-      let records =
-        match List.assoc_opt d datasets with
-        | Some records -> records
-        | None -> Eval.err "unknown dataset %s" d
-      in
-      let envs = map_elt_envs base d lm.m_params records in
-      collect_map (fun _elt j -> apply_lam_m_c envs.(j) lm) records
+      fun datasets ->
+        let records = Eval.dataset datasets d in
+        let envs = map_elt_envs base d lm.m_params records in
+        Eval.map_bag (fun j _ -> apply_lam_m_c lm envs.(j)) records
+  | Data _ -> Eval.stage_node base.env n
   | Map (src, lm) ->
-      (* intermediate elements are not stable across candidates: plain *)
-      let elts = Eval.elements (eval_node_m base datasets src) in
-      collect_map (fun elt _ -> Eval.apply_lam_m base.env lm elt) elts
-  | Reduce (src, lr) -> (
-      match eval_node_m base datasets src with
-      | Eval.Pairs kvs ->
-          let groups = Casper_common.Multiset.group_by_key kvs in
-          Eval.Pairs
-            (List.map
-               (fun (k, vs) ->
-                 match vs with
-                 | [] -> assert false
-                 | v0 :: rest ->
-                     (k, List.fold_left (Eval.apply_lam_r base.env lr) v0 rest))
-               groups)
-      | Eval.Records l | Eval.Vals l -> (
-          match l with
-          | [] -> Eval.Vals []
-          | v0 :: rest ->
-              Eval.Vals
-                [ List.fold_left (Eval.apply_lam_r base.env lr) v0 rest ]))
-  | Join (a, b) -> (
-      match (eval_node_m base datasets a, eval_node_m base datasets b) with
-      | Eval.Pairs l1, Eval.Pairs l2 ->
-          Eval.Pairs
-            (List.concat_map
-               (fun (k1, v1) ->
-                 List.filter_map
-                   (fun (k2, v2) ->
-                     if Value.equal k1 k2 then
-                       Some (k1, Value.Tuple [ v1; v2 ])
-                     else None)
-                   l2)
-               l1)
-      | _ -> Eval.err "join expects key-value inputs on both sides")
+      (* intermediate elements are not stable across candidates: staged *)
+      Eval.map_node (stage_node_m base src) (Eval.apply_lam_m base.env lm)
+  | Reduce (src, lr) ->
+      Eval.reduce_node (stage_node_m base src) (Eval.apply_lam_r base.env lr)
+  | Join (a, b) -> Eval.join_node (stage_node_m base a) (stage_node_m base b)
 
-(** [Eval.apply_summary] with the Map stage memoized per (emit
-    expression, element environment). [base] must wrap the same
-    environment passed as the evaluation env. *)
-let apply_summary (base : cenv) (datasets : (string * Value.t list) list)
-    (init : Eval.env) (shapes : (string * Eval.out_shape) list)
-    (s : summary) : Eval.env =
-  if not (Fastpath.enabled ()) then
-    Eval.apply_summary base.env datasets init shapes s
-  else Eval.extract_outputs (eval_node_m base datasets s.pipeline) init shapes s
+(** [Eval.stage_summary] with the Map stage memoized per (emit
+    expression, element environment). [base] must wrap the environment
+    the summary is staged against. *)
+let stage_summary (base : cenv) (shapes : (string * Eval.out_shape) list)
+    (s : summary) : (string * Value.t list) list -> Eval.env -> Eval.env =
+  if not (Fastpath.enabled ()) then Eval.stage_summary base.env shapes s
+  else
+    let run = stage_node_m base s.pipeline in
+    fun datasets init -> Eval.extract_outputs (run datasets) init shapes s
 
 (* ------------------------------------------------------------------ *)
 

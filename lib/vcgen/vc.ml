@@ -173,6 +173,7 @@ let check_state (prog : program) (frag : F.t) (summary : Ir.summary)
   match outer_count prog frag entry with
   | exception e -> State_skipped (Printexc.to_string e)
   | n -> (
+      let apply = Eval.stage_summary entry shapes summary in
       let rec go k =
         if k > n then Holds
         else
@@ -184,9 +185,7 @@ let check_state (prog : program) (frag : F.t) (summary : Ir.summary)
           | None -> State_skipped (Fmt.str "sequential fault at prefix %d" k)
           | Some seq_env -> (
               let datasets = datasets_at prog frag entry k in
-              match
-                Eval.apply_summary entry datasets entry shapes summary
-              with
+              match apply datasets entry with
               | exception Eval.Eval_error m -> Ir_error m
               | exception Value.Type_error m -> Ir_error m
               | mr_out -> (
@@ -272,6 +271,9 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
   | Error e -> State_skipped (Printexc.to_string e)
   | Ok n -> (
       let cells = Lazy.force ps.p_cells in
+      let apply =
+        Casper_ir.Memo.stage_summary ps.p_cenv ps.p_shapes summary
+      in
       let rec go k =
         if k > n then Holds
         else (
@@ -282,10 +284,7 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
               State_skipped (Fmt.str "sequential fault at prefix %d" k)
           | PRaise e -> raise e
           | PReady (seq_env, datasets) -> (
-              match
-                Casper_ir.Memo.apply_summary ps.p_cenv datasets ps.p_entry
-                  ps.p_shapes summary
-              with
+              match apply datasets ps.p_entry with
               | exception Eval.Eval_error m -> Ir_error m
               | exception Value.Type_error m -> Ir_error m
               | mr_out -> (

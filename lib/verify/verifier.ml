@@ -133,28 +133,20 @@ let sample_values (rng : Casper_common.Rng.t) (ty : Ir.ty) ~n : Value.t list =
   in
   List.init n (fun _ -> gen ty)
 
-let apply_r env (lr : Ir.lam_r) a b =
-  Casper_ir.Eval.apply_lam_r env lr a b
-
 (** Test commutativity and associativity of λr over its value type by
     randomized checking. Conservative: any evaluation error counts as
     "property does not hold". *)
 let reducer_props ?(trials = 48) (env : Casper_ir.Eval.env) (lr : Ir.lam_r)
     (vty : Ir.ty) : [ `Comm_assoc | `Not_comm_assoc ] =
   let rng = Casper_common.Rng.create 4242 in
+  let r = Casper_ir.Eval.apply_lam_r env lr in
   let ok = ref true in
   (try
      for _ = 1 to trials do
        match sample_values rng vty ~n:3 with
        | [ a; b; c ] ->
-           let comm =
-             Value.equal_approx (apply_r env lr a b) (apply_r env lr b a)
-           in
-           let assoc =
-             Value.equal_approx
-               (apply_r env lr (apply_r env lr a b) c)
-               (apply_r env lr a (apply_r env lr b c))
-           in
+           let comm = Value.equal_approx (r a b) (r b a) in
+           let assoc = Value.equal_approx (r (r a b) c) (r a (r b c)) in
            if not (comm && assoc) then ok := false
        | _ -> ()
      done

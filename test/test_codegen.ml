@@ -363,6 +363,37 @@ let test_monitor_distinct_keys () =
   check "3 distinct keys in the sample" true
     (Float.abs (est.Monitor.distinct_keys -. 3.0) < 1e-9)
 
+(* a fragment with three record parameters (i, j, v): the λm is applied
+   to the whole (i, j, v) record, so each row is one distinct key *)
+let test_monitor_distinct_keys_multi_param () =
+  let src =
+    {|int[] f(int[][] m, int rows, int cols) {
+        int[] o = new int[rows];
+        for (int i = 0; i < rows; i++) {
+          int s = 0;
+          for (int j = 0; j < cols; j++) s += m[i][j];
+          o[i] = s;
+        }
+        return o;
+      }|}
+  in
+  let row l = Value.List (List.map (fun n -> Value.Int n) l) in
+  let env =
+    [
+      ("m", Value.List [ row [ 1; 2 ]; row [ 3; 4 ]; row [ 5; 6 ] ]);
+      ("rows", Value.Int 3);
+      ("cols", Value.Int 2);
+    ]
+  in
+  let prog, frag, best, entry = translated src env in
+  let sample = List.concat_map snd (Runner.datasets_of prog frag entry) in
+  check "6 (i, j, v) records" true (List.length sample = 6);
+  let est =
+    Monitor.estimate_from_sample frag entry [ best.Cegis.summary ] sample
+  in
+  Alcotest.(check (float 1e-9))
+    "3 distinct row keys in the sample" 3.0 est.Monitor.distinct_keys
+
 let test_monitor_chooses_cheapest () =
   (* two candidates where one is plainly cheaper: the monitor must pick it *)
   let src = wc_src in
@@ -458,6 +489,8 @@ let suite =
         Alcotest.test_case "switch decision at 0/50/95%" `Quick
           test_monitor_switch_decision;
         Alcotest.test_case "distinct keys" `Quick test_monitor_distinct_keys;
+        Alcotest.test_case "distinct keys, multi-parameter records" `Quick
+          test_monitor_distinct_keys_multi_param;
         Alcotest.test_case "chooses cheapest" `Quick
           test_monitor_chooses_cheapest;
         Alcotest.test_case "sample capped at sample_k" `Quick

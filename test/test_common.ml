@@ -203,6 +203,53 @@ let test_library_dates () =
     (Library.Unknown_method "Nope.nope/0") (fun () ->
       ignore (Library.apply "Nope.nope" []))
 
+(* malformed or out-of-range arguments raise Value.Type_error with an
+   accurate message, which the IR evaluator reports as an Eval_error *)
+let test_library_errors () =
+  let module Ir = Casper_ir.Lang in
+  let module Eval = Casper_ir.Eval in
+  let cases =
+    [
+      ( "String.charAt",
+        [ Value.Str "ab"; Value.Int 2 ],
+        {|String.charAt: index 2 out of range for "ab"|} );
+      ( "String.charAt",
+        [ Value.Str "ab"; Value.Int (-1) ],
+        {|String.charAt: index -1 out of range for "ab"|} );
+      ( "Integer.parseInt",
+        [ Value.Str "12x" ],
+        {|Integer.parseInt: malformed integer "12x"|} );
+      ( "Double.parseDouble",
+        [ Value.Str "x.5" ],
+        {|Double.parseDouble: malformed number "x.5"|} );
+      ( "Util.parseDate",
+        [ Value.Str "1994-xx-01" ],
+        {|Util.parseDate: malformed date literal "1994-xx-01"|} );
+      ( "Util.parseDate",
+        [ Value.Str "1994" ],
+        {|Util.parseDate: malformed date literal "1994"|} );
+    ]
+  in
+  let const = function
+    | Value.Str s -> Ir.CStr s
+    | Value.Int n -> Ir.CInt n
+    | v -> Alcotest.failf "no IR constant for %a" Value.pp v
+  in
+  List.iter
+    (fun (name, args, msg) ->
+      Alcotest.check_raises (name ^ " via Library.apply") (Value.Type_error msg)
+        (fun () -> ignore (Library.apply name args));
+      Alcotest.check_raises (name ^ " via Eval.eval_expr")
+        (Eval.Eval_error msg) (fun () ->
+          ignore (Eval.eval_expr [] (Ir.Call (name, List.map const args)))))
+    cases;
+  check "charAt in range" true
+    (Value.equal
+       (Library.apply "String.charAt" [ Value.Str "ab"; Value.Int 1 ])
+       (Value.Str "b"));
+  check "parseInt" true
+    (Value.equal (Library.apply "Integer.parseInt" [ Value.Str "-42" ]) (Value.Int (-42)))
+
 (* ---------------- Tablefmt ---------------- *)
 
 let test_tablefmt () =
@@ -248,6 +295,7 @@ let suite =
         Alcotest.test_case "math models" `Quick test_library_math;
         Alcotest.test_case "string models" `Quick test_library_strings;
         Alcotest.test_case "date models" `Quick test_library_dates;
+        Alcotest.test_case "malformed arguments" `Quick test_library_errors;
       ] );
     ( "common.tablefmt",
       [ Alcotest.test_case "render" `Quick test_tablefmt ] );

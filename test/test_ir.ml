@@ -247,6 +247,250 @@ let prop_reduce_perm_invariant =
       let rng = Casper_common.Rng.create 3 in
       Value.equal (run (ints l)) (run (Casper_common.Rng.shuffle rng (ints l))))
 
+(* ---------------- staged evaluation ---------------- *)
+
+(* The reference λ semantics: [eval_expr] over [bind_params], with the
+   evaluation order staged code must keep written out (a key-value emit
+   evaluates its value before its key). *)
+let ref_lam_m env (lm : Ir.lam_m) elt =
+  let ev = Eval.eval_expr (Eval.bind_params env lm.Ir.m_params elt) in
+  let kvs = ref [] and vs = ref [] in
+  List.iter
+    (fun { Ir.guard; payload } ->
+      let fire =
+        match guard with None -> true | Some g -> Value.as_bool (ev g)
+      in
+      if fire then
+        match payload with
+        | Ir.KV (k, v) ->
+            let v = ev v in
+            let k = ev k in
+            kvs := (k, v) :: !kvs
+        | Ir.Val v -> vs := ev v :: !vs)
+    lm.Ir.emits;
+  match (List.rev !kvs, List.rev !vs) with
+  | kvs, [] -> `KV kvs
+  | [], vs -> `V vs
+  | _ -> raise (Eval.Eval_error "λm mixes key-value and plain emits")
+
+let ref_lam_r env (lr : Ir.lam_r) a b =
+  Eval.eval_expr ((lr.Ir.r_left, a) :: (lr.Ir.r_right, b) :: env) lr.Ir.r_body
+
+(* the same value, or the same exception constructor and message *)
+let outcome (f : unit -> Value.t) : (Value.t, string) result =
+  match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let same_outcome a b =
+  match (outcome a, outcome b) with
+  | Ok x, Ok y -> Value.equal x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let emitted = function
+  | `KV kvs -> Value.List (List.map (fun (k, v) -> Value.Tuple [ k; v ]) kvs)
+  | `V vs -> Value.Tuple [ Value.List vs ]
+
+(* free scalars of the staged λs; "zz" is never bound *)
+let free_env =
+  [
+    ("a", vint 3);
+    ("b", vint 0);
+    ("f", Value.Float 2.5);
+    ("s", Value.Str "ab1");
+    ("n", Value.Str "12");
+    ("p", Value.Struct ("P", [ ("x", vint 4) ]));
+    ("t", Value.Tuple [ vint 1; Value.Str "q" ]);
+  ]
+
+module G = QCheck.Gen
+
+(* well-typed int expressions over [vars] *)
+let int_expr (vars : string list) : Ir.expr G.t =
+  G.sized_size (G.int_bound 4)
+  @@ G.fix (fun self n ->
+         let leaf =
+           G.oneof
+             [
+               G.map (fun i -> Ir.CInt i) (G.int_range (-3) 5);
+               G.map (fun v -> Ir.Var v) (G.oneofl vars);
+             ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           G.frequency
+             [
+               (2, leaf);
+               ( 3,
+                 G.map3
+                   (fun op a b -> Ir.Binop (op, a, b))
+                   (G.oneofl Ir.[ Add; Sub; Mul; Div; Mod; Min; Max ])
+                   sub sub );
+               (1, G.map (fun a -> Ir.Unop (Ir.Neg, a)) sub);
+               ( 1,
+                 G.map3
+                   (fun (op, x) a b -> Ir.If (Ir.Binop (op, x, a), a, b))
+                   (G.pair (G.oneofl Ir.[ Lt; Le; Eq; Ne ]) sub)
+                   sub sub );
+               ( 1,
+                 G.map2
+                   (fun a b -> Ir.Call ("Math.max", [ a; b ]))
+                   sub sub );
+             ])
+
+let bool_expr (vars : string list) : Ir.expr G.t =
+  let cmp =
+    G.map3
+      (fun op a b -> Ir.Binop (op, a, b))
+      (G.oneofl Ir.[ Lt; Le; Gt; Ge; Eq; Ne ])
+      (int_expr vars) (int_expr vars)
+  in
+  G.frequency
+    [
+      (3, cmp);
+      (1, G.map2 (fun a b -> Ir.Binop (Ir.And, a, b)) cmp cmp);
+      (1, G.map2 (fun a b -> Ir.Binop (Ir.Or, a, b)) cmp cmp);
+      (1, G.map (fun a -> Ir.Unop (Ir.Not, a)) cmp);
+    ]
+
+(* arbitrary, mostly ill-typed expressions: every constructor, every
+   modeled library method (and an unknown one) at any arity *)
+let any_expr (vars : string list) : Ir.expr G.t =
+  let names = "Nope.nope" :: List.map fst Casper_common.Library.known in
+  G.sized_size (G.int_bound 4)
+  @@ G.fix (fun self n ->
+         let leaf =
+           G.oneof
+             [
+               G.map (fun i -> Ir.CInt i) (G.int_range (-2) 3);
+               G.map (fun f -> Ir.CFloat f) (G.oneofl [ 0.0; 1.5; -2.0 ]);
+               G.map (fun b -> Ir.CBool b) G.bool;
+               G.map (fun s -> Ir.CStr s) (G.oneofl [ ""; "a"; "7"; "1994-01-02"; "x-y" ]);
+               G.map
+                 (fun v -> Ir.Var v)
+                 (G.oneofl (vars @ [ "a"; "f"; "s"; "n"; "p"; "t"; "zz" ]));
+             ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           G.frequency
+             [
+               (2, leaf);
+               ( 3,
+                 G.map3
+                   (fun op a b -> Ir.Binop (op, a, b))
+                   (G.oneofl
+                      Ir.[ Add; Sub; Mul; Div; Mod; Lt; Le; Gt; Ge; Eq; Ne; And; Or; Min; Max ])
+                   sub sub );
+               ( 1,
+                 G.map2
+                   (fun op a -> Ir.Unop (op, a))
+                   (G.oneofl Ir.[ Neg; Not ])
+                   sub );
+               ( 2,
+                 G.map2
+                   (fun f args -> Ir.Call (f, args))
+                   (G.oneofl names)
+                   (G.list_size (G.int_bound 3) sub) );
+               (1, G.map (fun es -> Ir.MkTuple es) (G.list_size (G.int_bound 3) sub));
+               (1, G.map2 (fun a i -> Ir.TupleGet (a, i)) sub (G.int_bound 2));
+               (1, G.map2 (fun a f -> Ir.Field (a, f)) sub (G.oneofl [ "x"; "y" ]));
+               (1, G.map3 (fun c t e -> Ir.If (c, t, e)) sub sub sub);
+             ])
+
+(* a λm with its record: well-typed (int records of the right arity,
+   bool guards, int emits) or arbitrary *)
+let lam_m_gen : (Ir.lam_m * Value.t) G.t =
+  let open G in
+  let* params = oneofl [ [ "x" ]; [ "x"; "y" ]; [ "x"; "x" ] ] in
+  let* typed = bool in
+  let vars = params @ [ "a"; "b" ] in
+  let e = if typed then int_expr vars else any_expr vars in
+  let guard = if typed then bool_expr vars else any_expr vars in
+  let emit =
+    map2
+      (fun guard payload -> { Ir.guard; payload })
+      (opt guard)
+      (if typed then map2 (fun k v -> Ir.KV (k, v)) e e
+       else
+         oneof [ map2 (fun k v -> Ir.KV (k, v)) e e; map (fun v -> Ir.Val v) e ])
+  in
+  let* emits = list_size (int_bound 3) emit in
+  let int = map vint (int_range (-4) 6) in
+  let+ record =
+    if typed then
+      match params with
+      | [ _ ] -> int
+      | ps -> map (fun l -> Value.Tuple l) (list_repeat (List.length ps) int)
+    else Test_common.value_gen
+  in
+  ({ Ir.m_params = params; emits }, record)
+
+let lam_r_gen : (Ir.lam_r * Value.t * Value.t) G.t =
+  let open G in
+  let* l, r = oneofl [ ("v1", "v2"); ("v", "v") ] in
+  let* typed = bool in
+  let vars = [ l; r; "a"; "b" ] in
+  let* body = if typed then int_expr vars else any_expr vars in
+  let arg = if typed then map vint (int_range (-4) 6) else Test_common.value_gen in
+  let+ a, b = pair arg arg in
+  ({ Ir.r_left = l; r_right = r; r_body = body }, a, b)
+
+let prop_staged_lam_m =
+  QCheck.Test.make ~name:"staged λm = eval_expr over bind_params" ~count:500
+    (QCheck.make
+       ~print:(fun (lm, r) -> Fmt.str "%a on %a" Ir.pp_lam_m lm Value.pp r)
+       lam_m_gen)
+    (fun (lm, record) ->
+      let reference () = emitted (ref_lam_m free_env lm record) in
+      same_outcome
+        (fun () -> emitted (Eval.apply_lam_m free_env lm record))
+        reference
+      && same_outcome
+           (fun () -> Value.List (Eval.stage_lam_m free_env lm record))
+           (fun () ->
+             match ref_lam_m free_env lm record with
+             | `KV kvs ->
+                 Value.List (List.map (fun (k, v) -> Value.Tuple [ k; v ]) kvs)
+             | `V vs -> Value.List vs))
+
+let prop_staged_lam_r =
+  QCheck.Test.make ~name:"staged λr = eval_expr over its two bindings"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (lr, a, b) ->
+         Fmt.str "%a on %a, %a" Ir.pp_lam_r lr Value.pp a Value.pp b)
+       lam_r_gen)
+    (fun (lr, a, b) ->
+      same_outcome
+        (fun () -> Eval.apply_lam_r free_env lr a b)
+        (fun () -> ref_lam_r free_env lr a b))
+
+(* both operands fail: the right one is evaluated first *)
+let test_staged_binop_order () =
+  let e =
+    Ir.Binop (Ir.Add, Ir.Binop (Ir.Div, Ir.CInt 1, Ir.CInt 0), Ir.Var "zz")
+  in
+  let expected = Eval.Eval_error "unbound IR variable zz" in
+  Alcotest.check_raises "eval_expr" expected (fun () ->
+      ignore (Eval.eval_expr [] e));
+  Alcotest.check_raises "staged" expected (fun () ->
+      ignore (Eval.stage [] [] e [||]))
+
+(* key and value both fail: the value is evaluated first *)
+let test_staged_emit_order () =
+  let lm =
+    id_map [ "x" ] (Ir.Binop (Ir.Div, Ir.Var "x", Ir.CInt 0)) (Ir.Var "zz")
+  in
+  let expected = Eval.Eval_error "unbound IR variable zz" in
+  Alcotest.check_raises "apply_lam_m" expected (fun () ->
+      ignore (Eval.apply_lam_m [] lm (vint 1)));
+  Alcotest.check_raises "stage_lam_m" expected (fun () ->
+      ignore (Eval.stage_lam_m [] lm (vint 1)));
+  Alcotest.check_raises "reference" expected (fun () ->
+      ignore (ref_lam_m [] lm (vint 1)))
+
 (* ---------------- type inference ---------------- *)
 
 let tenv = { Infer.vars = [ ("n", Ir.TInt); ("s", Ir.TString) ]; structs = [ ("P", [ ("x", Ir.TFloat) ]) ] }
@@ -330,6 +574,14 @@ let suite =
         Alcotest.test_case "tuple projection" `Quick test_apply_summary_proj;
       ] );
     qsuite "ir.eval.props" [ prop_reduce_perm_invariant ];
+    ( "ir.eval.staged",
+      [
+        Alcotest.test_case "binop operands right to left" `Quick
+          test_staged_binop_order;
+        Alcotest.test_case "emit value before key" `Quick
+          test_staged_emit_order;
+      ] );
+    qsuite "ir.eval.staged.props" [ prop_staged_lam_m; prop_staged_lam_r ];
     ( "ir.infer",
       [
         Alcotest.test_case "expressions" `Quick test_infer_exprs;
