@@ -20,6 +20,7 @@ module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 module Cluster = Mapreduce.Cluster
 module Engine = Mapreduce.Engine
+module Exec_config = Mapreduce.Exec_config
 module Plan = Mapreduce.Plan
 module T = Casper_common.Tablefmt
 module Stats = Casper_common.Stats
@@ -1221,7 +1222,9 @@ let par_scaling () =
     let t1 = Obs.wall_clock () in
     let runs =
       List.init engine_reps (fun _ ->
-          Engine.run_plan ~pool ~cluster:Cluster.spark
+          Engine.run_plan
+            ~config:{ Exec_config.default with Exec_config.pool = Some pool }
+            ~cluster:Cluster.spark
             ~datasets:[ ("words", words) ] wc_plan)
     in
     let engine_s = Obs.wall_clock () -. t1 in
@@ -1489,7 +1492,10 @@ let engine_perf () =
             let run, wall =
               Par.with_pool ~jobs:eff @@ fun pool ->
               time_min (fun () ->
-                  Engine.run_plan ~pool ~cluster:Cluster.spark
+                  Engine.run_plan
+                    ~config:
+                      { Exec_config.default with Exec_config.pool = Some pool }
+                    ~cluster:Cluster.spark
                     ~datasets:[ ("d", input) ] plan)
             in
             ((req, eff), run, wall))
@@ -1622,8 +1628,15 @@ let spill_perf () =
   let rows = ref [] and json_workloads = ref [] in
   List.iter
     (fun (name, plan) ->
-      let run_at memory_budget =
-        Engine.run_plan ~memory_budget ~cluster:Cluster.spark ~datasets plan
+      let run_at ?obs budget =
+        Engine.run_plan
+          ~config:
+            {
+              Exec_config.default with
+              Exec_config.obs;
+              memory_budget = Some budget;
+            }
+          ~cluster:Cluster.spark ~datasets plan
       in
       let mem_run, mem_wall = time_min (fun () -> run_at 0) in
       let json_budgets =
@@ -1644,10 +1657,7 @@ let spill_perf () =
                           %s" name blabel);
             let obs = Obs.create () in
             (if budget > 0 then
-               let rs =
-                 Engine.run_plan ~obs ~memory_budget:budget
-                   ~cluster:Cluster.spark ~datasets plan
-               in
+               let rs = run_at ~obs budget in
                if rs.Engine.output <> mem_run.Engine.output then
                  failwith
                    (Fmt.str "spill_perf: %s instrumented run differs" name));
@@ -1717,10 +1727,6 @@ let spill_perf () =
     bug, not a perf regression. Results land in [BENCH_cache.json]. *)
 let cache_perf () =
   section "Lineage cache: iterative fragments, cold vs cache-served";
-  (* pin both process defaults: "cold" must really recompute, and
-     pressure shedding must not evict the entry between iterations *)
-  Engine.with_default_cache None @@ fun () ->
-  Mapreduce.Spill.with_default_budget None @@ fun () ->
   let cluster = Cluster.spark in
   let iters = 10 in
   let reps = 3 in
@@ -1764,7 +1770,9 @@ let cache_perf () =
           let datasets = Runner.datasets_of prog t.Casper.frag entry in
           let plan = translated.Casper_codegen.Compile.plan in
           let run ?cache () =
-            Engine.run_plan ?cache ~cluster ~datasets plan
+            Engine.run_plan
+              ~config:{ Exec_config.default with Exec_config.cache }
+              ~cluster ~datasets plan
           in
           let cold0 = run () in
           let records =
@@ -1861,11 +1869,6 @@ let cache_perf () =
 let serve_perf () =
   section "Serving sessions: mixed plan stream at concurrency 1 / 2 / 4";
   let module Exec = Casper_exec.Exec in
-  (* pin both process defaults: each job has a distinct dataset, so a
-     cache would only add lookup overhead — the claim here is dispatch
-     overlap, not memoization *)
-  Engine.with_default_cache None @@ fun () ->
-  Mapreduce.Spill.with_default_budget None @@ fun () ->
   let host = Domain.recommended_domain_count () in
   let cluster = Cluster.spark in
   let vi = Value.as_int in
@@ -2138,17 +2141,6 @@ let () =
          match int_of_string_opt v with
          | Some n when n >= 1 -> Par.set_jobs n
          | _ -> Fmt.epr "ignoring bad --jobs %S@." v)
-     | _ :: rest -> find rest
-     | [] -> ()
-   in
-   find argv);
-  (* installs a process-default lineage cache for every section;
-     sections that compare cached vs cold pin their own default *)
-  (let rec find = function
-     | "--cache-budget" :: v :: _ -> (
-         match int_of_string_opt v with
-         | Some n -> Engine.set_default_cache_budget (Some n)
-         | None -> Fmt.epr "ignoring bad --cache-budget %S@." v)
      | _ :: rest -> find rest
      | [] -> ()
    in

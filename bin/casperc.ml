@@ -49,14 +49,14 @@ let pp_analysis ppf (frag : F.t) =
    through an Exec.Session — the serving front door — at concurrency 1,
    where jobs run on the owner domain and the engine's spans keep
    nesting under each fragment's "execute" span. *)
-let execute_traced ?cache (obs : Obs.ctx) (report : Casper.report) : unit =
+let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
+    (report : Casper.report) : unit =
   let cluster = Mapreduce.Cluster.spark in
   let prog = report.Casper.program in
   let config =
     {
-      (Exec.Config.of_env ()) with
+      exec_config with
       Exec.Config.obs = Some obs;
-      cache;
       cluster = Some cluster;
       concurrency = Some 1;
     }
@@ -101,16 +101,19 @@ let execute_traced ?cache (obs : Obs.ctx) (report : Casper.report) : unit =
 let compile_file path target verbose summaries_only analysis_only budget trace
     jobs cache_budget =
   Option.iter Casper_par.Par.set_jobs jobs;
-  (* --cache-budget: install the process default (inert for traced runs
-     by the obs-bypass rule) AND build an explicit cache so the traced
-     execute stage is actually served *)
-  Option.iter
-    (fun n -> Mapreduce.Engine.set_default_cache_budget (Some n))
-    cache_budget;
-  let exec_cache =
+  (* the environment is read here, once; --cache-budget overrides its
+     cache field *)
+  let exec_config =
+    let env = Exec.Config.of_env () in
     match cache_budget with
-    | Some n when n > 0 -> Some (Mapreduce.Engine.make_cache ~budget:n ())
-    | _ -> None
+    | None -> env
+    | Some n ->
+        {
+          env with
+          Exec.Config.cache =
+            (if n > 0 then Some (Mapreduce.Engine.make_cache ~budget:n ())
+             else None);
+        }
   in
   let src =
     let ic = open_in path in
@@ -198,7 +201,7 @@ let compile_file path target verbose summaries_only analysis_only budget trace
       (match trace with
       | None -> ()
       | Some file ->
-          execute_traced ?cache:exec_cache obs report;
+          execute_traced exec_config obs report;
           Obs.write_trace file obs;
           Fmt.pr "trace written to %s (metrics: %s)@." file
             (Filename.remove_extension file ^ ".metrics.json"));

@@ -22,15 +22,13 @@ let datasets_of (prog : Minijava.Ast.program) (frag : F.t)
 
 (** Execute one verified summary for [frag] on [cluster]. [scale] maps
     the in-memory sample to the nominal workload size. *)
-let run_summary ?config ?obs ?pool ?cache
-    ~(cluster : Mapreduce.Cluster.t) ~(scale : float)
+let run_summary ?config ~(cluster : Mapreduce.Cluster.t) ~(scale : float)
     (prog : Minijava.Ast.program) (frag : F.t)
     (entry : Minijava.Interp.env) (s : Ir.summary) : result =
   let translated = Compile.compile prog frag entry s in
   let datasets = datasets_of prog frag entry in
   let run =
-    Mapreduce.Engine.run_plan ?config ?obs ?pool ?cache ~cluster ~datasets
-      translated.plan
+    Mapreduce.Engine.run_plan ?config ~cluster ~datasets translated.plan
   in
   {
     outputs = translated.read_outputs run.output;

@@ -21,20 +21,14 @@ val datasets_of :
   Minijava.Interp.env ->
   (string * Value.t list) list
 
-(** Execute one verified summary for a fragment. [config] — the
-    unified {!Mapreduce.Exec_config.t} surface — and the legacy
-    standalone [obs] / [pool] / [cache] arguments (deprecated aliases,
-    kept for one release; a standalone argument overrides the config
-    field) are forwarded to {!Mapreduce.Engine.run_plan}. Note that a
-    plan is recompiled (fresh closures) on every call, so lineage-cache
-    reuse across calls requires compiling once and driving
-    [Engine.run_plan] directly; an explicit [cache] here still serves
-    repeats within a single plan (join sides). *)
+(** Execute one verified summary for a fragment under [config],
+    forwarded to {!Mapreduce.Engine.run_plan}. The plan is recompiled
+    (fresh closures) on every call, so lineage-cache reuse across calls
+    needs a plan compiled once and [Engine.run_plan] driven directly;
+    a [config.cache] here still serves repeats within a single plan
+    (join sides). *)
 val run_summary :
   ?config:Mapreduce.Exec_config.t ->
-  ?obs:Casper_obs.Obs.ctx ->
-  ?pool:Casper_par.Par.pool ->
-  ?cache:Mapreduce.Engine.cache ->
   cluster:Mapreduce.Cluster.t ->
   scale:float ->
   Minijava.Ast.program ->

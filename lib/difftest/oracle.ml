@@ -119,6 +119,13 @@ let render_env (env : Interp.env) : string =
 let render_outputs (outs : (string * Value.t) list) : string =
   render_env outs
 
+(* engine runs take explicit configs only: each check pins the knobs it
+   compares, so the caller's environment cannot move a verdict *)
+let with_pool p = { Exec.Config.default with Exec.Config.pool = Some p }
+
+let with_budget b =
+  { Exec.Config.default with Exec.Config.memory_budget = Some b }
+
 let solutions_equal (a : Cegis.solution list) (b : Cegis.solution list) : bool
     =
   List.length a = List.length b
@@ -328,11 +335,13 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                 List.iter
                                   (fun (cluster : Cluster.t) ->
                                     let r1 =
-                                      Engine.run_plan ~pool:p1 ~cluster
+                                      Engine.run_plan
+                                        ~config:(with_pool p1) ~cluster
                                         ~datasets t.Compile.plan
                                     in
                                     let rn =
-                                      Engine.run_plan ~pool:pn ~cluster
+                                      Engine.run_plan
+                                        ~config:(with_pool pn) ~cluster
                                         ~datasets t.Compile.plan
                                     in
                                     if
@@ -368,8 +377,8 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                         Par.records_per_task := 1;
                                         Par.inline_cutoff := 0;
                                         let rt =
-                                          Engine.run_plan ~pool:pn ~cluster
-                                            ~datasets t.Compile.plan
+                                          Engine.run_plan ~config:(with_pool pn)
+                                            ~cluster ~datasets t.Compile.plan
                                         in
                                         if
                                           rt.Mapreduce.Engine.output
@@ -396,12 +405,11 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                         (fun (cluster : Cluster.t) ->
                           let tag = "spill:" ^ cluster.Cluster.name in
                           let rm =
-                            Engine.run_plan ~memory_budget:0 ~cluster
-                              ~datasets t.Compile.plan
+                            Engine.run_plan ~cluster ~datasets t.Compile.plan
                           in
                           let rs =
-                            Engine.run_plan ~memory_budget:1024 ~cluster
-                              ~datasets t.Compile.plan
+                            Engine.run_plan ~config:(with_budget 1024)
+                              ~cluster ~datasets t.Compile.plan
                           in
                           if rs.Engine.output <> rm.Engine.output then
                             fail tag
@@ -418,7 +426,12 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                               ()
                           in
                           let rf =
-                            Engine.run_plan ~sched ~memory_budget:1024
+                            Engine.run_plan
+                              ~config:
+                                {
+                                  (with_budget 1024) with
+                                  Exec.Config.sched = Some sched;
+                                }
                               ~cluster ~datasets t.Compile.plan
                           in
                           if
@@ -443,9 +456,7 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                         (fun (cluster : Cluster.t) ->
                           let tag = "cache:" ^ cluster.Cluster.name in
                           let base =
-                            Engine.with_default_cache None (fun () ->
-                                Engine.run_plan ~cluster ~datasets
-                                  t.Compile.plan)
+                            Engine.run_plan ~cluster ~datasets t.Compile.plan
                           in
                           let check what (r : Engine.run) =
                             if r.Engine.output <> base.Engine.output then
@@ -454,8 +465,6 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                               fail tag "%s changed stage accounting" what
                           in
                           let run ?sched cache () =
-                            (* drives the unified config surface the
-                               way migrated call sites do *)
                             Engine.run_plan
                               ~config:
                                 {
@@ -495,9 +504,7 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                         (fun (cluster : Cluster.t) ->
                           let tag = "session:" ^ cluster.Cluster.name in
                           let base =
-                            Engine.with_default_cache None (fun () ->
-                                Engine.run_plan ~cluster ~datasets
-                                  t.Compile.plan)
+                            Engine.run_plan ~cluster ~datasets t.Compile.plan
                           in
                           List.iter
                             (fun conc ->
@@ -509,15 +516,13 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                 }
                               in
                               let outcomes =
-                                Engine.with_default_cache None (fun () ->
-                                    Exec.Session.with_session ~config
-                                      (fun s ->
-                                        let jobs =
-                                          List.init 2 (fun _ ->
-                                              Exec.Session.submit s ~cluster
-                                                ~datasets t.Compile.plan)
-                                        in
-                                        List.map (Exec.Session.await s) jobs))
+                                Exec.Session.with_session ~config (fun s ->
+                                    let jobs =
+                                      List.init 2 (fun _ ->
+                                          Exec.Session.submit s ~cluster
+                                            ~datasets t.Compile.plan)
+                                    in
+                                    List.map (Exec.Session.await s) jobs)
                               in
                               List.iteri
                                 (fun i outcome ->
@@ -558,8 +563,13 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                               Fmt.str "faults:%s" cluster.Cluster.name
                             in
                             let run =
-                              Engine.run_plan ~sched ~cluster ~datasets
-                                t.Compile.plan
+                              Engine.run_plan
+                                ~config:
+                                  {
+                                    Exec.Config.default with
+                                    Exec.Config.sched = Some sched;
+                                  }
+                                ~cluster ~datasets t.Compile.plan
                             in
                             let outs =
                               t.Compile.read_outputs

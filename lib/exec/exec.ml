@@ -73,36 +73,23 @@ module Session = struct
   let now () = Unix.gettimeofday ()
 
   let create ?(config = Config.default) () : t =
-    let concurrency =
-      match config.Config.concurrency with
-      | Some n when n >= 1 -> n
-      | Some _ -> 1
-      | None -> Config.env_exec_concurrency ()
+    let at_least_1 default = function
+      | Some n -> max 1 n
+      | None -> default
     in
-    let queue_capacity =
-      match config.Config.queue_capacity with
-      | Some n when n >= 1 -> n
-      | Some _ -> 1
-      | None -> Config.env_exec_queue ()
-    in
+    let concurrency = at_least_1 1 config.Config.concurrency in
+    let queue_capacity = at_least_1 64 config.Config.queue_capacity in
     let pool, owns_pool =
       match config.Config.pool with
       | Some p -> (p, false)
       | None -> (Par.create ~jobs:concurrency, true)
     in
-    (* the shared resources are resolved once here, not per job: one
-       cache, one spill/ledger budget, shared by every job however the
-       process defaults move afterwards *)
-    let cache =
-      match config.Config.cache with
-      | Some _ as c -> c
-      | None -> Config.default_cache ()
-    in
+    (* one spill/ledger budget shared by every job; [<= 0] means
+       unbounded, as in the engine *)
     let budget =
       match config.Config.memory_budget with
       | Some b when b > 0 -> Some b
-      | Some _ -> None
-      | None -> Config.default_mem_budget ()
+      | _ -> None
     in
     let obs =
       match config.Config.obs with Some o -> o | None -> Obs.null
@@ -111,11 +98,6 @@ module Session = struct
       {
         config with
         Config.pool = Some pool;
-        cache;
-        (* freeze the resolved budget ([Some 0] = explicitly unbounded)
-           so every job — and the cache keys it creates — sees the
-           session's budget, not a later process default *)
-        memory_budget = Some (match budget with Some b -> b | None -> 0);
         (* engine spans mutate the owner's span stack, so jobs trace
            only when at most one runs at a time (and then on the owner,
            which executes them while helping in [await]/[drain]) *)

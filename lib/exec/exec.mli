@@ -25,11 +25,11 @@
 
 module Value = Casper_common.Value
 
-(** The unified execution-configuration record
-    ({!Mapreduce.Exec_config}): one [t] gathering
-    [sched]/[obs]/[pool]/[memory_budget]/[cache]/[cluster] plus the
-    session knobs, with precedence {e explicit field > CLI flag >
-    [CASPER_*] environment > built-in} and an [of_env] constructor. *)
+(** The execution-configuration record ({!Mapreduce.Exec_config}):
+    one [t] gathering [sched]/[obs]/[pool]/[memory_budget]/[cache]/
+    [cluster] plus the session knobs. A [None] field is the built-in
+    value; [of_env] is the one reader of the [CASPER_*] variables that
+    set them. *)
 module Config = Mapreduce.Exec_config
 
 module Session : sig
@@ -67,18 +67,16 @@ module Session : sig
   (** [create ?config ()] — a session over [config] (default
       {!Config.default}).
 
-      [config.concurrency] (default [CASPER_EXEC_CONCURRENCY], else 1)
-      bounds the jobs dispatched at once; [config.queue_capacity]
-      (default [CASPER_EXEC_QUEUE], else 64) bounds the admission
+      [config.concurrency] (default 1) bounds the jobs dispatched at
+      once; [config.queue_capacity] (default 64) bounds the admission
       queue. [config.pool] shares an existing pool; absent, the session
       owns a fresh pool sized to the concurrency (released by
       {!shutdown}). [config.cache] is the shared lineage cache (absent:
-      the process default, {!Config.default_cache}). The resolved
-      [config.memory_budget] is both each job's spill budget and the
-      session's ledger budget: a job whose input bytes would overflow
-      the ledger waits (it is never rejected for size — a lone job
-      always dispatches, and its grouped stages spill within the same
-      budget).
+      none). [config.memory_budget] is both each job's spill budget
+      and the session's ledger budget: a job whose input bytes would
+      overflow the ledger waits (it is never rejected for size — a lone
+      job always dispatches, and its grouped stages spill within the
+      same budget).
 
       [config.obs] records per-session counters and a per-job ["exec"]
       span track, flushed at {!shutdown}; engine-level spans inside

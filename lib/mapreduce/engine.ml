@@ -72,14 +72,6 @@ type cache = Exec_config.cache
 let make_cache = Exec_config.make_cache
 let cache_stats = Exec_config.cache_stats
 
-(* the CASPER_CACHE_BUDGET probe and the process default both live in
-   Exec_config now — memoized per override epoch and mutex-guarded, so
-   concurrent sessions can consult or scope the default safely; these
-   wrappers keep the historical call sites *)
-let default_cache = Exec_config.default_cache
-let set_default_cache_budget = Exec_config.set_default_cache_budget
-let with_default_cache = Exec_config.with_default_cache
-
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                       *)
 
@@ -96,10 +88,7 @@ type exec_ctx = {
   x_pool : Par.pool;
   x_budget : int option;  (** resolved spill budget *)
   x_spill_fault : (unit -> bool) option;
-  x_cache : cache option;  (** resolved cache, [None] = off *)
-  x_cache_explicit : bool;
-      (** the cache was supplied by the caller (argument or config),
-          not picked up as the process default *)
+  x_cache : cache option;  (** [None] = off *)
   x_cache_fault : (unit -> bool) option;
   x_cancel : (unit -> bool) option;
       (** cooperative cancellation token, polled at stage boundaries *)
@@ -134,22 +123,16 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
       if Hashtbl.mem seen name then err "duplicate dataset name %s" name
       else Hashtbl.add seen name ())
     datasets;
-  (* The process-default cache is consulted only on the owner domain —
-     population from one domain keeps jobs=1 behavior untouched and the
-     fault draws strictly sequential. An *explicitly supplied* cache is
-     consulted from worker domains too: session jobs execute inside
-     pool tasks, and their shared cache is the whole point (Cache ops
-     are mutex-guarded, and served outputs are byte-identical to
-     recomputation, so multi-domain population never changes results).
-     Either way only side-effect-free plans participate. The key binds
-     the resolved spill budget (ctx.x_budget, before any pressure
-     adjustment below), so budgeted and in-memory executions of the
-     same plan never share an entry. *)
+  (* Only side-effect-free plans participate, on any domain: session
+     jobs execute inside pool tasks, and their shared cache is the
+     whole point (Cache ops are mutex-guarded, and served outputs are
+     byte-identical to recomputation, so multi-domain population never
+     changes results). The key binds the resolved spill budget
+     (ctx.x_budget, before any pressure adjustment below), so budgeted
+     and in-memory executions of the same plan never share an entry. *)
   let cache_slot =
     match ctx.x_cache with
-    | Some c
-      when (ctx.x_cache_explicit || not (Par.on_worker ()))
-           && Plan.cacheable plan ->
+    | Some c when Plan.cacheable plan ->
         Some (c, Cache.key ~cluster ~budget:ctx.x_budget ~datasets plan)
     | _ -> None
   in
@@ -574,46 +557,9 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   { output = Batch.to_list output_batch; stages; input_records;
     input_bytes; sched }
 
-let run_plan ?config ?sched ?obs ?pool ?memory_budget ?cache
-    ~(cluster : Cluster.t) ~(datasets : (string * Value.t list) list)
-    (plan : Plan.t) : run =
-  (* precedence per knob: the legacy optional argument (deprecated — a
-     per-call override kept for one release), then the [config] field,
-     then the process default / environment, then the built-in *)
-  let cfg = match config with Some c -> c | None -> Exec_config.default in
-  let sched =
-    match sched with Some _ as s -> s | None -> cfg.Exec_config.sched
-  in
-  let obs =
-    match obs with
-    | Some o -> o
-    | None -> Option.value cfg.Exec_config.obs ~default:Obs.null
-  in
-  let pool =
-    match pool with
-    | Some p -> p
-    | None -> (
-        match cfg.Exec_config.pool with
-        | Some p -> p
-        | None -> Par.global ())
-  in
-  let memory_budget =
-    match memory_budget with
-    | Some _ as b -> b
-    | None -> cfg.Exec_config.memory_budget
-  in
-  let cache =
-    match cache with Some _ as c -> c | None -> cfg.Exec_config.cache
-  in
-  (* spill budget: an explicit value wins ([<= 0] means unbounded,
-     so callers can force the in-memory path whatever the environment
-     says); otherwise the process default (CASPER_MEM_BUDGET) *)
-  let budget =
-    match memory_budget with
-    | Some b when b > 0 -> Some b
-    | Some _ -> None
-    | None -> Spill.default_budget ()
-  in
+let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
+    ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
+  let sched = config.Exec_config.sched in
   (* spill-file I/O faults come from the scheduler's fault profile; the
      draws are seeded per top-level run_plan and happen sequentially on
      the submitting domain, so a (profile, plan, budget) triple always
@@ -621,8 +567,8 @@ let run_plan ?config ?sched ?obs ?pool ?memory_budget ?cache
   let fault_draw salt p =
     match sched with
     | None -> None
-    | Some config ->
-        let fp = config.Sched.Coordinator.faults in
+    | Some sc ->
+        let fp = sc.Sched.Coordinator.faults in
         let prob = p fp in
         if prob > 0.0 then begin
           let rng =
@@ -632,29 +578,25 @@ let run_plan ?config ?sched ?obs ?pool ?memory_budget ?cache
         end
         else None
   in
-  (* cache: an explicit argument always wins; the process default
-     (CASPER_CACHE_BUDGET) is a transparent accelerator only — it is
-     bypassed entirely for instrumented runs, so enabled-[obs] traces
-     and counters always describe a real execution and the golden
-     traces are byte-identical whatever the environment says *)
-  let cache_explicit = Option.is_some cache in
-  let cache =
-    match cache with
-    | Some c -> Some c
-    | None -> if Obs.enabled obs then None else default_cache ()
-  in
   exec_plan
     {
       x_sched = sched;
-      x_obs = obs;
-      x_pool = pool;
-      x_budget = budget;
+      x_obs = Option.value config.Exec_config.obs ~default:Obs.null;
+      x_pool =
+        (match config.Exec_config.pool with
+        | Some p -> p
+        | None -> Par.global ());
+      (* [<= 0] means unbounded, so callers can force the in-memory
+         path explicitly *)
+      x_budget =
+        (match config.Exec_config.memory_budget with
+        | Some b when b > 0 -> Some b
+        | _ -> None);
       x_spill_fault = fault_draw 0x51f4 (fun fp -> fp.Sched.Faults.spill_fault_prob);
-      x_cache = cache;
-      x_cache_explicit = cache_explicit;
+      x_cache = config.Exec_config.cache;
       x_cache_fault =
         fault_draw 0x2ac8 (fun fp -> fp.Sched.Faults.cache_fault_prob);
-      x_cancel = cfg.Exec_config.cancel;
+      x_cancel = config.Exec_config.cancel;
     }
     ~cluster ~datasets plan
 

@@ -62,78 +62,42 @@ val make_cache : ?budget:int -> unit -> cache
 
 val cache_stats : cache -> Cache.stats
 
-(** The process-default cache consulted when {!run_plan} gets no
-    explicit [?cache]: built from [CASPER_CACHE_BUDGET] bytes (0,
-    negative or unset = no cache) unless overridden. Delegates to
-    {!Exec_config.default_cache}: memoized per override epoch (the
-    environment is probed once per process) and mutex-guarded, so
-    concurrent sessions read it safely. *)
-val default_cache : unit -> cache option
+(** Execute a plan over named in-memory datasets under [config]
+    (default {!Exec_config.default}: every knob at its built-in value).
 
-(** CLI override of the default: [Some b] with [b > 0] installs a fresh
-    bounded cache, [Some b] with [b <= 0] disables the default cache,
-    [None] restores the environment behavior. Delegates to
-    {!Exec_config.set_default_cache_budget}. *)
-val set_default_cache_budget : int option -> unit
+    [config.sched] charges wall-clock from a task-level schedule (with
+    fault injection and speculative execution) instead of the
+    closed-form estimate. [config.obs] (default disabled) records an
+    "engine.run_plan" span with one child span per stage, carrying
+    record and shuffle-volume counters. [config.pool] (default
+    {!Casper_par.Par.global}) runs record-level stage work and
+    per-partition combiner accounting across its domains; outputs and
+    accounting are byte-identical at any pool size (DESIGN.md §10).
+    [config.cancel] is polled at stage boundaries.
 
-(** [with_default_cache c f] runs [f] with the process default forced
-    to [c] ([None] = no default cache), restoring on exit. Delegates to
-    {!Exec_config.with_default_cache}: reads and writes are serialized,
-    but the override is process-global while in scope. *)
-val with_default_cache : cache option -> (unit -> 'a) -> 'a
+    [config.memory_budget] bounds the estimated live bytes a grouped
+    shuffle (reduceByKey / groupByKey) may buffer before spilling sorted
+    runs of {!Codec}-encoded records to temp files, merged back at
+    reduce time ({!Spill}; DESIGN.md §12). Absent or [<= 0]: the
+    in-memory path. Outputs, stage metrics and traces are byte-identical
+    at any budget. When the fault profile sets [spill_fault_prob], run
+    files are lost with that probability at merge time and
+    re-materialized from lineage, without observable effect on results.
 
-(** Execute a plan over named in-memory datasets.
-
-    [config] is the preferred way to pass every knob below in one
-    {!Exec_config.t} record (the surface sessions and CLIs build
-    once and reuse). The five standalone optional arguments are
-    {b deprecated aliases kept for one release}: when both are given,
-    the standalone argument wins as a per-call override of the config
-    field, and below that each knob falls through config → process
-    default / environment → built-in. [config] additionally carries the
-    cooperative [cancel] token (polled at stage boundaries; raises
-    {!Cancelled}), which has no standalone argument.
-
-    Pass [sched] to
-    charge wall-clock from a task-level schedule (with fault injection
-    and speculative execution) instead of the closed-form estimate.
-    [obs] (default disabled) records an "engine.run_plan" span with one
-    child span per stage, carrying record and shuffle-volume counters.
-    [pool] (default {!Casper_par.Par.global}) runs record-level stage
-    work and per-partition combiner accounting across its domains;
-    outputs and accounting are byte-identical at any pool size (see
-    DESIGN.md §10).
-
-    [memory_budget] bounds the estimated live bytes a grouped shuffle
-    (reduceByKey / groupByKey) may buffer before spilling sorted runs
-    of {!Codec}-encoded records to temp files, merged back at reduce
-    time ({!Spill}; DESIGN.md §12). [<= 0] forces the in-memory path;
-    when absent the default is {!Spill.default_budget} (environment
-    [CASPER_MEM_BUDGET]). Outputs, stage metrics and traces are
-    byte-identical at any budget. When [sched]'s fault profile sets
-    [spill_fault_prob], run files are lost with that probability at
-    merge time and re-materialized from lineage, without observable
-    effect on results.
-
-    [cache] serves repeated side-effect-free subplans (join sides,
-    cross-call reuse) from their previous materialization, keyed by
-    lineage — plan structure with physically identical closures, source
-    dataset identities, backend and resolved spill budget — with
-    outputs and stage metrics byte-identical to recomputation; an
-    [engine.cache] span with [cache_hits] / [cache_misses] /
-    [cache_bytes] / [cache_evictions] / [cache_invalidations] counters
-    carries the real story. When absent, the process default applies
-    ({!default_cache}, environment [CASPER_CACHE_BUDGET]) — except for
-    instrumented (enabled-[obs]) runs, which bypass the default so
-    traces and counters always describe a real execution, and except on
-    worker domains, where only an explicitly supplied cache (argument
-    or config field) is consulted — which is how session jobs executing
-    inside pool tasks share their session cache. Cached bytes
-    share the live-byte ledger with [memory_budget]: under pressure the
-    engine evicts cache entries before letting grouped stages spill.
-    When [sched]'s fault profile sets [cache_fault_prob], each hit may
-    find the partition lost; the entry is invalidated and the plan
-    recomputed from lineage, without observable effect on results
+    [config.cache] (default none) serves repeated side-effect-free
+    subplans (join sides, cross-call reuse) from their previous
+    materialization, keyed by lineage — plan structure with physically
+    identical closures, source dataset identities, backend and resolved
+    spill budget — with outputs and stage metrics byte-identical to
+    recomputation, on any domain (session jobs running inside pool
+    tasks share their session's cache). An [engine.cache] span with
+    [cache_hits] / [cache_misses] / [cache_bytes] / [cache_evictions] /
+    [cache_invalidations] counters records what the cache did. Cached
+    bytes share the live-byte ledger with the spill budget: under
+    pressure the engine evicts cache entries before letting grouped
+    stages spill. When the fault profile sets [cache_fault_prob], each
+    hit may find the partition lost; the entry is invalidated and the
+    plan recomputed from lineage, without observable effect on results
     (DESIGN.md §13).
     @raise Engine_error on unknown or duplicate dataset names, shape
     errors, shuffles on a cluster with no worker slots, and spill I/O
@@ -142,11 +106,6 @@ val with_default_cache : cache option -> (unit -> 'a) -> 'a
     a stage boundary. *)
 val run_plan :
   ?config:Exec_config.t ->
-  ?sched:Sched.Coordinator.config ->
-  ?obs:Casper_obs.Obs.ctx ->
-  ?pool:Casper_par.Par.pool ->
-  ?memory_budget:int ->
-  ?cache:cache ->
   cluster:Cluster.t ->
   datasets:(string * Value.t list) list ->
   Plan.t ->

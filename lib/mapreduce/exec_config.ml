@@ -31,142 +31,6 @@ let make_cache ?budget () : cache = Cache.create ?budget ()
 let cache_stats (c : cache) = Cache.stats c
 
 (* ------------------------------------------------------------------ *)
-(* Centralized CASPER_* environment probing                            *)
-
-(* one mutex for the memo table and the process defaults below: the
-   state is tiny and touched on cold paths only *)
-let lock = Mutex.create ()
-
-(* parse one integer variable; garbage warns once and reads as unset *)
-let probe_int (name : string) ~(on_garbage : string) : int option =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some raw -> (
-      match int_of_string_opt (String.trim raw) with
-      | Some b -> Some b
-      | None ->
-          ignore
-            (Obs.warn_once ~key:name
-               (Printf.sprintf "%s=%S is not an integer; %s" name raw
-                  on_garbage)
-              : bool);
-          None)
-
-(* memoized probes: one getenv + parse per process, even from
-   concurrent domains *)
-let memo : (string, int option) Hashtbl.t = Hashtbl.create 4
-
-let probe_memo (name : string) ~(on_garbage : string) : int option =
-  Mutex.protect lock (fun () ->
-      match Hashtbl.find_opt memo name with
-      | Some v -> v
-      | None ->
-          let v = probe_int name ~on_garbage in
-          Hashtbl.add memo name v;
-          v)
-
-let positive = function Some b when b > 0 -> Some b | _ -> None
-
-let env_mem_budget () =
-  positive (probe_memo "CASPER_MEM_BUDGET" ~on_garbage:"running unbounded")
-
-let env_cache_budget () =
-  positive (probe_memo "CASPER_CACHE_BUDGET" ~on_garbage:"cache disabled")
-
-(* the session knobs are probed live: they are read once per session
-   construction, never on a per-record path *)
-let env_exec_concurrency () =
-  match
-    probe_int "CASPER_EXEC_CONCURRENCY" ~on_garbage:"using concurrency 1"
-  with
-  | Some n when n >= 1 -> n
-  | _ -> 1
-
-let env_exec_queue () =
-  match probe_int "CASPER_EXEC_QUEUE" ~on_garbage:"using capacity 64" with
-  | Some n when n >= 1 -> n
-  | _ -> 64
-
-(* ------------------------------------------------------------------ *)
-(* Process defaults (guarded by [lock], memoized per override epoch)   *)
-
-(* [None] = fall through to the environment *)
-let mem_override : int option option ref = ref None
-
-let default_mem_budget () =
-  match Mutex.protect lock (fun () -> !mem_override) with
-  | Some forced -> forced
-  | None -> env_mem_budget ()
-
-let with_default_mem_budget b f =
-  let saved =
-    Mutex.protect lock (fun () ->
-        let s = !mem_override in
-        mem_override := Some b;
-        s)
-  in
-  Fun.protect
-    ~finally:(fun () -> Mutex.protect lock (fun () -> mem_override := saved))
-    f
-
-(* The default cache is memoized per epoch: [set_default_cache_budget]
-   constructs the epoch's cache once, and the environment fallback is
-   built on first demand and then reused — repeated [default_cache]
-   calls return the physically same cache and never re-read the
-   environment. *)
-let cache_override : cache option option ref = ref None
-let env_cache_memo : cache option option ref = ref None
-
-let build_env_cache_locked () =
-  match !env_cache_memo with
-  | Some c -> c
-  | None ->
-      let c =
-        (* inline probe (not [probe_memo]: [lock] is already held) *)
-        match
-          positive
-            (match Hashtbl.find_opt memo "CASPER_CACHE_BUDGET" with
-            | Some v -> v
-            | None ->
-                let v =
-                  probe_int "CASPER_CACHE_BUDGET" ~on_garbage:"cache disabled"
-                in
-                Hashtbl.add memo "CASPER_CACHE_BUDGET" v;
-                v)
-        with
-        | Some b -> Some (make_cache ~budget:b ())
-        | None -> None
-      in
-      env_cache_memo := Some c;
-      c
-
-let default_cache () =
-  Mutex.protect lock (fun () ->
-      match !cache_override with
-      | Some forced -> forced
-      | None -> build_env_cache_locked ())
-
-let set_default_cache_budget b =
-  let forced =
-    match b with
-    | None -> None
-    | Some b when b > 0 -> Some (Some (make_cache ~budget:b ()))
-    | Some _ -> Some None
-  in
-  Mutex.protect lock (fun () -> cache_override := forced)
-
-let with_default_cache c f =
-  let saved =
-    Mutex.protect lock (fun () ->
-        let s = !cache_override in
-        cache_override := Some c;
-        s)
-  in
-  Fun.protect
-    ~finally:(fun () -> Mutex.protect lock (fun () -> cache_override := saved))
-    f
-
-(* ------------------------------------------------------------------ *)
 (* The configuration record                                            *)
 
 type t = {
@@ -194,11 +58,35 @@ let default =
     cancel = None;
   }
 
+(* the only reader of these CASPER_* variables: a positive integer is
+   the field's value; unset, zero or negative leave the built-in, and
+   garbage also warns once *)
 let of_env () =
+  let positive name ~on_garbage =
+    match Sys.getenv_opt name with
+    | None -> None
+    | Some raw -> (
+        match int_of_string_opt (String.trim raw) with
+        | Some n when n > 0 -> Some n
+        | Some _ -> None
+        | None ->
+            ignore
+              (Obs.warn_once ~key:name
+                 (Printf.sprintf "%s=%S is not an integer; %s" name raw
+                    on_garbage)
+                : bool);
+            None)
+  in
   {
     default with
-    memory_budget = env_mem_budget ();
-    cache = default_cache ();
-    concurrency = Some (env_exec_concurrency ());
-    queue_capacity = Some (env_exec_queue ());
+    memory_budget =
+      positive "CASPER_MEM_BUDGET" ~on_garbage:"running unbounded";
+    cache =
+      Option.map
+        (fun budget -> make_cache ~budget ())
+        (positive "CASPER_CACHE_BUDGET" ~on_garbage:"cache disabled");
+    concurrency =
+      positive "CASPER_EXEC_CONCURRENCY" ~on_garbage:"using concurrency 1";
+    queue_capacity =
+      positive "CASPER_EXEC_QUEUE" ~on_garbage:"using capacity 64";
   }

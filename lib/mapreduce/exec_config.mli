@@ -1,29 +1,20 @@
-(** One execution-configuration surface for the engine and the session
-    layer ([Exec.Config] re-exports this module).
+(** The one execution-configuration surface for the engine and the
+    session layer ([Exec.Config] re-exports this module).
 
-    Historically every knob travelled on its own channel: five optional
-    arguments on {!Engine.run_plan}, plus three independently probed
-    [CASPER_*] environment variables. This module gathers them into a
-    single record with one documented precedence order
+    A {!t} record is the only way to configure an execution:
+    {!Engine.run_plan}, [Runner.run_summary] and [Exec.Session.create]
+    each take one [?config]. A [None] field means the built-in value —
+    no spill, no cache, session concurrency 1, admission queue 64 — at
+    every level; no process-global default sits between a field and the
+    built-in.
 
-    {v explicit field > CLI flag > CASPER_* environment > built-in v}
-
-    (a CLI flag is just an explicit field the binary filled in; the
-    environment enters only through {!of_env} and the process
-    defaults), and centralizes all [CASPER_*] probing:
-
-    - [CASPER_JOBS] — default pool parallelism (see
-      {!Casper_par.Par.env_jobs});
-    - [CASPER_MEM_BUDGET] — default spill budget, bytes;
-    - [CASPER_CACHE_BUDGET] — default lineage-cache budget, bytes;
-    - [CASPER_EXEC_CONCURRENCY] — default session concurrency;
-    - [CASPER_EXEC_QUEUE] — default session admission-queue capacity.
-
-    The process defaults ([default_mem_budget], [default_cache]) are
-    memoized — one [getenv] + parse per process, re-read only when an
-    override installs a new epoch — and every read or write goes
-    through one internal mutex, so concurrent sessions can consult (or
-    scope) them without torn state. *)
+    The environment enters only through {!of_env}, the one reader of
+    [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET],
+    [CASPER_EXEC_CONCURRENCY] and [CASPER_EXEC_QUEUE]. A binary that
+    wants the environment calls it once and passes the record on; the
+    library itself never reads these variables. ([CASPER_JOBS] sizes
+    {!Casper_par.Par.global} and [CASPER_SPILL_DIR] names
+    {!Spill.base_dir}; both are read where they are used.) *)
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
@@ -69,89 +60,37 @@ val make_cache : ?budget:int -> unit -> cache
 val cache_stats : cache -> Cache.stats
 
 (* ------------------------------------------------------------------ *)
-(* Centralized CASPER_* environment probing                            *)
-
-(** [CASPER_MEM_BUDGET] as a spill budget: [Some b] when set to a
-    positive integer, [None] otherwise (0 or negative = explicitly
-    unbounded; garbage warns once). Memoized per process. *)
-val env_mem_budget : unit -> int option
-
-(** [CASPER_CACHE_BUDGET] as a cache budget: [Some b] when positive,
-    [None] otherwise. Memoized per process. *)
-val env_cache_budget : unit -> int option
-
-(** [CASPER_EXEC_CONCURRENCY]: session concurrency when set to a
-    positive integer, else 1. Probed live (cold path). *)
-val env_exec_concurrency : unit -> int
-
-(** [CASPER_EXEC_QUEUE]: session admission-queue capacity when set to a
-    positive integer, else 64. Probed live (cold path). *)
-val env_exec_queue : unit -> int
-
-(* ------------------------------------------------------------------ *)
-(* Process defaults (mutex-guarded, memoized per override epoch)       *)
-
-(** The process-default spill budget: the last
-    {!with_default_mem_budget} override in scope, else the memoized
-    [CASPER_MEM_BUDGET]. {!Spill.default_budget} delegates here. *)
-val default_mem_budget : unit -> int option
-
-(** Scope an override of {!default_mem_budget} ([None] = unbounded),
-    restoring on exit. Reads and writes are serialized by the internal
-    mutex, so concurrent sessions never observe torn state — but the
-    override itself is process-global and visible to every domain while
-    in scope. *)
-val with_default_mem_budget : int option -> (unit -> 'a) -> 'a
-
-(** The process-default cache: the cache installed by the last
-    {!set_default_cache_budget} / {!with_default_cache}, else one built
-    from the memoized [CASPER_CACHE_BUDGET] (0, negative or unset = no
-    cache). Every call in one epoch returns the physically same cache —
-    the environment is not re-read. *)
-val default_cache : unit -> cache option
-
-(** CLI override of the default: [Some b] with [b > 0] installs a fresh
-    bounded cache (a new epoch), [Some b] with [b <= 0] disables the
-    default cache, [None] restores the environment behavior. *)
-val set_default_cache_budget : int option -> unit
-
-(** [with_default_cache c f] runs [f] with the process default forced
-    to [c] ([None] = no default cache), restoring on exit. Same
-    concurrency caveat as {!with_default_mem_budget}. *)
-val with_default_cache : cache option -> (unit -> 'a) -> 'a
-
-(* ------------------------------------------------------------------ *)
 (* The configuration record                                            *)
 
 (** Everything an execution may want decided for it. Every field is
-    optional; [None] means "fall through" to the next precedence level
-    (the process default / environment, then the built-in). *)
+    optional; [None] means the built-in value. *)
 type t = {
   sched : Sched.Coordinator.config option;
-      (** task-level scheduling + fault profile *)
-  obs : Obs.ctx option;  (** observability context *)
+      (** task-level scheduling + fault profile (default: closed-form
+          time estimate, no faults) *)
+  obs : Obs.ctx option;  (** observability context (default: disabled) *)
   pool : Par.pool option;  (** domain pool (default {!Par.global}) *)
   memory_budget : int option;
-      (** spill budget in bytes; [Some b <= 0] forces in-memory *)
-  cache : cache option;  (** lineage cache; explicit = always live *)
+      (** spill budget in bytes (default, or [<= 0]: in-memory) *)
+  cache : cache option;  (** lineage cache (default: none) *)
   cluster : Cluster.t option;
       (** default backend for session jobs submitted without one *)
-  concurrency : int option;
-      (** session job-slot count (default [CASPER_EXEC_CONCURRENCY]) *)
+  concurrency : int option;  (** session job-slot count (default 1) *)
   queue_capacity : int option;
-      (** session admission-queue bound (default [CASPER_EXEC_QUEUE]) *)
+      (** session admission-queue bound (default 64) *)
   cancel : (unit -> bool) option;
       (** cooperative cancellation token, polled at stage boundaries;
           returning [true] makes the engine raise [Engine.Cancelled] *)
 }
 
-(** All fields [None]: every knob falls through to the process default,
-    then the built-in. *)
+(** All fields [None]: every knob takes its built-in value. *)
 val default : t
 
-(** A config with the [CASPER_*] environment captured as explicit
-    fields: [memory_budget] / [cache] from the memoized probes,
-    [concurrency] / [queue_capacity] probed live. [sched], [obs],
-    [pool], [cluster] and [cancel] have no environment channel and stay
-    [None]. *)
+(** {!default} with the environment captured as explicit fields:
+    [memory_budget] from [CASPER_MEM_BUDGET], [cache] a fresh cache of
+    [CASPER_CACHE_BUDGET] bytes, [concurrency] from
+    [CASPER_EXEC_CONCURRENCY], [queue_capacity] from
+    [CASPER_EXEC_QUEUE]. A variable that is unset, or not a positive
+    integer, leaves its field [None]; a non-integer also warns once.
+    Each call reads the environment afresh and builds a new cache. *)
 val of_env : unit -> t

@@ -10,12 +10,6 @@ let err fmt = Fmt.kstr (fun s -> raise (Spill_error s)) fmt
 (* ------------------------------------------------------------------ *)
 (* Process-wide configuration                                          *)
 
-(* the CASPER_MEM_BUDGET probe and the scoped override both live in
-   Exec_config now (one centralized, mutex-guarded channel for every
-   CASPER_* knob); these wrappers keep the historical call sites *)
-let default_budget () = Exec_config.default_mem_budget ()
-let with_default_budget b f = Exec_config.with_default_mem_budget b f
-
 let base = ref None
 
 let base_dir () =

@@ -33,21 +33,6 @@ exception Spill_error of string
 (* ------------------------------------------------------------------ *)
 (* Process-wide configuration.                                         *)
 
-(** The default budget in bytes: [CASPER_MEM_BUDGET] when set to a
-    positive integer ([None] — unbounded — otherwise, with a one-time
-    warning on unparsable values), unless overridden by
-    {!with_default_budget}. Delegates to
-    {!Exec_config.default_mem_budget} — the probe is memoized and
-    mutex-guarded there. *)
-val default_budget : unit -> int option
-
-(** [with_default_budget b f] runs [f] with the default budget forced
-    to [b], restoring the previous default afterwards (also on
-    exceptions). Delegates to {!Exec_config.with_default_mem_budget}:
-    reads and writes are serialized, but the override is process-global
-    and visible to every domain while in scope. *)
-val with_default_budget : int option -> (unit -> 'a) -> 'a
-
 (** Directory spill subdirectories are created under. Defaults to
     [CASPER_SPILL_DIR] when set, else the system temp directory. *)
 val base_dir : unit -> string

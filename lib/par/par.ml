@@ -409,7 +409,13 @@ let env_jobs () =
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> n
-      | _ -> 1)
+      | _ ->
+          ignore
+            (Casper_obs.Obs.warn_once ~key:"CASPER_JOBS"
+               (Printf.sprintf
+                  "CASPER_JOBS=%S is not a positive integer; using 1 domain"
+                  s));
+          1)
 
 let override : int option ref = ref None
 let global_pool : pool option ref = ref None

@@ -121,7 +121,7 @@ val task_ranges : jobs:int -> int -> (int * int) array
    point.                                                              *)
 
 (** Parallelism requested by the environment: [CASPER_JOBS] when set to
-    a positive integer, else 1. *)
+    a positive integer, else 1 (any other value also warns once). *)
 val env_jobs : unit -> int
 
 (** Override the default parallelism (the [--jobs] CLI flag). Shuts

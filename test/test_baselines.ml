@@ -45,7 +45,7 @@ let test_mold_stringmatch_result () =
         List.map
           (fun (out, plan_of) ->
             let run =
-              Engine.run_plan ~cluster:Cluster.spark
+              Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark
                 ~datasets:[ ("words", Value.as_list (List.assoc "words" entry)) ]
                 (plan_of entry)
             in
@@ -88,7 +88,8 @@ let test_mold_no_rule_for_unsupported () =
 let test_manual_wordcount () =
   let words = List.map (fun s -> Value.Str s) [ "a"; "b"; "a" ] in
   let run =
-    Engine.run_plan ~cluster:Cluster.spark ~datasets:[ ("words", words) ]
+    Engine.run_plan ~config:Testenv.config
+      ~cluster:Cluster.spark ~datasets:[ ("words", words) ]
       Manual.word_count
   in
   check "two keys" true (List.length run.Engine.output = 2)
@@ -98,7 +99,7 @@ let test_manual_linreg () =
     Value.Struct ("Point", [ ("x", Value.Float x); ("y", Value.Float y) ])
   in
   let run =
-    Engine.run_plan ~cluster:Cluster.spark
+    Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark
       ~datasets:[ ("points", [ pt 1.0 2.0; pt 3.0 4.0 ]) ]
       Manual.linear_regression
   in
@@ -112,7 +113,8 @@ let test_manual_histogram_bounded_shuffle () =
   let rng = Casper_common.Rng.create 2 in
   let pixels = Value.as_list (Casper_suites.Workload.pixels rng ~n:2000) in
   let run =
-    Engine.run_plan ~cluster:Cluster.spark ~datasets:[ ("pixels", pixels) ]
+    Engine.run_plan ~config:Testenv.config
+      ~cluster:Cluster.spark ~datasets:[ ("pixels", pixels) ]
       Manual.histogram_aggregate
   in
   check "at most 768 bins" true (List.length run.Engine.output <= 768);

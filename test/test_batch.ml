@@ -32,7 +32,9 @@ let run_batched ~jobs ~rpt plan datasets =
     (fun () ->
       Par.records_per_task := rpt;
       Par.inline_cutoff := 0;
-      Engine.run_plan ~pool ~cluster:Cluster.spark ~datasets plan)
+      Engine.run_plan
+        ~config:{ Testenv.config with Casper_exec.Exec.Config.pool = Some pool }
+        ~cluster:Cluster.spark ~datasets plan)
 
 (* every (jobs, granularity) combination must agree with [expected]
    structurally, and all runs must report identical stage metrics *)

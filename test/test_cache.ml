@@ -8,7 +8,7 @@ module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
 module Cache = Mapreduce.Cache
 module Cluster = Mapreduce.Cluster
-module Spill = Mapreduce.Spill
+module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
 module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
@@ -31,7 +31,7 @@ let nest a b = Value.Tuple [ a; b ]
 
 let pools = lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
 
-let run_cached ?sched ?obs ?cache ~jobs ~rpt ~memory_budget plan datasets =
+let run_cached ?cache ~jobs ~rpt ~memory_budget plan datasets =
   let pool = List.assoc jobs (Lazy.force pools) in
   let saved_rpt = !Par.records_per_task
   and saved_ic = !Par.inline_cutoff in
@@ -42,7 +42,14 @@ let run_cached ?sched ?obs ?cache ~jobs ~rpt ~memory_budget plan datasets =
     (fun () ->
       Par.records_per_task := rpt;
       Par.inline_cutoff := 0;
-      Engine.run_plan ?sched ?obs ?cache ~pool ~memory_budget
+      Engine.run_plan
+        ~config:
+          {
+            Exec.Config.default with
+            Exec.Config.cache;
+            pool = Some pool;
+            memory_budget = Some memory_budget;
+          }
         ~cluster:Cluster.spark ~datasets plan)
 
 let wc_plan =
@@ -94,7 +101,6 @@ let prop_cache_matrix =
   QCheck.Test.make
     ~name:"cached runs are byte-identical across the full grid" ~count:25
     case_arb (fun (l1, l2, shape) ->
-      Engine.with_default_cache None @@ fun () ->
       let mk l = List.map (fun (k, v) -> kv (vint k) (vint v)) l in
       let datasets = [ ("d", mk l1); ("e", mk l2) ] in
       let plan = mk_plan shape in
@@ -195,11 +201,14 @@ let test_invalidate_and_clear () =
    cannot move an entry to a different bucket *)
 let test_fingerprint_stable_across_hashcons_clear () =
   let datasets = [ ("w", wc_words 100) ] in
-  let budget = Spill.default_budget () in
+  let env = Testenv.config in
+  let budget = env.Exec.Config.memory_budget in
   let k1 = Cache.key ~cluster:Cluster.spark ~budget ~datasets wc_plan in
   let cache = Engine.make_cache () in
   ignore
-    (Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets wc_plan
+    (Engine.run_plan
+       ~config:{ env with Exec.Config.cache = Some cache }
+       ~cluster:Cluster.spark ~datasets wc_plan
       : Engine.run);
   Casper_ir.Hashcons.clear ();
   let k2 = Cache.key ~cluster:Cluster.spark ~budget ~datasets wc_plan in
@@ -245,19 +254,19 @@ let test_monitored_plan_not_cached () =
   in
   let datasets = [ ("d", ints [ 1; 2; 3 ]) ] in
   let cache = Engine.make_cache () in
-  let r1 = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets plan in
-  let r2 = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets plan in
+  let config = { Testenv.config with Exec.Config.cache = Some cache } in
+  let r1 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
+  let r2 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
   check_int "observe fired on both runs" 2 !count;
   check_int "nothing inserted" 0 (Engine.cache_stats cache).Cache.insertions;
   check "outputs still equal" true (r1.Engine.output = r2.Engine.output)
 
 (* the regression the exec_ctx refactor exists for: a recursive
    (join-side) execution must see the same optional arguments as the
-   top-level call — had ?cache been dropped on the join branch, the
+   top-level call — had the cache been dropped on the join branch, the
    join side would never populate and the standalone run below would
    miss *)
 let test_join_threads_cache () =
-  Engine.with_default_cache None @@ fun () ->
   let right = Plan.(data "e" |>> reduce_by_key add_i) in
   let plan = Plan.(data "d" |>> join_with right) in
   let datasets =
@@ -267,36 +276,41 @@ let test_join_threads_cache () =
     ]
   in
   let cache = Engine.make_cache () in
-  let r = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets plan in
+  let uncached = { Testenv.config with Exec.Config.cache = None } in
+  let config = { uncached with Exec.Config.cache = Some cache } in
+  let r = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
   let s1 = Engine.cache_stats cache in
   check_int "join populated outer AND join-side entries" 2
     s1.Cache.insertions;
   (* the standalone join-side run is served from the entry the nested
      execution populated *)
-  let rr = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets right in
+  let rr = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets right in
   let s2 = Engine.cache_stats cache in
   check_int "standalone join-side run hits" (s1.Cache.hits + 1)
     s2.Cache.hits;
-  let rbase = Engine.run_plan ~cluster:Cluster.spark ~datasets right in
+  let rbase =
+    Engine.run_plan ~config:uncached ~cluster:Cluster.spark ~datasets right
+  in
   check "served output byte-identical" true
     (rr.Engine.output = rbase.Engine.output);
   (* and a repeated outer run is served whole *)
-  let r2 = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets plan in
+  let r2 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
   check "whole-plan hit is byte-identical" true
     (r2.Engine.output = r.Engine.output && r2.Engine.stages = r.Engine.stages)
 
-(* cached partitions share the live-byte ledger with ?memory_budget:
+(* cached partitions share the live-byte ledger with the spill budget:
    under pressure the engine sheds cache entries (cheap, re-derivable)
    before letting the grouped stages spill *)
 let test_eviction_before_spill () =
-  Engine.with_default_cache None @@ fun () ->
   let datasets = [ ("w", wc_words 400) ] in
   let cache = Engine.make_cache () in
-  let r0 = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets wc_plan in
+  let config = { Testenv.config with Exec.Config.cache = Some cache } in
+  let r0 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets wc_plan in
   check "fat entry resident" true (Cache.bytes cache > 64);
   let r1 =
-    Engine.run_plan ~cache ~memory_budget:64 ~cluster:Cluster.spark ~datasets
-      wc_plan
+    Engine.run_plan
+      ~config:{ config with Exec.Config.memory_budget = Some 64 }
+      ~cluster:Cluster.spark ~datasets wc_plan
   in
   let s = Engine.cache_stats cache in
   check "pressure evicted the resident entry" true (s.Cache.evictions > 0);
@@ -307,17 +321,19 @@ let test_eviction_before_spill () =
    the entry is invalidated and the plan recomputed from lineage,
    byte-identically *)
 let test_cache_fault_invalidates_and_recomputes () =
-  Engine.with_default_cache None @@ fun () ->
   let datasets = [ ("w", wc_words 200) ] in
   let cache = Engine.make_cache () in
-  let base = Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets wc_plan in
+  let config = { Testenv.config with Exec.Config.cache = Some cache } in
+  let base = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets wc_plan in
   let sched =
     Sched.Coordinator.config ~faults:(Sched.Faults.cache_faults ~seed:3 1.0)
       ()
   in
   (* probability 1: every hit is declared lost *)
   let r =
-    Engine.run_plan ~sched ~cache ~cluster:Cluster.spark ~datasets wc_plan
+    Engine.run_plan
+      ~config:{ config with Exec.Config.sched = Some sched }
+      ~cluster:Cluster.spark ~datasets wc_plan
   in
   let s = Engine.cache_stats cache in
   check "entry was invalidated" true (s.Cache.invalidations > 0);
@@ -328,50 +344,38 @@ let test_cache_fault_invalidates_and_recomputes () =
   (* the recomputation repopulated the entry *)
   check "repopulated" true (s.Cache.insertions >= 2)
 
-let test_default_cache_override () =
-  Fun.protect ~finally:(fun () -> Engine.set_default_cache_budget None)
-  @@ fun () ->
-  Engine.set_default_cache_budget (Some 100_000);
-  let c =
-    match Engine.default_cache () with
-    | Some c -> c
-    | None -> Alcotest.fail "expected a default cache"
-  in
-  check "budget installed" true (Cache.budget c = Some 100_000);
-  let datasets = [ ("w", wc_words 150) ] in
-  ignore (Engine.run_plan ~cluster:Cluster.spark ~datasets wc_plan : Engine.run);
-  ignore (Engine.run_plan ~cluster:Cluster.spark ~datasets wc_plan : Engine.run);
-  check "second uninstrumented run was served" true
-    ((Engine.cache_stats c).Cache.hits > 0);
-  Engine.set_default_cache_budget (Some 0);
-  check "budget 0 disables the default" true (Engine.default_cache () = None)
-
 (* ---------------- golden cache traces ---------------- *)
 
 (* shapes are defined at the in-memory spill path (see test_obs.ml);
    the input is small enough to stay on the inline path at any jobs *)
 
+let cached cache obs =
+  { Exec.Config.default with Exec.Config.cache = Some cache; obs }
+
 let test_golden_cache_hit_trace () =
-  Spill.with_default_budget None @@ fun () ->
   let datasets = [ ("w", wc_words 120) ] in
   let cache = Engine.make_cache () in
-  ignore (Engine.run_plan ~cache ~cluster:Cluster.spark ~datasets wc_plan : Engine.run);
+  ignore
+    (Engine.run_plan ~config:(cached cache None) ~cluster:Cluster.spark
+       ~datasets wc_plan
+      : Engine.run);
   let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:5 ()) () in
   ignore
-    (Engine.run_plan ~obs ~cache ~cluster:Cluster.spark ~datasets wc_plan
+    (Engine.run_plan ~config:(cached cache (Some obs)) ~cluster:Cluster.spark
+       ~datasets wc_plan
       : Engine.run);
   check "well formed" true (Obs.well_formed obs);
   check_str "cache-hit trace shape"
     "engine.run_plan\n  engine.cache[cache_hits]\n" (Obs.shape obs)
 
 let test_golden_cache_evict_trace () =
-  Spill.with_default_budget None @@ fun () ->
   let datasets = [ ("w", wc_words 120) ] in
   (* budget 1: the insert immediately evicts its own entry *)
   let cache = Engine.make_cache ~budget:1 () in
   let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:5 ()) () in
   ignore
-    (Engine.run_plan ~obs ~cache ~cluster:Cluster.spark ~datasets wc_plan
+    (Engine.run_plan ~config:(cached cache (Some obs)) ~cluster:Cluster.spark
+       ~datasets wc_plan
       : Engine.run);
   check "well formed" true (Obs.well_formed obs);
   check_str "cache-evict trace shape"
@@ -382,28 +386,20 @@ let test_golden_cache_evict_trace () =
     (Obs.shape obs)
 
 (* regression pin: with the cache disabled the trace is byte-identical
-   to the pre-cache golden — and installing a process-default cache
-   must not change it either, because instrumented runs bypass the
-   default (so the golden holds under any CASPER_CACHE_BUDGET) *)
+   to the pre-cache golden *)
 let test_cache_disabled_golden () =
-  Spill.with_default_budget None @@ fun () ->
   let datasets = [ ("w", wc_words 120) ] in
-  let shape_with default =
-    Engine.with_default_cache default @@ fun () ->
-    let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:5 ()) () in
-    ignore
-      (Engine.run_plan ~obs ~cluster:Cluster.spark ~datasets wc_plan
-        : Engine.run);
-    Obs.shape obs
-  in
-  let expected =
+  let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:5 ()) () in
+  ignore
+    (Engine.run_plan
+       ~config:{ Exec.Config.default with Exec.Config.obs = Some obs }
+       ~cluster:Cluster.spark ~datasets wc_plan
+      : Engine.run);
+  check_str "cache-disabled golden"
     "engine.run_plan\n\
     \  mapToPair[records_out]\n\
     \  reduceByKey[records_out,shuffle_bytes,shuffle_records]\n"
-  in
-  check_str "cache-disabled golden" expected (shape_with None);
-  check_str "default cache bypassed for instrumented runs" expected
-    (shape_with (Some (Engine.make_cache ())))
+    (Obs.shape obs)
 
 (* ---------------- the cost model's cached-input term -------------- *)
 
@@ -480,8 +476,6 @@ let suite =
           test_eviction_before_spill;
         Alcotest.test_case "lost partition recomputes from lineage" `Quick
           test_cache_fault_invalidates_and_recomputes;
-        Alcotest.test_case "default cache override" `Quick
-          test_default_cache_override;
       ] );
     ( "cache.obs",
       [

@@ -45,7 +45,8 @@ let test_roundtrip_wordcount () =
   let prog, frag, best, entry = translated wc_src env in
   let seq, _ = Runner.run_sequential ~scale:1.0 prog frag entry in
   let r =
-    Runner.run_summary ~cluster:Mapreduce.Cluster.spark ~scale:1.0 prog frag
+    Runner.run_summary ~config:Testenv.config
+      ~cluster:Mapreduce.Cluster.spark ~scale:1.0 prog frag
       entry best.Cegis.summary
   in
   check "outputs agree" true (Runner.outputs_agree frag seq r.Runner.outputs)
@@ -57,7 +58,8 @@ let test_roundtrip_all_backends () =
   List.iter
     (fun cluster ->
       let r =
-        Runner.run_summary ~cluster ~scale:1.0 prog frag entry
+        Runner.run_summary ~config:Testenv.config
+          ~cluster ~scale:1.0 prog frag entry
           best.Cegis.summary
       in
       check
@@ -73,7 +75,8 @@ let test_plan_matches_ir_eval () =
   let datasets = Runner.datasets_of prog frag entry in
   let t = Compile.compile prog frag entry best.Cegis.summary in
   let run =
-    Mapreduce.Engine.run_plan ~cluster:Mapreduce.Cluster.spark ~datasets
+    Mapreduce.Engine.run_plan ~config:Testenv.config
+      ~cluster:Mapreduce.Cluster.spark ~datasets
       t.Compile.plan
   in
   let via_plan = t.Compile.read_outputs run.Mapreduce.Engine.output in
@@ -108,7 +111,8 @@ let test_non_ca_group_by_key_path () =
   let prog, frag, best, entry = translated src env in
   let seq, _ = Runner.run_sequential ~scale:1.0 prog frag entry in
   let r =
-    Runner.run_summary ~cluster:Mapreduce.Cluster.spark ~scale:1.0 prog frag
+    Runner.run_summary ~config:Testenv.config
+      ~cluster:Mapreduce.Cluster.spark ~scale:1.0 prog frag
       entry best.Cegis.summary
   in
   check "keep-last reducer agrees" true
@@ -280,7 +284,8 @@ let test_monitor_switch_decision () =
           let chosen = List.nth candidates c.Monitor.chosen in
           let seq, _ = Runner.run_sequential ~scale:1.0 prog frag entry in
           let r =
-            Runner.run_summary ~cluster:Mapreduce.Cluster.spark ~scale:1.0
+            Runner.run_summary ~config:Testenv.config
+              ~cluster:Mapreduce.Cluster.spark ~scale:1.0
               prog frag entry chosen
           in
           check
@@ -421,7 +426,8 @@ let wc_engine_run () =
   let prog, frag, best, entry = translated wc_src env in
   let datasets = Runner.datasets_of prog frag entry in
   let t = Compile.compile prog frag entry best.Cegis.summary in
-  Mapreduce.Engine.run_plan ~cluster:Mapreduce.Cluster.spark ~datasets
+  Mapreduce.Engine.run_plan ~config:Testenv.config
+    ~cluster:Mapreduce.Cluster.spark ~datasets
     t.Compile.plan
 
 let test_cacheopt_decide () =

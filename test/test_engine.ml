@@ -5,6 +5,7 @@ module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
 module Cluster = Mapreduce.Cluster
 module Spill = Mapreduce.Spill
+module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
 module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
@@ -17,7 +18,7 @@ let vint n = Value.Int n
 let ints l = List.map vint l
 let add_i a b = vint (Value.as_int a + Value.as_int b)
 let run ?(cluster = Cluster.spark) ?(datasets = []) plan =
-  Engine.run_plan ~cluster ~datasets plan
+  Engine.run_plan ~config:Testenv.config ~cluster ~datasets plan
 
 let kv k v = Value.Tuple [ k; v ]
 
@@ -211,9 +212,9 @@ let test_global_reduce_partials_round_robin () =
 (* The spill path's contract: at ANY budget the outputs and the stage
    metrics are byte-identical to the in-memory grouping — the runs on
    disk hold raw values per key in arrival order, so the merge replays
-   exactly the same left folds. [~memory_budget:0] forces the in-memory
-   path regardless of CASPER_MEM_BUDGET, which keeps these tests
-   meaningful in the CI spill-everything run. *)
+   exactly the same left folds. Every run sets its budget explicitly
+   ([0] is the in-memory path), so CASPER_MEM_BUDGET cannot move these
+   tests; CASPER_CACHE_BUDGET reaches the untraced runs. *)
 
 let spill_pools = lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
 
@@ -228,8 +229,18 @@ let run_spill ?sched ?obs ~jobs ~rpt ~memory_budget plan datasets =
     (fun () ->
       Par.records_per_task := rpt;
       Par.inline_cutoff := 0;
-      Engine.run_plan ?sched ?obs ~pool ~memory_budget ~cluster:Cluster.spark
-        ~datasets plan)
+      let env =
+        match obs with Some o -> Testenv.traced o | None -> Testenv.config
+      in
+      Engine.run_plan
+        ~config:
+          {
+            env with
+            Exec.Config.sched;
+            pool = Some pool;
+            memory_budget = Some memory_budget;
+          }
+        ~cluster:Cluster.spark ~datasets plan)
 
 (* non-commutative, non-associative combiner: merging partial folds
    instead of replaying arrival order would show up immediately *)
@@ -294,23 +305,32 @@ let test_spill_identity_and_counters () =
   check "bytes were spilled" true (Obs.total obs "spill_bytes" > 0);
   check "merge fan-in recorded" true (Obs.total obs "spill_merge_fanin" > 1)
 
+(* an explicit [Some 0] forces the in-memory path over a budget the
+   config carried (as one from [of_env] would), and an absent budget is
+   the in-memory built-in: nothing sits between the field and it *)
 let test_spill_explicit_zero_wins () =
   let datasets = [ ("w", wc_words 300) ] in
-  Spill.with_default_budget (Some 64) @@ fun () ->
-  let obs = Obs.create () in
-  let r =
-    Engine.run_plan ~obs ~memory_budget:0 ~cluster:Cluster.spark ~datasets
-      wc_plan
+  let spilled =
+    { Exec.Config.default with Exec.Config.memory_budget = Some 64 }
   in
-  check "explicit 0 forces the in-memory path" true
-    (Obs.total obs "spill_runs" = 0);
-  let obs2 = Obs.create () in
-  let r2 =
-    Engine.run_plan ~obs:obs2 ~cluster:Cluster.spark ~datasets wc_plan
+  let spill_runs config =
+    let obs = Obs.create () in
+    let r =
+      Engine.run_plan
+        ~config:{ config with Exec.Config.obs = Some obs }
+        ~cluster:Cluster.spark ~datasets wc_plan
+    in
+    (r.Engine.output, Obs.total obs "spill_runs")
   in
-  check "absent budget picks up the default" true
-    (Obs.total obs2 "spill_runs" > 0);
-  check "same output either way" true (r.Engine.output = r2.Engine.output)
+  let out64, runs64 = spill_runs spilled in
+  let out0, runs0 =
+    spill_runs { spilled with Exec.Config.memory_budget = Some 0 }
+  in
+  let out_none, runs_none = spill_runs Exec.Config.default in
+  check "a positive budget spills" true (runs64 > 0);
+  check "explicit 0 forces the in-memory path" true (runs0 = 0);
+  check "absent budget is in-memory" true (runs_none = 0);
+  check "same output every way" true (out0 = out64 && out_none = out64)
 
 let test_spill_compaction () =
   let saved = !Spill.max_fanin in
@@ -380,7 +400,9 @@ let test_spill_cleanup_on_failure () =
   in
   let datasets = [ ("d", ints (List.init 200 (fun i -> i))) ] in
   (match
-     Engine.run_plan ~memory_budget:1 ~cluster:Cluster.spark ~datasets p
+     Engine.run_plan
+       ~config:{ Testenv.config with Exec.Config.memory_budget = Some 1 }
+       ~cluster:Cluster.spark ~datasets p
    with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected the reduce to raise");
@@ -400,11 +422,15 @@ let test_spill_join_passthrough () =
     [ ("a", ints [ 0; 1; 2; 3; 4 ]); ("b", ints (List.init 100 (fun i -> i))) ]
   in
   let base =
-    Engine.run_plan ~memory_budget:0 ~cluster:Cluster.spark ~datasets p
+    Engine.run_plan
+      ~config:{ Testenv.config with Exec.Config.memory_budget = Some 0 }
+      ~cluster:Cluster.spark ~datasets p
   in
   let obs = Obs.create () in
   let r =
-    Engine.run_plan ~obs ~memory_budget:16 ~cluster:Cluster.spark ~datasets p
+    Engine.run_plan
+      ~config:{ (Testenv.traced obs) with Exec.Config.memory_budget = Some 16 }
+      ~cluster:Cluster.spark ~datasets p
   in
   check "the nested right-side shuffle spilled" true
     (Obs.total obs "spill_runs" > 0);

@@ -2,8 +2,8 @@
     session determinism matrix (concurrency × jobs × cache vs a solo
     run), admission backpressure, ledger gating, cooperative
     cancellation (no ledger-byte or temp-file leak), deadlines,
-    priority dispatch order, the memoized default cache, config
-    precedence, and the session's obs story. *)
+    priority dispatch order, [of_env] as the one reader of the
+    environment, and the session's obs story. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -93,11 +93,9 @@ let completed = function
    output AND stage accounting must be byte-identical to a solo
    Engine.run_plan of the same plan — concurrency moves wall-clock,
    never results. With the cache on, later copies are served from
-   entries the first copies populated (on worker domains: the
-   explicit-cache rule), so the serving path is exercised too. *)
+   entries the first copies populated (on worker domains too), so the
+   serving path is exercised as well. *)
 let test_session_determinism () =
-  Engine.with_default_cache None @@ fun () ->
-  Spill.with_default_budget None @@ fun () ->
   let specs =
     [ (wc_plan, [ ("w", wc_words 200) ]); (join_plan, join_datasets) ]
   in
@@ -158,13 +156,16 @@ let test_session_determinism () =
 
 (* ---------------- admission control ---------------- *)
 
+(* session tests take the environment's spill budget and queue bound,
+   but no cache: they pin dispatch behaviour, not memoization *)
+let uncached_env = { Testenv.config with Exec.Config.cache = None }
+
 let test_backpressure () =
-  Engine.with_default_cache None @@ fun () ->
   Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let config =
     {
-      Exec.Config.default with
+      uncached_env with
       Exec.Config.pool = Some pool;
       concurrency = Some 1;
       queue_capacity = Some 1;
@@ -199,14 +200,13 @@ let test_backpressure () =
    free slot stays idle until the running job releases its bytes — but
    a lone job always dispatches, however big *)
 let test_ledger_admission () =
-  Engine.with_default_cache None @@ fun () ->
   Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let datasets = [ ("d", ints (List.init 50 Fun.id)) ] in
   let bytes = Value.size_of_list (List.assoc "d" datasets) in
   let config =
     {
-      Exec.Config.default with
+      uncached_env with
       Exec.Config.pool = Some pool;
       concurrency = Some 2;
       memory_budget = Some 8;
@@ -253,7 +253,6 @@ let test_cancel_releases_ledger_and_files () =
       Sys.rmdir dir)
   @@ fun () ->
   Spill.set_base_dir dir;
-  Engine.with_default_cache None @@ fun () ->
   Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let plan =
@@ -267,7 +266,7 @@ let test_cancel_releases_ledger_and_files () =
   in
   let config =
     {
-      Exec.Config.default with
+      uncached_env with
       Exec.Config.pool = Some pool;
       concurrency = Some 1;
       memory_budget = Some 64;
@@ -295,9 +294,8 @@ let test_cancel_releases_ledger_and_files () =
 (* an already-expired deadline reports Cancelled "deadline" — not
    Failed — before the first stage runs *)
 let test_deadline_reports_cancelled () =
-  Engine.with_default_cache None @@ fun () ->
   let config =
-    { Exec.Config.default with Exec.Config.concurrency = Some 1 }
+    { uncached_env with Exec.Config.concurrency = Some 1 }
   in
   Exec.Session.with_session ~config @@ fun s ->
   let j =
@@ -313,12 +311,11 @@ let test_deadline_reports_cancelled () =
 
 (* a queued job cancels immediately, without ever dispatching *)
 let test_cancel_queued () =
-  Engine.with_default_cache None @@ fun () ->
   Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let config =
     {
-      Exec.Config.default with
+      uncached_env with
       Exec.Config.pool = Some pool;
       concurrency = Some 1;
     }
@@ -346,7 +343,6 @@ let test_cancel_queued () =
 (* ---------------- priorities ---------------- *)
 
 let test_priority_order () =
-  Engine.with_default_cache None @@ fun () ->
   Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let order = ref [] in
@@ -366,7 +362,7 @@ let test_priority_order () =
   in
   let config =
     {
-      Exec.Config.default with
+      uncached_env with
       Exec.Config.pool = Some pool;
       concurrency = Some 1;
     }
@@ -387,91 +383,65 @@ let test_priority_order () =
   check "priority dispatch order" true
     (List.rev !order = [ "p5"; "p1"; "p0a"; "p0b" ])
 
-(* ---------------- the memoized default cache ---------------- *)
-
-(* the fix this PR pins: Engine.default_cache must not re-probe the
-   environment per call — the probe is memoized, so a mid-run putenv is
-   invisible, and within one set_default_cache_budget epoch every call
-   returns the same cache instance *)
-let test_default_cache_memoized () =
-  Fun.protect ~finally:(fun () -> Engine.set_default_cache_budget None)
-  @@ fun () ->
-  Engine.set_default_cache_budget None;
-  let c1 = Engine.default_cache () in
-  Unix.putenv "CASPER_CACHE_BUDGET" "4096";
-  let c2 = Engine.default_cache () in
-  (match (c1, c2) with
-  | None, None -> ()
-  | Some a, Some b ->
-      check "same env epoch, same instance" true (a == b)
-  | _ -> Alcotest.fail "putenv after the first probe moved the default");
-  Engine.set_default_cache_budget (Some 2048);
-  let instance () =
-    match Engine.default_cache () with
-    | Some c -> c
-    | None -> Alcotest.fail "expected a default cache"
-  in
-  let c3 = instance () in
-  check "override budget installed" true (Cache.budget c3 = Some 2048);
-  check "epoch memoized: physically equal across calls" true
-    (c3 == instance ());
-  Engine.set_default_cache_budget (Some 2048);
-  check "a new override is a new epoch (fresh cache)" true
-    (not (instance () == c3))
-
-(* ---------------- config precedence ---------------- *)
-
-(* a legacy standalone argument overrides the config field for one
-   release; absent the legacy argument the config field applies *)
-let test_legacy_args_override_config () =
-  Engine.with_default_cache None @@ fun () ->
-  Spill.with_default_budget None @@ fun () ->
-  let datasets = [ ("w", wc_words 120) ] in
-  let obs_cfg = Obs.create () in
-  let obs_arg = Obs.create () in
-  let config =
-    { Exec.Config.default with Exec.Config.obs = Some obs_cfg }
-  in
-  ignore
-    (Engine.run_plan ~config ~obs:obs_arg ~cluster:Cluster.spark ~datasets
-       wc_plan
-      : Engine.run);
-  check "legacy obs captured the run" true (Obs.tree obs_arg <> []);
-  check "config obs was overridden" true (Obs.tree obs_cfg = []);
-  ignore
-    (Engine.run_plan ~config ~cluster:Cluster.spark ~datasets wc_plan
-      : Engine.run);
-  check "config obs applies without the legacy argument" true
-    (Obs.tree obs_cfg <> [])
+(* ---------------- configuration ---------------- *)
 
 let test_of_env () =
   let cfg = Exec.Config.of_env () in
-  let expect name default =
-    match Sys.getenv_opt name with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n > 0 -> n
-        | _ -> default)
-    | None -> default
+  let positive name =
+    match Option.bind (Sys.getenv_opt name) (fun s ->
+        int_of_string_opt (String.trim s))
+    with
+    | Some n when n > 0 -> Some n
+    | _ -> None
   in
   check "concurrency from CASPER_EXEC_CONCURRENCY" true
-    (cfg.Exec.Config.concurrency = Some (expect "CASPER_EXEC_CONCURRENCY" 1));
+    (cfg.Exec.Config.concurrency = positive "CASPER_EXEC_CONCURRENCY");
   check "queue capacity from CASPER_EXEC_QUEUE" true
-    (cfg.Exec.Config.queue_capacity = Some (expect "CASPER_EXEC_QUEUE" 64));
-  check "memory budget matches the memoized spill default" true
-    (cfg.Exec.Config.memory_budget = Spill.default_budget ());
+    (cfg.Exec.Config.queue_capacity = positive "CASPER_EXEC_QUEUE");
+  check "memory budget from CASPER_MEM_BUDGET" true
+    (cfg.Exec.Config.memory_budget = positive "CASPER_MEM_BUDGET");
+  check "cache from CASPER_CACHE_BUDGET" true
+    (Option.bind cfg.Exec.Config.cache Cache.budget
+    = positive "CASPER_CACHE_BUDGET");
   (* a session built from of_env resolves the same knobs *)
   Exec.Session.with_session ~config:cfg @@ fun s ->
-  check_int "session concurrency" (expect "CASPER_EXEC_CONCURRENCY" 1)
+  check_int "session concurrency"
+    (Option.value ~default:1 (positive "CASPER_EXEC_CONCURRENCY"))
     (Exec.Session.concurrency s);
-  check_int "session queue capacity" (expect "CASPER_EXEC_QUEUE" 64)
+  check_int "session queue capacity"
+    (Option.value ~default:64 (positive "CASPER_EXEC_QUEUE"))
     (Exec.Session.queue_capacity s)
+
+(* only [of_env] reads the environment: a session built from the
+   default config runs at concurrency 1, and a run with the default
+   config stays in memory, whatever CASPER_* says *)
+let test_library_reads_no_env () =
+  let vars = [ ("CASPER_EXEC_CONCURRENCY", "3"); ("CASPER_MEM_BUDGET", "1") ] in
+  let saved = List.map (fun (name, _) -> (name, Sys.getenv_opt name)) vars in
+  Fun.protect
+    ~finally:(fun () ->
+      (* no unsetenv: an unset variable comes back as "0", which reads
+         as unset *)
+      List.iter
+        (fun (name, v) -> Unix.putenv name (Option.value v ~default:"0"))
+        saved)
+  @@ fun () ->
+  List.iter (fun (name, v) -> Unix.putenv name v) vars;
+  Exec.Session.with_session ~config:Exec.Config.default (fun s ->
+      check_int "default session concurrency" 1 (Exec.Session.concurrency s));
+  let obs = Obs.create () in
+  ignore
+    (Engine.run_plan
+       ~config:{ Exec.Config.default with Exec.Config.obs = Some obs }
+       ~cluster:Cluster.spark
+       ~datasets:[ ("w", wc_words 200) ]
+       wc_plan
+      : Engine.run);
+  check_int "default run never spills" 0 (Obs.total obs "spill_runs")
 
 (* ---------------- the session's obs story ---------------- *)
 
 let test_session_obs () =
-  Engine.with_default_cache None @@ fun () ->
-  Spill.with_default_budget None @@ fun () ->
   let obs = Obs.create () in
   let config =
     {
@@ -537,12 +507,10 @@ let suite =
       ] );
     ( "exec.config",
       [
-        Alcotest.test_case "default cache is memoized per epoch" `Quick
-          test_default_cache_memoized;
-        Alcotest.test_case "legacy arguments override config fields" `Quick
-          test_legacy_args_override_config;
         Alcotest.test_case "of_env resolves the CASPER_* knobs" `Quick
           test_of_env;
+        Alcotest.test_case "the library reads no environment" `Quick
+          test_library_reads_no_env;
       ] );
     ( "exec.obs",
       [

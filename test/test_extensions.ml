@@ -104,7 +104,7 @@ let pagerank_like_run () =
     List.init 2000 (fun _ ->
         Value.Tuple [ Value.Int (Casper_common.Rng.int rng 50); Value.Float 1.0 ])
   in
-  Engine.run_plan ~cluster:Cluster.spark
+  Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark
     ~datasets:[ ("edges", data) ]
     Plan.(
       data "edges"

@@ -9,6 +9,7 @@ module Obs = Casper_obs.Obs
 module Casper = Casper_core.Casper
 module Cegis = Casper_synth.Cegis
 module Engine = Mapreduce.Engine
+module Exec = Casper_exec.Exec
 module Cluster = Mapreduce.Cluster
 module Coordinator = Sched.Coordinator
 module Faults = Sched.Faults
@@ -99,19 +100,14 @@ let test_exception_safety () =
    search; the *shape* — span names, nesting, counter keys — must not.
    Execution is pinned to a single-domain pool: golden shapes are
    defined at jobs=1, where the trace carries no per-domain tracks
-   (which tracks appear at jobs>1 is scheduling-dependent). The spill
-   budget is pinned to unbounded for the same reason: under
-   CASPER_MEM_BUDGET the grouped stages grow spill counters and a
-   merge span, and the goldens are defined at the in-memory path. The
-   dataset cache needs no pinning: instrumented runs bypass the
-   process-default cache by construction, so these shapes are
-   byte-identical under any CASPER_CACHE_BUDGET — which the
-   cache-budget CI job exercises, and obs.cache_disabled_golden in
-   test_cache.ml pins explicitly. *)
+   (which tracks appear at jobs>1 is scheduling-dependent). The rest
+   of the execution config is the built-in default, not the
+   environment's: a spill budget would grow spill counters and a merge
+   span, a cache would add cache spans, and the goldens are defined at
+   the uncached in-memory path. *)
 let seq_pool = Casper_par.Par.create ~jobs:1
 
 let traced_pipeline ?(execute = false) bench_name =
-  Mapreduce.Spill.with_default_budget None @@ fun () ->
   let b = Casper_suites.Registry.find_benchmark bench_name in
   let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:11 ()) () in
   let report =
@@ -133,7 +129,13 @@ let traced_pipeline ?(execute = false) bench_name =
             in
             Obs.span obs "execute" (fun () ->
                 let r =
-                  Casper_codegen.Runner.run_summary ~obs ~pool:seq_pool
+                  Casper_codegen.Runner.run_summary
+                    ~config:
+                      {
+                        Exec.Config.default with
+                        Exec.Config.obs = Some obs;
+                        pool = Some seq_pool;
+                      }
                     ~cluster:Cluster.spark ~scale:1.0 report.Casper.program
                     t.Casper.frag entry best.Cegis.summary
                 in
@@ -230,7 +232,9 @@ let traced_engine_run () =
      virtual clock and the scheduler, not the domain pool — at jobs>1
      the per-domain tracks legitimately vary with execution timing *)
   let run =
-    Engine.run_plan ~obs ~pool:seq_pool ~cluster:Cluster.spark
+    Engine.run_plan
+      ~config:{ (Testenv.traced obs) with Exec.Config.pool = Some seq_pool }
+      ~cluster:Cluster.spark
       ~datasets:[ ("words", words) ]
       Baselines.Manual.word_count
   in

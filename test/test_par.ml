@@ -127,7 +127,9 @@ let wc_fixture () =
 let run_at jobs =
   let words, plan = wc_fixture () in
   Par.with_pool ~jobs @@ fun pool ->
-  Engine.run_plan ~pool ~cluster:Cluster.spark
+  Engine.run_plan
+    ~config:{ Testenv.config with Casper_exec.Exec.Config.pool = Some pool }
+    ~cluster:Cluster.spark
     ~datasets:[ ("words", words) ] plan
 
 let test_engine_jobs_identity () =
@@ -209,6 +211,19 @@ let test_warn_once_is_once () =
   check "second warn suppressed" false
     (Casper_obs.Obs.warn_once ~key "warned again")
 
+(* a bad CASPER_JOBS falls back to 1 domain, and says so once *)
+let test_env_jobs_warns_on_garbage () =
+  let saved = Sys.getenv_opt "CASPER_JOBS" in
+  Fun.protect
+    ~finally:(fun () ->
+      (* no unsetenv: an unset variable comes back as "1", the built-in *)
+      Unix.putenv "CASPER_JOBS" (Option.value saved ~default:"1"))
+  @@ fun () ->
+  Unix.putenv "CASPER_JOBS" "abc";
+  check_int "garbage reads as 1 domain" 1 (Par.env_jobs ());
+  check "the warning used its one shot" false
+    (Casper_obs.Obs.warn_once ~key:"CASPER_JOBS" "warned again")
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suite =
@@ -223,6 +238,8 @@ let suite =
           test_recommended_jobs_clamp;
         Alcotest.test_case "warn_once fires once" `Quick
           test_warn_once_is_once;
+        Alcotest.test_case "bad CASPER_JOBS warns" `Quick
+          test_env_jobs_warns_on_garbage;
       ] );
     ( "par.pool",
       [

@@ -12,6 +12,12 @@ module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 module Multiset = Casper_common.Multiset
 module Workload = Casper_suites.Workload
+module Exec = Casper_exec.Exec
+
+let run_plan ?sched ~cluster ~datasets plan =
+  Engine.run_plan
+    ~config:{ Testenv.config with Exec.Config.sched }
+    ~cluster ~datasets plan
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -147,7 +153,7 @@ let test_fault_free_fidelity () =
     (fun (cluster : Cluster.t) ->
       List.iter
         (fun (name, plan, datasets) ->
-          let r = Engine.run_plan ~cluster ~datasets plan in
+          let r = run_plan ~cluster ~datasets plan in
           let analytic = Engine.analytic_time ~cluster ~scale r in
           let out = Engine.schedule ~cluster ~scale r in
           let rel =
@@ -175,9 +181,9 @@ let equivalence_test (cluster : Cluster.t) () =
   let _, plan, datasets =
     List.hd (Lazy.force table1) (* WordCount *)
   in
-  let baseline = Engine.run_plan ~cluster ~datasets plan in
+  let baseline = run_plan ~cluster ~datasets plan in
   let sched = Coordinator.config ~faults:(faulty_profile 11) () in
-  let r = Engine.run_plan ~sched ~cluster ~datasets plan in
+  let r = run_plan ~sched ~cluster ~datasets plan in
   check "output multiset-identical to fault-free" true
     (Multiset.equal_values baseline.Engine.output r.Engine.output);
   let fault_free = Engine.schedule ~cluster ~scale baseline in
@@ -198,7 +204,7 @@ let test_degradation_graceful () =
   List.iter
     (fun (cluster : Cluster.t) ->
       let _, plan, datasets = List.hd (Lazy.force table1) in
-      let r = Engine.run_plan ~cluster ~datasets plan in
+      let r = run_plan ~cluster ~datasets plan in
       let completion frac =
         let config =
           Coordinator.config ~faults:(Faults.failures ~seed:5 frac) ()
@@ -217,7 +223,7 @@ let test_speculation_beats_retry_only () =
   List.iter
     (fun (cluster : Cluster.t) ->
       let _, plan, datasets = List.hd (Lazy.force table1) in
-      let r = Engine.run_plan ~cluster ~datasets plan in
+      let r = run_plan ~cluster ~datasets plan in
       let faults = Faults.stragglers ~seed:9 ~fraction:0.15 ~slowdown:8.0 () in
       let completion speculation =
         let config = Coordinator.config ~faults ~speculation () in
@@ -233,7 +239,7 @@ let test_speculation_beats_retry_only () =
 let test_hadoop_degrades_worst () =
   let relative (cluster : Cluster.t) =
     let _, plan, datasets = List.hd (Lazy.force table1) in
-    let r = Engine.run_plan ~cluster ~datasets plan in
+    let r = run_plan ~cluster ~datasets plan in
     let completion frac =
       let config = Coordinator.config ~faults:(Faults.failures ~seed:5 frac) () in
       (Engine.schedule ~cluster ~scale ~config r).Coordinator.completion_s
@@ -253,7 +259,7 @@ let test_hadoop_degrades_worst () =
 let test_schedule_deterministic () =
   let cluster = Cluster.spark in
   let _, plan, datasets = List.hd (Lazy.force table1) in
-  let r = Engine.run_plan ~cluster ~datasets plan in
+  let r = run_plan ~cluster ~datasets plan in
   let config = Coordinator.config ~faults:(faulty_profile 21) () in
   let a = Engine.schedule ~cluster ~scale ~config r in
   let b = Engine.schedule ~cluster ~scale ~config r in
@@ -348,8 +354,8 @@ let prop_same_seed_identical_trace =
       in
       let plan = List.fold_left Plan.( |>> ) (Plan.data "d") segments in
       let sched = Coordinator.config ~faults:profile () in
-      let r1 = Engine.run_plan ~sched ~cluster ~datasets plan in
-      let r2 = Engine.run_plan ~sched ~cluster ~datasets plan in
+      let r1 = run_plan ~sched ~cluster ~datasets plan in
+      let r2 = run_plan ~sched ~cluster ~datasets plan in
       let o1 = Engine.schedule ~cluster ~scale r1 in
       let o2 = Engine.schedule ~cluster ~scale r2 in
       r1.Engine.stages = r2.Engine.stages
@@ -376,9 +382,9 @@ let prop_faulty_schedule_preserves_output =
       let plan =
         List.fold_left Plan.( |>> ) (Plan.data "d") segments
       in
-      let baseline = Engine.run_plan ~cluster ~datasets plan in
+      let baseline = run_plan ~cluster ~datasets plan in
       let sched = Coordinator.config ~faults:profile () in
-      let r = Engine.run_plan ~sched ~cluster ~datasets plan in
+      let r = run_plan ~sched ~cluster ~datasets plan in
       let fault_free = Engine.schedule ~cluster ~scale baseline in
       let faulty = Engine.schedule ~cluster ~scale r in
       Multiset.equal_values baseline.Engine.output r.Engine.output

@@ -84,7 +84,8 @@ let output_test bench_name () =
                Runner.run_sequential ~scale:1.0 prog t.Casper.frag entry
              in
              let run =
-               Runner.run_summary ~cluster:Mapreduce.Cluster.spark ~scale:1.0
+               Runner.run_summary ~config:Testenv.config
+                 ~cluster:Mapreduce.Cluster.spark ~scale:1.0
                  prog t.Casper.frag entry best.Cegis.summary
              in
              incr checked;
@@ -141,7 +142,8 @@ let test_tpch_q6_known_value () =
   in
   let entry = Vc.entry_of_params r.Casper.program t.Casper.frag env in
   let run =
-    Runner.run_summary ~cluster:Mapreduce.Cluster.spark ~scale:1.0
+    Runner.run_summary ~config:Testenv.config
+      ~cluster:Mapreduce.Cluster.spark ~scale:1.0
       r.Casper.program t.Casper.frag entry best.Cegis.summary
   in
   check "revenue = 6.0" true

@@ -114,7 +114,8 @@ let test_sample_monitor_stage () =
   in
   let ds = [ ("d", List.init 10 (fun i -> Value.Int i)) ] in
   let run =
-    Mapreduce.Engine.run_plan ~cluster:Mapreduce.Cluster.spark ~datasets:ds
+    Mapreduce.Engine.run_plan ~config:Testenv.config
+      ~cluster:Mapreduce.Cluster.spark ~datasets:ds
       plan
   in
   check_int "pass-through" 10 (List.length run.Mapreduce.Engine.output);

@@ -33,6 +33,27 @@ if grep -rn '^<<<<<<< \|^>>>>>>> ' --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
+# One reader of the environment: outside these files no CASPER_*
+# variable is read under lib/ bin/ bench/ (Exec_config.of_env owns the
+# execution knobs, Par the pool size, Spill the temp directory).
+env_readers="lib/mapreduce/exec_config.ml lib/par/par.ml lib/mapreduce/spill.ml"
+for f in $(grep -rl 'getenv' --include='*.ml' lib bin bench | sort); do
+  case " $env_readers " in *" $f "*) continue ;; esac
+  if grep -q '"CASPER_' "$f"; then
+    echo "CASPER_* read outside Exec_config.of_env: $f"
+    grep -n '"CASPER_' "$f" | head -3
+    fail=1
+  fi
+done
+
+# The process-global defaults are gone; configuration travels in an
+# Exec_config.t record only.
+deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
+if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
+  echo "deleted process-default API reappeared"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "hygiene check FAILED"
   exit 1
