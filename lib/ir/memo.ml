@@ -317,8 +317,10 @@ let apply_lam_m_c (lm : lam_m) (cv : cenv) : Eval.emitted =
   in
   run [] [] lm.emits
 
-(* [Eval.stage_node], with the Map-over-source-data case memoized *)
-let rec stage_node_m (base : cenv) (n : node) : Eval.staged_node =
+(* [Eval.stage_node], with the Map-over-source-data case memoized and
+   every λr application recorded in [lr_ran] *)
+let rec stage_node_m (lr_ran : bool ref) (base : cenv) (n : node) :
+    Eval.staged_node =
   match n with
   | Map (Data d, lm) ->
       fun datasets ->
@@ -328,19 +330,34 @@ let rec stage_node_m (base : cenv) (n : node) : Eval.staged_node =
   | Data _ -> Eval.stage_node base.env n
   | Map (src, lm) ->
       (* intermediate elements are not stable across candidates: staged *)
-      Eval.map_node (stage_node_m base src) (Eval.apply_lam_m base.env lm)
+      Eval.map_node
+        (stage_node_m lr_ran base src)
+        (Eval.apply_lam_m base.env lm)
   | Reduce (src, lr) ->
-      Eval.reduce_node (stage_node_m base src) (Eval.apply_lam_r base.env lr)
-  | Join (a, b) -> Eval.join_node (stage_node_m base a) (stage_node_m base b)
+      let f = Eval.apply_lam_r base.env lr in
+      Eval.reduce_node (stage_node_m lr_ran base src) (fun a b ->
+          lr_ran := true;
+          f a b)
+  | Join (a, b) ->
+      Eval.join_node (stage_node_m lr_ran base a) (stage_node_m lr_ran base b)
 
 (** [Eval.stage_summary] with the Map stage memoized per (emit
     expression, element environment). [base] must wrap the environment
-    the summary is staged against. *)
-let stage_summary (base : cenv) (shapes : (string * Eval.out_shape) list)
-    (s : summary) : (string * Value.t list) list -> Eval.env -> Eval.env =
-  if not (Fastpath.enabled ()) then Eval.stage_summary base.env shapes s
+    the summary is staged against.
+
+    The staged summary sets [lr_ran] when it applies a λr. While it stays
+    unset no key held two values, so every run so far computed the same
+    outputs, or raised the same error, whatever the λrs are (staging a
+    λr never raises). Off the fast path it is set up front, which claims
+    nothing. *)
+let stage_summary ~(lr_ran : bool ref) (base : cenv)
+    (shapes : (string * Eval.out_shape) list) (s : summary) :
+    (string * Value.t list) list -> Eval.env -> Eval.env =
+  if not (Fastpath.enabled ()) then (
+    lr_ran := true;
+    Eval.stage_summary base.env shapes s)
   else
-    let run = stage_node_m base s.pipeline in
+    let run = stage_node_m lr_ran base s.pipeline in
     fun datasets init -> Eval.extract_outputs (run datasets) init shapes s
 
 (* ------------------------------------------------------------------ *)

@@ -204,6 +204,11 @@ let make_probes prog (frag : F.t) : Casper_ir.Eval.env list =
         Hashtbl.add probe_cache key probes;
         probes
 
+(* whether [make_probes] has built, on this domain, the probes of this
+   fragment *)
+let probes_built prog (frag : F.t) : bool =
+  Hashtbl.mem (Domain.DLS.get probe_cache_key) (prog, frag)
+
 (* ------------------------------------------------------------------ *)
 
 type search_state = {
@@ -215,6 +220,11 @@ type search_state = {
       (** packed (candidate key, Φ-state id) → holds; Φ verdicts survive
           across grammar classes, so a candidate re-encountered in a
           higher class re-checks only Φ states added since *)
+  family_refuted : (int, unit) Hashtbl.t;
+      (** packed (family key, Φ-state id) of the states that refute a
+          whole candidate family: some member failed there before any
+          λr ran, so every member fails there ([holds_on_cached]) *)
+  mutable family_hits : int;  (** Φ checks answered by [family_refuted] *)
   bounded_verdicts : (int, Verifier.outcome) Hashtbl.t;
   full_verdicts : (int, Verifier.outcome) Hashtbl.t;
   blocked : (int, unit) Hashtbl.t;
@@ -240,6 +250,8 @@ let make_state ?(phi = []) prog frag ~budget : search_state =
       phi_prepared = [];
       next_sid = 0;
       phi_verdicts = Hashtbl.create 65536;
+      family_refuted = Hashtbl.create 4096;
+      family_hits = 0;
       bounded_verdicts = Hashtbl.create 64;
       full_verdicts = Hashtbl.create 16;
       blocked = Hashtbl.create 64;
@@ -262,6 +274,8 @@ let make_state ?(phi = []) prog frag ~budget : search_state =
     (List.rev phi);
   st
 
+let family_hits (st : search_state) : int = st.family_hits
+
 let add_phi (st : search_state) prog frag (state : Minijava.Interp.env) :
     unit =
   st.phi <- state :: st.phi;
@@ -280,9 +294,11 @@ let block (st : search_state) (c : Ir.summary) (cid : int) : unit =
 (* [Verifier.holds_on] with per-(candidate, state) verdicts memoized.
    Same walk order and early exit as [check_batch], so outcomes are
    identical; cached verdicts only skip re-computing a conjunct that was
-   already decided for this candidate. *)
-let holds_on_cached (st : search_state) frag (c : Ir.summary) (cid : int) :
-    bool =
+   already decided for this candidate, or for its family [fid]: a
+   failure reached before any λr ran is the failure of every candidate
+   that differs only in λr ([Vc.check_prepared]). *)
+let holds_on_cached (st : search_state) frag (c : Ir.summary) (cid : int)
+    (fid : int) : bool =
   let rec walk = function
     | [] -> true
     | (sid, p) :: rest ->
@@ -293,9 +309,16 @@ let holds_on_cached (st : search_state) frag (c : Ir.summary) (cid : int) :
               Fastpath.counters.phi_hits <- Fastpath.counters.phi_hits + 1;
               b
           | None ->
-              let b = Verifier.check_prepared_one frag c p in
-              Hashtbl.add st.phi_verdicts key b;
-              b
+              let fkey = (fid lsl 31) lor sid in
+              if Hashtbl.mem st.family_refuted fkey then (
+                st.family_hits <- st.family_hits + 1;
+                false)
+              else
+                let b, lr_ran = Verifier.check_prepared_one frag c p in
+                Hashtbl.add st.phi_verdicts key b;
+                if not (b || lr_ran) then
+                  Hashtbl.replace st.family_refuted fkey ();
+                b
         in
         if pass then walk rest else false
   in
@@ -337,8 +360,8 @@ type spec =
     byte-identical to the sequential run at any pool size. *)
 let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
     ~(pool : Par.pool) ~(bounded : Verifier.prepared list Lazy.t)
-    (cands : (Ir.summary * int) Seq.t) :
-    (Ir.summary * int * (Ir.summary * int) Seq.t) option =
+    (cands : (Ir.summary * int * int) Seq.t) :
+    (Ir.summary * int * (Ir.summary * int * int) Seq.t) option =
   let fast = (Fastpath.enabled ()) in
   (* counters are batched per round — one add at exit instead of one per
      candidate — to keep enabled-tracing overhead off the search's hot
@@ -382,17 +405,17 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
           Verifier.bounded_check ~seed:cfg.seed ~count:cfg.bounded_states
             prog frag c
   in
-  let rec go (s : (Ir.summary * int) Seq.t) =
+  let rec go (s : (Ir.summary * int * int) Seq.t) =
     if st.tried >= st.budget then None
     else
       match s () with
       | Seq.Nil -> None
-      | Seq.Cons ((c, cid), rest) ->
+      | Seq.Cons ((c, cid, fid), rest) ->
           if skip_blocked c cid then go rest
           else (
             st.tried <- st.tried + 1;
             let holds =
-              if fast then holds_on_cached st frag c cid
+              if fast then holds_on_cached st frag c cid fid
               else Verifier.holds_on prog frag c st.phi
             in
             if not holds then go rest
@@ -415,7 +438,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
       List.map2 (fun (sid, _) state -> (sid, state)) st.phi_prepared st.phi
     else List.mapi (fun i state -> (-1 - i, state)) st.phi
   in
-  let speculate snapshot (c, _cid) : spec =
+  let speculate snapshot (c, _, _) : spec =
     try
       Memo.sync_shard ();
       let rec walk acc = function
@@ -440,16 +463,16 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
     with _ -> Sp_failed
   in
   (* pull up to [n] not-yet-blocked candidates *)
-  let rec pull n acc (s : (Ir.summary * int) Seq.t) =
+  let rec pull n acc (s : (Ir.summary * int * int) Seq.t) =
     if n = 0 then (List.rev acc, s)
     else
       match s () with
       | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons ((c, cid), rest) ->
+      | Seq.Cons (((c, cid, _) as cand), rest) ->
           if skip_blocked c cid then pull n acc rest
-          else pull (n - 1) ((c, cid) :: acc) rest
+          else pull (n - 1) (cand :: acc) rest
   in
-  let rec spec_round (s : (Ir.summary * int) Seq.t) =
+  let rec spec_round (s : (Ir.summary * int * int) Seq.t) =
     let remaining = st.budget - st.tried in
     if remaining <= 0 then None
     else
@@ -465,7 +488,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
           in
           let rec replay = function
             | [] -> spec_round rest
-            | ((c, cid), spec) :: more ->
+            | ((c, cid, fid), spec) :: more ->
                 if st.tried >= st.budget then None
                 else if skip_blocked c cid then replay more
                 else (
@@ -483,7 +506,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
                            sp_phi
                      | Sp_failed -> ());
                   let holds =
-                    if fast then holds_on_cached st frag c cid
+                    if fast then holds_on_cached st frag c cid fid
                     else
                       match spec with
                       | Sp { sp_holds; _ } ->
@@ -603,23 +626,28 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
     Obs.add obs "memo_eval_hits" (fc.Fastpath.eval_hits - fp0.Fastpath.eval_hits);
     Obs.add obs "memo_eval_misses" (fc.Fastpath.eval_misses - fp0.Fastpath.eval_misses);
     Obs.add obs "phi_memo_hits" (fc.Fastpath.phi_hits - fp0.Fastpath.phi_hits);
+    Obs.add obs "phi_family_hits" st.family_hits;
     Obs.add obs "verdict_memo_hits" (fc.Fastpath.verdict_hits - fp0.Fastpath.verdict_hits);
     Obs.add obs "blocked_set"
       (Hashtbl.length st.blocked + Hashtbl.length st.blocked_text);
-    let probe =
-      match make_probes prog frag with p :: _ -> p | [] -> []
-    in
     let solutions =
-      List.map
-        (fun (summary, klass) ->
-          {
-            summary;
-            klass;
-            comm_assoc = summary_comm_assoc prog frag probe summary;
-            static_cost = static_cost prog frag probe summary;
-          })
-        solutions
-      |> List.sort (fun a b -> Float.compare a.static_cost b.static_cost)
+      match solutions with
+      | [] -> []
+      | _ ->
+          (* probes are only needed to rank solutions *)
+          let probe =
+            match make_probes prog frag with p :: _ -> p | [] -> []
+          in
+          List.map
+            (fun (summary, klass) ->
+              {
+                summary;
+                klass;
+                comm_assoc = summary_comm_assoc prog frag probe summary;
+                static_cost = static_cost prog frag probe summary;
+              })
+            solutions
+          |> List.sort (fun a b -> Float.compare a.static_cost b.static_cost)
     in
     {
       solutions;

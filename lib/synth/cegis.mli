@@ -48,6 +48,37 @@ type outcome = { solutions : solution list; stats : stats }
     in grammar construction. *)
 val make_probes : Minijava.Ast.program -> F.t -> Casper_ir.Eval.env list
 
+(** Whether this domain has built the probes of [prog]'s fragment (with
+    the fast path on, probes are cached per domain). *)
+val probes_built : Minijava.Ast.program -> F.t -> bool
+
+(** {2 The Φ check of the CEGIS inner loop}
+
+    Exposed so tests can drive it candidate by candidate. *)
+
+(** One search's Φ, verdict tables and counts. *)
+type search_state
+
+(** A search state over the counter-example states [phi] (parameter
+    environments), with a budget of [budget] candidates. *)
+val make_state :
+  ?phi:Minijava.Interp.env list ->
+  Minijava.Ast.program ->
+  F.t ->
+  budget:int ->
+  search_state
+
+(** [holds_on_cached st frag c key family]: does candidate [c] hold on
+    every state of Φ? [key] identifies the candidate and [family] the
+    candidates that differ from it only in λr (the construction keys of
+    the enumerator). A state where a member of the family failed before
+    any λr ran refutes the rest of the family without a check. Fast path
+    only. *)
+val holds_on_cached : search_state -> F.t -> Ir.summary -> int -> int -> bool
+
+(** Φ checks [holds_on_cached] answered from a family's refutation. *)
+val family_hits : search_state -> int
+
 (** IR typing environment of a fragment's free scalars. *)
 val tenv_of_frag : Minijava.Ast.program -> F.t -> Casper_ir.Infer.tenv
 
@@ -62,7 +93,7 @@ val summary_comm_assoc :
     [obs] (default disabled) records the search as spans — "synthesis" →
     "grammar" / per-"class" → "round" → "bounded-verify", plus
     "full-verify" — with candidate, iteration, TP-failure, fast-path
-    memo-hit and blocked-set counters; it also supplies the clock behind
+    memo-hit, Φ-family-hit and blocked-set counters; it also supplies the clock behind
     [elapsed_s], so a virtual-clock context makes the statistic
     deterministic.
 

@@ -242,7 +242,13 @@ let param_names pools = List.map fst pools.G.params
    per-candidate product loops — and each candidate's key is the
    interned list of a distinct shape tag followed by those ids (see
    [Hashcons.key_of]). In baseline mode no ids are computed and every
-   key is 0: the baseline identifies candidates by printed text. *)
+   key is 0: the baseline identifies candidates by printed text.
+
+   Each candidate also carries a family key: the same list without the
+   reducer's id, so the candidates of one family differ only in λr. The
+   search shares a Φ refutation across a family when no λr ran before
+   it (Cegis.holds_on_cached). A shape without a reducer uses the
+   candidate key: its family is the candidate alone. *)
 let emits_ids (l : Ir.emit list) : (Ir.emit * int) list =
   if (Casper_ir.Fastpath.enabled ()) then
     List.map (fun e -> (e, H.emit_id e)) l
@@ -262,7 +268,7 @@ let reducers_ids (l : Ir.lam_r list) : (Ir.lam_r * int) list =
 
 (** 1 op: global reduce directly over a list of scalar records. *)
 let shape_reduce_only (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int) Seq.t =
+    (Ir.summary * int * int) Seq.t =
   match (frag.schema, frag.outputs) with
   | F.SList { elem_ty; _ }, [ (out, _, F.KScalar) ] ->
       let ety = Casper_analysis.Analyze.ir_ty elem_ty in
@@ -270,13 +276,15 @@ let shape_reduce_only (frag : F.t) (pools : G.pools) (k : G.klass) :
       | Ir.TInt | Ir.TFloat | Ir.TBool | Ir.TString ->
           let d = F.primary_dataset frag in
           let fast = (Casper_ir.Fastpath.enabled ()) in
+          let fid = if fast then H.key_of [ 1 ] else 0 in
           Seq.map
             (fun (lr, rid) ->
               ( {
                   Ir.pipeline = Ir.Reduce (Ir.Data d, lr);
                   bindings = [ (out, Ir.Proj None) ];
                 },
-                if fast then H.key_of [ 1; rid ] else 0 ))
+                (if fast then H.key_of [ 1; rid ] else 0),
+                fid ))
             (seq_of_list (reducers_ids (G.reducers pools ety)))
       | _ -> Seq.empty)
   | _ ->
@@ -285,7 +293,7 @@ let shape_reduce_only (frag : F.t) (pools : G.pools) (k : G.klass) :
 
 (** 1 op: map only — keyed output rebuilt per record. *)
 let shape_map_only (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int) Seq.t =
+    (Ir.summary * int * int) Seq.t =
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -300,11 +308,13 @@ let shape_map_only (frag : F.t) (pools : G.pools) (k : G.klass) :
       let fast = (Casper_ir.Fastpath.enabled ()) in
       Seq.map
         (fun (e, eid) ->
+          let key = if fast then H.key_of [ 2; eid ] else 0 in
           ( {
               Ir.pipeline = Ir.Map (Ir.Data d, mk_map_emits params [ e ]);
               bindings = [ (out, Ir.Whole) ];
             },
-            if fast then H.key_of [ 2; eid ] else 0 ))
+            key,
+            key ))
         (seq_of_list (emits_ids emits))
   | _ -> Seq.empty
 
@@ -326,7 +336,7 @@ let scalar_emits (pools : G.pools) (k : G.klass) (out : string)
 
 (** 2 ops: reduce(map(data)) — keyed by output-variable id. *)
 let shape_map_reduce_keyed (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int) Seq.t =
+    (Ir.summary * int * int) Seq.t =
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -359,6 +369,7 @@ let shape_map_reduce_keyed (frag : F.t) (pools : G.pools) (k : G.klass) :
         let* picks = cart per_out in
         let emits = List.map fst picks in
         let eids = if fast then List.map snd picks else [] in
+        let fid = if fast then H.key_of (3 :: eids) else 0 in
         Seq.map
           (fun (lr, rid) ->
             ( {
@@ -370,13 +381,14 @@ let shape_map_reduce_keyed (frag : F.t) (pools : G.pools) (k : G.klass) :
                     (fun (o, _) -> (o, Ir.AtKey (Value.Str o)))
                     scalars;
               },
-              if fast then H.key_of ((3 :: eids) @ [ rid ]) else 0 ))
+              (if fast then H.key_of ((3 :: eids) @ [ rid ]) else 0),
+              fid ))
           (seq_of_list (reducers_ids (G.reducers pools vty)))
     | _ -> Seq.empty (* mixed-type keyed outputs need tuple shapes *)
 
 (** 2 ops: global reduce over plain emitted values (tuple style). *)
 let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int) Seq.t =
+    (Ir.summary * int * int) Seq.t =
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -403,6 +415,7 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
         in
         let fast = (Casper_ir.Fastpath.enabled ()) in
         let* e, eid = seq_of_list (emits_ids emits) in
+        let fid = if fast then H.key_of [ 4; eid ] else 0 in
         Seq.map
           (fun (lr, rid) ->
             ( {
@@ -411,7 +424,8 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
                     (Ir.Map (Ir.Data d, mk_map_emits params [ e ]), lr);
                 bindings = [ (out, Ir.Proj None) ];
               },
-              if fast then H.key_of [ 4; eid; rid ] else 0 ))
+              (if fast then H.key_of [ 4; eid; rid ] else 0),
+              fid ))
           (seq_of_list (reducers_ids (G.reducers pools oty)))
     | _ when k.allow_tuples && List.length scalars <= 3 ->
         let slot_pools =
@@ -431,6 +445,7 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
         let* picks = cart slot_pools in
         let slots = List.map fst picks in
         let sids = if fast then List.map snd picks else [] in
+        let fid = if fast then H.key_of (5 :: sids) else 0 in
         Seq.map
           (fun (lr, rid) ->
             ( {
@@ -449,13 +464,14 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
                 bindings =
                   List.mapi (fun i (o, _) -> (o, Ir.Proj (Some i))) scalars;
               },
-              if fast then H.key_of ((5 :: sids) @ [ rid ]) else 0 ))
+              (if fast then H.key_of ((5 :: sids) @ [ rid ]) else 0),
+              fid ))
           (seq_of_list (reducers_ids (G.reducers pools vty)))
     | _ -> Seq.empty
 
 (** 2 ops: reduce(map(data)) for a keyed (array/map) output. *)
 let shape_map_reduce_collection (frag : F.t) (pools : G.pools) (k : G.klass)
-    : (Ir.summary * int) Seq.t =
+    : (Ir.summary * int * int) Seq.t =
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -503,6 +519,7 @@ let shape_map_reduce_collection (frag : F.t) (pools : G.pools) (k : G.klass)
       let* picks = seq_of_list (single @ pairs @ triples) in
       let body = List.map fst picks in
       let eids = if fast then List.map snd picks else [] in
+      let fid = if fast then H.key_of (6 :: eids) else 0 in
       Seq.map
         (fun (lr, rid) ->
           ( {
@@ -510,14 +527,15 @@ let shape_map_reduce_collection (frag : F.t) (pools : G.pools) (k : G.klass)
                 Ir.Reduce (Ir.Map (Ir.Data d, mk_map_emits params body), lr);
               bindings = [ (out, Ir.Whole) ];
             },
-            if fast then H.key_of ((6 :: eids) @ [ rid ]) else 0 ))
+            (if fast then H.key_of ((6 :: eids) @ [ rid ]) else 0),
+            fid ))
         (seq_of_list (reducers_ids (G.reducers pools vty)))
   | _ -> Seq.empty
 
 (** 3 ops: map(reduce(map(data))) — keyed, with a post-processing map
     that rewrites each reduced value (row-wise mean's [v / cols]). *)
 let shape_map_reduce_map_collection (frag : F.t) (pools : G.pools)
-    (k : G.klass) : (Ir.summary * int) Seq.t =
+    (k : G.klass) : (Ir.summary * int * int) Seq.t =
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -530,9 +548,17 @@ let shape_map_reduce_map_collection (frag : F.t) (pools : G.pools)
           ()
       in
       let fast = (Casper_ir.Fastpath.enabled ()) in
+      (* the post-map pool depends on the value type alone: built once,
+         when the first candidate needs it *)
+      let post =
+        lazy
+          (exprs_ids
+             (List.filter
+                (fun e -> e <> Ir.Var "v")
+                (post_pool pools ~v:"v" vty ~out_ty:(elem_out_ty oty))))
+      in
       let* e, eid = seq_of_list (emits_ids emits) in
       let* lr, rid = seq_of_list (reducers_ids (G.reducers pools vty)) in
-      let post = post_pool pools ~v:"v" vty ~out_ty:(elem_out_ty oty) in
       Seq.map
         (fun (e2, pid) ->
           ( {
@@ -551,16 +577,16 @@ let shape_map_reduce_map_collection (frag : F.t) (pools : G.pools)
                       ] );
               bindings = [ (out, Ir.Whole) ];
             },
-            if fast then H.key_of [ 7; eid; rid; pid ] else 0 ))
-        (seq_of_list
-           (exprs_ids (List.filter (fun e -> e <> Ir.Var "v") post)))
+            (if fast then H.key_of [ 7; eid; rid; pid ] else 0),
+            if fast then H.key_of [ 7; eid; pid ] else 0 ))
+        (seq_of_list (Lazy.force post))
   | _ -> Seq.empty
 
 (** 3 ops: map(reduce(map(data))) with a global tuple reduction and a
     final map that computes each scalar output from the folded tuple
     (Delta's [max - min]). *)
 let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
-    : (Ir.summary * int) Seq.t =
+    : (Ir.summary * int * int) Seq.t =
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -582,10 +608,15 @@ let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
     in
     let fast = (Casper_ir.Fastpath.enabled ()) in
     let* bty = seq_of_list base_tys in
+    let vty = Ir.TTuple [ bty; bty ] in
+    (* the post-map pool depends on the base type alone: built once per
+       type, when the first candidate needs it *)
+    let post_p =
+      lazy (exprs_ids (G.cap 8 (post_pool pools ~v:"t" vty ~out_ty:bty)))
+    in
     let* b, bid =
       seq_of_list (exprs_ids (G.cap 8 (vals_list pools ~max_len:k.max_len bty)))
     in
-    let vty = Ir.TTuple [ bty; bty ] in
     let* lr, rid =
       seq_of_list
         (reducers_ids
@@ -594,13 +625,12 @@ let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
                 match lr.Ir.r_body with Ir.MkTuple _ -> true | _ -> false)
               (G.reducers pools vty)))
     in
-    let post = post_pool pools ~v:"t" vty ~out_ty:bty in
-    let post_p = exprs_ids (G.cap 8 post) in
+    let pids = List.map (fun (_, (_, pid)) -> pid) in
     let rec choose_exprs outs =
       match outs with
       | [] -> Seq.return []
       | (o, _) :: rest ->
-          let* p = seq_of_list post_p in
+          let* p = seq_of_list (Lazy.force post_p) in
           Seq.map (fun tl -> (o, p) :: tl) (choose_exprs rest)
     in
     Seq.map
@@ -627,10 +657,8 @@ let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
             bindings =
               List.map (fun (o, _) -> (o, Ir.AtKey (Value.Str o))) choices;
           },
-          if fast then
-            H.key_of
-              (8 :: bid :: rid :: List.map (fun (_, (_, pid)) -> pid) choices)
-          else 0 ))
+          (if fast then H.key_of (8 :: bid :: rid :: pids choices) else 0),
+          if fast then H.key_of (8 :: bid :: pids choices) else 0 ))
       (choose_exprs scalars)
 
 (* --------------------------------------------------------------- *)
@@ -711,7 +739,7 @@ let join_keys (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools) :
     keyed by variable id; map outputs keyed by an expression over the
     joined pair. *)
 let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
-    (k : G.klass) : (Ir.summary * int) Seq.t =
+    (k : G.klass) : (Ir.summary * int * int) Seq.t =
   match frag.schema with
   | F.SJoin { d1; x1; d2; x2; _ } ->
       let keys = join_keys prog frag pools in
@@ -780,6 +808,7 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
             let* key1, key2, k1id, k2id = seq_of_list keys in
             let* g, gid = seq_of_list (guards_of bools) in
             let* v, vid = seq_of_list (exprs_ids (G.cap 16 (val_pool oty))) in
+            let fid = if fast then H.key_of [ 9; k1id; k2id; gid; vid ] else 0 in
             Seq.map
               (fun (lr, rid) ->
                 let core =
@@ -818,8 +847,9 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
                           lr );
                     bindings = [ (out, Ir.AtKey (Value.Str out)) ];
                   },
-                  if fast then H.key_of [ 9; k1id; k2id; gid; vid; rid ]
-                  else 0 ))
+                  (if fast then H.key_of [ 9; k1id; k2id; gid; vid; rid ]
+                   else 0),
+                  fid ))
               (seq_of_list (reducers_ids (G.reducers pools oty)))
         | _ -> (
             match frag.outputs with
@@ -837,6 +867,10 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
                 let* g, gid = seq_of_list (guards_of bools) in
                 let* v, vid =
                   seq_of_list (exprs_ids (G.cap 16 (val_pool vty)))
+                in
+                let fid =
+                  if fast then H.key_of [ 10; k1id; k2id; okid; gid; vid ]
+                  else 0
                 in
                 Seq.map
                   (fun (lr, rid) ->
@@ -876,9 +910,10 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
                               lr );
                         bindings = [ (out, Ir.Whole) ];
                       },
-                      if fast then
-                        H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ]
-                      else 0 ))
+                      (if fast then
+                         H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ]
+                       else 0),
+                      fid ))
                   (seq_of_list (reducers_ids (G.reducers pools vty)))
             | _ -> Seq.empty))
         |> fun s ->
@@ -888,7 +923,8 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
 
 (* --------------------------------------------------------------- *)
 
-(** All candidates of one grammar class, cheapest shapes first.
+(** All candidates of one grammar class, cheapest shapes first, each
+    with its construction key and family key.
 
     Shapes are thunks: a shape's emit pools (an eager, possibly large
     construction) are only built when enumeration actually reaches it.
@@ -898,8 +934,9 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
     consumer stops consuming at exactly the point [stop] becomes true,
     so the pruned tail was unreachable anyway. *)
 let candidates ?(stop = fun () -> false) (prog : Minijava.Ast.program)
-    (frag : F.t) (pools : G.pools) (k : G.klass) : (Ir.summary * int) Seq.t =
-  let shapes : (unit -> (Ir.summary * int) Seq.t) list =
+    (frag : F.t) (pools : G.pools) (k : G.klass) :
+    (Ir.summary * int * int) Seq.t =
+  let shapes : (unit -> (Ir.summary * int * int) Seq.t) list =
     match frag.schema with
     | F.SJoin _ -> [ (fun () -> shape_join prog frag pools k) ]
     | _ ->

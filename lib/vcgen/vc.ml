@@ -264,36 +264,46 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
 (** [check_state], against a prepared state. Identical outcomes: both
     walk prefixes 0..n in order and stop at the first failure, so a
     cached cell is only ever consulted at the same point the plain check
-    would have computed it. *)
+    would have computed it.
+
+    The flag says whether any λr was applied before the result was
+    decided. When it is [false], every summary that differs from this one
+    only in its λrs gets the same result on this state: the prefixes up
+    to the deciding one produce the same bags for all of them (see
+    {!Casper_ir.Memo.stage_summary}). *)
 let check_prepared (frag : F.t) (summary : Ir.summary)
-    (ps : prepared_state) : check_result =
-  match Lazy.force ps.p_outer with
-  | Error e -> State_skipped (Printexc.to_string e)
-  | Ok n -> (
-      let cells = Lazy.force ps.p_cells in
-      let apply =
-        Casper_ir.Memo.stage_summary ps.p_cenv ps.p_shapes summary
-      in
-      let rec go k =
-        if k > n then Holds
-        else (
-          if Lazy.is_val cells.(k) then
-            fp_counters.prefix_reused <- fp_counters.prefix_reused + 1;
-          match Lazy.force cells.(k) with
-          | PSeq_fault ->
-              State_skipped (Fmt.str "sequential fault at prefix %d" k)
-          | PRaise e -> raise e
-          | PReady (seq_env, datasets) -> (
-              match apply datasets ps.p_entry with
-              | exception Eval.Eval_error m -> Ir_error m
-              | exception Value.Type_error m -> Ir_error m
-              | mr_out -> (
-                  match output_mismatch frag seq_env mr_out with
-                  | Some (var, expected, got) ->
-                      Fails { prefix = k; var; expected; got }
-                  | None -> go (k + 1))))
-      in
-      try go 0 with Vc_error m -> Ir_error m)
+    (ps : prepared_state) : check_result * bool =
+  let lr_ran = ref false in
+  let result =
+    match Lazy.force ps.p_outer with
+    | Error e -> State_skipped (Printexc.to_string e)
+    | Ok n -> (
+        let cells = Lazy.force ps.p_cells in
+        let apply =
+          Casper_ir.Memo.stage_summary ~lr_ran ps.p_cenv ps.p_shapes summary
+        in
+        let rec go k =
+          if k > n then Holds
+          else (
+            if Lazy.is_val cells.(k) then
+              fp_counters.prefix_reused <- fp_counters.prefix_reused + 1;
+            match Lazy.force cells.(k) with
+            | PSeq_fault ->
+                State_skipped (Fmt.str "sequential fault at prefix %d" k)
+            | PRaise e -> raise e
+            | PReady (seq_env, datasets) -> (
+                match apply datasets ps.p_entry with
+                | exception Eval.Eval_error m -> Ir_error m
+                | exception Value.Type_error m -> Ir_error m
+                | mr_out -> (
+                    match output_mismatch frag seq_env mr_out with
+                    | Some (var, expected, got) ->
+                        Fails { prefix = k; var; expected; got }
+                    | None -> go (k + 1))))
+        in
+        try go 0 with Vc_error m -> Ir_error m)
+  in
+  (result, !lr_ran)
 
 (** Render the symbolic VC clauses for documentation / debugging output
     (the shape of Figure 4(b)). *)

@@ -100,20 +100,24 @@ let check_prepared_batch (frag : F.t) (summary : Ir.summary)
         match Lazy.force p.pr_state with
         | None -> go rest
         | Some ps -> (
-            match Vc.check_prepared frag summary ps with
+            match fst (Vc.check_prepared frag summary ps) with
             | Vc.Holds | Vc.State_skipped _ -> go rest
             | Vc.Fails _ -> Counterexample p.pr_params
             | Vc.Ir_error m -> Invalid_summary m))
   in
   go batch
 
-(** Does the candidate hold on one prepared state? The per-state
-    conjunct of [holds_on]. *)
+(** Does the candidate hold on one prepared state (the per-state
+    conjunct of [holds_on]), and was any λr applied before that was
+    decided ({!Vc.check_prepared})? *)
 let check_prepared_one (frag : F.t) (summary : Ir.summary) (p : prepared) :
-    bool =
-  match check_prepared_batch frag summary [ p ] with
-  | Valid -> true
-  | _ -> false
+    bool * bool =
+  match Lazy.force p.pr_state with
+  | None -> (true, false)
+  | Some ps -> (
+      match Vc.check_prepared frag summary ps with
+      | (Vc.Holds | Vc.State_skipped _), lr_ran -> (true, lr_ran)
+      | (Vc.Fails _ | Vc.Ir_error _), lr_ran -> (false, lr_ran))
 
 (* ------------------------------------------------------------------ *)
 (* Algebraic properties of reducers (§5.1's ϵ, §6.3's reduceByKey vs

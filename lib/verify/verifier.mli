@@ -73,8 +73,10 @@ val prepare_batch :
 (** [check_batch] over prepared states. *)
 val check_prepared_batch : F.t -> Ir.summary -> prepared list -> outcome
 
-(** Single-state conjunct of [holds_on]. *)
-val check_prepared_one : F.t -> Ir.summary -> prepared -> bool
+(** Single-state conjunct of [holds_on], paired with whether any λr was
+    applied before it was decided. When none was, every summary that
+    differs only in its λrs gets the same verdict on this state. *)
+val check_prepared_one : F.t -> Ir.summary -> prepared -> bool * bool
 
 (** Random values of an IR type, for property checks. *)
 val sample_values :

@@ -245,7 +245,137 @@ let test_unsupported_short_circuits () =
   in
   let r = Cegis.find_summary ~config:fast_config prog frag in
   check_int "no candidates tried" 0 r.Cegis.stats.Cegis.candidates_tried;
-  check "no solutions" true (List.is_empty r.Cegis.solutions)
+  check "no solutions" true (List.is_empty r.Cegis.solutions);
+  (* probes only rank solutions: with none, no probe set is built *)
+  check "no probe set built" false (Cegis.probes_built prog frag)
+
+(* ---------------- family verdicts ---------------- *)
+
+module Vc = Casper_vcgen.Vc
+module Value = Casper_common.Value
+
+(* [s += 2x] over a list: a candidate that emits [x] once per record
+   fails at prefix 1 before any λr runs; one that emits it twice under
+   one key needs λr to add the two *)
+let doubled_sum () =
+  fragment
+    "int f(List<Integer> d) { int s = 0; for (int x : d) s += 2 * x; return s; }"
+
+let lr body = { Ir.r_left = "v1"; r_right = "v2"; r_body = body }
+let v1 = Ir.Var "v1"
+and v2 = Ir.Var "v2"
+
+let reducers =
+  lr v1 :: lr v2
+  :: List.map
+       (fun op -> lr (Ir.Binop (op, v1, v2)))
+       [ Ir.Add; Ir.Sub; Ir.Mul; Ir.Lt ]
+
+(* reduce(map(d)) with a keyed or a plain-value emit list *)
+let keyed emits reducer =
+  {
+    Ir.pipeline =
+      Ir.Reduce
+        (Ir.Map (Ir.Data "d", { Ir.m_params = [ "x" ]; emits }), reducer);
+    bindings = [ ("s", Ir.AtKey (Value.Str "s")) ];
+  }
+
+let plain emits reducer =
+  { (keyed emits reducer) with Ir.bindings = [ ("s", Ir.Proj None) ] }
+
+let emit_gen ~kv : Ir.emit QCheck.Gen.t =
+  let open QCheck.Gen in
+  let x = Ir.Var "x" in
+  let* guard =
+    oneofl
+      [
+        None;
+        Some (Ir.Binop (Ir.Gt, x, Ir.CInt 0));
+        Some (Ir.Binop (Ir.Lt, x, Ir.CInt 1));
+      ]
+  in
+  let* v =
+    oneofl
+      [
+        x; Ir.Binop (Ir.Mul, Ir.CInt 2, x); Ir.Binop (Ir.Add, x, x);
+        Ir.Binop (Ir.Mul, x, x); Ir.CInt 0; Ir.CInt 1;
+        Ir.Binop (Ir.Div, Ir.CInt 6, x);
+      ]
+  in
+  let+ k = oneofl [ Ir.CStr "s"; Ir.CStr "t"; x ] in
+  { Ir.guard; payload = (if kv then Ir.KV (k, v) else Ir.Val v) }
+
+(* a candidate body (λr left open), a Φ state, and two λrs *)
+let family_case_gen =
+  let open QCheck.Gen in
+  let* body =
+    oneof
+      [
+        map keyed (list_size (int_range 1 3) (emit_gen ~kv:true));
+        map plain (list_size (int_range 1 3) (emit_gen ~kv:false));
+        return (fun reducer ->
+            {
+              Ir.pipeline = Ir.Reduce (Ir.Data "d", reducer);
+              bindings = [ ("s", Ir.Proj None) ];
+            });
+      ]
+  in
+  let* d = list_size (int_bound 4) (int_range (-3) 3) in
+  let* lr1 = oneofl reducers in
+  let+ lr2 = oneofl reducers in
+  (body, d, lr1, lr2)
+
+let family_case_arb =
+  QCheck.make
+    ~print:(fun (body, d, lr1, lr2) ->
+      Fmt.str "%s / %s on d = [%s]"
+        (Ir.summary_to_string (body lr1))
+        (Ir.summary_to_string (body lr2))
+        (String.concat "; " (List.map string_of_int d)))
+    family_case_gen
+
+(* A failure reached before any λr ran is the failure of every summary
+   that differs only in λr: same result, to the prefix and message. Both
+   branches of the precondition must be reached, or the property says
+   nothing. *)
+let test_family_verdict_exact () =
+  let prog, frag = doubled_sum () in
+  let blind = ref 0 and ran = ref 0 in
+  let prop (body, d, lr1, lr2) =
+    let params = [ ("d", Value.List (List.map (fun i -> Value.Int i) d)) ] in
+    let ps = Vc.prepare_state prog frag (Vc.entry_of_params prog frag params) in
+    match Vc.check_prepared frag (body lr1) ps with
+    | (Vc.Fails _ | Vc.Ir_error _) as r1, false ->
+        incr blind;
+        fst (Vc.check_prepared frag (body lr2) ps) = r1
+    | _, lr_ran ->
+        if lr_ran then incr ran;
+        true
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 15 |])
+    (QCheck.Test.make ~name:"family verdict" ~count:400 family_case_arb prop);
+  check "some failures are reducer-blind" true (!blind > 0);
+  check "some checks run λr" true (!ran > 0)
+
+(* the pin: a record that emits two values under one key makes λr run
+   at prefix 1, so the failure of one λr says nothing about another *)
+let test_family_needs_reducer_blind_failure () =
+  let prog, frag = doubled_sum () in
+  let phi = [ [ ("d", Value.List [ Value.Int 3; Value.Int 5 ]) ] ] in
+  let st = Cegis.make_state ~phi prog frag ~budget:100 in
+  let once =
+    [ { Ir.guard = None; payload = Ir.KV (Ir.CStr "s", Ir.Var "x") } ]
+  in
+  let twice = once @ once in
+  let sum = lr (Ir.Binop (Ir.Add, v1, v2)) in
+  let holds c key family = Cegis.holds_on_cached st frag c key family in
+  check "x once, keep-first fails" false (holds (keyed once (lr v1)) 1 10);
+  check "x once, sum is refuted by its family" false
+    (holds (keyed once sum) 2 10);
+  check_int "one family hit" 1 (Cegis.family_hits st);
+  check "x twice, keep-first fails" false (holds (keyed twice (lr v1)) 3 20);
+  check "x twice, sum holds" true (holds (keyed twice sum) 4 20);
+  check_int "still one family hit" 1 (Cegis.family_hits st)
 
 let base_suite =
   [
@@ -279,6 +409,13 @@ let base_suite =
           test_blocking_makes_progress;
         Alcotest.test_case "unsupported short-circuits" `Quick
           test_unsupported_short_circuits;
+      ] );
+    ( "synth.family",
+      [
+        Alcotest.test_case "reducer-blind failures are family-wide" `Quick
+          test_family_verdict_exact;
+        Alcotest.test_case "a failure after λr ran stays the candidate's"
+          `Quick test_family_needs_reducer_blind_failure;
       ] );
   ]
 
@@ -314,6 +451,65 @@ let test_while_counted_loop () =
     (not (List.exists (fun (v, _, _) -> v = "i") frag.F.outputs));
   check "while loop synthesizes" true (not (List.is_empty r.Cegis.solutions))
 
+(* ---------------- search-outcome golden ---------------- *)
+
+(* What the search decides for every Table-2 fragment at the default
+   configuration: the counts of Figure 5's loops and the printed
+   solution list, cost-sorted. Search optimizations must leave all of it
+   byte-identical; [elapsed_s] is the only statistic left out. *)
+let search_outcomes () : string =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (bench : Casper_suites.Suite.benchmark) ->
+      let r =
+        Casper_core.Casper.translate_source ~suite:bench.suite
+          ~benchmark:bench.name bench.source
+      in
+      List.iter
+        (fun (t : Casper_core.Casper.translation) ->
+          let o = t.outcome and st = t.outcome.Cegis.stats in
+          Printf.bprintf b
+            "%s/%s tried=%d iters=%d tp=%d classes=%d timed_out=%b\n"
+            bench.name t.frag.F.frag_id st.Cegis.candidates_tried
+            st.Cegis.cegis_iterations st.Cegis.tp_failures
+            st.Cegis.classes_explored st.Cegis.timed_out;
+          List.iter
+            (fun (s : Cegis.solution) ->
+              Printf.bprintf b "  class=%d ca=%b cost=%.17g %s\n" s.klass
+                s.comm_assoc s.static_cost
+                (String.concat " "
+                   (String.split_on_char '\n'
+                      (Ir.summary_to_string s.summary))))
+            o.Cegis.solutions)
+        r.translations)
+    Casper_suites.Registry.all_benchmarks;
+  Buffer.contents b
+
+(* On a mismatch the actual outcomes are written next to the test
+   binary (under _build/default/test/) so the two files can be diffed;
+   copy it over the golden only for a change that means to alter what
+   the search finds. *)
+let test_search_outcome_golden () =
+  let golden =
+    In_channel.with_open_bin "corpus/search_outcomes.txt" In_channel.input_all
+  in
+  let actual = search_outcomes () in
+  if not (String.equal golden actual) then begin
+    Out_channel.with_open_bin "search_outcomes.actual" (fun oc ->
+        Out_channel.output_string oc actual);
+    let gl = String.split_on_char '\n' golden
+    and al = String.split_on_char '\n' actual in
+    let rec first i = function
+      | g :: gs, a :: as_ ->
+          if String.equal g a then first (i + 1) (gs, as_)
+          else Alcotest.failf "line %d: expected %S, got %S (see %s)" i g a
+                 (Filename.concat (Sys.getcwd ()) "search_outcomes.actual")
+      | _ -> Alcotest.failf "line counts differ: %d vs %d" (List.length gl)
+               (List.length al)
+    in
+    first 1 (gl, al)
+  end
+
 let extra_suite =
   [
     ( "synth.java-features",
@@ -322,6 +518,11 @@ let extra_suite =
           test_inline_user_method;
         Alcotest.test_case "counted while loop (§6.1)" `Quick
           test_while_counted_loop;
+      ] );
+    ( "synth.golden",
+      [
+        Alcotest.test_case "search outcomes of every Table-2 fragment" `Slow
+          test_search_outcome_golden;
       ] );
   ]
 
