@@ -1082,11 +1082,17 @@ let json_of_runs (runs : synth_run list) : J.t =
 let synth_perf () =
   section "Synthesis performance: fast path vs baseline (Table 2 workload)";
   let slow = Fastpath.with_enabled false synth_measure in
+  (* words the fast pass allocates: deterministic, unlike its wall time,
+     so tools/check_overhead.sh gates tracing overhead on it *)
+  let fast_minor_words = ref 0.0 in
   let fast =
     if !cli_no_opt then None
     else begin
       Fastpath.reset_counters ();
-      Some (Fastpath.with_enabled true synth_measure)
+      let w0 = Gc.minor_words () in
+      let r = Fastpath.with_enabled true synth_measure in
+      fast_minor_words := Gc.minor_words () -. w0;
+      Some r
     end
   in
   let total f l = List.fold_left (fun a r -> a +. f r) 0.0 l in
@@ -1154,6 +1160,7 @@ let synth_perf () =
             [
               ("fast", json_of_runs f);
               ("fast_total_s", J.Float ft);
+              ("fast_minor_words", J.Int (int_of_float !fast_minor_words));
               ("speedup", J.Float (slow_total /. ft));
               ( "counters",
                 J.Obj

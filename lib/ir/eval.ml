@@ -386,14 +386,24 @@ let join_node (a : staged_node) (b : staged_node) : staged_node =
            l1)
   | _ -> err "join expects key-value inputs on both sides"
 
-(** Stage pipeline [n] against [env]. *)
-let rec stage_node (env : env) (n : node) : staged_node =
+(** Stage pipeline [n] against [env]. Every λr application sets
+    [lr_ran], when given. *)
+let rec stage_node ?lr_ran (env : env) (n : node) : staged_node =
   match n with
   | Data d -> fun datasets -> Records (dataset datasets d)
-  | Map (src, lm) -> map_node (stage_node env src) (apply_lam_m env lm)
+  | Map (src, lm) ->
+      map_node (stage_node ?lr_ran env src) (apply_lam_m env lm)
   | Reduce (src, lr) ->
-      reduce_node (stage_node env src) (apply_lam_r env lr)
-  | Join (a, b) -> join_node (stage_node env a) (stage_node env b)
+      let f = apply_lam_r env lr in
+      reduce_node (stage_node ?lr_ran env src)
+        (match lr_ran with
+        | None -> f
+        | Some r ->
+            fun a b ->
+              r := true;
+              f a b)
+  | Join (a, b) ->
+      join_node (stage_node ?lr_ran env a) (stage_node ?lr_ran env b)
 
 (** The denotation of a pipeline node. *)
 let eval_node (env : env) (datasets : (string * Value.t list) list) (n : node)
@@ -469,9 +479,9 @@ let extract_outputs (result : bag) (init : env)
 
 (** [apply_summary], staged once against [env]: the result takes the
     datasets and the initial values. *)
-let stage_summary (env : env) (shapes : (string * out_shape) list)
+let stage_summary ?lr_ran (env : env) (shapes : (string * out_shape) list)
     (s : summary) : (string * Value.t list) list -> env -> env =
-  let run = stage_node env s.pipeline in
+  let run = stage_node ?lr_ran env s.pipeline in
   fun datasets init -> extract_outputs (run datasets) init shapes s
 
 let apply_summary (env : env) (datasets : (string * Value.t list) list)

@@ -216,15 +216,17 @@ type search_state = {
   mutable phi_prepared : (int * Verifier.prepared) list;
       (** fast path: Φ with per-state ids, same order as [phi] *)
   mutable next_sid : int;
-  phi_verdicts : (int, bool) Hashtbl.t;
-      (** packed (candidate key, Φ-state id) → holds; Φ verdicts survive
-          across grammar classes, so a candidate re-encountered in a
-          higher class re-checks only Φ states added since *)
-  family_refuted : (int, unit) Hashtbl.t;
-      (** packed (family key, Φ-state id) of the states that refute a
-          whole candidate family: some member failed there before any
-          λr ran, so every member fails there ([holds_on_cached]) *)
-  mutable family_hits : int;  (** Φ checks answered by [family_refuted] *)
+  phi_passed : (int, unit) Hashtbl.t;
+      (** packed (candidate key, Φ-state id) of the states a candidate
+          passed; they survive across grammar classes, so a candidate
+          re-encountered in a higher class re-checks only Φ states added
+          since *)
+  dead : Enumerate.dead;
+      (** the keys Φ has refuted, search-wide; the enumerator reads them
+          to leave refuted candidates unbuilt *)
+  mutable family_hits : int;
+      (** Φ checks answered by a refuted family or projection *)
+  mutable unbuilt : int;  (** candidates counted from [Bulk] items *)
   bounded_verdicts : (int, Verifier.outcome) Hashtbl.t;
   full_verdicts : (int, Verifier.outcome) Hashtbl.t;
   blocked : (int, unit) Hashtbl.t;
@@ -249,9 +251,10 @@ let make_state ?(phi = []) prog frag ~budget : search_state =
       phi = [];
       phi_prepared = [];
       next_sid = 0;
-      phi_verdicts = Hashtbl.create 65536;
-      family_refuted = Hashtbl.create 4096;
+      phi_passed = Hashtbl.create 65536;
+      dead = Enumerate.make_dead ();
       family_hits = 0;
+      unbuilt = 0;
       bounded_verdicts = Hashtbl.create 64;
       full_verdicts = Hashtbl.create 16;
       blocked = Hashtbl.create 64;
@@ -291,38 +294,50 @@ let block (st : search_state) (c : Ir.summary) (cid : int) : unit =
   if (Fastpath.enabled ()) then Hashtbl.replace st.blocked cid ()
   else Hashtbl.replace st.blocked_text (Ir.summary_to_string c) ()
 
-(* [Verifier.holds_on] with per-(candidate, state) verdicts memoized.
-   Same walk order and early exit as [check_batch], so outcomes are
-   identical; cached verdicts only skip re-computing a conjunct that was
-   already decided for this candidate, or for its family [fid]: a
-   failure reached before any λr ran is the failure of every candidate
-   that differs only in λr ([Vc.check_prepared]). *)
-let holds_on_cached (st : search_state) frag (c : Ir.summary) (cid : int)
-    (fid : int) : bool =
-  let rec walk = function
-    | [] -> true
-    | (sid, p) :: rest ->
-        let key = (cid lsl 31) lor sid in
-        let pass =
-          match Hashtbl.find_opt st.phi_verdicts key with
-          | Some b ->
-              Fastpath.counters.phi_hits <- Fastpath.counters.phi_hits + 1;
-              b
-          | None ->
-              let fkey = (fid lsl 31) lor sid in
-              if Hashtbl.mem st.family_refuted fkey then (
-                st.family_hits <- st.family_hits + 1;
+(* Record that Φ refuted candidate [c]. A refutation reached before any
+   λr ran refutes its whole family too, and, when it names an output,
+   that output's projection ([Vc.check_prepared], DESIGN.md §16). *)
+let refute (st : search_state) (c : Enumerate.cand) ~lr_ran
+    ~(output : string option) : unit =
+  let d = st.dead in
+  Hashtbl.replace d.cands c.key ();
+  if not lr_ran then (
+    Hashtbl.replace d.scopes c.family ();
+    match Option.bind output (fun o -> List.assoc_opt o c.projs) with
+    | Some p -> Hashtbl.replace d.scopes p ()
+    | None -> ())
+
+let phi_key cid sid = (cid lsl 31) lor sid
+
+(* [Verifier.holds_on] with passes memoized per (candidate, state) and
+   refutations kept in the dead sets. Same walk order and early exit as
+   [check_batch], so outcomes are identical: a refuted key only answers
+   for a candidate that Φ would refute anyway, and a memoized pass only
+   skips re-computing a conjunct already decided for this candidate. *)
+let holds_on_cached (st : search_state) frag (c : Enumerate.cand) : bool =
+  let d = st.dead in
+  if Hashtbl.mem d.cands c.key then false
+  else if Enumerate.scope_dead d ~family:c.family ~projs:c.projs then (
+    st.family_hits <- st.family_hits + 1;
+    false)
+  else
+    let rec walk = function
+      | [] -> true
+      | (sid, p) :: rest -> (
+          let key = phi_key c.key sid in
+          if Hashtbl.mem st.phi_passed key then (
+            Fastpath.counters.phi_hits <- Fastpath.counters.phi_hits + 1;
+            walk rest)
+          else
+            match Verifier.check_prepared_one frag c.summary p with
+            | Verifier.Passes ->
+                Hashtbl.add st.phi_passed key ();
+                walk rest
+            | Verifier.Refuted { lr_ran; output } ->
+                refute st c ~lr_ran ~output;
                 false)
-              else
-                let b, lr_ran = Verifier.check_prepared_one frag c p in
-                Hashtbl.add st.phi_verdicts key b;
-                if not (b || lr_ran) then
-                  Hashtbl.replace st.family_refuted fkey ();
-                b
-        in
-        if pass then walk rest else false
-  in
-  walk st.phi_prepared
+    in
+    walk st.phi_prepared
 
 (* One candidate's speculatively computed verdicts. Workers evaluate
    against an immutable snapshot of Φ using the *plain* (pure,
@@ -334,12 +349,15 @@ let holds_on_cached (st : search_state) frag (c : Ir.summary) (cid : int)
    point, and with exactly the partial stats, of the sequential run. *)
 type spec =
   | Sp of {
-      sp_phi : (int * bool) list;
-          (** (Φ-state id, verdict) over the snapshot, in walk order,
-              early-exited at the first failure like the sequential
-              walk *)
-      sp_holds : bool;  (** all snapshot states passed *)
-      sp_bounded : Verifier.outcome option;  (** computed iff [sp_holds] *)
+      sp_passed : int list;
+          (** ids of the snapshot's Φ states the candidate passed, in
+              walk order, up to the first refutation like the
+              sequential walk *)
+      sp_verdict : Verifier.one;
+          (** [Passes] iff every snapshot state passed, else the
+              refutation that ended the walk *)
+      sp_bounded : Verifier.outcome option;
+          (** computed iff [sp_verdict] is [Passes] *)
     }
   | Sp_failed
 
@@ -349,19 +367,25 @@ type spec =
     generation is deterministic, so it equals the per-call batch the
     plain path regenerates).
 
+    A [Bulk] item stands for [n] candidates Φ has already refuted: it
+    counts as [n] tried candidates minus the blocked ones among them,
+    exactly what trying them one by one would count, and is capped at
+    the budget like them.
+
     With a multi-domain [pool], candidates are checked speculatively in
     batches of [8 × pool size]: workers compute Φ-verdicts against a
     snapshot of Φ plus the (Φ-independent) bounded verdict, and a
     sequential replay then applies the Figure-5 state transitions —
-    budget, Φ growth, blocking, stats — in submission order. Since Φ
-    only grows, a snapshot pass is necessary for a replay pass, and
-    every verdict is a deterministic function of the candidate alone or
-    of (candidate, state), so outcomes, stats and Φ evolution are
-    byte-identical to the sequential run at any pool size. *)
+    budget, Φ growth, blocking, stats — in submission order, [Bulk]
+    items included. Since Φ only grows, a snapshot pass is necessary for
+    a replay pass, and every verdict is a deterministic function of the
+    candidate alone or of (candidate, state), so outcomes, stats and Φ
+    evolution are byte-identical to the sequential run at any pool
+    size. *)
 let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
     ~(pool : Par.pool) ~(bounded : Verifier.prepared list Lazy.t)
-    (cands : (Ir.summary * int * int) Seq.t) :
-    (Ir.summary * int * (Ir.summary * int * int) Seq.t) option =
+    (cands : Enumerate.item Seq.t) :
+    (Enumerate.cand * Enumerate.item Seq.t) option =
   let fast = (Fastpath.enabled ()) in
   (* counters are batched per round — one add at exit instead of one per
      candidate — to keep enabled-tracing overhead off the search's hot
@@ -373,18 +397,29 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
       Obs.add obs "cegis_iterations" (st.iters - iters0);
     r
   in
-  let skip_blocked c cid =
+  let skip_blocked (c : Enumerate.cand) =
     (* fast: O(1) membership by the construction key the shape assembled
        the candidate under; baseline: the original pretty-print-and-hash
        keying *)
-    if fast then Hashtbl.mem st.blocked cid
-    else Hashtbl.mem st.blocked_text (Ir.summary_to_string c)
+    if fast then Hashtbl.mem st.blocked c.key
+    else Hashtbl.mem st.blocked_text (Ir.summary_to_string c.summary)
   in
-  let bounded_verdict c cid ~(spec : Verifier.outcome option) :
+  let count_bulk n cids =
+    st.unbuilt <- st.unbuilt + n;
+    let blocked =
+      if Hashtbl.length st.blocked = 0 then 0
+      else
+        List.fold_left
+          (fun a cid -> if Hashtbl.mem st.blocked cid then a + 1 else a)
+          0 (Lazy.force cids)
+    in
+    st.tried <- min st.budget (st.tried + n - blocked)
+  in
+  let bounded_verdict (c : Enumerate.cand) ~(spec : Verifier.outcome option) :
       Verifier.outcome =
     Obs.span obs "bounded-verify" @@ fun () ->
     if fast then (
-      match Hashtbl.find_opt st.bounded_verdicts cid with
+      match Hashtbl.find_opt st.bounded_verdicts c.key with
       | Some o ->
           Fastpath.counters.verdict_hits <-
             Fastpath.counters.verdict_hits + 1;
@@ -394,40 +429,44 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
             match spec with
             | Some o -> o
             | None ->
-                Verifier.check_prepared_batch frag c (Lazy.force bounded)
+                Verifier.check_prepared_batch frag c.summary
+                  (Lazy.force bounded)
           in
-          Hashtbl.add st.bounded_verdicts cid o;
+          Hashtbl.add st.bounded_verdicts c.key o;
           o)
     else
       match spec with
       | Some o -> o
       | None ->
           Verifier.bounded_check ~seed:cfg.seed ~count:cfg.bounded_states
-            prog frag c
+            prog frag c.summary
   in
-  let rec go (s : (Ir.summary * int * int) Seq.t) =
+  let rec go (s : Enumerate.item Seq.t) =
     if st.tried >= st.budget then None
     else
       match s () with
       | Seq.Nil -> None
-      | Seq.Cons ((c, cid, fid), rest) ->
-          if skip_blocked c cid then go rest
+      | Seq.Cons (Enumerate.Bulk { n; cids }, rest) ->
+          count_bulk n cids;
+          go rest
+      | Seq.Cons (Enumerate.Cand c, rest) ->
+          if skip_blocked c then go rest
           else (
             st.tried <- st.tried + 1;
             let holds =
-              if fast then holds_on_cached st frag c cid fid
-              else Verifier.holds_on prog frag c st.phi
+              if fast then holds_on_cached st frag c
+              else Verifier.holds_on prog frag c.summary st.phi
             in
             if not holds then go rest
             else (
               st.iters <- st.iters + 1;
-              match bounded_verdict c cid ~spec:None with
-              | Verifier.Valid -> Some (c, cid, rest)
+              match bounded_verdict c ~spec:None with
+              | Verifier.Valid -> Some (c, rest)
               | Verifier.Counterexample phi_state ->
                   add_phi st prog frag phi_state;
                   go rest
               | Verifier.Invalid_summary _ ->
-                  block st c cid;
+                  block st c.summary c.key;
                   go rest))
   in
   (* --- speculative path ------------------------------------------- *)
@@ -438,41 +477,41 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
       List.map2 (fun (sid, _) state -> (sid, state)) st.phi_prepared st.phi
     else List.mapi (fun i state -> (-1 - i, state)) st.phi
   in
-  let speculate snapshot (c, _, _) : spec =
+  let speculate snapshot (c : Enumerate.cand) : spec =
     try
       Memo.sync_shard ();
       let rec walk acc = function
-        | [] -> (List.rev acc, true)
-        | (sid, state) :: rest ->
-            (* plain per-state check: pure, and outcome-identical to
+        | [] -> (List.rev acc, Verifier.Passes)
+        | (sid, state) :: rest -> (
+            (* plain per-state check: pure, and verdict-identical to
                [Verifier.check_prepared_one] on the same state (the
                fastpath equivalence the difftest oracle verifies) *)
-            let b = Verifier.holds_on prog frag c [ state ] in
-            if b then walk ((sid, b) :: acc) rest
-            else (List.rev ((sid, b) :: acc), false)
+            match Verifier.check_one prog frag c.summary state with
+            | Verifier.Passes -> walk (sid :: acc) rest
+            | refuted -> (List.rev acc, refuted))
       in
-      let sp_phi, sp_holds = walk [] snapshot in
+      let sp_passed, sp_verdict = walk [] snapshot in
       let sp_bounded =
-        if sp_holds then
-          Some
-            (Verifier.bounded_check ~seed:cfg.seed ~count:cfg.bounded_states
-               prog frag c)
-        else None
+        match sp_verdict with
+        | Verifier.Passes ->
+            Some
+              (Verifier.bounded_check ~seed:cfg.seed
+                 ~count:cfg.bounded_states prog frag c.summary)
+        | Verifier.Refuted _ -> None
       in
-      Sp { sp_phi; sp_holds; sp_bounded }
+      Sp { sp_passed; sp_verdict; sp_bounded }
     with _ -> Sp_failed
   in
-  (* pull up to [n] not-yet-blocked candidates *)
-  let rec pull n acc (s : (Ir.summary * int * int) Seq.t) =
+  (* pull up to [n] items, skipping blocked candidates *)
+  let rec pull n acc (s : Enumerate.item Seq.t) =
     if n = 0 then (List.rev acc, s)
     else
       match s () with
       | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons (((c, cid, _) as cand), rest) ->
-          if skip_blocked c cid then pull n acc rest
-          else pull (n - 1) (cand :: acc) rest
+      | Seq.Cons (Enumerate.Cand c, rest) when skip_blocked c -> pull n acc rest
+      | Seq.Cons (it, rest) -> pull (n - 1) (it :: acc) rest
   in
-  let rec spec_round (s : (Ir.summary * int * int) Seq.t) =
+  let rec spec_round (s : Enumerate.item Seq.t) =
     let remaining = st.budget - st.tried in
     if remaining <= 0 then None
     else
@@ -483,36 +522,51 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
           let snapshot = phi_snapshot () in
           let phi_len0 = List.length st.phi in
           let specs =
-            Par.parallel_map pool (speculate snapshot) batch
-            |> List.combine batch
+            Par.parallel_map pool (speculate snapshot)
+              (List.filter_map
+                 (function Enumerate.Cand c -> Some c | Bulk _ -> None)
+                 batch)
           in
-          let rec replay = function
-            | [] -> spec_round rest
-            | ((c, cid, fid), spec) :: more ->
-                if st.tried >= st.budget then None
-                else if skip_blocked c cid then replay more
+          (* [items] in submission order; [specs] holds one entry per
+             [Cand] among them *)
+          let rec replay items specs =
+            match (items, specs) with
+            | [], _ -> spec_round rest
+            | _ when st.tried >= st.budget -> None
+            | Enumerate.Bulk { n; cids } :: more, _ ->
+                count_bulk n cids;
+                replay more specs
+            | Enumerate.Cand c :: more, spec :: specs ->
+                if skip_blocked c then replay more specs
                 else (
                   st.tried <- st.tried + 1;
-                  (* merge the speculative Φ verdicts so the replay's
-                     cached walk is (almost) all hits *)
-                  (if fast then
-                     match spec with
-                     | Sp { sp_phi; _ } ->
-                         List.iter
-                           (fun (sid, b) ->
-                             let key = (cid lsl 31) lor sid in
-                             if not (Hashtbl.mem st.phi_verdicts key) then
-                               Hashtbl.add st.phi_verdicts key b)
-                           sp_phi
-                     | Sp_failed -> ());
                   let holds =
-                    if fast then holds_on_cached st frag c cid fid
+                    if fast then
+                      match spec with
+                      | Sp
+                          {
+                            sp_verdict = Verifier.Refuted { lr_ran; output };
+                            _;
+                          } ->
+                          (* refuted on the snapshot, a subset of Φ *)
+                          refute st c ~lr_ran ~output;
+                          false
+                      | Sp { sp_passed; _ } ->
+                          (* merge the snapshot passes so the cached walk
+                             only checks states added since *)
+                          List.iter
+                            (fun sid ->
+                              Hashtbl.replace st.phi_passed
+                                (phi_key c.key sid) ())
+                            sp_passed;
+                          holds_on_cached st frag c
+                      | Sp_failed -> holds_on_cached st frag c
                     else
                       match spec with
-                      | Sp { sp_holds; _ } ->
+                      | Sp { sp_verdict; _ } ->
                           (* Φ only grows: candidates must additionally
                              pass the states added since the snapshot *)
-                          sp_holds
+                          sp_verdict = Verifier.Passes
                           &&
                           let n_new = List.length st.phi - phi_len0 in
                           (n_new = 0
@@ -520,10 +574,11 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
                           let new_states =
                             List.filteri (fun i _ -> i < n_new) st.phi
                           in
-                          Verifier.holds_on prog frag c new_states)
-                      | Sp_failed -> Verifier.holds_on prog frag c st.phi
+                          Verifier.holds_on prog frag c.summary new_states)
+                      | Sp_failed ->
+                          Verifier.holds_on prog frag c.summary st.phi
                   in
-                  if not holds then replay more
+                  if not holds then replay more specs
                   else (
                     st.iters <- st.iters + 1;
                     let spec_bounded =
@@ -531,21 +586,20 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
                       | Sp { sp_bounded; _ } -> sp_bounded
                       | Sp_failed -> None
                     in
-                    match bounded_verdict c cid ~spec:spec_bounded with
+                    match bounded_verdict c ~spec:spec_bounded with
                     | Verifier.Valid ->
                         (* leftovers of this batch go back in front of
                            the enumeration, preserving candidate order *)
-                        let leftover = List.map fst more in
-                        Some
-                          (c, cid, Seq.append (List.to_seq leftover) rest)
+                        Some (c, Seq.append (List.to_seq more) rest)
                     | Verifier.Counterexample phi_state ->
                         add_phi st prog frag phi_state;
-                        replay more
+                        replay more specs
                     | Verifier.Invalid_summary _ ->
-                        block st c cid;
-                        replay more))
+                        block st c.summary c.key;
+                        replay more specs))
+            | Enumerate.Cand _ :: _, [] -> assert false
           in
-          replay specs
+          replay batch specs
   in
   let use_spec = Par.size pool > 1 && not (Par.on_worker ()) in
   record (if use_spec then spec_round cands else go cands)
@@ -627,6 +681,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
     Obs.add obs "memo_eval_misses" (fc.Fastpath.eval_misses - fp0.Fastpath.eval_misses);
     Obs.add obs "phi_memo_hits" (fc.Fastpath.phi_hits - fp0.Fastpath.phi_hits);
     Obs.add obs "phi_family_hits" st.family_hits;
+    Obs.add obs "candidates_unbuilt" st.unbuilt;
     Obs.add obs "verdict_memo_hits" (fc.Fastpath.verdict_hits - fp0.Fastpath.verdict_hits);
     Obs.add obs "blocked_set"
       (Hashtbl.length st.blocked + Hashtbl.length st.blocked_text);
@@ -736,7 +791,9 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
                 ~args:[ ("class", string_of_int k.G.k_id) ]
                 "class"
               @@ fun () ->
-              let cands = Enumerate.candidates ~stop prog frag pools_v k in
+              let cands =
+                Enumerate.candidates ~stop ~dead:st.dead prog frag pools_v k
+              in
               let rec inner cands =
                 if
                   st.tried >= st.budget
@@ -749,13 +806,14 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
                           cands)
                   with
                   | None -> `Exhausted
-                  | Some (c, cid, cands_rest) ->
-                      block st c cid;
+                  | Some (c, cands_rest) ->
+                      block st c.summary c.key;
                       (match
                          Obs.span obs "full-verify" (fun () ->
-                             full_verify_c c cid)
+                             full_verify_c c.summary c.key)
                        with
-                      | Verifier.Valid -> delta := (c, k.G.k_id) :: !delta
+                      | Verifier.Valid ->
+                          delta := (c.summary, k.G.k_id) :: !delta
                       | Verifier.Counterexample phi_state ->
                           (* theorem-prover rejection: block and refine Φ so
                              related candidates die in the inner loop *)

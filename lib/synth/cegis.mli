@@ -68,15 +68,16 @@ val make_state :
   budget:int ->
   search_state
 
-(** [holds_on_cached st frag c key family]: does candidate [c] hold on
-    every state of Φ? [key] identifies the candidate and [family] the
-    candidates that differ from it only in λr (the construction keys of
-    the enumerator). A state where a member of the family failed before
-    any λr ran refutes the rest of the family without a check. Fast path
-    only. *)
-val holds_on_cached : search_state -> F.t -> Ir.summary -> int -> int -> bool
+(** [holds_on_cached st frag c]: does candidate [c] hold on every state
+    of Φ? A refutation is kept search-wide under the candidate's key;
+    one reached before any λr ran is also kept under its family key
+    (the candidates that differ from it only in λr) and, when it names
+    an output, under that output's projection key. A candidate under a
+    refuted key is refuted without a check. Fast path only. *)
+val holds_on_cached : search_state -> F.t -> Enumerate.cand -> bool
 
-(** Φ checks [holds_on_cached] answered from a family's refutation. *)
+(** Φ checks [holds_on_cached] answered from a refuted family or
+    projection. *)
 val family_hits : search_state -> int
 
 (** IR typing environment of a fragment's free scalars. *)
@@ -93,7 +94,8 @@ val summary_comm_assoc :
     [obs] (default disabled) records the search as spans — "synthesis" →
     "grammar" / per-"class" → "round" → "bounded-verify", plus
     "full-verify" — with candidate, iteration, TP-failure, fast-path
-    memo-hit, Φ-family-hit and blocked-set counters; it also supplies the clock behind
+    memo-hit, Φ-family-hit, unbuilt-candidate and blocked-set counters;
+    it also supplies the clock behind
     [elapsed_s], so a virtual-clock context makes the statistic
     deterministic.
 

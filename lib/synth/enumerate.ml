@@ -245,10 +245,11 @@ let param_names pools = List.map fst pools.G.params
    key is 0: the baseline identifies candidates by printed text.
 
    Each candidate also carries a family key: the same list without the
-   reducer's id, so the candidates of one family differ only in λr. The
-   search shares a Φ refutation across a family when no λr ran before
-   it (Cegis.holds_on_cached). A shape without a reducer uses the
-   candidate key: its family is the candidate alone. *)
+   reducer's id, so the candidates of one family differ only in λr. A
+   shape without a reducer uses the candidate key: its family is the
+   candidate alone. The keyed shape adds one projection key per output,
+   [11; i; emit id]: the candidates whose output [i] is emitted by that
+   emit (DESIGN.md §16). *)
 let emits_ids (l : Ir.emit list) : (Ir.emit * int) list =
   if (Casper_ir.Fastpath.enabled ()) then
     List.map (fun e -> (e, H.emit_id e)) l
@@ -266,9 +267,81 @@ let reducers_ids (l : Ir.lam_r list) : (Ir.lam_r * int) list =
     List.map (fun lr -> (lr, H.expr_id lr.Ir.r_body)) l
   else List.map (fun lr -> (lr, 0)) l
 
+(* --------------------------------------------------------------- *)
+(* Items and dead sets                                              *)
+
+type cand = {
+  summary : Ir.summary;
+  key : int;  (** construction key *)
+  family : int;  (** construction key without the reducer id *)
+  projs : (string * int) list;
+      (** keyed shape: each output variable with its projection key *)
+}
+
+(** What the enumerator yields: a built candidate, or [n] consecutive
+    candidates that Φ has already refuted, left unbuilt. [cids] are
+    their construction keys, for the consumer to skip the blocked ones
+    among them as it would skip them one by one. *)
+type item = Cand of cand | Bulk of { n : int; cids : int list Lazy.t }
+
+(** One search's refutations, search-wide: Φ only grows, so a key
+    refuted once stays refuted. Candidate keys live apart from family
+    and projection keys: both are interned int lists, and a family list
+    [[6; e1; e2]] is also the candidate list of [[6; e; rid]] whenever an
+    emit id equals a reducer id. *)
+type dead = {
+  cands : (int, unit) Hashtbl.t;  (** refuted candidate keys *)
+  scopes : (int, unit) Hashtbl.t;  (** refuted family and projection keys *)
+}
+
+let make_dead () : dead =
+  { cands = Hashtbl.create 65536; scopes = Hashtbl.create 4096 }
+
+let scope_dead (dead : dead) ~family ~(projs : (string * int) list) : bool =
+  Hashtbl.mem dead.scopes family
+  || List.exists (fun (_, p) -> Hashtbl.mem dead.scopes p) projs
+
+let bulk_one cid = Bulk { n = 1; cids = Lazy.from_val [ cid ] }
+
+(* one candidate, built only if neither it nor one of its scopes is
+   refuted *)
+let one_item (dead : dead) ~key ~family ~projs (build : unit -> Ir.summary) :
+    item =
+  if Hashtbl.mem dead.cands key || scope_dead dead ~family ~projs then
+    bulk_one key
+  else Cand { summary = build (); key; family; projs }
+
+(* the members of one family, in reducer order ([key rid] is a member's
+   candidate key); once the family or one of its projections is refuted,
+   the rest of it is one [Bulk] *)
+let family_items (dead : dead) ~family ~projs ~(key : int -> int)
+    (build : Ir.lam_r -> Ir.summary) (reducers : (Ir.lam_r * int) list) :
+    item Seq.t =
+  let rec go rs () =
+    match rs with
+    | [] -> Seq.Nil
+    | (lr, rid) :: rest ->
+        if scope_dead dead ~family ~projs then
+          Seq.Cons
+            ( Bulk
+                {
+                  n = List.length rs;
+                  cids = lazy (List.map (fun (_, rid) -> key rid) rs);
+                },
+              Seq.empty )
+        else
+          let cid = key rid in
+          let it =
+            if Hashtbl.mem dead.cands cid then bulk_one cid
+            else Cand { summary = build lr; key = cid; family; projs }
+          in
+          Seq.Cons (it, go rest)
+  in
+  go reducers
+
 (** 1 op: global reduce directly over a list of scalar records. *)
-let shape_reduce_only (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int * int) Seq.t =
+let shape_reduce_only (dead : dead) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
   match (frag.schema, frag.outputs) with
   | F.SList { elem_ty; _ }, [ (out, _, F.KScalar) ] ->
       let ety = Casper_analysis.Analyze.ir_ty elem_ty in
@@ -276,24 +349,24 @@ let shape_reduce_only (frag : F.t) (pools : G.pools) (k : G.klass) :
       | Ir.TInt | Ir.TFloat | Ir.TBool | Ir.TString ->
           let d = F.primary_dataset frag in
           let fast = (Casper_ir.Fastpath.enabled ()) in
-          let fid = if fast then H.key_of [ 1 ] else 0 in
-          Seq.map
-            (fun (lr, rid) ->
-              ( {
-                  Ir.pipeline = Ir.Reduce (Ir.Data d, lr);
-                  bindings = [ (out, Ir.Proj None) ];
-                },
-                (if fast then H.key_of [ 1; rid ] else 0),
-                fid ))
-            (seq_of_list (reducers_ids (G.reducers pools ety)))
+          family_items dead
+            ~family:(if fast then H.key_of [ 1 ] else 0)
+            ~projs:[]
+            ~key:(fun rid -> if fast then H.key_of [ 1; rid ] else 0)
+            (fun lr ->
+              {
+                Ir.pipeline = Ir.Reduce (Ir.Data d, lr);
+                bindings = [ (out, Ir.Proj None) ];
+              })
+            (reducers_ids (G.reducers pools ety))
       | _ -> Seq.empty)
   | _ ->
       ignore k;
       Seq.empty
 
 (** 1 op: map only — keyed output rebuilt per record. *)
-let shape_map_only (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int * int) Seq.t =
+let shape_map_only (dead : dead) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -309,12 +382,11 @@ let shape_map_only (frag : F.t) (pools : G.pools) (k : G.klass) :
       Seq.map
         (fun (e, eid) ->
           let key = if fast then H.key_of [ 2; eid ] else 0 in
-          ( {
-              Ir.pipeline = Ir.Map (Ir.Data d, mk_map_emits params [ e ]);
-              bindings = [ (out, Ir.Whole) ];
-            },
-            key,
-            key ))
+          one_item dead ~key ~family:key ~projs:[] (fun () ->
+              {
+                Ir.pipeline = Ir.Map (Ir.Data d, mk_map_emits params [ e ]);
+                bindings = [ (out, Ir.Whole) ];
+              }))
         (seq_of_list (emits_ids emits))
   | _ -> Seq.empty
 
@@ -335,8 +407,8 @@ let scalar_emits (pools : G.pools) (k : G.klass) (out : string)
   dedupe_emits_seq pools ~limit:64 combos
 
 (** 2 ops: reduce(map(data)) — keyed by output-variable id. *)
-let shape_map_reduce_keyed (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int * int) Seq.t =
+let shape_map_reduce_keyed (dead : dead) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -354,41 +426,76 @@ let shape_map_reduce_keyed (frag : F.t) (pools : G.pools) (k : G.klass) :
     | [ vty ] ->
         let d = F.primary_dataset frag in
         let params = param_names pools in
+        let fast = (Casper_ir.Fastpath.enabled ()) in
+        (* per output: (emit, emit id, projection key) *)
         let per_out =
-          List.map
-            (fun (o, t) -> emits_ids (scalar_emits pools k o t))
+          List.mapi
+            (fun i (o, t) ->
+              List.map
+                (fun (e, eid) ->
+                  (e, eid, if fast then H.key_of [ 11; i; eid ] else 0))
+                (emits_ids (scalar_emits pools k o t)))
             scalars
         in
-        let rec cart = function
-          | [] -> Seq.return []
-          | pool :: rest ->
-              let* e = seq_of_list pool in
-              Seq.map (fun tl -> e :: tl) (cart rest)
+        let reducers = reducers_ids (G.reducers pools vty) in
+        let key eids rid =
+          if fast then H.key_of ((3 :: eids) @ [ rid ]) else 0
         in
-        let fast = (Casper_ir.Fastpath.enabled ()) in
-        let* picks = cart per_out in
-        let emits = List.map fst picks in
-        let eids = if fast then List.map snd picks else [] in
-        let fid = if fast then H.key_of (3 :: eids) else 0 in
-        Seq.map
-          (fun (lr, rid) ->
-            ( {
+        let family picks =
+          let emits = List.map (fun (e, _, _) -> e) picks in
+          let eids =
+            if fast then List.map (fun (_, eid, _) -> eid) picks else []
+          in
+          family_items dead
+            ~family:(if fast then H.key_of (3 :: eids) else 0)
+            ~projs:(List.map2 (fun (o, _) (_, _, p) -> (o, p)) scalars picks)
+            ~key:(key eids)
+            (fun lr ->
+              {
                 Ir.pipeline =
-                  Ir.Reduce
-                    (Ir.Map (Ir.Data d, mk_map_emits params emits), lr);
+                  Ir.Reduce (Ir.Map (Ir.Data d, mk_map_emits params emits), lr);
                 bindings =
-                  List.map
-                    (fun (o, _) -> (o, Ir.AtKey (Value.Str o)))
-                    scalars;
-              },
-              (if fast then H.key_of ((3 :: eids) @ [ rid ]) else 0),
-              fid ))
-          (seq_of_list (reducers_ids (G.reducers pools vty)))
+                  List.map (fun (o, _) -> (o, Ir.AtKey (Value.Str o))) scalars;
+              })
+            reducers
+        in
+        (* every candidate key below a row prefix ([rev_eids], reversed) *)
+        let rec keys_below rev_eids = function
+          | [] ->
+              let eids = List.rev rev_eids in
+              List.map (fun (_, rid) -> key eids rid) reducers
+          | pool :: rest ->
+              List.concat_map
+                (fun (_, eid, _) -> keys_below (eid :: rev_eids) rest)
+                pool
+        in
+        (* the cartesian product of the per-output pools, first output
+           outermost; [picks] is the row prefix so far, reversed. Once a
+           projection in the prefix is refuted, every candidate below it
+           is one [Bulk]. *)
+        let rec rows picks = function
+          | [] -> family (List.rev picks)
+          | pool :: rest ->
+              let below =
+                List.fold_left
+                  (fun a p -> a * List.length p)
+                  (List.length reducers) rest
+              in
+              let* pick = seq_of_list pool in
+              let picks = pick :: picks in
+              if List.exists (fun (_, _, p) -> Hashtbl.mem dead.scopes p) picks
+              then
+                let rev_eids = List.map (fun (_, eid, _) -> eid) picks in
+                Seq.return
+                  (Bulk { n = below; cids = lazy (keys_below rev_eids rest) })
+              else rows picks rest
+        in
+        rows [] per_out
     | _ -> Seq.empty (* mixed-type keyed outputs need tuple shapes *)
 
 (** 2 ops: global reduce over plain emitted values (tuple style). *)
-let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int * int) Seq.t =
+let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -414,19 +521,19 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
           |> dedupe_emits pools
         in
         let fast = (Casper_ir.Fastpath.enabled ()) in
+        let reducers = reducers_ids (G.reducers pools oty) in
         let* e, eid = seq_of_list (emits_ids emits) in
-        let fid = if fast then H.key_of [ 4; eid ] else 0 in
-        Seq.map
-          (fun (lr, rid) ->
-            ( {
-                Ir.pipeline =
-                  Ir.Reduce
-                    (Ir.Map (Ir.Data d, mk_map_emits params [ e ]), lr);
-                bindings = [ (out, Ir.Proj None) ];
-              },
-              (if fast then H.key_of [ 4; eid; rid ] else 0),
-              fid ))
-          (seq_of_list (reducers_ids (G.reducers pools oty)))
+        family_items dead
+          ~family:(if fast then H.key_of [ 4; eid ] else 0)
+          ~projs:[]
+          ~key:(fun rid -> if fast then H.key_of [ 4; eid; rid ] else 0)
+          (fun lr ->
+            {
+              Ir.pipeline =
+                Ir.Reduce (Ir.Map (Ir.Data d, mk_map_emits params [ e ]), lr);
+              bindings = [ (out, Ir.Proj None) ];
+            })
+          reducers
     | _ when k.allow_tuples && List.length scalars <= 3 ->
         let slot_pools =
           List.map
@@ -442,13 +549,16 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
         in
         let vty = Ir.TTuple (List.map snd scalars) in
         let fast = (Casper_ir.Fastpath.enabled ()) in
+        let reducers = reducers_ids (G.reducers pools vty) in
         let* picks = cart slot_pools in
         let slots = List.map fst picks in
         let sids = if fast then List.map snd picks else [] in
-        let fid = if fast then H.key_of (5 :: sids) else 0 in
-        Seq.map
-          (fun (lr, rid) ->
-            ( {
+        family_items dead
+          ~family:(if fast then H.key_of (5 :: sids) else 0)
+          ~projs:[]
+          ~key:(fun rid -> if fast then H.key_of ((5 :: sids) @ [ rid ]) else 0)
+          (fun lr ->
+            {
                 Ir.pipeline =
                   Ir.Reduce
                     ( Ir.Map
@@ -463,15 +573,13 @@ let shape_map_reduce_global (frag : F.t) (pools : G.pools) (k : G.klass) :
                       lr );
                 bindings =
                   List.mapi (fun i (o, _) -> (o, Ir.Proj (Some i))) scalars;
-              },
-              (if fast then H.key_of ((5 :: sids) @ [ rid ]) else 0),
-              fid ))
-          (seq_of_list (reducers_ids (G.reducers pools vty)))
+              })
+          reducers
     | _ -> Seq.empty
 
 (** 2 ops: reduce(map(data)) for a keyed (array/map) output. *)
-let shape_map_reduce_collection (frag : F.t) (pools : G.pools) (k : G.klass)
-    : (Ir.summary * int * int) Seq.t =
+let shape_map_reduce_collection (dead : dead) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -516,26 +624,27 @@ let shape_map_reduce_collection (frag : F.t) (pools : G.pools) (k : G.klass)
                h)
       in
       let fast = (Casper_ir.Fastpath.enabled ()) in
+      let reducers = reducers_ids (G.reducers pools vty) in
       let* picks = seq_of_list (single @ pairs @ triples) in
       let body = List.map fst picks in
       let eids = if fast then List.map snd picks else [] in
-      let fid = if fast then H.key_of (6 :: eids) else 0 in
-      Seq.map
-        (fun (lr, rid) ->
-          ( {
-              Ir.pipeline =
-                Ir.Reduce (Ir.Map (Ir.Data d, mk_map_emits params body), lr);
-              bindings = [ (out, Ir.Whole) ];
-            },
-            (if fast then H.key_of ((6 :: eids) @ [ rid ]) else 0),
-            fid ))
-        (seq_of_list (reducers_ids (G.reducers pools vty)))
+      family_items dead
+        ~family:(if fast then H.key_of (6 :: eids) else 0)
+        ~projs:[]
+        ~key:(fun rid -> if fast then H.key_of ((6 :: eids) @ [ rid ]) else 0)
+        (fun lr ->
+          {
+            Ir.pipeline =
+              Ir.Reduce (Ir.Map (Ir.Data d, mk_map_emits params body), lr);
+            bindings = [ (out, Ir.Whole) ];
+          })
+        reducers
   | _ -> Seq.empty
 
 (** 3 ops: map(reduce(map(data))) — keyed, with a post-processing map
     that rewrites each reduced value (row-wise mean's [v / cols]). *)
-let shape_map_reduce_map_collection (frag : F.t) (pools : G.pools)
-    (k : G.klass) : (Ir.summary * int * int) Seq.t =
+let shape_map_reduce_map_collection (dead : dead) (frag : F.t)
+    (pools : G.pools) (k : G.klass) : item Seq.t =
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -559,9 +668,16 @@ let shape_map_reduce_map_collection (frag : F.t) (pools : G.pools)
       in
       let* e, eid = seq_of_list (emits_ids emits) in
       let* lr, rid = seq_of_list (reducers_ids (G.reducers pools vty)) in
+      (* a family (fixed emit and post-map) is spread over the reducer
+         loop, so each member is looked up on its own *)
       Seq.map
         (fun (e2, pid) ->
-          ( {
+          one_item dead
+            ~key:(if fast then H.key_of [ 7; eid; rid; pid ] else 0)
+            ~family:(if fast then H.key_of [ 7; eid; pid ] else 0)
+            ~projs:[]
+          @@ fun () ->
+            {
               Ir.pipeline =
                 Ir.Map
                   ( Ir.Reduce
@@ -576,17 +692,15 @@ let shape_map_reduce_map_collection (frag : F.t) (pools : G.pools)
                         };
                       ] );
               bindings = [ (out, Ir.Whole) ];
-            },
-            (if fast then H.key_of [ 7; eid; rid; pid ] else 0),
-            if fast then H.key_of [ 7; eid; pid ] else 0 ))
+            })
         (seq_of_list (Lazy.force post))
   | _ -> Seq.empty
 
 (** 3 ops: map(reduce(map(data))) with a global tuple reduction and a
     final map that computes each scalar output from the folded tuple
     (Delta's [max - min]). *)
-let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
-    : (Ir.summary * int * int) Seq.t =
+let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -635,7 +749,12 @@ let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
     in
     Seq.map
       (fun choices ->
-        ( {
+        one_item dead
+          ~key:(if fast then H.key_of (8 :: bid :: rid :: pids choices) else 0)
+          ~family:(if fast then H.key_of (8 :: bid :: pids choices) else 0)
+          ~projs:[]
+        @@ fun () ->
+          {
             Ir.pipeline =
               Ir.Map
                 ( Ir.Reduce
@@ -656,9 +775,7 @@ let shape_map_reduce_map_global (frag : F.t) (pools : G.pools) (k : G.klass)
                        choices) );
             bindings =
               List.map (fun (o, _) -> (o, Ir.AtKey (Value.Str o))) choices;
-          },
-          (if fast then H.key_of (8 :: bid :: rid :: pids choices) else 0),
-          if fast then H.key_of (8 :: bid :: pids choices) else 0 ))
+          })
       (choose_exprs scalars)
 
 (* --------------------------------------------------------------- *)
@@ -738,8 +855,8 @@ let join_keys (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools) :
 (** Join pipelines: reduce(map(join(map(d1), map(d2)))). Scalar outputs
     keyed by variable id; map outputs keyed by an expression over the
     joined pair. *)
-let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
-    (k : G.klass) : (Ir.summary * int * int) Seq.t =
+let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
+    (pools : G.pools) (k : G.klass) : item Seq.t =
   match frag.schema with
   | F.SJoin { d1; x1; d2; x2; _ } ->
       let keys = join_keys prog frag pools in
@@ -808,9 +925,12 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
             let* key1, key2, k1id, k2id = seq_of_list keys in
             let* g, gid = seq_of_list (guards_of bools) in
             let* v, vid = seq_of_list (exprs_ids (G.cap 16 (val_pool oty))) in
-            let fid = if fast then H.key_of [ 9; k1id; k2id; gid; vid ] else 0 in
-            Seq.map
-              (fun (lr, rid) ->
+            family_items dead
+              ~family:(if fast then H.key_of [ 9; k1id; k2id; gid; vid ] else 0)
+              ~projs:[]
+              ~key:(fun rid ->
+                if fast then H.key_of [ 9; k1id; k2id; gid; vid; rid ] else 0)
+              (fun lr ->
                 let core =
                   Ir.Join
                     ( Ir.Map
@@ -832,25 +952,22 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
                               };
                             ] ) )
                 in
-                ( {
-                    Ir.pipeline =
-                      Ir.Reduce
-                        ( Ir.Map
-                            ( core,
-                              mk_map_emits [ "k"; "p" ]
-                                [
-                                  {
-                                    Ir.guard = g;
-                                    payload = Ir.KV (Ir.CStr out, v);
-                                  };
-                                ] ),
-                          lr );
-                    bindings = [ (out, Ir.AtKey (Value.Str out)) ];
-                  },
-                  (if fast then H.key_of [ 9; k1id; k2id; gid; vid; rid ]
-                   else 0),
-                  fid ))
-              (seq_of_list (reducers_ids (G.reducers pools oty)))
+                {
+                  Ir.pipeline =
+                    Ir.Reduce
+                      ( Ir.Map
+                          ( core,
+                            mk_map_emits [ "k"; "p" ]
+                              [
+                                {
+                                  Ir.guard = g;
+                                  payload = Ir.KV (Ir.CStr out, v);
+                                };
+                              ] ),
+                        lr );
+                  bindings = [ (out, Ir.AtKey (Value.Str out)) ];
+                })
+              (reducers_ids (G.reducers pools oty))
         | _ -> (
             match frag.outputs with
             | [ (out, oty, (F.KMap | F.KArray)) ] ->
@@ -868,12 +985,16 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
                 let* v, vid =
                   seq_of_list (exprs_ids (G.cap 16 (val_pool vty)))
                 in
-                let fid =
-                  if fast then H.key_of [ 10; k1id; k2id; okid; gid; vid ]
-                  else 0
-                in
-                Seq.map
-                  (fun (lr, rid) ->
+                family_items dead
+                  ~family:
+                    (if fast then H.key_of [ 10; k1id; k2id; okid; gid; vid ]
+                     else 0)
+                  ~projs:[]
+                  ~key:(fun rid ->
+                    if fast then
+                      H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ]
+                    else 0)
+                  (fun lr ->
                     let core =
                       Ir.Join
                         ( Ir.Map
@@ -895,26 +1016,22 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
                                   };
                                 ] ) )
                     in
-                    ( {
-                        Ir.pipeline =
-                          Ir.Reduce
-                            ( Ir.Map
-                                ( core,
-                                  mk_map_emits [ "k"; "p" ]
-                                    [
-                                      {
-                                        Ir.guard = g;
-                                        payload = Ir.KV (okey, v);
-                                      };
-                                    ] ),
-                              lr );
-                        bindings = [ (out, Ir.Whole) ];
-                      },
-                      (if fast then
-                         H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ]
-                       else 0),
-                      fid ))
-                  (seq_of_list (reducers_ids (G.reducers pools vty)))
+                    {
+                      Ir.pipeline =
+                        Ir.Reduce
+                          ( Ir.Map
+                              ( core,
+                                mk_map_emits [ "k"; "p" ]
+                                  [
+                                    {
+                                      Ir.guard = g;
+                                      payload = Ir.KV (okey, v);
+                                    };
+                                  ] ),
+                            lr );
+                      bindings = [ (out, Ir.Whole) ];
+                    })
+                  (reducers_ids (G.reducers pools vty))
             | _ -> Seq.empty))
         |> fun s ->
         ignore k;
@@ -924,7 +1041,11 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
 (* --------------------------------------------------------------- *)
 
 (** All candidates of one grammar class, cheapest shapes first, each
-    with its construction key and family key.
+    with its construction key, family key and projection keys. Before
+    building a candidate, a shape asks [dead] whether Φ has refuted it or
+    one of its scopes; refuted candidates are yielded as [Bulk] items
+    instead, in enumeration order. [dead] must only grow while the
+    sequence is consumed.
 
     Shapes are thunks: a shape's emit pools (an eager, possibly large
     construction) are only built when enumeration actually reaches it.
@@ -933,31 +1054,31 @@ let shape_join (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
     pruned without being built. Order-preserving by construction: the
     consumer stops consuming at exactly the point [stop] becomes true,
     so the pruned tail was unreachable anyway. *)
-let candidates ?(stop = fun () -> false) (prog : Minijava.Ast.program)
-    (frag : F.t) (pools : G.pools) (k : G.klass) :
-    (Ir.summary * int * int) Seq.t =
-  let shapes : (unit -> (Ir.summary * int * int) Seq.t) list =
+let candidates ?(stop = fun () -> false) ~(dead : dead)
+    (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools)
+    (k : G.klass) : item Seq.t =
+  let shapes : (unit -> item Seq.t) list =
     match frag.schema with
-    | F.SJoin _ -> [ (fun () -> shape_join prog frag pools k) ]
+    | F.SJoin _ -> [ (fun () -> shape_join dead prog frag pools k) ]
     | _ ->
         (if k.max_ops >= 1 then
            [
-             (fun () -> shape_reduce_only frag pools k);
-             (fun () -> shape_map_only frag pools k);
+             (fun () -> shape_reduce_only dead frag pools k);
+             (fun () -> shape_map_only dead frag pools k);
            ]
          else [])
         @ (if k.max_ops >= 2 then
              [
-               (fun () -> shape_map_reduce_keyed frag pools k);
-               (fun () -> shape_map_reduce_global frag pools k);
-               (fun () -> shape_map_reduce_collection frag pools k);
+               (fun () -> shape_map_reduce_keyed dead frag pools k);
+               (fun () -> shape_map_reduce_global dead frag pools k);
+               (fun () -> shape_map_reduce_collection dead frag pools k);
              ]
            else [])
         @
         if k.max_ops >= 3 then
           [
-            (fun () -> shape_map_reduce_map_collection frag pools k);
-            (fun () -> shape_map_reduce_map_global frag pools k);
+            (fun () -> shape_map_reduce_map_collection dead frag pools k);
+            (fun () -> shape_map_reduce_map_global dead frag pools k);
           ]
         else []
   in

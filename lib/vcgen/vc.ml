@@ -166,14 +166,15 @@ let output_mismatch (frag : F.t) (seq_env : env) (mr_out : Eval.env) :
 (** Check all three VC clauses of the candidate summary on one entry
     state: compare sequential execution against the IR denotation on
     every prefix of the data (prefix 0 = initiation, successive prefixes
-    = continuation, full data = termination). *)
-let check_state (prog : program) (frag : F.t) (summary : Ir.summary)
+    = continuation, full data = termination). [lr_ran], when given, is
+    set by every λr application, as in {!check_prepared}. *)
+let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
     (entry : env) : check_result =
   let shapes = shapes_of frag in
   match outer_count prog frag entry with
   | exception e -> State_skipped (Printexc.to_string e)
   | n -> (
-      let apply = Eval.stage_summary entry shapes summary in
+      let apply = Eval.stage_summary ?lr_ran entry shapes summary in
       let rec go k =
         if k > n then Holds
         else

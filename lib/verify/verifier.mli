@@ -73,10 +73,21 @@ val prepare_batch :
 (** [check_batch] over prepared states. *)
 val check_prepared_batch : F.t -> Ir.summary -> prepared list -> outcome
 
-(** Single-state conjunct of [holds_on], paired with whether any λr was
-    applied before it was decided. When none was, every summary that
-    differs only in its λrs gets the same verdict on this state. *)
-val check_prepared_one : F.t -> Ir.summary -> prepared -> bool * bool
+(** One state's verdict. A refutation records whether any λr was
+    applied before it was decided, and which output disagreed ([None]
+    when the summary was not evaluable). When no λr ran, every summary
+    that differs only in its λrs is refuted on this state too. *)
+type one =
+  | Passes
+  | Refuted of { lr_ran : bool; output : string option }
+
+(** Single-state conjunct of [holds_on]. *)
+val check_prepared_one : F.t -> Ir.summary -> prepared -> one
+
+(** [check_prepared_one] on an unprepared state: the same verdict,
+    recomputed from scratch, and pure (safe on pool workers). *)
+val check_one :
+  Minijava.Ast.program -> F.t -> Ir.summary -> Minijava.Interp.env -> one
 
 (** Random values of an IR type, for property checks. *)
 val sample_values :

@@ -199,9 +199,11 @@ let solutions_equal (a : Cegis.solution list) (b : Cegis.solution list) : bool
 
 (* the searched candidate order and the returned solutions and stats
    (modulo elapsed time) must be bit-identical with the fast path on and
-   off, for every supported fragment of the suite *)
-let equivalence_on_suite (suite_name : string) () =
-  let benches = List.assoc suite_name Casper_suites.Registry.suites in
+   off, for every supported fragment of the given benchmarks. The off
+   path builds and checks every candidate one by one, so on == off also
+   pins the counts of the candidates the fast path leaves unbuilt. *)
+let equivalence ?(config = equiv_config) (benches : Suite.benchmark list) ()
+    =
   List.iter
     (fun (b : Suite.benchmark) ->
       let prog = Minijava.Parser.parse_program b.source in
@@ -213,11 +215,11 @@ let equivalence_on_suite (suite_name : string) () =
           if f.F.unsupported = None then begin
             let slow =
               Fastpath.with_enabled false (fun () ->
-                  Cegis.find_summary ~config:equiv_config prog f)
+                  Cegis.find_summary ~config prog f)
             in
             let fast =
               Fastpath.with_enabled true (fun () ->
-                  Cegis.find_summary ~config:equiv_config prog f)
+                  Cegis.find_summary ~config prog f)
             in
             let tag what = b.Suite.name ^ ": " ^ what in
             check_int
@@ -241,6 +243,19 @@ let equivalence_on_suite (suite_name : string) () =
           end)
         frags)
     benches
+
+let equivalence_on_suite (suite_name : string) =
+  equivalence (List.assoc suite_name Casper_suites.Registry.suites)
+
+(* explore_all keeps searching past verified summaries, so refuted
+   families and re-enumerated candidates include blocked ones (Ω ∪ Δ);
+   on these fragments some [Bulk] items do, and they must count as the
+   blocked candidates they hold are skipped one by one *)
+let explore_all_equivalence =
+  equivalence
+    ~config:{ equiv_config with Cegis.explore_all = true; max_solutions = 50 }
+    (List.map Casper_suites.Registry.find_benchmark
+       [ "AllPositive"; "Trails" ])
 
 (* ---------------- suite ---------------- *)
 
@@ -274,5 +289,15 @@ let suite =
           (equivalence_on_suite "Ariths");
         Alcotest.test_case "Stats: fast path on == off" `Slow
           (equivalence_on_suite "Stats");
+        Alcotest.test_case "Fiji: fast path on == off" `Slow
+          (equivalence_on_suite "Fiji");
+        Alcotest.test_case "TPC-H: fast path on == off" `Slow
+          (equivalence_on_suite "TPC-H");
+        Alcotest.test_case "Biglambda: fast path on == off" `Slow
+          (equivalence_on_suite "Biglambda");
+        Alcotest.test_case "Iterative: fast path on == off" `Slow
+          (equivalence_on_suite "Iterative");
+        Alcotest.test_case "explore_all: fast path on == off" `Slow
+          explore_all_equivalence;
       ] );
   ]

@@ -224,6 +224,50 @@ let test_env_jobs_warns_on_garbage () =
   check "the warning used its one shot" false
     (Casper_obs.Obs.warn_once ~key:"CASPER_JOBS" "warned again")
 
+(* ---------------- search jobs-independence ---------------- *)
+
+(* The speculative search replays a batch's unbuilt-candidate items in
+   submission order among its candidates; the same stats and solutions
+   must come out at any pool size. Two fragments without a summary
+   (mostly unbuilt candidates) and one with several. *)
+let test_search_jobs_identity () =
+  let module Cegis = Casper_synth.Cegis in
+  List.iter
+    (fun (bench, frag_id) ->
+      let b = Casper_suites.Registry.find_benchmark bench in
+      let prog = Minijava.Parser.parse_program b.source in
+      let frag =
+        List.find
+          (fun (f : Casper_analysis.Fragment.t) ->
+            String.equal f.Casper_analysis.Fragment.frag_id frag_id)
+          (Casper_analysis.Analyze.fragments_of_program prog ~suite:b.suite
+             ~benchmark:b.name)
+      in
+      let run jobs =
+        Par.with_pool ~jobs @@ fun pool -> Cegis.find_summary ~pool prog frag
+      in
+      let a = run 1 and c = run 4 in
+      let stats (o : Cegis.outcome) =
+        { o.Cegis.stats with Cegis.elapsed_s = 0.0 }
+      in
+      let sols (o : Cegis.outcome) =
+        List.map
+          (fun (s : Cegis.solution) ->
+            ( Casper_ir.Lang.summary_to_string s.Cegis.summary,
+              s.klass,
+              s.comm_assoc,
+              s.static_cost ))
+          o.Cegis.solutions
+      in
+      let tag = bench ^ "/" ^ frag_id in
+      check (tag ^ ": stats identical") true (stats a = stats c);
+      check (tag ^ ": solutions identical") true (sols a = sols c))
+    [
+      ("TemporalMedian", "median3#0");
+      ("NLMeans", "adaptiveCut#0");
+      ("KMeans", "clusterCounts#0");
+    ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suite =
@@ -254,6 +298,8 @@ let suite =
       [
         Alcotest.test_case "engine run identical at jobs=1 vs 4" `Quick
           test_engine_jobs_identity;
+        Alcotest.test_case "search identical at jobs=1 vs 4" `Slow
+          test_search_jobs_identity;
         Alcotest.test_case "sched trace same-seed identical at jobs=4" `Quick
           test_sched_trace_same_seed_jobs4;
       ] );

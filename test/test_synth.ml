@@ -368,7 +368,10 @@ let test_family_needs_reducer_blind_failure () =
   in
   let twice = once @ once in
   let sum = lr (Ir.Binop (Ir.Add, v1, v2)) in
-  let holds c key family = Cegis.holds_on_cached st frag c key family in
+  let holds c key family =
+    Cegis.holds_on_cached st frag
+      { Casper_synth.Enumerate.summary = c; key; family; projs = [] }
+  in
   check "x once, keep-first fails" false (holds (keyed once (lr v1)) 1 10);
   check "x once, sum is refuted by its family" false
     (holds (keyed once sum) 2 10);
@@ -376,6 +379,136 @@ let test_family_needs_reducer_blind_failure () =
   check "x twice, keep-first fails" false (holds (keyed twice (lr v1)) 3 20);
   check "x twice, sum holds" true (holds (keyed twice sum) 4 20);
   check_int "still one family hit" 1 (Cegis.family_hits st)
+
+(* ---------------- keyed projections ---------------- *)
+
+(* two scalar outputs, so the keyed shape emits one pair per output *)
+let two_sums () =
+  fragment
+    {|int f(List<Integer> d) {
+        int s = 0;
+        int t = 0;
+        for (int x : d) { s += 2 * x; t += x; }
+        return s + t;
+      }|}
+
+let keyed2 (e_s : Ir.emit) (e_t : Ir.emit) reducer =
+  {
+    Ir.pipeline =
+      Ir.Reduce
+        (Ir.Map (Ir.Data "d", { Ir.m_params = [ "x" ]; emits = [ e_s; e_t ] }),
+          reducer);
+    bindings =
+      [ ("s", Ir.AtKey (Value.Str "s")); ("t", Ir.AtKey (Value.Str "t")) ];
+  }
+
+(* an emit of the keyed shape: its key is the output's name *)
+let output_emit_gen out : Ir.emit QCheck.Gen.t =
+  QCheck.Gen.map
+    (fun (e : Ir.emit) ->
+      match e.payload with
+      | Ir.KV (_, v) -> { e with payload = Ir.KV (Ir.CStr out, v) }
+      | Ir.Val _ -> e)
+    (emit_gen ~kv:true)
+
+(* the emits of both outputs, another emit for each, a Φ state, two
+   λrs *)
+let projection_case_gen =
+  let open QCheck.Gen in
+  let* e_s = output_emit_gen "s" and* e_t = output_emit_gen "t" in
+  let* e_s' = output_emit_gen "s" and* e_t' = output_emit_gen "t" in
+  let* d = list_size (int_bound 4) (int_range (-3) 3) in
+  let* lr1 = oneofl reducers in
+  let+ lr2 = oneofl reducers in
+  ((e_s, e_t, e_s', e_t'), d, lr1, lr2)
+
+(* A failure on output [o] reached before any λr ran refutes every
+   keyed summary that keeps [o]'s emit, whatever the other output's
+   emit and the λr are: output [o] depends on its emit and λr alone.
+   The refutation may come earlier or differ in kind, but it is never a
+   pass. *)
+let test_projection_refutation_exact () =
+  let prog, frag = two_sums () in
+  let blind = ref 0 in
+  let prop ((e_s, e_t, e_s', e_t'), d, lr1, lr2) =
+    let params = [ ("d", Value.List (List.map (fun i -> Value.Int i) d)) ] in
+    let ps = Vc.prepare_state prog frag (Vc.entry_of_params prog frag params) in
+    let refuted c =
+      match fst (Vc.check_prepared frag c ps) with
+      | Vc.Fails _ | Vc.Ir_error _ -> true
+      | Vc.Holds | Vc.State_skipped _ -> false
+    in
+    match Vc.check_prepared frag (keyed2 e_s e_t lr1) ps with
+    | Vc.Fails { var = "s"; _ }, false ->
+        incr blind;
+        refuted (keyed2 e_s e_t' lr2)
+    | Vc.Fails { var = "t"; _ }, false ->
+        incr blind;
+        refuted (keyed2 e_s' e_t lr2)
+    | _ -> true
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 16 |])
+    (QCheck.Test.make ~name:"projection verdict" ~count:400
+       (QCheck.make projection_case_gen)
+       prop);
+  check "some failures name an output before λr ran" true (!blind > 0)
+
+(* the pin: a failure on [s] kills the projection of [s]'s emit, and
+   only that one *)
+let test_projection_marks_the_failing_output () =
+  let prog, frag = two_sums () in
+  let phi = [ [ ("d", Value.List [ Value.Int 3; Value.Int 5 ]) ] ] in
+  let st = Cegis.make_state ~phi prog frag ~budget:100 in
+  let emit out v = { Ir.guard = None; payload = Ir.KV (Ir.CStr out, v) } in
+  let x = Ir.Var "x" in
+  let wrong_s = emit "s" x
+  and right_s = emit "s" (Ir.Binop (Ir.Mul, Ir.CInt 2, x)) in
+  let t1 = emit "t" x and t2 = emit "t" (Ir.Binop (Ir.Add, x, Ir.CInt 0)) in
+  let sum = lr (Ir.Binop (Ir.Add, v1, v2)) in
+  let holds c key family projs =
+    Cegis.holds_on_cached st frag
+      { Casper_synth.Enumerate.summary = c; key; family; projs }
+  in
+  check "s emits x: refuted on s" false
+    (holds (keyed2 wrong_s t1 sum) 1 10 [ ("s", 100); ("t", 200) ]);
+  check "same s emit, other t emit and family: refuted by projection" false
+    (holds (keyed2 wrong_s t2 (lr v1)) 2 20 [ ("s", 100); ("t", 201) ]);
+  check_int "one projection hit" 1 (Cegis.family_hits st);
+  check "t's projection stays live" true
+    (holds (keyed2 right_s t1 sum) 3 30 [ ("s", 101); ("t", 200) ]);
+  check_int "still one hit" 1 (Cegis.family_hits st)
+
+(* ---------------- work left unbuilt ---------------- *)
+
+(* Bulk items stand in for most candidates on the largest fragments
+   that end without a summary; [candidates_tried] counts them all *)
+let test_unbuilt_share () =
+  List.iter
+    (fun (bench, frag_id) ->
+      let b = Casper_suites.Registry.find_benchmark bench in
+      let prog = Parser.parse_program b.source in
+      let frag =
+        List.find
+          (fun (f : F.t) -> String.equal f.F.frag_id frag_id)
+          (An.fragments_of_program prog ~suite:b.suite ~benchmark:b.name)
+      in
+      let obs = Casper_obs.Obs.create () in
+      let r = Cegis.find_summary ~obs prog frag in
+      let tried = r.Cegis.stats.Cegis.candidates_tried in
+      let unbuilt = Casper_obs.Obs.total obs "candidates_unbuilt" in
+      let tag = bench ^ "/" ^ frag_id in
+      check (tag ^ ": no solution") true (List.is_empty r.Cegis.solutions);
+      check
+        (Fmt.str "%s: %d of %d tried left unbuilt" tag unbuilt tried)
+        true
+        (4 * unbuilt >= 3 * tried))
+    [
+      ("NLMeans", "adaptiveCut#0");
+      ("TemporalMedian", "median3#0");
+      ("3DHistogram", "histogramPeak#0");
+      ("TemporalMedian", "argmaxIntensity#0");
+      ("TemporalMedian", "secondMax#0");
+    ]
 
 let base_suite =
   [
@@ -416,6 +549,15 @@ let base_suite =
           test_family_verdict_exact;
         Alcotest.test_case "a failure after λr ran stays the candidate's"
           `Quick test_family_needs_reducer_blind_failure;
+      ] );
+    ( "synth.dead",
+      [
+        Alcotest.test_case "reducer-blind failures are output-wide" `Quick
+          test_projection_refutation_exact;
+        Alcotest.test_case "a failure kills only its output's projection"
+          `Quick test_projection_marks_the_failing_output;
+        Alcotest.test_case "no-solution fragments stay mostly unbuilt" `Slow
+          test_unbuilt_share;
       ] );
   ]
 
