@@ -1156,7 +1156,7 @@ let synth_perf () =
        ]
       @ (match (fast, fast_total) with
         | Some f, Some ft ->
-            let c = Fastpath.counters in
+            let c = Fastpath.counters () in
             [
               ("fast", json_of_runs f);
               ("fast_total_s", J.Float ft);
@@ -1167,6 +1167,8 @@ let synth_perf () =
                   [
                     ("eval_hits", J.Int c.Fastpath.eval_hits);
                     ("eval_misses", J.Int c.Fastpath.eval_misses);
+                    ("cell_hits", J.Int c.Fastpath.cell_hits);
+                    ("cell_misses", J.Int c.Fastpath.cell_misses);
                     ("emit_fp_hits", J.Int c.Fastpath.emit_fp_hits);
                     ("emit_fp_misses", J.Int c.Fastpath.emit_fp_misses);
                     ("phi_hits", J.Int c.Fastpath.phi_hits);

@@ -416,65 +416,65 @@ type out_shape =
   | Arr  (** fixed-size array: rebuilt from the initial value by Int key *)
   | MapAssoc  (** Java Map: the result *is* the association *)
 
-(** Compute the value of each bound output variable from the pipeline
-    [result], against initial values [init] — the default for keys the
-    pipeline never emitted (this is exactly the initiation VC's base
-    case: empty data ⇒ outputs keep their initial values). *)
+(** The initial value of output [var] in [init]. *)
+let init_value (init : env) (var : string) : Value.t =
+  match List.assoc_opt var init with
+  | Some x -> x
+  | None -> err "no initial value for output %s" var
+
+let shape_of (shapes : (string * out_shape) list) (var : string) : out_shape =
+  match List.assoc_opt var shapes with Some s -> s | None -> Scalar
+
+(** The position key [k] writes to in an array output of length [len]. *)
+let array_pos (len : int) (k : Value.t) : int =
+  match k with
+  | Value.Int i when i >= 0 && i < len -> i
+  | Value.Int i -> err "array key %d out of bounds" i
+  | k -> err "non-integer array key %s" (Value.to_string k)
+
+(** The value of one bound output variable from the pipeline [result],
+    against initial values [init] — the default for keys the pipeline
+    never emitted (this is exactly the initiation VC's base case: empty
+    data ⇒ outputs keep their initial values). *)
+let extract_binding (result : bag) (init : env)
+    (shapes : (string * out_shape) list) ((var, ex) : string * extract) :
+    Value.t =
+  let lookup_init v = init_value init v in
+  match (ex, result, shape_of shapes var) with
+  | AtKey k, Pairs kvs, Scalar -> (
+      match List.filter (fun (k', _) -> Value.equal k k') kvs with
+      | [] -> lookup_init var
+      | [ (_, v) ] -> v
+      | _ -> err "key %s not reduced to a single value" (Value.to_string k))
+  | AtKey _, Vals [], Scalar -> lookup_init var
+  (* a map whose guarded emits never fired yields an empty bag of
+     ambiguous shape: every extraction falls back to the entry value
+     (the initiation case) *)
+  | Proj _, Pairs [], _ -> lookup_init var
+  | Whole, Pairs kvs, Arr ->
+      let arr = Array.of_list (Value.as_list (lookup_init var)) in
+      List.iter (fun (k, v) -> arr.(array_pos (Array.length arr) k) <- v) kvs;
+      Value.List (Array.to_list arr)
+  | Whole, Pairs kvs, MapAssoc ->
+      Value.List
+        (List.sort Value.compare
+           (List.map (fun (k, v) -> Value.Tuple [ k; v ]) kvs))
+  | Whole, Vals [], Arr -> lookup_init var
+  | Whole, Vals [], MapAssoc -> Value.List []
+  | Proj _, Vals [], _ -> lookup_init var
+  | Proj None, Vals [ v ], _ -> v
+  | Proj (Some i), Vals [ v ], _ -> (
+      match v with
+      | Value.Tuple xs when i < List.length xs -> List.nth xs i
+      | _ -> err "projection %d of non-tuple result" i)
+  | Proj _, Vals _, _ -> err "global reduction yielded multiple values"
+  | _ -> err "extraction/result shape mismatch for %s" var
+
+(** Compute the value of each bound output variable ({!extract_binding}),
+    in binding order. *)
 let extract_outputs (result : bag) (init : env)
     (shapes : (string * out_shape) list) (s : summary) : env =
-  let lookup_init v =
-    match List.assoc_opt v init with
-    | Some x -> x
-    | None -> err "no initial value for output %s" v
-  in
-  List.map
-    (fun (var, ex) ->
-      let shape =
-        match List.assoc_opt var shapes with Some s -> s | None -> Scalar
-      in
-      let value =
-        match (ex, result, shape) with
-        | AtKey k, Pairs kvs, Scalar -> (
-            match
-              List.filter (fun (k', _) -> Value.equal k k') kvs
-            with
-            | [] -> lookup_init var
-            | [ (_, v) ] -> v
-            | _ -> err "key %s not reduced to a single value"
-                     (Value.to_string k))
-        | AtKey _, Vals [], Scalar -> lookup_init var
-        (* a map whose guarded emits never fired yields an empty bag of
-           ambiguous shape: every extraction falls back to the entry
-           value (the initiation case) *)
-        | Proj _, Pairs [], _ -> lookup_init var
-        | Whole, Pairs kvs, Arr -> (
-            let init_arr = Value.as_list (lookup_init var) in
-            let arr = Array.of_list init_arr in
-            List.iter
-              (fun (k, v) ->
-                match k with
-                | Value.Int i when i >= 0 && i < Array.length arr ->
-                    arr.(i) <- v
-                | Value.Int i -> err "array key %d out of bounds" i
-                | k -> err "non-integer array key %s" (Value.to_string k))
-              kvs;
-            Value.List (Array.to_list arr))
-        | Whole, Pairs kvs, MapAssoc ->
-            Value.List
-              (List.sort Value.compare
-                 (List.map (fun (k, v) -> Value.Tuple [ k; v ]) kvs))
-        | Whole, Vals [], Arr -> lookup_init var
-        | Whole, Vals [], MapAssoc -> Value.List []
-        | Proj _, Vals [], _ -> lookup_init var
-        | Proj None, Vals [ v ], _ -> v
-        | Proj (Some i), Vals [ v ], _ -> (
-            match v with
-            | Value.Tuple xs when i < List.length xs -> List.nth xs i
-            | _ -> err "projection %d of non-tuple result" i)
-        | Proj _, Vals _, _ -> err "global reduction yielded multiple values"
-        | _ -> err "extraction/result shape mismatch for %s" var
-      in
-      (var, value))
+  List.map (fun ((var, _) as b) -> (var, extract_binding result init shapes b))
     s.bindings
 
 (** [apply_summary], staged once against [env]: the result takes the

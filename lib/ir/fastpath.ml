@@ -28,11 +28,13 @@ let with_enabled b f =
   r := b;
   Fun.protect ~finally:(fun () -> r := saved) f
 
-(** Cache-effectiveness counters, reported by the bench harness. All are
-    cumulative; [reset] zeroes them. *)
+(** Cache-effectiveness counters, reported by the bench harness and the
+    [synthesis] span. All are cumulative; [reset_counters] zeroes them. *)
 type counters = {
   mutable eval_hits : int;  (** memoized (expr, env) evaluations reused *)
   mutable eval_misses : int;  (** memoized evaluations computed *)
+  mutable cell_hits : int;  (** per-(probe set, expr) cell arrays reused *)
+  mutable cell_misses : int;  (** cell arrays computed *)
   mutable emit_fp_hits : int;  (** emit fingerprints reused across classes *)
   mutable emit_fp_misses : int;  (** emit fingerprints computed *)
   mutable phi_hits : int;  (** Φ-state verdicts reused across candidates *)
@@ -42,10 +44,12 @@ type counters = {
   mutable prefix_reused : int;  (** sequential prefix executions avoided *)
 }
 
-let counters =
+let zero () =
   {
     eval_hits = 0;
     eval_misses = 0;
+    cell_hits = 0;
+    cell_misses = 0;
     emit_fp_hits = 0;
     emit_fp_misses = 0;
     phi_hits = 0;
@@ -54,23 +58,25 @@ let counters =
     prefix_reused = 0;
   }
 
-let reset_counters () =
-  counters.eval_hits <- 0;
-  counters.eval_misses <- 0;
-  counters.emit_fp_hits <- 0;
-  counters.emit_fp_misses <- 0;
-  counters.phi_hits <- 0;
-  counters.verdict_hits <- 0;
-  counters.prefix_forced <- 0;
-  counters.prefix_reused <- 0
+(* Domain-local, like the memo shards they count: pool workers and
+   searches running on other domains never write to the caller's
+   record, so a delta taken on one domain is that domain's work. *)
+let counters_key : counters Domain.DLS.key = Domain.DLS.new_key zero
+
+(** The calling domain's counters. *)
+let counters () : counters = Domain.DLS.get counters_key
+
+let reset_counters () = Domain.DLS.set counters_key (zero ())
 
 let pp_counters ppf () =
+  let c = counters () in
   Fmt.pf ppf
-    "eval %d/%d hit, emit fps %d/%d hit, phi verdicts %d reused, \
-     bounded/full verdicts %d reused, prefixes %d run / %d reused"
-    counters.eval_hits
-    (counters.eval_hits + counters.eval_misses)
-    counters.emit_fp_hits
-    (counters.emit_fp_hits + counters.emit_fp_misses)
-    counters.phi_hits counters.verdict_hits counters.prefix_forced
-    counters.prefix_reused
+    "eval %d/%d hit, cells %d/%d hit, emit fps %d/%d hit, phi verdicts %d \
+     reused, bounded/full verdicts %d reused, prefixes %d run / %d reused"
+    c.eval_hits
+    (c.eval_hits + c.eval_misses)
+    c.cell_hits
+    (c.cell_hits + c.cell_misses)
+    c.emit_fp_hits
+    (c.emit_fp_hits + c.emit_fp_misses)
+    c.phi_hits c.verdict_hits c.prefix_forced c.prefix_reused

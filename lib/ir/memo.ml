@@ -16,7 +16,9 @@
       the observational-equivalence classes of the original
       string-concatenation fingerprints (e.g. [Int 1] and [Float 1.0]
       both print as ["1"] and must stay in one class).
-    - [fingerprint] packs the cells into an int array ([Ids]); with
+    - [cells] is an expression's cells on every probe of a
+      [probe_set], computed once per (probe set, expression);
+      [fingerprint] is that int array ([Ids]); with
       {!Fastpath.enabled} off it instead builds the original
       concatenated-string fingerprint ([Text]), so the baseline mode
       pays exactly the pre-fast-path string costs. Both keys partition
@@ -26,13 +28,13 @@
 
     Domain-safety (DESIGN.md §10): every memo table is a per-domain
     shard ([Domain.DLS]), consistent with the per-domain hash-consing it
-    is keyed by. Env ids come from one process-wide [Atomic] counter, so
-    an environment wrapped on the main domain and evaluated inside a
-    pool worker can never alias a worker-local wrap. [clear] (top of
-    every [find_summary]) resets the calling domain's shard and bumps a
-    global generation; pool tasks call [sync_shard] on entry, which
-    resets their domain's stale shard once per generation — caches never
-    leak results across searches, and never across domains. *)
+    is keyed by. Env and probe-set ids come from process-wide [Atomic]
+    counters, so an environment wrapped on the main domain and evaluated
+    inside a pool worker can never alias a worker-local wrap. [clear]
+    (top of every [find_summary]) resets the calling domain's shard and
+    bumps a global generation; pool tasks call [sync_shard] on entry,
+    which resets their domain's stale shard once per generation — caches
+    never leak results across searches, and never across domains. *)
 
 module Value = Casper_common.Value
 module Library = Casper_common.Library
@@ -55,6 +57,10 @@ type shard = {
   eval_tbl : (int, (Value.t, exn) result) Hashtbl.t;
   str_ids : (string, int) Hashtbl.t;
   mutable str_next : int;
+  cells_tbl : (int, int array) Hashtbl.t;
+      (** (expr id, probe-set id) -> the expression's value cells *)
+  fires_tbl : (int, bool array) Hashtbl.t;
+      (** (guard id, probe-set id) -> where the guard fires *)
   elt_envs_tbl : (int * string * string list, elt_cache) Hashtbl.t;
   emit_fp : (int * int * int, int array) Hashtbl.t;
   mutable gen : int;
@@ -74,6 +80,8 @@ let shard_key : shard Domain.DLS.key =
         eval_tbl = Hashtbl.create 262144;
         str_ids = Hashtbl.create 4096;
         str_next = 0;
+        cells_tbl = Hashtbl.create 4096;
+        fires_tbl = Hashtbl.create 256;
         elt_envs_tbl = Hashtbl.create 256;
         emit_fp = Hashtbl.create 32768;
         gen = Atomic.get generation;
@@ -84,6 +92,8 @@ let shard () : shard = Domain.DLS.get shard_key
 let reset_shard (sh : shard) : unit =
   Hashtbl.reset sh.eval_tbl;
   Hashtbl.reset sh.str_ids;
+  Hashtbl.reset sh.cells_tbl;
+  Hashtbl.reset sh.fires_tbl;
   Hashtbl.reset sh.elt_envs_tbl;
   Hashtbl.reset sh.emit_fp;
   Hashcons.clear ()
@@ -106,10 +116,11 @@ let sync_shard () : unit =
 (** Fast-path cache of emit fingerprints, keyed by the interned ids of
     the emit's components: [(guard, key, value)] for key-value payloads,
     [(guard, -2, value)] for plain values, with [-1] for a missing
-    guard. Every grammar class re-proposes the same component
-    combinations from grown pools; their observed behaviour cannot
-    change within one fragment search, so the 2-cells-per-probe
-    evaluation runs once per combination instead of once per class.
+    guard, on the probe set of the search's pools. Every grammar class
+    re-proposes the same component combinations from grown pools; their
+    observed behaviour cannot change within one fragment search, so
+    each combination's fingerprint is assembled from the components'
+    {!cells} once, instead of once per class.
     Cleared by {!clear} together with the interners — stale ids can
     never collide because id counters are monotonic. *)
 let emit_fp_tbl () : (int * int * int, int array) Hashtbl.t =
@@ -117,8 +128,6 @@ let emit_fp_tbl () : (int * int * int, int array) Hashtbl.t =
 
 (* ------------------------------------------------------------------ *)
 (* Memoized evaluation                                                 *)
-
-let c = Fastpath.counters
 
 (* (expr id, env id) packed into one immediate int: both counters are
    process-monotonic but stay far below 2^31, and an unboxed key avoids
@@ -136,6 +145,7 @@ let rec meval (cv : cenv) (e : expr) : Value.t =
   | _ -> (
       let eval_tbl = (shard ()).eval_tbl in
       let key = key (Hashcons.expr_id e) cv.env_id in
+      let c = Fastpath.counters () in
       match Hashtbl.find_opt eval_tbl key with
       | Some (Ok v) ->
           c.eval_hits <- c.eval_hits + 1;
@@ -194,10 +204,7 @@ let id_of_string (s : string) : int =
       i
 
 (* printed form of one fingerprint cell; ["#err"] on any evaluation
-   error, exactly as the original string fingerprints encoded it. A
-   per-(expr, probe) cell cache was tried here and removed: probe sets
-   are small and mostly distinct per pool expression, so the cache paid
-   more in table traffic than it saved in re-evaluation. *)
+   error, exactly as the original string fingerprints encoded it *)
 let cell_str (cv : cenv) (e : expr) : string =
   match Eval.eval_expr cv.env e with
   | v -> Value.to_string v
@@ -216,6 +223,52 @@ let bool_of (cv : cenv) (e : expr) : bool option =
   | _ -> None
   | exception _ -> None
 
+(** A probe set: probe environments wrapped once, under an id of their
+    own. The id keys the cell caches below, so two probe sets never
+    share cells even when they fingerprint the same expression. *)
+type probe_set = { ps_id : int; ps_envs : cenv array }
+
+(* process-wide, like [env_counter]: a probe set made on one domain may
+   be fingerprinted on another *)
+let probe_set_counter = Atomic.make 0
+
+let probe_set (probes : Eval.env list) : probe_set =
+  {
+    ps_id = Atomic.fetch_and_add probe_set_counter 1 + 1;
+    ps_envs = Array.of_list (List.map wrap probes);
+  }
+
+(* Per-(probe set, expression) cell arrays. A cache of single
+   (expression, probe) cells would pay a table probe per cell for little
+   reuse; whole arrays pay one probe per expression. They pay off in the
+   emit fingerprints: every (guard, key, value) combination reads all
+   three components on every probe, and one pool expression recurs in
+   hundreds of combinations, so a miss there copies cached arrays
+   instead of evaluating two cells per probe. The arrays become
+   fingerprint keys: they are never mutated. *)
+let cached (tbl : (int, 'a array) Hashtbl.t) (ps : probe_set) (e : expr)
+    (cell : cenv -> 'a) : 'a array =
+  let k = key (Hashcons.expr_id e) ps.ps_id in
+  let c = Fastpath.counters () in
+  match Hashtbl.find_opt tbl k with
+  | Some a ->
+      c.cell_hits <- c.cell_hits + 1;
+      a
+  | None ->
+      c.cell_misses <- c.cell_misses + 1;
+      let a = Array.map cell ps.ps_envs in
+      Hashtbl.add tbl k a;
+      a
+
+(** [value_id] of [e] on every probe of [ps], in probe order. *)
+let cells (ps : probe_set) (e : expr) : int array =
+  cached (shard ()).cells_tbl ps e (fun cv -> value_id cv e)
+
+(** Where guard [g] fires on the probes of [ps]: [bool_of] is
+    [Some true]; a non-boolean result or an error does not fire. *)
+let fires (ps : probe_set) (g : expr) : bool array =
+  cached (shard ()).fires_tbl ps g (fun cv -> bool_of cv g = Some true)
+
 (** Observational fingerprint key. [Ids] (fast path) is an array of
     interned value-cell ids; [Text] (baseline) is the original
     concatenated printed form. One printed sequence maps to one key
@@ -223,12 +276,12 @@ let bool_of (cv : cenv) (e : expr) : bool option =
 type fp = Ids of int array | Text of string
 
 (** Observational fingerprint of an expression over a probe set. *)
-let fingerprint (cprobes : cenv list) (e : expr) : fp =
-  if (Fastpath.enabled ()) then (
-    let a = Array.make (List.length cprobes) 0 in
-    List.iteri (fun i cv -> a.(i) <- value_id cv e) cprobes;
-    Ids a)
-  else Text (String.concat "|" (List.map (fun cv -> cell_str cv e) cprobes))
+let fingerprint (ps : probe_set) (e : expr) : fp =
+  if Fastpath.enabled () then Ids (cells ps e)
+  else
+    Text
+      (String.concat "|"
+         (List.map (fun cv -> cell_str cv e) (Array.to_list ps.ps_envs)))
 
 (** Hash table keyed by fingerprints. The generic hash only examines ~10
     values; id arrays over up to 48 probes need every slot hashed or
@@ -341,32 +394,31 @@ let rec stage_node_m (lr_ran : bool ref) (base : cenv) (n : node) :
   | Join (a, b) ->
       Eval.join_node (stage_node_m lr_ran base a) (stage_node_m lr_ran base b)
 
-(** [Eval.stage_summary] with the Map stage memoized per (emit
-    expression, element environment). [base] must wrap the environment
-    the summary is staged against.
+(** [Eval.stage_node] with the Map stage memoized per (emit expression,
+    element environment). [base] must wrap the environment the pipeline
+    is staged against. The result is the pipeline's bag: the caller
+    extracts the outputs.
 
-    The staged summary sets [lr_ran] when it applies a λr. While it stays
-    unset no key held two values, so every run so far computed the same
-    outputs, or raised the same error, whatever the λrs are (staging a
+    The staged pipeline sets [lr_ran] when it applies a λr. While it
+    stays unset no key held two values, so every run so far computed the
+    same bag, or raised the same error, whatever the λrs are (staging a
     λr never raises). Off the fast path it is set up front, which claims
     nothing. *)
-let stage_summary ~(lr_ran : bool ref) (base : cenv)
-    (shapes : (string * Eval.out_shape) list) (s : summary) :
-    (string * Value.t list) list -> Eval.env -> Eval.env =
+let stage_pipeline ~(lr_ran : bool ref) (base : cenv) (n : node) :
+    Eval.staged_node =
   if not (Fastpath.enabled ()) then (
     lr_ran := true;
-    Eval.stage_summary base.env shapes s)
-  else
-    let run = stage_node_m lr_ran base s.pipeline in
-    fun datasets init -> Eval.extract_outputs (run datasets) init shapes s
+    Eval.stage_node base.env n)
+  else stage_node_m lr_ran base n
 
 (* ------------------------------------------------------------------ *)
 
 (** Drop the calling domain's memo tables (evaluations, fingerprint
-    cells, element environments, interned expressions and summaries) and
-    bump the generation that pool-worker shards sync against. Called at
-    the top of [find_summary] so memory is bounded by one fragment's
-    search; env ids keep counting so stale ids can never collide. *)
+    cells and cell arrays, emit fingerprints, element environments,
+    interned expressions and summaries) and bump the generation that
+    pool-worker shards sync against. Called at the top of
+    [find_summary] so memory is bounded by one fragment's search; env
+    ids keep counting so stale ids can never collide. *)
 let clear () =
   Atomic.incr generation;
   let sh = shard () in

@@ -251,7 +251,9 @@ let make_state ?(phi = []) prog frag ~budget : search_state =
       phi = [];
       phi_prepared = [];
       next_sid = 0;
-      phi_passed = Hashtbl.create 65536;
+      (* probed with [mem] only, never iterated: they grow with the
+         search instead of allocating for the largest one up front *)
+      phi_passed = Hashtbl.create 256;
       dead = Enumerate.make_dead ();
       family_hits = 0;
       unbuilt = 0;
@@ -326,7 +328,8 @@ let holds_on_cached (st : search_state) frag (c : Enumerate.cand) : bool =
       | (sid, p) :: rest -> (
           let key = phi_key c.key sid in
           if Hashtbl.mem st.phi_passed key then (
-            Fastpath.counters.phi_hits <- Fastpath.counters.phi_hits + 1;
+            let fc = Fastpath.counters () in
+            fc.Fastpath.phi_hits <- fc.Fastpath.phi_hits + 1;
             walk rest)
           else
             match Verifier.check_prepared_one frag c.summary p with
@@ -421,8 +424,8 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
     if fast then (
       match Hashtbl.find_opt st.bounded_verdicts c.key with
       | Some o ->
-          Fastpath.counters.verdict_hits <-
-            Fastpath.counters.verdict_hits + 1;
+          let fc = Fastpath.counters () in
+          fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
           o
       | None ->
           let o =
@@ -673,10 +676,13 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
   Memo.clear ();
   let t0 = Obs.now obs in
   (* fast-path cache counters are cumulative across searches; deltas
-     against this snapshot are this search's hit/miss contribution *)
-  let fp0 = { Fastpath.counters with Fastpath.eval_hits = Fastpath.counters.Fastpath.eval_hits } in
+     against this snapshot of the calling domain's record are this
+     search's hit/miss contribution *)
+  let fc = Fastpath.counters () in
+  let fp0 = { fc with Fastpath.eval_hits = fc.Fastpath.eval_hits } in
   let finish ~classes ~timed_out st solutions =
-    let fc = Fastpath.counters in
+    Obs.add obs "memo_cell_hits" (fc.Fastpath.cell_hits - fp0.Fastpath.cell_hits);
+    Obs.add obs "memo_cell_misses" (fc.Fastpath.cell_misses - fp0.Fastpath.cell_misses);
     Obs.add obs "memo_eval_hits" (fc.Fastpath.eval_hits - fp0.Fastpath.eval_hits);
     Obs.add obs "memo_eval_misses" (fc.Fastpath.eval_misses - fp0.Fastpath.eval_misses);
     Obs.add obs "phi_memo_hits" (fc.Fastpath.phi_hits - fp0.Fastpath.phi_hits);
@@ -762,8 +768,8 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
         else
           match Hashtbl.find_opt st.full_verdicts cid with
           | Some o ->
-              Fastpath.counters.verdict_hits <-
-                Fastpath.counters.verdict_hits + 1;
+              let fc = Fastpath.counters () in
+              fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
               o
           | None ->
               let o =

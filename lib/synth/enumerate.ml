@@ -40,13 +40,8 @@ let vals pools ~max_len ty = seq_of_list (vals_list pools ~max_len ty)
    emits in the same order either way. *)
 let emit_fingerprint (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) :
     Memo.fp =
-  let cps = pools.G.cprobes in
-  let fired cv =
-    match guard with
-    | None -> true
-    | Some g -> ( match Memo.bool_of cv g with Some b -> b | None -> false)
-  in
-  if (Casper_ir.Fastpath.enabled ()) then (
+  let ps = pools.G.cprobes in
+  if Casper_ir.Fastpath.enabled () then (
     (* every class re-proposes combinations of the same pool components:
        cache the computed cells per (guard, key, value) id triple *)
     let ckey =
@@ -55,34 +50,43 @@ let emit_fingerprint (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) :
       | Ir.KV (k, v) -> (gid, H.expr_id k, H.expr_id v)
       | Ir.Val v -> (gid, -2, H.expr_id v)
     in
+    let c = Casper_ir.Fastpath.counters () in
     match Hashtbl.find_opt (Memo.emit_fp_tbl ()) ckey with
     | Some a ->
-        let c = Casper_ir.Fastpath.counters in
-        c.Casper_ir.Fastpath.emit_fp_hits <-
-          c.Casper_ir.Fastpath.emit_fp_hits + 1;
+        c.emit_fp_hits <- c.emit_fp_hits + 1;
         Memo.Ids a
     | None ->
-        let c = Casper_ir.Fastpath.counters in
-        c.Casper_ir.Fastpath.emit_fp_misses <-
-          c.Casper_ir.Fastpath.emit_fp_misses + 1;
-        let a = Array.make (2 * List.length cps) 0 in
-        List.iteri
-          (fun i cv ->
-            if not (fired cv) then (
-              a.(2 * i) <- -1;
-              a.((2 * i) + 1) <- -1)
-            else
-              match payload with
-              | Ir.KV (k, v) ->
-                  a.(2 * i) <- Memo.value_id cv k;
-                  a.((2 * i) + 1) <- Memo.value_id cv v
-              | Ir.Val v ->
-                  a.(2 * i) <- -2;
-                  a.((2 * i) + 1) <- Memo.value_id cv v)
-          cps;
+        c.emit_fp_misses <- c.emit_fp_misses + 1;
+        (* a miss interleaves the components' cached cell arrays *)
+        let fired =
+          match guard with
+          | None -> fun _ -> true
+          | Some g ->
+              let f = Memo.fires ps g in
+              fun i -> f.(i)
+        in
+        let key_cell, vc =
+          match payload with
+          | Ir.KV (k, v) ->
+              let kc = Memo.cells ps k in
+              ((fun i -> kc.(i)), Memo.cells ps v)
+          | Ir.Val v -> ((fun _ -> -2), Memo.cells ps v)
+        in
+        let n = Array.length vc in
+        let a = Array.make (2 * n) (-1) in
+        for i = 0 to n - 1 do
+          if fired i then (
+            a.(2 * i) <- key_cell i;
+            a.((2 * i) + 1) <- vc.(i))
+        done;
         Hashtbl.add (Memo.emit_fp_tbl ()) ckey a;
         Memo.Ids a)
   else
+    let fired cv =
+      match guard with
+      | None -> true
+      | Some g -> ( match Memo.bool_of cv g with Some b -> b | None -> false)
+    in
     Memo.Text
       (String.concat "|"
          (List.map
@@ -92,7 +96,7 @@ let emit_fingerprint (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) :
                 match payload with
                 | Ir.KV (k, v) -> Memo.cell_str cv k ^ ":" ^ Memo.cell_str cv v
                 | Ir.Val v -> Memo.cell_str cv v)
-            cps))
+            (Array.to_list ps.Memo.ps_envs)))
 
 (** Observational dedup of emit candidates, capped at [limit] survivors.
     The cap is applied *during* filtering: once [limit] distinct emits
@@ -295,7 +299,7 @@ type dead = {
 }
 
 let make_dead () : dead =
-  { cands = Hashtbl.create 65536; scopes = Hashtbl.create 4096 }
+  { cands = Hashtbl.create 256; scopes = Hashtbl.create 64 }
 
 let scope_dead (dead : dead) ~family ~(projs : (string * int) list) : bool =
   Hashtbl.mem dead.scopes family

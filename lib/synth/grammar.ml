@@ -80,7 +80,7 @@ type probe = Eval.env list
     cost; the output is identical to filtering everything and capping
     afterwards. *)
 let dedupe_c ?(keep = fun _ -> false) ?(size = Ir.expr_size) ?limit
-    (cprobes : Memo.cenv list) (exprs : Ir.expr list) : Ir.expr list =
+    (cprobes : Memo.probe_set) (exprs : Ir.expr list) : Ir.expr list =
   let sorted =
     (* order by grammar length (harvested productions count as leaves),
        input-dependent expressions before constants, dropping exact
@@ -117,7 +117,7 @@ let dedupe_c ?(keep = fun _ -> false) ?(size = Ir.expr_size) ?limit
 
 let dedupe ?keep ?size ?limit (probes : probe) (exprs : Ir.expr list) :
     Ir.expr list =
-  dedupe_c ?keep ?size ?limit (List.map Memo.wrap probes) exprs
+  dedupe_c ?keep ?size ?limit (Memo.probe_set probes) exprs
 
 (* ------------------------------------------------------------------ *)
 (* Typed expression pools                                              *)
@@ -130,7 +130,8 @@ type pools = {
   bools : Ir.expr list;  (** guard candidates *)
   strings : Ir.expr list;
   probes : probe;
-  cprobes : Memo.cenv list;  (** [probes], wrapped once for memoized eval *)
+  cprobes : Memo.probe_set;
+      (** [probes], wrapped once: the key of their fingerprint cells *)
   ops : Ir.binop list;
   structs : (string * (string * Ir.ty) list) list;
   harvested : (Ir.expr, unit) Hashtbl.t;
@@ -204,7 +205,7 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
   in
   let harvested_tbl = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace harvested_tbl e ()) harvested;
-  let cprobes = List.map Memo.wrap probes in
+  let cprobes = Memo.probe_set probes in
   let dummy =
     {
       params;

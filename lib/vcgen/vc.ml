@@ -47,51 +47,102 @@ let outer_count (prog : program) (frag : F.t) (entry : env) : int =
 
 let take k l = List.filteri (fun i _ -> i < k) l
 
+(* [grow row k] is the records of the first [k] outer units, [row i]
+   being unit [i]'s. Each unit is built once, at the first [k] above it,
+   so the records of prefix [k] are physically the first records of
+   prefix [k + 1]. [row] is called on 0, 1, 2, … in order; a unit that
+   raises is not kept, and is asked for again at the next call. *)
+let grow (row : int -> Value.t list) : int -> Value.t list =
+  let rows = ref [||] and built = ref 0 in
+  fun k ->
+    while !built < k do
+      let r = row !built in
+      if !built = Array.length !rows then
+        rows := Array.append !rows (Array.make (max 8 !built) []);
+      !rows.(!built) <- r;
+      incr built
+    done;
+    let acc = ref [] in
+    for i = k - 1 downto 0 do
+      acc := !rows.(i) @ !acc
+    done;
+    !acc
+
 (** The IR-side datasets of the entry state, truncated to the first [k]
     outer units. Records follow the iteration schema: list elements as
-    themselves, counted arrays as (i, a[i], …), matrices as (i, j, v). *)
-let datasets_at (prog : program) (frag : F.t) (entry : env) (k : int) :
-    (string * Value.t list) list =
+    themselves, counted arrays as (i, a[i], …), matrices as (i, j, v).
+    Partially applied to an entry state, the result builds each
+    counted-array and matrix record once and shares it with every
+    prefix; each prefix raises what building it from scratch would
+    raise. *)
+let datasets_at (prog : program) (frag : F.t) (entry : env) :
+    int -> (string * Value.t list) list =
   match frag.schema with
   | F.SList { data; _ } ->
-      [ (data, take k (Value.as_list (List.assoc data entry))) ]
+      fun k -> [ (data, take k (Value.as_list (List.assoc data entry))) ]
   | F.SArrays { arrays; _ } ->
       let cols =
-        List.map
-          (fun (a, _) -> Value.as_list (List.assoc a entry))
-          arrays
+        lazy
+          (List.map (fun (a, _) -> Value.as_list (List.assoc a entry)) arrays)
       in
+      (* the columns from the next unit on *)
+      let tails = ref None in
       let records =
-        List.init k (fun i ->
-            Value.Tuple
-              (Value.Int i
-              :: List.map
-                   (fun col ->
-                     match List.nth_opt col i with
-                     | Some v -> v
-                     | None -> err "array shorter than iteration bound")
-                   cols))
+        grow (fun i ->
+            let ts = Option.value !tails ~default:(Lazy.force cols) in
+            let r =
+              Value.Tuple
+                (Value.Int i
+                :: List.map
+                     (function
+                       | v :: _ -> v
+                       | [] -> err "array shorter than iteration bound")
+                     ts)
+            in
+            tails := Some (List.map List.tl ts);
+            [ r ])
       in
-      let primary = match arrays with (a, _) :: _ -> a | [] -> err "no arrays" in
-      [ (primary, records) ]
+      fun k ->
+        ignore (Lazy.force cols);
+        let records = records k in
+        let primary =
+          match arrays with (a, _) :: _ -> a | [] -> err "no arrays"
+        in
+        [ (primary, records) ]
   | F.SMatrix { data; cols; _ } ->
-      let m = Value.as_list (List.assoc data entry) in
-      let ncols = Value.as_int (Minijava.Interp.eval_expr prog entry cols) in
-      let records =
-        List.concat
-          (List.init k (fun i ->
-               let row = Value.as_list (List.nth m i) in
-               List.init ncols (fun j ->
-                   match List.nth_opt row j with
-                   | Some v -> Value.Tuple [ Value.Int i; Value.Int j; v ]
-                   | None -> err "matrix row shorter than cols")))
+      let dims =
+        lazy
+          (let m = Value.as_list (List.assoc data entry) in
+           (m, Value.as_int (Minijava.Interp.eval_expr prog entry cols)))
       in
-      [ (data, records) ]
+      (* the rows from the next unit on *)
+      let rest = ref None in
+      let records =
+        grow (fun i ->
+            let m, ncols = Lazy.force dims in
+            let rs = Option.value !rest ~default:m in
+            (* [List.nth m i], walking [m] once over all units *)
+            let row =
+              Value.as_list (match rs with r :: _ -> r | [] -> failwith "nth")
+            in
+            let records =
+              List.init ncols (fun j ->
+                  match List.nth_opt row j with
+                  | Some v -> Value.Tuple [ Value.Int i; Value.Int j; v ]
+                  | None -> err "matrix row shorter than cols")
+            in
+            rest := Some (List.tl rs);
+            records)
+      in
+      fun k ->
+        ignore (Lazy.force dims);
+        [ (data, records k) ]
   | F.SJoin { d1; d2; _ } ->
-      [
-        (d1, take k (Value.as_list (List.assoc d1 entry)));
-        (d2, Value.as_list (List.assoc d2 entry));
-      ]
+      fun k ->
+        [
+          (d1, take k (Value.as_list (List.assoc d1 entry)));
+          (d2, Value.as_list (List.assoc d2 entry));
+        ]
 
 (** Execute the loop over the first [k] outer units only. *)
 let run_prefix (prog : program) (frag : F.t) (entry : env) (k : int) : env =
@@ -145,23 +196,24 @@ let canon_output kind (v : Value.t) : Value.t =
 
 type check_result =
   | Holds
-  | Fails of { prefix : int; var : string; expected : Value.t; got : Value.t }
+  | Fails of { prefix : int; var : string }
+      (** the first prefix, and on it the first output, that disagree *)
   | Ir_error of string  (** the summary itself is not evaluable *)
   | State_skipped of string  (** the sequential code faulted on this state *)
 
-(* first output whose sequential value disagrees with the IR denotation *)
-let output_mismatch (frag : F.t) (seq_env : env) (mr_out : Eval.env) :
-    (string * Value.t * Value.t) option =
+(* first of [outputs] whose sequential value disagrees with the IR
+   denotation *)
+let output_mismatch (outputs : (string * ty * F.out_kind) list)
+    (seq_env : env) (mr_out : Eval.env) : string option =
   List.find_map
     (fun (v, _, kind) ->
       let expected = canon_output kind (List.assoc v seq_env) in
       match List.assoc_opt v mr_out with
-      | None -> Some (v, expected, Value.Str "<missing>")
+      | None -> Some v
       | Some got ->
-          let got = canon_output kind got in
-          if Value.equal_approx expected got then None
-          else Some (v, expected, got))
-    frag.outputs
+          if Value.equal_approx expected (canon_output kind got) then None
+          else Some v)
+    outputs
 
 (** Check all three VC clauses of the candidate summary on one entry
     state: compare sequential execution against the IR denotation on
@@ -190,12 +242,115 @@ let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
               | exception Eval.Eval_error m -> Ir_error m
               | exception Value.Type_error m -> Ir_error m
               | mr_out -> (
-                  match output_mismatch frag seq_env mr_out with
-                  | Some (var, expected, got) ->
-                      Fails { prefix = k; var; expected; got }
+                  match output_mismatch frag.outputs seq_env mr_out with
+                  | Some var -> Fails { prefix = k; var }
                   | None -> go (k + 1)))
       in
       try go 0 with Vc_error m -> Ir_error m)
+
+(* ------------------------------------------------------------------ *)
+(* Sparse array outputs.
+
+   An array output's IR value is its initial array with the pipeline's
+   pairs written over it, and its sequential value on one prefix is
+   candidate-independent. So the prepared path never rebuilds the array:
+   it keeps the writes ([Sparse]) and compares them against the
+   positions where the expected array differs from the initial one
+   ([expect]), computed once per prefix. *)
+
+(** One extracted output: a [Whole] binding of an array output as its
+    initial array, that array's length, and every write, newest first;
+    any other binding as its value. *)
+type extracted =
+  | Dense of Value.t
+  | Sparse of { init : Value.t list; len : int; writes : (int * Value.t) list }
+
+(** [Eval.extract_outputs], with array outputs left [Sparse].
+    [init_len var l] is the length of [var]'s initial array [l]. Raises
+    what [Eval.extract_outputs] raises, in the same order: bindings in
+    order, and within an array binding its writes in bag order. *)
+let extract_sparse ~(init_len : string -> Value.t list -> int)
+    (result : Eval.bag) (init : Eval.env)
+    (shapes : (string * Eval.out_shape) list) (s : Ir.summary) :
+    (string * extracted) list =
+  List.map
+    (fun ((var, ex) as b) ->
+      match (ex, result, Eval.shape_of shapes var) with
+      | Ir.Whole, Eval.Pairs kvs, Eval.Arr ->
+          let l = Value.as_list (Eval.init_value init var) in
+          let len = init_len var l in
+          let writes =
+            List.fold_left
+              (fun acc (k, v) -> (Eval.array_pos len k, v) :: acc)
+              [] kvs
+          in
+          (var, Sparse { init = l; len; writes })
+      | _ -> (var, Dense (Eval.extract_binding result init shapes b)))
+    s.bindings
+
+(** What one array output must equal on one prefix. *)
+type expect =
+  | Diff of { exp : Value.t array; diff : int list }
+      (** the expected array, as long as the initial one, and the
+          positions where the two differ under [Value.equal_approx] *)
+  | Whole_value of Value.t  (** any other expected value *)
+
+(** The expected value of array output [var] after [seq_env], against
+    its initial value in [init]. Raises [Not_found] where
+    {!output_mismatch} does: [var] unbound in [seq_env]. *)
+let expect_of (seq_env : env) (init : Eval.env) (var : string) : expect =
+  let expected = List.assoc var seq_env in
+  match (expected, List.assoc_opt var init) with
+  | Value.List el, Some (Value.List il)
+    when List.length el = List.length il ->
+      let exp = Array.of_list el in
+      let diff =
+        List.concat
+          (List.mapi
+             (fun i x -> if Value.equal_approx exp.(i) x then [] else [ i ])
+             il)
+      in
+      Diff { exp; diff }
+  | _ -> Whole_value expected
+
+(* the array [init] with [writes] applied equals the expected value [x],
+   made by [expect_of] against the same [init] (so a [Diff] is [len]
+   long). The newest write to a position is the one in force; a position
+   nobody wrote holds its initial value, which equals the expected one
+   unless the position is in [diff]. *)
+let sparse_equal (x : expect) ~(init : Value.t list) ~len
+    ~(writes : (int * Value.t) list) : bool =
+  match x with
+  | Diff { exp; diff } ->
+      let seen = Bytes.make len '\000' in
+      List.for_all
+        (fun (i, v) ->
+          Bytes.get seen i <> '\000'
+          || (Bytes.set seen i '\001';
+              Value.equal_approx exp.(i) v))
+        writes
+      && List.for_all (fun i -> Bytes.get seen i <> '\000') diff
+  | Whole_value expected ->
+      let arr = Array.of_list init in
+      List.iter (fun (i, v) -> arr.(i) <- v) (List.rev writes);
+      Value.equal_approx expected (Value.List (Array.to_list arr))
+
+(** {!output_mismatch} over {!extract_sparse}'s outputs, extracted with
+    the shapes of [outputs] ({!shapes_of}): the same verdict, the same
+    failing output and the same exception. [expect v] is
+    [expect_of seq_env init v] for the [init] they were extracted
+    against. *)
+let sparse_mismatch (outputs : (string * ty * F.out_kind) list)
+    (seq_env : env) (expect : string -> expect)
+    (outs : (string * extracted) list) : string option =
+  List.find_map
+    (fun ((v, _, _) as o) ->
+      match List.assoc_opt v outs with
+      | Some (Sparse { init; len; writes }) ->
+          if sparse_equal (expect v) ~init ~len ~writes then None else Some v
+      | Some (Dense got) -> output_mismatch [ o ] seq_env [ (v, got) ]
+      | None -> output_mismatch [ o ] seq_env [])
+    outputs
 
 (* ------------------------------------------------------------------ *)
 (* Prepared states: the candidate-independent work of [check_state].
@@ -212,8 +367,12 @@ let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
    checks observe the same outcome. *)
 
 type prefix_cell =
-  | PReady of env * (string * Value.t list) list
-      (** sequential env after the prefix, and the truncated datasets *)
+  | PReady of {
+      seq_env : env;  (** sequential env after the prefix *)
+      datasets : (string * Value.t list) list;  (** the truncated datasets *)
+      expects : (string * expect Lazy.t) list;
+          (** per array output, what it must equal on this prefix *)
+    }
   | PSeq_fault  (** the sequential code faulted on this prefix *)
   | PRaise of exn  (** any other exception, re-raised at the same point *)
 
@@ -222,12 +381,12 @@ type prepared_state = {
   p_cenv : Casper_ir.Memo.cenv;
       (** [p_entry] wrapped once, keying the memoized emit evaluations *)
   p_shapes : (string * Eval.out_shape) list;
+  p_init_lens : (string, int) Hashtbl.t;
+      (** length of each array output's initial value in [p_entry] *)
   p_outer : (int, exn) result Lazy.t;
   p_cells : prefix_cell Lazy.t array Lazy.t;
       (** one cell per prefix 0..n when [p_outer] is [Ok n] *)
 }
-
-let fp_counters = Casper_ir.Fastpath.counters
 
 let prepare_state (prog : program) (frag : F.t) (entry : env) :
     prepared_state =
@@ -237,41 +396,68 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
       | n -> Ok n
       | exception e -> Error e)
   in
+  let arrays =
+    List.filter_map
+      (fun (v, _, kind) -> if kind = F.KArray then Some v else None)
+      frag.outputs
+  in
   let cells =
     lazy
       (match Lazy.force outer with
       | Error _ -> [||]
       | Ok n ->
+          let datasets_at = datasets_at prog frag entry in
           Array.init (n + 1) (fun k ->
               lazy
-                (fp_counters.prefix_forced <-
-                   fp_counters.prefix_forced + 1;
+                (let c = Casper_ir.Fastpath.counters () in
+                 c.prefix_forced <- c.prefix_forced + 1;
                  match run_prefix prog frag entry k with
                  | exception Minijava.Interp.Runtime_error _ -> PSeq_fault
                  | exception e -> PRaise e
                  | seq_env -> (
-                     match datasets_at prog frag entry k with
-                     | datasets -> PReady (seq_env, datasets)
+                     match datasets_at k with
+                     | datasets ->
+                         PReady
+                           {
+                             seq_env;
+                             datasets;
+                             expects =
+                               List.map
+                                 (fun v -> (v, lazy (expect_of seq_env entry v)))
+                                 arrays;
+                           }
                      | exception e -> PRaise e))))
   in
   {
     p_entry = entry;
     p_cenv = Casper_ir.Memo.wrap entry;
     p_shapes = shapes_of frag;
+    p_init_lens = Hashtbl.create 4;
     p_outer = outer;
     p_cells = cells;
   }
 
+(* [p_entry] binds each output to one initial value, so one length per
+   output *)
+let init_len (ps : prepared_state) (var : string) (l : Value.t list) : int =
+  match Hashtbl.find_opt ps.p_init_lens var with
+  | Some n -> n
+  | None ->
+      let n = List.length l in
+      Hashtbl.add ps.p_init_lens var n;
+      n
+
 (** [check_state], against a prepared state. Identical outcomes: both
     walk prefixes 0..n in order and stop at the first failure, so a
     cached cell is only ever consulted at the same point the plain check
-    would have computed it.
+    would have computed it; array outputs are compared sparsely
+    ({!sparse_mismatch}), with the same verdicts.
 
     The flag says whether any λr was applied before the result was
     decided. When it is [false], every summary that differs from this one
     only in its λrs gets the same result on this state: the prefixes up
     to the deciding one produce the same bags for all of them (see
-    {!Casper_ir.Memo.stage_summary}). *)
+    {!Casper_ir.Memo.stage_pipeline}). *)
 let check_prepared (frag : F.t) (summary : Ir.summary)
     (ps : prepared_state) : check_result * bool =
   let lr_ran = ref false in
@@ -280,26 +466,30 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
     | Error e -> State_skipped (Printexc.to_string e)
     | Ok n -> (
         let cells = Lazy.force ps.p_cells in
-        let apply =
-          Casper_ir.Memo.stage_summary ~lr_ran ps.p_cenv ps.p_shapes summary
+        let run =
+          Casper_ir.Memo.stage_pipeline ~lr_ran ps.p_cenv summary.Ir.pipeline
         in
         let rec go k =
           if k > n then Holds
           else (
-            if Lazy.is_val cells.(k) then
-              fp_counters.prefix_reused <- fp_counters.prefix_reused + 1;
+            if Lazy.is_val cells.(k) then (
+              let c = Casper_ir.Fastpath.counters () in
+              c.prefix_reused <- c.prefix_reused + 1);
             match Lazy.force cells.(k) with
             | PSeq_fault ->
                 State_skipped (Fmt.str "sequential fault at prefix %d" k)
             | PRaise e -> raise e
-            | PReady (seq_env, datasets) -> (
-                match apply datasets ps.p_entry with
+            | PReady { seq_env; datasets; expects } -> (
+                match
+                  extract_sparse ~init_len:(init_len ps) (run datasets)
+                    ps.p_entry ps.p_shapes summary
+                with
                 | exception Eval.Eval_error m -> Ir_error m
                 | exception Value.Type_error m -> Ir_error m
-                | mr_out -> (
-                    match output_mismatch frag seq_env mr_out with
-                    | Some (var, expected, got) ->
-                        Fails { prefix = k; var; expected; got }
+                | outs -> (
+                    let expect v = Lazy.force (List.assoc v expects) in
+                    match sparse_mismatch frag.outputs seq_env expect outs with
+                    | Some var -> Fails { prefix = k; var }
                     | None -> go (k + 1))))
         in
         try go 0 with Vc_error m -> Ir_error m)

@@ -182,6 +182,57 @@ let test_dedupe_mode_equivalence () =
   check "dedup keeps the same emits in the same order in both modes" true
     (fast = slow)
 
+(* ---------------- per-expression cell cache ---------------- *)
+
+(* cells are cached per (probe set, expression): a second read on the
+   same set is the cached array itself, another set over other
+   environments gets its own cells, and [Memo.clear] drops them all *)
+let test_cells_keyed_by_probe_set () =
+  Fastpath.with_enabled true @@ fun () ->
+  Memo.clear ();
+  let e = H.binop Ir.Add (H.var "x") (H.cint 1) in
+  let probes xs = Memo.probe_set (List.map (fun x -> [ ("x", Value.Int x) ]) xs) in
+  let ps1 = probes [ 1; 2 ] and ps2 = probes [ 1; 2 ] and ps3 = probes [ 5 ] in
+  let c = Fastpath.counters () in
+  let misses () = c.Fastpath.cell_misses and hits () = c.Fastpath.cell_hits in
+  let m0 = misses () and h0 = hits () in
+  let a1 = Memo.cells ps1 e in
+  check "the same set answers from the cache" true (Memo.cells ps1 e == a1);
+  check_int "one miss, one hit" 1 (misses () - m0);
+  check_int "one hit" 1 (hits () - h0);
+  let a2 = Memo.cells ps2 e in
+  check "an equal set of other environments gets its own cells" true
+    (a2 != a1 && a2 = a1);
+  check_int "one cell per probe" 1 (Array.length (Memo.cells ps3 e));
+  check "other probes, other cells" true (Memo.cells ps3 e <> [| a1.(0) |]);
+  check "guard firing vectors are cached the same way" true
+    (let g = H.binop Ir.Lt (H.var "x") (H.cint 2) in
+     let f = Memo.fires ps1 g in
+     f = [| true; false |] && Memo.fires ps1 g == f);
+  let m1 = misses () in
+  Memo.clear ();
+  let a1' = Memo.cells ps1 e in
+  check_int "clear empties the cache" 1 (misses () - m1);
+  check "cells recomputed after clear are fresh arrays" true (a1' != a1)
+
+(* PCA/colMeans iterates a matrix: the memoized map binds each record's
+   environment once per state, so most evaluations on its later
+   prefixes are memo hits (before records were shared across prefixes,
+   misses outnumbered hits four to one) *)
+let test_matrix_search_hits_memo () =
+  let b = Casper_suites.Registry.find_benchmark "PCA" in
+  let prog = Minijava.Parser.parse_program b.source in
+  let frag =
+    List.find
+      (fun (f : F.t) -> String.equal f.F.frag_id "colMeans#0")
+      (An.fragments_of_program prog ~suite:b.suite ~benchmark:b.name)
+  in
+  let obs = Casper_obs.Obs.create () in
+  ignore (Fastpath.with_enabled true (fun () -> Cegis.find_summary ~obs prog frag));
+  let hits = Casper_obs.Obs.total obs "memo_eval_hits"
+  and misses = Casper_obs.Obs.total obs "memo_eval_misses" in
+  check (Fmt.str "%d memo hits > %d misses" hits misses) true (hits > misses)
+
 (* ---------------- on/off equivalence of the search ---------------- *)
 
 let equiv_config = { Cegis.default_config with Cegis.max_candidates = 60_000 }
@@ -280,6 +331,13 @@ let suite =
           test_dedupe_cap_during_filter;
         Alcotest.test_case "fingerprint modes agree" `Quick
           test_dedupe_mode_equivalence;
+      ] );
+    ( "fastpath.cells",
+      [
+        Alcotest.test_case "keyed by probe set, emptied by clear" `Quick
+          test_cells_keyed_by_probe_set;
+        Alcotest.test_case "matrix search reuses element envs" `Quick
+          test_matrix_search_hits_memo;
       ] );
     ( "fastpath.equivalence",
       [

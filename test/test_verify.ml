@@ -91,19 +91,19 @@ let test_check_state_holds () =
   | Vc.Holds -> ()
   | _ -> Alcotest.fail "expected Holds"
 
+let matrix_src =
+  {|int[] f(int[][] m, int rows, int cols) {
+      int[] o = new int[rows];
+      for (int i = 0; i < rows; i++) {
+        int s = 0;
+        for (int j = 0; j < cols; j++) s += m[i][j];
+        o[i] = s;
+      }
+      return o;
+    }|}
+
 let test_datasets_at_matrix () =
-  let prog, frag =
-    fragment
-      {|int[] f(int[][] m, int rows, int cols) {
-          int[] o = new int[rows];
-          for (int i = 0; i < rows; i++) {
-            int s = 0;
-            for (int j = 0; j < cols; j++) s += m[i][j];
-            o[i] = s;
-          }
-          return o;
-        }|}
-  in
+  let prog, frag = fragment matrix_src in
   let entry =
     Vc.entry_of_params prog frag
       [
@@ -122,6 +122,300 @@ let test_datasets_at_matrix () =
   Alcotest.(check int) "records of first row" 2 (List.length (snd (List.hd ds)));
   let all = Vc.datasets_at prog frag entry 2 in
   Alcotest.(check int) "all records" 4 (List.length (snd (List.hd all)))
+
+(* SArrays and SMatrix prefixes share their records: a prepared state
+   builds each record once, so the element environments the memoized
+   map binds for prefix k extend to prefix k + 1 *)
+let test_prefix_records_shared () =
+  let prefix_records (ps : Vc.prepared_state) =
+    Array.to_list
+      (Array.map
+         (fun cell ->
+           match Lazy.force cell with
+           | Vc.PReady { datasets; _ } -> snd (List.hd datasets)
+           | _ -> Alcotest.fail "prefix did not run")
+         (Lazy.force ps.Vc.p_cells))
+  in
+  let check_shared what prog frag params n_records =
+    let ps = Vc.prepare_state prog frag (Vc.entry_of_params prog frag params) in
+    let prefixes = prefix_records ps in
+    Alcotest.(check int)
+      (what ^ ": records of the full prefix")
+      n_records
+      (List.length (List.nth prefixes (List.length prefixes - 1)));
+    ignore
+      (List.fold_left
+         (fun prev recs ->
+           check (what ^ ": prefix k's records begin prefix k + 1") true
+             (Casper_ir.Memo.phys_prefix prev recs
+             && List.length recs > List.length prev);
+           recs)
+         (List.hd prefixes) (List.tl prefixes))
+  in
+  let prog, frag = fragment sum_src in
+  check "sum iterates counted arrays" true
+    (match frag.F.schema with F.SArrays _ -> true | _ -> false);
+  check_shared "arrays" prog frag
+    [
+      ("data", Value.List [ Value.Int 3; Value.Int 4; Value.Int (-1) ]);
+      ("n", Value.Int 3);
+    ]
+    3;
+  let prog, frag = fragment matrix_src in
+  check "row sums iterate a matrix" true
+    (match frag.F.schema with F.SMatrix _ -> true | _ -> false);
+  check_shared "matrix" prog frag
+    [
+      ( "m",
+        Value.List
+          [
+            Value.List [ Value.Int 1; Value.Int 2 ];
+            Value.List [ Value.Int 3; Value.Int 4 ];
+            Value.List [ Value.Int 5; Value.Int 6 ];
+          ] );
+      ("rows", Value.Int 3);
+      ("cols", Value.Int 2);
+    ]
+    6
+
+(* a record that cannot be built fails its prefix on the prepared path
+   exactly as on the plain one. The loops below never read the short
+   input, so the sequential code runs on: a short counted array is a VC
+   error at the first prefix that reaches past it, a matrix with fewer
+   rows than its bound raises [Failure "nth"] there. *)
+let test_short_inputs_fail_alike () =
+  let outcome f = match f () with r -> Ok r | exception e -> Error e in
+  let same what prog frag summary params =
+    let entry = Vc.entry_of_params prog frag params in
+    let plain = outcome (fun () -> Vc.check_state prog frag summary entry) in
+    let prepared =
+      outcome (fun () ->
+          fst (Vc.check_prepared frag summary (Vc.prepare_state prog frag entry)))
+    in
+    check (what ^ ": prepared check fails as the plain one") true
+      (plain = prepared);
+    plain
+  in
+  let ints l = Value.List (List.map (fun i -> Value.Int i) l) in
+  let prog, frag =
+    fragment
+      "int f(int[] a, int[] b, int n) { int s = 0; for (int i = 0; i < n; \
+       i++) { if (a[i] > 100) s += b[i]; else s += a[i]; } return s; }"
+  in
+  let d = F.primary_dataset frag in
+  let sum_a =
+    {
+      Ir.pipeline =
+        Ir.Reduce
+          ( Ir.Map
+              ( Ir.Data d,
+                {
+                  Ir.m_params = [ "i"; "a"; "b" ];
+                  emits =
+                    [ { Ir.guard = None; payload = Ir.KV (Ir.CStr "s", Ir.Var "a") } ];
+                } ),
+            add_r );
+      bindings = [ ("s", Ir.AtKey (Value.Str "s")) ];
+    }
+  in
+  check "short array: a VC error past its end" true
+    (same "short array" prog frag sum_a
+       [ ("a", ints [ 1; 2; 3 ]); ("b", ints [ 1 ]); ("n", Value.Int 3) ]
+    = Ok (Vc.Ir_error "array shorter than iteration bound"));
+  let prog, frag =
+    fragment
+      {|int[] f(int[][] m, int rows, int cols) {
+          int[] o = new int[rows];
+          for (int i = 0; i < rows; i++) {
+            int s = 0;
+            for (int j = 0; j < cols; j++) { if (i > 100) s += m[i][j]; }
+            o[i] = s;
+          }
+          return o;
+        }|}
+  in
+  let zeros =
+    {
+      Ir.pipeline =
+        Ir.Reduce
+          ( Ir.Map
+              ( Ir.Data (F.primary_dataset frag),
+                {
+                  Ir.m_params = [ "i"; "j"; "v" ];
+                  emits =
+                    [ { Ir.guard = None; payload = Ir.KV (Ir.Var "i", Ir.CInt 0) } ];
+                } ),
+            add_r );
+      bindings = [ ("o", Ir.Whole) ];
+    }
+  in
+  check "missing row: Failure nth" true
+    (same "missing row" prog frag zeros
+       [ ("m", Value.List [ ints [ 1; 2 ] ]); ("rows", Value.Int 2); ("cols", Value.Int 2) ]
+    = Error (Failure "nth"));
+  check "the summary holds on a full matrix" true
+    (same "full matrix" prog frag zeros
+       [
+         ("m", Value.List [ ints [ 1; 2 ]; ints [ 3; 4 ] ]);
+         ("rows", Value.Int 2);
+         ("cols", Value.Int 2);
+       ]
+    = Ok Vc.Holds)
+
+(* ---------------- sparse array outputs ---------------- *)
+
+(* One array-output comparison: the pipeline's bag, the entry and
+   sequential environments, and the bindings, drawn so that keys fall
+   out of bounds or are not ints, positions are written twice, floats
+   are NaN or infinite or nearly equal, and expected arrays have
+   another length or are not arrays at all. *)
+type sparse_case = {
+  bag : Casper_ir.Eval.bag;
+  init : Casper_ir.Eval.env;
+  seq : Casper_ir.Eval.env;
+  bindings : (string * Ir.extract) list;
+}
+
+let gen_sparse_case : sparse_case QCheck.Gen.t =
+  let open QCheck.Gen in
+  let value =
+    oneofl
+      [
+        Value.Int 0;
+        Value.Int 1;
+        Value.Float 1.0;
+        Value.Float (1.0 +. 1e-9);
+        Value.Float 0.5;
+        Value.Float Float.nan;
+        Value.Float Float.infinity;
+        Value.Float Float.neg_infinity;
+      ]
+  in
+  let arr n = list_repeat n value in
+  let* n = int_range 0 4 in
+  let key =
+    frequency
+      [
+        (12, map (fun i -> Value.Int i) (int_range 0 n));
+        (1, return (Value.Int (-1)));
+        (1, return (Value.Str "k"));
+      ]
+  in
+  let* kvs = list_size (int_range 0 6) (pair key value) in
+  let* bag =
+    frequency
+      [
+        (10, return (Casper_ir.Eval.Pairs kvs));
+        (1, return (Casper_ir.Eval.Vals []));
+        (1, map (fun v -> Casper_ir.Eval.Vals [ v ]) value);
+      ]
+  in
+  (* what the writes make of an array, ignoring the bad keys *)
+  let written l =
+    let a = Array.of_list l in
+    List.iter
+      (fun (k, v) ->
+        match k with
+        | Value.Int i when i >= 0 && i < Array.length a -> a.(i) <- v
+        | _ -> ())
+      kvs;
+    Array.to_list a
+  in
+  let output init_l =
+    frequency
+      [
+        (4, return (Value.List (written init_l)));
+        ( 3,
+          map2
+            (fun i v ->
+              Value.List
+                (List.mapi (fun j x -> if j = i then v else x) (written init_l)))
+            (int_range 0 n) value );
+        (1, return (Value.List init_l));
+        (1, map (fun m -> Value.List m) (int_range 0 5 >>= arr));
+        (1, return (Value.Int 0));
+      ]
+  in
+  let* init_h = arr n and* init_g = arr n in
+  let* seq_h = output init_h and* seq_g = output init_g in
+  let* init =
+    frequency
+      [
+        (10, return [ ("h", Value.List init_h); ("g", Value.List init_g) ]);
+        (1, return [ ("g", Value.List init_g) ]);
+        (1, return [ ("h", Value.Int 3); ("g", Value.List init_g) ]);
+      ]
+  in
+  let* seq =
+    frequency
+      [ (10, return [ ("h", seq_h); ("g", seq_g) ]); (1, return [ ("g", seq_g) ]) ]
+  in
+  let+ bindings =
+    oneofl
+      [
+        [ ("h", Ir.Whole); ("g", Ir.Whole) ];
+        [ ("g", Ir.Whole); ("h", Ir.Whole) ];
+        [ ("h", Ir.Whole) ];
+        [ ("h", Ir.Whole); ("h", Ir.Whole); ("g", Ir.Whole) ];
+        [ ("h", Ir.Whole); ("g", Ir.Proj None) ];
+      ]
+  in
+  { bag; init; seq; bindings }
+
+let print_sparse_case (c : sparse_case) =
+  let env e =
+    String.concat "; "
+      (List.map (fun (v, x) -> v ^ " = " ^ Value.to_string x) e)
+  in
+  let bag =
+    match c.bag with
+    | Casper_ir.Eval.Pairs kvs ->
+        "pairs "
+        ^ String.concat " "
+            (List.map
+               (fun (k, v) ->
+                 "(" ^ Value.to_string k ^ ", " ^ Value.to_string v ^ ")")
+               kvs)
+    | Casper_ir.Eval.Vals vs ->
+        "vals " ^ String.concat " " (List.map Value.to_string vs)
+    | Casper_ir.Eval.Records _ -> "records"
+  in
+  Fmt.str "%s | init %s | seq %s | bindings %s" bag (env c.init) (env c.seq)
+    (String.concat ", "
+       (List.map (fun (v, ex) -> Fmt.str "%s %a" v Ir.pp_extract ex) c.bindings))
+
+let sparse_matches_dense =
+  QCheck.Test.make ~count:2000
+    ~name:"sparse array outputs: same verdict, output and exception as dense"
+    (QCheck.make ~print:print_sparse_case gen_sparse_case)
+    (fun c ->
+      let _, frag = fragment sum_src in
+      let frag =
+        {
+          frag with
+          F.outputs =
+            [
+              ("h", Ast.TArray Ast.TInt, F.KArray);
+              ("g", Ast.TArray Ast.TInt, F.KArray);
+            ];
+        }
+      in
+      let shapes = Vc.shapes_of frag in
+      let s = { Ir.pipeline = Ir.Data "data"; bindings = c.bindings } in
+      let outcome f = match f () with r -> Ok r | exception e -> Error e in
+      let dense =
+        outcome (fun () ->
+            Vc.output_mismatch frag.F.outputs c.seq
+              (Casper_ir.Eval.extract_outputs c.bag c.init shapes s))
+      in
+      let sparse =
+        outcome (fun () ->
+            Vc.sparse_mismatch frag.F.outputs c.seq (Vc.expect_of c.seq c.init)
+              (Vc.extract_sparse
+                 ~init_len:(fun _ l -> List.length l)
+                 c.bag c.init shapes s))
+      in
+      dense = sparse)
 
 let test_reducer_props () =
   let env = [] in
@@ -176,7 +470,12 @@ let suite =
         Alcotest.test_case "holds on valid state" `Quick test_check_state_holds;
         Alcotest.test_case "matrix prefix datasets" `Quick
           test_datasets_at_matrix;
+        Alcotest.test_case "prefix records are shared" `Quick
+          test_prefix_records_shared;
+        Alcotest.test_case "short inputs fail alike" `Quick
+          test_short_inputs_fail_alike;
       ] );
+    ("verify.sparse", [ QCheck_alcotest.to_alcotest sparse_matches_dense ]);
     ( "verify.props",
       [
         Alcotest.test_case "reducer algebra" `Quick test_reducer_props;
