@@ -4,6 +4,10 @@
     [-- --only table1,fig7a]. [-- --seed N] reseeds the fault-injection
     experiments.
 
+    A section that raises is reported and the remaining sections still
+    run; the run then exits 1. An unknown [--only] id exits 2 before
+    anything runs, listing the valid ids.
+
     Absolute times come from the engine's calibrated cluster model
     (DESIGN.md, Substitutions) — shapes and ratios are the claims, not
     seconds. EXPERIMENTS.md records paper-vs-measured for each
@@ -1009,9 +1013,8 @@ let fault_tolerance () =
   print_string (Sched.Trace.render_events ~limit:12 o.Sched.Coordinator.trace)
 
 (* ------------------------------------------------------------------ *)
-(* Synthesis performance: fast path vs baseline                         *)
+(* Synthesis performance: the Table 2 search workload                   *)
 
-let cli_no_opt = ref false
 let json_synth : J.t ref = ref J.Null
 
 type synth_run = {
@@ -1080,510 +1083,61 @@ let json_of_runs (runs : synth_run list) : J.t =
        runs)
 
 let synth_perf () =
-  section "Synthesis performance: fast path vs baseline (Table 2 workload)";
-  let slow = Fastpath.with_enabled false synth_measure in
-  (* words the fast pass allocates: deterministic, unlike its wall time,
-     so tools/check_overhead.sh gates tracing overhead on it *)
-  let fast_minor_words = ref 0.0 in
-  let fast =
-    if !cli_no_opt then None
-    else begin
-      Fastpath.reset_counters ();
-      let w0 = Gc.minor_words () in
-      let r = Fastpath.with_enabled true synth_measure in
-      fast_minor_words := Gc.minor_words () -. w0;
-      Some r
-    end
-  in
-  let total f l = List.fold_left (fun a r -> a +. f r) 0.0 l in
-  let sum f l = List.fold_left (fun a r -> a + f r) 0 l in
-  let rows =
-    List.mapi
-      (fun i (s : synth_run) ->
-        let fr = Option.map (fun l -> List.nth l i) fast in
-        let active = Option.value fr ~default:s in
-        [
-          s.sp_suite;
-          string_of_int s.sp_frags;
-          T.f ~digits:2 s.sp_wall;
-          (match fr with Some f -> T.f ~digits:2 f.sp_wall | None -> "-");
-          (match fr with
-          | Some f -> T.fx (s.sp_wall /. f.sp_wall)
-          | None -> "-");
-          per_sec active.sp_cand active.sp_wall;
-          per_sec active.sp_iters active.sp_wall;
-        ])
-      slow
-  in
-  let slow_total = total (fun r -> r.sp_wall) slow in
-  let fast_total = Option.map (total (fun r -> r.sp_wall)) fast in
-  let totals =
-    let active_wall = Option.value fast_total ~default:slow_total in
-    let cand = sum (fun r -> r.sp_cand) (Option.value fast ~default:slow) in
-    let iters =
-      sum (fun r -> r.sp_iters) (Option.value fast ~default:slow)
-    in
+  section "Synthesis performance: one fast-path pass (Table 2 workload)";
+  Fastpath.reset_counters ();
+  (* words the pass allocates: deterministic, unlike its wall time, so
+     tools/check_overhead.sh gates tracing overhead on it *)
+  let w0 = Gc.minor_words () in
+  let runs = synth_measure () in
+  let minor_words = Gc.minor_words () -. w0 in
+  let sum f = List.fold_left (fun a r -> a + f r) 0 runs in
+  let total_s = List.fold_left (fun a r -> a +. r.sp_wall) 0.0 runs in
+  let row suite frags wall cand iters =
     [
-      "TOTAL";
-      string_of_int (sum (fun r -> r.sp_frags) slow);
-      T.f ~digits:2 slow_total;
-      (match fast_total with Some t -> T.f ~digits:2 t | None -> "-");
-      (match fast_total with
-      | Some t -> T.fx (slow_total /. t)
-      | None -> "-");
-      per_sec cand active_wall;
-      per_sec iters active_wall;
+      suite;
+      string_of_int frags;
+      T.f ~digits:2 wall;
+      per_sec cand wall;
+      per_sec iters wall;
     ]
   in
   T.print
-    ~aligns:
-      [ T.Left; T.Right; T.Right; T.Right; T.Right; T.Right; T.Right ]
-    ([
-       "Suite"; "# Frag"; "Baseline (s)"; "Fast (s)"; "Speedup";
-       "cand/s"; "iters/s";
-     ]
-    :: rows
-    @ [ totals ]);
-  Option.iter
-    (fun _ -> Fmt.pr "@.fast-path caches: %a@." Fastpath.pp_counters ())
-    fast;
+    ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right ]
+    ([ "Suite"; "# Frag"; "Wall (s)"; "cand/s"; "iters/s" ]
+     :: List.map
+          (fun r -> row r.sp_suite r.sp_frags r.sp_wall r.sp_cand r.sp_iters)
+          runs
+    @ [
+        row "TOTAL"
+          (sum (fun r -> r.sp_frags))
+          total_s
+          (sum (fun r -> r.sp_cand))
+          (sum (fun r -> r.sp_iters));
+      ]);
+  Fmt.pr "@.fast-path caches: %a@." Fastpath.pp_counters ();
+  let c = Fastpath.counters () in
   json_synth :=
     J.Obj
-      ([
-         ("workload", J.Str "table2");
-         ("baseline", json_of_runs slow);
-         ("baseline_total_s", J.Float slow_total);
-       ]
-      @ (match (fast, fast_total) with
-        | Some f, Some ft ->
-            let c = Fastpath.counters () in
+      [
+        ("workload", J.Str "table2");
+        ("suites", json_of_runs runs);
+        ("total_s", J.Float total_s);
+        ("minor_words", J.Int (int_of_float minor_words));
+        ( "counters",
+          J.Obj
             [
-              ("fast", json_of_runs f);
-              ("fast_total_s", J.Float ft);
-              ("fast_minor_words", J.Int (int_of_float !fast_minor_words));
-              ("speedup", J.Float (slow_total /. ft));
-              ( "counters",
-                J.Obj
-                  [
-                    ("eval_hits", J.Int c.Fastpath.eval_hits);
-                    ("eval_misses", J.Int c.Fastpath.eval_misses);
-                    ("cell_hits", J.Int c.Fastpath.cell_hits);
-                    ("cell_misses", J.Int c.Fastpath.cell_misses);
-                    ("emit_fp_hits", J.Int c.Fastpath.emit_fp_hits);
-                    ("emit_fp_misses", J.Int c.Fastpath.emit_fp_misses);
-                    ("phi_hits", J.Int c.Fastpath.phi_hits);
-                    ("verdict_hits", J.Int c.Fastpath.verdict_hits);
-                    ("prefix_forced", J.Int c.Fastpath.prefix_forced);
-                    ("prefix_reused", J.Int c.Fastpath.prefix_reused);
-                  ] );
-            ]
-        | _ -> []))
-
-(* ------------------------------------------------------------------ *)
-(* Multicore runtime: domain-pool scaling                               *)
-
-(** The same synthesis + engine workload on 1/2/4-domain pools.
-
-    Two claims, measured separately: determinism (outputs, summaries
-    and search accounting are byte-identical at every pool size — a
-    hard failure if not) and scaling (wall time per pool size, reported
-    honestly: on a single-core host the speedup is ≈1×, and the JSON
-    records [recommended_domains] so readers can tell). Results land in
-    [BENCH_par.json]. *)
-let par_scaling () =
-  section "Multicore runtime: domain-pool scaling (jobs = 1 / 2 / 4)";
-  (* requested pool sizes clamp to the host's recommended domain count:
-     oversubscribing a small host would report a dishonest slowdown that
-     says nothing about the runtime (requested vs effective both land in
-     the JSON) *)
-  let host = Domain.recommended_domain_count () in
-  let jobs_list = List.map (fun j -> (j, min j host)) [ 1; 2; 4 ] in
-  let synth_benches = [ "WordCount"; "Sum"; "StringMatch" ] in
-  let words =
-    let rng = Rng.create 11 in
-    Value.as_list (Casper_suites.Workload.words rng ~n:20_000 ~vocab:400 ~skew:1.1)
-  in
-  let wc_plan =
-    Plan.(
-      data "words"
-      |>> map_to_pair (fun w -> (w, Value.Int 1))
-      |>> reduce_by_key ~comm_assoc:true (fun a b ->
-              Value.Int (Value.as_int a + Value.as_int b)))
-  in
-  let engine_reps = 5 in
-  let run_at jobs =
-    Par.with_pool ~jobs @@ fun pool ->
-    let t0 = Obs.wall_clock () in
-    let outcomes =
-      List.concat_map
-        (fun name ->
-          let b = Casper_suites.Registry.find_benchmark name in
-          let prog = Minijava.Parser.parse_program b.source in
-          Casper_analysis.Analyze.fragments_of_program prog ~suite:b.suite
-            ~benchmark:b.name
-          |> List.filter_map (fun (f : F.t) ->
-                 if f.F.unsupported = None then
-                   Some (Cegis.find_summary ~config:bench_config ~pool prog f)
-                 else None))
-        synth_benches
-    in
-    let synth_s = Obs.wall_clock () -. t0 in
-    let t1 = Obs.wall_clock () in
-    let runs =
-      List.init engine_reps (fun _ ->
-          Engine.run_plan
-            ~config:{ Exec_config.default with Exec_config.pool = Some pool }
-            ~cluster:Cluster.spark
-            ~datasets:[ ("words", words) ] wc_plan)
-    in
-    let engine_s = Obs.wall_clock () -. t1 in
-    (* pool-size-independent fingerprint: everything but wall times *)
-    let fingerprint =
-      ( List.map
-          (fun (o : Cegis.outcome) ->
-            ( List.map
-                (fun (s : Cegis.solution) ->
-                  (s.Cegis.summary, s.klass, s.comm_assoc, s.static_cost))
-                o.Cegis.solutions,
-              o.Cegis.stats.Cegis.candidates_tried,
-              o.Cegis.stats.Cegis.cegis_iterations,
-              o.Cegis.stats.Cegis.tp_failures,
-              o.Cegis.stats.Cegis.classes_explored,
-              o.Cegis.stats.Cegis.timed_out ))
-          outcomes,
-        List.map
-          (fun (r : Engine.run) -> (r.Engine.output, r.Engine.stages))
-          runs )
-    in
-    (fingerprint, synth_s, engine_s)
-  in
-  let results =
-    List.map (fun (req, eff) -> ((req, eff), run_at eff)) jobs_list
-  in
-  let (fp1, base_synth, base_engine) = List.assoc (1, 1) results in
-  let identical =
-    List.for_all (fun (_, (fp, _, _)) -> fp = fp1) results
-  in
-  if not identical then
-    failwith "par_scaling: outputs differ across pool sizes";
-  let base_total = base_synth +. base_engine in
-  T.print
-    ~aligns:[ T.Right; T.Right; T.Right; T.Right; T.Right; T.Right ]
-    ([ "jobs"; "effective"; "synth (s)"; "engine (s)"; "total (s)"; "speedup" ]
-    :: List.map
-         (fun ((req, eff), (_, ss, es)) ->
-           [
-             string_of_int req;
-             string_of_int eff;
-             T.f ~digits:2 ss;
-             T.f ~digits:2 es;
-             T.f ~digits:2 (ss +. es);
-             T.fx (base_total /. (ss +. es));
-           ])
-         results);
-  Fmt.pr
-    "@.outputs byte-identical across pool sizes: yes (%d searches, %d \
-     engine runs)@.host recommended domains: %d@."
-    (let (fps, _) = fp1 in
-     List.length fps)
-    engine_reps
-    (Domain.recommended_domain_count ());
-  J.write_file "BENCH_par.json"
-    (J.Obj
-       [
-         ("schema", J.Str "casper-bench-par/v1");
-         ("identical_outputs", J.Bool identical);
-         ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
-         ( "runs",
-           J.List
-             (List.map
-                (fun ((req, eff), (_, ss, es)) ->
-                  J.Obj
-                    [
-                      ("jobs", J.Int req);
-                      ("jobs_effective", J.Int eff);
-                      ("synth_wall_s", J.Float ss);
-                      ("engine_wall_s", J.Float es);
-                      ("total_wall_s", J.Float (ss +. es));
-                      ("speedup_vs_jobs1", J.Float (base_total /. (ss +. es)));
-                    ])
-                results) );
-       ]);
-  Fmt.pr "wrote BENCH_par.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Engine data plane: batched stages vs the pre-batch list engine       *)
-
-(** Records/s per stage kind under the array-backed data plane, against
-    a faithful reimplementation of the pre-batch list engine: one boxed
-    record at a time through [List] stages, separate [List.length] +
-    [size_of] accounting folds, [List.iteri]-based partitioning and the
-    [Multiset.group_by_key] pipeline (with its per-record key-string
-    recomputation in the combiner pass). Engine outputs are asserted
-    identical across pool sizes — a hard failure otherwise. Requested
-    pool sizes clamp to the host's recommended domain count. Results
-    land in [BENCH_engine.json]. *)
-let engine_perf () =
-  section "Engine data plane: batched stages vs list engine (records/s)";
-  let n = 60_000 in
-  let rng = Rng.create 23 in
-  let words =
-    Value.as_list (Casper_suites.Workload.words rng ~n ~vocab:1000 ~skew:1.1)
-  in
-  let kvs = List.map (fun w -> Value.Tuple [ w; Value.Int 1 ]) words in
-  let add_i a b = Value.Int (Value.as_int a + Value.as_int b) in
-  let fm w = [ w; w ] in
-  let pred v = Value.size_of v land 1 = 0 in
-  let mv v = add_i v (Value.Int 1) in
-  (* ---- the pre-batch list engine, reproduced stage by stage ---- *)
-  let module Multiset = Casper_common.Multiset in
-  let bytes_of l = List.fold_left (fun a v -> a + Value.size_of v) 0 l in
-  let as_kv = function
-    | Value.Tuple [ k; v ] -> (k, v)
-    | _ -> assert false
-  in
-  let fnv1a32 s =
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun c ->
-        h := !h lxor Char.code c;
-        h := !h * 0x01000193 land 0xffffffff)
-      s;
-    !h
-  in
-  let partition ~by_key workers l =
-    let parts = Array.make workers [] in
-    List.iteri
-      (fun i v ->
-        let p =
-          if by_key then
-            let k, _ = as_kv v in
-            fnv1a32 (Value.to_string k) mod workers
-          else i mod workers
-        in
-        parts.(p) <- v :: parts.(p))
-      l;
-    Array.map List.rev parts
-  in
-  let group_fold f records =
-    Multiset.group_by_key (List.map as_kv records)
-    |> List.map (fun (k, vs) ->
-           match vs with
-           | [] -> assert false
-           | v0 :: rest -> Value.Tuple [ k; List.fold_left f v0 rest ])
-  in
-  (* the old exec charged records_in/bytes_in/records_out/bytes_out on
-     every stage; sink the folds so they cannot be dead-code-eliminated *)
-  let sink = ref 0 in
-  let account inl out =
-    sink :=
-      !sink + List.length inl + bytes_of inl + List.length out + bytes_of out
-  in
-  let baseline_reduce l =
-    let out = group_fold add_i l in
-    (* combiner accounting: partition by key, re-group-fold per
-       partition (exactly the old engine's second pass) *)
-    let parts = partition ~by_key:true Cluster.spark.Cluster.workers l in
-    sink :=
-      !sink
-      + Array.fold_left
-          (fun a part -> a + bytes_of (group_fold add_i part))
-          0 parts;
-    account l out;
-    out
-  in
-  let baseline_group l =
-    let out =
-      Multiset.group_by_key (List.map as_kv l)
-      |> List.map (fun (k, vs) -> Value.Tuple [ k; Value.List vs ])
-    in
-    account l out;
-    out
-  in
-  (* grouped baselines emit in first-seen order; the batched engine
-     sorts by key string — canonicalize before comparing semantics *)
-  let sort_by_key l =
-    List.sort
-      (fun a b ->
-        String.compare
-          (Value.to_string (fst (as_kv a)))
-          (Value.to_string (fst (as_kv b))))
-      l
-  in
-  let stages =
-    [
-      ( "flatMap",
-        words,
-        Plan.(data "d" |>> flat_map fm),
-        (fun l ->
-          let out = List.concat_map fm l in
-          account l out;
-          out),
-        false );
-      ( "filter",
-        words,
-        Plan.(data "d" |>> filter pred),
-        (fun l ->
-          let out = List.filter pred l in
-          account l out;
-          out),
-        false );
-      ( "mapValues",
-        kvs,
-        Plan.(data "d" |>> map_values mv),
-        (fun l ->
-          let out =
-            List.map
-              (fun r ->
-                let k, v = as_kv r in
-                Value.Tuple [ k; mv v ])
-              l
-          in
-          account l out;
-          out),
-        false );
-      ( "reduceByKey",
-        kvs,
-        Plan.(data "d" |>> reduce_by_key ~comm_assoc:true add_i),
-        baseline_reduce,
-        true );
-      ( "groupByKey",
-        kvs,
-        Plan.(data "d" |>> group_by_key ()),
-        baseline_group,
-        true );
-      ( "wordcount",
-        words,
-        Plan.(
-          data "d"
-          |>> map_to_pair (fun w -> (w, Value.Int 1))
-          |>> reduce_by_key ~comm_assoc:true add_i),
-        (fun l ->
-          let pairs =
-            List.concat_map (fun w -> [ Value.Tuple [ w; Value.Int 1 ] ]) l
-          in
-          account l pairs;
-          baseline_reduce pairs),
-        true );
-    ]
-  in
-  let reps = 5 in
-  let time_min f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to reps do
-      let t0 = Obs.wall_clock () in
-      let r = f () in
-      let dt = Obs.wall_clock () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let host = Domain.recommended_domain_count () in
-  let jobs_cfg = List.map (fun j -> (j, min j host)) [ 1; 2; 4 ] in
-  let per_s records wall =
-    if wall > 0.0 then float_of_int records /. wall else 0.0
-  in
-  let rows = ref [] and json_stages = ref [] in
-  List.iter
-    (fun (name, input, plan, baseline, grouped) ->
-      let records = List.length input in
-      let base_out, base_wall =
-        (* the old run_plan also charged input_records/input_bytes with
-           two list walks before the first stage ran *)
-        time_min (fun () ->
-            sink := !sink + List.length input + bytes_of input;
-            baseline input)
-      in
-      let engine_runs =
-        List.map
-          (fun (req, eff) ->
-            let run, wall =
-              Par.with_pool ~jobs:eff @@ fun pool ->
-              time_min (fun () ->
-                  Engine.run_plan
-                    ~config:
-                      { Exec_config.default with Exec_config.pool = Some pool }
-                    ~cluster:Cluster.spark
-                    ~datasets:[ ("d", input) ] plan)
-            in
-            ((req, eff), run, wall))
-          jobs_cfg
-      in
-      (* identical-output assertions: every pool size equals jobs=1, and
-         the batched output equals the list semantics (key-sorted for
-         grouped stages) *)
-      let (_, r1, _) = List.hd engine_runs in
-      List.iter
-        (fun ((req, _), r, _) ->
-          if r.Engine.output <> r1.Engine.output then
-            failwith
-              (Fmt.str "engine_perf: %s output differs at jobs=%d" name req))
-        engine_runs;
-      let canon_base = if grouped then sort_by_key base_out else base_out in
-      if r1.Engine.output <> canon_base then
-        failwith
-          (Fmt.str "engine_perf: %s batched output differs from list engine"
-             name);
-      let base_ps = per_s records base_wall in
-      let eng_ps =
-        List.map (fun (je, _, wall) -> (je, per_s records wall)) engine_runs
-      in
-      let ps1 = snd (List.hd eng_ps) in
-      rows :=
-        ([
-           name;
-           string_of_int records;
-           Fmt.str "%.0f" base_ps;
-           Fmt.str "%.0f" ps1;
-           T.fx (ps1 /. base_ps);
-         ]
-        @ List.map (fun (_, ps) -> Fmt.str "%.0f" ps) (List.tl eng_ps))
-        :: !rows;
-      json_stages :=
-        J.Obj
-          [
-            ("stage", J.Str name);
-            ("records", J.Int records);
-            ("baseline_records_per_s", J.Float base_ps);
-            ("speedup_vs_list_jobs1", J.Float (ps1 /. base_ps));
-            ( "engine",
-              J.List
-                (List.map
-                   (fun ((req, eff), ps) ->
-                     J.Obj
-                       [
-                         ("jobs", J.Int req);
-                         ("jobs_effective", J.Int eff);
-                         ("records_per_s", J.Float ps);
-                       ])
-                   eng_ps) );
-          ]
-        :: !json_stages)
-    stages;
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right; T.Right; T.Right ]
-    ([
-       "Stage"; "records"; "list rec/s"; "batched j1"; "vs list";
-       "j2 rec/s"; "j4 rec/s";
-     ]
-    :: List.rev !rows);
-  Fmt.pr
-    "@.outputs identical across pool sizes and vs list semantics: yes@.host \
-     recommended domains: %d (requested 1/2/4 clamp to effective)@."
-    host;
-  ignore !sink;
-  J.write_file "BENCH_engine.json"
-    (J.Obj
-       [
-         ("schema", J.Str "casper-bench-engine/v1");
-         ("records", J.Int n);
-         ("reps", J.Int reps);
-         ("identical_outputs", J.Bool true);
-         ("recommended_domains", J.Int host);
-         ("stages", J.List (List.rev !json_stages));
-       ]);
-  Fmt.pr "wrote BENCH_engine.json@."
+              ("eval_hits", J.Int c.Fastpath.eval_hits);
+              ("eval_misses", J.Int c.Fastpath.eval_misses);
+              ("cell_hits", J.Int c.Fastpath.cell_hits);
+              ("cell_misses", J.Int c.Fastpath.cell_misses);
+              ("emit_fp_hits", J.Int c.Fastpath.emit_fp_hits);
+              ("emit_fp_misses", J.Int c.Fastpath.emit_fp_misses);
+              ("phi_hits", J.Int c.Fastpath.phi_hits);
+              ("verdict_hits", J.Int c.Fastpath.verdict_hits);
+              ("prefix_forced", J.Int c.Fastpath.prefix_forced);
+              ("prefix_reused", J.Int c.Fastpath.prefix_reused);
+            ] );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-core shuffle: in-memory vs memory-budgeted grouping           *)
@@ -2045,59 +1599,6 @@ let serve_perf () =
          host speedup4)
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (Bechamel)                                          *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel): engine and synthesis kernels";
-  let open Bechamel in
-  let open Toolkit in
-  let rng = Rng.create 8 in
-  let words =
-    Value.as_list
-      (Casper_suites.Workload.words rng ~n:5000 ~vocab:200 ~skew:1.0)
-  in
-  let datasets = [ ("words", words) ] in
-  let wc_plan =
-    Plan.(
-      data "words"
-      |>> map_to_pair (fun w -> (w, Value.Int 1))
-      |>> reduce_by_key (fun a b ->
-              Value.Int (Value.as_int a + Value.as_int b)))
-  in
-  let sum_b = Casper_suites.Registry.find_benchmark "Sum" in
-  let sum_prog = Minijava.Parser.parse_program sum_b.source in
-  let sum_frag =
-    List.hd
-      (Casper_analysis.Analyze.fragments_of_program sum_prog ~suite:"Ariths"
-         ~benchmark:"Sum")
-  in
-  let tests =
-    Test.make_grouped ~name:"casper"
-      [
-        Test.make ~name:"engine wordcount 5k"
-          (Staged.stage (fun () ->
-               ignore
-                 (Engine.run_plan ~cluster:Cluster.spark ~datasets wc_plan)));
-        Test.make ~name:"synthesize Ariths/Sum"
-          (Staged.stage (fun () ->
-               ignore
-                 (Cegis.find_summary ~config:bench_config sum_prog sum_frag)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ t ] -> Fmt.pr "  %-32s %10.2f ms/run@." name (t /. 1e6)
-      | _ -> Fmt.pr "  %-32s (no estimate)@." name)
-    results
-
-(* ------------------------------------------------------------------ *)
 
 let sections_list =
   [
@@ -2116,84 +1617,60 @@ let sections_list =
     ("table5", table5_extensibility);
     ("fault_tolerance", fault_tolerance);
     ("synth_perf", synth_perf);
-    ("par_scaling", par_scaling);
-    ("engine_perf", engine_perf);
     ("spill_perf", spill_perf);
     ("cache_perf", cache_perf);
     ("serve_perf", serve_perf);
-    ("micro", micro);
   ]
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  let only =
-    let rec find = function
-      | "--only" :: v :: _ -> Some (String.split_on_char ',' v)
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
+  let only = ref None and json_path = ref None and trace_path = ref None in
+  let set_jobs n =
+    if n < 1 then raise (Arg.Bad "--jobs must be at least 1")
+    else Par.set_jobs n
   in
-  (let rec find = function
-     | "--seed" :: v :: _ -> (
-         match int_of_string_opt v with
-         | Some s -> cli_seed := s
-         | None -> Fmt.epr "ignoring bad --seed %S@." v)
-     | _ :: rest -> find rest
-     | [] -> ()
-   in
-   find argv);
-  (* sizes the global pool used by sections that don't build their own;
-     par_scaling builds its own 1/2/4-domain pools regardless *)
-  (let rec find = function
-     | "--jobs" :: v :: _ -> (
-         match int_of_string_opt v with
-         | Some n when n >= 1 -> Par.set_jobs n
-         | _ -> Fmt.epr "ignoring bad --jobs %S@." v)
-     | _ :: rest -> find rest
-     | [] -> ()
-   in
-   find argv);
-  if List.mem "--no-opt" argv then begin
-    cli_no_opt := true;
-    (* disable the synthesis fast path for the whole run, not just the
-       synth_perf comparison *)
-    Fastpath.set_enabled false
-  end;
-  let json_path =
-    let rec find = function
-      | "--json" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
+  Arg.parse
+    [
+      ( "--only",
+        Arg.String (fun v -> only := Some (String.split_on_char ',' v)),
+        "IDS run only these comma-separated sections" );
+      ("--seed", Arg.Set_int cli_seed, "N fault-injection seed (default 1)");
+      ("--jobs", Arg.Int set_jobs, "N size of the shared domain pool");
+      ( "--json",
+        Arg.String (fun p -> json_path := Some p),
+        "FILE write section times and synth_perf results" );
+      ( "--trace",
+        Arg.String (fun p -> trace_path := Some p),
+        "FILE write a Chrome trace of the run" );
+    ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "main.exe [--only IDS] [--seed N] [--jobs N] [--json FILE] [--trace FILE]";
+  let ids = List.map fst sections_list in
+  let selected =
+    match !only with
+    | None -> sections_list
+    | Some names -> (
+        match List.filter (fun n -> not (List.mem n ids)) names with
+        | [] -> List.filter (fun (n, _) -> List.mem n names) sections_list
+        | unknown ->
+            Fmt.epr "unknown section id(s): %s@.valid ids: %s@."
+              (String.concat ", " unknown)
+              (String.concat ", " ids);
+            exit 2)
   in
-  let trace_path =
-    let rec find = function
-      | "--trace" :: v :: _ -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
-  if trace_path <> None then bench_obs := Obs.create ();
+  if !trace_path <> None then bench_obs := Obs.create ();
   let obs = !bench_obs in
-  let section_times = ref [] in
+  let section_times = ref [] and failed = ref [] in
   let t0 = Obs.wall_clock () in
   List.iter
     (fun (name, f) ->
-      match only with
-      | Some names when not (List.mem name names) -> ()
-      | _ ->
-          let s0 = Obs.wall_clock () in
-          Obs.span obs name (fun () ->
-              try f ()
-              with e ->
-                Fmt.pr "!! section %s failed: %s@." name
-                  (Printexc.to_string e));
-          section_times :=
-            (name, Obs.wall_clock () -. s0) :: !section_times)
-    sections_list;
+      let s0 = Obs.wall_clock () in
+      Obs.span obs name (fun () ->
+          try f ()
+          with e ->
+            Fmt.pr "!! section %s failed: %s@." name (Printexc.to_string e);
+            failed := name :: !failed);
+      section_times := (name, Obs.wall_clock () -. s0) :: !section_times)
+    selected;
   let total = Obs.wall_clock () -. t0 in
   Fmt.pr "@.total experiment time: %.1fs@." total;
   Option.iter
@@ -2201,8 +1678,7 @@ let () =
       J.write_file path
         (J.Obj
            [
-             ("schema", J.Str "casper-bench/v1");
-             ("no_opt", J.Bool !cli_no_opt);
+             ("schema", J.Str "casper-bench/v2");
              ( "sections",
                J.Obj
                  (List.rev_map
@@ -2212,9 +1688,13 @@ let () =
              ("total_s", J.Float total);
            ]);
       Fmt.pr "wrote %s@." path)
-    json_path;
+    !json_path;
   Option.iter
     (fun path ->
       Obs.write_trace path obs;
       Fmt.pr "wrote %s@." path)
-    trace_path
+    !trace_path;
+  if !failed <> [] then begin
+    Fmt.epr "failed sections: %s@." (String.concat ", " (List.rev !failed));
+    exit 1
+  end

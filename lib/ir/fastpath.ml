@@ -6,9 +6,10 @@
     scratch, but the keying and fingerprint schemes are shared between
     the two modes, so the searched candidate order and the returned
     solutions and statistics are bit-identical either way (enforced by
-    the on/off equivalence tests). The switch exists for exactly two
-    callers: the equivalence tests and the [synth_perf] bench section's
-    speedup comparison. *)
+    the on/off equivalence tests). The off path is the reference the
+    fast path is checked against, and [with_enabled] exists for exactly
+    two callers: the on/off equivalence tests and difftest's fast-path
+    on/off stage. *)
 
 (* Domain-local: each domain (the main one, and every pool worker
    running searches concurrently) toggles its own switch, so a baseline
@@ -18,7 +19,6 @@ let enabled_key : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref true)
 
 let enabled () = !(Domain.DLS.get enabled_key)
-let set_enabled b = Domain.DLS.get enabled_key := b
 
 (** Run [f ()] with the calling domain's fast path forced to [b],
     restoring the previous setting afterwards (also on exceptions). *)

@@ -234,11 +234,12 @@ type search_state = {
           under (see [Enumerate]) *)
   blocked_text : (string, unit) Hashtbl.t;
       (** Ω ∪ Δ in baseline mode, by pretty-printed candidate text —
-          the original keying, kept so [--no-opt] pays the original
-          per-candidate printing cost. Both keys are injective on the
-          candidates one search enumerates, so the same candidates are
-          skipped in the same order in both modes (equivalence tests
-          check this end to end). *)
+          the original keying, kept so the reference path stays
+          independent of the construction keys it is checked against.
+          Both keys are injective on the candidates one search
+          enumerates, so the same candidates are skipped in the same
+          order in both modes (equivalence tests check this end to
+          end). *)
   mutable tried : int;
   mutable iters : int;
   mutable tp_fail : int;

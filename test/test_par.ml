@@ -229,7 +229,8 @@ let test_env_jobs_warns_on_garbage () =
 (* The speculative search replays a batch's unbuilt-candidate items in
    submission order among its candidates; the same stats and solutions
    must come out at any pool size. Two fragments without a summary
-   (mostly unbuilt candidates) and one with several. *)
+   (mostly unbuilt candidates), one with several, and three that
+   translate in a few CEGIS rounds. *)
 let test_search_jobs_identity () =
   let module Cegis = Casper_synth.Cegis in
   List.iter
@@ -266,6 +267,9 @@ let test_search_jobs_identity () =
       ("TemporalMedian", "median3#0");
       ("NLMeans", "adaptiveCut#0");
       ("KMeans", "clusterCounts#0");
+      ("WordCount", "wordcount#0");
+      ("Sum", "sum#0");
+      ("StringMatch", "stringmatch#0");
     ]
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
