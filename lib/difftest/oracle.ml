@@ -364,33 +364,29 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                         n;
                                     (* batch-equivalence: forcing every
                                        record into its own parallel task
-                                       (no inline path, one-record
-                                       ranges) must not change outputs
-                                       or accounting *)
-                                    let saved_rpt = !Par.records_per_task
-                                    and saved_ic = !Par.inline_cutoff in
-                                    Fun.protect
-                                      ~finally:(fun () ->
-                                        Par.records_per_task := saved_rpt;
-                                        Par.inline_cutoff := saved_ic)
-                                      (fun () ->
-                                        Par.records_per_task := 1;
-                                        Par.inline_cutoff := 0;
-                                        let rt =
-                                          Engine.run_plan ~config:(with_pool pn)
-                                            ~cluster ~datasets t.Compile.plan
-                                        in
-                                        if
-                                          rt.Mapreduce.Engine.output
-                                          <> r1.Mapreduce.Engine.output
-                                          || rt.Mapreduce.Engine.stages
-                                             <> r1.Mapreduce.Engine.stages
-                                        then
-                                          fail
-                                            ("batch:" ^ cluster.Cluster.name)
-                                            "tiny-granularity run differs \
-                                             from jobs=1 at jobs=%d"
-                                            n))
+                                       (one-record ranges) must not
+                                       change outputs or accounting *)
+                                    let rt =
+                                      Engine.run_plan
+                                        ~config:
+                                          {
+                                            (with_pool pn) with
+                                            Exec.Config.records_per_task =
+                                              Some 1;
+                                          }
+                                        ~cluster ~datasets t.Compile.plan
+                                    in
+                                    if
+                                      rt.Mapreduce.Engine.output
+                                      <> r1.Mapreduce.Engine.output
+                                      || rt.Mapreduce.Engine.stages
+                                         <> r1.Mapreduce.Engine.stages
+                                    then
+                                      fail
+                                        ("batch:" ^ cluster.Cluster.name)
+                                        "tiny-granularity run differs \
+                                         from jobs=1 at jobs=%d"
+                                        n)
                                   cfg.backends))
                     | _ -> ());
                     (* out-of-core shuffle: a ~1 KB budget forces every

@@ -87,6 +87,8 @@ type exec_ctx = {
   x_obs : Obs.ctx;
   x_pool : Par.pool;
   x_budget : int option;  (** resolved spill budget *)
+  x_spill_dir : string option;  (** [None] = the system temp directory *)
+  x_grain : int;  (** resolved records per parallel task *)
   x_spill_fault : (unit -> bool) option;
   x_cache : cache option;  (** [None] = off *)
   x_cache_fault : (unit -> bool) option;
@@ -196,21 +198,21 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   let input_bytes = Batch.bytes input_batch in
   (* Record-level stage work runs on the pool as tight array loops over
      contiguous index ranges (Par.task_ranges: at most 2 tasks per
-     domain, never fewer than records_per_task records each — the
-     granularity floor that makes fan-out pay for itself). Ranges merge
-     in submission order, and the per-record functions are pure
-     (compiled λm/λr closures evaluate through the side-effect-free
-     [Eval]), so outputs — and the byte accounting fused into the same
-     loops — are byte-identical at any pool size. Inputs at or below
-     Par.inline_cutoff run inline on the submitting domain. Each
-     foreign-domain range is traced on its own "domain-N" track; on the
-     owner [Obs.domain_span] is a no-op, and the engine_batches /
-     engine_tasks counters fire only on the fan-out path, so jobs=1
-     traces are unchanged. *)
+     domain, and no more than one per records_per_task records — the
+     granularity floor that makes fan-out pay for itself; an input of at
+     most that many records is one range and runs inline on the
+     submitting domain). Ranges merge in submission order, and the
+     per-record functions are pure (compiled λm/λr closures evaluate
+     through the side-effect-free [Eval]), so outputs — and the byte
+     accounting fused into the same loops — are byte-identical at any
+     pool size and granularity. Each foreign-domain range is traced on
+     its own "domain-N" track; on the owner [Obs.domain_span] is a
+     no-op, and the engine_batches / engine_tasks counters fire only on
+     the fan-out path, so jobs=1 traces are unchanged. *)
   let ranges_for n =
-    if Par.size pool = 1 || Par.on_worker () || n <= !Par.inline_cutoff then
-      [||]
-    else Par.task_ranges ~jobs:(Par.size pool) n
+    if Par.size pool = 1 || Par.on_worker () then [||]
+    else
+      Par.task_ranges ~records_per_task:ctx.x_grain ~jobs:(Par.size pool) n
   in
   let par_kernel (kernel : Batch.t -> pos:int -> len:int -> Batch.chunk)
       (label : string) (b : Batch.t) : Batch.t =
@@ -353,8 +355,8 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
       (Value.to_string k, k, v)
     in
     let g =
-      Spill.create ~obs ?fault:spill_fault ~lineage ~budget:spill_budget
-        ~label ()
+      Spill.create ~obs ?fault:spill_fault ?dir:ctx.x_spill_dir ~lineage
+        ~budget:spill_budget ~label ()
     in
     try
       Fun.protect ~finally:(fun () -> Spill.cleanup g) @@ fun () ->
@@ -592,6 +594,8 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
         (match config.Exec_config.memory_budget with
         | Some b when b > 0 -> Some b
         | _ -> None);
+      x_spill_dir = config.Exec_config.spill_dir;
+      x_grain = Option.value config.Exec_config.records_per_task ~default:4096;
       x_spill_fault = fault_draw 0x51f4 (fun fp -> fp.Sched.Faults.spill_fault_prob);
       x_cache = config.Exec_config.cache;
       x_cache_fault =

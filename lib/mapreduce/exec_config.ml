@@ -38,6 +38,8 @@ type t = {
   obs : Obs.ctx option;
   pool : Par.pool option;
   memory_budget : int option;
+  spill_dir : string option;
+  records_per_task : int option;
   cache : cache option;
   cluster : Cluster.t option;
   concurrency : int option;
@@ -51,6 +53,8 @@ let default =
     obs = None;
     pool = None;
     memory_budget = None;
+    spill_dir = None;
+    records_per_task = None;
     cache = None;
     cluster = None;
     concurrency = None;
@@ -60,7 +64,8 @@ let default =
 
 (* the only reader of these CASPER_* variables: a positive integer is
    the field's value; unset, zero or negative leave the built-in, and
-   garbage also warns once *)
+   garbage also warns once; a non-empty CASPER_SPILL_DIR is the spill
+   directory *)
 let of_env () =
   let positive name ~on_garbage =
     match Sys.getenv_opt name with
@@ -81,6 +86,10 @@ let of_env () =
     default with
     memory_budget =
       positive "CASPER_MEM_BUDGET" ~on_garbage:"running unbounded";
+    spill_dir =
+      (match Sys.getenv_opt "CASPER_SPILL_DIR" with
+      | Some d when d <> "" -> Some d
+      | _ -> None);
     cache =
       Option.map
         (fun budget -> make_cache ~budget ())

@@ -4,17 +4,18 @@
     A {!t} record is the only way to configure an execution:
     {!Engine.run_plan}, [Runner.run_summary] and [Exec.Session.create]
     each take one [?config]. A [None] field means the built-in value —
-    no spill, no cache, session concurrency 1, admission queue 64 — at
+    no spill, spill files under the system temp directory, 4096 records
+    per task, no cache, session concurrency 1, admission queue 64 — at
     every level; no process-global default sits between a field and the
     built-in.
 
     The environment enters only through {!of_env}, the one reader of
     [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET],
-    [CASPER_EXEC_CONCURRENCY] and [CASPER_EXEC_QUEUE]. A binary that
-    wants the environment calls it once and passes the record on; the
-    library itself never reads these variables. ([CASPER_JOBS] sizes
-    {!Casper_par.Par.global} and [CASPER_SPILL_DIR] names
-    {!Spill.base_dir}; both are read where they are used.) *)
+    [CASPER_EXEC_CONCURRENCY], [CASPER_EXEC_QUEUE] and
+    [CASPER_SPILL_DIR]. A binary that wants the environment calls it
+    once and passes the record on; the library itself never reads these
+    variables. ([CASPER_JOBS] sizes {!Casper_par.Par.global} and is read
+    there.) *)
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
@@ -72,6 +73,13 @@ type t = {
   pool : Par.pool option;  (** domain pool (default {!Par.global}) *)
   memory_budget : int option;
       (** spill budget in bytes (default, or [<= 0]: in-memory) *)
+  spill_dir : string option;
+      (** directory spill files are created under (default: the system
+          temp directory); it must exist *)
+  records_per_task : int option;
+      (** granularity floor of the engine's parallel stages (default
+          4096); small values force tiny tasks, which never changes
+          outputs *)
   cache : cache option;  (** lineage cache (default: none) *)
   cluster : Cluster.t option;
       (** default backend for session jobs submitted without one *)
@@ -90,7 +98,9 @@ val default : t
     [memory_budget] from [CASPER_MEM_BUDGET], [cache] a fresh cache of
     [CASPER_CACHE_BUDGET] bytes, [concurrency] from
     [CASPER_EXEC_CONCURRENCY], [queue_capacity] from
-    [CASPER_EXEC_QUEUE]. A variable that is unset, or not a positive
-    integer, leaves its field [None]; a non-integer also warns once.
+    [CASPER_EXEC_QUEUE], [spill_dir] from [CASPER_SPILL_DIR]. A numeric
+    variable that is unset, or not a positive integer, leaves its field
+    [None]; a non-integer also warns once. An unset or empty
+    [CASPER_SPILL_DIR] leaves [spill_dir] [None].
     Each call reads the environment afresh and builds a new cache. *)
 val of_env : unit -> t

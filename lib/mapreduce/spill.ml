@@ -7,25 +7,8 @@ exception Spill_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Spill_error s)) fmt
 
-(* ------------------------------------------------------------------ *)
-(* Process-wide configuration                                          *)
-
-let base = ref None
-
-let base_dir () =
-  match !base with
-  | Some d -> d
-  | None ->
-      let d =
-        match Sys.getenv_opt "CASPER_SPILL_DIR" with
-        | Some d when d <> "" -> d
-        | _ -> Filename.get_temp_dir_name ()
-      in
-      base := Some d;
-      d
-
-let set_base_dir d = base := Some d
-let max_fanin = ref 64
+(* runs merged at once; more get compacted into one first *)
+let max_fanin = 64
 
 (* ------------------------------------------------------------------ *)
 (* In-memory buffer: one entry per distinct key, values kept raw and in
@@ -55,6 +38,7 @@ type run = { path : string; lo : int; hi : int }
 
 type t = {
   budget : int;
+  parent : string;  (* directory [dir] is created under *)
   obs : Obs.ctx;
   label : string;
   fault : (unit -> bool) option;
@@ -89,10 +73,12 @@ let stats (t : t) : stats =
     io_faults = t.io_faults;
   }
 
-let create ?(obs = Obs.null) ?fault ~lineage ~budget ~label () =
+let create ?(obs = Obs.null) ?fault ?(dir = Filename.get_temp_dir_name ())
+    ~lineage ~budget ~label () =
   if budget <= 0 then err "budget must be positive, got %d" budget;
   {
     budget;
+    parent = dir;
     obs;
     label;
     fault;
@@ -119,8 +105,7 @@ let dir_counter = Atomic.make 0
 
 (* no unix dep: probe names until mkdir succeeds (the counter is
    process-wide, so collisions only come from other processes) *)
-let fresh_dir () =
-  let parent = base_dir () in
+let fresh_dir parent =
   let rec go tries =
     if tries > 1000 then err "cannot create a spill directory under %s" parent;
     let name = Printf.sprintf "casper-spill-%d" (Atomic.fetch_and_add dir_counter 1) in
@@ -128,7 +113,8 @@ let fresh_dir () =
     match Sys.mkdir path 0o700 with
     | () -> path
     | exception Sys_error _ when Sys.file_exists path -> go (tries + 1)
-    | exception Sys_error m -> err "cannot create spill directory: %s" m
+    | exception Sys_error m ->
+        err "cannot create a spill directory under %s: %s" parent m
   in
   go 0
 
@@ -136,7 +122,7 @@ let dir_of t =
   match t.dir with
   | Some d -> d
   | None ->
-      let d = fresh_dir () in
+      let d = fresh_dir t.parent in
       t.dir <- Some d;
       d
 
@@ -364,7 +350,7 @@ let compact t =
 
 let spill t =
   if t.mem.count > 0 then begin
-    if t.nruns >= !max_fanin then compact t;
+    if t.nruns >= max_fanin then compact t;
     let path = fresh_path t in
     let bytes = write_table path t.mem in
     t.runs <- { path; lo = t.window_lo; hi = t.added } :: t.runs;

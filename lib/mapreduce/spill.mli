@@ -11,17 +11,17 @@
     exact arrival order, so the result is byte-identical to the fully
     in-memory grouping at any budget (DESIGN.md §12 has the argument).
 
-    Runs are consecutive arrival windows; when more than {!max_fanin}
-    accumulate, they are compacted into one (which preserves both the
-    arrival-order and the first-arrival-representative invariants,
-    because the windows are consecutive). Injected I/O faults (see
+    Runs are consecutive arrival windows; when 64 accumulate, they are
+    compacted into one (which preserves both the arrival-order and the
+    first-arrival-representative invariants, because the windows are
+    consecutive). Injected I/O faults (see
     {!Sched.Faults.spill_fault_prob}) simulate a lost run file at merge
     time: the file is deleted and re-materialized from lineage — the
     [lineage] callback re-derives the records of the run's arrival
     window — before the merge proceeds, so faults can never change
     outputs.
 
-    Temp files live in a fresh subdirectory of {!base_dir} and are
+    Temp files live in a fresh subdirectory of [create]'s [dir] and are
     removed on every exit path: [finish] sweeps in a [Fun.protect], and
     {!cleanup} is idempotent for callers that wrap the whole stage. *)
 
@@ -29,20 +29,6 @@ module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
 
 exception Spill_error of string
-
-(* ------------------------------------------------------------------ *)
-(* Process-wide configuration.                                         *)
-
-(** Directory spill subdirectories are created under. Defaults to
-    [CASPER_SPILL_DIR] when set, else the system temp directory. *)
-val base_dir : unit -> string
-
-val set_base_dir : string -> unit
-
-(** Maximum runs merged at once; more get compacted into one first.
-    Mutable so tests can force compaction with small inputs; default
-    64. *)
-val max_fanin : int ref
 
 (* ------------------------------------------------------------------ *)
 (* Groupers.                                                           *)
@@ -62,11 +48,14 @@ type stats = {
     an injected fault. [fault] is drawn once per run-file open; [true]
     simulates the loss of that file. [obs] (default disabled) receives
     [spill_runs] / [spill_bytes] / [spill_merge_fanin] /
-    [spill_io_faults] counters and a ["spill.merge"] span. [budget]
-    must be positive. *)
+    [spill_io_faults] counters and a ["spill.merge"] span. [dir]
+    (default: the system temp directory) must exist; the grouper's
+    subdirectory is created under it at the first spill. [budget] must
+    be positive. *)
 val create :
   ?obs:Obs.ctx ->
   ?fault:(unit -> bool) ->
+  ?dir:string ->
   lineage:(int -> string * Value.t * Value.t) ->
   budget:int ->
   label:string ->

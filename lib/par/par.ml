@@ -371,28 +371,17 @@ let await (p : pool) (fut : 'a future) : 'a =
 (* ------------------------------------------------------------------ *)
 (* Task granularity for array-backed stages                            *)
 
-(* Engine data-plane policy (DESIGN.md §11): a parallel task should own
-   at least [records_per_task] records, and inputs at or below
-   [inline_cutoff] records skip the pool entirely — per-record work is
-   so cheap that task handoff would dominate below these floors (the
-   PR 5 regression: one task per list chunk made jobs=4 run 3.7x
-   slower). Mutable so tests and the difftest oracle can force tiny
-   batches to exercise range boundaries; read on the submitting domain
-   only (at split time), so no synchronization is needed. *)
-let default_records_per_task = 4096
-let default_inline_cutoff = 2048
-let records_per_task = ref default_records_per_task
-let inline_cutoff = ref default_inline_cutoff
-
-(* [task_ranges ~jobs n]: contiguous [(pos, len)] ranges covering
-   [0, n), in index order, sizes differing by at most one. The count is
-   [min (2 * jobs) (ceil (n / records_per_task))] — at most two tasks
-   per domain (steal balance), never finer than the granularity
-   floor. *)
-let task_ranges ~jobs (n : int) : (int * int) array =
+(* [task_ranges ~records_per_task ~jobs n]: contiguous [(pos, len)]
+   ranges covering [0, n), in index order, sizes differing by at most
+   one. The count is [min (2 * jobs) (ceil (n / records_per_task))] —
+   at most two tasks per domain (steal balance), never finer than the
+   granularity floor, below which per-record work is so cheap that task
+   handoff would dominate (DESIGN.md §11). The floor is the caller's
+   value, so a run that forces tiny tasks changes nothing else. *)
+let task_ranges ~records_per_task ~jobs (n : int) : (int * int) array =
   if n <= 0 then [||]
   else begin
-    let per = max 1 !records_per_task in
+    let per = max 1 records_per_task in
     let by_floor = (n + per - 1) / per in
     let k = max 1 (min by_floor (2 * max 1 jobs)) in
     Array.init k (fun i ->

@@ -100,21 +100,13 @@ val help : pool -> bool
 (* ------------------------------------------------------------------ *)
 (* Task granularity for array-backed stages (engine data plane).       *)
 
-(** Target records per parallel task for array-backed stages. Tasks
-    never own fewer records than this (except the last range of an
-    input). Mutable so tests can force tiny tasks; default 4096. *)
-val records_per_task : int ref
-
-(** Inputs with at most this many records run inline on the submitting
-    domain — task handoff would cost more than the work. Mutable for
-    tests; default 2048. *)
-val inline_cutoff : int ref
-
-(** [task_ranges ~jobs n]: contiguous [(pos, len)] ranges covering
-    [0, n) in index order, sizes differing by at most one. At most
-    [2 * jobs] ranges, and no more than [ceil (n / !records_per_task)]
-    — the granularity floor. [[||]] when [n <= 0]. *)
-val task_ranges : jobs:int -> int -> (int * int) array
+(** [task_ranges ~records_per_task ~jobs n]: contiguous [(pos, len)]
+    ranges covering [0, n) in index order, sizes differing by at most
+    one. At most [2 * jobs] ranges, and no more than
+    [ceil (n / records_per_task)] — the granularity floor, so an input
+    of at most [records_per_task] records is one range. [[||]] when
+    [n <= 0]. *)
+val task_ranges : records_per_task:int -> jobs:int -> int -> (int * int) array
 
 (* ------------------------------------------------------------------ *)
 (* The process-wide default pool, shared by every [--jobs]-aware entry

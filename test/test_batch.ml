@@ -19,22 +19,18 @@ let pools =
 
 let granularities = [ 1; 7; 1024 ]
 
-(* run a plan with a forced task granularity and no inline path, so
-   even tiny property inputs exercise the parallel fan-out *)
+(* run a plan with a forced task granularity, so even tiny property
+   inputs exercise the parallel fan-out *)
 let run_batched ~jobs ~rpt plan datasets =
   let pool = List.assoc jobs (Lazy.force pools) in
-  let saved_rpt = !Par.records_per_task
-  and saved_ic = !Par.inline_cutoff in
-  Fun.protect
-    ~finally:(fun () ->
-      Par.records_per_task := saved_rpt;
-      Par.inline_cutoff := saved_ic)
-    (fun () ->
-      Par.records_per_task := rpt;
-      Par.inline_cutoff := 0;
-      Engine.run_plan
-        ~config:{ Testenv.config with Casper_exec.Exec.Config.pool = Some pool }
-        ~cluster:Cluster.spark ~datasets plan)
+  Engine.run_plan
+    ~config:
+      {
+        Testenv.config with
+        Casper_exec.Exec.Config.pool = Some pool;
+        records_per_task = Some rpt;
+      }
+    ~cluster:Cluster.spark ~datasets plan
 
 (* every (jobs, granularity) combination must agree with [expected]
    structurally, and all runs must report identical stage metrics *)

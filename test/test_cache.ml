@@ -33,24 +33,16 @@ let pools = lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
 
 let run_cached ?cache ~jobs ~rpt ~memory_budget plan datasets =
   let pool = List.assoc jobs (Lazy.force pools) in
-  let saved_rpt = !Par.records_per_task
-  and saved_ic = !Par.inline_cutoff in
-  Fun.protect
-    ~finally:(fun () ->
-      Par.records_per_task := saved_rpt;
-      Par.inline_cutoff := saved_ic)
-    (fun () ->
-      Par.records_per_task := rpt;
-      Par.inline_cutoff := 0;
-      Engine.run_plan
-        ~config:
-          {
-            Exec.Config.default with
-            Exec.Config.cache;
-            pool = Some pool;
-            memory_budget = Some memory_budget;
-          }
-        ~cluster:Cluster.spark ~datasets plan)
+  Engine.run_plan
+    ~config:
+      {
+        Exec.Config.default with
+        Exec.Config.cache;
+        pool = Some pool;
+        memory_budget = Some memory_budget;
+        records_per_task = Some rpt;
+      }
+    ~cluster:Cluster.spark ~datasets plan
 
 let wc_plan =
   Plan.(

@@ -4,7 +4,6 @@
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
 module Cluster = Mapreduce.Cluster
-module Spill = Mapreduce.Spill
 module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
 module Par = Casper_par.Par
@@ -21,6 +20,11 @@ let run ?(cluster = Cluster.spark) ?(datasets = []) plan =
   Engine.run_plan ~config:Testenv.config ~cluster ~datasets plan
 
 let kv k v = Value.Tuple [ k; v ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let test_flat_map () =
   let p = Plan.(data "d" |>> flat_map (fun x -> [ x; x ])) in
@@ -127,11 +131,6 @@ let test_many_datasets () =
   let p = Plan.(data "d1234") in
   let r = run ~datasets:(many 5000) p in
   check "deep dataset resolves" true (r.Engine.output = ints [ 1234 ]);
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   match run ~datasets:(many 5000 @ [ ("d4999", ints [ 0 ]) ]) p with
   | exception Engine.Engine_error msg ->
       check "error names the duplicate" true (contains msg "d4999")
@@ -220,27 +219,19 @@ let spill_pools = lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
 
 let run_spill ?sched ?obs ~jobs ~rpt ~memory_budget plan datasets =
   let pool = List.assoc jobs (Lazy.force spill_pools) in
-  let saved_rpt = !Par.records_per_task
-  and saved_ic = !Par.inline_cutoff in
-  Fun.protect
-    ~finally:(fun () ->
-      Par.records_per_task := saved_rpt;
-      Par.inline_cutoff := saved_ic)
-    (fun () ->
-      Par.records_per_task := rpt;
-      Par.inline_cutoff := 0;
-      let env =
-        match obs with Some o -> Testenv.traced o | None -> Testenv.config
-      in
-      Engine.run_plan
-        ~config:
-          {
-            env with
-            Exec.Config.sched;
-            pool = Some pool;
-            memory_budget = Some memory_budget;
-          }
-        ~cluster:Cluster.spark ~datasets plan)
+  let env =
+    match obs with Some o -> Testenv.traced o | None -> Testenv.config
+  in
+  Engine.run_plan
+    ~config:
+      {
+        env with
+        Exec.Config.sched;
+        pool = Some pool;
+        memory_budget = Some memory_budget;
+        records_per_task = Some rpt;
+      }
+    ~cluster:Cluster.spark ~datasets plan
 
 (* non-commutative, non-associative combiner: merging partial folds
    instead of replaying arrival order would show up immediately *)
@@ -332,18 +323,18 @@ let test_spill_explicit_zero_wins () =
   check "absent budget is in-memory" true (runs_none = 0);
   check "same output every way" true (out0 = out64 && out_none = out64)
 
+(* a 1-byte budget spills every record as its own run, so 400 words
+   write far more runs than the 64-run fan-in cap: the merge must see
+   at most 64 compacted runs plus the in-memory tail *)
 let test_spill_compaction () =
-  let saved = !Spill.max_fanin in
-  Fun.protect ~finally:(fun () -> Spill.max_fanin := saved) @@ fun () ->
-  Spill.max_fanin := 3;
   let datasets = [ ("w", wc_words 400) ] in
   let base = run_spill ~jobs:1 ~rpt:1024 ~memory_budget:0 wc_plan datasets in
   let obs = Obs.create () in
   let r = run_spill ~obs ~jobs:1 ~rpt:1024 ~memory_budget:1 wc_plan datasets in
   check "far more runs than the fan-in cap" true
-    (Obs.total obs "spill_runs" > 3);
+    (Obs.total obs "spill_runs" > 64);
   check "merge stayed under the cap" true
-    (Obs.total obs "spill_merge_fanin" <= 4);
+    (Obs.total obs "spill_merge_fanin" <= 65);
   check "compacted output identical" true (r.Engine.output = base.Engine.output);
   check "compacted metrics identical" true (r.Engine.stages = base.Engine.stages)
 
@@ -381,16 +372,13 @@ let test_spill_cleanup_on_failure () =
   if Sys.file_exists dir then
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
   else Sys.mkdir dir 0o700;
-  let saved = Spill.base_dir () in
   Fun.protect
     ~finally:(fun () ->
-      Spill.set_base_dir saved;
       Array.iter
         (fun f -> Sys.remove (Filename.concat dir f))
         (Sys.readdir dir);
       Sys.rmdir dir)
   @@ fun () ->
-  Spill.set_base_dir dir;
   let boom _ _ = failwith "reduce exploded" in
   let p =
     Plan.(
@@ -401,7 +389,12 @@ let test_spill_cleanup_on_failure () =
   let datasets = [ ("d", ints (List.init 200 (fun i -> i))) ] in
   (match
      Engine.run_plan
-       ~config:{ Testenv.config with Exec.Config.memory_budget = Some 1 }
+       ~config:
+         {
+           Testenv.config with
+           Exec.Config.memory_budget = Some 1;
+           spill_dir = Some dir;
+         }
        ~cluster:Cluster.spark ~datasets p
    with
   | exception Failure _ -> ()
@@ -436,6 +429,65 @@ let test_spill_join_passthrough () =
     (Obs.total obs "spill_runs" > 0);
   check "join output identical" true (r.Engine.output = base.Engine.output);
   check "join metrics identical" true (r.Engine.stages = base.Engine.stages)
+
+(* ---------------- settings that travel in the config ---------------- *)
+
+(* the granularity floor is the run's [records_per_task]: one-record
+   tasks split a 100-record stage into 2 tasks per domain, and the
+   built-in floor keeps the same stage on one inline range *)
+let test_records_per_task_reaches_fan_out () =
+  let p = Plan.(data "d" |>> flat_map (fun x -> [ x ])) in
+  let datasets = [ ("d", ints (List.init 100 Fun.id)) ] in
+  Par.with_pool ~jobs:2 @@ fun pool ->
+  let traced records_per_task =
+    let obs = Obs.create () in
+    let r =
+      Engine.run_plan
+        ~config:
+          {
+            (Testenv.traced obs) with
+            Exec.Config.pool = Some pool;
+            records_per_task;
+          }
+        ~cluster:Cluster.spark ~datasets p
+    in
+    (r.Engine.output, obs)
+  in
+  let out1, obs1 = traced (Some 1) in
+  let out_default, obs_default = traced None in
+  check_int "one-record tasks: 2 per domain" 4 (Obs.total obs1 "engine_tasks");
+  check_int "absent: no fan-out" 0 (Obs.total obs_default "engine_batches");
+  check "same output" true (out1 = out_default)
+
+(* [spill_dir] must exist: a missing one is a clean engine error naming
+   the path, and nothing is created under it *)
+let test_missing_spill_dir () =
+  let missing =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "casper-missing-%d" (Unix.getpid ()))
+  in
+  check "precondition: the directory is missing" false
+    (Sys.file_exists missing);
+  let p =
+    Plan.(data "d" |>> map_to_pair (fun x -> (x, x)) |>> reduce_by_key add_i)
+  in
+  (match
+     Engine.run_plan
+       ~config:
+         {
+           Exec.Config.default with
+           Exec.Config.memory_budget = Some 1;
+           spill_dir = Some missing;
+         }
+       ~cluster:Cluster.spark
+       ~datasets:[ ("d", ints (List.init 50 Fun.id)) ]
+       p
+   with
+  | exception Engine.Engine_error msg ->
+      check "error names the directory" true (contains msg missing)
+  | _ -> Alcotest.fail "expected an engine error for a missing spill_dir");
+  check "nothing created" false (Sys.file_exists missing)
 
 (* ---------------- time model ---------------- *)
 
@@ -529,6 +581,13 @@ let suite =
         Alcotest.test_case "join passthrough" `Quick
           test_spill_join_passthrough;
         QCheck_alcotest.to_alcotest prop_spill_matrix;
+      ] );
+    ( "engine.config",
+      [
+        Alcotest.test_case "records_per_task reaches the fan-out" `Quick
+          test_records_per_task_reaches_fan_out;
+        Alcotest.test_case "missing spill_dir is a clean error" `Quick
+          test_missing_spill_dir;
       ] );
     ( "engine.time",
       [

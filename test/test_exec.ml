@@ -9,7 +9,6 @@ module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
 module Cache = Mapreduce.Cache
 module Cluster = Mapreduce.Cluster
-module Spill = Mapreduce.Spill
 module Value = Casper_common.Value
 module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
@@ -243,16 +242,13 @@ let test_cancel_releases_ledger_and_files () =
   if Sys.file_exists dir then
     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
   else Sys.mkdir dir 0o700;
-  let saved = Spill.base_dir () in
   Fun.protect
     ~finally:(fun () ->
-      Spill.set_base_dir saved;
       Array.iter
         (fun f -> Sys.remove (Filename.concat dir f))
         (Sys.readdir dir);
       Sys.rmdir dir)
   @@ fun () ->
-  Spill.set_base_dir dir;
   Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let plan =
@@ -270,6 +266,7 @@ let test_cancel_releases_ledger_and_files () =
       Exec.Config.pool = Some pool;
       concurrency = Some 1;
       memory_budget = Some 64;
+      spill_dir = Some dir;
     }
   in
   Exec.Session.with_session ~config @@ fun s ->
@@ -403,6 +400,12 @@ let test_of_env () =
   check "cache from CASPER_CACHE_BUDGET" true
     (Option.bind cfg.Exec.Config.cache Cache.budget
     = positive "CASPER_CACHE_BUDGET");
+  check "spill directory from CASPER_SPILL_DIR" true
+    (cfg.Exec.Config.spill_dir
+    =
+    match Sys.getenv_opt "CASPER_SPILL_DIR" with
+    | Some d when d <> "" -> Some d
+    | _ -> None);
   (* a session built from of_env resolves the same knobs *)
   Exec.Session.with_session ~config:cfg @@ fun s ->
   check_int "session concurrency"
@@ -413,20 +416,34 @@ let test_of_env () =
     (Exec.Session.queue_capacity s)
 
 (* only [of_env] reads the environment: a session built from the
-   default config runs at concurrency 1, and a run with the default
-   config stays in memory, whatever CASPER_* says *)
+   default config runs at concurrency 1, a run with the default config
+   stays in memory, and a spilling run ignores a CASPER_SPILL_DIR that
+   names a missing directory, whatever CASPER_* says *)
 let test_library_reads_no_env () =
-  let vars = [ ("CASPER_EXEC_CONCURRENCY", "3"); ("CASPER_MEM_BUDGET", "1") ] in
-  let saved = List.map (fun (name, _) -> (name, Sys.getenv_opt name)) vars in
+  let missing =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "casper-missing-%d" (Unix.getpid ()))
+  in
+  (* no unsetenv: an unset variable comes back as a value that reads as
+     unset — "0" for a number, "" for the directory *)
+  let vars =
+    [
+      ("CASPER_EXEC_CONCURRENCY", "3", "0");
+      ("CASPER_MEM_BUDGET", "1", "0");
+      ("CASPER_SPILL_DIR", missing, "");
+    ]
+  in
+  let saved =
+    List.map
+      (fun (name, _, unset) ->
+        (name, Option.value (Sys.getenv_opt name) ~default:unset))
+      vars
+  in
   Fun.protect
-    ~finally:(fun () ->
-      (* no unsetenv: an unset variable comes back as "0", which reads
-         as unset *)
-      List.iter
-        (fun (name, v) -> Unix.putenv name (Option.value v ~default:"0"))
-        saved)
+    ~finally:(fun () -> List.iter (fun (name, v) -> Unix.putenv name v) saved)
   @@ fun () ->
-  List.iter (fun (name, v) -> Unix.putenv name v) vars;
+  List.iter (fun (name, v, _) -> Unix.putenv name v) vars;
   Exec.Session.with_session ~config:Exec.Config.default (fun s ->
       check_int "default session concurrency" 1 (Exec.Session.concurrency s));
   let obs = Obs.create () in
@@ -437,7 +454,22 @@ let test_library_reads_no_env () =
        ~datasets:[ ("w", wc_words 200) ]
        wc_plan
       : Engine.run);
-  check_int "default run never spills" 0 (Obs.total obs "spill_runs")
+  check_int "default run never spills" 0 (Obs.total obs "spill_runs");
+  let obs = Obs.create () in
+  ignore
+    (Engine.run_plan
+       ~config:
+         {
+           Exec.Config.default with
+           Exec.Config.obs = Some obs;
+           memory_budget = Some 1;
+         }
+       ~cluster:Cluster.spark
+       ~datasets:[ ("w", wc_words 200) ]
+       wc_plan
+      : Engine.run);
+  check "a spilling run uses the temp directory" true
+    (Obs.total obs "spill_runs" > 0)
 
 (* ---------------- the session's obs story ---------------- *)
 

@@ -158,9 +158,10 @@ let test_sched_trace_same_seed_jobs4 () =
 let task_ranges_partition =
   QCheck.Test.make ~name:"task_ranges is an ordered balanced partition"
     ~count:300
-    QCheck.(pair (int_range 1 8) (int_range 0 20000))
-    (fun (jobs, n) ->
-      let ranges = Par.task_ranges ~jobs n in
+    QCheck.(
+      triple (int_range 1 8) (int_range 0 20000) (oneofl [ 1; 7; 4096 ]))
+    (fun (jobs, n, per) ->
+      let ranges = Par.task_ranges ~records_per_task:per ~jobs n in
       if n = 0 then ranges = [||]
       else begin
         let k = Array.length ranges in
@@ -178,21 +179,18 @@ let task_ranges_partition =
         let mx = List.fold_left max 0 sizes in
         covered = Some n
         && k <= 2 * jobs
-        && k <= (n + !Par.records_per_task - 1) / !Par.records_per_task
+        && k <= (n + per - 1) / per
         && mx - mn <= 1
       end)
 
 let test_task_ranges_granularity_floor () =
-  (* 10k records at the default 4096-record floor: at most 3 tasks no
-     matter how many domains *)
-  check "floor caps task count" true
-    (Array.length (Par.task_ranges ~jobs:8 10_000) <= 3);
+  (* 10k records at the engine's default 4096-record floor: at most 3
+     tasks no matter how many domains *)
+  let ranges per jobs n = Par.task_ranges ~records_per_task:per ~jobs n in
+  check "floor caps task count" true (Array.length (ranges 4096 8 10_000) <= 3);
   (* tiny granularity: capped by 2 * jobs instead *)
-  let saved = !Par.records_per_task in
-  Par.records_per_task := 1;
-  check_int "2 tasks per domain" 8 (Array.length (Par.task_ranges ~jobs:4 100));
-  Par.records_per_task := saved;
-  check "n<=0 is empty" true (Par.task_ranges ~jobs:4 0 = [||])
+  check_int "2 tasks per domain" 8 (Array.length (ranges 1 4 100));
+  check "n<=0 is empty" true (ranges 4096 4 0 = [||])
 
 let test_recommended_jobs_clamp () =
   let host = Domain.recommended_domain_count () in

@@ -35,8 +35,8 @@ fi
 
 # One reader of the environment: outside these files no CASPER_*
 # variable is read under lib/ bin/ bench/ (Exec_config.of_env owns the
-# execution knobs, Par the pool size, Spill the temp directory).
-env_readers="lib/mapreduce/exec_config.ml lib/par/par.ml lib/mapreduce/spill.ml"
+# execution knobs and the spill directory, Par the pool size).
+env_readers="lib/mapreduce/exec_config.ml lib/par/par.ml"
 for f in $(grep -rl 'getenv' --include='*.ml' lib bin bench | sort); do
   case " $env_readers " in *" $f "*) continue ;; esac
   if grep -q '"CASPER_' "$f"; then
@@ -49,6 +49,7 @@ done
 # The process-global defaults are gone; configuration travels in an
 # Exec_config.t record only.
 deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
+deleted="$deleted"'|records_per_task :=|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
 if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
   echo "deleted process-default API reappeared"
   fail=1
