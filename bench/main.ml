@@ -1136,6 +1136,8 @@ let synth_perf () =
               ("verdict_hits", J.Int c.Fastpath.verdict_hits);
               ("prefix_forced", J.Int c.Fastpath.prefix_forced);
               ("prefix_reused", J.Int c.Fastpath.prefix_reused);
+              ("lm_records", J.Int c.Fastpath.lm_records);
+              ("loop_units", J.Int c.Fastpath.loop_units);
             ] );
       ]
 

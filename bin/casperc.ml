@@ -48,9 +48,11 @@ let pp_analysis ppf (frag : F.t) =
    execute pipeline, scheduler task spans included. Execution goes
    through an Exec.Session — the serving front door — at concurrency 1,
    where jobs run on the owner domain and the engine's spans keep
-   nesting under each fragment's "execute" span. *)
+   nesting under each fragment's "execute" span. A job that fails or is
+   cancelled, and a fragment whose execution faults, is reported on
+   stderr with its fragment id; the result is how many were. *)
 let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
-    (report : Casper.report) : unit =
+    (report : Casper.report) : int =
   let cluster = Mapreduce.Cluster.spark in
   let prog = report.Casper.program in
   let config =
@@ -60,6 +62,11 @@ let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
       cluster = Some cluster;
       concurrency = Some 1;
     }
+  in
+  let failed = ref 0 in
+  let fail (frag : F.t) fmt =
+    incr failed;
+    Fmt.epr ("casperc: execute %s: " ^^ fmt ^^ "@.") frag.F.frag_id
   in
   Exec.Session.with_session ~config @@ fun session ->
   List.iter
@@ -94,9 +101,12 @@ let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
             | Exec.Session.Completed run ->
                 ignore
                   (Mapreduce.Engine.schedule ~obs ~cluster ~scale:1.0 run)
-            | Exec.Session.Cancelled _ | Exec.Session.Failed _ -> ()
-          with Minijava.Interp.Runtime_error _ -> ()))
-    report.Casper.translations
+            | Exec.Session.Cancelled why -> fail frag "job cancelled (%s)" why
+            | Exec.Session.Failed m -> fail frag "job failed: %s" m
+          with Minijava.Interp.Runtime_error m ->
+            fail frag "runtime error: %s" m))
+    report.Casper.translations;
+  !failed
 
 let compile_file path target verbose summaries_only analysis_only budget trace
     jobs cache_budget =
@@ -198,14 +208,17 @@ let compile_file path target verbose summaries_only analysis_only budget trace
                    runtime selection)@.@."
                   (List.length t.Casper.survivors))
         report.Casper.translations;
-      (match trace with
-      | None -> ()
+      match trace with
+      | None -> 0
       | Some file ->
-          execute_traced exec_config obs report;
+          let failed = execute_traced exec_config obs report in
           Obs.write_trace file obs;
           Fmt.pr "trace written to %s (metrics: %s)@." file
-            (Filename.remove_extension file ^ ".metrics.json"));
-      0
+            (Filename.remove_extension file ^ ".metrics.json");
+          if failed = 0 then 0
+          else (
+            Fmt.epr "casperc: %d traced execution(s) failed@." failed;
+            1)
 
 let path_arg =
   Arg.(

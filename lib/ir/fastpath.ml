@@ -42,6 +42,11 @@ type counters = {
       (** bounded/full verdicts reused by construction key *)
   mutable prefix_forced : int;  (** sequential prefix executions performed *)
   mutable prefix_reused : int;  (** sequential prefix executions avoided *)
+  mutable lm_records : int;
+      (** λm applications to source records made by prepared checks *)
+  mutable loop_units : int;
+      (** outer loop units run by prepared prefixes: one per prefix
+          cell resumed from its predecessor, which runs at most one *)
 }
 
 let zero () =
@@ -56,6 +61,8 @@ let zero () =
     verdict_hits = 0;
     prefix_forced = 0;
     prefix_reused = 0;
+    lm_records = 0;
+    loop_units = 0;
   }
 
 (* Domain-local, like the memo shards they count: pool workers and
@@ -72,11 +79,13 @@ let pp_counters ppf () =
   let c = counters () in
   Fmt.pf ppf
     "eval %d/%d hit, cells %d/%d hit, emit fps %d/%d hit, phi verdicts %d \
-     reused, bounded/full verdicts %d reused, prefixes %d run / %d reused"
+     reused, bounded/full verdicts %d reused, prefixes %d run / %d reused, \
+     %d λm record applications, %d loop units"
     c.eval_hits
     (c.eval_hits + c.eval_misses)
     c.cell_hits
     (c.cell_hits + c.cell_misses)
     c.emit_fp_hits
     (c.emit_fp_hits + c.emit_fp_misses)
-    c.phi_hits c.verdict_hits c.prefix_forced c.prefix_reused
+    c.phi_hits c.verdict_hits c.prefix_forced c.prefix_reused c.lm_records
+    c.loop_units

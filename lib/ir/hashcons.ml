@@ -52,11 +52,13 @@ module Interner (T : INTERNABLE) = struct
 
   type shard = { tbl : (T.t * int) Tbl.t; mutable next : int }
 
-  (* sized for one fragment's search (≈10⁵–10⁶ distinct candidates):
-     growing from a small table would rehash every entry ~10 times.
-     [Hashtbl.reset] keeps this initial capacity. *)
+  (* small, and grown by the search that needs more: [clear] runs at the
+     top of every fragment search and [Tbl.reset] shrinks the table back
+     to this initial size, so a large one would be reallocated by every
+     search, most of which intern a few thousand values. Growth doubles,
+     so a large search rehashes each entry about once on average. *)
   let shard : shard Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { tbl = Tbl.create 131072; next = 0 })
+    Domain.DLS.new_key (fun () -> { tbl = Tbl.create 4096; next = 0 })
 
   let clear () = Tbl.reset (Domain.DLS.get shard).tbl
 
@@ -157,14 +159,14 @@ type key_shard = {
   mutable key_next : int;
 }
 
-(* sized like the interners: one entry per distinct candidate of a
-   fragment's search *)
+(* sized like the interners, small and grown by the search: [clear]
+   shrinks both tables back to this size *)
 let key_shard : key_shard Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
-        emit_tbl = Hashtbl.create 8192;
+        emit_tbl = Hashtbl.create 4096;
         emit_next = 0;
-        key_tbl = Hashtbl.create 131072;
+        key_tbl = Hashtbl.create 4096;
         key_next = 0;
       })
 

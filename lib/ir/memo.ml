@@ -74,16 +74,22 @@ and elt_cache = {
 (* bumped by [clear]; worker shards catch up in [sync_shard] *)
 let generation = Atomic.make 0
 
+(* Every table starts small and grows with the search. [Hashtbl.reset]
+   shrinks a table back to its initial size, and [clear] resets them all
+   at the top of every fragment search: a large initial size would be
+   paid again by every search, most of which fill a few thousand
+   entries. Growth doubles, so a large search rehashes each entry about
+   once on average. *)
 let shard_key : shard Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
-        eval_tbl = Hashtbl.create 262144;
+        eval_tbl = Hashtbl.create 4096;
         str_ids = Hashtbl.create 4096;
         str_next = 0;
         cells_tbl = Hashtbl.create 4096;
         fires_tbl = Hashtbl.create 256;
         elt_envs_tbl = Hashtbl.create 256;
-        emit_fp = Hashtbl.create 32768;
+        emit_fp = Hashtbl.create 4096;
         gen = Atomic.get generation;
       })
 
@@ -353,6 +359,8 @@ let map_elt_envs (base : cenv) (d : string) (params : string list)
    [Eval.stage_emits], unstaged, since the memo table already shares
    the work across candidates *)
 let apply_lam_m_c (lm : lam_m) (cv : cenv) : Eval.emitted =
+  let c = Fastpath.counters () in
+  c.lm_records <- c.lm_records + 1;
   let rec run kvs vs = function
     | [] -> (
         match (kvs, vs) with
@@ -410,6 +418,142 @@ let stage_pipeline ~(lr_ran : bool ref) (base : cenv) (n : node) :
     lr_ran := true;
     Eval.stage_node base.env n)
   else stage_node_m lr_ran base n
+
+(* ------------------------------------------------------------------ *)
+(* Incremental prefixes (DESIGN.md §16).
+
+   [Vc.check_prepared] runs one candidate's pipeline on prefixes 0, 1,
+   2, … of a state's data, and the records of prefix k + 1 are those of
+   prefix k followed by one outer unit's. For a map over source data,
+   optionally reduced and then mapped once more, [stage_prefixes] keeps
+   what the earlier prefixes computed and folds only the new records in:
+
+   - λm runs on the new records only, in order, on the memoized element
+     envs, so the first λm error is the one the from-scratch map raises
+     (the earlier records raised none on the earlier prefix);
+   - the mixed-shapes check then sees every emit so far, as
+     [Eval.map_bag] does once all records are mapped;
+   - pairs fold into one accumulator per key, keys identified by
+     [Value.to_string] and kept in first-seen order as
+     [Multiset.group_by_key] keeps them. From-scratch reduction folds
+     whole groups in that order, so a unit that adds values to several
+     keys is folded group by group in key order, not in emit order: the
+     first λr to raise is the from-scratch one;
+   - a global reduction keeps one accumulator;
+   - a post-map runs on the reduced bag of each prefix.
+
+   λr is pure, so folding the new values into a key's accumulator makes
+   the value the from-scratch fold over the whole group makes, bit for
+   bit. [lr_ran] is set by the same applications, counted over all the
+   prefixes run so far. *)
+
+type group = {
+  g_key : Value.t;  (** the key as first seen *)
+  g_rank : int;  (** first-seen position among the keys *)
+  mutable g_acc : Value.t;  (** λr folded over the values so far *)
+  mutable g_new : Value.t list;  (** the current unit's values, newest first *)
+}
+
+(* [Eval.map_bag]'s error: records emitted both pairs and plain values.
+   The targeted cases of verify.incremental pin the two messages equal. *)
+let mixed_shapes () =
+  raise (Eval.Eval_error "map emits mixed shapes across records")
+
+(* [Map (Data d, lm)], reduced by [lr] when given *)
+let prefix_fold ~(lr_ran : bool ref) (base : cenv) (d : string) (lm : lam_m)
+    (lr : lam_r option) : Eval.staged_node =
+  let f =
+    Option.map
+      (fun lr ->
+        let f = Eval.apply_lam_r base.env lr in
+        fun a b ->
+          lr_ran := true;
+          f a b)
+      lr
+  in
+  (* records mapped so far, and what they emitted, newest first *)
+  let seen = ref 0 and kvs = ref [] and vs = ref [] in
+  let groups : (string, group) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] (* newest first *) and total = ref None in
+  let rec drop n l =
+    match l with _ :: l' when n > 0 -> drop (n - 1) l' | _ -> l
+  in
+  fun datasets ->
+    let records = Eval.dataset datasets d in
+    (* may be longer than [records]: index it, never measure it *)
+    let envs = map_elt_envs base d lm.m_params records in
+    let new_kvs = ref [] and new_vs = ref [] in
+    List.iteri
+      (fun i _ ->
+        match apply_lam_m_c lm envs.(!seen + i) with
+        | `KV l -> new_kvs := List.rev_append l !new_kvs
+        | `V l -> new_vs := List.rev_append l !new_vs)
+      (drop !seen records);
+    seen := List.length records;
+    kvs := !new_kvs @ !kvs;
+    vs := !new_vs @ !vs;
+    match f with
+    | None -> (
+        match (!kvs, !vs) with
+        | [], [] -> Eval.Pairs []
+        | kvs, [] -> Eval.Pairs (List.rev kvs)
+        | [], vs -> Eval.Vals (List.rev vs)
+        | _ -> mixed_shapes ())
+    | Some f -> (
+        (match (!kvs, !vs) with _ :: _, _ :: _ -> mixed_shapes () | _ -> ());
+        let touched = ref [] in
+        List.iter
+          (fun (k, v) ->
+            let s = Value.to_string k in
+            match Hashtbl.find_opt groups s with
+            | Some g ->
+                (match g.g_new with [] -> touched := g :: !touched | _ -> ());
+                g.g_new <- v :: g.g_new
+            | None ->
+                let g =
+                  { g_key = k; g_rank = Hashtbl.length groups; g_acc = v;
+                    g_new = [] }
+                in
+                Hashtbl.add groups s g;
+                order := g :: !order)
+          (List.rev !new_kvs);
+        List.iter
+          (fun g ->
+            let news = List.rev g.g_new in
+            g.g_new <- [];
+            g.g_acc <- List.fold_left f g.g_acc news)
+          (List.sort (fun a b -> Int.compare a.g_rank b.g_rank) !touched);
+        (match List.rev !new_vs with
+        | [] -> ()
+        | v0 :: rest as news ->
+            total :=
+              Some
+                (match !total with
+                | None -> List.fold_left f v0 rest
+                | Some acc -> List.fold_left f acc news));
+        match (!order, !total) with
+        | _ :: _, _ ->
+            Eval.Pairs (List.rev_map (fun g -> (g.g_key, g.g_acc)) !order)
+        | [], Some acc -> Eval.Vals [ acc ]
+        | [], None -> Eval.Pairs [])
+
+(** [stage_pipeline], for a caller that runs the result on prefixes 0,
+    1, 2, … of one state's data, in that order, and stops at the first
+    exception. A map over source data, optionally reduced and then
+    mapped once more, runs incrementally: each prefix maps only the
+    records it adds (see above). Every other pipeline, and every
+    pipeline off the fast path, is {!stage_pipeline}'s. *)
+let stage_prefixes ~(lr_ran : bool ref) (base : cenv) (n : node) :
+    Eval.staged_node =
+  match n with
+  | _ when not (Fastpath.enabled ()) -> stage_pipeline ~lr_ran base n
+  | Map (Data d, lm) -> prefix_fold ~lr_ran base d lm None
+  | Reduce (Map (Data d, lm), lr) -> prefix_fold ~lr_ran base d lm (Some lr)
+  | Map (Reduce (Map (Data d, lm), lr), post) ->
+      Eval.map_node
+        (prefix_fold ~lr_ran base d lm (Some lr))
+        (Eval.apply_lam_m base.env post)
+  | _ -> stage_pipeline ~lr_ran base n
 
 (* ------------------------------------------------------------------ *)
 

@@ -392,13 +392,79 @@ let run_method (prog : program) (name : string) (args : Value.t list) :
   | Some m -> call_method { prog; steps = 0 } m args
   | None -> err "no method named %s" name
 
+(* a fragment is a statement list, not a method body *)
+let in_fragment f = try f () with Return_exc _ -> err "return inside fragment"
+
 (** Execute a statement list in a given environment (fragment execution
     for verification). Returns the final environment. *)
 let run_stmts (prog : program) (env : env) (stmts : stmt list) : env =
   let st = { prog; steps = 0 } in
-  try exec_list st env stmts
-  with Return_exc _ -> err "return inside fragment"
+  in_fragment (fun () -> exec_list st env stmts)
 
 (** Evaluate one expression in an environment. *)
 let eval_expr (prog : program) (env : env) (e : expr) : Value.t =
   eval { prog; steps = 0 } env e
+
+(* ------------------------------------------------------------------ *)
+(* Resumable loops: a loop run over a prefix of its outer units, paused
+   where the run over a longer prefix goes on. *)
+
+type paused = { env : env; steps : int; left : bool }
+
+(* [exec]'s [For] loop after [init], with the test [idx < bound] *)
+let counted_from (st : state) env ~idx ~upd ~body bound : paused =
+  let test = Binop (Lt, Var idx, IntLit bound) in
+  let env = ref env in
+  try
+    let rec go () =
+      let steps = st.steps in
+      if Value.as_bool (eval st !env test) then (
+        tick st;
+        (try env := exec_list st !env body with Continue_exc e -> env := e);
+        env := exec_list st !env upd;
+        go ())
+      else { env = !env; steps; left = false }
+    in
+    go ()
+  with Break_exc e -> { env = e; steps = st.steps; left = true }
+
+let counted_prefix prog env ~init ~idx ~upd ~body bound =
+  let st : state = { prog; steps = 0 } in
+  in_fragment (fun () ->
+      tick st;
+      let env = exec_list st env init in
+      counted_from st env ~idx ~upd ~body bound)
+
+let counted_resume prog (p : paused) ~idx ~upd ~body bound =
+  if p.left then p
+  else
+    in_fragment (fun () ->
+        counted_from
+          ({ prog; steps = p.steps } : state)
+          p.env ~idx ~upd ~body bound)
+
+(* [exec]'s [ForEach] loop over [items] *)
+let items_from (st : state) env ~var ~body items : paused =
+  let env = ref env in
+  try
+    List.iter
+      (fun item ->
+        tick st;
+        env := bind !env var item;
+        try env := exec_list st !env body with Continue_exc e -> env := e)
+      items;
+    { env = !env; steps = st.steps; left = false }
+  with Break_exc e -> { env = e; steps = st.steps; left = true }
+
+let items_prefix prog env ~coll ~var ~body =
+  let st : state = { prog; steps = 0 } in
+  in_fragment (fun () ->
+      tick st;
+      let items = Value.as_list (eval st env coll) in
+      items_from st env ~var ~body items)
+
+let items_resume prog (p : paused) ~var ~body items =
+  if p.left then p
+  else
+    in_fragment (fun () ->
+        items_from ({ prog; steps = p.steps } : state) p.env ~var ~body items)

@@ -359,12 +359,13 @@ let sparse_mismatch (outputs : (string * ty * F.out_kind) list)
    prefix length, never on the candidate — yet [check_state] recomputes
    both for every prefix of every state for every candidate, which
    dominates synthesis time. A prepared state computes each prefix once,
-   lazily, and [check_prepared] replays [check_state]'s exact semantics
-   against the cached cells: laziness preserves exception behaviour (a
-   prefix whose sequential execution faults, or whose truncation raises
-   [Vc_error], only surfaces if a candidate survives all earlier
-   prefixes), and raised exceptions are stored and re-raised so repeated
-   checks observe the same outcome. *)
+   lazily (on the fast path by resuming the previous prefix's loop,
+   {!seq_steps}), and [check_prepared] replays [check_state]'s exact
+   semantics against the cached cells: laziness preserves exception
+   behaviour (a prefix whose sequential execution faults, or whose
+   truncation raises [Vc_error], only surfaces if a candidate survives
+   all earlier prefixes), and raised exceptions are stored and re-raised
+   so repeated checks observe the same outcome. *)
 
 type prefix_cell =
   | PReady of {
@@ -388,6 +389,57 @@ type prepared_state = {
       (** one cell per prefix 0..n when [p_outer] is [Ok n] *)
 }
 
+(* [run_prefix]'s run over one prefix, and the run over the next prefix
+   made from it *)
+type seq_step = { s_env : env; s_next : unit -> seq_step }
+
+(** [run_prefix prog frag entry] over prefixes 0, 1, 2, …, incremental:
+    the result runs prefix 0, and each step's [s_next] runs the next
+    prefix by resuming the step's paused loop
+    ({!Minijava.Interp.counted_resume}): [For] and counted [While] loops
+    go on with a bound one larger, [ForEach] loops with the next element.
+    A step equals [run_prefix] on its prefix in environment, step count
+    and fault. A loop [run_prefix] does not truncate runs whole at prefix
+    0, and every later prefix shares that run. *)
+let seq_steps (prog : program) (frag : F.t) (entry : env) :
+    unit -> seq_step =
+  let module I = Minijava.Interp in
+  let step (p : I.paused) next = { s_env = p.env; s_next = next } in
+  let counted ~init ~idx ~upd ~body () =
+    let rec at k p =
+      step p (fun () ->
+          at (k + 1) (I.counted_resume prog p ~idx ~upd ~body (k + 1)))
+    in
+    at 0 (I.counted_prefix prog entry ~init ~idx ~upd ~body 0)
+  in
+  match (frag.loop, frag.schema) with
+  | ForEach (_, x, Var d, body), (F.SList _ | F.SJoin _) ->
+      fun () ->
+        let items = Value.as_list (List.assoc d entry) in
+        let tmp = "__prefix_" ^ d in
+        let rec at rest p =
+          step p (fun () ->
+              let xs, rest =
+                match rest with v :: rest -> ([ v ], rest) | [] -> ([], [])
+              in
+              at rest (I.items_resume prog p ~var:x ~body xs))
+        in
+        at items
+          (I.items_prefix prog
+             ((tmp, Value.List []) :: entry)
+             ~coll:(Var tmp) ~var:x ~body)
+  | For (init, _, upd, body), (F.SArrays { idx; _ } | F.SMatrix { i = idx; _ })
+    ->
+      counted ~init ~idx ~upd ~body
+  | While (Binop (Lt, Var idx, _), body), F.SArrays { idx = idx'; _ }
+    when String.equal idx idx' ->
+      counted ~init:[] ~idx ~upd:[] ~body
+  | l, _ ->
+      fun () ->
+        let env = I.run_stmts prog entry [ l ] in
+        let rec s = { s_env = env; s_next = (fun () -> s) } in
+        s
+
 let prepare_state (prog : program) (frag : F.t) (entry : env) :
     prepared_state =
   let outer =
@@ -407,11 +459,28 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
       | Error _ -> [||]
       | Ok n ->
           let datasets_at = datasets_at prog frag entry in
+          let seq_at =
+            if not (Casper_ir.Fastpath.enabled ()) then
+              run_prefix prog frag entry
+            else
+              let steps =
+                Array.make (n + 1) (lazy (seq_steps prog frag entry ()))
+              in
+              for k = 1 to n do
+                steps.(k) <-
+                  lazy
+                    (let prev = Lazy.force steps.(k - 1) in
+                     let c = Casper_ir.Fastpath.counters () in
+                     c.loop_units <- c.loop_units + 1;
+                     prev.s_next ())
+              done;
+              fun k -> (Lazy.force steps.(k)).s_env
+          in
           Array.init (n + 1) (fun k ->
               lazy
                 (let c = Casper_ir.Fastpath.counters () in
                  c.prefix_forced <- c.prefix_forced + 1;
-                 match run_prefix prog frag entry k with
+                 match seq_at k with
                  | exception Minijava.Interp.Runtime_error _ -> PSeq_fault
                  | exception e -> PRaise e
                  | seq_env -> (
@@ -451,7 +520,10 @@ let init_len (ps : prepared_state) (var : string) (l : Value.t list) : int =
     walk prefixes 0..n in order and stop at the first failure, so a
     cached cell is only ever consulted at the same point the plain check
     would have computed it; array outputs are compared sparsely
-    ({!sparse_mismatch}), with the same verdicts.
+    ({!sparse_mismatch}), with the same verdicts. The pipeline runs
+    incrementally, each prefix folding in only the records it adds
+    ({!Casper_ir.Memo.stage_prefixes}), with the same values and
+    errors.
 
     The flag says whether any λr was applied before the result was
     decided. When it is [false], every summary that differs from this one
@@ -467,7 +539,7 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
     | Ok n -> (
         let cells = Lazy.force ps.p_cells in
         let run =
-          Casper_ir.Memo.stage_pipeline ~lr_ran ps.p_cenv summary.Ir.pipeline
+          Casper_ir.Memo.stage_prefixes ~lr_ran ps.p_cenv summary.Ir.pipeline
         in
         let rec go k =
           if k > n then Holds

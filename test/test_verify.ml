@@ -454,8 +454,239 @@ let test_bounded_domain_includes_constants () =
   let dom = Casper_verify.Statesgen.bounded_domain frag in
   check "fragment constant in domain" true (List.mem 37 dom.Casper_verify.Statesgen.ints)
 
+(* ---------------- incremental prefixes ---------------- *)
+
+let outcome f = match f () with r -> Ok r | exception e -> Error e
+
+(* the prepared check against the from-scratch one on one state: result,
+   message, lr_ran and any exception the same *)
+let same_check prog frag summary entry ps =
+  let lr_ran = ref false in
+  let plain =
+    outcome (fun () ->
+        let r = Vc.check_state ~lr_ran prog frag summary entry in
+        (r, !lr_ran))
+  in
+  plain = outcome (fun () -> Vc.check_prepared frag summary ps)
+
+(* the resumed sequential run of every prefix of [entry] against
+   [Vc.run_prefix]: outputs equal under [compare], so NaN equals NaN,
+   and a prefix faults where [run_prefix] faults, with its exception *)
+let same_prefixes prog (frag : F.t) entry =
+  match Vc.outer_count prog frag entry with
+  | exception _ -> true
+  | n ->
+      let outputs env =
+        List.map (fun (v, _, _) -> List.assoc_opt v env) frag.F.outputs
+      in
+      let rec go k step =
+        k > n
+        ||
+        match
+          (outcome (fun () -> Vc.run_prefix prog frag entry k), outcome step)
+        with
+        | Ok env, Ok (s : Vc.seq_step) ->
+            compare (outputs env) (outputs s.Vc.s_env) = 0
+            && go (k + 1) s.Vc.s_next
+        | Error e, Error e' -> e = e'
+        | _ -> false
+      in
+      go 0 (Vc.seq_steps prog frag entry)
+
+let candidates prog frag n =
+  let module G = Casper_synth.Grammar in
+  let module E = Casper_synth.Enumerate in
+  let pools = G.build prog frag (Casper_synth.Cegis.make_probes prog frag) in
+  let dead = E.make_dead () in
+  List.to_seq (G.classes frag)
+  |> Seq.concat_map (fun k -> E.candidates ~dead prog frag pools k)
+  |> Seq.filter_map (function E.Cand c -> Some c.E.summary | E.Bulk _ -> None)
+  |> Seq.take n |> List.of_seq
+
+(* every supported Table-2 fragment: its first 200 candidates on its
+   bounded and full states, with the prepared states shared by all
+   candidates as a search shares them. Also pins the work counter: a
+   forced prefix cell after cell 0 resumes its loop for one unit. *)
+let test_incremental_table2 () =
+  let module Cfg = Casper_synth.Cegis in
+  let module Sg = Casper_verify.Statesgen in
+  let module Fp = Casper_ir.Fastpath in
+  let cfg = Cfg.default_config in
+  let diffs = ref [] and checks = ref 0 and prefixes = ref 0 in
+  let forced = ref 0 and forced0 = ref 0 in
+  let units0 = (Fp.counters ()).Fp.loop_units in
+  List.iter
+    (fun (b : Casper_suites.Suite.benchmark) ->
+      let prog = Parser.parse_program b.source in
+      List.iter
+        (fun (frag : F.t) ->
+          if frag.F.unsupported = None then begin
+            Casper_ir.Memo.clear ();
+            let cands = candidates prog frag 200 in
+            let states =
+              Sg.gen_batch ~seed:cfg.Cfg.seed ~count:cfg.Cfg.bounded_states
+                (Sg.bounded_domain frag) prog frag
+              @ Sg.gen_batch ~seed:1301 ~count:cfg.Cfg.full_states
+                  (Sg.full_domain frag) prog frag
+            in
+            List.iter
+              (fun params ->
+                match Vc.entry_of_params prog frag params with
+                | exception Interp.Runtime_error _ -> ()
+                | entry ->
+                    incr prefixes;
+                    if not (same_prefixes prog frag entry) then
+                      diffs := (frag.F.frag_id ^ " prefixes") :: !diffs;
+                    let ps = Vc.prepare_state prog frag entry in
+                    List.iter
+                      (fun c ->
+                        incr checks;
+                        if not (same_check prog frag c entry ps) then
+                          diffs :=
+                            (frag.F.frag_id ^ ": " ^ Ir.summary_to_string c)
+                            :: !diffs)
+                      cands;
+                    if Lazy.is_val ps.Vc.p_cells then
+                      Array.iteri
+                        (fun k c ->
+                          if Lazy.is_val c then (
+                            incr forced;
+                            if k = 0 then incr forced0))
+                        (Lazy.force ps.Vc.p_cells))
+              states
+          end)
+        (An.fragments_of_program prog ~suite:b.suite ~benchmark:b.name))
+    Casper_suites.Registry.all_benchmarks;
+  Alcotest.(check (list string)) "no differences" [] (List.rev !diffs);
+  check (Fmt.str "%d checks over %d states" !checks !prefixes) true
+    (!checks > 100_000);
+  Alcotest.(check int)
+    "loop units = forced cells - forced cell 0s"
+    (!forced - !forced0)
+    ((Fp.counters ()).Fp.loop_units - units0)
+
+let ints l = Value.List (List.map (fun i -> Value.Int i) l)
+
+let kv ?guard k v = { Ir.guard; payload = Ir.KV (k, v) }
+let i_is op n = Ir.Binop (op, Ir.Var "i", Ir.CInt n)
+
+(* [s] stays 0 over zeros: a summary whose bag holds no ["s"] key, or
+   holds ["s"] at 0, agrees with it on every prefix it evaluates *)
+let zeros_src =
+  "int f(int[] x, int n) { int s = 0; for (int i = 0; i < n; i++) s += 0 \
+   * (12 / x[i]); return s; }"
+
+let over_x ?lr emits =
+  let frag = snd (fragment zeros_src) in
+  let m =
+    Ir.Map
+      (Ir.Data (F.primary_dataset frag), { Ir.m_params = [ "i"; "x" ]; emits })
+  in
+  {
+    Ir.pipeline = (match lr with Some lr -> Ir.Reduce (m, lr) | None -> m);
+    bindings = [ ("s", Ir.AtKey (Value.Str "s")) ];
+  }
+
+(* the prepared check of [summary] on x = [xs], against the plain one;
+   returns the prepared result *)
+let incremental_case what summary xs =
+  let prog, frag = fragment zeros_src in
+  let entry =
+    Vc.entry_of_params prog frag
+      [ ("x", ints xs); ("n", Value.Int (List.length xs)) ]
+  in
+  let ps = Vc.prepare_state prog frag entry in
+  check (what ^ ": resumed prefixes") true (same_prefixes prog frag entry);
+  check (what ^ ": prepared = plain") true
+    (same_check prog frag summary entry ps);
+  fst (Vc.check_prepared frag summary ps)
+
+let result = Alcotest.testable (Fmt.of_to_string (function
+    | Vc.Holds -> "Holds"
+    | Vc.Fails { prefix; var } -> Fmt.str "Fails %d %s" prefix var
+    | Vc.Ir_error m -> "Ir_error " ^ m
+    | Vc.State_skipped m -> "State_skipped " ^ m)) ( = )
+
+let test_incremental_cases () =
+  let add = Some add_r in
+  let s0 = kv (Ir.CStr "s") (Ir.CInt 0) in
+  Alcotest.check result "the loop faults at unit 2"
+    (Vc.State_skipped "sequential fault at prefix 3")
+    (incremental_case "loop fault" (over_x ?lr:add [ s0 ]) [ 1; 1; 0; 1 ]);
+  Alcotest.check result "λm raises at unit 2"
+    (Vc.Ir_error "division by zero")
+    (incremental_case "λm fault"
+       (over_x ?lr:add
+          [
+            kv (Ir.CStr "t")
+              (Ir.Binop (Ir.Div, Ir.CInt 1, Ir.Binop (Ir.Sub, Ir.Var "i", Ir.CInt 2)));
+          ])
+       [ 1; 1; 1; 1 ]);
+  (* unit 0 sees key a before key b; unit 1 emits b before a, and both
+     λr applications raise: the from-scratch fold raises a's error *)
+  let lr =
+    {
+      Ir.r_left = "v1";
+      r_right = "v2";
+      r_body =
+        Ir.If
+          ( Ir.Binop (Ir.Eq, Ir.Var "v2", Ir.CInt 0),
+            Ir.Binop (Ir.Div, Ir.Var "v1", Ir.Var "v2"),
+            Ir.Binop (Ir.Mod, Ir.Var "v1", Ir.CInt 0) );
+    }
+  in
+  Alcotest.check result "two raising groups fold in key order"
+    (Vc.Ir_error "division by zero")
+    (incremental_case "group order"
+       (over_x ~lr
+          [
+            kv ~guard:(i_is Ir.Eq 0) (Ir.CStr "a") (Ir.CInt 5);
+            kv (Ir.CStr "b") (Ir.Var "i");
+            kv ~guard:(i_is Ir.Gt 0) (Ir.CStr "a") (Ir.CInt 0);
+          ])
+       [ 1; 1; 1 ]);
+  let mixing =
+    [ kv ~guard:(i_is Ir.Eq 0) (Ir.CStr "s") (Ir.CInt 0);
+      { Ir.guard = Some (i_is Ir.Eq 2); payload = Ir.Val (Ir.CInt 0) } ]
+  in
+  List.iter
+    (fun (what, lr) ->
+      Alcotest.check result what
+        (Vc.Ir_error "map emits mixed shapes across records")
+        (incremental_case what (over_x ?lr mixing) [ 1; 1; 1; 1 ]))
+    [
+      ("plain and pair emits mix at unit 2", add);
+      ("mixing without a reduce", None);
+    ];
+  (* a map over a map is not folded incrementally: it keeps the staged
+     pipeline *)
+  let twice =
+    let s = over_x ?lr:None [ kv (Ir.CStr "s") (Ir.Var "x") ] in
+    {
+      s with
+      Ir.pipeline =
+        Ir.Reduce
+          ( Ir.Map
+              ( s.Ir.pipeline,
+                {
+                  Ir.m_params = [ "k"; "v" ];
+                  emits =
+                    [ kv (Ir.Var "k") (Ir.Binop (Ir.Sub, Ir.Var "v", Ir.Var "v")) ];
+                } ),
+            add_r );
+    }
+  in
+  Alcotest.check result "a map over a map" Vc.Holds
+    (incremental_case "fallback" twice [ 1; 2; 3 ])
+
 let suite =
   [
+    ( "verify.incremental",
+      [
+        Alcotest.test_case "targeted cases" `Quick test_incremental_cases;
+        Alcotest.test_case "Table 2: first 200 candidates" `Slow
+          test_incremental_table2;
+      ] );
     ( "verify.phases",
       [
         Alcotest.test_case "valid accepted" `Quick test_valid_summary_accepted;
