@@ -269,9 +269,9 @@ let jobs_arg =
     value
     & opt (some int) None
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Size of the domain pool used for synthesis and simulated \
-              execution (default: \\$CASPER_JOBS, else 1). Results are \
-              byte-identical at any value.")
+        ~doc:"Size of the domain pool used for simulated execution \
+              (default: \\$CASPER_JOBS, else 1). Synthesis runs on one \
+              domain. Results are byte-identical at any value.")
 
 let cache_budget_arg =
   Arg.(

@@ -10,7 +10,6 @@
     oracle, which is how past reproducers stay fixed in tier-1. *)
 
 module Rng = Casper_common.Rng
-module Memo = Casper_ir.Memo
 module Par = Casper_par.Par
 
 type failure = {
@@ -75,7 +74,6 @@ let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?pool
     let verdicts =
       Par.parallel_map pool
         (fun (i, g) ->
-          Memo.sync_shard ();
           let name = Fmt.str "%s-%d" g.Gen.shape i in
           (i, g, Oracle.check_parsed cfg ~name g.Gen.prog))
         wave

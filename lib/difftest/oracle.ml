@@ -47,12 +47,13 @@ type config = {
       (** run synthesis twice (fast path off / on) and require
           bit-identical search statistics and solutions *)
   check_parallel : int option;
-      (** [Some n]: re-run synthesis on an [n]-domain pool and the
-          engine at pool sizes 1 and [n], requiring byte-identical
-          solutions, stats, outputs and volume accounting (the
-          multicore-runtime determinism contract, DESIGN.md §10).
-          Inside a pool worker the nested runs execute inline, so the
-          stage degrades to a sequential self-comparison there. *)
+      (** [Some n]: run the translated program's plan on the engine at
+          pool sizes 1 and [n], requiring byte-identical outputs and
+          volume accounting (the multicore-runtime determinism
+          contract, DESIGN.md §10). Inside a pool worker the nested runs
+          execute inline, so the stage degrades to a sequential
+          self-comparison there. The search itself always runs on the
+          calling domain. *)
   check_spill : bool;
       (** re-run the translated program with a forced ~1 KB memory
           budget — every grouped stage spills sorted runs to disk —
@@ -219,34 +220,6 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
           fail "obs" "synthesis left unclosed spans on the trace stack";
         if Obs.tree obs = [] then
           fail "obs" "traced synthesis recorded no spans";
-        (* ---- parallel-vs-sequential: the same search on an n-domain
-           pool must produce byte-identical solutions and stats ---- *)
-        (match cfg.check_parallel with
-        | Some n ->
-            let par_outcome =
-              Par.with_pool ~jobs:n @@ fun pool ->
-              let run () =
-                Cegis.find_summary ~config:cfg.synth ~pool prog frag
-              in
-              if cfg.check_fastpath then Fastpath.with_enabled true run
-              else run ()
-            in
-            if not (stats_equal outcome.Cegis.stats par_outcome.Cegis.stats)
-            then
-              fail "parallel"
-                "search stats differ at jobs=%d vs sequential (tried %d vs \
-                 %d, iterations %d vs %d)"
-                n outcome.Cegis.stats.Cegis.candidates_tried
-                par_outcome.Cegis.stats.Cegis.candidates_tried
-                outcome.Cegis.stats.Cegis.cegis_iterations
-                par_outcome.Cegis.stats.Cegis.cegis_iterations;
-            if
-              not
-                (solutions_equal outcome.Cegis.solutions
-                   par_outcome.Cegis.solutions)
-            then
-              fail "parallel" "solutions differ at jobs=%d vs sequential" n
-        | None -> ());
         match outcome.Cegis.solutions with
         | [] ->
             Skipped

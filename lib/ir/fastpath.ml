@@ -7,14 +7,16 @@
     the two modes, so the searched candidate order and the returned
     solutions and statistics are bit-identical either way (enforced by
     the on/off equivalence tests). The off path is the reference the
-    fast path is checked against, and [with_enabled] exists for exactly
-    two callers: the on/off equivalence tests and difftest's fast-path
+    whole fast-path search (bulk counts, dedup partitions, blocked keys)
+    is checked against, and [with_enabled] exists for exactly two
+    callers: the on/off equivalence tests and difftest's fast-path
     on/off stage. *)
 
-(* Domain-local: each domain (the main one, and every pool worker
-   running searches concurrently) toggles its own switch, so a baseline
-   run on one domain cannot turn caches off under a fast-path run on
-   another. Fresh domains start enabled — the default mode. *)
+(* Domain-local: a search runs on one domain, and difftest's pool
+   workers each run whole searches concurrently, so each domain toggles
+   its own switch and a baseline run on one domain cannot turn caches
+   off under a fast-path run on another. Fresh domains start enabled —
+   the default mode. *)
 let enabled_key : bool ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref true)
 
@@ -65,9 +67,9 @@ let zero () =
     loop_units = 0;
   }
 
-(* Domain-local, like the memo shards they count: pool workers and
-   searches running on other domains never write to the caller's
-   record, so a delta taken on one domain is that domain's work. *)
+(* Domain-local, like the memo shards they count: searches running on
+   other domains never write to the caller's record, so a delta taken
+   on one domain is that domain's work. *)
 let counters_key : counters Domain.DLS.key = Domain.DLS.new_key zero
 
 (** The calling domain's counters. *)

@@ -28,13 +28,12 @@
 
     Domain-safety (DESIGN.md §10): every memo table is a per-domain
     shard ([Domain.DLS]), consistent with the per-domain hash-consing it
-    is keyed by. Env and probe-set ids come from process-wide [Atomic]
-    counters, so an environment wrapped on the main domain and evaluated
-    inside a pool worker can never alias a worker-local wrap. [clear]
-    (top of every [find_summary]) resets the calling domain's shard and
-    bumps a global generation; pool tasks call [sync_shard] on entry,
-    which resets their domain's stale shard once per generation — caches
-    never leak results across searches, and never across domains. *)
+    is keyed by. A fragment search runs on one domain from start to
+    finish, and [clear] (top of every [find_summary]) resets that
+    domain's shard, so caches never leak results across searches and
+    never across domains. Env and probe-set ids come from process-wide
+    [Atomic] counters: two domains searching at once never hand out the
+    same id. *)
 
 module Value = Casper_common.Value
 module Library = Casper_common.Library
@@ -42,9 +41,7 @@ open Lang
 
 type cenv = { env_id : int; env : Eval.env }
 
-(* process-wide: env ids must be unique across domains because a cenv
-   wrapped on one domain is evaluated (and cached under its id) on
-   others *)
+(* process-wide, so ids stay unique while several domains search *)
 let env_counter = Atomic.make 0
 
 let wrap (env : Eval.env) : cenv =
@@ -63,16 +60,12 @@ type shard = {
       (** (guard id, probe-set id) -> where the guard fires *)
   elt_envs_tbl : (int * string * string list, elt_cache) Hashtbl.t;
   emit_fp : (int * int * int, int array) Hashtbl.t;
-  mutable gen : int;
 }
 
 and elt_cache = {
   mutable ec_elts : Value.t list;
   mutable ec_envs : cenv array;
 }
-
-(* bumped by [clear]; worker shards catch up in [sync_shard] *)
-let generation = Atomic.make 0
 
 (* Every table starts small and grows with the search. [Hashtbl.reset]
    shrinks a table back to its initial size, and [clear] resets them all
@@ -90,34 +83,9 @@ let shard_key : shard Domain.DLS.key =
         fires_tbl = Hashtbl.create 256;
         elt_envs_tbl = Hashtbl.create 256;
         emit_fp = Hashtbl.create 4096;
-        gen = Atomic.get generation;
       })
 
 let shard () : shard = Domain.DLS.get shard_key
-
-let reset_shard (sh : shard) : unit =
-  Hashtbl.reset sh.eval_tbl;
-  Hashtbl.reset sh.str_ids;
-  Hashtbl.reset sh.cells_tbl;
-  Hashtbl.reset sh.fires_tbl;
-  Hashtbl.reset sh.elt_envs_tbl;
-  Hashtbl.reset sh.emit_fp;
-  Hashcons.clear ()
-
-(** Catch the calling domain's shard up to the latest [clear]
-    generation. Pool tasks that evaluate through the memo layer call
-    this on entry, so a worker that served a previous search starts the
-    new one with empty tables (id counters are monotonic, so even
-    without the reset stale entries could never alias — this bounds
-    memory to one search per domain, like [clear] does on the main
-    domain). *)
-let sync_shard () : unit =
-  let sh = shard () in
-  let g = Atomic.get generation in
-  if sh.gen <> g then begin
-    reset_shard sh;
-    sh.gen <- g
-  end
 
 (** Fast-path cache of emit fingerprints, keyed by the interned ids of
     the emit's components: [(guard, key, value)] for key-value payloads,
@@ -559,12 +527,15 @@ let stage_prefixes ~(lr_ran : bool ref) (base : cenv) (n : node) :
 
 (** Drop the calling domain's memo tables (evaluations, fingerprint
     cells and cell arrays, emit fingerprints, element environments,
-    interned expressions and summaries) and bump the generation that
-    pool-worker shards sync against. Called at the top of
+    interned expressions and summaries). Called at the top of
     [find_summary] so memory is bounded by one fragment's search; env
     ids keep counting so stale ids can never collide. *)
 let clear () =
-  Atomic.incr generation;
   let sh = shard () in
-  reset_shard sh;
-  sh.gen <- Atomic.get generation
+  Hashtbl.reset sh.eval_tbl;
+  Hashtbl.reset sh.str_ids;
+  Hashtbl.reset sh.cells_tbl;
+  Hashtbl.reset sh.fires_tbl;
+  Hashtbl.reset sh.elt_envs_tbl;
+  Hashtbl.reset sh.emit_fp;
+  Hashcons.clear ()

@@ -32,8 +32,9 @@ type config = {
   faults : Faults.profile;
   speculation : bool;
   spec_threshold : float;
-      (** speculate when an attempt has run longer than this multiple of
-          the median completed duration (and half the stage is done) *)
+      (** launch a speculative copy when an attempt has run longer than
+          this multiple of the median completed duration (and half the
+          stage is done) *)
   backoff_base_s : float;
   backoff_cap_s : float;
   max_attempts : int;

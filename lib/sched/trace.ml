@@ -1,7 +1,7 @@
 (** Per-task event log of a scheduled execution.
 
-    The coordinator records every queue/start/finish/fail/speculate/
-    recover transition with its simulation timestamp and the bytes the
+    The coordinator records every queue/start/finish/fail/speculative
+    copy/recover transition with its simulation timestamp and the bytes the
     task moved; the log renders as paper-style ASCII tables through
     {!Casper_common.Tablefmt} and feeds the [fault_tolerance] section of
     the bench harness. *)

@@ -26,7 +26,6 @@ module Value = Casper_common.Value
 module Memo = Casper_ir.Memo
 module Fastpath = Casper_ir.Fastpath
 module Obs = Casper_obs.Obs
-module Par = Casper_par.Par
 
 type config = {
   incremental : bool;  (** false = Table 3's flat-grammar ablation *)
@@ -343,28 +342,6 @@ let holds_on_cached (st : search_state) frag (c : Enumerate.cand) : bool =
     in
     walk st.phi_prepared
 
-(* One candidate's speculatively computed verdicts. Workers evaluate
-   against an immutable snapshot of Φ using the *plain* (pure,
-   regenerate-per-call) verifier paths, so they never touch the shared
-   prepared-state lazies or the search-state tables; the sequential
-   replay below merges the results back in submission order. A worker
-   that raises reports [Sp_failed] and the replay recomputes that
-   candidate sequentially — re-raising any real error at exactly the
-   point, and with exactly the partial stats, of the sequential run. *)
-type spec =
-  | Sp of {
-      sp_passed : int list;
-          (** ids of the snapshot's Φ states the candidate passed, in
-              walk order, up to the first refutation like the
-              sequential walk *)
-      sp_verdict : Verifier.one;
-          (** [Passes] iff every snapshot state passed, else the
-              refutation that ended the walk *)
-      sp_bounded : Verifier.outcome option;
-          (** computed iff [sp_verdict] is [Passes] *)
-    }
-  | Sp_failed
-
 (** Figure 5 lines 1–8: find the next candidate in [cands] that survives
     Φ and bounded model checking. [bounded] is the pre-generated bounded
     batch shared by every candidate of this search (fast path only;
@@ -374,20 +351,9 @@ type spec =
     A [Bulk] item stands for [n] candidates Φ has already refuted: it
     counts as [n] tried candidates minus the blocked ones among them,
     exactly what trying them one by one would count, and is capped at
-    the budget like them.
-
-    With a multi-domain [pool], candidates are checked speculatively in
-    batches of [8 × pool size]: workers compute Φ-verdicts against a
-    snapshot of Φ plus the (Φ-independent) bounded verdict, and a
-    sequential replay then applies the Figure-5 state transitions —
-    budget, Φ growth, blocking, stats — in submission order, [Bulk]
-    items included. Since Φ only grows, a snapshot pass is necessary for
-    a replay pass, and every verdict is a deterministic function of the
-    candidate alone or of (candidate, state), so outcomes, stats and Φ
-    evolution are byte-identical to the sequential run at any pool
-    size. *)
+    the budget like them. *)
 let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
-    ~(pool : Par.pool) ~(bounded : Verifier.prepared list Lazy.t)
+    ~(bounded : Verifier.prepared list Lazy.t)
     (cands : Enumerate.item Seq.t) :
     (Enumerate.cand * Enumerate.item Seq.t) option =
   let fast = (Fastpath.enabled ()) in
@@ -419,8 +385,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
     in
     st.tried <- min st.budget (st.tried + n - blocked)
   in
-  let bounded_verdict (c : Enumerate.cand) ~(spec : Verifier.outcome option) :
-      Verifier.outcome =
+  let bounded_verdict (c : Enumerate.cand) : Verifier.outcome =
     Obs.span obs "bounded-verify" @@ fun () ->
     if fast then (
       match Hashtbl.find_opt st.bounded_verdicts c.key with
@@ -430,20 +395,13 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
           o
       | None ->
           let o =
-            match spec with
-            | Some o -> o
-            | None ->
-                Verifier.check_prepared_batch frag c.summary
-                  (Lazy.force bounded)
+            Verifier.check_prepared_batch frag c.summary (Lazy.force bounded)
           in
           Hashtbl.add st.bounded_verdicts c.key o;
           o)
     else
-      match spec with
-      | Some o -> o
-      | None ->
-          Verifier.bounded_check ~seed:cfg.seed ~count:cfg.bounded_states
-            prog frag c.summary
+      Verifier.bounded_check ~seed:cfg.seed ~count:cfg.bounded_states prog
+        frag c.summary
   in
   let rec go (s : Enumerate.item Seq.t) =
     if st.tried >= st.budget then None
@@ -464,7 +422,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
             if not holds then go rest
             else (
               st.iters <- st.iters + 1;
-              match bounded_verdict c ~spec:None with
+              match bounded_verdict c with
               | Verifier.Valid -> Some (c, rest)
               | Verifier.Counterexample phi_state ->
                   add_phi st prog frag phi_state;
@@ -473,140 +431,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
                   block st c.summary c.key;
                   go rest))
   in
-  (* --- speculative path ------------------------------------------- *)
-  (* the Φ snapshot workers check against: (sid, plain state) pairs in
-     the walk order of [holds_on_cached] (newest first) *)
-  let phi_snapshot () : (int * Minijava.Interp.env) list =
-    if fast then
-      List.map2 (fun (sid, _) state -> (sid, state)) st.phi_prepared st.phi
-    else List.mapi (fun i state -> (-1 - i, state)) st.phi
-  in
-  let speculate snapshot (c : Enumerate.cand) : spec =
-    try
-      Memo.sync_shard ();
-      let rec walk acc = function
-        | [] -> (List.rev acc, Verifier.Passes)
-        | (sid, state) :: rest -> (
-            (* plain per-state check: pure, and verdict-identical to
-               [Verifier.check_prepared_one] on the same state (the
-               fastpath equivalence the difftest oracle verifies) *)
-            match Verifier.check_one prog frag c.summary state with
-            | Verifier.Passes -> walk (sid :: acc) rest
-            | refuted -> (List.rev acc, refuted))
-      in
-      let sp_passed, sp_verdict = walk [] snapshot in
-      let sp_bounded =
-        match sp_verdict with
-        | Verifier.Passes ->
-            Some
-              (Verifier.bounded_check ~seed:cfg.seed
-                 ~count:cfg.bounded_states prog frag c.summary)
-        | Verifier.Refuted _ -> None
-      in
-      Sp { sp_passed; sp_verdict; sp_bounded }
-    with _ -> Sp_failed
-  in
-  (* pull up to [n] items, skipping blocked candidates *)
-  let rec pull n acc (s : Enumerate.item Seq.t) =
-    if n = 0 then (List.rev acc, s)
-    else
-      match s () with
-      | Seq.Nil -> (List.rev acc, Seq.empty)
-      | Seq.Cons (Enumerate.Cand c, rest) when skip_blocked c -> pull n acc rest
-      | Seq.Cons (it, rest) -> pull (n - 1) (it :: acc) rest
-  in
-  let rec spec_round (s : Enumerate.item Seq.t) =
-    let remaining = st.budget - st.tried in
-    if remaining <= 0 then None
-    else
-      let batch, rest = pull (min (8 * Par.size pool) remaining) [] s in
-      match batch with
-      | [] -> None
-      | _ ->
-          let snapshot = phi_snapshot () in
-          let phi_len0 = List.length st.phi in
-          let specs =
-            Par.parallel_map pool (speculate snapshot)
-              (List.filter_map
-                 (function Enumerate.Cand c -> Some c | Bulk _ -> None)
-                 batch)
-          in
-          (* [items] in submission order; [specs] holds one entry per
-             [Cand] among them *)
-          let rec replay items specs =
-            match (items, specs) with
-            | [], _ -> spec_round rest
-            | _ when st.tried >= st.budget -> None
-            | Enumerate.Bulk { n; cids } :: more, _ ->
-                count_bulk n cids;
-                replay more specs
-            | Enumerate.Cand c :: more, spec :: specs ->
-                if skip_blocked c then replay more specs
-                else (
-                  st.tried <- st.tried + 1;
-                  let holds =
-                    if fast then
-                      match spec with
-                      | Sp
-                          {
-                            sp_verdict = Verifier.Refuted { lr_ran; output };
-                            _;
-                          } ->
-                          (* refuted on the snapshot, a subset of Φ *)
-                          refute st c ~lr_ran ~output;
-                          false
-                      | Sp { sp_passed; _ } ->
-                          (* merge the snapshot passes so the cached walk
-                             only checks states added since *)
-                          List.iter
-                            (fun sid ->
-                              Hashtbl.replace st.phi_passed
-                                (phi_key c.key sid) ())
-                            sp_passed;
-                          holds_on_cached st frag c
-                      | Sp_failed -> holds_on_cached st frag c
-                    else
-                      match spec with
-                      | Sp { sp_verdict; _ } ->
-                          (* Φ only grows: candidates must additionally
-                             pass the states added since the snapshot *)
-                          sp_verdict = Verifier.Passes
-                          &&
-                          let n_new = List.length st.phi - phi_len0 in
-                          (n_new = 0
-                          ||
-                          let new_states =
-                            List.filteri (fun i _ -> i < n_new) st.phi
-                          in
-                          Verifier.holds_on prog frag c.summary new_states)
-                      | Sp_failed ->
-                          Verifier.holds_on prog frag c.summary st.phi
-                  in
-                  if not holds then replay more specs
-                  else (
-                    st.iters <- st.iters + 1;
-                    let spec_bounded =
-                      match spec with
-                      | Sp { sp_bounded; _ } -> sp_bounded
-                      | Sp_failed -> None
-                    in
-                    match bounded_verdict c ~spec:spec_bounded with
-                    | Verifier.Valid ->
-                        (* leftovers of this batch go back in front of
-                           the enumeration, preserving candidate order *)
-                        Some (c, Seq.append (List.to_seq more) rest)
-                    | Verifier.Counterexample phi_state ->
-                        add_phi st prog frag phi_state;
-                        replay more specs
-                    | Verifier.Invalid_summary _ ->
-                        block st c.summary c.key;
-                        replay more specs))
-            | Enumerate.Cand _ :: _, [] -> assert false
-          in
-          replay batch specs
-  in
-  let use_spec = Par.size pool > 1 && not (Par.on_worker ()) in
-  record (if use_spec then spec_round cands else go cands)
+  record (go cands)
 
 (* ------------------------------------------------------------------ *)
 
@@ -669,9 +494,8 @@ let static_cost prog (frag : F.t) (probe : Casper_ir.Eval.env)
 (* ------------------------------------------------------------------ *)
 
 (** Figure 5 lines 10–24: the full search. *)
-let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
+let rec find_summary ?(obs = Obs.null) ?(config = default_config)
     (prog : Minijava.Ast.program) (frag : F.t) : outcome =
-  let pool = match pool with Some p -> p | None -> Par.global () in
   (* fresh memo/hash-cons tables per search; interned ids are monotonic,
      so entries from earlier searches can never alias new ones *)
   Memo.clear ();
@@ -809,8 +633,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
                 else
                   match
                     Obs.span obs "round" (fun () ->
-                        synthesize config st prog frag ~obs ~pool ~bounded
-                          cands)
+                        synthesize config st prog frag ~obs ~bounded cands)
                   with
                   | None -> `Exhausted
                   | Some (c, cands_rest) ->
@@ -851,7 +674,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
       in
       if config.incremental && scalar_only && List.length frag.outputs >= 3
       then
-        match decompose_multi_output ~obs ~config ~pool prog frag with
+        match decompose_multi_output ~obs ~config prog frag with
         | Some oc -> oc
         | None -> class_loop 0 klasses
       else class_loop 0 klasses
@@ -864,8 +687,8 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config) ?pool
     enumerative synthesizer this factorization reaches the same
     summaries without the cartesian blow-up. The merged result is
     checked end-to-end, so soundness is unaffected. *)
-and decompose_multi_output ~(obs : Obs.ctx) ~(config : config)
-    ~(pool : Par.pool) prog (frag : F.t) : outcome option =
+and decompose_multi_output ~(obs : Obs.ctx) ~(config : config) prog
+    (frag : F.t) : outcome option =
   let sub_config =
     {
       config with
@@ -878,7 +701,7 @@ and decompose_multi_output ~(obs : Obs.ctx) ~(config : config)
     List.map
       (fun out ->
         let frag_o = { frag with F.outputs = [ out ] } in
-        (out, find_summary ~obs ~config:sub_config ~pool prog frag_o))
+        (out, find_summary ~obs ~config:sub_config prog frag_o))
       frag.outputs
   in
   let tried =

@@ -99,14 +99,11 @@ val summary_comm_assoc :
     [elapsed_s], so a virtual-clock context makes the statistic
     deterministic.
 
-    [pool] (default {!Casper_par.Par.global}) bounded-model-checks
-    candidate batches speculatively across its domains; solutions, stats
-    and Φ evolution are byte-identical at any pool size (DESIGN.md §10).
-    *)
+    The search runs on the calling domain from start to finish; it
+    first empties that domain's memo tables ({!Casper_ir.Memo.clear}). *)
 val find_summary :
   ?obs:Casper_obs.Obs.ctx ->
   ?config:config ->
-  ?pool:Casper_par.Par.pool ->
   Minijava.Ast.program ->
   F.t ->
   outcome

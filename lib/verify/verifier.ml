@@ -111,12 +111,6 @@ type one =
   | Passes
   | Refuted of { lr_ran : bool; output : string option }
 
-let one_of (r : Vc.check_result) ~lr_ran : one =
-  match r with
-  | Vc.Holds | Vc.State_skipped _ -> Passes
-  | Vc.Fails { var; _ } -> Refuted { lr_ran; output = Some var }
-  | Vc.Ir_error _ -> Refuted { lr_ran; output = None }
-
 (** Does the candidate hold on one prepared state (the per-state
     conjunct of [holds_on])? A refutation says whether any λr was applied
     before it was decided ({!Vc.check_prepared}) and names the output
@@ -125,20 +119,11 @@ let check_prepared_one (frag : F.t) (summary : Ir.summary) (p : prepared) :
     one =
   match Lazy.force p.pr_state with
   | None -> Passes
-  | Some ps ->
-      let r, lr_ran = Vc.check_prepared frag summary ps in
-      one_of r ~lr_ran
-
-(** [check_prepared_one] on a plain parameter environment: the same
-    verdict, recomputed from scratch, and pure. *)
-let check_one (prog : program) (frag : F.t) (summary : Ir.summary)
-    (params : Minijava.Interp.env) : one =
-  match Vc.entry_of_params prog frag params with
-  | exception Minijava.Interp.Runtime_error _ -> Passes
-  | entry ->
-      let lr_ran = ref false in
-      let r = Vc.check_state ~lr_ran prog frag summary entry in
-      one_of r ~lr_ran:!lr_ran
+  | Some ps -> (
+      match Vc.check_prepared frag summary ps with
+      | (Vc.Holds | Vc.State_skipped _), _ -> Passes
+      | Vc.Fails { var; _ }, lr_ran -> Refuted { lr_ran; output = Some var }
+      | Vc.Ir_error _, lr_ran -> Refuted { lr_ran; output = None })
 
 (* ------------------------------------------------------------------ *)
 (* Algebraic properties of reducers (§5.1's ϵ, §6.3's reduceByKey vs

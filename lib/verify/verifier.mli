@@ -84,11 +84,6 @@ type one =
 (** Single-state conjunct of [holds_on]. *)
 val check_prepared_one : F.t -> Ir.summary -> prepared -> one
 
-(** [check_prepared_one] on an unprepared state: the same verdict,
-    recomputed from scratch, and pure (safe on pool workers). *)
-val check_one :
-  Minijava.Ast.program -> F.t -> Ir.summary -> Minijava.Interp.env -> one
-
 (** Random values of an IR type, for property checks. *)
 val sample_values :
   Casper_common.Rng.t -> Ir.ty -> n:int -> Value.t list

@@ -4,7 +4,8 @@
     must equal its [List] counterpart at every pool size, exceptions
     must pick the lowest-index raiser, and the engine/scheduler stack
     built on top must produce byte-identical runs and traces at jobs=1
-    and jobs=4. *)
+    and jobs=4. A fragment search runs on one domain and must come out
+    the same on a fresh domain and on one that already searched. *)
 
 module Par = Casper_par.Par
 module Value = Casper_common.Value
@@ -222,53 +223,64 @@ let test_env_jobs_warns_on_garbage () =
   check "the warning used its one shot" false
     (Casper_obs.Obs.warn_once ~key:"CASPER_JOBS" "warned again")
 
-(* ---------------- search jobs-independence ---------------- *)
+(* ---------------- search domain-independence ---------------- *)
 
-(* The speculative search replays a batch's unbuilt-candidate items in
-   submission order among its candidates; the same stats and solutions
-   must come out at any pool size. Two fragments without a summary
-   (mostly unbuilt candidates), one with several, and three that
-   translate in a few CEGIS rounds. *)
-let test_search_jobs_identity () =
+(* A search runs on one domain from start to finish and empties that
+   domain's memo shard at entry, but interner and env ids keep counting
+   across searches. A domain that already searched another fragment
+   must therefore find the same stats and solutions as a fresh one: no
+   leftover shard state, and no outcome that depends on an id's value.
+   Two fragments without a summary (mostly unbuilt candidates), one
+   with several, and three that translate in a few CEGIS rounds; the
+   domain is first used by PCA/colMeans, a large matrix search. *)
+let test_search_domain_reuse () =
   let module Cegis = Casper_synth.Cegis in
-  List.iter
-    (fun (bench, frag_id) ->
-      let b = Casper_suites.Registry.find_benchmark bench in
-      let prog = Minijava.Parser.parse_program b.source in
-      let frag =
-        List.find
-          (fun (f : Casper_analysis.Fragment.t) ->
-            String.equal f.Casper_analysis.Fragment.frag_id frag_id)
-          (Casper_analysis.Analyze.fragments_of_program prog ~suite:b.suite
-             ~benchmark:b.name)
-      in
-      let run jobs =
-        Par.with_pool ~jobs @@ fun pool -> Cegis.find_summary ~pool prog frag
-      in
-      let a = run 1 and c = run 4 in
-      let stats (o : Cegis.outcome) =
-        { o.Cegis.stats with Cegis.elapsed_s = 0.0 }
-      in
-      let sols (o : Cegis.outcome) =
-        List.map
-          (fun (s : Cegis.solution) ->
-            ( Casper_ir.Lang.summary_to_string s.Cegis.summary,
-              s.klass,
-              s.comm_assoc,
-              s.static_cost ))
-          o.Cegis.solutions
-      in
-      let tag = bench ^ "/" ^ frag_id in
-      check (tag ^ ": stats identical") true (stats a = stats c);
-      check (tag ^ ": solutions identical") true (sols a = sols c))
-    [
-      ("TemporalMedian", "median3#0");
-      ("NLMeans", "adaptiveCut#0");
-      ("KMeans", "clusterCounts#0");
-      ("WordCount", "wordcount#0");
-      ("Sum", "sum#0");
-      ("StringMatch", "stringmatch#0");
-    ]
+  let fragment (bench, frag_id) =
+    let b = Casper_suites.Registry.find_benchmark bench in
+    let prog = Minijava.Parser.parse_program b.source in
+    let frag =
+      List.find
+        (fun (f : Casper_analysis.Fragment.t) ->
+          String.equal f.Casper_analysis.Fragment.frag_id frag_id)
+        (Casper_analysis.Analyze.fragments_of_program prog ~suite:b.suite
+           ~benchmark:b.name)
+    in
+    (bench ^ "/" ^ frag_id, prog, frag)
+  in
+  let cases =
+    List.map fragment
+      [
+        ("TemporalMedian", "median3#0");
+        ("NLMeans", "adaptiveCut#0");
+        ("KMeans", "clusterCounts#0");
+        ("WordCount", "wordcount#0");
+        ("Sum", "sum#0");
+        ("StringMatch", "stringmatch#0");
+      ]
+  in
+  let run (_, prog, frag) =
+    let o = Cegis.find_summary prog frag in
+    ( { o.Cegis.stats with Cegis.elapsed_s = 0.0 },
+      List.map
+        (fun (s : Cegis.solution) ->
+          ( Casper_ir.Lang.summary_to_string s.Cegis.summary,
+            s.klass,
+            s.comm_assoc,
+            s.static_cost ))
+        o.Cegis.solutions )
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let fresh = List.map (fun c -> on_fresh_domain (fun () -> run c)) cases in
+  let reused =
+    on_fresh_domain (fun () ->
+        ignore (run (fragment ("PCA", "colMeans#0")));
+        List.map run cases)
+  in
+  List.iter2
+    (fun ((tag, _, _), (st_a, sols_a)) (st_b, sols_b) ->
+      check (tag ^ ": stats identical") true (st_a = st_b);
+      check (tag ^ ": solutions identical") true (sols_a = sols_b))
+    (List.combine cases fresh) reused
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -300,8 +312,8 @@ let suite =
       [
         Alcotest.test_case "engine run identical at jobs=1 vs 4" `Quick
           test_engine_jobs_identity;
-        Alcotest.test_case "search identical at jobs=1 vs 4" `Slow
-          test_search_jobs_identity;
+        Alcotest.test_case "search identical on a reused domain" `Slow
+          test_search_domain_reuse;
         Alcotest.test_case "sched trace same-seed identical at jobs=4" `Quick
           test_sched_trace_same_seed_jobs4;
       ] );

@@ -47,11 +47,15 @@ for f in $(grep -rl 'getenv' --include='*.ml' lib bin bench | sort); do
 done
 
 # The process-global defaults are gone; configuration travels in an
-# Exec_config.t record only.
+# Exec_config.t record only. The speculative search is gone too: a
+# fragment search runs on one domain, so the memo needs no generation.
+# Whole words only, so the scheduler's speculative task copies
+# ([speculated], [try_speculate]) do not match.
 deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
 deleted="$deleted"'|records_per_task :=|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
+deleted="$deleted"'|\b(sync_shard|spec_round|speculate|Sp_failed|Memo\.generation)\b'
 if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
-  echo "deleted process-default API reappeared"
+  echo "deleted process-default or search API reappeared"
   fail=1
 fi
 
