@@ -92,24 +92,40 @@ let translate_fragment ?(obs = Obs.null) ?(config = Cegis.default_config)
     hadoop_src = src "hadoop" Casper_codegen.Emit_source.hadoop;
   }
 
-(** Parse, type-check, analyze and translate a whole benchmark source. *)
-let translate_source ?(obs = Obs.null) ?config ~suite ~benchmark
-    (src : string) : report =
-  let program =
-    Obs.span obs "parse" (fun () -> Minijava.Parser.parse_program src)
+(* Each fragment's search is independent (Fig. 5 runs findSummary once
+   per fragment), so the fragments of one program are translated
+   concurrently, one domain per supported fragment up to the host's core
+   count. The domains exit as their last fragment ends rather than wait
+   in a pool (DESIGN.md §10). Each fragment records into a child trace
+   context made on the domain that runs it; the children are grafted in
+   fragment order, up to and including the first that raised, which is
+   the trace a sequential run leaves. The fast-path switch is
+   domain-local, so the caller's setting is carried over. *)
+let translate_fragments ?(obs = Obs.null) ?config
+    (prog : Minijava.Ast.program) (frags : F.t list) : translation list =
+  let supported =
+    List.length (List.filter (fun f -> Option.is_none f.F.unsupported) frags)
   in
-  Obs.span obs "typecheck" (fun () ->
-      Minijava.Typecheck.check_program program);
-  let frags =
-    Casper_analysis.Analyze.fragments_of_program ~obs program ~suite
-      ~benchmark
+  let jobs = max 1 (min (Domain.recommended_domain_count ()) supported) in
+  let fast = Casper_ir.Fastpath.enabled () in
+  let results =
+    Casper_par.Par.spawn_map ~jobs
+      (fun frag ->
+        let child = Obs.fork obs in
+        ( child,
+          match
+            Casper_ir.Fastpath.with_enabled fast (fun () ->
+                translate_fragment ~obs:child ?config prog frag)
+          with
+          | t -> Ok t
+          | exception e -> Error e ))
+      frags
   in
-  {
-    program;
-    suite;
-    benchmark;
-    translations = List.map (translate_fragment ~obs ?config program) frags;
-  }
+  List.map
+    (fun (child, r) ->
+      Obs.graft obs child;
+      match r with Ok t -> t | Error e -> raise e)
+    results
 
 let translate_program ?(obs = Obs.null) ?config ~suite ~benchmark
     (program : Minijava.Ast.program) : report =
@@ -121,8 +137,18 @@ let translate_program ?(obs = Obs.null) ?config ~suite ~benchmark
     program;
     suite;
     benchmark;
-    translations = List.map (translate_fragment ~obs ?config program) frags;
+    translations = translate_fragments ~obs ?config program frags;
   }
+
+(** Parse, type-check, analyze and translate a whole benchmark source. *)
+let translate_source ?(obs = Obs.null) ?config ~suite ~benchmark
+    (src : string) : report =
+  let program =
+    Obs.span obs "parse" (fun () -> Minijava.Parser.parse_program src)
+  in
+  Obs.span obs "typecheck" (fun () ->
+      Minijava.Typecheck.check_program program);
+  translate_program ~obs ?config ~suite ~benchmark program
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)

@@ -54,9 +54,38 @@ val translate_fragment :
   F.t ->
   translation
 
+(** Translate analyzed fragments of one program: equal to
+    [List.map (translate_fragment ?obs ?config prog) frags], computed
+    concurrently. The fragments are independent searches, so they run on
+    [min (Domain.recommended_domain_count ()) s] domains, [s] being the
+    number of supported fragments: the caller and freshly spawned
+    domains that exit when no fragment is left
+    ({!Casper_par.Par.spawn_map}). With one domain, or when called from
+    inside a {!Casper_par.Par} task, they run inline on the caller. No
+    spawned domain is alive once the call returns. Results come back in
+    fragment order. If fragments raise, the lowest-index fragment's
+    exception is re-raised after all have run.
+
+    Each fragment records its spans into a child of [obs] on the domain
+    that runs it; the children are grafted under the caller's innermost
+    open span in fragment order ({!Casper_obs.Obs.graft}), up to and
+    including the first that raised. The span tree and the counter
+    totals are therefore those of a sequential run; only the
+    timestamps of concurrent fragments overlap. The caller's fast-path
+    switch ({!Casper_ir.Fastpath.with_enabled}) applies on every
+    domain. *)
+val translate_fragments :
+  ?obs:Casper_obs.Obs.ctx ->
+  ?config:Cegis.config ->
+  Minijava.Ast.program ->
+  F.t list ->
+  translation list
+
 (** Parse, type-check, analyze and translate MiniJava source text.
     With [obs] enabled the whole pipeline is recorded as spans — parse,
-    typecheck, analysis, then one fragment subtree per translation.
+    typecheck, analysis, then one fragment subtree per translation, in
+    fragment order. The fragments are translated concurrently, as in
+    {!translate_fragments}.
     @raise Minijava.Lexer.Lex_error on lexical errors
     @raise Minijava.Parser.Parse_error on syntax errors
     @raise Minijava.Typecheck.Type_error on type errors *)
@@ -68,7 +97,8 @@ val translate_source :
   string ->
   report
 
-(** Like {!translate_source} for an already-parsed program. *)
+(** Like {!translate_source} for an already-parsed program: analysis,
+    then {!translate_fragments} over every identified fragment. *)
 val translate_program :
   ?obs:Casper_obs.Obs.ctx ->
   ?config:Cegis.config ->

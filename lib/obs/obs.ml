@@ -236,6 +236,60 @@ let total c (key : string) : int =
         try Hashtbl.find c.totals key with Not_found -> 0)
 
 (* ------------------------------------------------------------------ *)
+(* Child contexts for work on other domains                            *)
+
+(* The span stack belongs to the owner domain, so work that runs on
+   another domain at the same time records into a child context of its
+   own and is grafted back once it has finished. The child shares the
+   parent's clock, so grafted timestamps are on the parent's timeline;
+   its root takes the parent's start time and the track of the
+   parent's innermost open span, and consumes no clock tick. *)
+let fork c : ctx =
+  if not c.on then null
+  else
+    let track = match c.stack with p :: _ -> p.track | [] -> c.root.track in
+    let root = make_node ~track ~t0:c.root.t0 "root" in
+    {
+      on = true;
+      clock = c.clock;
+      root;
+      owner = self_id ();
+      lock = Mutex.create ();
+      stack = [ root ];
+      dom_tracks = [];
+      totals = Hashtbl.create 64;
+      gauges = [];
+    }
+
+(* the child's top-level spans (and any counter added outside them)
+   land where a sequential run would have put them: under the parent's
+   innermost open span. Per-domain tracks of the child are not carried
+   over. *)
+let graft c (child : ctx) : unit =
+  if c.on && child.on then begin
+    let top = match c.stack with p :: _ -> p | [] -> c.root in
+    top.rev_children <- child.root.rev_children @ top.rev_children;
+    top.counters <-
+      List.fold_left
+        (fun acc (k, d) -> bump acc k d)
+        top.counters child.root.counters;
+    let totals, gauges =
+      Mutex.protect child.lock (fun () ->
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) child.totals [],
+           child.gauges))
+    in
+    Mutex.protect c.lock (fun () ->
+        List.iter
+          (fun (k, d) ->
+            let prev = try Hashtbl.find c.totals k with Not_found -> 0 in
+            Hashtbl.replace c.totals k (prev + d))
+          totals;
+        List.iter
+          (fun (k, v) -> c.gauges <- (k, v) :: List.remove_assoc k c.gauges)
+          gauges)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Read-side views                                                      *)
 
 type view = {

@@ -64,6 +64,20 @@ val set_gauge : ctx -> string -> float -> unit
 (** Flat total of a counter (0 when never bumped, or disabled). *)
 val total : ctx -> string -> int
 
+(** A child context for work that runs on another domain while this
+    context's owner waits: enabled when [c] is, on [c]'s clock, owned by
+    the calling domain (create it on the domain that does the work).
+    Fold it back with {!graft}. [null] when [c] is disabled. *)
+val fork : ctx -> ctx
+
+(** [graft parent child], on [parent]'s owner once [child]'s work has
+    finished: [child]'s top-level spans are appended under [parent]'s
+    innermost open span, in order, and its counter totals and gauges
+    are added to [parent]'s — the tree a sequential run under [parent]
+    would have recorded. [child]'s per-domain tracks are not carried
+    over. A no-op when either context is disabled. *)
+val graft : ctx -> ctx -> unit
+
 (** Read-side span view; children in start order, counters sorted. *)
 type view = {
   v_name : string;

@@ -253,6 +253,50 @@ let parallel_map (p : pool) (f : 'a -> 'b) (xs : 'a list) : 'b list =
       let arr = Array.of_list xs in
       merge_results (run_batch p (Array.map (fun x () -> f x) arr))
 
+(* ------------------------------------------------------------------ *)
+(* Self-exiting workers: a map with no pool behind it                  *)
+
+(* [spawn_map ~jobs f xs]: up to [jobs - 1] fresh domains and the caller
+   claim indices from one atomic counter until the list is exhausted;
+   a spawned domain then returns, so none outlives the call. No domain
+   ever blocks waiting for work: an idle domain still has to join every
+   stop-the-world minor collection, which slows down the domains that
+   are working (DESIGN.md §10). Same determinism argument as a batch:
+   slot [i] is written only by the domain that claimed [i], and
+   [Domain.join] publishes it to the caller. *)
+let spawn_map ~jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
+  if jobs < 1 then invalid_arg "Par.spawn_map: jobs must be >= 1";
+  match xs with
+  | [] -> []
+  | [ x ] -> [ f x ]
+  | _ when jobs = 1 || on_worker () -> List.map f xs
+  | _ ->
+      let arr = Array.of_list xs in
+      let n = Array.length arr in
+      let results : ('b, exn) result array = Array.make n (Error Exit) in
+      let next = Atomic.make 0 in
+      let rec claim () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          results.(i) <- (try Ok (f arr.(i)) with e -> Error e);
+          claim ()
+        end
+      in
+      let work () = exec_task claim in
+      (* a domain that cannot be spawned (the runtime's domain limit)
+         only narrows the map: the caller claims what is left *)
+      let rec spawn k acc =
+        if k = 0 then acc
+        else
+          match Domain.spawn work with
+          | d -> spawn (k - 1) (d :: acc)
+          | exception Failure _ -> acc
+      in
+      let domains = spawn (min jobs n - 1) [] in
+      work ();
+      List.iter Domain.join domains;
+      merge_results results
+
 (* contiguous balanced chunks: sizes differ by at most one, order kept *)
 let chunk_list (k : int) (xs : 'a list) : 'a list list =
   let n = List.length xs in

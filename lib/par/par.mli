@@ -43,6 +43,22 @@ val on_worker : unit -> bool
     overhead. *)
 val parallel_map : pool -> ('a -> 'b) -> 'a list -> 'b list
 
+(** [spawn_map ~jobs f xs = List.map f xs], with [f] applied across
+    [min jobs (List.length xs)] domains and no pool: the caller and
+    [min jobs (List.length xs) - 1] freshly spawned domains each claim
+    the next unclaimed element until none is left, and a spawned domain
+    exits as soon as the list is exhausted. All are joined before the
+    call returns, so no domain outlives it. When it spawns, [f] runs
+    as a task ({!on_worker} holds), so nested combinators run inline.
+    Exceptions follow {!parallel_map}: the lowest-index raiser's
+    exception is re-raised once every element has been processed. Runs
+    inline with [jobs = 1], from inside a task, and on fewer than two
+    elements. [jobs < 1] raises [Invalid_argument].
+
+    For a few coarse, unequal tasks (a program's fragment searches):
+    unlike a pool, no domain waits idle for work while others run. *)
+val spawn_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+
 (** [parallel_chunks pool f xs = List.map f xs], executed as
     [chunks_per_job * size pool] contiguous chunks (one task per chunk).
     *)

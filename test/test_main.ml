@@ -9,4 +9,4 @@ let () =
    @ Test_workloads.suite @ Test_suites.suite @ Test_fastpath.suite
    @ Test_difftest.suite @ Test_obs.suite @ Test_par.suite
    @ Test_batch.suite @ Test_codec.suite @ Test_cache.suite
-   @ Test_exec.suite)
+   @ Test_exec.suite @ Test_core.suite)

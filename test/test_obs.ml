@@ -67,6 +67,24 @@ let test_span_nesting () =
       check_int "flat total sums all bumps" 3 (Obs.total obs "k")
   | l -> Alcotest.failf "expected 2 top-level spans, got %d" (List.length l)
 
+(* children recorded apart and grafted back read like one sequential
+   run under the parent's innermost open span *)
+let test_fork_graft () =
+  let obs = Obs.create ~clock:(Obs.virtual_clock ()) () in
+  Obs.span obs "outer" (fun () ->
+      let c1 = Obs.fork obs and c2 = Obs.fork obs in
+      Obs.span c1 "a" (fun () -> Obs.add c1 "k" 1);
+      Obs.add c1 "loose" 2;
+      Obs.span c2 "b" (fun () -> Obs.add c2 "k" 3);
+      Obs.graft obs c1;
+      Obs.graft obs c2);
+  check "well formed" true (Obs.well_formed obs);
+  check_str "grafted in order" "outer[loose]\n  a[k]\n  b[k]\n" (Obs.shape obs);
+  check_int "totals added" 4 (Obs.total obs "k");
+  check_int "loose counter" 2 (Obs.total obs "loose");
+  check "fork of a disabled context is disabled" false
+    (Obs.enabled (Obs.fork Obs.null))
+
 let test_disabled_noops () =
   let obs = Obs.null in
   check "null is disabled" false (Obs.enabled obs);
@@ -215,6 +233,52 @@ let q6_shape =
   \      round[candidates]\n\
   \  cost-prune\n\
   \  codegen\n"
+
+(* TPC-H Q17: three fragments, translated concurrently. Each records
+   into a child context on its own domain; grafted back in fragment
+   order, the tree is the one sequential [translate_fragment] calls
+   record under one context: same spans, arguments and counter values,
+   same totals. Only timestamps may differ. *)
+let rec render buf indent (v : Obs.view) =
+  Printf.bprintf buf "%s%s@%s %s %s\n" (String.make indent ' ') v.Obs.v_name
+    v.Obs.v_track
+    (String.concat "," (List.map (fun (k, a) -> k ^ "=" ^ a) v.Obs.v_args))
+    (String.concat ","
+       (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) v.Obs.v_counters));
+  List.iter (render buf (indent + 2)) v.Obs.v_children
+
+let full_tree obs =
+  let buf = Buffer.create 4096 in
+  List.iter (render buf 0) (Obs.tree obs);
+  Buffer.contents buf
+
+let test_concurrent_fragments_shape () =
+  let b = Casper_suites.Registry.find_benchmark "Q17" in
+  let suite = b.Casper_suites.Suite.suite
+  and benchmark = b.Casper_suites.Suite.name
+  and src = b.Casper_suites.Suite.source in
+  let fresh () = Obs.create ~clock:(Obs.virtual_clock ~seed:11 ()) () in
+  let par = fresh () in
+  let report = Casper.translate_source ~obs:par ~config ~suite ~benchmark src in
+  let seq = fresh () in
+  let program =
+    Obs.span seq "parse" (fun () -> Minijava.Parser.parse_program src)
+  in
+  Obs.span seq "typecheck" (fun () -> Minijava.Typecheck.check_program program);
+  let frags =
+    Casper_analysis.Analyze.fragments_of_program ~obs:seq program ~suite
+      ~benchmark
+  in
+  check_int "three fragments" 3 (List.length report.Casper.translations);
+  List.iter
+    (fun f -> ignore (Casper.translate_fragment ~obs:seq ~config program f))
+    frags;
+  check "well formed" true (Obs.well_formed par);
+  check_str "same shape" (Obs.shape seq) (Obs.shape par);
+  check_str "same spans and counters" (full_tree seq) (full_tree par);
+  check_str "same totals"
+    (Casper_common.Jsonout.to_string (Obs.metrics seq))
+    (Casper_common.Jsonout.to_string (Obs.metrics par))
 
 (* ---------------- determinism: same seed, same bytes -------------- *)
 
@@ -389,6 +453,8 @@ let suite =
           test_span_nesting;
         Alcotest.test_case "disabled contexts are no-ops" `Quick
           test_disabled_noops;
+        Alcotest.test_case "fork and graft read as one run" `Quick
+          test_fork_graft;
         Alcotest.test_case "spans close on exceptions" `Quick
           test_exception_safety;
       ] );
@@ -400,6 +466,8 @@ let suite =
           (golden_shape_test "Mean" ~execute:false mean_shape);
         Alcotest.test_case "Q6 pipeline shape" `Slow
           (golden_shape_test "Q6" ~execute:false q6_shape);
+        Alcotest.test_case "Q17 concurrent fragments = sequential tree" `Slow
+          test_concurrent_fragments_shape;
       ] );
     ( "obs.export",
       [

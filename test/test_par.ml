@@ -44,6 +44,17 @@ let combinators_match_list =
              = List.filter (fun x -> x land 1 = 0) xs)
         (Lazy.force pools))
 
+(* [spawn_map] spawns domains per call; more items than jobs, so every
+   domain claims several *)
+let spawn_map_matches_list =
+  QCheck.Test.make ~name:"spawn_map = List.map at jobs 1-4" ~count:40
+    QCheck.(pair (fun1 Observable.int small_int) (list_of_size Gen.(5 -- 40) int))
+    (fun (f, xs) ->
+      let fn x = QCheck.Fn.apply f x in
+      List.for_all
+        (fun jobs -> Par.spawn_map ~jobs fn xs = List.map fn xs)
+        [ 1; 2; 3; 4 ])
+
 let chunks_partition =
   QCheck.Test.make ~name:"chunks k xs is a balanced partition" ~count:200
     QCheck.(pair (int_range 1 9) (small_list int))
@@ -77,6 +88,61 @@ let test_exception_lowest_index () =
   check_int "pool survives a raising batch" 10
     (List.fold_left ( + ) 0
        (Par.parallel_map pool Fun.id [ 1; 2; 3; 4 ]))
+
+let test_spawn_map_lowest_index () =
+  let raised =
+    try
+      ignore
+        (Par.spawn_map ~jobs:4
+           (fun i -> if i mod 3 = 2 then failwith (string_of_int i) else i)
+           (List.init 16 Fun.id));
+      "no exception"
+    with Failure m -> m
+  in
+  check_string "lowest-index exception wins" "2" raised
+
+let test_spawn_map_nesting () =
+  check "not on a worker outside" false (Par.on_worker ());
+  let nested =
+    Par.with_pool ~jobs:2 @@ fun pool ->
+    Par.spawn_map ~jobs:3
+      (fun i ->
+        (* inside: a task, and pool combinators run inline *)
+        (Par.on_worker (), Par.parallel_map pool succ [ i; i + 1 ]))
+      [ 10; 20; 30; 40 ]
+  in
+  check "elements see on_worker" true (List.for_all fst nested);
+  check "nested map correct" true
+    (List.map snd nested = [ [ 11; 12 ]; [ 21; 22 ]; [ 31; 32 ]; [ 41; 42 ] ]);
+  check "on_worker restored" false (Par.on_worker ());
+  (* called from inside a pool task, spawn_map runs inline on that
+     task's domain *)
+  let from_task =
+    Par.with_pool ~jobs:2 @@ fun pool ->
+    Par.parallel_map pool
+      (fun i ->
+        let self = Domain.self () in
+        Par.spawn_map ~jobs:4 (fun j -> (Domain.self () = self, i + j)) [ 1; 2; 3 ])
+      [ 100; 200 ]
+  in
+  check "inline inside a task" true
+    (List.for_all (List.for_all fst) from_task);
+  check "results" true
+    (List.map (List.map snd) from_task = [ [ 101; 102; 103 ]; [ 201; 202; 203 ] ]);
+  check "jobs < 1 rejected" true
+    (match Par.spawn_map ~jobs:0 Fun.id [ 1; 2 ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* every spawned domain is joined: the thread count comes back *)
+let test_spawn_map_no_leftover () =
+  match Testenv.threads () with
+  | None -> ()
+  | Some n ->
+      for _ = 1 to 5 do
+        ignore (Par.spawn_map ~jobs:4 succ (List.init 20 Fun.id))
+      done;
+      check_int "threads after five calls" n (Testenv.settled_threads n)
 
 (* ---------------- lifecycle --------------------------------------- *)
 
@@ -287,7 +353,12 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let suite =
   [
     qsuite "par.props"
-      [ combinators_match_list; chunks_partition; task_ranges_partition ];
+      [
+        combinators_match_list;
+        chunks_partition;
+        task_ranges_partition;
+        spawn_map_matches_list;
+      ];
     ( "par.granularity",
       [
         Alcotest.test_case "task_ranges granularity floor" `Quick
@@ -307,6 +378,12 @@ let suite =
           test_shutdown_and_reuse;
         Alcotest.test_case "nested combinators run inline" `Quick
           test_nested_runs_inline;
+        Alcotest.test_case "spawn_map: lowest-index exception" `Quick
+          test_spawn_map_lowest_index;
+        Alcotest.test_case "spawn_map: nesting runs inline" `Quick
+          test_spawn_map_nesting;
+        Alcotest.test_case "spawn_map: no domain outlives the call" `Quick
+          test_spawn_map_no_leftover;
       ] );
     ( "par.determinism",
       [

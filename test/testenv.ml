@@ -15,3 +15,27 @@ let config = Config.of_env ()
     environment's cache is left out, because a hit would skip the
     stages whose spans and counters the test reads. *)
 let traced obs = { config with Config.obs = Some obs; cache = None }
+
+(** The process's OS thread count (one per live domain, plus runtime
+    helpers), from [/proc/self/status]; [None] where that file is
+    missing. *)
+let threads () : int option =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line -> Scanf.sscanf_opt line "Threads: %d" Fun.id)
+        (String.split_on_char '\n' status)
+
+(** Poll {!threads} for up to 5 s until it drops to [n]; the last count
+    read. A joined domain's thread may take a moment to exit. *)
+let settled_threads (n : int) : int =
+  let rec poll tries =
+    match threads () with
+    | Some k when k > n && tries > 0 ->
+        Unix.sleepf 0.01;
+        poll (tries - 1)
+    | Some k -> k
+    | None -> n
+  in
+  poll 500

@@ -59,6 +59,15 @@ if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; t
   fail=1
 fi
 
+# Domains are spawned in lib/par only, by a pool or by spawn_map's
+# self-exiting workers: a domain left waiting elsewhere would slow every
+# stop-the-world minor collection (DESIGN.md §10). Tests are exempt.
+if grep -rn 'Domain\.spawn' --include='*.ml' --include='*.mli' \
+    lib bin bench examples perfbench | grep -v '^lib/par/'; then
+  echo "Domain.spawn outside lib/par"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "hygiene check FAILED"
   exit 1
