@@ -31,7 +31,6 @@ module Stats = Casper_common.Stats
 module J = Casper_common.Jsonout
 module Fastpath = Casper_ir.Fastpath
 module Obs = Casper_obs.Obs
-module Par = Casper_par.Par
 open Util
 
 (* --trace: the run's observability context. Disabled (all no-ops)
@@ -1626,17 +1625,12 @@ let sections_list =
 
 let () =
   let only = ref None and json_path = ref None and trace_path = ref None in
-  let set_jobs n =
-    if n < 1 then raise (Arg.Bad "--jobs must be at least 1")
-    else Par.set_jobs n
-  in
   Arg.parse
     [
       ( "--only",
         Arg.String (fun v -> only := Some (String.split_on_char ',' v)),
         "IDS run only these comma-separated sections" );
       ("--seed", Arg.Set_int cli_seed, "N fault-injection seed (default 1)");
-      ("--jobs", Arg.Int set_jobs, "N size of the shared domain pool");
       ( "--json",
         Arg.String (fun p -> json_path := Some p),
         "FILE write section times and synth_perf results" );
@@ -1645,7 +1639,7 @@ let () =
         "FILE write a Chrome trace of the run" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe [--only IDS] [--seed N] [--jobs N] [--json FILE] [--trace FILE]";
+    "main.exe [--only IDS] [--seed N] [--json FILE] [--trace FILE]";
   let ids = List.map fst sections_list in
   let selected =
     match !only with

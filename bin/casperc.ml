@@ -109,9 +109,8 @@ let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
   !failed
 
 let compile_file path target verbose summaries_only analysis_only budget trace
-    jobs cache_budget =
-  Option.iter Casper_par.Par.set_jobs jobs;
-  (* the environment is read here, once; --cache-budget overrides its
+    cache_budget =
+  (* the environment is read here, once; --cache-budget replaces its
      cache field *)
   let exec_config =
     let env = Exec.Config.of_env () in
@@ -264,15 +263,6 @@ let trace_arg =
               in Chrome trace_event JSON; a flat metrics JSON lands next to \
               it. Open the trace at chrome://tracing or ui.perfetto.dev.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Size of the domain pool used for simulated execution \
-              (default: \\$CASPER_JOBS, else 1). Synthesis runs on one \
-              domain. Results are byte-identical at any value.")
-
 let cache_budget_arg =
   Arg.(
     value
@@ -289,7 +279,7 @@ let cmd =
     (Cmd.info "casperc" ~version:"1.0.0" ~doc)
     Term.(
       const compile_file $ path_arg $ target_arg $ verbose_arg
-      $ summaries_arg $ analysis_arg $ budget_arg $ trace_arg $ jobs_arg
+      $ summaries_arg $ analysis_arg $ budget_arg $ trace_arg
       $ cache_budget_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -14,6 +14,7 @@
     or a corpus program no longer passes (replay mode). *)
 
 module Cluster = Mapreduce.Cluster
+module Par = Casper_par.Par
 open Cmdliner
 
 let backends_of = function
@@ -31,7 +32,6 @@ let print_failure (fl : Difftest.Harness.failure) =
   | None -> ()
 
 let run seed count backend minimize corpus out budget jobs =
-  Option.iter Casper_par.Par.set_jobs jobs;
   match backends_of backend with
   | Error m ->
       Fmt.epr "%s@." m;
@@ -68,10 +68,16 @@ let run seed count backend minimize corpus out budget jobs =
             !bad;
           if !bad > 0 then 1 else 0
       | None ->
+          let jobs =
+            match jobs with
+            | Some n -> n
+            | None -> Mapreduce.Exec_config.jobs_of_env ()
+          in
           let report =
+            Par.with_pool ~jobs:(Par.recommended_jobs jobs) @@ fun pool ->
             Difftest.Harness.run_campaign
               ~log:(fun m -> Fmt.pr "%s@." m)
-              ~config ~seed ~count ~minimize ()
+              ~config ~pool ~seed ~count ~minimize ()
           in
           Fmt.pr
             "@.campaign seed %d: %d programs — %d translated, %d skipped, \
@@ -125,14 +131,23 @@ let budget_arg =
     value & opt int 60_000
     & info [ "budget" ] ~docv:"N" ~doc:"Synthesis candidate budget.")
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Domain-pool size: programs are checked in parallel waves of \
-              4×$(docv) (default: \\$CASPER_JOBS, else 1). The campaign \
-              report is byte-identical at any value.")
+        ~doc:"Domain-pool size, at least 1 and clamped to the host's \
+              cores: programs are checked in parallel waves of 4×$(docv) \
+              (default: \\$CASPER_JOBS, else 1). The campaign report is \
+              byte-identical at any value.")
 
 let cmd =
   let doc = "differential fuzzing of the Casper pipeline" in

@@ -39,7 +39,7 @@ let still_fails cfg ~name p =
 
 (** Run [count] generated programs through the oracle.
 
-    With a multi-domain [pool] (default {!Casper_par.Par.global}),
+    With a [pool] (default: none, and the campaign runs inline),
     programs are generated sequentially from the campaign rng — program
     [i] of campaign [seed] is the same at any pool size — then checked
     concurrently in waves of [4 × pool size], and the wave's verdicts
@@ -53,13 +53,12 @@ let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?pool
   let cfg =
     match config with Some c -> c | None -> Oracle.default_config ~seed ()
   in
-  let pool = match pool with Some p -> p | None -> Par.global () in
   let rng = Rng.create seed in
   let translated = ref 0 in
   let skipped = ref 0 in
   let skip_reasons = ref [] in
   let failures = ref [] in
-  let wave_size = max 1 (4 * Par.size pool) in
+  let wave_size = 4 * Option.fold pool ~none:1 ~some:Par.size in
   let index = ref 0 in
   while !index < count do
     let n = min wave_size (count - !index) in
@@ -71,12 +70,14 @@ let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?pool
     done;
     let wave = List.rev !wave in
     index := !index + n;
+    let check (i, g) =
+      let name = Fmt.str "%s-%d" g.Gen.shape i in
+      (i, g, Oracle.check_parsed cfg ~name g.Gen.prog)
+    in
     let verdicts =
-      Par.parallel_map pool
-        (fun (i, g) ->
-          let name = Fmt.str "%s-%d" g.Gen.shape i in
-          (i, g, Oracle.check_parsed cfg ~name g.Gen.prog))
-        wave
+      match pool with
+      | Some p -> Par.parallel_map p check wave
+      | None -> List.map check wave
     in
     List.iter
       (fun (i, g, verdict) ->

@@ -85,7 +85,7 @@ let cache_stats = Exec_config.cache_stats
 type exec_ctx = {
   x_sched : Sched.Coordinator.config option;
   x_obs : Obs.ctx;
-  x_pool : Par.pool;
+  x_pool : Par.pool option;  (** [None] = stage work runs inline *)
   x_budget : int option;  (** resolved spill budget *)
   x_spill_dir : string option;  (** [None] = the system temp directory *)
   x_grain : int;  (** resolved records per parallel task *)
@@ -201,54 +201,62 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
      domain, and no more than one per records_per_task records — the
      granularity floor that makes fan-out pay for itself; an input of at
      most that many records is one range and runs inline on the
-     submitting domain). Ranges merge in submission order, and the
-     per-record functions are pure (compiled λm/λr closures evaluate
-     through the side-effect-free [Eval]), so outputs — and the byte
-     accounting fused into the same loops — are byte-identical at any
-     pool size and granularity. Each foreign-domain range is traced on
+     submitting domain, as does every stage when there is no pool).
+     Ranges merge in submission order, and the per-record functions are
+     pure (compiled λm/λr closures evaluate through the side-effect-free
+     [Eval]), so outputs — and the byte accounting fused into the same
+     loops — are byte-identical with or without a pool, at any pool size
+     and granularity. Each foreign-domain range is traced on
      its own "domain-N" track; on the owner [Obs.domain_span] is a
      no-op, and the engine_batches / engine_tasks counters fire only on
      the fan-out path, so jobs=1 traces are unchanged. *)
+  let fan_out () =
+    match pool with
+    | Some p when Par.size p > 1 && not (Par.on_worker ()) -> Some p
+    | _ -> None
+  in
   let ranges_for n =
-    if Par.size pool = 1 || Par.on_worker () then [||]
-    else
-      Par.task_ranges ~records_per_task:ctx.x_grain ~jobs:(Par.size pool) n
+    match fan_out () with
+    | None -> None
+    | Some p ->
+        let ranges =
+          Par.task_ranges ~records_per_task:ctx.x_grain ~jobs:(Par.size p) n
+        in
+        if Array.length ranges <= 1 then None else Some (p, ranges)
+  in
+  let fan_out_counters ranges =
+    Obs.add obs "engine_batches" 1;
+    Obs.add obs "engine_tasks" (Array.length ranges)
   in
   let par_kernel (kernel : Batch.t -> pos:int -> len:int -> Batch.chunk)
       (label : string) (b : Batch.t) : Batch.t =
     let n = Batch.length b in
-    let ranges = ranges_for n in
-    if Array.length ranges <= 1 then Batch.concat [ kernel b ~pos:0 ~len:n ]
-    else begin
-      Obs.add obs "engine_batches" 1;
-      Obs.add obs "engine_tasks" (Array.length ranges);
-      Par.parallel_map pool
-        (fun (pos, len) ->
-          Obs.domain_span obs ~args:[ ("stage", label) ] "chunk" (fun () ->
-              kernel b ~pos ~len))
-        (Array.to_list ranges)
-      |> Batch.concat
-    end
+    match ranges_for n with
+    | None -> Batch.concat [ kernel b ~pos:0 ~len:n ]
+    | Some (pool, ranges) ->
+        fan_out_counters ranges;
+        Par.parallel_map pool
+          (fun (pos, len) ->
+            Obs.domain_span obs ~args:[ ("stage", label) ] "chunk" (fun () ->
+                kernel b ~pos ~len))
+          (Array.to_list ranges)
+        |> Batch.concat
   in
   (* run [fill] over [0, n) in disjoint parallel ranges: tasks write
      disjoint indices of pre-sized arrays, published by the pool's
      completion barrier before the submitter reads them *)
   let par_fill (label : string) (fill : pos:int -> len:int -> unit)
       (n : int) : unit =
-    let ranges = ranges_for n in
-    if Array.length ranges <= 1 then begin
-      if n > 0 then fill ~pos:0 ~len:n
-    end
-    else begin
-      Obs.add obs "engine_batches" 1;
-      Obs.add obs "engine_tasks" (Array.length ranges);
-      ignore
-        (Par.parallel_map pool
-           (fun (pos, len) ->
-             Obs.domain_span obs ~args:[ ("stage", label) ] "chunk"
-               (fun () -> fill ~pos ~len))
-           (Array.to_list ranges))
-    end
+    match ranges_for n with
+    | None -> if n > 0 then fill ~pos:0 ~len:n
+    | Some (pool, ranges) ->
+        fan_out_counters ranges;
+        ignore
+          (Par.parallel_map pool
+             (fun (pos, len) ->
+               Obs.domain_span obs ~args:[ ("stage", label) ] "chunk"
+                 (fun () -> fill ~pos ~len))
+             (Array.to_list ranges))
   in
   (* split a batch of key-value records into key / value / key-string
      arrays in one (parallel) pass — every grouped stage needs the key's
@@ -288,33 +296,32 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           Hashtbl.add tbl key (k, init v);
           distinct := key :: !distinct
     in
-    if Array.length (ranges_for n) <= 1 then begin
-      let src = Batch.data b in
-      for i = 0 to n - 1 do
-        let k, v = as_kv src.(i) in
-        insert (Value.to_string k) k v
-      done
-    end
-    else begin
-      let ks, vs, keys = split_kv label b in
-      for i = 0 to n - 1 do
-        insert keys.(i) ks.(i) vs.(i)
-      done
-    end;
+    (match ranges_for n with
+    | None ->
+        let src = Batch.data b in
+        for i = 0 to n - 1 do
+          let k, v = as_kv src.(i) in
+          insert (Value.to_string k) k v
+        done
+    | Some _ ->
+        let ks, vs, keys = split_kv label b in
+        for i = 0 to n - 1 do
+          insert keys.(i) ks.(i) vs.(i)
+        done);
     (tbl, !distinct)
   in
   (* per-partition combiner accounting: independent folds, one task per
      partition, summed in partition order *)
   let par_partition_sum label g parts =
-    if Par.size pool = 1 || Par.on_worker () then
-      Array.fold_left (fun a p -> a + g p) 0 parts
-    else
-      Par.parallel_map pool
-        (fun part ->
-          Obs.domain_span obs ~args:[ ("stage", label) ] "combine" (fun () ->
-              g part))
-        (Array.to_list parts)
-      |> List.fold_left ( + ) 0
+    match fan_out () with
+    | None -> Array.fold_left (fun a p -> a + g p) 0 parts
+    | Some pool ->
+        Par.parallel_map pool
+          (fun part ->
+            Obs.domain_span obs ~args:[ ("stage", label) ] "combine"
+              (fun () -> g part))
+          (Array.to_list parts)
+        |> List.fold_left ( + ) 0
   in
   (* single-pass hash grouping with per-key accumulator cells (arrival
      order per key = the sequential left fold), output in key-string
@@ -584,10 +591,7 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
     {
       x_sched = sched;
       x_obs = Option.value config.Exec_config.obs ~default:Obs.null;
-      x_pool =
-        (match config.Exec_config.pool with
-        | Some p -> p
-        | None -> Par.global ());
+      x_pool = config.Exec_config.pool;
       (* [<= 0] means unbounded, so callers can force the in-memory
          path explicitly *)
       x_budget =

@@ -9,13 +9,13 @@
     every level; no process-global default sits between a field and the
     built-in.
 
-    The environment enters only through {!of_env}, the one reader of
+    The environment enters only through this module: {!of_env} reads
     [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET],
     [CASPER_EXEC_CONCURRENCY], [CASPER_EXEC_QUEUE] and
-    [CASPER_SPILL_DIR]. A binary that wants the environment calls it
-    once and passes the record on; the library itself never reads these
-    variables. ([CASPER_JOBS] sizes {!Casper_par.Par.global} and is read
-    there.) *)
+    [CASPER_SPILL_DIR], and {!jobs_of_env} reads [CASPER_JOBS]. A binary
+    that wants the environment calls them once and passes the record
+    (and any pool it sizes) on; the library itself never reads these
+    variables. *)
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
@@ -70,7 +70,9 @@ type t = {
       (** task-level scheduling + fault profile (default: closed-form
           time estimate, no faults) *)
   obs : Obs.ctx option;  (** observability context (default: disabled) *)
-  pool : Par.pool option;  (** domain pool (default {!Par.global}) *)
+  pool : Par.pool option;
+      (** domain pool, owned by the caller (default: none — the engine
+          runs stage work inline; a session builds and owns one) *)
   memory_budget : int option;
       (** spill budget in bytes (default, or [<= 0]: in-memory) *)
   spill_dir : string option;
@@ -102,5 +104,12 @@ val default : t
     variable that is unset, or not a positive integer, leaves its field
     [None]; a non-integer also warns once. An unset or empty
     [CASPER_SPILL_DIR] leaves [spill_dir] [None].
-    Each call reads the environment afresh and builds a new cache. *)
+    Each call reads the environment afresh and builds a new cache. It
+    builds no pool: a pool owns domains its creator must shut down. *)
 val of_env : unit -> t
+
+(** The pool size [CASPER_JOBS] asks for: the variable when it is a
+    positive integer, else 1 (any other value also warns once). For a
+    binary or test suite that sizes a pool it creates, owns and passes
+    in [pool]. *)
+val jobs_of_env : unit -> int

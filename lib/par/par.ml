@@ -434,36 +434,16 @@ let task_ranges ~records_per_task ~jobs (n : int) : (int * int) array =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Process-wide default pool                                           *)
+(* Pool sizing                                                         *)
 
-let env_jobs () =
-  match Sys.getenv_opt "CASPER_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ ->
-          ignore
-            (Casper_obs.Obs.warn_once ~key:"CASPER_JOBS"
-               (Printf.sprintf
-                  "CASPER_JOBS=%S is not a positive integer; using 1 domain"
-                  s));
-          1)
-
-let override : int option ref = ref None
-let global_pool : pool option ref = ref None
-let glock = Mutex.create ()
-
-let jobs () = match !override with Some n -> n | None -> env_jobs ()
-
-(* [recommended_jobs ()] clamps the requested pool size to the host's
-   [Domain.recommended_domain_count]: asking for more domains than
-   cores makes the engine *slower* (oversubscribed stealing), so the
-   default pool never oversubscribes. Explicit [create ~jobs] is left
-   unclamped — determinism tests deliberately run 4-domain pools on
-   1-core hosts. Warns once per process when clamping. *)
-let recommended_jobs () =
-  let requested = jobs () in
+(* [recommended_jobs requested] clamps a requested pool size to the
+   host's [Domain.recommended_domain_count]: asking for more domains
+   than cores makes the engine *slower* (oversubscribed stealing), so a
+   binary sizing a pool from a flag never oversubscribes. Explicit
+   [create ~jobs] is left unclamped — determinism tests deliberately run
+   4-domain pools on 1-core hosts. Warns once per process when
+   clamping. *)
+let recommended_jobs (requested : int) : int =
   let host = Domain.recommended_domain_count () in
   if requested > host then begin
     ignore
@@ -475,23 +455,3 @@ let recommended_jobs () =
     host
   end
   else requested
-
-let set_jobs (n : int) : unit =
-  if n < 1 then invalid_arg "Par.set_jobs: jobs must be >= 1";
-  let stale =
-    Mutex.protect glock (fun () ->
-        override := Some n;
-        let old = !global_pool in
-        global_pool := None;
-        old)
-  in
-  match stale with Some p -> shutdown p | None -> ()
-
-let global () : pool =
-  Mutex.protect glock (fun () ->
-      match !global_pool with
-      | Some p -> p
-      | None ->
-          let p = create ~jobs:(recommended_jobs ()) in
-          global_pool := Some p;
-          p)

@@ -125,28 +125,11 @@ val help : pool -> bool
 val task_ranges : records_per_task:int -> jobs:int -> int -> (int * int) array
 
 (* ------------------------------------------------------------------ *)
-(* The process-wide default pool, shared by every [--jobs]-aware entry
-   point.                                                              *)
+(* Pool sizing                                                         *)
 
-(** Parallelism requested by the environment: [CASPER_JOBS] when set to
-    a positive integer, else 1 (any other value also warns once). *)
-val env_jobs : unit -> int
-
-(** Override the default parallelism (the [--jobs] CLI flag). Shuts
-    down a previously created global pool; the next {!global} call
-    rebuilds one at the new size. *)
-val set_jobs : int -> unit
-
-(** The current default parallelism: the last {!set_jobs} value, else
-    {!env_jobs}. *)
-val jobs : unit -> int
-
-(** {!jobs} clamped to [Domain.recommended_domain_count ()]. Warns once
-    per process (via [Obs.warn_once]) when the request exceeds the
-    host's core count — oversubscribed domain pools run *slower* than
-    sequential. Explicit {!create} calls are not clamped. *)
-val recommended_jobs : unit -> int
-
-(** The lazily-created process-wide pool at {!recommended_jobs}
-    parallelism. *)
-val global : unit -> pool
+(** [recommended_jobs requested] is [requested] clamped to
+    [Domain.recommended_domain_count ()]. Warns once per process (via
+    [Obs.warn_once]) when the request exceeds the host's core count —
+    oversubscribed domain pools run *slower* than sequential. Explicit
+    {!create} calls are not clamped. *)
+val recommended_jobs : int -> int

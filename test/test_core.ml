@@ -132,7 +132,7 @@ let test_inline_in_pool_task () =
    back to where it was (a domain is an OS thread). *)
 let test_no_domain_outlives () =
   let b = Casper_suites.Registry.find_benchmark "Q17" in
-  let before = Testenv.threads () in
+  let before = Testenv.steady_threads () in
   ignore
     (Casper.translate_source ~suite:b.Suite.suite ~benchmark:b.Suite.name
        b.Suite.source);

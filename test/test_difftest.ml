@@ -52,7 +52,10 @@ let test_roundtrip_generated () =
    both fastpath modes, every backend, every fault profile — and must
    find no divergence. The scheduled CI job runs the big sibling. *)
 let test_smoke_campaign () =
-  let report = Harness.run_campaign ~seed:7 ~count:25 ~minimize:false () in
+  let report =
+    Harness.run_campaign ?pool:Testenv.config.Casper_exec.Exec.Config.pool
+      ~seed:7 ~count:25 ~minimize:false ()
+  in
   check_int "all programs accounted for" 25
     (report.Harness.translated + report.Harness.skipped
     + List.length report.Harness.failures);

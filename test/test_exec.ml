@@ -2,7 +2,7 @@
     session determinism matrix (concurrency × jobs × cache vs a solo
     run), admission backpressure, ledger gating, cooperative
     cancellation (no ledger-byte or temp-file leak), deadlines,
-    priority dispatch order, [of_env] as the one reader of the
+    priority dispatch order, [Exec.Config] as the one reader of the
     environment, and the session's obs story. *)
 
 module Plan = Mapreduce.Plan
@@ -156,8 +156,12 @@ let test_session_determinism () =
 (* ---------------- admission control ---------------- *)
 
 (* session tests take the environment's spill budget and queue bound,
-   but no cache: they pin dispatch behaviour, not memoization *)
-let uncached_env = { Testenv.config with Exec.Config.cache = None }
+   but no cache: they pin dispatch behaviour, not memoization. Nor do
+   they take the suite's pool: a session given one shares it, and a
+   concurrency-1 job could then run off the owner domain; without one
+   the session builds and owns its own *)
+let uncached_env =
+  { Testenv.config with Exec.Config.cache = None; pool = None }
 
 let test_backpressure () =
   Par.with_pool ~jobs:2 @@ fun pool ->
@@ -415,10 +419,12 @@ let test_of_env () =
     (Option.value ~default:64 (positive "CASPER_EXEC_QUEUE"))
     (Exec.Session.queue_capacity s)
 
-(* only [of_env] reads the environment: a session built from the
-   default config runs at concurrency 1, a run with the default config
-   stays in memory, and a spilling run ignores a CASPER_SPILL_DIR that
-   names a missing directory, whatever CASPER_* says *)
+(* only [of_env] and [jobs_of_env] read the environment: a session
+   built from the default config runs at concurrency 1, a run with the
+   default config stays in memory on the calling domain (no fan-out
+   even at one record per task, and no domain started), and a spilling
+   run ignores a CASPER_SPILL_DIR that names a missing directory,
+   whatever CASPER_* says *)
 let test_library_reads_no_env () =
   let missing =
     Filename.concat
@@ -426,9 +432,11 @@ let test_library_reads_no_env () =
       (Printf.sprintf "casper-missing-%d" (Unix.getpid ()))
   in
   (* no unsetenv: an unset variable comes back as a value that reads as
-     unset — "0" for a number, "" for the directory *)
+     unset — "0" for a number, "1" for the pool size, "" for the
+     directory *)
   let vars =
     [
+      ("CASPER_JOBS", "3", "1");
       ("CASPER_EXEC_CONCURRENCY", "3", "0");
       ("CASPER_MEM_BUDGET", "1", "0");
       ("CASPER_SPILL_DIR", missing, "");
@@ -447,14 +455,25 @@ let test_library_reads_no_env () =
   Exec.Session.with_session ~config:Exec.Config.default (fun s ->
       check_int "default session concurrency" 1 (Exec.Session.concurrency s));
   let obs = Obs.create () in
+  let before = Testenv.steady_threads () in
   ignore
     (Engine.run_plan
-       ~config:{ Exec.Config.default with Exec.Config.obs = Some obs }
+       ~config:
+         {
+           Exec.Config.default with
+           Exec.Config.obs = Some obs;
+           records_per_task = Some 1;
+         }
        ~cluster:Cluster.spark
        ~datasets:[ ("w", wc_words 200) ]
        wc_plan
       : Engine.run);
   check_int "default run never spills" 0 (Obs.total obs "spill_runs");
+  check_int "default run never fans out" 0 (Obs.total obs "engine_batches");
+  (match before with
+  | None -> ()
+  | Some n ->
+      check_int "default run starts no domain" n (Testenv.settled_threads n));
   let obs = Obs.create () in
   ignore
     (Engine.run_plan
@@ -470,6 +489,33 @@ let test_library_reads_no_env () =
       : Engine.run);
   check "a spilling run uses the temp directory" true
     (Obs.total obs "spill_runs" > 0)
+
+(* a bad CASPER_JOBS falls back to 1 domain, and says so once *)
+let test_jobs_of_env_warns_on_garbage () =
+  let saved = Sys.getenv_opt "CASPER_JOBS" in
+  Fun.protect
+    ~finally:(fun () ->
+      (* no unsetenv: an unset variable comes back as "1", the built-in *)
+      Unix.putenv "CASPER_JOBS" (Option.value saved ~default:"1"))
+  @@ fun () ->
+  Unix.putenv "CASPER_JOBS" "abc";
+  check_int "garbage reads as 1 domain" 1 (Exec.Config.jobs_of_env ());
+  check "the warning used its one shot" false
+    (Obs.warn_once ~key:"CASPER_JOBS" "warned again")
+
+(* the CI pass under CASPER_JOBS=n runs the suite's engine work on an
+   n-domain pool: it cannot silently become a second 1-domain pass *)
+let test_suite_pool_follows_jobs () =
+  let pool = Testenv.config.Exec.Config.pool in
+  match
+    Option.bind (Sys.getenv_opt "CASPER_JOBS") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some n when n > 1 -> (
+      match pool with
+      | Some p -> check_int "suite pool size" n (Par.size p)
+      | None -> Alcotest.failf "CASPER_JOBS=%d but the suite has no pool" n)
+  | _ -> check "no pool without CASPER_JOBS > 1" true (Option.is_none pool)
 
 (* ---------------- the session's obs story ---------------- *)
 
@@ -543,6 +589,10 @@ let suite =
           test_of_env;
         Alcotest.test_case "the library reads no environment" `Quick
           test_library_reads_no_env;
+        Alcotest.test_case "bad CASPER_JOBS warns" `Quick
+          test_jobs_of_env_warns_on_garbage;
+        Alcotest.test_case "the suite's pool follows CASPER_JOBS" `Quick
+          test_suite_pool_follows_jobs;
       ] );
     ( "exec.obs",
       [

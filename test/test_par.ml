@@ -136,7 +136,7 @@ let test_spawn_map_nesting () =
 
 (* every spawned domain is joined: the thread count comes back *)
 let test_spawn_map_no_leftover () =
-  match Testenv.threads () with
+  match Testenv.steady_threads () with
   | None -> ()
   | Some n ->
       for _ = 1 to 5 do
@@ -259,35 +259,21 @@ let test_task_ranges_granularity_floor () =
   check_int "2 tasks per domain" 8 (Array.length (ranges 1 4 100));
   check "n<=0 is empty" true (ranges 4096 4 0 = [||])
 
+(* a pure clamp to the host's cores, which says so once *)
 let test_recommended_jobs_clamp () =
   let host = Domain.recommended_domain_count () in
-  let saved = Par.jobs () in
-  Par.set_jobs (host + 3);
-  let clamped = Par.recommended_jobs () in
-  Par.set_jobs 1;
-  let at_one = Par.recommended_jobs () in
-  Par.set_jobs saved;
-  check_int "over-subscription clamps to host cores" host clamped;
-  check_int "1 job never clamps" 1 at_one
+  check_int "1 job never clamps" 1 (Par.recommended_jobs 1);
+  check_int "host cores pass through" host (Par.recommended_jobs host);
+  check_int "over-subscription clamps to host cores" host
+    (Par.recommended_jobs (host + 3));
+  check "the warning used its one shot" false
+    (Casper_obs.Obs.warn_once ~key:"par.jobs-clamped" "warned again")
 
 let test_warn_once_is_once () =
   let key = "test.par.warn-once-key" in
   check "first warn fires" true (Casper_obs.Obs.warn_once ~key "warned");
   check "second warn suppressed" false
     (Casper_obs.Obs.warn_once ~key "warned again")
-
-(* a bad CASPER_JOBS falls back to 1 domain, and says so once *)
-let test_env_jobs_warns_on_garbage () =
-  let saved = Sys.getenv_opt "CASPER_JOBS" in
-  Fun.protect
-    ~finally:(fun () ->
-      (* no unsetenv: an unset variable comes back as "1", the built-in *)
-      Unix.putenv "CASPER_JOBS" (Option.value saved ~default:"1"))
-  @@ fun () ->
-  Unix.putenv "CASPER_JOBS" "abc";
-  check_int "garbage reads as 1 domain" 1 (Par.env_jobs ());
-  check "the warning used its one shot" false
-    (Casper_obs.Obs.warn_once ~key:"CASPER_JOBS" "warned again")
 
 (* ---------------- search domain-independence ---------------- *)
 
@@ -367,8 +353,6 @@ let suite =
           test_recommended_jobs_clamp;
         Alcotest.test_case "warn_once fires once" `Quick
           test_warn_once_is_once;
-        Alcotest.test_case "bad CASPER_JOBS warns" `Quick
-          test_env_jobs_warns_on_garbage;
       ] );
     ( "par.pool",
       [

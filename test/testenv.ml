@@ -1,15 +1,27 @@
 (** The execution config the test suite runs under by default.
 
     The library reads no environment; the suite reads it once, here, at
-    start-up, so the CI passes that set [CASPER_MEM_BUDGET],
-    [CASPER_CACHE_BUDGET] or [CASPER_EXEC_CONCURRENCY] still reach every
-    test that takes its config from this module — and must leave its
-    expected output unchanged. Tests that pin a knob (goldens, matrices)
-    build on [Exec.Config.default] instead. *)
+    start-up, so the CI passes that set [CASPER_JOBS],
+    [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET] or
+    [CASPER_EXEC_CONCURRENCY] still reach every test that takes its
+    config from this module — and must leave its expected output
+    unchanged. [CASPER_JOBS] above 1 sizes the suite's engine pool,
+    built here and shut down at exit. Tests that pin a knob (goldens,
+    matrices) build on [Exec.Config.default] instead. *)
 
 module Config = Casper_exec.Exec.Config
+module Par = Casper_par.Par
 
-let config = Config.of_env ()
+let config =
+  let pool =
+    match Config.jobs_of_env () with
+    | 1 -> None
+    | jobs ->
+        let p = Par.create ~jobs in
+        at_exit (fun () -> Par.shutdown p);
+        Some p
+  in
+  { (Config.of_env ()) with Config.pool }
 
 (** [config] for a traced run: [obs] records the run, and the
     environment's cache is left out, because a hit would skip the
@@ -26,6 +38,18 @@ let threads () : int option =
       List.find_map
         (fun line -> Scanf.sscanf_opt line "Threads: %d" Fun.id)
         (String.split_on_char '\n' status)
+
+(** {!threads} once two reads 20 ms apart agree (up to 5 s): a domain
+    joined just before may still be exiting, and a count taken then
+    would drop later. *)
+let steady_threads () : int option =
+  let rec poll prev tries =
+    Unix.sleepf 0.02;
+    match threads () with
+    | Some k when Some k <> prev && tries > 0 -> poll (Some k) (tries - 1)
+    | k -> k
+  in
+  poll (threads ()) 250
 
 (** Poll {!threads} for up to 5 s until it drops to [n]; the last count
     read. A joined domain's thread may take a moment to exit. *)

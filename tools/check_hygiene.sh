@@ -33,27 +33,30 @@ if grep -rn '^<<<<<<< \|^>>>>>>> ' --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
-# One reader of the environment: outside these files no CASPER_*
+# One reader of the environment: outside this file no CASPER_*
 # variable is read under lib/ bin/ bench/ (Exec_config.of_env owns the
-# execution knobs and the spill directory, Par the pool size).
-env_readers="lib/mapreduce/exec_config.ml lib/par/par.ml"
+# execution knobs and the spill directory, Exec_config.jobs_of_env the
+# pool size).
+env_readers="lib/mapreduce/exec_config.ml"
 for f in $(grep -rl 'getenv' --include='*.ml' lib bin bench | sort); do
   case " $env_readers " in *" $f "*) continue ;; esac
   if grep -q '"CASPER_' "$f"; then
-    echo "CASPER_* read outside Exec_config.of_env: $f"
+    echo "CASPER_* read outside Exec_config: $f"
     grep -n '"CASPER_' "$f" | head -3
     fail=1
   fi
 done
 
-# The process-global defaults are gone; configuration travels in an
-# Exec_config.t record only. The speculative search is gone too: a
+# The process-global defaults are gone, the default pool included;
+# configuration travels in an Exec_config.t record only, and a pool is
+# created, owned and passed in by its caller. The speculative search is gone too: a
 # fragment search runs on one domain, so the memo needs no generation.
 # Whole words only, so the scheduler's speculative task copies
 # ([speculated], [try_speculate]) do not match.
 deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
 deleted="$deleted"'|records_per_task :=|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
 deleted="$deleted"'|\b(sync_shard|spec_round|speculate|Sp_failed|Memo\.generation)\b'
+deleted="$deleted"'|\b(Par\.global|set_jobs|env_jobs)\b|Par\.jobs \(\)'
 if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
   echo "deleted process-default or search API reappeared"
   fail=1
