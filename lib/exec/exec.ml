@@ -136,7 +136,7 @@ module Session = struct
   let queue_capacity t = t.queue_capacity
   let job_id (j : job) = j.id
 
-  (* run one job on whatever domain dequeued it; called outside the
+  (* run one job on whatever domain took its pool task; called outside the
      session mutex *)
   let rec run_job (t : t) (j : job) : unit =
     j.t_start <- now ();
@@ -188,7 +188,7 @@ module Session = struct
           t.running <- t.running + 1;
           t.ledger <- t.ledger + j.j_bytes;
           if t.ledger > t.l_hw then t.l_hw <- t.ledger;
-          ignore (Par.async t.pool (fun () -> run_job t j) : unit Par.future);
+          Par.async t.pool (fun () -> run_job t j);
           pump t
         end
     | _ -> ()

@@ -1,8 +1,9 @@
 (** Tests for the deterministic multicore runtime (lib/par).
 
-    The load-bearing property is jobs-independence: every combinator
-    must equal its [List] counterpart at every pool size, exceptions
-    must pick the lowest-index raiser, and the engine/scheduler stack
+    The load-bearing property is jobs-independence: both maps must
+    equal [List.map] at every pool size, exceptions must pick the
+    lowest-index raiser, a batch must finish on its caller alone while
+    the pool's workers are busy, and the engine/scheduler stack
     built on top must produce byte-identical runs and traces at jobs=1
     and jobs=4. A fragment search runs on one domain and must come out
     the same on a fresh domain and on one that already searched. *)
@@ -26,22 +27,15 @@ let check_string = Alcotest.(check string)
 let pools =
   lazy (List.map (fun jobs -> (jobs, Par.create ~jobs)) [ 1; 2; 3; 4 ])
 
-(* ---------------- combinators ≡ List at any pool size ------------- *)
+(* ---------------- maps ≡ List.map at any pool size -------------- *)
 
-let combinators_match_list =
-  QCheck.Test.make ~name:"combinators = List counterparts at jobs 1-4"
-    ~count:60
-    QCheck.(
-      pair (fun1 Observable.int (list small_int)) (small_list int))
+let parallel_map_matches_list =
+  QCheck.Test.make ~name:"parallel_map = List.map at jobs 1-4" ~count:60
+    QCheck.(pair (fun1 Observable.int (list small_int)) (small_list int))
     (fun (f, xs) ->
       let fn x = QCheck.Fn.apply f x in
       List.for_all
-        (fun (_, pool) ->
-          Par.parallel_map pool fn xs = List.map fn xs
-          && Par.parallel_chunks pool fn xs = List.map fn xs
-          && Par.concat_map pool fn xs = List.concat_map fn xs
-          && Par.filter pool (fun x -> x land 1 = 0) xs
-             = List.filter (fun x -> x land 1 = 0) xs)
+        (fun (_, pool) -> Par.parallel_map pool fn xs = List.map fn xs)
         (Lazy.force pools))
 
 (* [spawn_map] spawns domains per call; more items than jobs, so every
@@ -54,18 +48,6 @@ let spawn_map_matches_list =
       List.for_all
         (fun jobs -> Par.spawn_map ~jobs fn xs = List.map fn xs)
         [ 1; 2; 3; 4 ])
-
-let chunks_partition =
-  QCheck.Test.make ~name:"chunks k xs is a balanced partition" ~count:200
-    QCheck.(pair (int_range 1 9) (small_list int))
-    (fun (k, xs) ->
-      let cs = Par.chunks k xs in
-      let sizes = List.map List.length cs in
-      let mn = List.fold_left min max_int sizes in
-      let mx = List.fold_left max 0 sizes in
-      List.concat cs = xs
-      && List.length cs = min k (max 1 (List.length xs))
-      && mx - mn <= 1)
 
 (* ---------------- exception propagation --------------------------- *)
 
@@ -81,7 +63,7 @@ let test_exception_lowest_index () =
       "no exception"
     with Failure m -> m
   in
-  (* tasks 0, 3, 6, ... all raise; the combinator must re-raise the
+  (* tasks 0, 3, 6, ... all raise; the map must re-raise the
      submission-order-first one regardless of execution order *)
   check_string "lowest-index exception wins" "0" raised;
   (* the batch was fully drained: the pool is still usable *)
@@ -107,7 +89,7 @@ let test_spawn_map_nesting () =
     Par.with_pool ~jobs:2 @@ fun pool ->
     Par.spawn_map ~jobs:3
       (fun i ->
-        (* inside: a task, and pool combinators run inline *)
+        (* inside: a task, and pool maps run inline *)
         (Par.on_worker (), Par.parallel_map pool succ [ i; i + 1 ]))
       [ 10; 20; 30; 40 ]
   in
@@ -167,13 +149,95 @@ let test_nested_runs_inline () =
   let nested =
     Par.parallel_map pool
       (fun i ->
-        (* inside a task: nested combinators run inline, same result *)
+        (* inside a task: nested maps run inline, same result *)
         (Par.on_worker (), Par.parallel_map pool succ [ i; i + 1 ]))
       [ 10; 20 ]
   in
   check "tasks see on_worker" true (List.for_all fst nested);
   check "nested map correct" true
     (List.map snd nested = [ [ 11; 12 ]; [ 21; 22 ] ])
+
+(* [true] once [flag] is set, [false] if it is still unset after 10 s *)
+let wait_for (flag : bool Atomic.t) : bool =
+  let rec poll tries =
+    Atomic.get flag
+    || (tries > 0
+       && begin
+            Unix.sleepf 0.001;
+            poll (tries - 1)
+          end)
+  in
+  poll 10_000
+
+(* The one worker of a 2-job pool blocks in an async task, so the
+   batch's helper task stays queued behind it: the caller must claim
+   every element itself and return without waiting for the worker. *)
+let test_batch_with_busy_workers () =
+  let pool = Par.create ~jobs:2 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let timed_out = Atomic.make false in
+  Par.async pool (fun () ->
+      Atomic.set started true;
+      if not (wait_for release) then Atomic.set timed_out true);
+  check "the worker took the blocking task" true (wait_for started);
+  let self = Domain.self () in
+  let xs = List.init 8 Fun.id in
+  let out =
+    Par.parallel_map pool (fun x -> (Domain.self () = self, x * x)) xs
+  in
+  let waited = Atomic.get timed_out in
+  Atomic.set release true;
+  Par.shutdown pool;
+  check "the map did not wait for the worker" false waited;
+  check "every element computed by the caller" true (List.for_all fst out);
+  check "results = List.map" true
+    (List.map snd out = List.map (fun x -> x * x) xs)
+
+(* Two domains map on one pool at once: each gets its own results and
+   its own lowest-index exception. *)
+let test_two_domains_share_pool () =
+  Par.with_pool ~jobs:3 @@ fun pool ->
+  let xs = List.init 24 Fun.id in
+  let rounds tag =
+    List.init 50 (fun r ->
+        if r mod 5 = 4 then
+          let bad = 1 + (r mod 3) in
+          match
+            Par.parallel_map pool
+              (fun x ->
+                if x mod 4 = bad then failwith (tag ^ string_of_int x) else x)
+              xs
+          with
+          | _ -> false
+          | exception Failure m -> m = tag ^ string_of_int bad
+        else
+          let f x = (x * r) + String.length tag in
+          Par.parallel_map pool f xs = List.map f xs)
+  in
+  let other = Domain.spawn (fun () -> rounds "test-domain") in
+  let mine = rounds "main" in
+  let theirs = Domain.join other in
+  check "main domain: every map right" true (List.for_all Fun.id mine);
+  check "test domain: every map right" true (List.for_all Fun.id theirs)
+
+(* An exception escaping an async task is dropped: the worker goes on
+   taking tasks, and the pool maps and shuts down as before. *)
+let test_raising_async () =
+  let before = Testenv.steady_threads () in
+  let pool = Par.create ~jobs:2 in
+  let after = Atomic.make false in
+  Par.async pool (fun () -> failwith "dropped");
+  Par.async pool (fun () -> Atomic.set after true);
+  check "the worker survived the raising task" true (wait_for after);
+  check "parallel_map still works" true
+    (Par.parallel_map pool succ (List.init 10 Fun.id) = List.init 10 succ);
+  check "shutdown does not raise" true
+    (match Par.shutdown pool with () -> true | exception _ -> false);
+  match before with
+  | None -> ()
+  | Some n ->
+      check_int "threads back to their count before the pool" n
+        (Testenv.settled_threads n)
 
 (* ---------------- engine and scheduler jobs-independence ---------- *)
 
@@ -340,8 +404,7 @@ let suite =
   [
     qsuite "par.props"
       [
-        combinators_match_list;
-        chunks_partition;
+        parallel_map_matches_list;
         task_ranges_partition;
         spawn_map_matches_list;
       ];
@@ -362,6 +425,12 @@ let suite =
           test_shutdown_and_reuse;
         Alcotest.test_case "nested combinators run inline" `Quick
           test_nested_runs_inline;
+        Alcotest.test_case "a batch finishes while every worker is busy"
+          `Quick test_batch_with_busy_workers;
+        Alcotest.test_case "two domains share one pool" `Quick
+          test_two_domains_share_pool;
+        Alcotest.test_case "a raising async task leaves the pool whole"
+          `Quick test_raising_async;
         Alcotest.test_case "spawn_map: lowest-index exception" `Quick
           test_spawn_map_lowest_index;
         Alcotest.test_case "spawn_map: nesting runs inline" `Quick

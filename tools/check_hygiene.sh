@@ -51,14 +51,17 @@ done
 # configuration travels in an Exec_config.t record only, and a pool is
 # created, owned and passed in by its caller. The speculative search is gone too: a
 # fragment search runs on one domain, so the memo needs no generation.
+# lib/par keeps one task queue and one claim loop: the work-stealing
+# deques, the futures and the chunking combinators are gone.
 # Whole words only, so the scheduler's speculative task copies
 # ([speculated], [try_speculate]) do not match.
 deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
 deleted="$deleted"'|records_per_task :=|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
 deleted="$deleted"'|\b(sync_shard|spec_round|speculate|Sp_failed|Memo\.generation)\b'
 deleted="$deleted"'|\b(Par\.global|set_jobs|env_jobs)\b|Par\.jobs \(\)'
+deleted="$deleted"'|\bPar\.(parallel_chunks|concat_map|filter|chunks|await|is_done|future)\b|deque_'
 if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
-  echo "deleted process-default or search API reappeared"
+  echo "deleted process-default, search or pool API reappeared"
   fail=1
 fi
 
