@@ -31,7 +31,6 @@ module Cluster = Mapreduce.Cluster
 module Fastpath = Casper_ir.Fastpath
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
-module Par = Casper_par.Par
 module Exec = Casper_exec.Exec
 open Minijava
 
@@ -46,14 +45,6 @@ type config = {
   check_fastpath : bool;
       (** run synthesis twice (fast path off / on) and require
           bit-identical search statistics and solutions *)
-  check_parallel : int option;
-      (** [Some n]: run the translated program's plan on the engine at
-          pool sizes 1 and [n], requiring byte-identical outputs and
-          volume accounting (the multicore-runtime determinism
-          contract, DESIGN.md §10). Inside a pool worker the nested runs
-          execute inline, so the stage degrades to a sequential
-          self-comparison there. The search itself always runs on the
-          calling domain. *)
   check_spill : bool;
       (** re-run the translated program with a forced ~1 KB memory
           budget — every grouped stage spills sorted runs to disk —
@@ -88,7 +79,6 @@ let default_config ?(seed = 0) () =
     input_seed = seed;
     synth = { Cegis.default_config with Cegis.max_candidates = 60_000 };
     check_fastpath = true;
-    check_parallel = Some 4;
     check_spill = true;
     check_cache = true;
     check_session = true;
@@ -122,8 +112,6 @@ let render_outputs (outs : (string * Value.t) list) : string =
 
 (* engine runs take explicit configs only: each check pins the knobs it
    compares, so the caller's environment cannot move a verdict *)
-let with_pool p = { Exec.Config.default with Exec.Config.pool = Some p }
-
 let with_budget b =
   { Exec.Config.default with Exec.Config.memory_budget = Some b }
 
@@ -297,71 +285,6 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                        deterministic, completion finite *)
                     let t = Compile.compile prog frag entry summary in
                     let datasets = Runner.datasets_of prog frag entry in
-                    (* parallel-vs-sequential engine execution: outputs
-                       and per-stage volume accounting must be
-                       byte-identical at pool sizes 1 and n (first state
-                       only — the engine path is state-independent) *)
-                    (match cfg.check_parallel with
-                    | Some n when ei = 0 ->
-                        Par.with_pool ~jobs:1 (fun p1 ->
-                            Par.with_pool ~jobs:n (fun pn ->
-                                List.iter
-                                  (fun (cluster : Cluster.t) ->
-                                    let r1 =
-                                      Engine.run_plan
-                                        ~config:(with_pool p1) ~cluster
-                                        ~datasets t.Compile.plan
-                                    in
-                                    let rn =
-                                      Engine.run_plan
-                                        ~config:(with_pool pn) ~cluster
-                                        ~datasets t.Compile.plan
-                                    in
-                                    if
-                                      rn.Mapreduce.Engine.output
-                                      <> r1.Mapreduce.Engine.output
-                                    then
-                                      fail
-                                        ("parallel:" ^ cluster.Cluster.name)
-                                        "engine outputs differ at jobs=%d \
-                                         vs jobs=1"
-                                        n;
-                                    if
-                                      rn.Mapreduce.Engine.stages
-                                      <> r1.Mapreduce.Engine.stages
-                                    then
-                                      fail
-                                        ("parallel:" ^ cluster.Cluster.name)
-                                        "stage accounting differs at \
-                                         jobs=%d vs jobs=1"
-                                        n;
-                                    (* batch-equivalence: forcing every
-                                       record into its own parallel task
-                                       (one-record ranges) must not
-                                       change outputs or accounting *)
-                                    let rt =
-                                      Engine.run_plan
-                                        ~config:
-                                          {
-                                            (with_pool pn) with
-                                            Exec.Config.records_per_task =
-                                              Some 1;
-                                          }
-                                        ~cluster ~datasets t.Compile.plan
-                                    in
-                                    if
-                                      rt.Mapreduce.Engine.output
-                                      <> r1.Mapreduce.Engine.output
-                                      || rt.Mapreduce.Engine.stages
-                                         <> r1.Mapreduce.Engine.stages
-                                    then
-                                      fail
-                                        ("batch:" ^ cluster.Cluster.name)
-                                        "tiny-granularity run differs \
-                                         from jobs=1 at jobs=%d"
-                                        n)
-                                  cfg.backends))
-                    | _ -> ());
                     (* out-of-core shuffle: a ~1 KB budget forces every
                        grouped stage to spill sorted runs; outputs and
                        stage accounting must be byte-identical to the

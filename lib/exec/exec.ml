@@ -48,7 +48,6 @@ module Session = struct
     m : Mutex.t;  (** guards every mutable field below *)
     cv : Condition.t;  (** any job state change *)
     pool : Par.pool;
-    owns_pool : bool;
     obs : Obs.ctx;
     base : Config.t;  (** per-job engine config, cancel token excepted *)
     concurrency : int;
@@ -79,10 +78,14 @@ module Session = struct
     in
     let concurrency = at_least_1 1 config.Config.concurrency in
     let queue_capacity = at_least_1 64 config.Config.queue_capacity in
-    let pool, owns_pool =
-      match config.Config.pool with
-      | Some p -> (p, false)
-      | None -> (Par.create ~jobs:concurrency, true)
+    (* admission slots stay at [concurrency]; the pool that runs the
+       dispatched jobs is clamped to the host's cores, because an idle
+       worker still joins every stop-the-world minor collection
+       (DESIGN.md §10) and a job beyond the pool's size simply waits in
+       its queue. Silently: admission is unchanged, so there is nothing
+       to warn about (unlike [Par.recommended_jobs]). *)
+    let pool =
+      Par.create ~jobs:(min concurrency (Domain.recommended_domain_count ()))
     in
     (* one spill/ledger budget shared by every job; [<= 0] means
        unbounded, as in the engine *)
@@ -97,7 +100,6 @@ module Session = struct
     let base =
       {
         config with
-        Config.pool = Some pool;
         (* engine spans mutate the owner's span stack, so jobs trace
            only when at most one runs at a time (and then on the owner,
            which executes them while helping in [await]/[drain]) *)
@@ -110,7 +112,6 @@ module Session = struct
       m = Mutex.create ();
       cv = Condition.create ();
       pool;
-      owns_pool;
       obs;
       base;
       concurrency;
@@ -360,7 +361,7 @@ module Session = struct
     drain t;
     if not already then begin
       emit_obs t;
-      if t.owns_pool then Par.shutdown t.pool
+      Par.shutdown t.pool
     end
 
   let with_session ?config f =

@@ -1,6 +1,6 @@
 (** Long-lived execution sessions: many plans in flight against one
-    shared domain pool, one shared lineage cache and one live-byte
-    ledger, with admission control, priorities, deadlines and
+    session-owned domain pool, one shared lineage cache and one
+    live-byte ledger, with admission control, priorities, deadlines and
     cooperative cancellation.
 
     {!Engine.run_plan} executes one plan and returns; a {!Session.t}
@@ -10,8 +10,8 @@
     dispatcher moves them onto the session pool as slots and ledger
     bytes free up, and each job runs the plan through the ordinary
     engine with the session's shared configuration. Because every job
-    executes inside one pool task (nested engine fan-out runs inline)
-    and the shared cache serves byte-identical results by contract,
+    executes inside one pool task, on one domain, and the shared cache
+    serves byte-identical results by contract,
     each job's output and stage metrics are byte-identical to a solo
     [run_plan] at any concurrency × job mix × budget — concurrency
     moves wall-clock, never results.
@@ -26,7 +26,7 @@
 module Value = Casper_common.Value
 
 (** The execution-configuration record ({!Mapreduce.Exec_config}):
-    one [t] gathering [sched]/[obs]/[pool]/[memory_budget]/[cache]/
+    one [t] gathering [sched]/[obs]/[memory_budget]/[spill_dir]/[cache]/
     [cluster] plus the session knobs. A [None] field is the built-in
     value; [of_env] is the one reader of the [CASPER_*] variables that
     set them. *)
@@ -58,7 +58,10 @@ module Session : sig
     jobs_completed : int;
     jobs_failed : int;
     queued : int;  (** jobs waiting in the admission queue right now *)
-    running : int;  (** jobs holding a dispatch slot right now *)
+    running : int;
+        (** jobs dispatched and not yet finished: each holds an
+            admission slot, though it may still wait in the pool's queue
+            for a domain to run it *)
     queue_high_water : int;  (** deepest the admission queue has been *)
     ledger_bytes : int;  (** input bytes of running jobs right now *)
     ledger_high_water : int;
@@ -69,9 +72,10 @@ module Session : sig
 
       [config.concurrency] (default 1) bounds the jobs dispatched at
       once; [config.queue_capacity] (default 64) bounds the admission
-      queue. [config.pool] shares an existing pool; absent, the session
-      owns a fresh pool sized to the concurrency (released by
-      {!shutdown}). [config.cache] is the shared lineage cache (absent:
+      queue. The session creates and owns a pool of
+      [min concurrency (Domain.recommended_domain_count ())] domains,
+      released by {!shutdown}; dispatched jobs beyond its size wait in
+      its queue. [config.cache] is the shared lineage cache (absent:
       none). [config.memory_budget] is both each job's spill budget
       and the session's ledger budget: a job whose input bytes would
       overflow the ledger waits (it is never rejected for size — a lone

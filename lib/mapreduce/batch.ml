@@ -27,27 +27,27 @@ let bytes b =
     !s
   end
 
-type chunk = { out : Value.t array; out_bytes : int }
-
 (* placeholder for pre-sized buffers; never observable in results *)
 let dummy = Value.Int 0
 
-let map_range f b ~pos ~len =
-  let src = b.data in
+let map f b =
   let by = ref 0 in
   let out =
-    Array.init len (fun i ->
-        let v = f src.(pos + i) in
+    Array.map
+      (fun r ->
+        let v = f r in
         by := !by + Value.size_of v;
         v)
+      b.data
   in
-  { out; out_bytes = !by }
+  of_array ~bytes:!by out
 
-let filter_range p b ~pos ~len =
+let filter p b =
   let src = b.data in
-  let out = Array.make len dummy in
+  let n = Array.length src in
+  let out = Array.make n dummy in
   let count = ref 0 and by = ref 0 in
-  for i = pos to pos + len - 1 do
+  for i = 0 to n - 1 do
     let v = src.(i) in
     if p v then begin
       out.(!count) <- v;
@@ -55,14 +55,11 @@ let filter_range p b ~pos ~len =
       by := !by + Value.size_of v
     end
   done;
-  {
-    out = (if !count = len then out else Array.sub out 0 !count);
-    out_bytes = !by;
-  }
+  of_array ~bytes:!by (if !count = n then out else Array.sub out 0 !count)
 
-let concat_map_range f b ~pos ~len =
+let concat_map f b =
   let src = b.data in
-  let cap = ref (max 8 len) in
+  let cap = ref (max 8 (Array.length src)) in
   let buf = ref (Array.make !cap dummy) in
   let count = ref 0 and by = ref 0 in
   let push v =
@@ -76,25 +73,8 @@ let concat_map_range f b ~pos ~len =
     incr count;
     by := !by + Value.size_of v
   in
-  for i = pos to pos + len - 1 do
+  for i = 0 to Array.length src - 1 do
     List.iter push (f src.(i))
   done;
-  {
-    out = (if !count = !cap then !buf else Array.sub !buf 0 !count);
-    out_bytes = !by;
-  }
-
-let concat = function
-  | [] -> empty ()
-  | [ c ] -> of_array ~bytes:c.out_bytes c.out
-  | cs ->
-      let total = List.fold_left (fun a c -> a + Array.length c.out) 0 cs in
-      let arr = Array.make total dummy in
-      let off = ref 0 and by = ref 0 in
-      List.iter
-        (fun c ->
-          Array.blit c.out 0 arr !off (Array.length c.out);
-          off := !off + Array.length c.out;
-          by := !by + c.out_bytes)
-        cs;
-      of_array ~bytes:!by arr
+  of_array ~bytes:!by
+    (if !count = !cap then !buf else Array.sub !buf 0 !count)

@@ -2,14 +2,11 @@
 
     A batch is an immutable-by-convention [Value.t array] plus a cached
     total byte size under {!Casper_common.Value.size_of}. Stage kernels
-    ([map]/[filter]/[flatmap]) run as tight array loops over contiguous
-    index ranges and fuse volume accounting into the same pass: each
-    kernel returns the records it produced *and* their summed byte
-    size, so the engine never re-walks a dataset with a separate
-    [List.length] + [size_of] fold. Ranges are the engine's parallel
-    task unit — one pool task per range, concatenated in submission
-    order, which keeps outputs byte-identical to the sequential pass at
-    any pool size (DESIGN.md §11). *)
+    ([map]/[filter]/[concat_map]) run as tight array loops over the
+    whole batch, on the calling domain, and fuse volume accounting into
+    the same pass: each kernel returns a batch whose byte size it
+    accumulated while producing the records, so the engine never
+    re-walks a dataset with a separate [List.length] + [size_of] fold. *)
 
 module Value = Casper_common.Value
 
@@ -37,20 +34,11 @@ val bytes : t -> int
 
 val empty : unit -> t
 
-(** The result of one stage kernel over one range: the produced records
-    and their byte size, accumulated in the producing loop. *)
-type chunk = { out : Value.t array; out_bytes : int }
+(** [map f b]: [f] over every record, in order, sizes fused. *)
+val map : (Value.t -> Value.t) -> t -> t
 
-(** [map_range f b ~pos ~len]: [f] over [b.(pos .. pos+len-1)], sizes
-    fused. *)
-val map_range : (Value.t -> Value.t) -> t -> pos:int -> len:int -> chunk
+(** The records satisfying the predicate, in order, sizes fused. *)
+val filter : (Value.t -> bool) -> t -> t
 
-val filter_range : (Value.t -> bool) -> t -> pos:int -> len:int -> chunk
-
-val concat_map_range :
-  (Value.t -> Value.t list) -> t -> pos:int -> len:int -> chunk
-
-(** Concatenate kernel results in list order into one batch; byte sizes
-    sum without another pass. A singleton list adopts the chunk's array
-    without copying. *)
-val concat : chunk list -> t
+(** Each record's outputs, concatenated in record order, sizes fused. *)
+val concat_map : (Value.t -> Value.t list) -> t -> t

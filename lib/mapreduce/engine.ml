@@ -15,7 +15,6 @@
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
-module Par = Casper_par.Par
 
 exception Engine_error of string
 
@@ -54,9 +53,6 @@ let as_kv = function
   | Value.Tuple [ k; v ] -> (k, v)
   | v -> err "expected a key-value record, got %s" (Value.to_string v)
 
-(* placeholder for pre-sized buffers; never observable in results *)
-let vdummy = Value.Int 0
-
 (* ------------------------------------------------------------------ *)
 (* Dataset cache plumbing                                               *)
 
@@ -85,10 +81,8 @@ let cache_stats = Exec_config.cache_stats
 type exec_ctx = {
   x_sched : Sched.Coordinator.config option;
   x_obs : Obs.ctx;
-  x_pool : Par.pool option;  (** [None] = stage work runs inline *)
   x_budget : int option;  (** resolved spill budget *)
   x_spill_dir : string option;  (** [None] = the system temp directory *)
-  x_grain : int;  (** resolved records per parallel task *)
   x_spill_fault : (unit -> bool) option;
   x_cache : cache option;  (** [None] = off *)
   x_cache_fault : (unit -> bool) option;
@@ -113,7 +107,7 @@ let check_cancel (ctx : exec_ctx) : unit =
     slots to partition across. *)
 let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
     ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
-  let obs = ctx.x_obs and pool = ctx.x_pool in
+  let obs = ctx.x_obs in
   check_cancel ctx;
   Obs.span obs ~args:[ ("source", plan.Plan.source) ] "engine.run_plan"
   @@ fun () ->
@@ -196,132 +190,29 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   in
   let input_batch = Batch.of_list input in
   let input_bytes = Batch.bytes input_batch in
-  (* Record-level stage work runs on the pool as tight array loops over
-     contiguous index ranges (Par.task_ranges: at most 2 tasks per
-     domain, and no more than one per records_per_task records — the
-     granularity floor that makes fan-out pay for itself; an input of at
-     most that many records is one range and runs inline on the
-     submitting domain, as does every stage when there is no pool).
-     Ranges merge in submission order, and the per-record functions are
-     pure (compiled λm/λr closures evaluate through the side-effect-free
-     [Eval]), so outputs — and the byte accounting fused into the same
-     loops — are byte-identical with or without a pool, at any pool size
-     and granularity. Each foreign-domain range is traced on
-     its own "domain-N" track; on the owner [Obs.domain_span] is a
-     no-op, and the engine_batches / engine_tasks counters fire only on
-     the fan-out path, so jobs=1 traces are unchanged. *)
-  let fan_out () =
-    match pool with
-    | Some p when Par.size p > 1 && not (Par.on_worker ()) -> Some p
-    | _ -> None
-  in
-  let ranges_for n =
-    match fan_out () with
-    | None -> None
-    | Some p ->
-        let ranges =
-          Par.task_ranges ~records_per_task:ctx.x_grain ~jobs:(Par.size p) n
-        in
-        if Array.length ranges <= 1 then None else Some (p, ranges)
-  in
-  let fan_out_counters ranges =
-    Obs.add obs "engine_batches" 1;
-    Obs.add obs "engine_tasks" (Array.length ranges)
-  in
-  let par_kernel (kernel : Batch.t -> pos:int -> len:int -> Batch.chunk)
-      (label : string) (b : Batch.t) : Batch.t =
-    let n = Batch.length b in
-    match ranges_for n with
-    | None -> Batch.concat [ kernel b ~pos:0 ~len:n ]
-    | Some (pool, ranges) ->
-        fan_out_counters ranges;
-        Par.parallel_map pool
-          (fun (pos, len) ->
-            Obs.domain_span obs ~args:[ ("stage", label) ] "chunk" (fun () ->
-                kernel b ~pos ~len))
-          (Array.to_list ranges)
-        |> Batch.concat
-  in
-  (* run [fill] over [0, n) in disjoint parallel ranges: tasks write
-     disjoint indices of pre-sized arrays, published by the pool's
-     completion barrier before the submitter reads them *)
-  let par_fill (label : string) (fill : pos:int -> len:int -> unit)
-      (n : int) : unit =
-    match ranges_for n with
-    | None -> if n > 0 then fill ~pos:0 ~len:n
-    | Some (pool, ranges) ->
-        fan_out_counters ranges;
-        ignore
-          (Par.parallel_map pool
-             (fun (pos, len) ->
-               Obs.domain_span obs ~args:[ ("stage", label) ] "chunk"
-                 (fun () -> fill ~pos ~len))
-             (Array.to_list ranges))
-  in
-  (* split a batch of key-value records into key / value / key-string
-     arrays in one (parallel) pass — every grouped stage needs the key's
-     string form, and computing it once here lets grouping, partitioning
-     and combiner accounting all reuse it *)
-  let split_kv (label : string) (b : Batch.t) :
-      Value.t array * Value.t array * string array =
-    let n = Batch.length b in
-    let src = Batch.data b in
-    let ks = Array.make n vdummy
-    and vs = Array.make n vdummy
-    and keys = Array.make n "" in
-    par_fill label
-      (fun ~pos ~len ->
-        for i = pos to pos + len - 1 do
-          let k, v = as_kv src.(i) in
-          ks.(i) <- k;
-          vs.(i) <- v;
-          keys.(i) <- Value.to_string k
-        done)
-      n;
-    (ks, vs, keys)
-  in
-  (* hash-group a batch of key-value records, one accumulator cell per
-     key, arrival order per key = the sequential left fold. On the
-     sequential path the key-string computation fuses straight into
-     the grouping loop; on the fan-out path it comes from a parallel
-     split pass and the loop reads the pre-computed arrays. *)
-  let group_kv label b init step =
+  (* Every stage runs on the calling domain: record-level stages are
+     tight array loops over the whole batch with the byte accounting
+     fused in ({!Batch}), and the cluster the plan stands for is
+     simulated from the measured volumes, never from host wall-clock.
+
+     [group_kv] hash-groups a batch of key-value records, one
+     accumulator cell per key, arrival order per key = the sequential
+     left fold. *)
+  let group_kv b init step =
     let n = Batch.length b in
     let tbl = Hashtbl.create (max 64 (n / 4)) in
     let distinct = ref [] in
-    let insert key k v =
+    let src = Batch.data b in
+    for i = 0 to n - 1 do
+      let k, v = as_kv src.(i) in
+      let key = Value.to_string k in
       match Hashtbl.find tbl key with
       | (_, cell) -> step cell v
       | exception Not_found ->
           Hashtbl.add tbl key (k, init v);
           distinct := key :: !distinct
-    in
-    (match ranges_for n with
-    | None ->
-        let src = Batch.data b in
-        for i = 0 to n - 1 do
-          let k, v = as_kv src.(i) in
-          insert (Value.to_string k) k v
-        done
-    | Some _ ->
-        let ks, vs, keys = split_kv label b in
-        for i = 0 to n - 1 do
-          insert keys.(i) ks.(i) vs.(i)
-        done);
+    done;
     (tbl, !distinct)
-  in
-  (* per-partition combiner accounting: independent folds, one task per
-     partition, summed in partition order *)
-  let par_partition_sum label g parts =
-    match fan_out () with
-    | None -> Array.fold_left (fun a p -> a + g p) 0 parts
-    | Some pool ->
-        Par.parallel_map pool
-          (fun part ->
-            Obs.domain_span obs ~args:[ ("stage", label) ] "combine"
-              (fun () -> g part))
-          (Array.to_list parts)
-        |> List.fold_left ( + ) 0
   in
   (* single-pass hash grouping with per-key accumulator cells (arrival
      order per key = the sequential left fold), output in key-string
@@ -399,17 +290,15 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         } )
     in
     match stage with
-    | Plan.Flat_map { f; _ } ->
-        mk (par_kernel (Batch.concat_map_range f) label current)
-    | Plan.Filter { p; _ } ->
-        mk (par_kernel (Batch.filter_range p) label current)
+    | Plan.Flat_map { f; _ } -> mk (Batch.concat_map f current)
+    | Plan.Filter { p; _ } -> mk (Batch.filter p current)
     | Plan.Map_values { f; _ } ->
         mk
-          (par_kernel
-             (Batch.map_range (fun r ->
-                  let k, v = as_kv r in
-                  Value.Tuple [ k; f v ]))
-             label current)
+          (Batch.map
+             (fun r ->
+               let k, v = as_kv r in
+               Value.Tuple [ k; f v ])
+             current)
     | Plan.Reduce_by_key { f; comm_assoc; _ } ->
         check_workers ();
         let init v = ref v
@@ -420,7 +309,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           | Some spill_budget ->
               grouped_spill label current ~spill_budget ~init ~step ~record
           | None ->
-              let tbl, distinct = group_kv label current init step in
+              let tbl, distinct = group_kv current init step in
               grouped_output tbl distinct record
         in
         if comm_assoc && cluster.Cluster.combiner then begin
@@ -450,7 +339,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           | Some spill_budget ->
               grouped_spill label current ~spill_budget ~init ~step ~record
           | None ->
-              let tbl, distinct = group_kv label current init step in
+              let tbl, distinct = group_kv current init step in
               grouped_output tbl distinct record
         in
         mk ~shuffled:bytes_in ~is_shuffle:true out
@@ -473,23 +362,18 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
                exchanges keep round-robin placement, so partition p
                folds records p, p+w, p+2w, ... in index order *)
             let w = cluster.Cluster.workers in
-            let shuffled =
-              par_partition_sum label
-                (fun p ->
-                  if p >= n then 0
-                  else begin
-                    let pacc = ref src.(p) in
-                    let i = ref (p + w) in
-                    while !i < n do
-                      pacc := f !pacc src.(!i);
-                      i := !i + w
-                    done;
-                    Value.size_of !pacc
-                  end)
-                (Array.init w (fun p -> p))
-            in
+            let shuffled = ref 0 in
+            for p = 0 to min w n - 1 do
+              let pacc = ref src.(p) in
+              let i = ref (p + w) in
+              while !i < n do
+                pacc := f !pacc src.(!i);
+                i := !i + w
+              done;
+              shuffled := !shuffled + Value.size_of !pacc
+            done;
             let cap = w * Value.size_of result in
-            mk ~shuffled ~is_shuffle:true ~cap out
+            mk ~shuffled:!shuffled ~is_shuffle:true ~cap out
           end
           else mk ~shuffled:bytes_in ~is_shuffle:true out
         end
@@ -506,15 +390,13 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
             let k, v = as_kv r in
             Hashtbl.add tbl (Value.to_string k) (k, v))
           right_run.output;
-        (* probe side fans out like any record stage; the build table is
-           only read concurrently *)
         let probe r =
           let k, v1 = as_kv r in
           Hashtbl.find_all tbl (Value.to_string k)
           |> List.rev_map (fun (_, v2) ->
                  Value.Tuple [ k; Value.Tuple [ v1; v2 ] ])
         in
-        let joined = par_kernel (Batch.concat_map_range probe) label current in
+        let joined = Batch.concat_map probe current in
         let shuffled = bytes_in + Value.size_of_list right_run.output in
         mk ~shuffled ~is_shuffle:true joined
     | Plan.Sample_monitor { k; observe; _ } ->
@@ -570,9 +452,9 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
     ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
   let sched = config.Exec_config.sched in
   (* spill-file I/O faults come from the scheduler's fault profile; the
-     draws are seeded per top-level run_plan and happen sequentially on
-     the submitting domain, so a (profile, plan, budget) triple always
-     replays the same loss timeline at any pool size *)
+     draws are seeded per top-level run_plan and happen in stage order,
+     so a (profile, plan, budget) triple always replays the same loss
+     timeline *)
   let fault_draw salt p =
     match sched with
     | None -> None
@@ -591,7 +473,6 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
     {
       x_sched = sched;
       x_obs = Option.value config.Exec_config.obs ~default:Obs.null;
-      x_pool = config.Exec_config.pool;
       (* [<= 0] means unbounded, so callers can force the in-memory
          path explicitly *)
       x_budget =
@@ -599,7 +480,6 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
         | Some b when b > 0 -> Some b
         | _ -> None);
       x_spill_dir = config.Exec_config.spill_dir;
-      x_grain = Option.value config.Exec_config.records_per_task ~default:4096;
       x_spill_fault = fault_draw 0x51f4 (fun fp -> fp.Sched.Faults.spill_fault_prob);
       x_cache = config.Exec_config.cache;
       x_cache_fault =

@@ -69,12 +69,10 @@ val cache_stats : cache -> Cache.stats
     fault injection and speculative execution) instead of the
     closed-form estimate. [config.obs] (default disabled) records an
     "engine.run_plan" span with one child span per stage, carrying
-    record and shuffle-volume counters. [config.pool] runs record-level
-    stage work and per-partition combiner accounting across its domains;
-    without one (the default) that work runs inline on the calling
-    domain. Outputs and accounting are byte-identical with or without a
-    pool, at any pool size (DESIGN.md §10).
-    [config.cancel] is polled at stage boundaries.
+    record and shuffle-volume counters. Every stage runs on the calling
+    domain: the run starts no domain and uses no pool, and the cluster
+    it stands for is simulated from the measured volumes (DESIGN.md
+    §10). [config.cancel] is polled at stage boundaries.
 
     [config.memory_budget] bounds the estimated live bytes a grouped
     shuffle (reduceByKey / groupByKey) may buffer before spilling sorted

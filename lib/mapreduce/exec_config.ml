@@ -2,7 +2,6 @@
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
-module Par = Casper_par.Par
 
 (* ------------------------------------------------------------------ *)
 (* Types shared with the engine                                        *)
@@ -36,10 +35,8 @@ let cache_stats (c : cache) = Cache.stats c
 type t = {
   sched : Sched.Coordinator.config option;
   obs : Obs.ctx option;
-  pool : Par.pool option;
   memory_budget : int option;
   spill_dir : string option;
-  records_per_task : int option;
   cache : cache option;
   cluster : Cluster.t option;
   concurrency : int option;
@@ -51,10 +48,8 @@ let default =
   {
     sched = None;
     obs = None;
-    pool = None;
     memory_budget = None;
     spill_dir = None;
-    records_per_task = None;
     cache = None;
     cluster = None;
     concurrency = None;

@@ -4,22 +4,22 @@
     A {!t} record is the only way to configure an execution:
     {!Engine.run_plan}, [Runner.run_summary] and [Exec.Session.create]
     each take one [?config]. A [None] field means the built-in value —
-    no spill, spill files under the system temp directory, 4096 records
-    per task, no cache, session concurrency 1, admission queue 64 — at
-    every level; no process-global default sits between a field and the
-    built-in.
+    no spill, spill files under the system temp directory, no cache,
+    session concurrency 1, admission queue 64 — at every level; no
+    process-global default sits between a field and the built-in. No
+    field carries a domain pool: an engine run executes on the domain
+    that calls it, and a session creates and owns its pool.
 
     The environment enters only through this module: {!of_env} reads
     [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET],
     [CASPER_EXEC_CONCURRENCY], [CASPER_EXEC_QUEUE] and
     [CASPER_SPILL_DIR], and {!jobs_of_env} reads [CASPER_JOBS]. A binary
-    that wants the environment calls them once and passes the record
-    (and any pool it sizes) on; the library itself never reads these
-    variables. *)
+    that wants the environment calls them once and passes the record on
+    (and sizes any pool it creates itself from [jobs_of_env]); the
+    library itself never reads these variables. *)
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
-module Par = Casper_par.Par
 
 (* ------------------------------------------------------------------ *)
 (* Types shared with the engine                                        *)
@@ -70,18 +70,11 @@ type t = {
       (** task-level scheduling + fault profile (default: closed-form
           time estimate, no faults) *)
   obs : Obs.ctx option;  (** observability context (default: disabled) *)
-  pool : Par.pool option;
-      (** domain pool, owned by the caller (default: none — the engine
-          runs stage work inline; a session builds and owns one) *)
   memory_budget : int option;
       (** spill budget in bytes (default, or [<= 0]: in-memory) *)
   spill_dir : string option;
       (** directory spill files are created under (default: the system
           temp directory); it must exist *)
-  records_per_task : int option;
-      (** granularity floor of the engine's parallel stages (default
-          4096); small values force tiny tasks, which never changes
-          outputs *)
   cache : cache option;  (** lineage cache (default: none) *)
   cluster : Cluster.t option;
       (** default backend for session jobs submitted without one *)
@@ -110,6 +103,6 @@ val of_env : unit -> t
 
 (** The pool size [CASPER_JOBS] asks for: the variable when it is a
     positive integer, else 1 (any other value also warns once). For a
-    binary or test suite that sizes a pool it creates, owns and passes
-    in [pool]. *)
+    binary or test suite that sizes a pool it creates and owns (the
+    difftest campaign's waves). *)
 val jobs_of_env : unit -> int

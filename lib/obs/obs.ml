@@ -13,7 +13,11 @@
     Disabled contexts ({!null}) are cheap no-ops: every operation starts
     with one flag check and touches nothing else, so instrumentation can
     stay unconditionally in place on hot paths (the <2% overhead budget
-    the CI smoke bench enforces). *)
+    the CI smoke bench enforces).
+
+    Only the domain that created a context writes to it. Work that runs
+    on another domain records into a {!fork} of the context, which its
+    owner grafts back once the work has finished. *)
 
 module J = Casper_common.Jsonout
 module Rng = Casper_common.Rng
@@ -25,10 +29,11 @@ let wall_clock : clock = Unix.gettimeofday
 let virtual_clock ?(seed = 0) () : clock =
   (* deterministic, strictly increasing, with seeded pseudo-random
      sub-millisecond steps so durations look organic in a viewer; the
-     mutex makes reads from pool-worker spans safe (the sequence of
-     ticks then depends on scheduling, but virtual-clocked contexts are
-     only required to be byte-stable at jobs=1, where the lock is
-     uncontended and the sequence is exactly the historical one) *)
+     mutex makes reads safe from the forks of a context, which share
+     its clock (the sequence of ticks then depends on scheduling, but
+     virtual-clocked contexts are only required to be byte-stable when
+     one domain records, where the lock is uncontended and the sequence
+     is exactly the historical one) *)
   let rng = Rng.create (seed + 7919) in
   let m = Mutex.create () in
   let t = ref 0.0 in
@@ -51,24 +56,12 @@ type node = {
   mutable rev_children : node list;
 }
 
-(* spans opened by a pool-worker domain live on their own per-domain
-   track, not on the owner's stack: the owner's span tree (the golden
-   trace surface) is byte-identical whether or not workers traced
-   anything, and no node is ever mutated by two domains *)
-type dtrack = {
-  d_root : node;
-  mutable d_stack : node list;  (** open worker spans, ends at [d_root] *)
-}
-
 type ctx = {
   on : bool;
   clock : clock;
   root : node;
-  owner : int;  (** id of the domain that created the context *)
-  lock : Mutex.t;  (** guards totals, gauges and the domain tracks *)
+  lock : Mutex.t;  (** guards totals and gauges *)
   mutable stack : node list;  (** open spans, innermost first; ends at root *)
-  mutable dom_tracks : (int * dtrack) list;
-      (** per-domain tracks, keyed by domain id; named in arrival order *)
   totals : (string, int) Hashtbl.t;
   mutable gauges : (string * float) list;
 }
@@ -78,17 +71,13 @@ let make_node ~track ~t0 ?(args = []) name =
 
 let default_track = "pipeline"
 
-let self_id () : int = (Domain.self () :> int)
-
 let null : ctx =
   {
     on = false;
     clock = wall_clock;
     root = make_node ~track:default_track ~t0:0.0 "root";
-    owner = -1;
     lock = Mutex.create ();
     stack = [];
-    dom_tracks = [];
     totals = Hashtbl.create 1;
     gauges = [];
   }
@@ -99,10 +88,8 @@ let create ?(clock = wall_clock) () : ctx =
     on = true;
     clock;
     root;
-    owner = self_id ();
     lock = Mutex.create ();
     stack = [ root ];
-    dom_tracks = [];
     totals = Hashtbl.create 64;
     gauges = [];
   }
@@ -131,58 +118,6 @@ let span c ?(args = []) (name : string) (f : unit -> 'a) : 'a =
       f
   end
 
-(* the calling domain's track, created on first use; named by arrival
-   order so track names don't leak raw domain ids *)
-let dtrack_of (c : ctx) (did : int) : dtrack =
-  match List.assoc_opt did c.dom_tracks with
-  | Some dt -> dt
-  | None ->
-      let name = Fmt.str "domain-%d" (1 + List.length c.dom_tracks) in
-      let dt =
-        {
-          d_root = make_node ~track:name ~t0:(c.clock ()) name;
-          d_stack = [];
-        }
-      in
-      c.dom_tracks <- c.dom_tracks @ [ (did, dt) ];
-      dt.d_stack <- [ dt.d_root ];
-      dt
-
-(** Like {!span}, but from a pool-worker domain: the span nests under
-    the calling domain's own track ("domain-1", "domain-2", … in
-    arrival order), so concurrent workers never touch the owner's span
-    stack. Called on the owner domain (a pool of size 1, or the
-    submitter helping out) it is a transparent no-op — the owner's
-    trace stays byte-identical to a sequential run. *)
-let domain_span c ?(args = []) (name : string) (f : unit -> 'a) : 'a =
-  if (not c.on) || self_id () = c.owner then f ()
-  else begin
-    let did = self_id () in
-    let n =
-      Mutex.protect c.lock (fun () ->
-          let dt = dtrack_of c did in
-          let parent =
-            match dt.d_stack with p :: _ -> p | [] -> dt.d_root
-          in
-          let n = make_node ~track:dt.d_root.track ~t0:(c.clock ()) ~args name in
-          parent.rev_children <- n :: parent.rev_children;
-          dt.d_stack <- n :: dt.d_stack;
-          n)
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.protect c.lock (fun () ->
-            n.t1 <- c.clock ();
-            let dt = dtrack_of c did in
-            let rec pop = function
-              | top :: rest when top == n -> dt.d_stack <- rest
-              | _ :: rest -> pop rest
-              | [] -> dt.d_stack <- [ dt.d_root ]
-            in
-            pop dt.d_stack))
-      f
-  end
-
 let span_at c ?(track = "sched") ?(args = []) ?(counters = [])
     ~(t0 : float) ~(t1 : float) (name : string) : unit =
   if c.on then begin
@@ -203,22 +138,13 @@ let rec bump assoc key d =
       if String.equal k key then (k, v + d) :: rest
       else (k, v) :: bump rest key d
 
-(** Add [d] to counter [key]: on the innermost open span of the calling
-    domain (the owner's stack, or the domain's own track) and on the
-    flat per-run totals (lock-guarded — totals are shared across
-    domains). *)
+(** Add [d] to counter [key]: on the innermost open span and on the
+    flat per-run totals. *)
 let add c (key : string) (d : int) : unit =
   if c.on then begin
-    (if self_id () = c.owner then (
-       match c.stack with
-       | top :: _ -> top.counters <- bump top.counters key d
-       | [] -> ())
-     else
-       Mutex.protect c.lock (fun () ->
-           let dt = dtrack_of c (self_id ()) in
-           match dt.d_stack with
-           | top :: _ -> top.counters <- bump top.counters key d
-           | [] -> ()));
+    (match c.stack with
+    | top :: _ -> top.counters <- bump top.counters key d
+    | [] -> ());
     Mutex.protect c.lock (fun () ->
         let prev = try Hashtbl.find c.totals key with Not_found -> 0 in
         Hashtbl.replace c.totals key (prev + d))
@@ -253,18 +179,15 @@ let fork c : ctx =
       on = true;
       clock = c.clock;
       root;
-      owner = self_id ();
       lock = Mutex.create ();
       stack = [ root ];
-      dom_tracks = [];
       totals = Hashtbl.create 64;
       gauges = [];
     }
 
 (* the child's top-level spans (and any counter added outside them)
    land where a sequential run would have put them: under the parent's
-   innermost open span. Per-domain tracks of the child are not carried
-   over. *)
+   innermost open span *)
 let graft c (child : ctx) : unit =
   if c.on && child.on then begin
     let top = match c.stack with p :: _ -> p | [] -> c.root in
@@ -314,19 +237,10 @@ let rec view_of (n : node) : view =
     v_children = List.rev_map view_of n.rev_children;
   }
 
-let tree c : view list =
-  if not c.on then []
-  else
-    (view_of c.root).v_children
-    @ List.map (fun (_, dt) -> view_of dt.d_root) c.dom_tracks
+let tree c : view list = if not c.on then [] else (view_of c.root).v_children
 
 let well_formed c : bool =
-  (not c.on)
-  || (match c.stack with [ r ] -> r == c.root | _ -> false)
-     && List.for_all
-          (fun (_, dt) ->
-            match dt.d_stack with [ r ] -> r == dt.d_root | _ -> false)
-          c.dom_tracks
+  (not c.on) || match c.stack with [ r ] -> r == c.root | _ -> false
 
 (** The structural shape of the span tree: names, nesting and counter
     keys, with duplicate sibling subtrees collapsed (first-occurrence

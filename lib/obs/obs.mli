@@ -2,7 +2,10 @@
     deterministic clock, typed counters and gauges, and Chrome
     [trace_event] export. Disabled contexts ({!null}) reduce every
     operation to a flag check, so instrumentation stays in place on hot
-    paths at <2% cost (the CI smoke bench enforces the budget). *)
+    paths at <2% cost (the CI smoke bench enforces the budget).
+
+    Only the domain that created a context writes to it: work on another
+    domain records into a {!fork} and is folded back with {!graft}. *)
 
 type clock = unit -> float
 
@@ -30,14 +33,6 @@ val now : ctx -> float
     open span; closed on exceptions too. [args] are free-form string
     annotations shown in the trace viewer. *)
 val span : ctx -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** Like {!span}, but safe to call from a pool-worker domain: the span
-    nests under the calling domain's own track ("domain-1", "domain-2",
-    … in arrival order) so concurrent workers never touch the owner's
-    span stack. On the owner domain it is a transparent no-op, which
-    keeps jobs=1 traces byte-identical to pre-parallelism ones. *)
-val domain_span :
-  ctx -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** Record an already-completed span with explicit timestamps, e.g. when
     folding the scheduler's simulation-time event trace — or a
@@ -74,8 +69,7 @@ val fork : ctx -> ctx
     finished: [child]'s top-level spans are appended under [parent]'s
     innermost open span, in order, and its counter totals and gauges
     are added to [parent]'s — the tree a sequential run under [parent]
-    would have recorded. [child]'s per-domain tracks are not carried
-    over. A no-op when either context is disabled. *)
+    would have recorded. A no-op when either context is disabled. *)
 val graft : ctx -> ctx -> unit
 
 (** Read-side span view; children in start order, counters sorted. *)

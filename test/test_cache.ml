@@ -1,5 +1,5 @@
 (** Tests for the lineage-aware dataset cache: the cross-feature
-    byte-identity matrix (cache × jobs × granularity × spill), LRU and
+    byte-identity matrix (cache × spill budget), LRU and
     pin/unpin semantics, eviction-before-spill, fingerprint stability,
     the join argument-plumbing regression, golden cache traces, and the
     cost model's cached-input term. *)
@@ -10,7 +10,6 @@ module Cache = Mapreduce.Cache
 module Cluster = Mapreduce.Cluster
 module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
-module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
 module Ir = Casper_ir.Lang
 module Infer = Casper_ir.Infer
@@ -25,22 +24,17 @@ let kv k v = Value.Tuple [ k; v ]
 let add_i a b = vint (Value.as_int a + Value.as_int b)
 
 (* non-commutative, non-associative combiner: serving a cached result
-   computed under a different pool size or granularity would diverge
-   immediately if the engine were not byte-deterministic *)
+   computed under a different spill budget would diverge immediately if
+   the engine were not byte-deterministic *)
 let nest a b = Value.Tuple [ a; b ]
 
-let pools = lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
-
-let run_cached ?cache ~jobs ~rpt ~memory_budget plan datasets =
-  let pool = List.assoc jobs (Lazy.force pools) in
+let run_cached ?cache ~memory_budget plan datasets =
   Engine.run_plan
     ~config:
       {
         Exec.Config.default with
         Exec.Config.cache;
-        pool = Some pool;
         memory_budget = Some memory_budget;
-        records_per_task = Some rpt;
       }
     ~cluster:Cluster.spark ~datasets plan
 
@@ -54,10 +48,9 @@ let wc_words n =
 
 (* ---------------- the equivalence matrix ---------------- *)
 
-(* cache {off, budget 1, 4096, unbounded} × jobs {1,2,4} ×
-   records_per_task {1,1024} × memory_budget {in-memory, 4096}: every
-   point must agree with the uncached in-memory jobs=1 run on output
-   AND stage metrics. The plan and dataset values are fixed per case
+(* cache {off, budget 1, 4096, unbounded} × memory_budget {in-memory,
+   4096}: every point must agree with the uncached in-memory run on
+   output AND stage metrics. The plan and dataset values are fixed per case
    and each cache is shared across its whole sub-grid, so later points
    really are served from entries populated by earlier ones (the
    unbounded cache must record hits to prove it). *)
@@ -96,9 +89,7 @@ let prop_cache_matrix =
       let mk l = List.map (fun (k, v) -> kv (vint k) (vint v)) l in
       let datasets = [ ("d", mk l1); ("e", mk l2) ] in
       let plan = mk_plan shape in
-      let base =
-        run_cached ~jobs:1 ~rpt:1024 ~memory_budget:0 plan datasets
-      in
+      let base = run_cached ~memory_budget:0 plan datasets in
       let tiny = Engine.make_cache ~budget:1 () in
       let mid = Engine.make_cache ~budget:4096 () in
       let unbounded = Engine.make_cache () in
@@ -106,24 +97,20 @@ let prop_cache_matrix =
         List.for_all
           (fun cache ->
             List.for_all
-              (fun jobs ->
+              (fun memory_budget ->
+                (* each point twice, so the second run of a cached
+                   point can be served from the first *)
                 List.for_all
-                  (fun memory_budget ->
-                    List.for_all
-                      (fun rpt ->
-                        let r =
-                          run_cached ?cache ~jobs ~rpt ~memory_budget plan
-                            datasets
-                        in
-                        r.Engine.output = base.Engine.output
-                        && r.Engine.stages = base.Engine.stages)
-                      [ 1; 1024 ])
-                  [ 0; 4096 ])
-              [ 1; 2; 4 ])
+                  (fun _ ->
+                    let r = run_cached ?cache ~memory_budget plan datasets in
+                    r.Engine.output = base.Engine.output
+                    && r.Engine.stages = base.Engine.stages)
+                  [ 1; 2 ])
+              [ 0; 4096 ])
           [ None; Some tiny; Some mid; Some unbounded ]
       in
-      (* 12 runs over 2 lineage keys (the two spill budgets): the
-         unbounded sub-grid must have been served mostly from cache *)
+      (* 4 runs over 2 lineage keys (the two spill budgets): the
+         unbounded sub-grid must have been served from cache *)
       ok && (Engine.cache_stats unbounded).Cache.hits > 0)
 
 (* ---------------- cache unit semantics ---------------- *)
@@ -338,8 +325,7 @@ let test_cache_fault_invalidates_and_recomputes () =
 
 (* ---------------- golden cache traces ---------------- *)
 
-(* shapes are defined at the in-memory spill path (see test_obs.ml);
-   the input is small enough to stay on the inline path at any jobs *)
+(* shapes are defined at the in-memory spill path (see test_obs.ml) *)
 
 let cached cache obs =
   { Exec.Config.default with Exec.Config.cache = Some cache; obs }

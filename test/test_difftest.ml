@@ -53,8 +53,8 @@ let test_roundtrip_generated () =
    find no divergence. The scheduled CI job runs the big sibling. *)
 let test_smoke_campaign () =
   let report =
-    Harness.run_campaign ?pool:Testenv.config.Casper_exec.Exec.Config.pool
-      ~seed:7 ~count:25 ~minimize:false ()
+    Harness.run_campaign ?pool:Testenv.pool ~seed:7 ~count:25
+      ~minimize:false ()
   in
   check_int "all programs accounted for" 25
     (report.Harness.translated + report.Harness.skipped
@@ -66,6 +66,43 @@ let test_smoke_campaign () =
     report.Harness.failures;
   check "most generated programs translate" true
     (report.Harness.translated >= 15)
+
+(* Checking a wave on a pool must not move the report: program [i] is
+   generated before dispatch and its verdict depends on no other
+   program, so the counts, skip reasons, failures and log lines of an
+   inline campaign and of one on a 2-job pool are equal. A 100-candidate
+   search budget makes some programs skip, so the counts depend on
+   which programs were checked, and a pool that changed the program
+   stream would show. *)
+let test_campaign_pool_identity () =
+  let config =
+    {
+      (Oracle.default_config ~seed:7 ()) with
+      Oracle.synth =
+        { Casper_synth.Cegis.default_config with max_candidates = 100 };
+    }
+  in
+  let campaign pool =
+    let lines = ref [] in
+    let r =
+      Harness.run_campaign
+        ~log:(fun l -> lines := l :: !lines)
+        ~config ?pool ~seed:7 ~count:25 ~minimize:false ()
+    in
+    (r, List.rev !lines)
+  in
+  let inline, inline_log = campaign None in
+  let pooled, pooled_log =
+    Casper_par.Par.with_pool ~jobs:2 (fun p -> campaign (Some p))
+  in
+  check "some programs translate and some skip" true
+    (inline.Harness.translated > 0 && inline.Harness.skipped > 0);
+  check_int "translated" inline.Harness.translated pooled.Harness.translated;
+  check_int "skipped" inline.Harness.skipped pooled.Harness.skipped;
+  check "skip reasons" true
+    (inline.Harness.skip_reasons = pooled.Harness.skip_reasons);
+  check "failures" true (inline.Harness.failures = pooled.Harness.failures);
+  check "log lines" true (inline_log <> [] && inline_log = pooled_log)
 
 (* ---------------- regression corpus ---------------- *)
 
@@ -189,6 +226,11 @@ let suite =
           test_smoke_campaign;
         Alcotest.test_case "regression corpus replays clean" `Slow
           test_corpus_replay;
+      ] );
+    ( "difftest.campaign",
+      [
+        Alcotest.test_case "report identical inline and on a 2-job pool"
+          `Slow test_campaign_pool_identity;
       ] );
     ( "difftest.shrink",
       [

@@ -6,7 +6,6 @@ module Engine = Mapreduce.Engine
 module Cluster = Mapreduce.Cluster
 module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
-module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
 module Coordinator = Sched.Coordinator
 module Faults = Sched.Faults
@@ -215,10 +214,7 @@ let test_global_reduce_partials_round_robin () =
    ([0] is the in-memory path), so CASPER_MEM_BUDGET cannot move these
    tests; CASPER_CACHE_BUDGET reaches the untraced runs. *)
 
-let spill_pools = lazy (List.map (fun j -> (j, Par.create ~jobs:j)) [ 1; 2; 4 ])
-
-let run_spill ?sched ?obs ~jobs ~rpt ~memory_budget plan datasets =
-  let pool = List.assoc jobs (Lazy.force spill_pools) in
+let run_spill ?sched ?obs ~memory_budget plan datasets =
   let env =
     match obs with Some o -> Testenv.traced o | None -> Testenv.config
   in
@@ -227,9 +223,7 @@ let run_spill ?sched ?obs ~jobs ~rpt ~memory_budget plan datasets =
       {
         env with
         Exec.Config.sched;
-        pool = Some pool;
         memory_budget = Some memory_budget;
-        records_per_task = Some rpt;
       }
     ~cluster:Cluster.spark ~datasets plan
 
@@ -251,8 +245,8 @@ let spill_case_arb =
            (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)))
     spill_case_gen
 
-(* jobs {1,2,4} x budget {unbounded, 4096, 1 byte} x rpt {1, 1024}: every
-   point must agree with the in-memory jobs=1 run on output AND metrics *)
+(* budget {unbounded, 4096, 1 byte}: every point must agree with the
+   in-memory run on output AND metrics *)
 let prop_spill_matrix =
   QCheck.Test.make ~name:"spilled runs are byte-identical everywhere"
     ~count:30 spill_case_arb (fun (l, use_group) ->
@@ -263,19 +257,13 @@ let prop_spill_matrix =
         if use_group then Plan.(data "d" |>> group_by_key ())
         else Plan.(data "d" |>> reduce_by_key nest)
       in
-      let base = run_spill ~jobs:1 ~rpt:1024 ~memory_budget:0 p datasets in
+      let base = run_spill ~memory_budget:0 p datasets in
       List.for_all
-        (fun jobs ->
-          List.for_all
-            (fun memory_budget ->
-              List.for_all
-                (fun rpt ->
-                  let r = run_spill ~jobs ~rpt ~memory_budget p datasets in
-                  r.Engine.output = base.Engine.output
-                  && r.Engine.stages = base.Engine.stages)
-                [ 1; 1024 ])
-            [ 0; 4096; 1 ])
-        [ 1; 2; 4 ])
+        (fun memory_budget ->
+          let r = run_spill ~memory_budget p datasets in
+          r.Engine.output = base.Engine.output
+          && r.Engine.stages = base.Engine.stages)
+        [ 0; 4096; 1 ])
 
 let wc_plan =
   Plan.(
@@ -287,9 +275,9 @@ let wc_words n =
 
 let test_spill_identity_and_counters () =
   let datasets = [ ("w", wc_words 800) ] in
-  let base = run_spill ~jobs:1 ~rpt:1024 ~memory_budget:0 wc_plan datasets in
+  let base = run_spill ~memory_budget:0 wc_plan datasets in
   let obs = Obs.create () in
-  let r = run_spill ~obs ~jobs:1 ~rpt:1024 ~memory_budget:256 wc_plan datasets in
+  let r = run_spill ~obs ~memory_budget:256 wc_plan datasets in
   check "spilled output identical" true (r.Engine.output = base.Engine.output);
   check "spilled metrics identical" true (r.Engine.stages = base.Engine.stages);
   check "runs were written" true (Obs.total obs "spill_runs" > 0);
@@ -328,9 +316,9 @@ let test_spill_explicit_zero_wins () =
    at most 64 compacted runs plus the in-memory tail *)
 let test_spill_compaction () =
   let datasets = [ ("w", wc_words 400) ] in
-  let base = run_spill ~jobs:1 ~rpt:1024 ~memory_budget:0 wc_plan datasets in
+  let base = run_spill ~memory_budget:0 wc_plan datasets in
   let obs = Obs.create () in
-  let r = run_spill ~obs ~jobs:1 ~rpt:1024 ~memory_budget:1 wc_plan datasets in
+  let r = run_spill ~obs ~memory_budget:1 wc_plan datasets in
   check "far more runs than the fan-in cap" true
     (Obs.total obs "spill_runs" > 64);
   check "merge stayed under the cap" true
@@ -340,22 +328,17 @@ let test_spill_compaction () =
 
 let test_spill_fault_recovery () =
   let datasets = [ ("w", wc_words 500) ] in
-  let base = run_spill ~jobs:1 ~rpt:1024 ~memory_budget:0 wc_plan datasets in
+  let base = run_spill ~memory_budget:0 wc_plan datasets in
   let sched = Coordinator.config ~faults:(Faults.spill_faults ~seed:7 1.0) () in
   let obs = Obs.create () in
-  let r =
-    run_spill ~sched ~obs ~jobs:1 ~rpt:1024 ~memory_budget:128 wc_plan datasets
-  in
+  let r = run_spill ~sched ~obs ~memory_budget:128 wc_plan datasets in
   check "every run-open faulted" true (Obs.total obs "spill_io_faults" > 0);
   check "lineage recovery keeps the output" true
     (r.Engine.output = base.Engine.output);
   check "and the metrics" true (r.Engine.stages = base.Engine.stages);
   (* determinism: the same seeded profile replays the same loss count *)
   let obs2 = Obs.create () in
-  let r2 =
-    run_spill ~sched ~obs:obs2 ~jobs:1 ~rpt:1024 ~memory_budget:128 wc_plan
-      datasets
-  in
+  let r2 = run_spill ~sched ~obs:obs2 ~memory_budget:128 wc_plan datasets in
   check "same seed, same fault timeline" true
     (Obs.total obs "spill_io_faults" = Obs.total obs2 "spill_io_faults");
   check "same result" true (r2.Engine.output = base.Engine.output)
@@ -431,33 +414,6 @@ let test_spill_join_passthrough () =
   check "join metrics identical" true (r.Engine.stages = base.Engine.stages)
 
 (* ---------------- settings that travel in the config ---------------- *)
-
-(* the granularity floor is the run's [records_per_task]: one-record
-   tasks split a 100-record stage into 2 tasks per domain, and the
-   built-in floor keeps the same stage on one inline range *)
-let test_records_per_task_reaches_fan_out () =
-  let p = Plan.(data "d" |>> flat_map (fun x -> [ x ])) in
-  let datasets = [ ("d", ints (List.init 100 Fun.id)) ] in
-  Par.with_pool ~jobs:2 @@ fun pool ->
-  let traced records_per_task =
-    let obs = Obs.create () in
-    let r =
-      Engine.run_plan
-        ~config:
-          {
-            (Testenv.traced obs) with
-            Exec.Config.pool = Some pool;
-            records_per_task;
-          }
-        ~cluster:Cluster.spark ~datasets p
-    in
-    (r.Engine.output, obs)
-  in
-  let out1, obs1 = traced (Some 1) in
-  let out_default, obs_default = traced None in
-  check_int "one-record tasks: 2 per domain" 4 (Obs.total obs1 "engine_tasks");
-  check_int "absent: no fan-out" 0 (Obs.total obs_default "engine_batches");
-  check "same output" true (out1 = out_default)
 
 (* [spill_dir] must exist: a missing one is a clean engine error naming
    the path, and nothing is created under it *)
@@ -584,8 +540,6 @@ let suite =
       ] );
     ( "engine.config",
       [
-        Alcotest.test_case "records_per_task reaches the fan-out" `Quick
-          test_records_per_task_reaches_fan_out;
         Alcotest.test_case "missing spill_dir is a clean error" `Quick
           test_missing_spill_dir;
       ] );

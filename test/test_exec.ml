@@ -39,8 +39,8 @@ let join_datasets =
     ("e", List.init 12 (fun i -> kv (vint (i mod 7)) (vint i)));
   ]
 
-(* A gate a plan stage blocks on, so tests can hold a job mid-run on a
-   pool worker while the test domain keeps submitting. *)
+(* A gate a plan stage blocks on, so tests can hold a job mid-run on
+   another domain while the test domain keeps submitting. *)
 type gate = {
   g : Mutex.t;
   gcv : Condition.t;
@@ -80,6 +80,23 @@ let gated_plan gate =
     |>> Plan.Sample_monitor
           { label = "gate"; k = 1; observe = gate_observe gate }
     |>> map Fun.id)
+
+(* [hold gate s j f]: await the gated job [j] from a domain the test
+   spawns, run [f] on the test domain once [j] is held at the gate, then
+   open the gate — also when a check in [f] fails — and return [f]'s
+   result with [j]'s outcome. A concurrency-1 session's pool has no
+   worker, so a job runs on whichever domain awaits it; awaiting from a
+   spawned domain keeps the test domain free to submit and inspect. *)
+let hold gate s j f =
+  let waiter = Domain.spawn (fun () -> Exec.Session.await s j) in
+  let x =
+    Fun.protect
+      ~finally:(fun () -> open_gate gate)
+      (fun () ->
+        wait_started gate;
+        f ())
+  in
+  (x, Domain.join waiter)
 
 let completed = function
   | Exec.Session.Completed r -> r
@@ -156,21 +173,15 @@ let test_session_determinism () =
 (* ---------------- admission control ---------------- *)
 
 (* session tests take the environment's spill budget and queue bound,
-   but no cache: they pin dispatch behaviour, not memoization. Nor do
-   they take the suite's pool: a session given one shares it, and a
-   concurrency-1 job could then run off the owner domain; without one
-   the session builds and owns its own *)
-let uncached_env =
-  { Testenv.config with Exec.Config.cache = None; pool = None }
+   but no cache: they pin dispatch behaviour, not memoization *)
+let uncached_env = { Testenv.config with Exec.Config.cache = None }
 
 let test_backpressure () =
-  Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let config =
     {
       uncached_env with
-      Exec.Config.pool = Some pool;
-      concurrency = Some 1;
+      Exec.Config.concurrency = Some 1;
       queue_capacity = Some 1;
     }
   in
@@ -179,20 +190,25 @@ let test_backpressure () =
   check_int "capacity resolved" 1 (Exec.Session.queue_capacity s);
   let datasets = [ ("d", ints [ 1; 2; 3 ]) ] in
   let j1 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  wait_started gate;
-  (* the slot is held: the next job queues, the one after is shed *)
-  let j2 = Exec.Session.submit s ~datasets Plan.(data "d" |>> map Fun.id) in
-  (match Exec.Session.submit s ~datasets (Plan.data "d") with
-  | exception Exec.Session.Overloaded -> ()
-  | _ -> Alcotest.fail "expected Overloaded at queue capacity");
-  let st = Exec.Session.stats s in
-  check_int "rejection counted" 1 st.Exec.Session.jobs_rejected;
-  check_int "one queued" 1 st.Exec.Session.queued;
-  check_int "one running" 1 st.Exec.Session.running;
-  check_int "queue high water" 1 st.Exec.Session.queue_high_water;
-  check "queued job reports `Queued" true (Exec.Session.state s j2 = `Queued);
-  open_gate gate;
-  ignore (completed (Exec.Session.await s j1) : Engine.run);
+  let j2, o1 =
+    hold gate s j1 (fun () ->
+        (* the slot is held: the next job queues, the one after is shed *)
+        let j2 =
+          Exec.Session.submit s ~datasets Plan.(data "d" |>> map Fun.id)
+        in
+        (match Exec.Session.submit s ~datasets (Plan.data "d") with
+        | exception Exec.Session.Overloaded -> ()
+        | _ -> Alcotest.fail "expected Overloaded at queue capacity");
+        let st = Exec.Session.stats s in
+        check_int "rejection counted" 1 st.Exec.Session.jobs_rejected;
+        check_int "one queued" 1 st.Exec.Session.queued;
+        check_int "one running" 1 st.Exec.Session.running;
+        check_int "queue high water" 1 st.Exec.Session.queue_high_water;
+        check "queued job reports `Queued" true
+          (Exec.Session.state s j2 = `Queued);
+        j2)
+  in
+  ignore (completed o1 : Engine.run);
   ignore (completed (Exec.Session.await s j2) : Engine.run);
   let st = Exec.Session.stats s in
   check_int "both completed" 2 st.Exec.Session.jobs_completed;
@@ -203,29 +219,29 @@ let test_backpressure () =
    free slot stays idle until the running job releases its bytes — but
    a lone job always dispatches, however big *)
 let test_ledger_admission () =
-  Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let datasets = [ ("d", ints (List.init 50 Fun.id)) ] in
   let bytes = Value.size_of_list (List.assoc "d" datasets) in
   let config =
     {
       uncached_env with
-      Exec.Config.pool = Some pool;
-      concurrency = Some 2;
+      Exec.Config.concurrency = Some 2;
       memory_budget = Some 8;
     }
   in
   Exec.Session.with_session ~config @@ fun s ->
   let j1 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  wait_started gate;
-  let j2 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  let st = Exec.Session.stats s in
-  check_int "free slot idles under ledger pressure" 1
-    st.Exec.Session.running;
-  check_int "second job waits" 1 st.Exec.Session.queued;
-  check_int "ledger charged" bytes st.Exec.Session.ledger_bytes;
-  open_gate gate;
-  ignore (completed (Exec.Session.await s j1) : Engine.run);
+  let j2, o1 =
+    hold gate s j1 (fun () ->
+        let j2 = Exec.Session.submit s ~datasets (gated_plan gate) in
+        let st = Exec.Session.stats s in
+        check_int "free slot idles under ledger pressure" 1
+          st.Exec.Session.running;
+        check_int "second job waits" 1 st.Exec.Session.queued;
+        check_int "ledger charged" bytes st.Exec.Session.ledger_bytes;
+        j2)
+  in
+  ignore (completed o1 : Engine.run);
   ignore (completed (Exec.Session.await s j2) : Engine.run);
   let st = Exec.Session.stats s in
   check_int "never two in flight" bytes st.Exec.Session.ledger_high_water;
@@ -253,7 +269,6 @@ let test_cancel_releases_ledger_and_files () =
         (Sys.readdir dir);
       Sys.rmdir dir)
   @@ fun () ->
-  Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let plan =
     Plan.(
@@ -267,8 +282,7 @@ let test_cancel_releases_ledger_and_files () =
   let config =
     {
       uncached_env with
-      Exec.Config.pool = Some pool;
-      concurrency = Some 1;
+      Exec.Config.concurrency = Some 1;
       memory_budget = Some 64;
       spill_dir = Some dir;
     }
@@ -276,12 +290,14 @@ let test_cancel_releases_ledger_and_files () =
   Exec.Session.with_session ~config @@ fun s ->
   let datasets = [ ("d", ints (List.init 200 Fun.id)) ] in
   let j = Exec.Session.submit s ~datasets plan in
-  wait_started gate;
-  check "ledger charged while running" true
-    ((Exec.Session.stats s).Exec.Session.ledger_bytes > 0);
-  check "cancel accepted on a running job" true (Exec.Session.cancel s j);
-  open_gate gate;
-  (match Exec.Session.await s j with
+  let (), outcome =
+    hold gate s j (fun () ->
+        check "ledger charged while running" true
+          ((Exec.Session.stats s).Exec.Session.ledger_bytes > 0);
+        check "cancel accepted on a running job" true
+          (Exec.Session.cancel s j))
+  in
+  (match outcome with
   | Exec.Session.Cancelled r -> check_str "explicit cancellation" "cancelled" r
   | Exec.Session.Completed _ -> Alcotest.fail "job ignored its cancel token"
   | Exec.Session.Failed m -> Alcotest.fail ("Failed instead of Cancelled: " ^ m));
@@ -312,30 +328,29 @@ let test_deadline_reports_cancelled () =
 
 (* a queued job cancels immediately, without ever dispatching *)
 let test_cancel_queued () =
-  Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
-  let config =
-    {
-      uncached_env with
-      Exec.Config.pool = Some pool;
-      concurrency = Some 1;
-    }
-  in
+  let config = { uncached_env with Exec.Config.concurrency = Some 1 } in
   Exec.Session.with_session ~config @@ fun s ->
   let datasets = [ ("d", ints [ 1; 2; 3 ]) ] in
   let j1 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  wait_started gate;
   let fired = ref false in
-  let j2 =
-    Exec.Session.submit s ~datasets
-      Plan.(
-        data "d"
-        |>> Plan.Sample_monitor
-              { label = "probe"; k = 1; observe = (fun _ -> fired := true) })
+  let j2, o1 =
+    hold gate s j1 (fun () ->
+        let j2 =
+          Exec.Session.submit s ~datasets
+            Plan.(
+              data "d"
+              |>> Plan.Sample_monitor
+                    {
+                      label = "probe";
+                      k = 1;
+                      observe = (fun _ -> fired := true);
+                    })
+        in
+        check "queued cancel accepted" true (Exec.Session.cancel s j2);
+        j2)
   in
-  check "queued cancel accepted" true (Exec.Session.cancel s j2);
-  open_gate gate;
-  ignore (completed (Exec.Session.await s j1) : Engine.run);
+  ignore (completed o1 : Engine.run);
   (match Exec.Session.await s j2 with
   | Exec.Session.Cancelled r -> check_str "queued cancellation" "cancelled" r
   | _ -> Alcotest.fail "queued job was not cancelled");
@@ -344,7 +359,6 @@ let test_cancel_queued () =
 (* ---------------- priorities ---------------- *)
 
 let test_priority_order () =
-  Par.with_pool ~jobs:2 @@ fun pool ->
   let gate = mk_gate () in
   let order = ref [] in
   let om = Mutex.create () in
@@ -361,28 +375,54 @@ let test_priority_order () =
             }
       |>> map Fun.id)
   in
-  let config =
-    {
-      uncached_env with
-      Exec.Config.pool = Some pool;
-      concurrency = Some 1;
-    }
-  in
+  let config = { uncached_env with Exec.Config.concurrency = Some 1 } in
   Exec.Session.with_session ~config @@ fun s ->
   let datasets = [ ("d", ints [ 1; 2; 3 ]) ] in
   let j1 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  wait_started gate;
-  (* queued while the gate job holds the only slot: dispatch must be by
-     priority, submission order within a level *)
-  ignore (Exec.Session.submit s ~priority:0 ~datasets (tagged "p0a"));
-  ignore (Exec.Session.submit s ~priority:5 ~datasets (tagged "p5"));
-  ignore (Exec.Session.submit s ~priority:1 ~datasets (tagged "p1"));
-  ignore (Exec.Session.submit s ~priority:0 ~datasets (tagged "p0b"));
-  open_gate gate;
-  ignore (completed (Exec.Session.await s j1) : Engine.run);
+  let (), o1 =
+    hold gate s j1 (fun () ->
+        (* queued while the gate job holds the only slot: dispatch must
+           be by priority, submission order within a level *)
+        List.iter
+          (fun (priority, tag) ->
+            ignore
+              (Exec.Session.submit s ~priority ~datasets (tagged tag)
+                : Exec.Session.job))
+          [ (0, "p0a"); (5, "p5"); (1, "p1"); (0, "p0b") ])
+  in
+  ignore (completed o1 : Engine.run);
   Exec.Session.drain s;
   check "priority dispatch order" true
     (List.rev !order = [ "p5"; "p1"; "p0a"; "p0b" ])
+
+(* admission slots stay at the concurrency, but the pool that runs the
+   dispatched jobs is clamped to the host's cores: a concurrency-8
+   session starts at most [cores - 1] worker domains, and all 8 jobs
+   still complete. Each domain runs with the runtime's backup thread,
+   so a worker adds two OS threads (an unclamped pool adds 14); the
+   first domain a process spawns also starts the main domain's, so one
+   is spawned and joined before counting. *)
+let test_pool_clamped_to_host () =
+  let host = Domain.recommended_domain_count () in
+  let config = { uncached_env with Exec.Config.concurrency = Some 8 } in
+  Domain.join (Domain.spawn ignore);
+  let before = Testenv.steady_threads () in
+  Exec.Session.with_session ~config @@ fun s ->
+  check_int "admission slots" 8 (Exec.Session.concurrency s);
+  (match (before, Testenv.steady_threads ()) with
+  | Some b, Some d ->
+      check
+        (Printf.sprintf "pool adds %d threads, at most %d" (d - b)
+           (2 * (host - 1)))
+        true
+        (d - b <= 2 * (host - 1))
+  | _ -> ());
+  let datasets = [ ("w", wc_words 100) ] in
+  let jobs = List.init 8 (fun _ -> Exec.Session.submit s ~datasets wc_plan) in
+  List.iter
+    (fun j -> ignore (completed (Exec.Session.await s j) : Engine.run))
+    jobs;
+  check_int "all completed" 8 (Exec.Session.stats s).Exec.Session.jobs_completed
 
 (* ---------------- configuration ---------------- *)
 
@@ -421,8 +461,8 @@ let test_of_env () =
 
 (* only [of_env] and [jobs_of_env] read the environment: a session
    built from the default config runs at concurrency 1, a run with the
-   default config stays in memory on the calling domain (no fan-out
-   even at one record per task, and no domain started), and a spilling
+   default config stays in memory on the calling domain (no domain
+   started), and a spilling
    run ignores a CASPER_SPILL_DIR that names a missing directory,
    whatever CASPER_* says *)
 let test_library_reads_no_env () =
@@ -458,18 +498,12 @@ let test_library_reads_no_env () =
   let before = Testenv.steady_threads () in
   ignore
     (Engine.run_plan
-       ~config:
-         {
-           Exec.Config.default with
-           Exec.Config.obs = Some obs;
-           records_per_task = Some 1;
-         }
+       ~config:{ Exec.Config.default with Exec.Config.obs = Some obs }
        ~cluster:Cluster.spark
        ~datasets:[ ("w", wc_words 200) ]
        wc_plan
       : Engine.run);
   check_int "default run never spills" 0 (Obs.total obs "spill_runs");
-  check_int "default run never fans out" 0 (Obs.total obs "engine_batches");
   (match before with
   | None -> ()
   | Some n ->
@@ -503,10 +537,10 @@ let test_jobs_of_env_warns_on_garbage () =
   check "the warning used its one shot" false
     (Obs.warn_once ~key:"CASPER_JOBS" "warned again")
 
-(* the CI pass under CASPER_JOBS=n runs the suite's engine work on an
-   n-domain pool: it cannot silently become a second 1-domain pass *)
+(* the CI pass under CASPER_JOBS=n checks the smoke campaign's waves on
+   an n-domain pool: it cannot silently become a second 1-domain pass *)
 let test_suite_pool_follows_jobs () =
-  let pool = Testenv.config.Exec.Config.pool in
+  let pool = Testenv.pool in
   match
     Option.bind (Sys.getenv_opt "CASPER_JOBS") (fun s ->
         int_of_string_opt (String.trim s))
@@ -573,6 +607,8 @@ let suite =
           test_ledger_admission;
         Alcotest.test_case "priority dispatch order" `Quick
           test_priority_order;
+        Alcotest.test_case "a session's pool never exceeds the host" `Quick
+          test_pool_clamped_to_host;
       ] );
     ( "exec.cancel",
       [

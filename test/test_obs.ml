@@ -116,15 +116,10 @@ let test_exception_safety () =
    virtual clock: analysis through codegen, then simulated execution
    with a fault-free schedule. Values (durations, counts) vary with the
    search; the *shape* — span names, nesting, counter keys — must not.
-   Execution is pinned to a single-domain pool: golden shapes are
-   defined at jobs=1, where the trace carries no per-domain tracks
-   (which tracks appear at jobs>1 is scheduling-dependent). The rest
-   of the execution config is the built-in default, not the
-   environment's: a spill budget would grow spill counters and a merge
-   span, a cache would add cache spans, and the goldens are defined at
-   the uncached in-memory path. *)
-let seq_pool = Casper_par.Par.create ~jobs:1
-
+   The execution config is the built-in default, not the environment's:
+   a spill budget would grow spill counters and a merge span, a cache
+   would add cache spans, and the goldens are defined at the uncached
+   in-memory path. *)
 let traced_pipeline ?(execute = false) bench_name =
   let b = Casper_suites.Registry.find_benchmark bench_name in
   let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:11 ()) () in
@@ -149,11 +144,7 @@ let traced_pipeline ?(execute = false) bench_name =
                 let r =
                   Casper_codegen.Runner.run_summary
                     ~config:
-                      {
-                        Exec.Config.default with
-                        Exec.Config.obs = Some obs;
-                        pool = Some seq_pool;
-                      }
+                      { Exec.Config.default with Exec.Config.obs = Some obs }
                     ~cluster:Cluster.spark ~scale:1.0 report.Casper.program
                     t.Casper.frag entry best.Cegis.summary
                 in
@@ -292,12 +283,8 @@ let traced_engine_run () =
     Value.as_list (Workload.words rng ~n:500 ~vocab:50 ~skew:1.0)
   in
   let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:5 ()) () in
-  (* pinned to jobs=1: the byte-identical-trace contract is about the
-     virtual clock and the scheduler, not the domain pool — at jobs>1
-     the per-domain tracks legitimately vary with execution timing *)
   let run =
-    Engine.run_plan
-      ~config:{ (Testenv.traced obs) with Exec.Config.pool = Some seq_pool }
+    Engine.run_plan ~config:(Testenv.traced obs)
       ~cluster:Cluster.spark
       ~datasets:[ ("words", words) ]
       Baselines.Manual.word_count

@@ -2,11 +2,11 @@
 
     The load-bearing property is jobs-independence: both maps must
     equal [List.map] at every pool size, exceptions must pick the
-    lowest-index raiser, a batch must finish on its caller alone while
-    the pool's workers are busy, and the engine/scheduler stack
-    built on top must produce byte-identical runs and traces at jobs=1
-    and jobs=4. A fragment search runs on one domain and must come out
-    the same on a fresh domain and on one that already searched. *)
+    lowest-index raiser, and a batch must finish on its caller alone
+    while the pool's workers are busy. The scheduler must replay a
+    same-seed engine run into byte-identical traces, and a fragment
+    search runs on one domain and must come out the same on a fresh
+    domain and on one that already searched. *)
 
 module Par = Casper_par.Par
 module Value = Casper_common.Value
@@ -239,7 +239,7 @@ let test_raising_async () =
       check_int "threads back to their count before the pool" n
         (Testenv.settled_threads n)
 
-(* ---------------- engine and scheduler jobs-independence ---------- *)
+(* ---------------- scheduler determinism ---------------------------- *)
 
 let wc_fixture () =
   let rng = Rng.create 17 in
@@ -255,73 +255,23 @@ let wc_fixture () =
   in
   (words, plan)
 
-let run_at jobs =
+let run_fixture () =
   let words, plan = wc_fixture () in
-  Par.with_pool ~jobs @@ fun pool ->
-  Engine.run_plan
-    ~config:{ Testenv.config with Casper_exec.Exec.Config.pool = Some pool }
-    ~cluster:Cluster.spark
+  Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark
     ~datasets:[ ("words", words) ] plan
 
-let test_engine_jobs_identity () =
-  let r1 = run_at 1 and r4 = run_at 4 in
-  check "outputs identical at jobs=1 vs jobs=4"
-    true
-    (r1.Engine.output = r4.Engine.output);
-  check "stage accounting identical at jobs=1 vs jobs=4" true
-    (r1.Engine.stages = r4.Engine.stages)
-
-let test_sched_trace_same_seed_jobs4 () =
+let test_sched_trace_same_seed () =
   let config = Coordinator.config ~faults:(Faults.failures ~seed:5 0.2) () in
   let trace_of run =
     let o = Engine.schedule ~cluster:Cluster.spark ~scale:1.0 ~config run in
     Sched.Trace.render_events o.Coordinator.trace
   in
-  (* same seed, two fresh jobs=4 runs: the schedule consumes only the
-     run's deterministic volumes, so the event traces are bytes-equal *)
-  let t_a = trace_of (run_at 4) and t_b = trace_of (run_at 4) in
-  check_string "same-seed sched traces identical at jobs=4" t_a t_b;
-  check_string "jobs=4 sched trace equals jobs=1 trace" (trace_of (run_at 1))
-    t_a
+  (* same seed, two fresh runs: the schedule consumes only the run's
+     deterministic volumes, so the event traces are bytes-equal *)
+  let t_a = trace_of (run_fixture ()) and t_b = trace_of (run_fixture ()) in
+  check_string "same-seed sched traces identical" t_a t_b
 
-(* ---------------- task granularity -------------------------------- *)
-
-let task_ranges_partition =
-  QCheck.Test.make ~name:"task_ranges is an ordered balanced partition"
-    ~count:300
-    QCheck.(
-      triple (int_range 1 8) (int_range 0 20000) (oneofl [ 1; 7; 4096 ]))
-    (fun (jobs, n, per) ->
-      let ranges = Par.task_ranges ~records_per_task:per ~jobs n in
-      if n = 0 then ranges = [||]
-      else begin
-        let k = Array.length ranges in
-        let covered =
-          Array.to_list ranges
-          |> List.fold_left
-               (fun acc (pos, len) ->
-                 match acc with
-                 | Some next when pos = next && len >= 0 -> Some (next + len)
-                 | _ -> None)
-               (Some 0)
-        in
-        let sizes = Array.to_list (Array.map snd ranges) in
-        let mn = List.fold_left min max_int sizes in
-        let mx = List.fold_left max 0 sizes in
-        covered = Some n
-        && k <= 2 * jobs
-        && k <= (n + per - 1) / per
-        && mx - mn <= 1
-      end)
-
-let test_task_ranges_granularity_floor () =
-  (* 10k records at the engine's default 4096-record floor: at most 3
-     tasks no matter how many domains *)
-  let ranges per jobs n = Par.task_ranges ~records_per_task:per ~jobs n in
-  check "floor caps task count" true (Array.length (ranges 4096 8 10_000) <= 3);
-  (* tiny granularity: capped by 2 * jobs instead *)
-  check_int "2 tasks per domain" 8 (Array.length (ranges 1 4 100));
-  check "n<=0 is empty" true (ranges 4096 4 0 = [||])
+(* ---------------- pool sizing ------------------------------------- *)
 
 (* a pure clamp to the host's cores, which says so once *)
 let test_recommended_jobs_clamp () =
@@ -405,13 +355,10 @@ let suite =
     qsuite "par.props"
       [
         parallel_map_matches_list;
-        task_ranges_partition;
         spawn_map_matches_list;
       ];
     ( "par.granularity",
       [
-        Alcotest.test_case "task_ranges granularity floor" `Quick
-          test_task_ranges_granularity_floor;
         Alcotest.test_case "recommended_jobs clamps to host" `Quick
           test_recommended_jobs_clamp;
         Alcotest.test_case "warn_once fires once" `Quick
@@ -440,11 +387,9 @@ let suite =
       ] );
     ( "par.determinism",
       [
-        Alcotest.test_case "engine run identical at jobs=1 vs 4" `Quick
-          test_engine_jobs_identity;
         Alcotest.test_case "search identical on a reused domain" `Slow
           test_search_domain_reuse;
-        Alcotest.test_case "sched trace same-seed identical at jobs=4" `Quick
-          test_sched_trace_same_seed_jobs4;
+        Alcotest.test_case "sched trace same-seed identical without a pool"
+          `Quick test_sched_trace_same_seed;
       ] );
   ]

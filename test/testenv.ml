@@ -5,23 +5,24 @@
     [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET] or
     [CASPER_EXEC_CONCURRENCY] still reach every test that takes its
     config from this module — and must leave its expected output
-    unchanged. [CASPER_JOBS] above 1 sizes the suite's engine pool,
-    built here and shut down at exit. Tests that pin a knob (goldens,
-    matrices) build on [Exec.Config.default] instead. *)
+    unchanged. Tests that pin a knob (goldens, matrices) build on
+    [Exec.Config.default] instead. *)
 
 module Config = Casper_exec.Exec.Config
 module Par = Casper_par.Par
 
-let config =
-  let pool =
-    match Config.jobs_of_env () with
-    | 1 -> None
-    | jobs ->
-        let p = Par.create ~jobs in
-        at_exit (fun () -> Par.shutdown p);
-        Some p
-  in
-  { (Config.of_env ()) with Config.pool }
+let config = Config.of_env ()
+
+(** The pool [CASPER_JOBS] above 1 asks for, built here and shut down
+    at exit; [None] otherwise. An engine run takes no pool, so only the
+    difftest smoke campaign checks its waves on it. *)
+let pool =
+  match Config.jobs_of_env () with
+  | 1 -> None
+  | jobs ->
+      let p = Par.create ~jobs in
+      at_exit (fun () -> Par.shutdown p);
+      Some p
 
 (** [config] for a traced run: [obs] records the run, and the
     environment's cache is left out, because a hit would skip the

@@ -52,16 +52,27 @@ done
 # created, owned and passed in by its caller. The speculative search is gone too: a
 # fragment search runs on one domain, so the memo needs no generation.
 # lib/par keeps one task queue and one claim loop: the work-stealing
-# deques, the futures and the chunking combinators are gone.
+# deques, the futures and the chunking combinators are gone. An engine
+# run executes on the domain that calls it: the config carries no pool,
+# and the stage fan-out, its range kernels and counters, the per-domain
+# trace tracks and the oracle's pool-size stage are gone.
 # Whole words only, so the scheduler's speculative task copies
 # ([speculated], [try_speculate]) do not match.
 deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
-deleted="$deleted"'|records_per_task :=|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
+deleted="$deleted"'|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
 deleted="$deleted"'|\b(sync_shard|spec_round|speculate|Sp_failed|Memo\.generation)\b'
 deleted="$deleted"'|\b(Par\.global|set_jobs|env_jobs)\b|Par\.jobs \(\)'
 deleted="$deleted"'|\bPar\.(parallel_chunks|concat_map|filter|chunks|await|is_done|future)\b|deque_'
+deleted="$deleted"'|\b(domain_span|task_ranges|records_per_task|check_parallel|map_range|filter_range|concat_map_range|engine_batches|engine_tasks)\b'
+deleted="$deleted"'|Config\.pool\b'
 if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
-  echo "deleted process-default, search or pool API reappeared"
+  echo "deleted process-default, search, pool or fan-out API reappeared"
+  fail=1
+fi
+
+# The engine links no domain pool.
+if grep -n 'casper_par' lib/mapreduce/dune; then
+  echo "lib/mapreduce links casper_par"
   fail=1
 fi
 
