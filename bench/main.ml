@@ -1,8 +1,7 @@
 (** The experiment harness: regenerates every table and figure of the
     paper's evaluation (§7 + appendices). Run all sections with
     [dune exec bench/main.exe], or select some with
-    [-- --only table1,fig7a]. [-- --seed N] reseeds the fault-injection
-    experiments.
+    [-- --only table1,fig7a].
 
     A section that raises is reported and the remaining sections still
     run; the run then exits 1. An unknown [--only] id exits 2 before
@@ -36,7 +35,7 @@ open Util
 (* --trace: the run's observability context. Disabled (all no-ops)
    unless --trace FILE is given; every section below threads it through
    to the pipeline so the exported Chrome trace covers synthesis and
-   scheduling in one timeline. *)
+   execution in one timeline. *)
 let bench_obs : Obs.ctx ref = ref Obs.null
 
 (* ------------------------------------------------------------------ *)
@@ -910,108 +909,6 @@ let table5_extensibility () =
   T.print ([ "Benchmark"; "Fold-IR"; "Candidates"; "Summary" ] :: rows)
 
 (* ------------------------------------------------------------------ *)
-(* Fault tolerance: scheduled execution under injected failures         *)
-
-let cli_seed = ref 1
-
-let fault_tolerance () =
-  section
-    "Fault tolerance: task-level scheduling under failures and stragglers";
-  let seed = !cli_seed in
-  Fmt.pr "(fault seed %d — vary with --seed N)@.@." seed;
-  let n = 20_000 in
-  let rng = Rng.create 1 in
-  let words =
-    Value.as_list (Casper_suites.Workload.words rng ~n ~vocab:2000 ~skew:1.1)
-  in
-  let scale = 750_000_000.0 /. float_of_int n in
-  let backends = [ Cluster.spark; Cluster.flink; Cluster.hadoop ] in
-  let run_of cluster =
-    Engine.run_plan ~cluster ~datasets:[ ("words", words) ]
-      Baselines.Manual.word_count
-  in
-  (* a fault-free schedule must reproduce the closed-form estimate *)
-  Fmt.pr "fault-free schedule vs closed-form estimate (WordCount, 750MB):@.";
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right ]
-    ([ "Backend"; "analytic (s)"; "scheduled (s)"; "rel err" ]
-    :: List.map
-         (fun c ->
-           let r = run_of c in
-           let a = Engine.analytic_time ~cluster:c ~scale r in
-           let o = Engine.schedule ~cluster:c ~scale r in
-           let s = o.Sched.Coordinator.completion_s in
-           [
-             c.Cluster.name; T.f a; T.f s;
-             Fmt.str "%.2f%%" (100.0 *. Float.abs (s -. a) /. a);
-           ])
-         backends);
-  (* graceful degradation as workers die mid-job *)
-  Fmt.pr "@.completion (s) vs fraction of workers failing mid-job:@.";
-  let time_at c f =
-    let config =
-      Sched.Coordinator.config ~faults:(Sched.Faults.failures ~seed f) ()
-    in
-    (Engine.schedule ~cluster:c ~scale ~config (run_of c))
-      .Sched.Coordinator.completion_s
-  in
-  let fractions = [ 0.0; 0.1; 0.2; 0.3 ] in
-  let degradation =
-    List.map
-      (fun f -> (f, List.map (fun c -> time_at c f) backends))
-      fractions
-  in
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right ]
-    (("failed workers" :: List.map (fun c -> c.Cluster.name) backends)
-    :: List.map
-         (fun (f, times) ->
-           Fmt.str "%.0f%%" (100.0 *. f) :: List.map T.f times)
-         degradation);
-  (let base = List.assoc 0.0 degradation
-   and worst = List.assoc 0.3 degradation in
-   T.print
-     ~aligns:[ T.Left; T.Right; T.Right; T.Right ]
-     [
-       "slowdown" :: List.map (fun c -> c.Cluster.name) backends;
-       "30% vs 0%" :: List.map2 (fun w b -> T.fx (w /. b)) worst base;
-     ]);
-  (* speculative execution vs retry-only under straggler skew *)
-  Fmt.pr "@.speculation vs retry-only, 15%% stragglers at 8× slowdown:@.";
-  let prof = Sched.Faults.stragglers ~seed ~fraction:0.15 ~slowdown:8.0 () in
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right ]
-    ([ "Backend"; "retry-only (s)"; "speculation (s)"; "win" ]
-    :: List.map
-         (fun c ->
-           let t spec =
-             let config =
-               Sched.Coordinator.config ~faults:prof ~speculation:spec ()
-             in
-             (Engine.schedule ~cluster:c ~scale ~config (run_of c))
-               .Sched.Coordinator.completion_s
-           in
-           let retry = t false and spec = t true in
-           [ c.Cluster.name; T.f retry; T.f spec; T.fx (retry /. spec) ])
-         backends);
-  (* one schedule in detail *)
-  let config =
-    Sched.Coordinator.config ~faults:(Sched.Faults.failures ~seed 0.2) ()
-  in
-  let o = Engine.schedule ~obs:!bench_obs ~cluster:Cluster.spark ~scale
-      ~config (run_of Cluster.spark)
-  in
-  Fmt.pr
-    "@.Spark at 20%% failed workers — %d attempts, %d failures, %d \
-     speculative, %d recoveries, %d deaths:@."
-    o.Sched.Coordinator.attempts o.Sched.Coordinator.failures
-    o.Sched.Coordinator.speculated o.Sched.Coordinator.recoveries
-    o.Sched.Coordinator.deaths;
-  print_string (Sched.Trace.render o.Sched.Coordinator.trace);
-  Fmt.pr "@.first events of the schedule:@.";
-  print_string (Sched.Trace.render_events ~limit:12 o.Sched.Coordinator.trace)
-
-(* ------------------------------------------------------------------ *)
 (* Synthesis performance: the Table 2 search workload                   *)
 
 let json_synth : J.t ref = ref J.Null
@@ -1616,7 +1513,6 @@ let sections_list =
     ("fig9", fig9_scalability);
     ("tableE1", table_e1_features);
     ("table5", table5_extensibility);
-    ("fault_tolerance", fault_tolerance);
     ("synth_perf", synth_perf);
     ("spill_perf", spill_perf);
     ("cache_perf", cache_perf);
@@ -1630,7 +1526,6 @@ let () =
       ( "--only",
         Arg.String (fun v -> only := Some (String.split_on_char ',' v)),
         "IDS run only these comma-separated sections" );
-      ("--seed", Arg.Set_int cli_seed, "N fault-injection seed (default 1)");
       ( "--json",
         Arg.String (fun p -> json_path := Some p),
         "FILE write section times and synth_perf results" );
@@ -1639,7 +1534,7 @@ let () =
         "FILE write a Chrome trace of the run" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe [--only IDS] [--seed N] [--json FILE] [--trace FILE]";
+    "main.exe [--only IDS] [--json FILE] [--trace FILE]";
   let ids = List.map fst sections_list in
   let selected =
     match !only with

@@ -45,10 +45,10 @@ let pp_analysis ppf (frag : F.t) =
 (* The --trace execute stage: run each translated fragment's best
    summary on the simulated cluster over a generated entry state, so the
    exported trace covers the full analyze → synthesize → verify →
-   execute pipeline, scheduler task spans included. Execution goes
-   through an Exec.Session — the serving front door — at concurrency 1,
-   where jobs run on the owner domain and the engine's spans keep
-   nesting under each fragment's "execute" span. A job that fails or is
+   execute pipeline. Execution goes through an Exec.Session — the
+   serving front door — at concurrency 1, where jobs run on the owner
+   domain and the engine's spans keep nesting under each fragment's
+   "execute" span. A job that fails or is
    cancelled, and a fragment whose execution faults, is reported on
    stderr with its fragment id; the result is how many were. *)
 let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
@@ -98,9 +98,7 @@ let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
                 translated.Casper_codegen.Compile.plan
             in
             match Exec.Session.await session job with
-            | Exec.Session.Completed run ->
-                ignore
-                  (Mapreduce.Engine.schedule ~obs ~cluster ~scale:1.0 run)
+            | Exec.Session.Completed _ -> ()
             | Exec.Session.Cancelled why -> fail frag "job cancelled (%s)" why
             | Exec.Session.Failed m -> fail frag "job failed: %s" m
           with Minijava.Interp.Runtime_error m ->

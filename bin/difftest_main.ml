@@ -3,8 +3,8 @@
     Generates random well-typed MiniJava loop nests and checks every
     stage boundary of the pipeline against the sequential reference:
     printer/parser round trip, synthesis with the fast path off and on,
-    verification on fresh states, and execution on every backend under
-    fault-free and seeded-fault schedules.
+    verification on fresh states, and execution on every backend, out of
+    core, against dataset caches and through serving sessions.
 
       difftest --count 200 --seed 42
       difftest --count 500 --seed $RUN_ID --minimize --out repros

@@ -5,10 +5,9 @@
     fast path both off and on) → verification on fresh states →
     compilation → the simulated engine on every backend — and the result
     multisets are compared at every stage boundary against the
-    {!Minijava.Interp} reference execution. The matrix is then crossed
-    with seeded {!Sched} fault-injection schedules: injected faults must
-    never change outputs (the engine recomputes, it does not drop data)
-    and the schedule itself must be deterministic.
+    {!Minijava.Interp} reference execution. The engine run is then
+    repeated out of core, against dataset caches and through serving
+    sessions, and each must match the plain run byte for byte.
 
     Verdicts are three-valued: [Translated] (every check passed),
     [Skipped] (the pipeline *declined* the program — unsupported
@@ -36,9 +35,6 @@ open Minijava
 
 type config = {
   backends : Cluster.t list;
-  fault_profiles : Sched.Faults.profile list;
-      (** each profile is run on every backend; outputs must be
-          unchanged and the schedule deterministic *)
   inputs : int;  (** fresh program states checked per program *)
   input_seed : int;
   synth : Cegis.config;
@@ -47,16 +43,15 @@ type config = {
           bit-identical search statistics and solutions *)
   check_spill : bool;
       (** re-run the translated program with a forced ~1 KB memory
-          budget — every grouped stage spills sorted runs to disk —
-          and again with injected spill-file losses; outputs and stage
-          accounting must be byte-identical to the in-memory path
+          budget — every grouped stage spills sorted runs to disk;
+          outputs and stage accounting must be byte-identical to the
+          in-memory path
           (the out-of-core shuffle contract, DESIGN.md §12) *)
   check_cache : bool;
       (** re-run the translated program against explicit dataset
-          caches: a tiny budget (constant eviction churn), an unbounded
-          cache run twice (the second run is served from cache), and a
-          fault profile that loses cached partitions on half the hits
-          mid-run; outputs and stage accounting must be byte-identical
+          caches: a tiny budget (constant eviction churn) and an
+          unbounded cache run twice (the second run is served from
+          cache); outputs and stage accounting must be byte-identical
           to the uncached run (the lineage-cache contract, DESIGN.md
           §13) *)
   check_session : bool;
@@ -69,12 +64,6 @@ type config = {
 let default_config ?(seed = 0) () =
   {
     backends = [ Cluster.spark; Cluster.hadoop; Cluster.flink ];
-    fault_profiles =
-      [
-        Sched.Faults.failures ~seed:(seed + 1) 0.25;
-        Sched.Faults.stragglers ~seed:(seed + 2) ~fraction:0.3 ~slowdown:4.0
-          ();
-      ];
     inputs = 5;
     input_seed = seed;
     synth = { Cegis.default_config with Cegis.max_candidates = 60_000 };
@@ -281,16 +270,12 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                           rest
                     | [] -> ());
 
-                    (* fault schedules: outputs unchanged, schedule
-                       deterministic, completion finite *)
                     let t = Compile.compile prog frag entry summary in
                     let datasets = Runner.datasets_of prog frag entry in
                     (* out-of-core shuffle: a ~1 KB budget forces every
                        grouped stage to spill sorted runs; outputs and
                        stage accounting must be byte-identical to the
-                       forced in-memory path — also under a fault
-                       profile that loses half the run files at merge
-                       time (recovered from lineage). First state only:
+                       forced in-memory path. First state only:
                        the engine path is state-independent. *)
                     if cfg.check_spill && ei = 0 then
                       List.iter
@@ -309,40 +294,14 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                           if rs.Engine.stages <> rm.Engine.stages then
                             fail tag
                               "stage accounting differs at a 1 KB budget vs \
-                               in-memory";
-                          let sched =
-                            Sched.Coordinator.config
-                              ~faults:
-                                (Sched.Faults.spill_faults
-                                   ~seed:(cfg.input_seed + 5) 0.5)
-                              ()
-                          in
-                          let rf =
-                            Engine.run_plan
-                              ~config:
-                                {
-                                  (with_budget 1024) with
-                                  Exec.Config.sched = Some sched;
-                                }
-                              ~cluster ~datasets t.Compile.plan
-                          in
-                          if
-                            rf.Engine.output <> rm.Engine.output
-                            || rf.Engine.stages <> rm.Engine.stages
-                          then
-                            fail tag
-                              "spill-file faults changed outputs or \
-                               accounting")
+                               in-memory")
                         cfg.backends;
                     (* dataset cache: a tiny budget forces eviction
                        churn on every insert; an unbounded cache run
-                       twice serves the second run from cache; a fault
-                       profile loses cached partitions on half the hits
-                       mid-run and must fall back to lineage
-                       recomputation — in all cases outputs and stage
-                       accounting must be byte-identical to the
-                       uncached run. First state only: the engine path
-                       is state-independent. *)
+                       twice serves the second run from cache — in both
+                       cases outputs and stage accounting must be
+                       byte-identical to the uncached run. First state
+                       only: the engine path is state-independent. *)
                     if cfg.check_cache && ei = 0 then
                       List.iter
                         (fun (cluster : Cluster.t) ->
@@ -356,13 +315,12 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                             if r.Engine.stages <> base.Engine.stages then
                               fail tag "%s changed stage accounting" what
                           in
-                          let run ?sched cache () =
+                          let run cache () =
                             Engine.run_plan
                               ~config:
                                 {
                                   Exec.Config.default with
-                                  Exec.Config.sched;
-                                  cache = Some cache;
+                                  Exec.Config.cache = Some cache;
                                 }
                               ~cluster ~datasets t.Compile.plan
                           in
@@ -372,16 +330,7 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                           let unbounded = Engine.make_cache () in
                           check "an unbounded cache (cold)"
                             (run unbounded ());
-                          check "an unbounded cache (hot)" (run unbounded ());
-                          let sched =
-                            Sched.Coordinator.config
-                              ~faults:
-                                (Sched.Faults.cache_faults
-                                   ~seed:(cfg.input_seed + 6) 0.5)
-                              ()
-                          in
-                          check "cached-partition faults"
-                            (run ~sched unbounded ()))
+                          check "an unbounded cache (hot)" (run unbounded ()))
                         cfg.backends;
                     (* serving sessions: the plan submitted twice to an
                        Exec.Session at concurrency 1 and 4, sharing one
@@ -443,54 +392,7 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                         i conc m)
                                 outcomes)
                             [ 1; 4 ])
-                        cfg.backends;
-                    List.iter
-                      (fun profile ->
-                        let sched =
-                          Sched.Coordinator.config ~faults:profile ()
-                        in
-                        List.iter
-                          (fun (cluster : Cluster.t) ->
-                            let tag =
-                              Fmt.str "faults:%s" cluster.Cluster.name
-                            in
-                            let run =
-                              Engine.run_plan
-                                ~config:
-                                  {
-                                    Exec.Config.default with
-                                    Exec.Config.sched = Some sched;
-                                  }
-                                ~cluster ~datasets t.Compile.plan
-                            in
-                            let outs =
-                              t.Compile.read_outputs
-                                run.Mapreduce.Engine.output
-                            in
-                            if not (Runner.outputs_agree frag seq outs) then
-                              fail tag
-                                "state %d: fault injection changed outputs: \
-                                 {%s} vs {%s}"
-                                ei (render_outputs seq) (render_outputs outs);
-                            let o1 = Engine.schedule ~cluster ~scale:1.0 run in
-                            let o2 = Engine.schedule ~cluster ~scale:1.0 run in
-                            if not (Float.is_finite o1.Sched.Coordinator.completion_s)
-                            then
-                              fail tag "state %d: schedule did not complete" ei;
-                            if
-                              not
-                                (Float.equal o1.Sched.Coordinator.completion_s
-                                   o2.Sched.Coordinator.completion_s
-                                && Sched.Trace.events o1.Sched.Coordinator.trace
-                                   = Sched.Trace.events
-                                       o2.Sched.Coordinator.trace)
-                            then
-                              fail tag
-                                "state %d: same seed and fault schedule gave \
-                                 different schedules"
-                                ei)
-                          cfg.backends)
-                      cfg.fault_profiles)
+                        cfg.backends)
               envs;
             Translated frag.F.frag_id)
   with

@@ -26,7 +26,7 @@
 module Value = Casper_common.Value
 
 (** The execution-configuration record ({!Mapreduce.Exec_config}):
-    one [t] gathering [sched]/[obs]/[memory_budget]/[spill_dir]/[cache]/
+    one [t] gathering [obs]/[memory_budget]/[spill_dir]/[cache]/
     [cluster] plus the session knobs. A [None] field is the built-in
     value; [of_env] is the one reader of the [CASPER_*] variables that
     set them. *)

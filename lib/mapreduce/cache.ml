@@ -110,7 +110,6 @@ type 'a entry = {
   ekey : key;
   payload : 'a;
   ebytes : int;
-  mutable pinned : bool;
   mutable tick : int;  (* larger = more recently used *)
 }
 
@@ -123,7 +122,6 @@ type 'a t = {
   mutable misses : int;
   mutable evictions : int;
   mutable insertions : int;
-  mutable invalidations : int;
   lock : Mutex.t;
 }
 
@@ -132,7 +130,6 @@ type stats = {
   misses : int;
   evictions : int;
   insertions : int;
-  invalidations : int;
   entries : int;
   bytes : int;
   budget : int option;
@@ -148,7 +145,6 @@ let create ?budget () : 'a t =
     misses = 0;
     evictions = 0;
     insertions = 0;
-    invalidations = 0;
     lock = Mutex.create ();
   }
 
@@ -175,26 +171,17 @@ let find (t : 'a t) (k : key) : 'a option =
           t.misses <- t.misses + 1;
           None)
 
-(* evict unpinned entries, least recent first, until [target] holds *)
+(* evict entries, least recent first, until [target] holds *)
 let evict_to (t : 'a t) (target : int) : int =
   let evicted = ref 0 in
-  let continue = ref true in
-  while t.live_bytes > target && !continue do
+  while t.live_bytes > target && t.entries <> [] do
     let victim =
       List.fold_left
-        (fun best e ->
-          if e.pinned then best
-          else
-            match best with
-            | Some b when b.tick <= e.tick -> best
-            | _ -> Some e)
-        None t.entries
+        (fun (b : 'a entry) e -> if b.tick <= e.tick then b else e)
+        (List.hd t.entries) (List.tl t.entries)
     in
-    match victim with
-    | None -> continue := false (* everything left is pinned *)
-    | Some e ->
-        remove_entry t e;
-        incr evicted
+    remove_entry t victim;
+    incr evicted
   done;
   t.evictions <- t.evictions + !evicted;
   !evicted
@@ -203,47 +190,14 @@ let put (t : 'a t) (k : key) ~(bytes : int) (payload : 'a) : int =
   locked t (fun () ->
       (match find_entry t k with Some e -> remove_entry t e | None -> ());
       t.clock <- t.clock + 1;
-      let e =
-        { ekey = k; payload; ebytes = max 0 bytes; pinned = false;
-          tick = t.clock }
-      in
+      let e = { ekey = k; payload; ebytes = max 0 bytes; tick = t.clock } in
       t.entries <- e :: t.entries;
       t.live_bytes <- t.live_bytes + e.ebytes;
       t.insertions <- t.insertions + 1;
       match t.budget with None -> 0 | Some b -> evict_to t b)
 
-let pin (t : 'a t) (k : key) : bool =
-  locked t (fun () ->
-      match find_entry t k with
-      | Some e ->
-          e.pinned <- true;
-          true
-      | None -> false)
-
-let unpin (t : 'a t) (k : key) : bool =
-  locked t (fun () ->
-      match find_entry t k with
-      | Some e ->
-          e.pinned <- false;
-          true
-      | None -> false)
-
-let invalidate (t : 'a t) (k : key) : bool =
-  locked t (fun () ->
-      match find_entry t k with
-      | Some e ->
-          remove_entry t e;
-          t.invalidations <- t.invalidations + 1;
-          true
-      | None -> false)
-
 let shrink_to (t : 'a t) (target : int) : int =
   locked t (fun () -> evict_to t (max 0 target))
-
-let clear (t : 'a t) =
-  locked t (fun () ->
-      t.entries <- [];
-      t.live_bytes <- 0)
 
 let stats (t : 'a t) : stats =
   locked t (fun () ->
@@ -252,7 +206,6 @@ let stats (t : 'a t) : stats =
         misses = t.misses;
         evictions = t.evictions;
         insertions = t.insertions;
-        invalidations = t.invalidations;
         entries = List.length t.entries;
         bytes = t.live_bytes;
         budget = t.budget;

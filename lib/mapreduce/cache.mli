@@ -18,10 +18,9 @@
 
     Entries are byte-accounted ({!Casper_common.Value} sizes of the
     materialized partition) against an optional budget; inserting past
-    the budget evicts unpinned entries in least-recently-used order,
-    possibly including the entry just inserted. Pinned entries are
-    never evicted. All operations take an internal mutex, so lookups
-    are safe from worker domains (DESIGN.md §13). *)
+    the budget evicts entries in least-recently-used order, possibly
+    including the entry just inserted. All operations take an internal
+    mutex, so lookups are safe from worker domains (DESIGN.md §13). *)
 
 module Value = Casper_common.Value
 
@@ -54,7 +53,6 @@ type stats = {
   misses : int;  (** lookups that found no live entry *)
   evictions : int;  (** entries dropped by budget pressure *)
   insertions : int;
-  invalidations : int;  (** explicit {!invalidate} calls that removed *)
   entries : int;  (** live entries right now *)
   bytes : int;  (** live bytes right now *)
   budget : int option;
@@ -73,28 +71,13 @@ val bytes : 'a t -> int
 val find : 'a t -> key -> 'a option
 
 (** Insert (or replace) an entry accounted at [bytes], then evict
-    unpinned entries in LRU order until the budget holds — the entry
+    entries in LRU order until the budget holds — the entry
     just inserted is eligible too, so a cache with budget 1 degenerates
     to a pass-through. Returns the number of evictions. *)
 val put : 'a t -> key -> bytes:int -> 'a -> int
 
-(** Pin an entry: exempt from eviction until {!unpin}. Returns [false]
-    when no such entry is live. *)
-val pin : 'a t -> key -> bool
-
-val unpin : 'a t -> key -> bool
-
-(** Drop an entry (lost partition, staleness). Returns [false] when no
-    such entry was live. *)
-val invalidate : 'a t -> key -> bool
-
-(** Evict unpinned entries in LRU order until at most [target] bytes
-    remain (pinned bytes may keep the total above [target]). Returns
-    the number of evictions. *)
+(** Evict entries in LRU order until at most [target] bytes remain.
+    Returns the number of evictions. *)
 val shrink_to : 'a t -> int -> int
-
-(** Drop every entry, pinned or not. Resets nothing but residency:
-    cumulative counters survive. *)
-val clear : 'a t -> unit
 
 val stats : 'a t -> stats

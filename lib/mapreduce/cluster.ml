@@ -33,19 +33,6 @@ type t = {
       (** writing intermediate results durably between jobs *)
   per_job_boundary : bool;  (** true = each shuffle ends a job (Hadoop) *)
   combiner : bool;  (** local pre-aggregation before shuffling *)
-  recovery : Sched.Faults.recovery;
-      (** how the framework reconstructs lost intermediate data: Spark
-          recomputes from RDD lineage, Hadoop re-reads the intermediate
-          output it materialized to HDFS, Flink restarts the pipelined
-          region *)
-  task_relaunch_s : float;
-      (** per-attempt spin-up paid by retried and speculative tasks
-          (Hadoop forks a fresh JVM per task attempt; Spark and Flink
-          reuse long-lived executors) *)
-  fault_detect_s : float;
-      (** failure-detection latency: executor heartbeats make dead
-          workers visible within seconds on Spark/Flink, while Hadoop's
-          task-tracker timeout is notoriously long *)
 }
 
 let spark =
@@ -62,9 +49,6 @@ let spark =
     materialize_byte_ns = 0.0;
     per_job_boundary = false;
     combiner = true;
-    recovery = Sched.Faults.Lineage;
-    task_relaunch_s = 0.05;
-    fault_detect_s = 0.25;
   }
 
 let flink =
@@ -77,9 +61,6 @@ let flink =
     shuffle_byte_ns = 0.6;
     stage_overhead_s = 0.8;
     job_overhead_s = 2.5;
-    recovery = Sched.Faults.Region_restart;
-    task_relaunch_s = 0.12;
-    fault_detect_s = 0.5;
   }
 
 let hadoop =
@@ -96,16 +77,13 @@ let hadoop =
     materialize_byte_ns = 1.2;
     per_job_boundary = true;
     combiner = true;
-    recovery = Sched.Faults.Materialized;
-    task_relaunch_s = 2.5;
-    fault_detect_s = 8.0;
   }
 
 (** The original single-threaded program on one core of the master node.
     Costs are byte-dominated: simple scalar loops (cheap records) gain
-    less from parallelization than wide-record scans, which is the
-    ordering Table 1 exhibits (Ariths lowest mean speedup, TPC-H
-    highest). *)
+    less from parallelization than wide-record scans. In Table 1 this
+    puts Iterative (25.9× mean) and TPC-H (25.4×) highest and Phoenix
+    (14.3×) lowest, with Fiji and Ariths just above it. *)
 let sequential_cpu_ns = 60.0
 
 let sequential_read_byte_ns = 1.6

@@ -43,10 +43,6 @@ type run = {
   stages : stage_metrics list;
   input_records : int;
   input_bytes : int;
-  sched : Sched.Coordinator.config option;
-      (** when set, {!simulate_time} charges wall-clock from a
-          task-level schedule under this configuration instead of the
-          closed-form estimate *)
 }
 
 let as_kv = function
@@ -79,13 +75,10 @@ let cache_stats = Exec_config.cache_stats
     optional argument by hand and forgot none — by luck, not by
     construction). *)
 type exec_ctx = {
-  x_sched : Sched.Coordinator.config option;
   x_obs : Obs.ctx;
   x_budget : int option;  (** resolved spill budget *)
   x_spill_dir : string option;  (** [None] = the system temp directory *)
-  x_spill_fault : (unit -> bool) option;
   x_cache : cache option;  (** [None] = off *)
-  x_cache_fault : (unit -> bool) option;
   x_cancel : (unit -> bool) option;
       (** cooperative cancellation token, polled at stage boundaries *)
 }
@@ -138,20 +131,9 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
     | Some (c, key) -> (
         match Cache.find c key with
         | None -> None
-        | Some e -> (
-            (* a scheduler fault profile may declare the cached
-               partition lost: invalidate and fall back to lineage
-               recomputation, which repopulates below *)
-            match ctx.x_cache_fault with
-            | Some lost when lost () ->
-                ignore (Cache.invalidate c key : bool);
-                Obs.span obs "engine.cache" (fun () ->
-                    Obs.add obs "cache_invalidations" 1);
-                None
-            | _ ->
-                Obs.span obs "engine.cache" (fun () ->
-                    Obs.add obs "cache_hits" 1);
-                Some e))
+        | Some e ->
+            Obs.span obs "engine.cache" (fun () -> Obs.add obs "cache_hits" 1);
+            Some e)
   in
   match served with
   | Some e ->
@@ -160,7 +142,6 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         stages = e.c_stages;
         input_records = e.c_input_records;
         input_bytes = e.c_input_bytes;
-        sched = ctx.x_sched;
       }
   | None ->
   (* eviction before spill: cached partitions count toward the same
@@ -176,7 +157,6 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         (Some (max 1 (b - Cache.bytes c)), ev)
     | _ -> (ctx.x_budget, 0)
   in
-  let sched = ctx.x_sched and spill_fault = ctx.x_spill_fault in
   (* a shuffle with no partitions to land records in cannot execute *)
   let check_workers () =
     if cluster.Cluster.workers <= 0 then
@@ -248,13 +228,8 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   let grouped_spill label (b : Batch.t) ~spill_budget ~init ~step ~record :
       Batch.t =
     let src = Batch.data b in
-    let lineage i =
-      let k, v = as_kv src.(i) in
-      (Value.to_string k, k, v)
-    in
     let g =
-      Spill.create ~obs ?fault:spill_fault ?dir:ctx.x_spill_dir ~lineage
-        ~budget:spill_budget ~label ()
+      Spill.create ~obs ?dir:ctx.x_spill_dir ~budget:spill_budget ~label ()
     in
     try
       Fun.protect ~finally:(fun () -> Spill.cleanup g) @@ fun () ->
@@ -445,33 +420,12 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           Obs.add obs "cache_misses" 1;
           Obs.add obs "cache_bytes" bytes;
           if evictions > 0 then Obs.add obs "cache_evictions" evictions));
-  { output = Batch.to_list output_batch; stages; input_records;
-    input_bytes; sched }
+  { output = Batch.to_list output_batch; stages; input_records; input_bytes }
 
 let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
     ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
-  let sched = config.Exec_config.sched in
-  (* spill-file I/O faults come from the scheduler's fault profile; the
-     draws are seeded per top-level run_plan and happen in stage order,
-     so a (profile, plan, budget) triple always replays the same loss
-     timeline *)
-  let fault_draw salt p =
-    match sched with
-    | None -> None
-    | Some sc ->
-        let fp = sc.Sched.Coordinator.faults in
-        let prob = p fp in
-        if prob > 0.0 then begin
-          let rng =
-            lazy (Casper_common.Rng.create (fp.Sched.Faults.seed + salt))
-          in
-          Some (fun () -> Casper_common.Rng.bernoulli (Lazy.force rng) prob)
-        end
-        else None
-  in
   exec_plan
     {
-      x_sched = sched;
       x_obs = Option.value config.Exec_config.obs ~default:Obs.null;
       (* [<= 0] means unbounded, so callers can force the in-memory
          path explicitly *)
@@ -480,10 +434,7 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
         | Some b when b > 0 -> Some b
         | _ -> None);
       x_spill_dir = config.Exec_config.spill_dir;
-      x_spill_fault = fault_draw 0x51f4 (fun fp -> fp.Sched.Faults.spill_fault_prob);
       x_cache = config.Exec_config.cache;
-      x_cache_fault =
-        fault_draw 0x2ac8 (fun fp -> fp.Sched.Faults.cache_fault_prob);
       x_cancel = config.Exec_config.cancel;
     }
     ~cluster ~datasets plan
@@ -491,148 +442,49 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
 (* ------------------------------------------------------------------ *)
 (* Wall-clock model                                                     *)
 
-(** Per-worker read time for the whole input, at nominal scale. *)
-let read_time ~(cluster : Cluster.t) ~(scale : float) (r : run) : float =
-  float_of_int r.input_bytes *. scale *. cluster.Cluster.read_byte_ns *. 1e-9
-  /. float_of_int cluster.Cluster.workers
+(* one stage's shuffled bytes at nominal scale, combiner cap honored *)
+let capped_shuffled ~(scale : float) (m : stage_metrics) : float =
+  let linear = float_of_int m.bytes_shuffled *. scale in
+  match m.shuffle_cap_bytes with
+  | Some cap -> Float.min linear (float_of_int cap)
+  | None -> linear
 
-(** The three per-worker time components of one stage at nominal scale:
+(** Estimated wall-clock seconds for a completed run on [cluster], with
+    in-memory volumes scaled by [scale] to the nominal workload: job
+    start-up, the input read, then per stage its scheduling overhead,
     compute (per-record cpu + emit serialization, divided across
     workers), shuffle (bytes over aggregate cluster bandwidth, combiner
-    cap honored) and materialize (per-job-boundary intermediate write).
-    Both the closed-form estimate and the task scheduler charge time
-    from exactly these numbers, so the two models cannot drift apart. *)
-let stage_components ~(cluster : Cluster.t) ~(scale : float)
-    (m : stage_metrics) : float * float * float =
+    cap honored) and materialization (per-job-boundary intermediate
+    write). *)
+let simulate_time ~(cluster : Cluster.t) ~(scale : float) (r : run) : float =
   let c = cluster in
   let w = float_of_int c.Cluster.workers in
   let ns v = v *. 1e-9 in
-  let recs = float_of_int m.records_in *. scale in
-  let emitted = float_of_int m.bytes_out *. scale in
-  let cpu = if m.is_shuffle then c.Cluster.reduce_cpu_ns else c.Cluster.map_cpu_ns in
-  let compute = ns ((recs *. cpu) +. (emitted *. c.Cluster.emit_byte_ns)) /. w in
-  let shuffle_bytes =
-    let linear = float_of_int m.bytes_shuffled *. scale in
-    match m.shuffle_cap_bytes with
-    | Some cap -> Float.min linear (float_of_int cap)
-    | None -> linear
+  let stage_time (m : stage_metrics) =
+    let recs = float_of_int m.records_in *. scale in
+    let emitted = float_of_int m.bytes_out *. scale in
+    let cpu =
+      if m.is_shuffle then c.Cluster.reduce_cpu_ns else c.Cluster.map_cpu_ns
+    in
+    let compute =
+      ns ((recs *. cpu) +. (emitted *. c.Cluster.emit_byte_ns)) /. w
+    in
+    let shuffle = ns (capped_shuffled ~scale m *. c.Cluster.shuffle_byte_ns) in
+    let materialize =
+      if c.Cluster.per_job_boundary && m.is_shuffle then
+        ns (float_of_int m.bytes_out *. scale *. c.Cluster.materialize_byte_ns)
+      else 0.0
+    in
+    c.Cluster.stage_overhead_s +. compute +. shuffle +. materialize
   in
-  let shuffle = ns (shuffle_bytes *. c.Cluster.shuffle_byte_ns) in
-  let materialize =
-    if c.Cluster.per_job_boundary && m.is_shuffle then
-      ns (float_of_int m.bytes_out *. scale *. c.Cluster.materialize_byte_ns)
-    else 0.0
+  let jobs =
+    if c.Cluster.per_job_boundary then
+      max 1 (List.length (List.filter (fun m -> m.is_shuffle) r.stages))
+    else 1
   in
-  (compute, shuffle, materialize)
-
-let job_count ~(cluster : Cluster.t) (r : run) : int =
-  if cluster.Cluster.per_job_boundary then
-    max 1 (List.length (List.filter (fun m -> m.is_shuffle) r.stages))
-  else 1
-
-(** Closed-form estimate: per-stage components plus scheduling and job
-    overheads. *)
-let analytic_time ~(cluster : Cluster.t) ~(scale : float) (r : run) : float =
-  let stage_time m =
-    let compute, shuffle, materialize = stage_components ~cluster ~scale m in
-    cluster.Cluster.stage_overhead_s +. compute +. shuffle +. materialize
-  in
-  (float_of_int (job_count ~cluster r) *. cluster.Cluster.job_overhead_s)
-  +. read_time ~cluster ~scale r
+  (float_of_int jobs *. c.Cluster.job_overhead_s)
+  +. (float_of_int r.input_bytes *. scale *. c.Cluster.read_byte_ns *. 1e-9 /. w)
   +. List.fold_left (fun acc m -> acc +. stage_time m) 0.0 r.stages
-
-(* ------------------------------------------------------------------ *)
-(* Task-level scheduling                                                *)
-
-(** Decompose the run into a schedulable plan: one equal-share task per
-    worker slot and stage (the volume metrics are aggregates, so data
-    skew enters the scheduler through its straggler model, not through
-    per-partition volumes — a fault-free schedule therefore reproduces
-    {!analytic_time} exactly). The input read is folded into the first
-    stage's tasks. [recover_s] carries each backend's recovery
-    semantics: lineage recompute of the narrow chain since the last
-    durable point (Spark), re-read of the materialized intermediate
-    (Hadoop), or chain recompute plus region coordination (Flink). *)
-let sched_plan ~(cluster : Cluster.t) ~(scale : float) (r : run) :
-    Sched.Coordinator.plan =
-  let c = cluster in
-  let w = c.Cluster.workers in
-  let wf = float_of_int w in
-  let read_s = read_time ~cluster ~scale r in
-  let reread_s (m : stage_metrics) =
-    float_of_int m.bytes_in *. scale *. c.Cluster.read_byte_ns *. 1e-9 /. wf
-  in
-  (* chain_s = per-worker cost of re-deriving the current stage's input
-     from the nearest durable point (HDFS input, shuffle files) *)
-  let stages_rev, _chain_s, _first =
-    List.fold_left
-      (fun (acc, chain_s, first) (m : stage_metrics) ->
-        let compute, shuffle, materialize = stage_components ~cluster ~scale m in
-        let task_s =
-          (if first then read_s else 0.0) +. compute +. shuffle +. materialize
-        in
-        let recover_s =
-          match c.Cluster.recovery with
-          | Sched.Faults.Lineage -> chain_s
-          | Sched.Faults.Materialized -> reread_s m
-          | Sched.Faults.Region_restart -> chain_s +. c.Cluster.stage_overhead_s
-        in
-        let stage =
-          {
-            Sched.Coordinator.label = m.label;
-            kind = (if m.is_shuffle then Sched.Task.Reduce else Sched.Task.Map);
-            ntasks = w;
-            task_s;
-            bytes_out_per_task =
-              int_of_float (float_of_int m.bytes_out *. scale /. wf);
-            recover_s;
-            barrier_s = c.Cluster.stage_overhead_s;
-          }
-        in
-        (* after a shuffle the exchange's files are the durable point:
-           re-deriving its output re-runs only the reduce compute *)
-        let chain_s' = if m.is_shuffle then compute else chain_s +. compute in
-        (stage :: acc, chain_s', false))
-      ([], read_s, true) r.stages
-  in
-  let base_serial_s =
-    (float_of_int (job_count ~cluster r) *. c.Cluster.job_overhead_s)
-    +. if r.stages = [] then read_s else 0.0
-  in
-  {
-    Sched.Coordinator.workers = w;
-    stages = List.rev stages_rev;
-    base_serial_s;
-    relaunch_s = c.Cluster.task_relaunch_s;
-    detect_s = c.Cluster.fault_detect_s;
-    recovery = c.Cluster.recovery;
-  }
-
-(** Schedule the run task-by-task and return the full outcome
-    (completion time, event trace, attempt/failure counters). [config]
-    defaults to the run's own [sched] configuration, or fault-free. *)
-let schedule ?(obs = Obs.null) ~(cluster : Cluster.t) ~(scale : float)
-    ?config (r : run) : Sched.Coordinator.outcome =
-  let config =
-    match (config, r.sched) with
-    | Some c, _ -> c
-    | None, Some c -> c
-    | None, None -> Sched.Coordinator.fault_free
-  in
-  let o = Sched.Coordinator.run ~config (sched_plan ~cluster ~scale r) in
-  if Obs.enabled obs then
-    Obs.span obs "sched" (fun () ->
-        Sched.Trace.to_obs obs o.Sched.Coordinator.trace);
-  o
-
-(** Estimated wall-clock seconds for a completed run on [cluster], with
-    in-memory volumes scaled by [scale] to the nominal workload. Runs
-    executed with [~sched] are charged from the task-level schedule;
-    others from the closed-form estimate. *)
-let simulate_time ~(cluster : Cluster.t) ~(scale : float) (r : run) : float =
-  match r.sched with
-  | None -> analytic_time ~cluster ~scale r
-  | Some config -> (schedule ~cluster ~scale ~config r).completion_s
 
 (** Wall-clock of the sequential original: single core, every record and
     byte passes through one thread. [passes] = how many times the
@@ -651,15 +503,7 @@ let total_shuffled (r : run) =
 (** Shuffled bytes at nominal scale, honoring the combiner caps the
     time model applies. *)
 let effective_shuffled ~(scale : float) (r : run) : float =
-  List.fold_left
-    (fun a m ->
-      let linear = float_of_int m.bytes_shuffled *. scale in
-      a
-      +.
-      match m.shuffle_cap_bytes with
-      | Some cap -> Float.min linear (float_of_int cap)
-      | None -> linear)
-    0.0 r.stages
+  List.fold_left (fun a m -> a +. capped_shuffled ~scale m) 0.0 r.stages
 
 let total_emitted (r : run) =
   List.fold_left

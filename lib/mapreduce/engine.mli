@@ -39,10 +39,6 @@ type run = {
   stages : stage_metrics list;  (** join inputs included *)
   input_records : int;
   input_bytes : int;
-  sched : Sched.Coordinator.config option;
-      (** when set, {!simulate_time} charges wall-clock from a
-          task-level schedule under this configuration instead of the
-          closed-form estimate *)
 }
 
 (** A materialized plan result held by the dataset cache: output
@@ -52,7 +48,7 @@ type cached_run = Exec_config.cached_run
 (** A lineage-keyed dataset cache for engine runs ({!Cache}, DESIGN.md
     §13); the same type as {!Exec_config.cache}, so a cache built
     either way can travel through a config record. Because the type is
-    transparent, the whole {!Cache} API — [stats], [pin], [invalidate],
+    transparent, the whole {!Cache} API — [stats], [find], [put],
     [shrink_to], … — applies to it. *)
 type cache = cached_run Cache.t
 
@@ -65,9 +61,7 @@ val cache_stats : cache -> Cache.stats
 (** Execute a plan over named in-memory datasets under [config]
     (default {!Exec_config.default}: every knob at its built-in value).
 
-    [config.sched] charges wall-clock from a task-level schedule (with
-    fault injection and speculative execution) instead of the
-    closed-form estimate. [config.obs] (default disabled) records an
+    [config.obs] (default disabled) records an
     "engine.run_plan" span with one child span per stage, carrying
     record and shuffle-volume counters. Every stage runs on the calling
     domain: the run starts no domain and uses no pool, and the cluster
@@ -79,9 +73,7 @@ val cache_stats : cache -> Cache.stats
     runs of {!Codec}-encoded records to temp files, merged back at
     reduce time ({!Spill}; DESIGN.md §12). Absent or [<= 0]: the
     in-memory path. Outputs, stage metrics and traces are byte-identical
-    at any budget. When the fault profile sets [spill_fault_prob], run
-    files are lost with that probability at merge time and
-    re-materialized from lineage, without observable effect on results.
+    at any budget.
 
     [config.cache] (default none) serves repeated side-effect-free
     subplans (join sides, cross-call reuse) from their previous
@@ -90,13 +82,10 @@ val cache_stats : cache -> Cache.stats
     spill budget — with outputs and stage metrics byte-identical to
     recomputation, on any domain (session jobs running inside pool
     tasks share their session's cache). An [engine.cache] span with
-    [cache_hits] / [cache_misses] / [cache_bytes] / [cache_evictions] /
-    [cache_invalidations] counters records what the cache did. Cached
-    bytes share the live-byte ledger with the spill budget: under
-    pressure the engine evicts cache entries before letting grouped
-    stages spill. When the fault profile sets [cache_fault_prob], each
-    hit may find the partition lost; the entry is invalidated and the
-    plan recomputed from lineage, without observable effect on results
+    [cache_hits] / [cache_misses] / [cache_bytes] / [cache_evictions]
+    counters records what the cache did. Cached bytes share the
+    live-byte ledger with the spill budget: under pressure the engine
+    evicts cache entries before letting grouped stages spill
     (DESIGN.md §13).
     @raise Engine_error on unknown or duplicate dataset names, shape
     errors, shuffles on a cluster with no worker slots, and spill I/O
@@ -110,32 +99,10 @@ val run_plan :
   Plan.t ->
   run
 
-(** Modeled wall-clock seconds on [cluster] at nominal scale. Dispatches
-    to {!schedule} when the run carries a scheduler configuration. *)
+(** Modeled wall-clock seconds on [cluster] at nominal scale: the
+    closed-form sum of job start-up, the input read and each stage's
+    overhead, compute, shuffle and materialization. *)
 val simulate_time : cluster:Cluster.t -> scale:float -> run -> float
-
-(** The closed-form estimate, regardless of the run's [sched] field. *)
-val analytic_time : cluster:Cluster.t -> scale:float -> run -> float
-
-(** Decompose the run into a schedulable task plan: one equal-share
-    task per worker slot and stage, with the backend's recovery
-    semantics baked into each stage's [recover_s]. A fault-free
-    schedule of this plan reproduces {!analytic_time} exactly. *)
-val sched_plan :
-  cluster:Cluster.t -> scale:float -> run -> Sched.Coordinator.plan
-
-(** Schedule the run task-by-task: completion time, event trace and
-    attempt/failure counters. [config] defaults to the run's own
-    [sched] configuration, or fault-free. With [obs] enabled the event
-    trace is folded into the span tree under a "sched" span (see
-    {!Sched.Trace.to_obs}). *)
-val schedule :
-  ?obs:Casper_obs.Obs.ctx ->
-  cluster:Cluster.t ->
-  scale:float ->
-  ?config:Sched.Coordinator.config ->
-  run ->
-  Sched.Coordinator.outcome
 
 (** Modeled single-core wall-clock of the sequential original.
     [passes] is the number of data scans (iterative algorithms > 1). *)

@@ -33,7 +33,6 @@ let cache_stats (c : cache) = Cache.stats c
 (* The configuration record                                            *)
 
 type t = {
-  sched : Sched.Coordinator.config option;
   obs : Obs.ctx option;
   memory_budget : int option;
   spill_dir : string option;
@@ -46,7 +45,6 @@ type t = {
 
 let default =
   {
-    sched = None;
     obs = None;
     memory_budget = None;
     spill_dir = None;

@@ -66,9 +66,6 @@ val cache_stats : cache -> Cache.stats
 (** Everything an execution may want decided for it. Every field is
     optional; [None] means the built-in value. *)
 type t = {
-  sched : Sched.Coordinator.config option;
-      (** task-level scheduling + fault profile (default: closed-form
-          time estimate, no faults) *)
   obs : Obs.ctx option;  (** observability context (default: disabled) *)
   memory_budget : int option;
       (** spill budget in bytes (default, or [<= 0]: in-memory) *)

@@ -33,28 +33,20 @@ let table_add m key k v =
       m.distinct <- key :: m.distinct);
   m.count <- m.count + 1
 
-(* a run covers the consecutive arrival window [lo, hi) *)
-type run = { path : string; lo : int; hi : int }
-
 type t = {
   budget : int;
   parent : string;  (* directory [dir] is created under *)
   obs : Obs.ctx;
   label : string;
-  fault : (unit -> bool) option;
-  lineage : int -> string * Value.t * Value.t;
   mutable mem : table;
   mutable live_bytes : int;
-  mutable added : int;  (* arrival counter *)
-  mutable window_lo : int;  (* first arrival still in [mem] *)
-  mutable runs : run list;  (* newest first *)
+  mutable runs : string list;  (* run file paths, newest first *)
   mutable nruns : int;
   mutable fileno : int;
   mutable dir : string option;  (* created on first spill *)
   mutable runs_written : int;
   mutable bytes_spilled : int;
   mutable merge_fanin : int;
-  mutable io_faults : int;
   mutable cleaned : bool;
 }
 
@@ -62,7 +54,6 @@ type stats = {
   runs_written : int;
   bytes_spilled : int;
   merge_fanin : int;
-  io_faults : int;
 }
 
 let stats (t : t) : stats =
@@ -70,23 +61,18 @@ let stats (t : t) : stats =
     runs_written = t.runs_written;
     bytes_spilled = t.bytes_spilled;
     merge_fanin = t.merge_fanin;
-    io_faults = t.io_faults;
   }
 
-let create ?(obs = Obs.null) ?fault ?(dir = Filename.get_temp_dir_name ())
-    ~lineage ~budget ~label () =
+let create ?(obs = Obs.null) ?(dir = Filename.get_temp_dir_name ()) ~budget
+    ~label () =
   if budget <= 0 then err "budget must be positive, got %d" budget;
   {
     budget;
     parent = dir;
     obs;
     label;
-    fault;
-    lineage;
     mem = table_create ();
     live_bytes = 0;
-    added = 0;
-    window_lo = 0;
     runs = [];
     nruns = 0;
     fileno = 0;
@@ -94,7 +80,6 @@ let create ?(obs = Obs.null) ?fault ?(dir = Filename.get_temp_dir_name ())
     runs_written = 0;
     bytes_spilled = 0;
     merge_fanin = 0;
-    io_faults = 0;
     cleaned = false;
   }
 
@@ -134,7 +119,7 @@ let fresh_path t =
 let cleanup t =
   if not t.cleaned then begin
     t.cleaned <- true;
-    List.iter (fun r -> try Sys.remove r.path with Sys_error _ -> ()) t.runs;
+    List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) t.runs;
     t.runs <- [];
     t.nruns <- 0;
     match t.dir with
@@ -281,40 +266,18 @@ let merge readers ~emit_group =
   in
   loop ()
 
-(* ------------------------------------------------------------------ *)
-(* Fault recovery: rebuild a lost run from lineage. Re-deriving the
-   arrival window and regrouping writes a byte-identical file — groups
-   come out in the same sorted order with the same first-arrival
-   representatives and arrival-ordered values (compacted runs too,
-   since their windows are consecutive unions).                        *)
-
-let rematerialize t r =
-  let m = table_create () in
-  for i = r.lo to r.hi - 1 do
-    let key, k, v = t.lineage i in
-    table_add m key k v
-  done;
-  ignore (write_table r.path m : int)
-
-let open_run t r =
-  (match t.fault with
-  | Some draw when draw () ->
-      t.io_faults <- t.io_faults + 1;
-      Obs.add t.obs "spill_io_faults" 1;
-      (try Sys.remove r.path with Sys_error _ -> ());
-      rematerialize t r
-  | _ -> ());
-  let ic = try open_in_bin r.path with Sys_error m -> err "open %s: %s" r.path m in
+let open_run path =
+  let ic = try open_in_bin path with Sys_error m -> err "open %s: %s" path m in
   match really_input_string ic Codec.header_size with
   | exception End_of_file ->
       close_in_noerr ic;
-      err "truncated run header in %s" r.path
+      err "truncated run header in %s" path
   | hdr -> (
       match Codec.check_header hdr with
       | () -> ic
       | exception Codec.Codec_error m ->
           close_in_noerr ic;
-          err "bad run header in %s: %s" r.path m)
+          err "bad run header in %s: %s" path m)
 
 (* ------------------------------------------------------------------ *)
 (* Spilling                                                            *)
@@ -322,18 +285,16 @@ let open_run t r =
 (* Merge every existing run into one so [finish] (and fd usage) stays
    bounded at tiny budgets; consecutive windows union to a window.     *)
 let compact t =
-  let ordered = List.rev t.runs in
-  let lo = (List.hd ordered).lo and hi = (List.hd t.runs).hi in
   let ics = ref [] in
   let merged =
     Fun.protect ~finally:(fun () -> List.iter close_in_noerr !ics) @@ fun () ->
     let readers =
       List.map
-        (fun r ->
-          let ic = open_run t r in
+        (fun path ->
+          let ic = open_run path in
           ics := ic :: !ics;
           file_reader ic)
-        ordered
+        (List.rev t.runs)
     in
     let path = fresh_path t in
     let w = writer_open path in
@@ -342,9 +303,9 @@ let compact t =
     let bytes = writer_close w in
     t.bytes_spilled <- t.bytes_spilled + bytes;
     Obs.add t.obs "spill_bytes" bytes;
-    { path; lo; hi }
+    path
   in
-  List.iter (fun r -> try Sys.remove r.path with Sys_error _ -> ()) t.runs;
+  List.iter (fun path -> try Sys.remove path with Sys_error _ -> ()) t.runs;
   t.runs <- [ merged ];
   t.nruns <- 1
 
@@ -353,21 +314,19 @@ let spill t =
     if t.nruns >= max_fanin then compact t;
     let path = fresh_path t in
     let bytes = write_table path t.mem in
-    t.runs <- { path; lo = t.window_lo; hi = t.added } :: t.runs;
+    t.runs <- path :: t.runs;
     t.nruns <- t.nruns + 1;
     t.runs_written <- t.runs_written + 1;
     t.bytes_spilled <- t.bytes_spilled + bytes;
     Obs.add t.obs "spill_runs" 1;
     Obs.add t.obs "spill_bytes" bytes;
     t.mem <- table_create ();
-    t.live_bytes <- 0;
-    t.window_lo <- t.added
+    t.live_bytes <- 0
   end
 
 let add t key k v =
   if t.cleaned then err "add to a finished grouper";
   table_add t.mem key k v;
-  t.added <- t.added + 1;
   t.live_bytes <- t.live_bytes + Value.size_of k + Value.size_of v;
   if t.live_bytes > t.budget then spill t
 
@@ -401,8 +360,8 @@ let finish t ~init ~step ~record ~emit =
     Fun.protect ~finally:(fun () -> List.iter close_in_noerr !ics) @@ fun () ->
     let file_readers =
       List.map
-        (fun r ->
-          let ic = open_run t r in
+        (fun path ->
+          let ic = open_run path in
           ics := ic :: !ics;
           file_reader ic)
         (List.rev t.runs)

@@ -14,12 +14,8 @@
     Runs are consecutive arrival windows; when 64 accumulate, they are
     compacted into one (which preserves both the arrival-order and the
     first-arrival-representative invariants, because the windows are
-    consecutive). Injected I/O faults (see
-    {!Sched.Faults.spill_fault_prob}) simulate a lost run file at merge
-    time: the file is deleted and re-materialized from lineage — the
-    [lineage] callback re-derives the records of the run's arrival
-    window — before the merge proceeds, so faults can never change
-    outputs.
+    consecutive). A run file that is missing or truncated when it is
+    reopened raises {!Spill_error}.
 
     Temp files live in a fresh subdirectory of [create]'s [dir] and are
     removed on every exit path: [finish] sweeps in a [Fun.protect], and
@@ -39,24 +35,17 @@ type stats = {
   runs_written : int;  (** spill events (compaction rewrites excluded) *)
   bytes_spilled : int;  (** file bytes written, compaction included *)
   merge_fanin : int;  (** sources merged by [finish]; 0 if no run spilled *)
-  io_faults : int;  (** injected run losses recovered from lineage *)
 }
 
-(** [create ~lineage ~budget ~label ()] starts a grouper. [lineage i]
-    must return the [(key string, key, value)] of arrival [i] (0-based,
-    in [add] order) — it is only called to re-materialize a run after
-    an injected fault. [fault] is drawn once per run-file open; [true]
-    simulates the loss of that file. [obs] (default disabled) receives
-    [spill_runs] / [spill_bytes] / [spill_merge_fanin] /
-    [spill_io_faults] counters and a ["spill.merge"] span. [dir]
+(** [create ~budget ~label ()] starts a grouper. [obs] (default
+    disabled) receives [spill_runs] / [spill_bytes] /
+    [spill_merge_fanin] counters and a ["spill.merge"] span. [dir]
     (default: the system temp directory) must exist; the grouper's
     subdirectory is created under it at the first spill. [budget] must
     be positive. *)
 val create :
   ?obs:Obs.ctx ->
-  ?fault:(unit -> bool) ->
   ?dir:string ->
-  lineage:(int -> string * Value.t * Value.t) ->
   budget:int ->
   label:string ->
   unit ->

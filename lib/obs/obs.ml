@@ -3,8 +3,8 @@
 
     One {!ctx} is threaded through the whole pipeline — program
     analysis, grammar generation, the CEGIS rounds, bounded and full
-    verification, code generation, the engine and the task scheduler —
-    so a single trace file shows a workload end to end. Time comes from
+    verification, code generation, the engine and the session's job
+    queue — so a single trace file shows a workload end to end. Time comes from
     an injectable {!clock}: the monotonic wall clock by default, a
     seeded virtual clock under test/difftest so trace shapes (and the
     synthesizer's [elapsed_s]) are deterministic and goldens stay
@@ -118,7 +118,7 @@ let span c ?(args = []) (name : string) (f : unit -> 'a) : 'a =
       f
   end
 
-let span_at c ?(track = "sched") ?(args = []) ?(counters = [])
+let span_at c ~(track : string) ?(args = []) ?(counters = [])
     ~(t0 : float) ~(t1 : float) (name : string) : unit =
   if c.on then begin
     let parent = match c.stack with p :: _ -> p | [] -> c.root in
@@ -301,8 +301,8 @@ let metrics c : J.t =
 
 (** Chrome [trace_event] JSON (the object format): complete ("X")
     duration events, one thread id per track, each track rebased so its
-    earliest span starts at ts 0 (the scheduler track carries simulation
-    time, not wall time). The flat metrics object rides along under the
+    earliest span starts at ts 0 (a session's job track carries its own
+    timeline). The flat metrics object rides along under the
     "metrics" key — extra top-level keys are legal in the format. *)
 let to_chrome c : J.t =
   let views = tree c in

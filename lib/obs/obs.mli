@@ -34,15 +34,14 @@ val now : ctx -> float
     annotations shown in the trace viewer. *)
 val span : ctx -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
-(** Record an already-completed span with explicit timestamps, e.g. when
-    folding the scheduler's simulation-time event trace — or a
-    session's per-job track — into the tree. [track] (default
-    ["sched"]) separates its timeline from the wall clock's;
+(** Record an already-completed span with explicit timestamps, e.g. a
+    session's per-job track. [track] separates its timeline from the
+    wall clock's;
     [counters] attaches pre-aggregated counters to the span (span-local
     only — the flat per-run totals are not bumped). *)
 val span_at :
   ctx ->
-  ?track:string ->
+  track:string ->
   ?args:(string * string) list ->
   ?counters:(string * int) list ->
   t0:float ->

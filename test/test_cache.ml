@@ -1,6 +1,6 @@
 (** Tests for the lineage-aware dataset cache: the cross-feature
-    byte-identity matrix (cache × spill budget), LRU and
-    pin/unpin semantics, eviction-before-spill, fingerprint stability,
+    byte-identity matrix (cache × spill budget), LRU semantics,
+    eviction-before-spill, fingerprint stability,
     the join argument-plumbing regression, golden cache traces, and the
     cost model's cached-input term. *)
 
@@ -136,44 +136,11 @@ let test_lru_order () =
   check_int "live bytes" 80 (Cache.bytes c);
   check_int "evictions counted" 1 (Cache.stats c).Cache.evictions
 
-let test_pin_survives_pressure () =
-  let c : int Cache.t = Cache.create ~budget:100 () in
-  let ka = mk_key "a" and kb = mk_key "b" and kc = mk_key "c"
-  and kd = mk_key "d" in
-  ignore (Cache.put c ka ~bytes:40 1 : int);
-  check "pin a" true (Cache.pin c ka);
-  ignore (Cache.put c kb ~bytes:40 2 : int);
-  ignore (Cache.put c kc ~bytes:40 3 : int);
-  (* a is the oldest entry but pinned: b takes the eviction *)
-  check "pinned a survives" true (Cache.find c ka = Some 1);
-  check "unpinned LRU b evicted" true (Cache.find c kb = None);
-  ignore (Cache.put c kd ~bytes:40 4 : int);
-  check "pinned a still survives" true (Cache.find c ka = Some 1);
-  check "c evicted next" true (Cache.find c kc = None);
-  (* pinned bytes cannot be shed *)
-  check_int "shrink_to 0 spares the pin" 1 (Cache.shrink_to c 0);
-  check "a pinned through shrink" true (Cache.find c ka = Some 1);
-  check "unpin a" true (Cache.unpin c ka);
-  check_int "now evictable" 1 (Cache.shrink_to c 0);
-  check_int "empty" 0 (Cache.bytes c)
-
 let test_budget_one_degenerates () =
   let c : int Cache.t = Cache.create ~budget:1 () in
   let ka = mk_key "a" in
   check_int "insert immediately evicts itself" 1 (Cache.put c ka ~bytes:40 1);
   check "nothing resident" true (Cache.find c ka = None)
-
-let test_invalidate_and_clear () =
-  let c : int Cache.t = Cache.create () in
-  let ka = mk_key "a" and kb = mk_key "b" in
-  ignore (Cache.put c ka ~bytes:10 1 : int);
-  ignore (Cache.put c kb ~bytes:10 2 : int);
-  check "invalidate live" true (Cache.invalidate c ka);
-  check "invalidate dead" false (Cache.invalidate c ka);
-  check "gone" true (Cache.find c ka = None);
-  Cache.clear c;
-  check "clear drops all" true (Cache.find c kb = None);
-  check_int "no bytes" 0 (Cache.bytes c)
 
 (* the fingerprint hashes the structural skeleton only — no closures,
    no hash-cons ids — so clearing and re-interning the IR interners
@@ -296,33 +263,6 @@ let test_eviction_before_spill () =
   check "outputs unchanged by the shed + spill" true
     (r1.Engine.output = r0.Engine.output)
 
-(* a sched fault profile may declare a cached partition lost mid-run:
-   the entry is invalidated and the plan recomputed from lineage,
-   byte-identically *)
-let test_cache_fault_invalidates_and_recomputes () =
-  let datasets = [ ("w", wc_words 200) ] in
-  let cache = Engine.make_cache () in
-  let config = { Testenv.config with Exec.Config.cache = Some cache } in
-  let base = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets wc_plan in
-  let sched =
-    Sched.Coordinator.config ~faults:(Sched.Faults.cache_faults ~seed:3 1.0)
-      ()
-  in
-  (* probability 1: every hit is declared lost *)
-  let r =
-    Engine.run_plan
-      ~config:{ config with Exec.Config.sched = Some sched }
-      ~cluster:Cluster.spark ~datasets wc_plan
-  in
-  let s = Engine.cache_stats cache in
-  check "entry was invalidated" true (s.Cache.invalidations > 0);
-  check "recomputed output identical" true
-    (r.Engine.output = base.Engine.output);
-  check "recomputed metrics identical" true
-    (r.Engine.stages = base.Engine.stages);
-  (* the recomputation repopulated the entry *)
-  check "repopulated" true (s.Cache.insertions >= 2)
-
 (* ---------------- golden cache traces ---------------- *)
 
 (* shapes are defined at the in-memory spill path (see test_obs.ml) *)
@@ -431,14 +371,10 @@ let suite =
     ( "cache.unit",
       [
         Alcotest.test_case "LRU eviction order" `Quick test_lru_order;
-        Alcotest.test_case "pin survives pressure" `Quick
-          test_pin_survives_pressure;
-        Alcotest.test_case "budget 1 degenerates to pass-through" `Quick
-          test_budget_one_degenerates;
-        Alcotest.test_case "invalidate + clear" `Quick
-          test_invalidate_and_clear;
         Alcotest.test_case "fingerprint stable across Hashcons.clear" `Quick
           test_fingerprint_stable_across_hashcons_clear;
+        Alcotest.test_case "budget 1 degenerates to pass-through" `Quick
+          test_budget_one_degenerates;
         Alcotest.test_case "fingerprint is not equality" `Quick
           test_fingerprint_is_not_equality;
       ] );
@@ -452,8 +388,6 @@ let suite =
           test_join_threads_cache;
         Alcotest.test_case "eviction before spill" `Quick
           test_eviction_before_spill;
-        Alcotest.test_case "lost partition recomputes from lineage" `Quick
-          test_cache_fault_invalidates_and_recomputes;
       ] );
     ( "cache.obs",
       [

@@ -49,7 +49,7 @@ let test_roundtrip_generated () =
 (* ---------------- smoke fuzz campaign ---------------- *)
 
 (* A small fixed-seed campaign runs the full differential pipeline —
-   both fastpath modes, every backend, every fault profile — and must
+   both fastpath modes, every backend, spill, cache and sessions — and must
    find no divergence. The scheduled CI job runs the big sibling. *)
 let test_smoke_campaign () =
   let report =

@@ -7,8 +7,6 @@ module Cluster = Mapreduce.Cluster
 module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
-module Coordinator = Sched.Coordinator
-module Faults = Sched.Faults
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -214,17 +212,12 @@ let test_global_reduce_partials_round_robin () =
    ([0] is the in-memory path), so CASPER_MEM_BUDGET cannot move these
    tests; CASPER_CACHE_BUDGET reaches the untraced runs. *)
 
-let run_spill ?sched ?obs ~memory_budget plan datasets =
+let run_spill ?obs ~memory_budget plan datasets =
   let env =
     match obs with Some o -> Testenv.traced o | None -> Testenv.config
   in
   Engine.run_plan
-    ~config:
-      {
-        env with
-        Exec.Config.sched;
-        memory_budget = Some memory_budget;
-      }
+    ~config:{ env with Exec.Config.memory_budget = Some memory_budget }
     ~cluster:Cluster.spark ~datasets plan
 
 (* non-commutative, non-associative combiner: merging partial folds
@@ -326,22 +319,34 @@ let test_spill_compaction () =
   check "compacted output identical" true (r.Engine.output = base.Engine.output);
   check "compacted metrics identical" true (r.Engine.stages = base.Engine.stages)
 
-let test_spill_fault_recovery () =
-  let datasets = [ ("w", wc_words 500) ] in
-  let base = run_spill ~memory_budget:0 wc_plan datasets in
-  let sched = Coordinator.config ~faults:(Faults.spill_faults ~seed:7 1.0) () in
-  let obs = Obs.create () in
-  let r = run_spill ~sched ~obs ~memory_budget:128 wc_plan datasets in
-  check "every run-open faulted" true (Obs.total obs "spill_io_faults" > 0);
-  check "lineage recovery keeps the output" true
-    (r.Engine.output = base.Engine.output);
-  check "and the metrics" true (r.Engine.stages = base.Engine.stages);
-  (* determinism: the same seeded profile replays the same loss count *)
-  let obs2 = Obs.create () in
-  let r2 = run_spill ~sched ~obs:obs2 ~memory_budget:128 wc_plan datasets in
-  check "same seed, same fault timeline" true
-    (Obs.total obs "spill_io_faults" = Obs.total obs2 "spill_io_faults");
-  check "same result" true (r2.Engine.output = base.Engine.output)
+(* a run file that disappears before the merge reopens it is a spill
+   error, not a silent loss of its records *)
+let test_spill_missing_run () =
+  let module Spill = Mapreduce.Spill in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "casper-spill-missing-%d" (Unix.getpid ()))
+  in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> try Sys.rmdir dir with Sys_error _ -> ())
+  @@ fun () ->
+  let g = Spill.create ~dir ~budget:1 ~label:"missing" () in
+  Fun.protect ~finally:(fun () -> Spill.cleanup g) @@ fun () ->
+  List.iter (fun i -> Spill.add g (string_of_int i) (vint i) (vint i)) [ 1; 2 ];
+  check_int "both records spilled" 2 (Spill.stats g).Spill.runs_written;
+  Array.iter
+    (fun sub ->
+      let sub = Filename.concat dir sub in
+      Array.iter (fun f -> Sys.remove (Filename.concat sub f)) (Sys.readdir sub))
+    (Sys.readdir dir);
+  match
+    Spill.finish g ~init:Fun.id ~step:(fun _ _ -> ()) ~record:(fun _ v -> v)
+      ~emit:ignore
+  with
+  | exception Spill.Spill_error m ->
+      check "names the failed open" true (String.starts_with ~prefix:"open " m)
+  | () -> Alcotest.fail "expected a spill error for the missing run"
 
 (* the fix the issue calls out: a reduce function that throws mid-merge
    must not leak run files — the Fun.protect sweep runs on every exit
@@ -530,8 +535,8 @@ let suite =
           test_spill_explicit_zero_wins;
         Alcotest.test_case "compaction under tiny budgets" `Quick
           test_spill_compaction;
-        Alcotest.test_case "fault recovery from lineage" `Quick
-          test_spill_fault_recovery;
+        Alcotest.test_case "missing run file is a spill error" `Quick
+          test_spill_missing_run;
         Alcotest.test_case "cleanup on failing reduce" `Quick
           test_spill_cleanup_on_failure;
         Alcotest.test_case "join passthrough" `Quick

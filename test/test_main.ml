@@ -4,7 +4,7 @@ let () =
   Alcotest.run "casper"
     (Test_common.suite @ Test_minijava.suite @ Test_ir.suite
    @ Test_analysis.suite @ Test_verify.suite @ Test_synth.suite
-   @ Test_engine.suite @ Test_sched.suite @ Test_cost.suite
+   @ Test_engine.suite @ Test_cost.suite
    @ Test_codegen.suite @ Test_baselines.suite @ Test_extensions.suite
    @ Test_workloads.suite @ Test_suites.suite @ Test_fastpath.suite
    @ Test_difftest.suite @ Test_obs.suite @ Test_par.suite

@@ -2,7 +2,7 @@
     clock, span nesting and exception safety, counters, disabled
     no-ops, golden span-tree shapes for representative suite workloads
     (values may vary, structure may not), byte-identical exports for
-    same-seed scheduler runs, transparency (tracing changes no pipeline
+    same-seed traced engine runs, transparency (tracing changes no pipeline
     output), and Chrome trace_event JSON validity. *)
 
 module Obs = Casper_obs.Obs
@@ -11,8 +11,6 @@ module Cegis = Casper_synth.Cegis
 module Engine = Mapreduce.Engine
 module Exec = Casper_exec.Exec
 module Cluster = Mapreduce.Cluster
-module Coordinator = Sched.Coordinator
-module Faults = Sched.Faults
 module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 module Workload = Casper_suites.Workload
@@ -90,7 +88,7 @@ let test_disabled_noops () =
   check "null is disabled" false (Obs.enabled obs);
   let r = Obs.span obs "a" (fun () -> Obs.add obs "k" 1; 42) in
   check_int "span still runs the body" 42 r;
-  Obs.span_at obs ~t0:0.0 ~t1:1.0 "t";
+  Obs.span_at obs ~track:"exec" ~t0:0.0 ~t1:1.0 "t";
   Obs.set_gauge obs "g" 1.0;
   check "tree stays empty" true (Obs.tree obs = []);
   check_int "totals stay empty" 0 (Obs.total obs "k");
@@ -113,8 +111,8 @@ let test_exception_safety () =
 (* ---------------- golden span-tree shapes ---------------- *)
 
 (* A full traced pipeline run for one registry benchmark, under the
-   virtual clock: analysis through codegen, then simulated execution
-   with a fault-free schedule. Values (durations, counts) vary with the
+   virtual clock: analysis through codegen, then simulated execution.
+   Values (durations, counts) vary with the
    search; the *shape* — span names, nesting, counter keys — must not.
    The execution config is the built-in default, not the environment's:
    a spill budget would grow spill counters and a merge span, a cache
@@ -141,16 +139,12 @@ let traced_pipeline ?(execute = false) bench_name =
                 t.Casper.frag env
             in
             Obs.span obs "execute" (fun () ->
-                let r =
-                  Casper_codegen.Runner.run_summary
-                    ~config:
-                      { Exec.Config.default with Exec.Config.obs = Some obs }
-                    ~cluster:Cluster.spark ~scale:1.0 report.Casper.program
-                    t.Casper.frag entry best.Cegis.summary
-                in
                 ignore
-                  (Engine.schedule ~obs ~cluster:Cluster.spark ~scale:1.0
-                     r.Casper_codegen.Runner.run))
+                  (Casper_codegen.Runner.run_summary
+                     ~config:
+                       { Exec.Config.default with Exec.Config.obs = Some obs }
+                     ~cluster:Cluster.spark ~scale:1.0 report.Casper.program
+                     t.Casper.frag entry best.Cegis.summary))
         | [] -> ())
       report.Casper.translations;
   (obs, report)
@@ -160,8 +154,8 @@ let golden_shape_test bench_name ~execute expected () =
   check "well formed" true (Obs.well_formed obs);
   check_str (bench_name ^ " span-tree shape") expected (Obs.shape obs)
 
-(* Phoenix WordCount: keyed fold; executed on the simulated cluster,
-   then scheduled fault-free, so the engine and scheduler spans show. *)
+(* Phoenix WordCount: keyed fold; executed on the simulated cluster, so
+   the engine spans show. *)
 let wordcount_shape =
   "parse\n\
    typecheck\n\
@@ -181,10 +175,7 @@ let wordcount_shape =
    execute\n\
   \  engine.run_plan\n\
   \    flatMapToPair[records_out]\n\
-  \    reduceByKey[records_out,shuffle_bytes,shuffle_records]\n\
-  \  sched[task_attempts,tasks_finished]\n\
-  \    flatMapToPair\n\
-  \    reduceByKey\n"
+  \    reduceByKey[records_out,shuffle_bytes,shuffle_records]\n"
 
 (* Stats Mean: scalar fold, two grammar classes explored. *)
 let mean_shape =
@@ -273,30 +264,25 @@ let test_concurrent_fragments_shape () =
 
 (* ---------------- determinism: same seed, same bytes -------------- *)
 
-let faulty = { Faults.none with seed = 3; failed_fraction = 0.2;
-               straggler_fraction = 0.1; straggler_slowdown = 6.0;
-               lost_partition_prob = 0.05 }
-
 let traced_engine_run () =
   let rng = Rng.create 7 in
   let words =
     Value.as_list (Workload.words rng ~n:500 ~vocab:50 ~skew:1.0)
   in
   let obs = Obs.create ~clock:(Obs.virtual_clock ~seed:5 ()) () in
-  let run =
-    Engine.run_plan ~config:(Testenv.traced obs)
-      ~cluster:Cluster.spark
-      ~datasets:[ ("words", words) ]
-      Baselines.Manual.word_count
-  in
-  let cfg = Coordinator.config ~faults:faulty () in
-  ignore (Engine.schedule ~obs ~cluster:Cluster.spark ~scale:1e5 ~config:cfg run);
+  ignore
+    (Engine.run_plan ~config:(Testenv.traced obs) ~cluster:Cluster.spark
+       ~datasets:[ ("words", words) ]
+       Baselines.Manual.word_count
+      : Engine.run);
   obs
 
-let test_sched_export_deterministic () =
+let test_engine_export_deterministic () =
   let a = traced_engine_run () and b = traced_engine_run () in
   check "well formed" true (Obs.well_formed a);
-  check_str "same-seed faulty runs export byte-identical traces"
+  check "the run recorded its stages" true
+    (Obs.total a "shuffle_records" > 0);
+  check_str "same-seed engine runs export byte-identical traces"
     (Obs.to_chrome_string a) (Obs.to_chrome_string b)
 
 (* ---------------- transparency: tracing changes nothing ----------- *)
@@ -423,9 +409,8 @@ let test_chrome_export_valid () =
       "\"ph\": \"X\""; "\"synthesis\""; "\"analysis\""; "\"codegen\"";
       "\"engine.run_plan\""; "\"shuffle_records\"";
     ];
-  (* the flat metrics carry the fast-path and scheduler counters *)
+  (* the flat metrics carry the fast-path and engine counters *)
   check "candidates counted" true (Obs.total obs "candidates" > 0);
-  check "task attempts counted" true (Obs.total obs "task_attempts" > 0);
   check "shuffle records counted" true (Obs.total obs "shuffle_records" > 0)
 
 (* ---------------- suite ---------------- *)
@@ -458,8 +443,8 @@ let suite =
       ] );
     ( "obs.export",
       [
-        Alcotest.test_case "same-seed schedules export identical bytes"
-          `Quick test_sched_export_deterministic;
+        Alcotest.test_case "same-seed engine runs export identical bytes"
+          `Quick test_engine_export_deterministic;
         Alcotest.test_case "chrome trace_event output is valid JSON" `Slow
           test_chrome_export_valid;
       ] );

@@ -3,19 +3,11 @@
     The load-bearing property is jobs-independence: both maps must
     equal [List.map] at every pool size, exceptions must pick the
     lowest-index raiser, and a batch must finish on its caller alone
-    while the pool's workers are busy. The scheduler must replay a
-    same-seed engine run into byte-identical traces, and a fragment
-    search runs on one domain and must come out the same on a fresh
-    domain and on one that already searched. *)
+    while the pool's workers are busy. A fragment search runs on one
+    domain and must come out the same on a fresh domain and on one that
+    already searched. *)
 
 module Par = Casper_par.Par
-module Value = Casper_common.Value
-module Rng = Casper_common.Rng
-module Cluster = Mapreduce.Cluster
-module Engine = Mapreduce.Engine
-module Plan = Mapreduce.Plan
-module Coordinator = Sched.Coordinator
-module Faults = Sched.Faults
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -239,38 +231,6 @@ let test_raising_async () =
       check_int "threads back to their count before the pool" n
         (Testenv.settled_threads n)
 
-(* ---------------- scheduler determinism ---------------------------- *)
-
-let wc_fixture () =
-  let rng = Rng.create 17 in
-  let words =
-    Value.as_list (Casper_suites.Workload.words rng ~n:3000 ~vocab:80 ~skew:1.2)
-  in
-  let plan =
-    Plan.(
-      data "words"
-      |>> map_to_pair (fun w -> (w, Value.Int 1))
-      |>> reduce_by_key ~comm_assoc:true (fun a b ->
-              Value.Int (Value.as_int a + Value.as_int b)))
-  in
-  (words, plan)
-
-let run_fixture () =
-  let words, plan = wc_fixture () in
-  Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark
-    ~datasets:[ ("words", words) ] plan
-
-let test_sched_trace_same_seed () =
-  let config = Coordinator.config ~faults:(Faults.failures ~seed:5 0.2) () in
-  let trace_of run =
-    let o = Engine.schedule ~cluster:Cluster.spark ~scale:1.0 ~config run in
-    Sched.Trace.render_events o.Coordinator.trace
-  in
-  (* same seed, two fresh runs: the schedule consumes only the run's
-     deterministic volumes, so the event traces are bytes-equal *)
-  let t_a = trace_of (run_fixture ()) and t_b = trace_of (run_fixture ()) in
-  check_string "same-seed sched traces identical" t_a t_b
-
 (* ---------------- pool sizing ------------------------------------- *)
 
 (* a pure clamp to the host's cores, which says so once *)
@@ -389,7 +349,5 @@ let suite =
       [
         Alcotest.test_case "search identical on a reused domain" `Slow
           test_search_domain_reuse;
-        Alcotest.test_case "sched trace same-seed identical without a pool"
-          `Quick test_sched_trace_same_seed;
       ] );
   ]

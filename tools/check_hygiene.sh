@@ -55,9 +55,10 @@ done
 # deques, the futures and the chunking combinators are gone. An engine
 # run executes on the domain that calls it: the config carries no pool,
 # and the stage fan-out, its range kernels and counters, the per-domain
-# trace tracks and the oracle's pool-size stage are gone.
-# Whole words only, so the scheduler's speculative task copies
-# ([speculated], [try_speculate]) do not match.
+# trace tracks and the oracle's pool-size stage are gone. The simulated
+# task scheduler and its fault model are gone: run time comes from the
+# closed-form Engine.simulate_time, a spill run or cache entry is never
+# declared lost, and the cache keeps no pin or invalidation API.
 deleted='with_default_|set_default_cache_budget|default_mem_budget|Spill\.default_budget'
 deleted="$deleted"'|inline_cutoff|max_fanin :=|set_base_dir|Spill\.base_dir'
 deleted="$deleted"'|\b(sync_shard|spec_round|speculate|Sp_failed|Memo\.generation)\b'
@@ -65,8 +66,16 @@ deleted="$deleted"'|\b(Par\.global|set_jobs|env_jobs)\b|Par\.jobs \(\)'
 deleted="$deleted"'|\bPar\.(parallel_chunks|concat_map|filter|chunks|await|is_done|future)\b|deque_'
 deleted="$deleted"'|\b(domain_span|task_ranges|records_per_task|check_parallel|map_range|filter_range|concat_map_range|engine_batches|engine_tasks)\b'
 deleted="$deleted"'|Config\.pool\b'
+deleted="$deleted"'|Sched\.|\b(sched_plan|x_spill_fault|x_cache_fault|rematerialize|io_faults|fault_detect_s|task_relaunch_s)\b'
+deleted="$deleted"'|Engine\.schedule\b|Cache\.(invalidate|pin|unpin|clear)\b'
 if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; then
-  echo "deleted process-default, search, pool or fan-out API reappeared"
+  echo "deleted process-default, search, pool, fan-out or scheduler API reappeared"
+  fail=1
+fi
+
+# No library, executable or test links the deleted scheduler.
+if grep -rnw 'sched' --include='dune' lib bin bench test examples perfbench; then
+  echo "a dune file names the deleted sched library"
   fail=1
 fi
 
