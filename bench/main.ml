@@ -3,8 +3,9 @@
     [dune exec bench/main.exe], or select some with
     [-- --only table1,fig7a].
 
-    A section that raises is reported and the remaining sections still
-    run; the run then exits 1. An unknown [--only] id exits 2 before
+    Stdout is byte-identical run to run; the total host time goes to
+    stderr. A section that raises is reported and the remaining sections
+    still run; the run then exits 1. An unknown [--only] id exits 2 before
     anything runs, listing the valid ids.
 
     Absolute times come from the engine's calibrated cluster model
@@ -23,20 +24,11 @@ module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 module Cluster = Mapreduce.Cluster
 module Engine = Mapreduce.Engine
-module Exec_config = Mapreduce.Exec_config
 module Plan = Mapreduce.Plan
 module T = Casper_common.Tablefmt
 module Stats = Casper_common.Stats
-module J = Casper_common.Jsonout
-module Fastpath = Casper_ir.Fastpath
 module Obs = Casper_obs.Obs
 open Util
-
-(* --trace: the run's observability context. Disabled (all no-ops)
-   unless --trace FILE is given; every section below threads it through
-   to the pipeline so the exported Chrome trace covers synthesis and
-   execution in one timeline. *)
-let bench_obs : Obs.ctx ref = ref Obs.null
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: feasibility + speedups per suite                            *)
@@ -364,12 +356,15 @@ let cache_ablation () =
 (* ------------------------------------------------------------------ *)
 (* Table 2: compilation performance                                     *)
 
+(* The paper's "Mean Time" column is host wall-clock; the mean number of
+   candidates searched is its deterministic stand-in (perfbench's
+   [translate] workload reports the time). *)
 let table2_compilation () =
   section "Table 2: compilation performance per suite";
   let rows =
     List.map
       (fun (suite_name, benches) ->
-        let times = ref [] and locs = ref [] and opss = ref [] in
+        let cands = ref [] and locs = ref [] and opss = ref [] in
         let tps = ref [] in
         List.iter
           (fun (b : Casper_suites.Suite.benchmark) ->
@@ -377,8 +372,10 @@ let table2_compilation () =
             List.iter
               (fun (t : Casper.translation) ->
                 if t.Casper.frag.F.unsupported = None then begin
-                  times :=
-                    t.Casper.outcome.Cegis.stats.Cegis.elapsed_s :: !times;
+                  cands :=
+                    float_of_int
+                      t.Casper.outcome.Cegis.stats.Cegis.candidates_tried
+                    :: !cands;
                   tps :=
                     float_of_int
                       t.Casper.outcome.Cegis.stats.Cegis.tp_failures
@@ -398,7 +395,7 @@ let table2_compilation () =
           benches;
         [
           suite_name;
-          T.f ~digits:2 (Stats.mean !times);
+          T.f ~digits:0 (Stats.mean !cands);
           T.f (Stats.mean !locs);
           T.f (Stats.mean !opss);
           T.f ~digits:2 (Stats.mean !tps);
@@ -408,7 +405,8 @@ let table2_compilation () =
   T.print
     ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right ]
     ([
-       "Source"; "Mean Time (s)"; "Mean LOC"; "Mean # Op"; "Mean TP Failures";
+       "Source"; "Mean Candidates"; "Mean LOC"; "Mean # Op";
+       "Mean TP Failures";
      ]
     :: rows)
 
@@ -909,594 +907,6 @@ let table5_extensibility () =
   T.print ([ "Benchmark"; "Fold-IR"; "Candidates"; "Summary" ] :: rows)
 
 (* ------------------------------------------------------------------ *)
-(* Synthesis performance: the Table 2 search workload                   *)
-
-let json_synth : J.t ref = ref J.Null
-
-type synth_run = {
-  sp_suite : string;
-  sp_wall : float;
-  sp_frags : int;
-  sp_cand : int;
-  sp_iters : int;
-}
-
-(** Synthesize every supported fragment of every suite (the Table 2
-    workload), fresh — no translation cache — and report per-suite wall
-    time and search volume. *)
-let synth_measure () : synth_run list =
-  let obs = !bench_obs in
-  List.map
-    (fun (suite_name, benches) ->
-      Obs.span obs ~args:[ ("suite", suite_name) ] "suite" @@ fun () ->
-      let t0 = Obs.wall_clock () in
-      let cand = ref 0 and iters = ref 0 and nfrags = ref 0 in
-      List.iter
-        (fun (b : Casper_suites.Suite.benchmark) ->
-          let prog = Minijava.Parser.parse_program b.source in
-          let frags =
-            Casper_analysis.Analyze.fragments_of_program ~obs prog
-              ~suite:b.suite ~benchmark:b.name
-          in
-          List.iter
-            (fun (f : F.t) ->
-              if f.F.unsupported = None then begin
-                incr nfrags;
-                let o = Cegis.find_summary ~obs ~config:bench_config prog f in
-                cand := !cand + o.Cegis.stats.Cegis.candidates_tried;
-                iters := !iters + o.Cegis.stats.Cegis.cegis_iterations
-              end)
-            frags)
-        benches;
-      {
-        sp_suite = suite_name;
-        sp_wall = Obs.wall_clock () -. t0;
-        sp_frags = !nfrags;
-        sp_cand = !cand;
-        sp_iters = !iters;
-      })
-    Casper_suites.Registry.suites
-
-let per_sec count wall =
-  if wall > 0.0 then Fmt.str "%.0f" (float_of_int count /. wall) else "-"
-
-let json_of_runs (runs : synth_run list) : J.t =
-  J.List
-    (List.map
-       (fun r ->
-         J.Obj
-           [
-             ("suite", J.Str r.sp_suite);
-             ("fragments", J.Int r.sp_frags);
-             ("wall_s", J.Float r.sp_wall);
-             ("candidates", J.Int r.sp_cand);
-             ("cegis_iterations", J.Int r.sp_iters);
-             ( "candidates_per_s",
-               J.Float (float_of_int r.sp_cand /. r.sp_wall) );
-             ( "iterations_per_s",
-               J.Float (float_of_int r.sp_iters /. r.sp_wall) );
-           ])
-       runs)
-
-let synth_perf () =
-  section "Synthesis performance: one fast-path pass (Table 2 workload)";
-  Fastpath.reset_counters ();
-  (* words the pass allocates: deterministic, unlike its wall time, so
-     tools/check_overhead.sh gates tracing overhead on it *)
-  let w0 = Gc.minor_words () in
-  let runs = synth_measure () in
-  let minor_words = Gc.minor_words () -. w0 in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 runs in
-  let total_s = List.fold_left (fun a r -> a +. r.sp_wall) 0.0 runs in
-  let row suite frags wall cand iters =
-    [
-      suite;
-      string_of_int frags;
-      T.f ~digits:2 wall;
-      per_sec cand wall;
-      per_sec iters wall;
-    ]
-  in
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right ]
-    ([ "Suite"; "# Frag"; "Wall (s)"; "cand/s"; "iters/s" ]
-     :: List.map
-          (fun r -> row r.sp_suite r.sp_frags r.sp_wall r.sp_cand r.sp_iters)
-          runs
-    @ [
-        row "TOTAL"
-          (sum (fun r -> r.sp_frags))
-          total_s
-          (sum (fun r -> r.sp_cand))
-          (sum (fun r -> r.sp_iters));
-      ]);
-  Fmt.pr "@.fast-path caches: %a@." Fastpath.pp_counters ();
-  let c = Fastpath.counters () in
-  json_synth :=
-    J.Obj
-      [
-        ("workload", J.Str "table2");
-        ("suites", json_of_runs runs);
-        ("total_s", J.Float total_s);
-        ("minor_words", J.Int (int_of_float minor_words));
-        ( "counters",
-          J.Obj
-            [
-              ("eval_hits", J.Int c.Fastpath.eval_hits);
-              ("eval_misses", J.Int c.Fastpath.eval_misses);
-              ("cell_hits", J.Int c.Fastpath.cell_hits);
-              ("cell_misses", J.Int c.Fastpath.cell_misses);
-              ("emit_fp_hits", J.Int c.Fastpath.emit_fp_hits);
-              ("emit_fp_misses", J.Int c.Fastpath.emit_fp_misses);
-              ("phi_hits", J.Int c.Fastpath.phi_hits);
-              ("verdict_hits", J.Int c.Fastpath.verdict_hits);
-              ("prefix_forced", J.Int c.Fastpath.prefix_forced);
-              ("prefix_reused", J.Int c.Fastpath.prefix_reused);
-              ("lm_records", J.Int c.Fastpath.lm_records);
-              ("loop_units", J.Int c.Fastpath.loop_units);
-            ] );
-      ]
-
-(* ------------------------------------------------------------------ *)
-(* Out-of-core shuffle: in-memory vs memory-budgeted grouping           *)
-
-(** Wall-clock overhead of the spill path on scaled wordcount and
-    groupByKey runs at shrinking memory budgets, with hard
-    output-equality assertions against the in-memory path (a failure
-    here is a correctness bug, not a perf regression). Spill volumes
-    (runs written, bytes spilled, merge fan-in) come from an extra
-    instrumented run per point, outside the timed reps. Results land in
-    [BENCH_spill.json]. *)
-let spill_perf () =
-  section "Out-of-core shuffle: in-memory vs budgeted spill (wall-clock)";
-  let n = 60_000 in
-  let rng = Rng.create 29 in
-  let words =
-    Value.as_list (Casper_suites.Workload.words rng ~n ~vocab:1000 ~skew:1.1)
-  in
-  let add_i a b = Value.Int (Value.as_int a + Value.as_int b) in
-  let workloads =
-    [
-      ( "wordcount",
-        Plan.(
-          data "d"
-          |>> map_to_pair (fun w -> (w, Value.Int 1))
-          |>> reduce_by_key ~comm_assoc:true add_i) );
-      ( "groupByKey",
-        Plan.(
-          data "d" |>> map_to_pair (fun w -> (w, Value.Int 1))
-          |>> group_by_key ()) );
-    ]
-  in
-  (* 0 = the in-memory reference; the rest force progressively more
-     spilling (at 16 KiB the 60k-record shuffle writes dozens of runs) *)
-  let budgets =
-    [ ("in-memory", 0); ("256K", 262144); ("64K", 65536); ("16K", 16384) ]
-  in
-  let datasets = [ ("d", words) ] in
-  let reps = 5 in
-  let time_min f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to reps do
-      let t0 = Obs.wall_clock () in
-      let r = f () in
-      let dt = Obs.wall_clock () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let rows = ref [] and json_workloads = ref [] in
-  List.iter
-    (fun (name, plan) ->
-      let run_at ?obs budget =
-        Engine.run_plan
-          ~config:
-            {
-              Exec_config.default with
-              Exec_config.obs;
-              memory_budget = Some budget;
-            }
-          ~cluster:Cluster.spark ~datasets plan
-      in
-      let mem_run, mem_wall = time_min (fun () -> run_at 0) in
-      let json_budgets =
-        List.map
-          (fun (blabel, budget) ->
-            let r, wall =
-              if budget = 0 then (mem_run, mem_wall)
-              else time_min (fun () -> run_at budget)
-            in
-            (* byte-identity is the whole point: outputs AND accounting *)
-            if r.Engine.output <> mem_run.Engine.output then
-              failwith
-                (Fmt.str "spill_perf: %s output differs at budget %s" name
-                   blabel);
-            if r.Engine.stages <> mem_run.Engine.stages then
-              failwith
-                (Fmt.str "spill_perf: %s stage accounting differs at budget \
-                          %s" name blabel);
-            let obs = Obs.create () in
-            (if budget > 0 then
-               let rs = run_at ~obs budget in
-               if rs.Engine.output <> mem_run.Engine.output then
-                 failwith
-                   (Fmt.str "spill_perf: %s instrumented run differs" name));
-            let runs_written = Obs.total obs "spill_runs" in
-            let bytes_spilled = Obs.total obs "spill_bytes" in
-            let fanin = Obs.total obs "spill_merge_fanin" in
-            let overhead = if mem_wall > 0.0 then wall /. mem_wall else 1.0 in
-            rows :=
-              [
-                name;
-                blabel;
-                Fmt.str "%.1f" (wall *. 1e3);
-                T.fx overhead;
-                string_of_int runs_written;
-                Fmt.str "%.1f" (float_of_int bytes_spilled /. 1024.0);
-                string_of_int fanin;
-              ]
-              :: !rows;
-            J.Obj
-              [
-                ("budget", J.Str blabel);
-                ("budget_bytes", J.Int budget);
-                ("wall_s", J.Float wall);
-                ("overhead_vs_memory", J.Float overhead);
-                ("runs_written", J.Int runs_written);
-                ("bytes_spilled", J.Int bytes_spilled);
-                ("merge_fanin", J.Int fanin);
-              ])
-          budgets
-      in
-      json_workloads :=
-        J.Obj
-          [ ("workload", J.Str name); ("budgets", J.List json_budgets) ]
-        :: !json_workloads)
-    workloads;
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right; T.Right; T.Right ]
-    ([
-       "Workload"; "budget"; "wall ms"; "vs mem"; "runs"; "spilled KiB";
-       "fan-in";
-     ]
-    :: List.rev !rows);
-  Fmt.pr
-    "@.outputs and stage accounting identical at every budget: yes@.";
-  J.write_file "BENCH_spill.json"
-    (J.Obj
-       [
-         ("schema", J.Str "casper-bench-spill/v1");
-         ("records", J.Int n);
-         ("reps", J.Int reps);
-         ("identical_outputs", J.Bool true);
-         ("workloads", J.List (List.rev !json_workloads));
-       ]);
-  Fmt.pr "wrote BENCH_spill.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Lineage cache: iterative fragments, cold vs cache-served             *)
-
-(** The Fig 7c driver loops run the same compiled plan over the same
-    datasets every iteration — exactly the shape the lineage cache
-    memoizes. Each of the 7 Iterative fragments is compiled once and
-    its datasets materialized once (so lineage identity is preserved
-    across iterations), then driven [iters] times cold and [iters]
-    times against a fresh cache (1 miss + [iters-1] hits). Every
-    cache-served iteration is asserted byte-identical to the cold run
-    on outputs AND stage accounting — a failure here is a correctness
-    bug, not a perf regression. Results land in [BENCH_cache.json]. *)
-let cache_perf () =
-  section "Lineage cache: iterative fragments, cold vs cache-served";
-  let cluster = Cluster.spark in
-  let iters = 10 in
-  let reps = 3 in
-  let cases =
-    [
-      ("PageRank", "contribs#0");
-      ("PageRank", "newRanks#0");
-      ("PageRank", "totalRank#0");
-      ("LogisticRegression", "gradientStep#0");
-      ("LogisticRegression", "squaredLoss#0");
-      ("LogisticRegression", "countCorrect#0");
-      ("LogisticRegression", "predictions#0");
-    ]
-  in
-  let time_min f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Obs.wall_clock () in
-      f ();
-      let dt = Obs.wall_clock () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let rows = ref [] and json_frags = ref [] and fast = ref 0 in
-  List.iter
-    (fun (bench, frag_id) ->
-      let b = Casper_suites.Registry.find_benchmark bench in
-      let t = find_translation b frag_id in
-      match t.Casper.survivors with
-      | [] -> Fmt.pr "  !! %s %s: no survivor, skipped@." bench frag_id
-      | best :: _ ->
-          let report = translate b in
-          let prog = report.Casper.program in
-          let env = workload b () in
-          let entry = Vc.entry_of_params prog t.Casper.frag env in
-          let translated =
-            Casper_codegen.Compile.compile prog t.Casper.frag entry
-              best.Cegis.summary
-          in
-          let datasets = Runner.datasets_of prog t.Casper.frag entry in
-          let plan = translated.Casper_codegen.Compile.plan in
-          let run ?cache () =
-            Engine.run_plan
-              ~config:{ Exec_config.default with Exec_config.cache }
-              ~cluster ~datasets plan
-          in
-          let cold0 = run () in
-          let records =
-            List.fold_left (fun a (_, l) -> a + List.length l) 0 datasets
-          in
-          let iterate ?cache () =
-            for _ = 1 to iters do
-              let r = run ?cache () in
-              if r.Engine.output <> cold0.Engine.output then
-                failwith
-                  (Fmt.str "cache_perf: %s output differs from cold run"
-                     frag_id);
-              if r.Engine.stages <> cold0.Engine.stages then
-                failwith
-                  (Fmt.str "cache_perf: %s stage accounting differs" frag_id)
-            done
-          in
-          let cold_wall = time_min (fun () -> iterate ()) in
-          let last_stats = ref None in
-          let cached_wall =
-            time_min (fun () ->
-                let cache = Engine.make_cache () in
-                iterate ~cache ();
-                last_stats := Some (Engine.cache_stats cache))
-          in
-          let stats = Option.get !last_stats in
-          if stats.Mapreduce.Cache.hits <> iters - 1 then
-            failwith
-              (Fmt.str "cache_perf: %s expected %d hits, saw %d" frag_id
-                 (iters - 1) stats.Mapreduce.Cache.hits);
-          let speedup =
-            if cached_wall > 0.0 then cold_wall /. cached_wall else 1.0
-          in
-          if speedup >= 1.5 then incr fast;
-          rows :=
-            [
-              bench ^ " " ^ frag_id;
-              string_of_int records;
-              Fmt.str "%.2f" (cold_wall *. 1e3);
-              Fmt.str "%.2f" (cached_wall *. 1e3);
-              T.fx speedup;
-              string_of_int stats.Mapreduce.Cache.hits;
-            ]
-            :: !rows;
-          json_frags :=
-            J.Obj
-              [
-                ("benchmark", J.Str bench);
-                ("fragment", J.Str frag_id);
-                ("records", J.Int records);
-                ("cold_s", J.Float cold_wall);
-                ("cached_s", J.Float cached_wall);
-                ("speedup", J.Float speedup);
-                ("hits", J.Int stats.Mapreduce.Cache.hits);
-                ("misses", J.Int stats.Mapreduce.Cache.misses);
-              ]
-            :: !json_frags)
-    cases;
-  T.print
-    ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right; T.Right ]
-    ([
-       "Fragment"; "records"; "cold ms"; "cached ms"; "speedup"; "hits";
-     ]
-    :: List.rev !rows);
-  Fmt.pr
-    "@.cache-served >=1.5x on %d of %d fragments; outputs and stage \
-     accounting byte-identical everywhere@."
-    !fast (List.length cases);
-  J.write_file "BENCH_cache.json"
-    (J.Obj
-       [
-         ("schema", J.Str "casper-bench-cache/v1");
-         ("iters", J.Int iters);
-         ("reps", J.Int reps);
-         ("identical_outputs", J.Bool true);
-         ("speedup_ge_1_5", J.Int !fast);
-         ("fragments", J.List (List.rev !json_frags));
-       ]);
-  Fmt.pr "wrote BENCH_cache.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Serving sessions: a mixed plan stream at concurrency 1 / 2 / 4       *)
-
-(** A serving workload: a mixed stream of WordCount / Mean / TPC-H-Q6
-    style plans, each job with its own dataset, submitted to one
-    {!Exec.Session} and awaited. Three concurrency levels share the
-    same stream; every job's output and stage accounting is asserted
-    byte-identical to a solo [Engine.run_plan] (hard failure — the
-    session determinism contract, DESIGN.md §14). Throughput per level
-    is reported honestly: on a single-core host concurrency cannot pay
-    and the JSON records [recommended_domains] so readers can tell; a
-    >= 4-core host must show >= 2x at concurrency 4 or the section
-    fails. Results land in [BENCH_serve.json]. *)
-let serve_perf () =
-  section "Serving sessions: mixed plan stream at concurrency 1 / 2 / 4";
-  let module Exec = Casper_exec.Exec in
-  let host = Domain.recommended_domain_count () in
-  let cluster = Cluster.spark in
-  let vi = Value.as_int in
-  let wc_plan =
-    Plan.(
-      data "words"
-      |>> map_to_pair (fun w -> (w, Value.Int 1))
-      |>> reduce_by_key ~comm_assoc:true (fun a b ->
-              Value.Int (vi a + vi b)))
-  in
-  let mean_plan =
-    Plan.(
-      data "nums"
-      |>> map (fun x -> Value.Tuple [ x; Value.Int 1 ])
-      |>> global_reduce ~comm_assoc:true (fun a b ->
-              match (a, b) with
-              | Value.Tuple [ s1; n1 ], Value.Tuple [ s2; n2 ] ->
-                  Value.Tuple
-                    [ Value.Int (vi s1 + vi s2); Value.Int (vi n1 + vi n2) ]
-              | _ -> assert false))
-  in
-  let q6_plan =
-    Plan.(
-      data "lineitem"
-      |>> filter (fun r ->
-              match r with
-              | Value.Tuple [ _; disc; qty ] -> vi disc >= 5 && vi qty < 24
-              | _ -> false)
-      |>> map (fun r ->
-              match r with
-              | Value.Tuple [ price; disc; _ ] -> Value.Int (vi price * vi disc)
-              | _ -> assert false)
-      |>> global_reduce ~comm_assoc:true (fun a b -> Value.Int (vi a + vi b)))
-  in
-  let per_plan = 6 in
-  (* one dataset per (workload, job index), generated once and shared
-     by the solo baselines and every concurrency level *)
-  let jobs =
-    List.concat
-      (List.init per_plan (fun j ->
-           let rng = Rng.create (100 + j) in
-           let words =
-             Value.as_list
-               (Casper_suites.Workload.words rng ~n:20_000 ~vocab:400
-                  ~skew:1.1)
-           in
-           let nums =
-             List.init 40_000 (fun i -> Value.Int (Rng.int rng 1_000 + (i mod 7)))
-           in
-           let lineitem =
-             List.init 40_000 (fun _ ->
-                 Value.Tuple
-                   [
-                     Value.Int (Rng.int rng 10_000);
-                     Value.Int (Rng.int rng 11);
-                     Value.Int (Rng.int rng 50);
-                   ])
-           in
-           [
-             ("wc", wc_plan, [ ("words", words) ]);
-             ("mean", mean_plan, [ ("nums", nums) ]);
-             ("q6", q6_plan, [ ("lineitem", lineitem) ]);
-           ]))
-  in
-  let solo =
-    List.map
-      (fun (_, plan, datasets) -> Engine.run_plan ~cluster ~datasets plan)
-      jobs
-  in
-  let reps = 3 in
-  let run_at conc =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let config =
-        { Exec.Config.default with Exec.Config.concurrency = Some conc }
-      in
-      let t0 = Obs.wall_clock () in
-      Exec.Session.with_session ~config (fun s ->
-          let handles =
-            List.map
-              (fun (_, plan, datasets) ->
-                Exec.Session.submit s ~cluster ~datasets plan)
-              jobs
-          in
-          List.iteri
-            (fun i h ->
-              match Exec.Session.await s h with
-              | Exec.Session.Completed r ->
-                  let b = List.nth solo i in
-                  let name, _, _ = List.nth jobs i in
-                  if r.Engine.output <> b.Engine.output then
-                    failwith
-                      (Fmt.str
-                         "serve_perf: %s job %d output differs at \
-                          concurrency %d"
-                         name i conc);
-                  if r.Engine.stages <> b.Engine.stages then
-                    failwith
-                      (Fmt.str
-                         "serve_perf: %s job %d stage accounting differs \
-                          at concurrency %d"
-                         name i conc)
-              | Exec.Session.Cancelled r ->
-                  failwith
-                    (Fmt.str "serve_perf: job %d spuriously cancelled (%s)" i
-                       r)
-              | Exec.Session.Failed m ->
-                  failwith (Fmt.str "serve_perf: job %d failed: %s" i m))
-            handles);
-      let dt = Obs.wall_clock () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let n_jobs = List.length jobs in
-  let results = List.map (fun conc -> (conc, run_at conc)) [ 1; 2; 4 ] in
-  let base = List.assoc 1 results in
-  T.print
-    ~aligns:[ T.Right; T.Right; T.Right; T.Right; T.Right ]
-    ([ "concurrency"; "jobs"; "wall (s)"; "jobs/s"; "speedup" ]
-    :: List.map
-         (fun (conc, w) ->
-           [
-             string_of_int conc;
-             string_of_int n_jobs;
-             T.f ~digits:3 w;
-             T.f ~digits:1 (float_of_int n_jobs /. w);
-             T.fx (base /. w);
-           ])
-         results);
-  Fmt.pr
-    "@.outputs and stage accounting byte-identical to solo runs at every \
-     concurrency: yes (%d jobs x 3 levels)@.host recommended domains: %d@."
-    n_jobs host;
-  let speedup4 = base /. List.assoc 4 results in
-  J.write_file "BENCH_serve.json"
-    (J.Obj
-       [
-         ("schema", J.Str "casper-bench-serve/v1");
-         ("identical_outputs", J.Bool true);
-         ("recommended_domains", J.Int host);
-         ("jobs", J.Int n_jobs);
-         ("reps", J.Int reps);
-         ( "runs",
-           J.List
-             (List.map
-                (fun (conc, w) ->
-                  J.Obj
-                    [
-                      ("concurrency", J.Int conc);
-                      ("wall_s", J.Float w);
-                      ("jobs_per_s", J.Float (float_of_int n_jobs /. w));
-                      ("speedup_vs_1", J.Float (base /. w));
-                    ])
-                results) );
-       ]);
-  Fmt.pr "wrote BENCH_serve.json@.";
-  (* the throughput claim is only falsifiable where the hardware can
-     pay for overlap; a 1-core container asserting 2x would be noise *)
-  if host >= 4 && speedup4 < 2.0 then
-    failwith
-      (Fmt.str
-         "serve_perf: expected >= 2x throughput at concurrency 4 on a \
-          %d-domain host, measured %.2fx"
-         host speedup4)
-
-(* ------------------------------------------------------------------ *)
 
 let sections_list =
   [
@@ -1513,28 +923,21 @@ let sections_list =
     ("fig9", fig9_scalability);
     ("tableE1", table_e1_features);
     ("table5", table5_extensibility);
-    ("synth_perf", synth_perf);
-    ("spill_perf", spill_perf);
-    ("cache_perf", cache_perf);
-    ("serve_perf", serve_perf);
   ]
 
 let () =
-  let only = ref None and json_path = ref None and trace_path = ref None in
+  let only = ref None and trace_path = ref None in
   Arg.parse
     [
       ( "--only",
         Arg.String (fun v -> only := Some (String.split_on_char ',' v)),
         "IDS run only these comma-separated sections" );
-      ( "--json",
-        Arg.String (fun p -> json_path := Some p),
-        "FILE write section times and synth_perf results" );
       ( "--trace",
         Arg.String (fun p -> trace_path := Some p),
-        "FILE write a Chrome trace of the run" );
+        "FILE write a Chrome trace of the run, one span per section" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe [--only IDS] [--json FILE] [--trace FILE]";
+    "main.exe [--only IDS] [--trace FILE]";
   let ids = List.map fst sections_list in
   let selected =
     match !only with
@@ -1548,38 +951,19 @@ let () =
               (String.concat ", " ids);
             exit 2)
   in
-  if !trace_path <> None then bench_obs := Obs.create ();
-  let obs = !bench_obs in
-  let section_times = ref [] and failed = ref [] in
+  let obs = if !trace_path <> None then Obs.create () else Obs.null in
+  let failed = ref [] in
   let t0 = Obs.wall_clock () in
   List.iter
     (fun (name, f) ->
-      let s0 = Obs.wall_clock () in
       Obs.span obs name (fun () ->
           try f ()
           with e ->
             Fmt.pr "!! section %s failed: %s@." name (Printexc.to_string e);
-            failed := name :: !failed);
-      section_times := (name, Obs.wall_clock () -. s0) :: !section_times)
+            failed := name :: !failed))
     selected;
-  let total = Obs.wall_clock () -. t0 in
-  Fmt.pr "@.total experiment time: %.1fs@." total;
-  Option.iter
-    (fun path ->
-      J.write_file path
-        (J.Obj
-           [
-             ("schema", J.Str "casper-bench/v2");
-             ( "sections",
-               J.Obj
-                 (List.rev_map
-                    (fun (n, s) -> (n, J.Float s))
-                    !section_times) );
-             ("synth", !json_synth);
-             ("total_s", J.Float total);
-           ]);
-      Fmt.pr "wrote %s@." path)
-    !json_path;
+  (* host time goes to stderr so stdout stays byte-identical run to run *)
+  Fmt.epr "@.total experiment time: %.1fs@." (Obs.wall_clock () -. t0);
   Option.iter
     (fun path ->
       Obs.write_trace path obs;

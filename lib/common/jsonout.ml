@@ -1,5 +1,5 @@
-(** A minimal JSON writer — enough to emit benchmark reports
-    ([BENCH_synth.json]) without an external dependency. Output is plain
+(** A minimal JSON writer — enough to emit Chrome traces and their
+    metrics files without an external dependency. Output is plain
     ASCII; floats print with [%.6g] and non-finite values degrade to
     [null] (JSON has no representation for them). *)
 

@@ -30,22 +30,16 @@ let with_enabled b f =
   r := b;
   Fun.protect ~finally:(fun () -> r := saved) f
 
-(** Cache-effectiveness counters, reported by the bench harness and the
-    [synthesis] span. All are cumulative; [reset_counters] zeroes them. *)
+(** Cache-effectiveness counters, read by the [synthesis] span and the
+    tests. All are cumulative. *)
 type counters = {
   mutable eval_hits : int;  (** memoized (expr, env) evaluations reused *)
   mutable eval_misses : int;  (** memoized evaluations computed *)
   mutable cell_hits : int;  (** per-(probe set, expr) cell arrays reused *)
   mutable cell_misses : int;  (** cell arrays computed *)
-  mutable emit_fp_hits : int;  (** emit fingerprints reused across classes *)
-  mutable emit_fp_misses : int;  (** emit fingerprints computed *)
   mutable phi_hits : int;  (** Φ-state verdicts reused across candidates *)
   mutable verdict_hits : int;
       (** bounded/full verdicts reused by construction key *)
-  mutable prefix_forced : int;  (** sequential prefix executions performed *)
-  mutable prefix_reused : int;  (** sequential prefix executions avoided *)
-  mutable lm_records : int;
-      (** λm applications to source records made by prepared checks *)
   mutable loop_units : int;
       (** outer loop units run by prepared prefixes: one per prefix
           cell resumed from its predecessor, which runs at most one *)
@@ -57,13 +51,8 @@ let zero () =
     eval_misses = 0;
     cell_hits = 0;
     cell_misses = 0;
-    emit_fp_hits = 0;
-    emit_fp_misses = 0;
     phi_hits = 0;
     verdict_hits = 0;
-    prefix_forced = 0;
-    prefix_reused = 0;
-    lm_records = 0;
     loop_units = 0;
   }
 
@@ -74,20 +63,3 @@ let counters_key : counters Domain.DLS.key = Domain.DLS.new_key zero
 
 (** The calling domain's counters. *)
 let counters () : counters = Domain.DLS.get counters_key
-
-let reset_counters () = Domain.DLS.set counters_key (zero ())
-
-let pp_counters ppf () =
-  let c = counters () in
-  Fmt.pf ppf
-    "eval %d/%d hit, cells %d/%d hit, emit fps %d/%d hit, phi verdicts %d \
-     reused, bounded/full verdicts %d reused, prefixes %d run / %d reused, \
-     %d λm record applications, %d loop units"
-    c.eval_hits
-    (c.eval_hits + c.eval_misses)
-    c.cell_hits
-    (c.cell_hits + c.cell_misses)
-    c.emit_fp_hits
-    (c.emit_fp_hits + c.emit_fp_misses)
-    c.phi_hits c.verdict_hits c.prefix_forced c.prefix_reused c.lm_records
-    c.loop_units

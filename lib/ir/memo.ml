@@ -327,8 +327,6 @@ let map_elt_envs (base : cenv) (d : string) (params : string list)
    [Eval.stage_emits], unstaged, since the memo table already shares
    the work across candidates *)
 let apply_lam_m_c (lm : lam_m) (cv : cenv) : Eval.emitted =
-  let c = Fastpath.counters () in
-  c.lm_records <- c.lm_records + 1;
   let rec run kvs vs = function
     | [] -> (
         match (kvs, vs) with

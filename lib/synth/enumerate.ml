@@ -50,13 +50,9 @@ let emit_fingerprint (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) :
       | Ir.KV (k, v) -> (gid, H.expr_id k, H.expr_id v)
       | Ir.Val v -> (gid, -2, H.expr_id v)
     in
-    let c = Casper_ir.Fastpath.counters () in
     match Hashtbl.find_opt (Memo.emit_fp_tbl ()) ckey with
-    | Some a ->
-        c.emit_fp_hits <- c.emit_fp_hits + 1;
-        Memo.Ids a
+    | Some a -> Memo.Ids a
     | None ->
-        c.emit_fp_misses <- c.emit_fp_misses + 1;
         (* a miss interleaves the components' cached cell arrays *)
         let fired =
           match guard with

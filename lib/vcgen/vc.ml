@@ -478,9 +478,7 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
           in
           Array.init (n + 1) (fun k ->
               lazy
-                (let c = Casper_ir.Fastpath.counters () in
-                 c.prefix_forced <- c.prefix_forced + 1;
-                 match seq_at k with
+                (match seq_at k with
                  | exception Minijava.Interp.Runtime_error _ -> PSeq_fault
                  | exception e -> PRaise e
                  | seq_env -> (
@@ -543,10 +541,7 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
         in
         let rec go k =
           if k > n then Holds
-          else (
-            if Lazy.is_val cells.(k) then (
-              let c = Casper_ir.Fastpath.counters () in
-              c.prefix_reused <- c.prefix_reused + 1);
+          else
             match Lazy.force cells.(k) with
             | PSeq_fault ->
                 State_skipped (Fmt.str "sequential fault at prefix %d" k)
@@ -562,7 +557,7 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
                     let expect v = Lazy.force (List.assoc v expects) in
                     match sparse_mismatch frag.outputs seq_env expect outs with
                     | Some var -> Fails { prefix = k; var }
-                    | None -> go (k + 1))))
+                    | None -> go (k + 1)))
         in
         try go 0 with Vc_error m -> Ir_error m)
   in

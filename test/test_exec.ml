@@ -168,7 +168,7 @@ let test_session_determinism () =
               check_int "ledger drained" 0 st.Exec.Session.ledger_bytes)
             [ false; true ])
         [ 1; 2 ])
-    [ 1; 4 ]
+    [ 1; 2; 4 ]
 
 (* ---------------- admission control ---------------- *)
 

@@ -3,7 +3,8 @@
     no-ops, golden span-tree shapes for representative suite workloads
     (values may vary, structure may not), byte-identical exports for
     same-seed traced engine runs, transparency (tracing changes no pipeline
-    output), and Chrome trace_event JSON validity. *)
+    output), Chrome trace_event JSON validity, and the tracing
+    allocation budget on the Table 2 search. *)
 
 module Obs = Casper_obs.Obs
 module Casper = Casper_core.Casper
@@ -413,6 +414,48 @@ let test_chrome_export_valid () =
   check "candidates counted" true (Obs.total obs "candidates" > 0);
   check "shuffle records counted" true (Obs.total obs "shuffle_records" > 0)
 
+(* ---------------- overhead budget ---------------- *)
+
+(* One pass of the Table 2 search workload: every supported fragment of
+   every suite, analysed and searched afresh on the calling domain (no
+   fragment map, no translation cache), each suite under a "suite" span.
+   Returns the minor-heap words the pass allocated, which is
+   deterministic for a build, unlike its wall time. *)
+let table2_search_words (obs : Obs.ctx) : float =
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun (suite_name, benches) ->
+      Obs.span obs ~args:[ ("suite", suite_name) ] "suite" @@ fun () ->
+      List.iter
+        (fun (b : Casper_suites.Suite.benchmark) ->
+          let prog = Minijava.Parser.parse_program b.source in
+          Casper_analysis.Analyze.fragments_of_program ~obs prog
+            ~suite:b.suite ~benchmark:b.name
+          |> List.iter (fun (f : Casper_analysis.Fragment.t) ->
+                 if f.Casper_analysis.Fragment.unsupported = None then
+                   ignore (Cegis.find_summary ~obs ~config prog f)))
+        benches)
+    Casper_suites.Registry.suites;
+  Gc.minor_words () -. w0
+
+(* The instrumentation budget (DESIGN.md §9): an enabled trace may
+   allocate under 2% more than a disabled one on the Table 2 search.
+   The untraced pass already carries every Obs call as a no-op, so this
+   bounds disabled tracing too. The first pass in a process allocates
+   about 1.7% more than every later one, and the later ones agree to
+   the word, so a first pass is run and discarded before the two
+   measured passes. *)
+let test_tracing_overhead () =
+  ignore (table2_search_words Obs.null);
+  let plain = table2_search_words Obs.null in
+  let traced = table2_search_words (Obs.create ()) in
+  let pct = 100.0 *. ((traced /. plain) -. 1.0) in
+  if pct >= 2.0 then
+    Alcotest.failf
+      "traced pass allocated %.0f minor words vs %.0f untraced (%+.3f%%, \
+       budget 2%%)"
+      traced plain pct
+
 (* ---------------- suite ---------------- *)
 
 let suite =
@@ -452,5 +495,10 @@ let suite =
       [
         Alcotest.test_case "tracing does not change pipeline output" `Slow
           test_tracing_transparent;
+      ] );
+    ( "obs.overhead",
+      [
+        Alcotest.test_case "tracing allocates < 2% more on Table 2" `Slow
+          test_tracing_overhead;
       ] );
   ]

@@ -73,6 +73,18 @@ if grep -rnE "$deleted" --include='*.ml' --include='*.mli' lib bin bench test; t
   fail=1
 fi
 
+# One bench harness: bench/main.ml reproduces the paper's tables and
+# figures, perfbench measures, and the tracing-overhead budget is the
+# obs.overhead test. The bench's perf sections, their JSON reports, the
+# overhead script and the fast-path counters only they read are gone.
+perf='\b(synth_perf|spill_perf|cache_perf|serve_perf|json_synth|check_overhead)\b'
+perf="$perf"'|\bBENCH_(synth|spill|cache|serve)'
+perf="$perf"'|\b(reset_counters|pp_counters|lm_records|emit_fp_(hits|misses)|prefix_(forced|reused))\b'
+if grep -rnE --exclude=check_hygiene.sh "$perf" lib bin bench test tools .github; then
+  echo "a deleted bench perf section, report, script or counter reappeared"
+  fail=1
+fi
+
 # No library, executable or test links the deleted scheduler.
 if grep -rnw 'sched' --include='dune' lib bin bench test examples perfbench; then
   echo "a dune file names the deleted sched library"
