@@ -926,18 +926,15 @@ let sections_list =
   ]
 
 let () =
-  let only = ref None and trace_path = ref None in
+  let only = ref None in
   Arg.parse
     [
       ( "--only",
         Arg.String (fun v -> only := Some (String.split_on_char ',' v)),
         "IDS run only these comma-separated sections" );
-      ( "--trace",
-        Arg.String (fun p -> trace_path := Some p),
-        "FILE write a Chrome trace of the run, one span per section" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "main.exe [--only IDS] [--trace FILE]";
+    "main.exe [--only IDS]";
   let ids = List.map fst sections_list in
   let selected =
     match !only with
@@ -951,24 +948,17 @@ let () =
               (String.concat ", " ids);
             exit 2)
   in
-  let obs = if !trace_path <> None then Obs.create () else Obs.null in
   let failed = ref [] in
   let t0 = Obs.wall_clock () in
   List.iter
     (fun (name, f) ->
-      Obs.span obs name (fun () ->
-          try f ()
-          with e ->
-            Fmt.pr "!! section %s failed: %s@." name (Printexc.to_string e);
-            failed := name :: !failed))
+      try f ()
+      with e ->
+        Fmt.pr "!! section %s failed: %s@." name (Printexc.to_string e);
+        failed := name :: !failed)
     selected;
   (* host time goes to stderr so stdout stays byte-identical run to run *)
   Fmt.epr "@.total experiment time: %.1fs@." (Obs.wall_clock () -. t0);
-  Option.iter
-    (fun path ->
-      Obs.write_trace path obs;
-      Fmt.pr "wrote %s@." path)
-    !trace_path;
   if !failed <> [] then begin
     Fmt.epr "failed sections: %s@." (String.concat ", " (List.rev !failed));
     exit 1

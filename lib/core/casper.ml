@@ -99,24 +99,19 @@ let translate_fragment ?(obs = Obs.null) ?(config = Cegis.default_config)
    in a pool (DESIGN.md §10). Each fragment records into a child trace
    context made on the domain that runs it; the children are grafted in
    fragment order, up to and including the first that raised, which is
-   the trace a sequential run leaves. The fast-path switch is
-   domain-local, so the caller's setting is carried over. *)
+   the trace a sequential run leaves. *)
 let translate_fragments ?(obs = Obs.null) ?config
     (prog : Minijava.Ast.program) (frags : F.t list) : translation list =
   let supported =
     List.length (List.filter (fun f -> Option.is_none f.F.unsupported) frags)
   in
   let jobs = max 1 (min (Domain.recommended_domain_count ()) supported) in
-  let fast = Casper_ir.Fastpath.enabled () in
   let results =
     Casper_par.Par.spawn_map ~jobs
       (fun frag ->
         let child = Obs.fork obs in
         ( child,
-          match
-            Casper_ir.Fastpath.with_enabled fast (fun () ->
-                translate_fragment ~obs:child ?config prog frag)
-          with
+          match translate_fragment ~obs:child ?config prog frag with
           | t -> Ok t
           | exception e -> Error e ))
       frags

@@ -71,9 +71,7 @@ val translate_fragment :
     open span in fragment order ({!Casper_obs.Obs.graft}), up to and
     including the first that raised. The span tree and the counter
     totals are therefore those of a sequential run; only the
-    timestamps of concurrent fragments overlap. The caller's fast-path
-    switch ({!Casper_ir.Fastpath.with_enabled}) applies on every
-    domain. *)
+    timestamps of concurrent fragments overlap. *)
 val translate_fragments :
   ?obs:Casper_obs.Obs.ctx ->
   ?config:Cegis.config ->

@@ -1,10 +1,10 @@
 (** The differential pipeline oracle.
 
     One generated program is pushed through the full stack — printer →
-    parser → typechecker → fragment analysis → CEGIS synthesis (with the
-    fast path both off and on) → verification on fresh states →
-    compilation → the simulated engine on every backend — and the result
-    multisets are compared at every stage boundary against the
+    parser → typechecker → fragment analysis → CEGIS synthesis (once
+    untraced, once traced) → verification on fresh states → compilation
+    → the simulated engine on every backend — and the result multisets
+    are compared at every stage boundary against the
     {!Minijava.Interp} reference execution. The engine run is then
     repeated out of core, against dataset caches and through serving
     sessions, and each must match the plain run byte for byte.
@@ -27,7 +27,6 @@ module Compile = Casper_codegen.Compile
 module Runner = Casper_codegen.Runner
 module Engine = Mapreduce.Engine
 module Cluster = Mapreduce.Cluster
-module Fastpath = Casper_ir.Fastpath
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
 module Exec = Casper_exec.Exec
@@ -38,27 +37,7 @@ type config = {
   inputs : int;  (** fresh program states checked per program *)
   input_seed : int;
   synth : Cegis.config;
-  check_fastpath : bool;
-      (** run synthesis twice (fast path off / on) and require
-          bit-identical search statistics and solutions *)
-  check_spill : bool;
-      (** re-run the translated program with a forced ~1 KB memory
-          budget — every grouped stage spills sorted runs to disk;
-          outputs and stage accounting must be byte-identical to the
-          in-memory path
-          (the out-of-core shuffle contract, DESIGN.md §12) *)
-  check_cache : bool;
-      (** re-run the translated program against explicit dataset
-          caches: a tiny budget (constant eviction churn) and an
-          unbounded cache run twice (the second run is served from
-          cache); outputs and stage accounting must be byte-identical
-          to the uncached run (the lineage-cache contract, DESIGN.md
-          §13) *)
-  check_session : bool;
-      (** submit the translated program twice to an {!Exec.Session} at
-          concurrency 1 and 4; every served run's outputs and stage
-          accounting must be byte-identical to a solo
-          [Engine.run_plan] (the serving contract, DESIGN.md §14) *)
+      (** the search configuration of both synthesis runs *)
 }
 
 let default_config ?(seed = 0) () =
@@ -67,10 +46,6 @@ let default_config ?(seed = 0) () =
     inputs = 5;
     input_seed = seed;
     synth = { Cegis.default_config with Cegis.max_candidates = 60_000 };
-    check_fastpath = true;
-    check_spill = true;
-    check_cache = true;
-    check_session = true;
   }
 
 type divergence = {
@@ -161,38 +136,26 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
               | Some u -> F.unsupported_to_string u
               | None -> "unsupported"))
     | frag :: _ -> (
-        (* ---- synthesis, fast path off vs on; the on-run is also the
-           traced run, under a seeded virtual clock, so the same
-           comparison doubles as the observability oracle: enabling
-           tracing must not perturb the search, and the recorded spans
-           must come out well-nested ---- *)
-        let synth () = Cegis.find_summary ~config:cfg.synth prog frag in
+        (* ---- synthesis, untraced and then traced under a seeded
+           virtual clock: enabling tracing must not perturb the search,
+           and the recorded spans must come out well-nested ---- *)
+        let untraced = Cegis.find_summary ~config:cfg.synth prog frag in
         let obs =
           Obs.create ~clock:(Obs.virtual_clock ~seed:cfg.input_seed ()) ()
         in
-        let synth_traced () =
-          Cegis.find_summary ~obs ~config:cfg.synth prog frag
-        in
-        let outcome =
-          if cfg.check_fastpath then begin
-            let off = Fastpath.with_enabled false synth in
-            let on = Fastpath.with_enabled true synth_traced in
-            if not (stats_equal off.Cegis.stats on.Cegis.stats) then
-              fail "fastpath"
-                "search stats differ with the fast path + tracing on vs off \
-                 (tried %d vs %d, iterations %d vs %d)"
-                off.Cegis.stats.Cegis.candidates_tried
-                on.Cegis.stats.Cegis.candidates_tried
-                off.Cegis.stats.Cegis.cegis_iterations
-                on.Cegis.stats.Cegis.cegis_iterations;
-            if not (solutions_equal off.Cegis.solutions on.Cegis.solutions)
-            then
-              fail "fastpath"
-                "solutions differ with the fast path + tracing on vs off";
-            on
-          end
-          else synth_traced ()
-        in
+        let outcome = Cegis.find_summary ~obs ~config:cfg.synth prog frag in
+        if not (stats_equal untraced.Cegis.stats outcome.Cegis.stats) then
+          fail "obs"
+            "search stats differ with tracing on vs off (tried %d vs %d, \
+             iterations %d vs %d)"
+            untraced.Cegis.stats.Cegis.candidates_tried
+            outcome.Cegis.stats.Cegis.candidates_tried
+            untraced.Cegis.stats.Cegis.cegis_iterations
+            outcome.Cegis.stats.Cegis.cegis_iterations;
+        if
+          not
+            (solutions_equal untraced.Cegis.solutions outcome.Cegis.solutions)
+        then fail "obs" "solutions differ with tracing on vs off";
         if not (Obs.well_formed obs) then
           fail "obs" "synthesis left unclosed spans on the trace stack";
         if Obs.tree obs = [] then
@@ -275,9 +238,10 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                     (* out-of-core shuffle: a ~1 KB budget forces every
                        grouped stage to spill sorted runs; outputs and
                        stage accounting must be byte-identical to the
-                       forced in-memory path. First state only:
-                       the engine path is state-independent. *)
-                    if cfg.check_spill && ei = 0 then
+                       forced in-memory path (the out-of-core shuffle
+                       contract, DESIGN.md §12). First state only: the
+                       engine path is state-independent. *)
+                    if ei = 0 then
                       List.iter
                         (fun (cluster : Cluster.t) ->
                           let tag = "spill:" ^ cluster.Cluster.name in
@@ -300,9 +264,11 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                        churn on every insert; an unbounded cache run
                        twice serves the second run from cache — in both
                        cases outputs and stage accounting must be
-                       byte-identical to the uncached run. First state
-                       only: the engine path is state-independent. *)
-                    if cfg.check_cache && ei = 0 then
+                       byte-identical to the uncached run (the
+                       lineage-cache contract, DESIGN.md §13). First
+                       state only: the engine path is
+                       state-independent. *)
+                    if ei = 0 then
                       List.iter
                         (fun (cluster : Cluster.t) ->
                           let tag = "cache:" ^ cluster.Cluster.name in
@@ -340,7 +306,7 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                        interleaving (the serving contract, DESIGN.md
                        §14). First state only: the engine path is
                        state-independent. *)
-                    if cfg.check_session && ei = 0 then
+                    if ei = 0 then
                       List.iter
                         (fun (cluster : Cluster.t) ->
                           let tag = "session:" ^ cluster.Cluster.name in

@@ -1,34 +1,11 @@
-(** Global switch and instrumentation for the synthesis fast path.
+(** Instrumentation for the synthesis fast path.
 
-    The fast path (hash-consed expressions, memoized evaluation, cached
-    verification batches and verdicts) is a pure optimization: with the
-    switch off, every cache is bypassed and the search recomputes from
-    scratch, but the keying and fingerprint schemes are shared between
-    the two modes, so the searched candidate order and the returned
-    solutions and statistics are bit-identical either way (enforced by
-    the on/off equivalence tests). The off path is the reference the
-    whole fast-path search (bulk counts, dedup partitions, blocked keys)
-    is checked against, and [with_enabled] exists for exactly two
-    callers: the on/off equivalence tests and difftest's fast-path
-    on/off stage. *)
-
-(* Domain-local: a search runs on one domain, and difftest's pool
-   workers each run whole searches concurrently, so each domain toggles
-   its own switch and a baseline run on one domain cannot turn caches
-   off under a fast-path run on another. Fresh domains start enabled —
-   the default mode. *)
-let enabled_key : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref true)
-
-let enabled () = !(Domain.DLS.get enabled_key)
-
-(** Run [f ()] with the calling domain's fast path forced to [b],
-    restoring the previous setting afterwards (also on exceptions). *)
-let with_enabled b f =
-  let r = Domain.DLS.get enabled_key in
-  let saved = !r in
-  r := b;
-  Fun.protect ~finally:(fun () -> r := saved) f
+    The search has one path: hash-consed expressions, memoized
+    evaluation, interned fingerprints, construction keys and cached
+    verification batches and verdicts are how it runs, not an option.
+    What keeps each of those mechanisms honest is a narrow reference
+    test of its own (DESIGN.md §9); the counters below only say how much
+    work the caches saved. *)
 
 (** Cache-effectiveness counters, read by the [synthesis] span and the
     tests. All are cumulative. *)

@@ -8,7 +8,7 @@
     construction keys — [key_of] interns the list
     [shape tag :: component ids] each enumeration shape assembles its
     candidate from, so no candidate is ever deep-hashed or
-    pretty-printed on the fast path.
+    pretty-printed during the search.
 
     Domain-safety: all interner state is a per-domain shard
     ([Domain.DLS]), so ids are only meaningful within the domain that

@@ -5,11 +5,12 @@
     key and value on every probe, and the same pool expressions appear
     in thousands of candidates. This module computes each pair once.
 
-    - [wrap] gives a probe environment a unique id; [eval] is keyed by
+    - [wrap] gives a probe environment a unique id; [meval] is keyed by
       [(expr id, env id)] and mirrors {!Eval.eval_expr} case for case
       (including [And]/[Or]/[If] short-circuiting and error messages),
       recursing through the memoized self so shared subtrees are also
-      shared work.
+      shared work ([fastpath.eval.props] checks it against
+      {!Eval.eval_expr}).
     - [value_id] is the fingerprint cell: the id of the evaluated
       value's printed form (errors intern as ["#err"]). Interning by the
       printed string — not by the structural value — reproduces exactly
@@ -17,14 +18,10 @@
       string-concatenation fingerprints (e.g. [Int 1] and [Float 1.0]
       both print as ["1"] and must stay in one class).
     - [cells] is an expression's cells on every probe of a
-      [probe_set], computed once per (probe set, expression);
-      [fingerprint] is that int array ([Ids]); with
-      {!Fastpath.enabled} off it instead builds the original
-      concatenated-string fingerprint ([Text]), so the baseline mode
-      pays exactly the pre-fast-path string costs. Both keys partition
-      expressions by the same printed-value sequences, so dedup keeps
-      the same representatives in the same order in both modes (the
-      equivalence tests enforce this end to end).
+      [probe_set], computed once per (probe set, expression): its
+      observational fingerprint. Two expressions share one exactly when
+      they print the same values on every probe ([fastpath.dedup] checks
+      emit dedup against a dedup by printed strings).
 
     Domain-safety (DESIGN.md §10): every memo table is a per-domain
     shard ([Domain.DLS]), consistent with the per-domain hash-consing it
@@ -157,11 +154,6 @@ and step (cv : cenv) (e : expr) : Value.t =
   | If (cnd, t, e') ->
       if Value.as_bool (meval cv cnd) then meval cv t else meval cv e'
 
-(** Evaluate [e] in [cv], memoized when the fast path is on. Raises
-    exactly what {!Eval.eval_expr} raises. *)
-let eval (cv : cenv) (e : expr) : Value.t =
-  if (Fastpath.enabled ()) then meval cv e else Eval.eval_expr cv.env e
-
 (* ------------------------------------------------------------------ *)
 (* Fingerprint cells                                                   *)
 
@@ -177,17 +169,14 @@ let id_of_string (s : string) : int =
       Hashtbl.add sh.str_ids s i;
       i
 
-(* printed form of one fingerprint cell; ["#err"] on any evaluation
-   error, exactly as the original string fingerprints encoded it *)
-let cell_str (cv : cenv) (e : expr) : string =
-  match Eval.eval_expr cv.env e with
-  | v -> Value.to_string v
-  | exception _ -> "#err"
-
 (** Fingerprint cell of [(e, cv)]: the interned printed value, ["#err"]
-    on any evaluation error — the same classes as the original
-    [Value.to_string]-based fingerprints. *)
-let value_id (cv : cenv) (e : expr) : int = id_of_string (cell_str cv e)
+    on any evaluation error. Interning the printed form keeps [Int 1]
+    and [Float 1.0] in one class, as printed-string fingerprints do. *)
+let value_id (cv : cenv) (e : expr) : int =
+  id_of_string
+    (match Eval.eval_expr cv.env e with
+    | v -> Value.to_string v
+    | exception _ -> "#err")
 
 (** Guard firing on a probe: [Some b] when the guard evaluates to a
     boolean, [None] on non-boolean results or evaluation errors. *)
@@ -243,31 +232,19 @@ let cells (ps : probe_set) (e : expr) : int array =
 let fires (ps : probe_set) (g : expr) : bool array =
   cached (shard ()).fires_tbl ps g (fun cv -> bool_of cv g = Some true)
 
-(** Observational fingerprint key. [Ids] (fast path) is an array of
-    interned value-cell ids; [Text] (baseline) is the original
-    concatenated printed form. One printed sequence maps to one key
-    under either constructor, so both modes dedup identically. *)
-type fp = Ids of int array | Text of string
-
-(** Observational fingerprint of an expression over a probe set. *)
-let fingerprint (ps : probe_set) (e : expr) : fp =
-  if Fastpath.enabled () then Ids (cells ps e)
-  else
-    Text
-      (String.concat "|"
-         (List.map (fun cv -> cell_str cv e) (Array.to_list ps.ps_envs)))
+(** Observational fingerprint key: interned value-cell ids, one or more
+    per probe ({!cells} for an expression). One printed-value sequence
+    maps to one key. *)
+type fp = int array
 
 (** Hash table keyed by fingerprints. The generic hash only examines ~10
     values; id arrays over up to 48 probes need every slot hashed or
-    buckets collapse (strings hash in full either way). *)
+    buckets collapse. *)
 module Fp_tbl = Hashtbl.Make (struct
   type t = fp
 
   let equal (a : t) (b : t) = a = b
-
-  let hash = function
-    | Ids a -> Hashtbl.hash_param 64 64 a
-    | Text s -> Hashtbl.hash s
+  let hash (a : t) = Hashtbl.hash_param 64 64 a
 end)
 
 (* ------------------------------------------------------------------ *)
@@ -334,19 +311,26 @@ let apply_lam_m_c (lm : lam_m) (cv : cenv) : Eval.emitted =
         | _ -> Eval.kv_or_v (List.rev kvs) (List.rev vs))
     | { guard; payload } :: rest -> (
         match guard with
-        | Some g when not (Value.as_bool (eval cv g)) -> run kvs vs rest
+        | Some g when not (Value.as_bool (meval cv g)) -> run kvs vs rest
         | _ -> (
             match payload with
             | KV (k, v) ->
-                let v = eval cv v in
-                run ((eval cv k, v) :: kvs) vs rest
-            | Val v -> run kvs (eval cv v :: vs) rest))
+                let v = meval cv v in
+                run ((meval cv k, v) :: kvs) vs rest
+            | Val v -> run kvs (meval cv v :: vs) rest))
   in
   run [] [] lm.emits
 
-(* [Eval.stage_node], with the Map-over-source-data case memoized and
-   every λr application recorded in [lr_ran] *)
-let rec stage_node_m (lr_ran : bool ref) (base : cenv) (n : node) :
+(** [Eval.stage_node] with the Map stage memoized per (emit expression,
+    element environment). [base] must wrap the environment the pipeline
+    is staged against. The result is the pipeline's bag: the caller
+    extracts the outputs.
+
+    The staged pipeline sets [lr_ran] when it applies a λr. While it
+    stays unset no key held two values, so every run so far computed the
+    same bag, or raised the same error, whatever the λrs are (staging a
+    λr never raises). *)
+let rec stage_pipeline ~(lr_ran : bool ref) (base : cenv) (n : node) :
     Eval.staged_node =
   match n with
   | Map (Data d, lm) ->
@@ -358,32 +342,17 @@ let rec stage_node_m (lr_ran : bool ref) (base : cenv) (n : node) :
   | Map (src, lm) ->
       (* intermediate elements are not stable across candidates: staged *)
       Eval.map_node
-        (stage_node_m lr_ran base src)
+        (stage_pipeline ~lr_ran base src)
         (Eval.apply_lam_m base.env lm)
   | Reduce (src, lr) ->
       let f = Eval.apply_lam_r base.env lr in
-      Eval.reduce_node (stage_node_m lr_ran base src) (fun a b ->
+      Eval.reduce_node (stage_pipeline ~lr_ran base src) (fun a b ->
           lr_ran := true;
           f a b)
   | Join (a, b) ->
-      Eval.join_node (stage_node_m lr_ran base a) (stage_node_m lr_ran base b)
-
-(** [Eval.stage_node] with the Map stage memoized per (emit expression,
-    element environment). [base] must wrap the environment the pipeline
-    is staged against. The result is the pipeline's bag: the caller
-    extracts the outputs.
-
-    The staged pipeline sets [lr_ran] when it applies a λr. While it
-    stays unset no key held two values, so every run so far computed the
-    same bag, or raised the same error, whatever the λrs are (staging a
-    λr never raises). Off the fast path it is set up front, which claims
-    nothing. *)
-let stage_pipeline ~(lr_ran : bool ref) (base : cenv) (n : node) :
-    Eval.staged_node =
-  if not (Fastpath.enabled ()) then (
-    lr_ran := true;
-    Eval.stage_node base.env n)
-  else stage_node_m lr_ran base n
+      Eval.join_node
+        (stage_pipeline ~lr_ran base a)
+        (stage_pipeline ~lr_ran base b)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental prefixes (DESIGN.md §16).
@@ -507,12 +476,11 @@ let prefix_fold ~(lr_ran : bool ref) (base : cenv) (d : string) (lm : lam_m)
     1, 2, … of one state's data, in that order, and stops at the first
     exception. A map over source data, optionally reduced and then
     mapped once more, runs incrementally: each prefix maps only the
-    records it adds (see above). Every other pipeline, and every
-    pipeline off the fast path, is {!stage_pipeline}'s. *)
+    records it adds (see above). Every other pipeline is
+    {!stage_pipeline}'s. *)
 let stage_prefixes ~(lr_ran : bool ref) (base : cenv) (n : node) :
     Eval.staged_node =
   match n with
-  | _ when not (Fastpath.enabled ()) -> stage_pipeline ~lr_ran base n
   | Map (Data d, lm) -> prefix_fold ~lr_ran base d lm None
   | Reduce (Map (Data d, lm), lr) -> prefix_fold ~lr_ran base d lm (Some lr)
   | Map (Reduce (Map (Data d, lm), lr), post) ->

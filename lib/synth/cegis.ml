@@ -182,38 +182,40 @@ let make_probes_uncached prog (frag : F.t) : Casper_ir.Eval.env list =
       List.filteri (fun i _ -> i < 48) !selected
 
 (* probe selection is a pure function of the program and fragment, and
-   [find_summary] needs it twice (pool construction and solution
-   ranking) — cache it per (program, fragment). The cache is sharded
-   per domain (each domain running searches caches its own probes) so
-   concurrent fuzzing campaigns never share the table. *)
+   one fragment's search needs it twice (pool construction and solution
+   ranking), then [Casper.prune_solutions] once more. Each domain keeps
+   the probes of the last fragment it built them for; [find_summary]
+   drops them when it starts, so the cache never holds more than one
+   fragment's. *)
 let probe_cache_key :
-    (Minijava.Ast.program * F.t, Casper_ir.Eval.env list) Hashtbl.t
+    (Minijava.Ast.program * F.t * Casper_ir.Eval.env list) option ref
     Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
+  Domain.DLS.new_key (fun () -> ref None)
+
+let cached_probes prog (frag : F.t) : Casper_ir.Eval.env list option =
+  match !(Domain.DLS.get probe_cache_key) with
+  | Some (p, f, probes) when compare (p, f) (prog, frag) = 0 -> Some probes
+  | _ -> None
 
 let make_probes prog (frag : F.t) : Casper_ir.Eval.env list =
-  if not (Fastpath.enabled ()) then make_probes_uncached prog frag
-  else
-    let probe_cache = Domain.DLS.get probe_cache_key in
-    let key = (prog, frag) in
-    match Hashtbl.find_opt probe_cache key with
-    | Some probes -> probes
-    | None ->
-        let probes = make_probes_uncached prog frag in
-        Hashtbl.add probe_cache key probes;
-        probes
+  match cached_probes prog frag with
+  | Some probes -> probes
+  | None ->
+      let probes = make_probes_uncached prog frag in
+      Domain.DLS.get probe_cache_key := Some (prog, frag, probes);
+      probes
 
 (* whether [make_probes] has built, on this domain, the probes of this
    fragment *)
 let probes_built prog (frag : F.t) : bool =
-  Hashtbl.mem (Domain.DLS.get probe_cache_key) (prog, frag)
+  Option.is_some (cached_probes prog frag)
 
 (* ------------------------------------------------------------------ *)
 
 type search_state = {
-  mutable phi : Minijava.Interp.env list;  (** counter-example states Φ *)
   mutable phi_prepared : (int * Verifier.prepared) list;
-      (** fast path: Φ with per-state ids, same order as [phi] *)
+      (** the counter-example states Φ, prepared, with per-state ids;
+          newest first *)
   mutable next_sid : int;
   phi_passed : (int, unit) Hashtbl.t;
       (** packed (candidate key, Φ-state id) of the states a candidate
@@ -231,24 +233,22 @@ type search_state = {
   blocked : (int, unit) Hashtbl.t;
       (** Ω ∪ Δ, by the construction key each candidate was enumerated
           under (see [Enumerate]) *)
-  blocked_text : (string, unit) Hashtbl.t;
-      (** Ω ∪ Δ in baseline mode, by pretty-printed candidate text —
-          the original keying, kept so the reference path stays
-          independent of the construction keys it is checked against.
-          Both keys are injective on the candidates one search
-          enumerates, so the same candidates are skipped in the same
-          order in both modes (equivalence tests check this end to
-          end). *)
   mutable tried : int;
   mutable iters : int;
   mutable tp_fail : int;
   budget : int;
 }
 
+let add_phi (st : search_state) prog frag (state : Minijava.Interp.env) :
+    unit =
+  let sid = st.next_sid in
+  st.next_sid <- sid + 1;
+  st.phi_prepared <-
+    (sid, Verifier.prepare_one prog frag state) :: st.phi_prepared
+
 let make_state ?(phi = []) prog frag ~budget : search_state =
   let st =
     {
-      phi = [];
       phi_prepared = [];
       next_sid = 0;
       (* probed with [mem] only, never iterated: they grow with the
@@ -260,41 +260,21 @@ let make_state ?(phi = []) prog frag ~budget : search_state =
       bounded_verdicts = Hashtbl.create 64;
       full_verdicts = Hashtbl.create 16;
       blocked = Hashtbl.create 64;
-      blocked_text = Hashtbl.create 64;
       tried = 0;
       iters = 0;
       tp_fail = 0;
       budget;
     }
   in
-  (* prepend in reverse so [st.phi] ends up in the given order *)
-  List.iter
-    (fun state ->
-      st.phi <- state :: st.phi;
-      if (Fastpath.enabled ()) then (
-        let sid = st.next_sid in
-        st.next_sid <- sid + 1;
-        st.phi_prepared <-
-          (sid, Verifier.prepare_one prog frag state) :: st.phi_prepared))
-    (List.rev phi);
+  (* prepend in reverse so Φ ends up in the given order *)
+  List.iter (add_phi st prog frag) (List.rev phi);
   st
 
 let family_hits (st : search_state) : int = st.family_hits
 
-let add_phi (st : search_state) prog frag (state : Minijava.Interp.env) :
-    unit =
-  st.phi <- state :: st.phi;
-  if (Fastpath.enabled ()) then (
-    let sid = st.next_sid in
-    st.next_sid <- sid + 1;
-    st.phi_prepared <-
-      (sid, Verifier.prepare_one prog frag state) :: st.phi_prepared)
-
-(* Ω ∪ Δ insertion: construction key on the fast path, printed text on
-   the baseline ([cid] is 0 there — the baseline never computes keys). *)
-let block (st : search_state) (c : Ir.summary) (cid : int) : unit =
-  if (Fastpath.enabled ()) then Hashtbl.replace st.blocked cid ()
-  else Hashtbl.replace st.blocked_text (Ir.summary_to_string c) ()
+(* Ω ∪ Δ insertion, by construction key *)
+let block (st : search_state) (cid : int) : unit =
+  Hashtbl.replace st.blocked cid ()
 
 (* Record that Φ refuted candidate [c]. A refutation reached before any
    λr ran refutes its whole family too, and, when it names an output,
@@ -311,11 +291,12 @@ let refute (st : search_state) (c : Enumerate.cand) ~lr_ran
 
 let phi_key cid sid = (cid lsl 31) lor sid
 
-(* [Verifier.holds_on] with passes memoized per (candidate, state) and
+(* The Φ check, with passes memoized per (candidate, state) and
    refutations kept in the dead sets. Same walk order and early exit as
-   [check_batch], so outcomes are identical: a refuted key only answers
-   for a candidate that Φ would refute anyway, and a memoized pass only
-   skips re-computing a conjunct already decided for this candidate. *)
+   [Verifier.check_batch] over Φ, so outcomes are identical: a refuted
+   key only answers for a candidate that Φ would refute anyway, and a
+   memoized pass only skips re-computing a conjunct already decided for
+   this candidate. *)
 let holds_on_cached (st : search_state) frag (c : Enumerate.cand) : bool =
   let d = st.dead in
   if Hashtbl.mem d.cands c.key then false
@@ -344,19 +325,16 @@ let holds_on_cached (st : search_state) frag (c : Enumerate.cand) : bool =
 
 (** Figure 5 lines 1–8: find the next candidate in [cands] that survives
     Φ and bounded model checking. [bounded] is the pre-generated bounded
-    batch shared by every candidate of this search (fast path only;
-    generation is deterministic, so it equals the per-call batch the
-    plain path regenerates).
+    batch shared by every candidate of this search.
 
     A [Bulk] item stands for [n] candidates Φ has already refuted: it
     counts as [n] tried candidates minus the blocked ones among them,
     exactly what trying them one by one would count, and is capped at
     the budget like them. *)
-let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
+let synthesize (st : search_state) prog frag ~(obs : Obs.ctx)
     ~(bounded : Verifier.prepared list Lazy.t)
     (cands : Enumerate.item Seq.t) :
     (Enumerate.cand * Enumerate.item Seq.t) option =
-  let fast = (Fastpath.enabled ()) in
   (* counters are batched per round — one add at exit instead of one per
      candidate — to keep enabled-tracing overhead off the search's hot
      path; the totals are identical *)
@@ -366,13 +344,6 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
     if st.iters > iters0 then
       Obs.add obs "cegis_iterations" (st.iters - iters0);
     r
-  in
-  let skip_blocked (c : Enumerate.cand) =
-    (* fast: O(1) membership by the construction key the shape assembled
-       the candidate under; baseline: the original pretty-print-and-hash
-       keying *)
-    if fast then Hashtbl.mem st.blocked c.key
-    else Hashtbl.mem st.blocked_text (Ir.summary_to_string c.summary)
   in
   let count_bulk n cids =
     st.unbuilt <- st.unbuilt + n;
@@ -387,21 +358,17 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
   in
   let bounded_verdict (c : Enumerate.cand) : Verifier.outcome =
     Obs.span obs "bounded-verify" @@ fun () ->
-    if fast then (
-      match Hashtbl.find_opt st.bounded_verdicts c.key with
-      | Some o ->
-          let fc = Fastpath.counters () in
-          fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
-          o
-      | None ->
-          let o =
-            Verifier.check_prepared_batch frag c.summary (Lazy.force bounded)
-          in
-          Hashtbl.add st.bounded_verdicts c.key o;
-          o)
-    else
-      Verifier.bounded_check ~seed:cfg.seed ~count:cfg.bounded_states prog
-        frag c.summary
+    match Hashtbl.find_opt st.bounded_verdicts c.key with
+    | Some o ->
+        let fc = Fastpath.counters () in
+        fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
+        o
+    | None ->
+        let o =
+          Verifier.check_prepared_batch frag c.summary (Lazy.force bounded)
+        in
+        Hashtbl.add st.bounded_verdicts c.key o;
+        o
   in
   let rec go (s : Enumerate.item Seq.t) =
     if st.tried >= st.budget then None
@@ -412,14 +379,10 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
           count_bulk n cids;
           go rest
       | Seq.Cons (Enumerate.Cand c, rest) ->
-          if skip_blocked c then go rest
+          if Hashtbl.mem st.blocked c.key then go rest
           else (
             st.tried <- st.tried + 1;
-            let holds =
-              if fast then holds_on_cached st frag c
-              else Verifier.holds_on prog frag c.summary st.phi
-            in
-            if not holds then go rest
+            if not (holds_on_cached st frag c) then go rest
             else (
               st.iters <- st.iters + 1;
               match bounded_verdict c with
@@ -428,7 +391,7 @@ let synthesize (cfg : config) (st : search_state) prog frag ~(obs : Obs.ctx)
                   add_phi st prog frag phi_state;
                   go rest
               | Verifier.Invalid_summary _ ->
-                  block st c.summary c.key;
+                  block st c.key;
                   go rest))
   in
   record (go cands)
@@ -496,9 +459,11 @@ let static_cost prog (frag : F.t) (probe : Casper_ir.Eval.env)
 (** Figure 5 lines 10–24: the full search. *)
 let rec find_summary ?(obs = Obs.null) ?(config = default_config)
     (prog : Minijava.Ast.program) (frag : F.t) : outcome =
-  (* fresh memo/hash-cons tables per search; interned ids are monotonic,
-     so entries from earlier searches can never alias new ones *)
+  (* fresh memo/hash-cons tables and probes per search; interned ids are
+     monotonic, so entries from earlier searches can never alias new
+     ones *)
   Memo.clear ();
+  Domain.DLS.get probe_cache_key := None;
   let t0 = Obs.now obs in
   (* fast-path cache counters are cumulative across searches; deltas
      against this snapshot of the calling domain's record are this
@@ -514,8 +479,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
     Obs.add obs "phi_family_hits" st.family_hits;
     Obs.add obs "candidates_unbuilt" st.unbuilt;
     Obs.add obs "verdict_memo_hits" (fc.Fastpath.verdict_hits - fp0.Fastpath.verdict_hits);
-    Obs.add obs "blocked_set"
-      (Hashtbl.length st.blocked + Hashtbl.length st.blocked_text);
+    Obs.add obs "blocked_set" (Hashtbl.length st.blocked);
     let solutions =
       match solutions with
       | [] -> []
@@ -571,8 +535,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
         make_state ~phi prog frag ~budget:config.max_candidates
       in
       (* the bounded batch every candidate of this search is checked
-         against; generation is deterministic, so this equals the batch
-         [Verifier.bounded_check] would regenerate per candidate *)
+         against *)
       let bounded =
         lazy
           (let dom = Statesgen.bounded_domain frag in
@@ -588,21 +551,17 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
                 prog frag))
       in
       let full_verify_c (c : Ir.summary) (cid : int) : Verifier.outcome =
-        if not (Fastpath.enabled ()) then
-          Verifier.full_verify ~count:config.full_states prog frag c
-        else
-          match Hashtbl.find_opt st.full_verdicts cid with
-          | Some o ->
-              let fc = Fastpath.counters () in
-              fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
-              o
-          | None ->
-              let o =
-                Verifier.check_prepared_batch frag c
-                  (Lazy.force full_prepared)
-              in
-              Hashtbl.add st.full_verdicts cid o;
-              o
+        match Hashtbl.find_opt st.full_verdicts cid with
+        | Some o ->
+            let fc = Fastpath.counters () in
+            fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
+            o
+        | None ->
+            let o =
+              Verifier.check_prepared_batch frag c (Lazy.force full_prepared)
+            in
+            Hashtbl.add st.full_verdicts cid o;
+            o
       in
       let delta = ref [] in
       (* once the budget or solution quota is hit, candidate shapes not
@@ -633,11 +592,11 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
                 else
                   match
                     Obs.span obs "round" (fun () ->
-                        synthesize config st prog frag ~obs ~bounded cands)
+                        synthesize st prog frag ~obs ~bounded cands)
                   with
                   | None -> `Exhausted
                   | Some (c, cands_rest) ->
-                      block st c.summary c.key;
+                      block st c.key;
                       (match
                          Obs.span obs "full-verify" (fun () ->
                              full_verify_c c.summary c.key)
@@ -781,25 +740,17 @@ and decompose_multi_output ~(obs : Obs.ctx) ~(config : config) prog
         common
     in
     let verified =
-      let valid =
-        if not (Fastpath.enabled ()) then fun s ->
-          match Verifier.full_verify ~count:config.full_states prog frag s with
-          | Verifier.Valid -> true
-          | _ -> false
-        else
-          let prepared =
-            lazy
-              (let dom = Statesgen.full_domain frag in
-               Verifier.prepare_batch prog frag
-                 (Statesgen.gen_batch ~seed:1301 ~count:config.full_states
-                    dom prog frag))
-          in
-          fun s ->
-            match
-              Verifier.check_prepared_batch frag s (Lazy.force prepared)
-            with
-            | Verifier.Valid -> true
-            | _ -> false
+      let prepared =
+        lazy
+          (let dom = Statesgen.full_domain frag in
+           Verifier.prepare_batch prog frag
+             (Statesgen.gen_batch ~seed:1301 ~count:config.full_states dom
+                prog frag))
+      in
+      let valid s =
+        match Verifier.check_prepared_batch frag s (Lazy.force prepared) with
+        | Verifier.Valid -> true
+        | _ -> false
       in
       List.filter
         (fun s -> Obs.span obs "full-verify" (fun () -> valid s))

@@ -48,8 +48,9 @@ type outcome = { solutions : solution list; stats : stats }
     in grammar construction. *)
 val make_probes : Minijava.Ast.program -> F.t -> Casper_ir.Eval.env list
 
-(** Whether this domain has built the probes of [prog]'s fragment (with
-    the fast path on, probes are cached per domain). *)
+(** Whether this domain holds the probes of [prog]'s fragment. Each
+    domain caches the probes of the last fragment [make_probes] built
+    them for, and {!find_summary} drops them when it starts. *)
 val probes_built : Minijava.Ast.program -> F.t -> bool
 
 (** {2 The Φ check of the CEGIS inner loop}
@@ -73,7 +74,7 @@ val make_state :
     one reached before any λr ran is also kept under its family key
     (the candidates that differ from it only in λr) and, when it names
     an output, under that output's projection key. A candidate under a
-    refuted key is refuted without a check. Fast path only. *)
+    refuted key is refuted without a check. *)
 val holds_on_cached : search_state -> F.t -> Enumerate.cand -> bool
 
 (** Φ checks [holds_on_cached] answered from a refuted family or
@@ -100,7 +101,8 @@ val summary_comm_assoc :
     deterministic.
 
     The search runs on the calling domain from start to finish; it
-    first empties that domain's memo tables ({!Casper_ir.Memo.clear}). *)
+    first empties that domain's memo tables ({!Casper_ir.Memo.clear})
+    and probe cache. *)
 val find_summary :
   ?obs:Casper_obs.Obs.ctx ->
   ?config:config ->

@@ -31,68 +31,49 @@ let vals pools ~max_len ty = seq_of_list (vals_list pools ~max_len ty)
    on the same probes with the same key and value are the same grammar
    production. This is what keeps class traversal tractable.
 
-   The fast-path fingerprint is two interned value-cells per probe:
-   [(-1, -1)] when the guard does not fire, [(key, value)] cells for
-   key-value payloads, [(-2, value)] for plain-value payloads. The
-   baseline fingerprint is the original concatenated printed form
-   (["-"] when the guard does not fire, ["k:v"] / ["v"] otherwise);
-   both key one observed behaviour per emit, so dedup keeps the same
-   emits in the same order either way. *)
+   The fingerprint is two interned value-cells per probe: [(-1, -1)]
+   when the guard does not fire, [(key, value)] cells for key-value
+   payloads, [(-2, value)] for plain-value payloads. Two emits share one
+   exactly when they print the same on every probe ([fastpath.dedup]
+   checks this against a dedup by printed strings). *)
 let emit_fingerprint (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) :
     Memo.fp =
   let ps = pools.G.cprobes in
-  if Casper_ir.Fastpath.enabled () then (
-    (* every class re-proposes combinations of the same pool components:
-       cache the computed cells per (guard, key, value) id triple *)
-    let ckey =
-      let gid = match guard with None -> -1 | Some g -> H.expr_id g in
-      match payload with
-      | Ir.KV (k, v) -> (gid, H.expr_id k, H.expr_id v)
-      | Ir.Val v -> (gid, -2, H.expr_id v)
-    in
-    match Hashtbl.find_opt (Memo.emit_fp_tbl ()) ckey with
-    | Some a -> Memo.Ids a
-    | None ->
-        (* a miss interleaves the components' cached cell arrays *)
-        let fired =
-          match guard with
-          | None -> fun _ -> true
-          | Some g ->
-              let f = Memo.fires ps g in
-              fun i -> f.(i)
-        in
-        let key_cell, vc =
-          match payload with
-          | Ir.KV (k, v) ->
-              let kc = Memo.cells ps k in
-              ((fun i -> kc.(i)), Memo.cells ps v)
-          | Ir.Val v -> ((fun _ -> -2), Memo.cells ps v)
-        in
-        let n = Array.length vc in
-        let a = Array.make (2 * n) (-1) in
-        for i = 0 to n - 1 do
-          if fired i then (
-            a.(2 * i) <- key_cell i;
-            a.((2 * i) + 1) <- vc.(i))
-        done;
-        Hashtbl.add (Memo.emit_fp_tbl ()) ckey a;
-        Memo.Ids a)
-  else
-    let fired cv =
-      match guard with
-      | None -> true
-      | Some g -> ( match Memo.bool_of cv g with Some b -> b | None -> false)
-    in
-    Memo.Text
-      (String.concat "|"
-         (List.map
-            (fun cv ->
-              if not (fired cv) then "-"
-              else
-                match payload with
-                | Ir.KV (k, v) -> Memo.cell_str cv k ^ ":" ^ Memo.cell_str cv v
-                | Ir.Val v -> Memo.cell_str cv v)
-            (Array.to_list ps.Memo.ps_envs)))
+  (* every class re-proposes combinations of the same pool components:
+     cache the computed cells per (guard, key, value) id triple *)
+  let ckey =
+    let gid = match guard with None -> -1 | Some g -> H.expr_id g in
+    match payload with
+    | Ir.KV (k, v) -> (gid, H.expr_id k, H.expr_id v)
+    | Ir.Val v -> (gid, -2, H.expr_id v)
+  in
+  match Hashtbl.find_opt (Memo.emit_fp_tbl ()) ckey with
+  | Some a -> a
+  | None ->
+      (* a miss interleaves the components' cached cell arrays *)
+      let fired =
+        match guard with
+        | None -> fun _ -> true
+        | Some g ->
+            let f = Memo.fires ps g in
+            fun i -> f.(i)
+      in
+      let key_cell, vc =
+        match payload with
+        | Ir.KV (k, v) ->
+            let kc = Memo.cells ps k in
+            ((fun i -> kc.(i)), Memo.cells ps v)
+        | Ir.Val v -> ((fun _ -> -2), Memo.cells ps v)
+      in
+      let n = Array.length vc in
+      let a = Array.make (2 * n) (-1) in
+      for i = 0 to n - 1 do
+        if fired i then (
+          a.(2 * i) <- key_cell i;
+          a.((2 * i) + 1) <- vc.(i))
+      done;
+      Hashtbl.add (Memo.emit_fp_tbl ()) ckey a;
+      a
 
 (** Observational dedup of emit candidates, capped at [limit] survivors.
     The cap is applied *during* filtering: once [limit] distinct emits
@@ -236,13 +217,12 @@ let post_pool (pools : G.pools) ~(v : string) (vt : Ir.ty) ~(out_ty : Ir.ty)
 let mk_map_emits params emits = { Ir.m_params = params; emits }
 let param_names pools = List.map fst pools.G.params
 
-(* Construction-time candidate keys (fast path): every shape assembles
-   its candidates from small pools of already-deduped components, so the
+(* Construction-time candidate keys: every shape assembles its
+   candidates from small pools of already-deduped components, so the
    component ids are computed once per pool element — outside the
    per-candidate product loops — and each candidate's key is the
    interned list of a distinct shape tag followed by those ids (see
-   [Hashcons.key_of]). In baseline mode no ids are computed and every
-   key is 0: the baseline identifies candidates by printed text.
+   [Hashcons.key_of]).
 
    Each candidate also carries a family key: the same list without the
    reducer's id, so the candidates of one family differ only in λr. A
@@ -251,21 +231,15 @@ let param_names pools = List.map fst pools.G.params
    [11; i; emit id]: the candidates whose output [i] is emitted by that
    emit (DESIGN.md §16). *)
 let emits_ids (l : Ir.emit list) : (Ir.emit * int) list =
-  if (Casper_ir.Fastpath.enabled ()) then
-    List.map (fun e -> (e, H.emit_id e)) l
-  else List.map (fun e -> (e, 0)) l
+  List.map (fun e -> (e, H.emit_id e)) l
 
 let exprs_ids (l : Ir.expr list) : (Ir.expr * int) list =
-  if (Casper_ir.Fastpath.enabled ()) then
-    List.map (fun e -> (e, H.expr_id e)) l
-  else List.map (fun e -> (e, 0)) l
+  List.map (fun e -> (e, H.expr_id e)) l
 
 (* reducers all bind the same parameter names, so the body id alone
    identifies one *)
 let reducers_ids (l : Ir.lam_r list) : (Ir.lam_r * int) list =
-  if (Casper_ir.Fastpath.enabled ()) then
-    List.map (fun lr -> (lr, H.expr_id lr.Ir.r_body)) l
-  else List.map (fun lr -> (lr, 0)) l
+  List.map (fun lr -> (lr, H.expr_id lr.Ir.r_body)) l
 
 (* --------------------------------------------------------------- *)
 (* Items and dead sets                                              *)
@@ -348,11 +322,8 @@ let shape_reduce_only (dead : dead) (frag : F.t) (pools : G.pools)
       (match ety with
       | Ir.TInt | Ir.TFloat | Ir.TBool | Ir.TString ->
           let d = F.primary_dataset frag in
-          let fast = (Casper_ir.Fastpath.enabled ()) in
-          family_items dead
-            ~family:(if fast then H.key_of [ 1 ] else 0)
-            ~projs:[]
-            ~key:(fun rid -> if fast then H.key_of [ 1; rid ] else 0)
+          family_items dead ~family:(H.key_of [ 1 ]) ~projs:[]
+            ~key:(fun rid -> H.key_of [ 1; rid ])
             (fun lr ->
               {
                 Ir.pipeline = Ir.Reduce (Ir.Data d, lr);
@@ -378,10 +349,9 @@ let shape_map_only (dead : dead) (frag : F.t) (pools : G.pools)
           ~val_pool:(vals_list pools ~max_len:k.max_len vty)
           ()
       in
-      let fast = (Casper_ir.Fastpath.enabled ()) in
       Seq.map
         (fun (e, eid) ->
-          let key = if fast then H.key_of [ 2; eid ] else 0 in
+          let key = H.key_of [ 2; eid ] in
           one_item dead ~key ~family:key ~projs:[] (fun () ->
               {
                 Ir.pipeline = Ir.Map (Ir.Data d, mk_map_emits params [ e ]);
@@ -426,28 +396,22 @@ let shape_map_reduce_keyed (dead : dead) (frag : F.t) (pools : G.pools)
     | [ vty ] ->
         let d = F.primary_dataset frag in
         let params = param_names pools in
-        let fast = (Casper_ir.Fastpath.enabled ()) in
         (* per output: (emit, emit id, projection key) *)
         let per_out =
           List.mapi
             (fun i (o, t) ->
               List.map
-                (fun (e, eid) ->
-                  (e, eid, if fast then H.key_of [ 11; i; eid ] else 0))
+                (fun (e, eid) -> (e, eid, H.key_of [ 11; i; eid ]))
                 (emits_ids (scalar_emits pools k o t)))
             scalars
         in
         let reducers = reducers_ids (G.reducers pools vty) in
-        let key eids rid =
-          if fast then H.key_of ((3 :: eids) @ [ rid ]) else 0
-        in
+        let key eids rid = H.key_of ((3 :: eids) @ [ rid ]) in
         let family picks =
           let emits = List.map (fun (e, _, _) -> e) picks in
-          let eids =
-            if fast then List.map (fun (_, eid, _) -> eid) picks else []
-          in
+          let eids = List.map (fun (_, eid, _) -> eid) picks in
           family_items dead
-            ~family:(if fast then H.key_of (3 :: eids) else 0)
+            ~family:(H.key_of (3 :: eids))
             ~projs:(List.map2 (fun (o, _) (_, _, p) -> (o, p)) scalars picks)
             ~key:(key eids)
             (fun lr ->
@@ -520,13 +484,10 @@ let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
             (G.guards pools ~max_len:k.max_len)
           |> dedupe_emits pools
         in
-        let fast = (Casper_ir.Fastpath.enabled ()) in
         let reducers = reducers_ids (G.reducers pools oty) in
         let* e, eid = seq_of_list (emits_ids emits) in
-        family_items dead
-          ~family:(if fast then H.key_of [ 4; eid ] else 0)
-          ~projs:[]
-          ~key:(fun rid -> if fast then H.key_of [ 4; eid; rid ] else 0)
+        family_items dead ~family:(H.key_of [ 4; eid ]) ~projs:[]
+          ~key:(fun rid -> H.key_of [ 4; eid; rid ])
           (fun lr ->
             {
               Ir.pipeline =
@@ -548,15 +509,12 @@ let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
               Seq.map (fun tl -> e :: tl) (cart rest)
         in
         let vty = Ir.TTuple (List.map snd scalars) in
-        let fast = (Casper_ir.Fastpath.enabled ()) in
         let reducers = reducers_ids (G.reducers pools vty) in
         let* picks = cart slot_pools in
         let slots = List.map fst picks in
-        let sids = if fast then List.map snd picks else [] in
-        family_items dead
-          ~family:(if fast then H.key_of (5 :: sids) else 0)
-          ~projs:[]
-          ~key:(fun rid -> if fast then H.key_of ((5 :: sids) @ [ rid ]) else 0)
+        let sids = List.map snd picks in
+        family_items dead ~family:(H.key_of (5 :: sids)) ~projs:[]
+          ~key:(fun rid -> H.key_of ((5 :: sids) @ [ rid ]))
           (fun lr ->
             {
                 Ir.pipeline =
@@ -623,15 +581,12 @@ let shape_map_reduce_collection (dead : dead) (frag : F.t) (pools : G.pools)
                       h))
                h)
       in
-      let fast = (Casper_ir.Fastpath.enabled ()) in
       let reducers = reducers_ids (G.reducers pools vty) in
       let* picks = seq_of_list (single @ pairs @ triples) in
       let body = List.map fst picks in
-      let eids = if fast then List.map snd picks else [] in
-      family_items dead
-        ~family:(if fast then H.key_of (6 :: eids) else 0)
-        ~projs:[]
-        ~key:(fun rid -> if fast then H.key_of ((6 :: eids) @ [ rid ]) else 0)
+      let eids = List.map snd picks in
+      family_items dead ~family:(H.key_of (6 :: eids)) ~projs:[]
+        ~key:(fun rid -> H.key_of ((6 :: eids) @ [ rid ]))
         (fun lr ->
           {
             Ir.pipeline =
@@ -656,7 +611,6 @@ let shape_map_reduce_map_collection (dead : dead) (frag : F.t)
           ~val_pool:(G.cap 16 (vals_list pools ~max_len:k.max_len vty))
           ()
       in
-      let fast = (Casper_ir.Fastpath.enabled ()) in
       (* the post-map pool depends on the value type alone: built once,
          when the first candidate needs it *)
       let post =
@@ -673,8 +627,8 @@ let shape_map_reduce_map_collection (dead : dead) (frag : F.t)
       Seq.map
         (fun (e2, pid) ->
           one_item dead
-            ~key:(if fast then H.key_of [ 7; eid; rid; pid ] else 0)
-            ~family:(if fast then H.key_of [ 7; eid; pid ] else 0)
+            ~key:(H.key_of [ 7; eid; rid; pid ])
+            ~family:(H.key_of [ 7; eid; pid ])
             ~projs:[]
           @@ fun () ->
             {
@@ -720,7 +674,6 @@ let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
       List.sort_uniq compare (List.map snd scalars)
       |> List.filter (fun t -> t = Ir.TInt || t = Ir.TFloat)
     in
-    let fast = (Casper_ir.Fastpath.enabled ()) in
     let* bty = seq_of_list base_tys in
     let vty = Ir.TTuple [ bty; bty ] in
     (* the post-map pool depends on the base type alone: built once per
@@ -750,8 +703,8 @@ let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
     Seq.map
       (fun choices ->
         one_item dead
-          ~key:(if fast then H.key_of (8 :: bid :: rid :: pids choices) else 0)
-          ~family:(if fast then H.key_of (8 :: bid :: pids choices) else 0)
+          ~key:(H.key_of (8 :: bid :: rid :: pids choices))
+          ~family:(H.key_of (8 :: bid :: pids choices))
           ~projs:[]
         @@ fun () ->
           {
@@ -862,13 +815,8 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
       let keys = join_keys prog frag pools in
       if List.is_empty keys then Seq.empty
       else
-        let fast = (Casper_ir.Fastpath.enabled ()) in
         let keys =
-          List.map
-            (fun (k1, k2) ->
-              if fast then (k1, k2, H.expr_id k1, H.expr_id k2)
-              else (k1, k2, 0, 0))
-            keys
+          List.map (fun (k1, k2) -> (k1, k2, H.expr_id k1, H.expr_id k2)) keys
         in
         let m =
           [
@@ -926,10 +874,9 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
             let* g, gid = seq_of_list (guards_of bools) in
             let* v, vid = seq_of_list (exprs_ids (G.cap 16 (val_pool oty))) in
             family_items dead
-              ~family:(if fast then H.key_of [ 9; k1id; k2id; gid; vid ] else 0)
+              ~family:(H.key_of [ 9; k1id; k2id; gid; vid ])
               ~projs:[]
-              ~key:(fun rid ->
-                if fast then H.key_of [ 9; k1id; k2id; gid; vid; rid ] else 0)
+              ~key:(fun rid -> H.key_of [ 9; k1id; k2id; gid; vid; rid ])
               (fun lr ->
                 let core =
                   Ir.Join
@@ -986,14 +933,10 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
                   seq_of_list (exprs_ids (G.cap 16 (val_pool vty)))
                 in
                 family_items dead
-                  ~family:
-                    (if fast then H.key_of [ 10; k1id; k2id; okid; gid; vid ]
-                     else 0)
+                  ~family:(H.key_of [ 10; k1id; k2id; okid; gid; vid ])
                   ~projs:[]
                   ~key:(fun rid ->
-                    if fast then
-                      H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ]
-                    else 0)
+                    H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ])
                   (fun lr ->
                     let core =
                       Ir.Join

@@ -105,7 +105,7 @@ let dedupe_c ?(keep = fun _ -> false) ?(size = Ir.expr_size) ?limit
            out := e :: !out;
            incr n)
          else
-           let fp = Memo.fingerprint cprobes e in
+           let fp = Memo.cells cprobes e in
            if not (Memo.Fp_tbl.mem seen fp) then (
              Memo.Fp_tbl.add seen fp ();
              out := e :: !out;

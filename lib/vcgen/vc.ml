@@ -359,13 +359,14 @@ let sparse_mismatch (outputs : (string * ty * F.out_kind) list)
    prefix length, never on the candidate — yet [check_state] recomputes
    both for every prefix of every state for every candidate, which
    dominates synthesis time. A prepared state computes each prefix once,
-   lazily (on the fast path by resuming the previous prefix's loop,
-   {!seq_steps}), and [check_prepared] replays [check_state]'s exact
-   semantics against the cached cells: laziness preserves exception
-   behaviour (a prefix whose sequential execution faults, or whose
-   truncation raises [Vc_error], only surfaces if a candidate survives
-   all earlier prefixes), and raised exceptions are stored and re-raised
-   so repeated checks observe the same outcome. *)
+   lazily, by resuming the previous prefix's loop ({!seq_steps};
+   verify.incremental checks it against [run_prefix]), and
+   [check_prepared] replays [check_state]'s exact semantics against the
+   cached cells: laziness preserves exception behaviour (a prefix whose
+   sequential execution faults, or whose truncation raises [Vc_error],
+   only surfaces if a candidate survives all earlier prefixes), and
+   raised exceptions are stored and re-raised so repeated checks observe
+   the same outcome. *)
 
 type prefix_cell =
   | PReady of {
@@ -459,23 +460,18 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
       | Error _ -> [||]
       | Ok n ->
           let datasets_at = datasets_at prog frag entry in
-          let seq_at =
-            if not (Casper_ir.Fastpath.enabled ()) then
-              run_prefix prog frag entry
-            else
-              let steps =
-                Array.make (n + 1) (lazy (seq_steps prog frag entry ()))
-              in
-              for k = 1 to n do
-                steps.(k) <-
-                  lazy
-                    (let prev = Lazy.force steps.(k - 1) in
-                     let c = Casper_ir.Fastpath.counters () in
-                     c.loop_units <- c.loop_units + 1;
-                     prev.s_next ())
-              done;
-              fun k -> (Lazy.force steps.(k)).s_env
+          let steps =
+            Array.make (n + 1) (lazy (seq_steps prog frag entry ()))
           in
+          for k = 1 to n do
+            steps.(k) <-
+              lazy
+                (let prev = Lazy.force steps.(k - 1) in
+                 let c = Casper_ir.Fastpath.counters () in
+                 c.loop_units <- c.loop_units + 1;
+                 prev.s_next ())
+          done;
+          let seq_at k = (Lazy.force steps.(k)).s_env in
           Array.init (n + 1) (fun k ->
               lazy
                 (match seq_at k with

@@ -55,12 +55,6 @@ let full_verify ?(seed = 1301) ?(count = 64) (prog : program) (frag : F.t)
   check_batch prog frag summary
     (Statesgen.gen_batch ~seed ~count dom prog frag)
 
-(** Does the candidate hold on this specific set of states? Used by the
-    CEGIS inner loop against its counter-example set Φ. *)
-let holds_on (prog : program) (frag : F.t) (summary : Ir.summary)
-    (states : Minijava.Interp.env list) : bool =
-  match check_batch prog frag summary states with Valid -> true | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Prepared batches: [check_batch] re-derives the entry state and every
    sequential prefix from the raw parameter environment for each
@@ -111,8 +105,8 @@ type one =
   | Passes
   | Refuted of { lr_ran : bool; output : string option }
 
-(** Does the candidate hold on one prepared state (the per-state
-    conjunct of [holds_on])? A refutation says whether any λr was applied
+(** Does the candidate hold on one prepared state (one conjunct of the
+    CEGIS Φ check)? A refutation says whether any λr was applied
     before it was decided ({!Vc.check_prepared}) and names the output
     that disagreed, if one did. *)
 let check_prepared_one (frag : F.t) (summary : Ir.summary) (p : prepared) :

@@ -50,15 +50,6 @@ val full_verify :
   Ir.summary ->
   outcome
 
-(** Does the candidate hold on exactly these states (the CEGIS Φ
-    check)? *)
-val holds_on :
-  Minijava.Ast.program ->
-  F.t ->
-  Ir.summary ->
-  Minijava.Interp.env list ->
-  bool
-
 (** A parameter environment with its candidate-independent verification
     work (entry state, sequential prefixes, truncated datasets) computed
     lazily, once, and shared across candidates. Checking a candidate
@@ -81,7 +72,7 @@ type one =
   | Passes
   | Refuted of { lr_ran : bool; output : string option }
 
-(** Single-state conjunct of [holds_on]. *)
+(** One state's conjunct of the CEGIS Φ check. *)
 val check_prepared_one : F.t -> Ir.summary -> prepared -> one
 
 (** Random values of an IR type, for property checks. *)

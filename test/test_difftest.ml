@@ -49,8 +49,9 @@ let test_roundtrip_generated () =
 (* ---------------- smoke fuzz campaign ---------------- *)
 
 (* A small fixed-seed campaign runs the full differential pipeline —
-   both fastpath modes, every backend, spill, cache and sessions — and must
-   find no divergence. The scheduled CI job runs the big sibling. *)
+   an untraced and a traced search, every backend, spill, cache and
+   sessions — and must find no divergence. The scheduled CI job runs the
+   big sibling. *)
 let test_smoke_campaign () =
   let report =
     Harness.run_campaign ?pool:Testenv.pool ~seed:7 ~count:25

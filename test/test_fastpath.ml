@@ -1,7 +1,9 @@
 (** Tests for the synthesis fast path: hash-consed ids, construction
-    keys, memoized evaluation, and — the load-bearing property — on/off
-    equivalence of [Cegis.find_summary]: the fast path must change how
-    fast the search runs, never what it searches or returns. *)
+    keys, memoized evaluation, fingerprint dedup and the cell caches.
+    Each mechanism is checked against a plain reference of its own
+    (memoized eval against [Eval.eval_expr], id fingerprints against
+    printed strings); [synth.golden] and [verify.incremental] check the
+    search they make up. *)
 
 module Ir = Casper_ir.Lang
 module H = Casper_ir.Hashcons
@@ -14,7 +16,6 @@ module G = Casper_synth.Grammar
 module Cegis = Casper_synth.Cegis
 module Enumerate = Casper_synth.Enumerate
 module Value = Casper_common.Value
-module Suite = Casper_suites.Suite
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -69,7 +70,8 @@ let test_emit_and_construction_keys () =
 
 (* random well-typed integer expressions over x, y — arithmetic the
    evaluator cannot fault on (no division, no floats), conditionals on
-   integer comparisons *)
+   integer comparisons and on their conjunctions, disjunctions and
+   negations, so the memoized short-circuits are exercised *)
 let gen_expr : Ir.expr QCheck.Gen.t =
   let open QCheck.Gen in
   sized @@ fix (fun self n ->
@@ -86,13 +88,23 @@ let gen_expr : Ir.expr QCheck.Gen.t =
         let sub = self (n / 2) in
         let op = oneofl [ Ir.Add; Ir.Sub; Ir.Mul; Ir.Min; Ir.Max ] in
         let cmp = oneofl [ Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge ] in
+        let test = map3 (fun cmp a b -> Ir.Binop (cmp, a, b)) cmp sub sub in
+        let cond =
+          oneof
+            [
+              test;
+              map3
+                (fun op p q -> Ir.Binop (op, p, q))
+                (oneofl [ Ir.And; Ir.Or ])
+                test test;
+              map (fun p -> Ir.Unop (Ir.Not, p)) test;
+            ]
+        in
         oneof
           [
             leaf;
             map3 (fun op a b -> Ir.Binop (op, a, b)) op sub sub;
-            map3
-              (fun (cmp, c) t e -> Ir.If (Ir.Binop (cmp, c, t), t, e))
-              (pair cmp sub) sub sub;
+            map3 (fun c t e -> Ir.If (c, t, e)) cond sub sub;
           ])
 
 let expr_arb =
@@ -134,12 +146,11 @@ let memo_eval_matches_plain =
     (QCheck.triple expr_arb QCheck.small_int QCheck.small_int)
     (fun (e, x, y) ->
       let env = [ ("x", Value.Int x); ("y", Value.Int y) ] in
-      Fastpath.with_enabled true (fun () ->
-          let cv = Memo.wrap env in
-          let plain = Eval.eval_expr env e in
-          Value.equal (Memo.meval cv e) plain
-          (* a second evaluation exercises the memo-hit path *)
-          && Value.equal (Memo.meval cv e) plain))
+      let cv = Memo.wrap env in
+      let plain = Eval.eval_expr env e in
+      Value.equal (Memo.meval cv e) plain
+      (* a second evaluation exercises the memo-hit path *)
+      && Value.equal (Memo.meval cv e) plain)
 
 (* ---------------- observational dedup ---------------- *)
 
@@ -168,19 +179,83 @@ let test_dedupe_cap_during_filter () =
   check "cap is a prefix of the uncapped dedup" true
     (capped = [ List.nth uncapped 0; List.nth uncapped 1; List.nth uncapped 2 ])
 
-(* both fingerprint encodings (interned id arrays / concatenated text)
-   must induce the same dedup partition *)
+(* An emit as printed on each probe: [None] where its guard does not
+   fire (a non-boolean or failing guard does not fire), else the printed
+   key, if any, and value, ["#err"] for a failing evaluation. *)
+let printed_behaviour (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) =
+  let cell env e =
+    match Eval.eval_expr env e with
+    | v -> Value.to_string v
+    | exception _ -> "#err"
+  in
+  Array.to_list
+    (Array.map
+       (fun (cv : Memo.cenv) ->
+         let env = cv.Memo.env in
+         let fires =
+           match guard with
+           | None -> true
+           | Some g -> (
+               match Eval.eval_expr env g with
+               | Value.Bool b -> b
+               | _ -> false
+               | exception _ -> false)
+         in
+         if not fires then None
+         else
+           match payload with
+           | Ir.KV (k, v) -> Some (Some (cell env k), cell env v)
+           | Ir.Val v -> Some (None, cell env v))
+       pools.G.cprobes.Memo.ps_envs)
+
+(* the first [limit] emits of distinct printed behaviour, in order *)
+let printed_dedupe pools ~limit emits =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun e ->
+      let b = printed_behaviour pools e in
+      if Hashtbl.length seen >= limit || Hashtbl.mem seen b then false
+      else (
+        Hashtbl.add seen b ();
+        true))
+    emits
+
+(* the interned id-array fingerprints must keep exactly the emits a
+   dedup by printed values keeps, in the same order, with and without a
+   cap: guarded and unguarded, keyed and plain, values that print alike
+   ([Int 1] and [Float 1.0]), failing values and a non-boolean guard *)
 let test_dedupe_mode_equivalence () =
   let prog, frag = sum_fragment () in
   let pools = G.build prog frag (Cegis.make_probes prog frag) in
-  let emits =
-    List.map (fun i -> { Ir.guard = None; payload = Ir.Val (Ir.CInt (i mod 4)) })
-      [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+  let vals = G.cap 12 (G.exprs_of_ty pools Ir.TInt) in
+  let x = List.hd vals in
+  let vals =
+    vals
+    @ [ Ir.CInt 1; Ir.CFloat 1.0; Ir.Binop (Ir.Div, x, Ir.CInt 0);
+        Ir.Binop (Ir.Div, Ir.CInt 1, Ir.Binop (Ir.Sub, x, x)) ]
   in
-  let fast = Fastpath.with_enabled true (fun () -> Enumerate.dedupe_emits pools emits) in
-  let slow = Fastpath.with_enabled false (fun () -> Enumerate.dedupe_emits pools emits) in
-  check "dedup keeps the same emits in the same order in both modes" true
-    (fast = slow)
+  let guards = Some (Ir.CInt 3) :: G.guards pools ~max_len:6 in
+  let emits =
+    List.concat_map
+      (fun g ->
+        List.concat_map
+          (fun v ->
+            { Ir.guard = g; payload = Ir.Val v }
+            :: List.map
+                 (fun k -> { Ir.guard = g; payload = Ir.KV (k, v) })
+                 (G.cap 4 vals))
+          vals)
+      guards
+  in
+  check "the emits include observational duplicates" true
+    (List.length (printed_dedupe pools ~limit:max_int emits)
+    < List.length emits);
+  List.iter
+    (fun limit ->
+      check (Fmt.str "same emits in the same order (limit %d)" limit) true
+        (Enumerate.dedupe_emits pools ~limit emits
+        = printed_dedupe pools ~limit emits))
+    [ 7; 512; max_int ]
 
 (* ---------------- per-expression cell cache ---------------- *)
 
@@ -188,7 +263,6 @@ let test_dedupe_mode_equivalence () =
    same set is the cached array itself, another set over other
    environments gets its own cells, and [Memo.clear] drops them all *)
 let test_cells_keyed_by_probe_set () =
-  Fastpath.with_enabled true @@ fun () ->
   Memo.clear ();
   let e = H.binop Ir.Add (H.var "x") (H.cint 1) in
   let probes xs = Memo.probe_set (List.map (fun x -> [ ("x", Value.Int x) ]) xs) in
@@ -228,85 +302,10 @@ let test_matrix_search_hits_memo () =
       (An.fragments_of_program prog ~suite:b.suite ~benchmark:b.name)
   in
   let obs = Casper_obs.Obs.create () in
-  ignore (Fastpath.with_enabled true (fun () -> Cegis.find_summary ~obs prog frag));
+  ignore (Cegis.find_summary ~obs prog frag);
   let hits = Casper_obs.Obs.total obs "memo_eval_hits"
   and misses = Casper_obs.Obs.total obs "memo_eval_misses" in
   check (Fmt.str "%d memo hits > %d misses" hits misses) true (hits > misses)
-
-(* ---------------- on/off equivalence of the search ---------------- *)
-
-let equiv_config = { Cegis.default_config with Cegis.max_candidates = 60_000 }
-
-let solutions_equal (a : Cegis.solution list) (b : Cegis.solution list) : bool
-    =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : Cegis.solution) (y : Cegis.solution) ->
-         x.Cegis.summary = y.Cegis.summary
-         && x.klass = y.klass
-         && x.comm_assoc = y.comm_assoc
-         && Float.equal x.static_cost y.static_cost)
-       a b
-
-(* the searched candidate order and the returned solutions and stats
-   (modulo elapsed time) must be bit-identical with the fast path on and
-   off, for every supported fragment of the given benchmarks. The off
-   path builds and checks every candidate one by one, so on == off also
-   pins the counts of the candidates the fast path leaves unbuilt. *)
-let equivalence ?(config = equiv_config) (benches : Suite.benchmark list) ()
-    =
-  List.iter
-    (fun (b : Suite.benchmark) ->
-      let prog = Minijava.Parser.parse_program b.source in
-      let frags =
-        An.fragments_of_program prog ~suite:b.suite ~benchmark:b.name
-      in
-      List.iter
-        (fun (f : F.t) ->
-          if f.F.unsupported = None then begin
-            let slow =
-              Fastpath.with_enabled false (fun () ->
-                  Cegis.find_summary ~config prog f)
-            in
-            let fast =
-              Fastpath.with_enabled true (fun () ->
-                  Cegis.find_summary ~config prog f)
-            in
-            let tag what = b.Suite.name ^ ": " ^ what in
-            check_int
-              (tag "candidates tried")
-              slow.Cegis.stats.Cegis.candidates_tried
-              fast.Cegis.stats.Cegis.candidates_tried;
-            check_int
-              (tag "cegis iterations")
-              slow.Cegis.stats.Cegis.cegis_iterations
-              fast.Cegis.stats.Cegis.cegis_iterations;
-            check_int (tag "tp failures") slow.Cegis.stats.Cegis.tp_failures
-              fast.Cegis.stats.Cegis.tp_failures;
-            check_int
-              (tag "classes explored")
-              slow.Cegis.stats.Cegis.classes_explored
-              fast.Cegis.stats.Cegis.classes_explored;
-            check (tag "timed out") slow.Cegis.stats.Cegis.timed_out
-              fast.Cegis.stats.Cegis.timed_out;
-            check (tag "solutions") true
-              (solutions_equal slow.Cegis.solutions fast.Cegis.solutions)
-          end)
-        frags)
-    benches
-
-let equivalence_on_suite (suite_name : string) =
-  equivalence (List.assoc suite_name Casper_suites.Registry.suites)
-
-(* explore_all keeps searching past verified summaries, so refuted
-   families and re-enumerated candidates include blocked ones (Ω ∪ Δ);
-   on these fragments some [Bulk] items do, and they must count as the
-   blocked candidates they hold are skipped one by one *)
-let explore_all_equivalence =
-  equivalence
-    ~config:{ equiv_config with Cegis.explore_all = true; max_solutions = 50 }
-    (List.map Casper_suites.Registry.find_benchmark
-       [ "AllPositive"; "Trails" ])
 
 (* ---------------- suite ---------------- *)
 
@@ -338,24 +337,5 @@ let suite =
           test_cells_keyed_by_probe_set;
         Alcotest.test_case "matrix search reuses element envs" `Quick
           test_matrix_search_hits_memo;
-      ] );
-    ( "fastpath.equivalence",
-      [
-        Alcotest.test_case "Phoenix: fast path on == off" `Slow
-          (equivalence_on_suite "Phoenix");
-        Alcotest.test_case "Ariths: fast path on == off" `Slow
-          (equivalence_on_suite "Ariths");
-        Alcotest.test_case "Stats: fast path on == off" `Slow
-          (equivalence_on_suite "Stats");
-        Alcotest.test_case "Fiji: fast path on == off" `Slow
-          (equivalence_on_suite "Fiji");
-        Alcotest.test_case "TPC-H: fast path on == off" `Slow
-          (equivalence_on_suite "TPC-H");
-        Alcotest.test_case "Biglambda: fast path on == off" `Slow
-          (equivalence_on_suite "Biglambda");
-        Alcotest.test_case "Iterative: fast path on == off" `Slow
-          (equivalence_on_suite "Iterative");
-        Alcotest.test_case "explore_all: fast path on == off" `Slow
-          explore_all_equivalence;
       ] );
   ]

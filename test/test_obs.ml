@@ -441,12 +441,8 @@ let table2_search_words (obs : Obs.ctx) : float =
 (* The instrumentation budget (DESIGN.md §9): an enabled trace may
    allocate under 2% more than a disabled one on the Table 2 search.
    The untraced pass already carries every Obs call as a no-op, so this
-   bounds disabled tracing too. The first pass in a process allocates
-   about 1.7% more than every later one, and the later ones agree to
-   the word, so a first pass is run and discarded before the two
-   measured passes. *)
+   bounds disabled tracing too. *)
 let test_tracing_overhead () =
-  ignore (table2_search_words Obs.null);
   let plain = table2_search_words Obs.null in
   let traced = table2_search_words (Obs.create ()) in
   let pct = 100.0 *. ((traced /. plain) -. 1.0) in

@@ -249,6 +249,30 @@ let test_unsupported_short_circuits () =
   (* probes only rank solutions: with none, no probe set is built *)
   check "no probe set built" false (Cegis.probes_built prog frag)
 
+(* the probe cache holds one fragment's probes: a search drops those of
+   the fragment searched before it, and keeps its own for the cost
+   pruning that follows it *)
+let test_probe_cache_one_fragment () =
+  let prog_a, frag_a = fragment
+    "int f(int[] d, int n) { int s = 0; for (int i = 0; i < n; i++) s += d[i]; return s; }"
+  in
+  let prog_b, frag_b = fragment
+    "int f(int[] d, int n) { int c = 0; for (int i = 0; i < n; i++) { if (d[i] > 0) c += 1; } return c; }"
+  in
+  let solved prog frag =
+    not
+      (List.is_empty
+         (Cegis.find_summary ~config:fast_config prog frag).Cegis.solutions)
+  in
+  check "A solved" true (solved prog_a frag_a);
+  check "A's probes kept after its search" true
+    (Cegis.probes_built prog_a frag_a);
+  check "B solved" true (solved prog_b frag_b);
+  check "B's search dropped A's probes" false
+    (Cegis.probes_built prog_a frag_a);
+  check "B's probes kept after its search" true
+    (Cegis.probes_built prog_b frag_b)
+
 (* ---------------- family verdicts ---------------- *)
 
 module Vc = Casper_vcgen.Vc
@@ -480,6 +504,68 @@ let test_projection_marks_the_failing_output () =
 
 (* ---------------- work left unbuilt ---------------- *)
 
+(* A [Bulk] item stands for the candidates the dead sets refute, in
+   enumeration order: expanding each item of an enumeration under dead
+   sets, a [Cand] to its key and a [Bulk] to its [cids] (exactly [n] of
+   them), gives the keys the same enumeration yields with nothing dead.
+   The dead sets here refute every third candidate key, every fifth
+   family and every seventh candidate's projections among the first
+   4,000 candidates, so both [Bulk] paths (a family's rest, a keyed
+   row's product) are taken. *)
+let test_bulk_expands_to_candidates () =
+  let module E = Casper_synth.Enumerate in
+  let word_count =
+    let b = Casper_suites.Registry.find_benchmark "WordCount" in
+    let prog = Parser.parse_program b.source in
+    (prog, List.hd (An.fragments_of_program prog ~suite:b.suite
+                      ~benchmark:b.name))
+  in
+  List.iter
+    (fun (prog, frag) ->
+      let pools = G.build prog frag (Cegis.make_probes prog frag) in
+      let items dead =
+        List.to_seq (G.classes frag)
+        |> Seq.concat_map (fun k -> E.candidates ~dead prog frag pools k)
+      in
+      let all =
+        items (E.make_dead ())
+        |> Seq.filter_map (function E.Cand c -> Some c | E.Bulk _ -> None)
+        |> Seq.take 4000 |> List.of_seq
+      in
+      let dead = E.make_dead () in
+      List.iteri
+        (fun i (c : E.cand) ->
+          if i mod 3 = 0 then Hashtbl.replace dead.E.cands c.E.key ();
+          if i mod 5 = 0 then Hashtbl.replace dead.E.scopes c.E.family ();
+          if i mod 7 = 0 then
+            List.iter
+              (fun (_, p) -> Hashtbl.replace dead.E.scopes p ())
+              c.E.projs)
+        all;
+      let bulks = ref 0 in
+      let expanded =
+        items dead
+        |> Seq.concat_map (function
+             | E.Cand c ->
+                 check "a built candidate is not refuted" false
+                   (Hashtbl.mem dead.E.cands c.E.key
+                   || E.scope_dead dead ~family:c.E.family ~projs:c.E.projs);
+                 Seq.return c.E.key
+             | E.Bulk { n; cids } ->
+                 incr bulks;
+                 let cids = Lazy.force cids in
+                 check_int "a Bulk holds n candidate keys" n
+                   (List.length cids);
+                 List.to_seq cids)
+        |> Seq.take (List.length all) |> List.of_seq
+      in
+      check "some candidates are left unbuilt" true (!bulks > 0);
+      Alcotest.(check (list int))
+        "expanded keys are the enumeration with nothing dead"
+        (List.map (fun (c : E.cand) -> c.E.key) all)
+        expanded)
+    [ two_sums (); word_count ]
+
 (* Bulk items stand in for most candidates on the largest fragments
    that end without a summary; [candidates_tried] counts them all *)
 let test_unbuilt_share () =
@@ -542,6 +628,8 @@ let base_suite =
           test_blocking_makes_progress;
         Alcotest.test_case "unsupported short-circuits" `Quick
           test_unsupported_short_circuits;
+        Alcotest.test_case "probe cache holds one fragment" `Quick
+          test_probe_cache_one_fragment;
       ] );
     ( "synth.family",
       [
@@ -558,6 +646,8 @@ let base_suite =
           `Quick test_projection_marks_the_failing_output;
         Alcotest.test_case "no-solution fragments stay mostly unbuilt" `Slow
           test_unbuilt_share;
+        Alcotest.test_case "Bulk items expand to the enumeration" `Quick
+          test_bulk_expands_to_candidates;
       ] );
   ]
 
@@ -598,33 +688,52 @@ let test_while_counted_loop () =
 (* What the search decides for every Table-2 fragment at the default
    configuration: the counts of Figure 5's loops and the printed
    solution list, cost-sorted. Search optimizations must leave all of it
-   byte-identical; [elapsed_s] is the only statistic left out. *)
+   byte-identical; [elapsed_s] is the only statistic left out.
+
+   The file ends with two fragments searched with [explore_all], whose
+   lines start with "explore_all ". Climbing past verified classes
+   re-enumerates candidates already blocked (Ω ∪ Δ), some of them inside
+   [Bulk] items of refuted families; their counts pin that a [Bulk]
+   item counts its blocked candidates as skipped, which no default
+   search reaches. *)
+let explore_all_config =
+  {
+    Cegis.default_config with
+    Cegis.max_candidates = 60_000;
+    explore_all = true;
+    max_solutions = 50;
+  }
+
 let search_outcomes () : string =
   let b = Buffer.create 65536 in
+  let outcomes ?config ~prefix (bench : Casper_suites.Suite.benchmark) =
+    let r =
+      Casper_core.Casper.translate_source ?config ~suite:bench.suite
+        ~benchmark:bench.name bench.source
+    in
+    List.iter
+      (fun (t : Casper_core.Casper.translation) ->
+        let o = t.outcome and st = t.outcome.Cegis.stats in
+        Printf.bprintf b
+          "%s%s/%s tried=%d iters=%d tp=%d classes=%d timed_out=%b\n" prefix
+          bench.name t.frag.F.frag_id st.Cegis.candidates_tried
+          st.Cegis.cegis_iterations st.Cegis.tp_failures
+          st.Cegis.classes_explored st.Cegis.timed_out;
+        List.iter
+          (fun (s : Cegis.solution) ->
+            Printf.bprintf b "  class=%d ca=%b cost=%.17g %s\n" s.klass
+              s.comm_assoc s.static_cost
+              (String.concat " "
+                 (String.split_on_char '\n' (Ir.summary_to_string s.summary))))
+          o.Cegis.solutions)
+      r.translations
+  in
+  List.iter (outcomes ~prefix:"") Casper_suites.Registry.all_benchmarks;
   List.iter
-    (fun (bench : Casper_suites.Suite.benchmark) ->
-      let r =
-        Casper_core.Casper.translate_source ~suite:bench.suite
-          ~benchmark:bench.name bench.source
-      in
-      List.iter
-        (fun (t : Casper_core.Casper.translation) ->
-          let o = t.outcome and st = t.outcome.Cegis.stats in
-          Printf.bprintf b
-            "%s/%s tried=%d iters=%d tp=%d classes=%d timed_out=%b\n"
-            bench.name t.frag.F.frag_id st.Cegis.candidates_tried
-            st.Cegis.cegis_iterations st.Cegis.tp_failures
-            st.Cegis.classes_explored st.Cegis.timed_out;
-          List.iter
-            (fun (s : Cegis.solution) ->
-              Printf.bprintf b "  class=%d ca=%b cost=%.17g %s\n" s.klass
-                s.comm_assoc s.static_cost
-                (String.concat " "
-                   (String.split_on_char '\n'
-                      (Ir.summary_to_string s.summary))))
-            o.Cegis.solutions)
-        r.translations)
-    Casper_suites.Registry.all_benchmarks;
+    (fun name ->
+      outcomes ~config:explore_all_config ~prefix:"explore_all "
+        (Casper_suites.Registry.find_benchmark name))
+    [ "AllPositive"; "Trails" ];
   Buffer.contents b
 
 (* On a mismatch the actual outcomes are written next to the test

@@ -85,6 +85,17 @@ if grep -rnE --exclude=check_hygiene.sh "$perf" lib bin bench test tools .github
   fail=1
 fi
 
+# One search path: the synthesis fast path is how the search runs, not
+# a domain-local switch with an uncached copy of the search behind it.
+# The switch, the printed-text blocked set, the oracle's knobs that had
+# one value and the bench's one-span-per-section trace flag are gone.
+onepath='Fastpath\.enabled'
+onepath="$onepath"'|\b(with_enabled|enabled_key|blocked_text|check_fastpath|check_spill|check_cache|check_session|trace_path)\b'
+if grep -rnE "$onepath" --include='*.ml' --include='*.mli' lib bin bench test; then
+  echo "the deleted fast-path switch, oracle knobs or bench trace flag reappeared"
+  fail=1
+fi
+
 # No library, executable or test links the deleted scheduler.
 if grep -rnw 'sched' --include='dune' lib bin bench test examples perfbench; then
   echo "a dune file names the deleted sched library"
