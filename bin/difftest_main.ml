@@ -74,10 +74,10 @@ let run seed count backend minimize corpus out budget jobs =
             | None -> Mapreduce.Exec_config.jobs_of_env ()
           in
           let report =
-            Par.with_pool ~jobs:(Par.recommended_jobs jobs) @@ fun pool ->
             Difftest.Harness.run_campaign
               ~log:(fun m -> Fmt.pr "%s@." m)
-              ~config ~pool ~seed ~count ~minimize ()
+              ~config ~jobs:(Par.recommended_jobs jobs) ~seed ~count ~minimize
+              ()
           in
           Fmt.pr
             "@.campaign seed %d: %d programs — %d translated, %d skipped, \
@@ -144,7 +144,7 @@ let jobs_arg =
     value
     & opt (some positive_int) None
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Domain-pool size, at least 1 and clamped to the host's \
+        ~doc:"Domains per wave, at least 1 and clamped to the host's \
               cores: programs are checked in parallel waves of 4×$(docv) \
               (default: \\$CASPER_JOBS, else 1). The campaign report is \
               byte-identical at any value.")

@@ -96,7 +96,7 @@ let translate_fragment ?(obs = Obs.null) ?(config = Cegis.default_config)
    per fragment), so the fragments of one program are translated
    concurrently, one domain per supported fragment up to the host's core
    count. The domains exit as their last fragment ends rather than wait
-   in a pool (DESIGN.md §10). Each fragment records into a child trace
+   for work (DESIGN.md §10). Each fragment records into a child trace
    context made on the domain that runs it; the children are grafted in
    fragment order, up to and including the first that raised, which is
    the trace a sequential run leaves. *)

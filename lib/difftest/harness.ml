@@ -39,16 +39,17 @@ let still_fails cfg ~name p =
 
 (** Run [count] generated programs through the oracle.
 
-    With a [pool] (default: none, and the campaign runs inline),
-    programs are generated sequentially from the campaign rng — program
-    [i] of campaign [seed] is the same at any pool size — then checked
-    concurrently in waves of [4 × pool size], and the wave's verdicts
-    are folded into the report in index order. A program's verdict is
-    independent of every other program's (the oracle's caches are
-    domain-local and outcome-transparent), so the report — counts, skip
-    reasons, failures, log lines — is byte-identical at any pool size.
-    Shrinking runs on the submitting domain, off the critical path. *)
-let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?pool
+    Programs are generated sequentially from the campaign rng — program
+    [i] of campaign [seed] is the same at any [jobs] (default 1: the
+    campaign runs inline) — then checked in waves of [4 × jobs], each
+    wave mapped across [jobs] domains spawned for it
+    ({!Casper_par.Par.spawn_map}), and the wave's verdicts are folded
+    into the report in index order. A program's verdict is independent
+    of every other program's (the oracle's caches are domain-local and
+    outcome-transparent), so the report — counts, skip reasons,
+    failures, log lines — is byte-identical at any [jobs]. Shrinking
+    runs on the submitting domain, off the critical path. *)
+let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?(jobs = 1)
     ~(seed : int) ~(count : int) ~(minimize : bool) () : report =
   let cfg =
     match config with Some c -> c | None -> Oracle.default_config ~seed ()
@@ -58,11 +59,11 @@ let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?pool
   let skipped = ref 0 in
   let skip_reasons = ref [] in
   let failures = ref [] in
-  let wave_size = 4 * Option.fold pool ~none:1 ~some:Par.size in
+  let wave_size = 4 * jobs in
   let index = ref 0 in
   while !index < count do
     let n = min wave_size (count - !index) in
-    (* generation order must not depend on the pool: draw the whole wave
+    (* generation order must not depend on [jobs]: draw the whole wave
        from the rng before dispatching *)
     let wave = ref [] in
     for k = 0 to n - 1 do
@@ -74,11 +75,7 @@ let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?pool
       let name = Fmt.str "%s-%d" g.Gen.shape i in
       (i, g, Oracle.check_parsed cfg ~name g.Gen.prog)
     in
-    let verdicts =
-      match pool with
-      | Some p -> Par.parallel_map p check wave
-      | None -> List.map check wave
-    in
+    let verdicts = Par.spawn_map ~jobs check wave in
     List.iter
       (fun (i, g, verdict) ->
         (match verdict with

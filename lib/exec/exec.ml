@@ -46,8 +46,10 @@ module Session = struct
 
   type t = {
     m : Mutex.t;  (** guards every mutable field below *)
-    cv : Condition.t;  (** any job state change *)
-    pool : Par.pool;
+    cv : Condition.t;
+        (** a job changed state or became ready, or a runner exited *)
+    ready : job Queue.t;  (** dispatched jobs no domain has taken yet *)
+    max_runners : int;
     obs : Obs.ctx;
     base : Config.t;  (** per-job engine config, cancel token excepted *)
     concurrency : int;
@@ -67,6 +69,9 @@ module Session = struct
     mutable q_hw : int;
     mutable l_hw : int;
     mutable log : job list;  (** every admitted job, newest first *)
+    mutable runners : unit Domain.t list;  (** runner domains taking jobs *)
+    mutable exited : unit Domain.t list;
+        (** the runner that exited last, not yet joined *)
   }
 
   let now () = Unix.gettimeofday ()
@@ -78,14 +83,13 @@ module Session = struct
     in
     let concurrency = at_least_1 1 config.Config.concurrency in
     let queue_capacity = at_least_1 64 config.Config.queue_capacity in
-    (* admission slots stay at [concurrency]; the pool that runs the
-       dispatched jobs is clamped to the host's cores, because an idle
-       worker still joins every stop-the-world minor collection
-       (DESIGN.md §10) and a job beyond the pool's size simply waits in
-       its queue. Silently: admission is unchanged, so there is nothing
-       to warn about (unlike [Par.recommended_jobs]). *)
-    let pool =
-      Par.create ~jobs:(min concurrency (Domain.recommended_domain_count ()))
+    (* admission slots stay at [concurrency]; the domains that run the
+       dispatched jobs (the waiting caller and its runners) are clamped
+       to the host's cores, and a job beyond them simply waits in
+       [ready]. Silently: admission is unchanged, so there is nothing to
+       warn about (unlike [Par.recommended_jobs]). *)
+    let max_runners =
+      min concurrency (Domain.recommended_domain_count ()) - 1
     in
     (* one spill/ledger budget shared by every job; [<= 0] means
        unbounded, as in the engine *)
@@ -102,7 +106,7 @@ module Session = struct
         config with
         (* engine spans mutate the owner's span stack, so jobs trace
            only when at most one runs at a time (and then on the owner,
-           which executes them while helping in [await]/[drain]) *)
+           which runs them while waiting in [await]/[drain]) *)
         obs = (if concurrency = 1 then config.Config.obs else None);
         concurrency = Some concurrency;
         queue_capacity = Some queue_capacity;
@@ -111,7 +115,8 @@ module Session = struct
     {
       m = Mutex.create ();
       cv = Condition.create ();
-      pool;
+      ready = Queue.create ();
+      max_runners;
       obs;
       base;
       concurrency;
@@ -131,14 +136,16 @@ module Session = struct
       q_hw = 0;
       l_hw = 0;
       log = [];
+      runners = [];
+      exited = [];
     }
 
   let concurrency t = t.concurrency
   let queue_capacity t = t.queue_capacity
   let job_id (j : job) = j.id
 
-  (* run one job on whatever domain took its pool task; called outside the
-     session mutex *)
+  (* run one job on whatever domain took it from [ready]; called outside
+     the session mutex *)
   let rec run_job (t : t) (j : job) : unit =
     j.t_start <- now ();
     let outcome =
@@ -189,10 +196,40 @@ module Session = struct
           t.running <- t.running + 1;
           t.ledger <- t.ledger + j.j_bytes;
           if t.ledger > t.l_hw then t.l_hw <- t.ledger;
-          Par.async t.pool (fun () -> run_job t j);
+          Queue.add j t.ready;
+          if List.length t.runners < t.max_runners then
+            Option.iter
+              (fun d -> t.runners <- d :: t.runners)
+              (Par.spawn (runner t));
+          Condition.broadcast t.cv;
           pump t
         end
     | _ -> ()
+
+  (* A runner domain takes ready jobs until none is left, then exits:
+     no domain waits idle for jobs, since an idle domain still joins
+     every stop-the-world minor collection (DESIGN.md §10). It leaves
+     its handle for the next runner to exit (or [shutdown]) to join, and
+     joins the one left before it. [pump] adds a runner to [runners]
+     before the runner can take the mutex, so it is there to remove. *)
+  and runner (t : t) () : unit =
+    Mutex.lock t.m;
+    match Queue.take_opt t.ready with
+    | Some j ->
+        Mutex.unlock t.m;
+        run_job t j;
+        runner t ()
+    | None ->
+        let me = Domain.self () in
+        let mine, others =
+          List.partition (fun d -> Domain.get_id d = me) t.runners
+        in
+        let before = t.exited in
+        t.runners <- others;
+        t.exited <- mine;
+        Condition.broadcast t.cv;
+        Mutex.unlock t.m;
+        List.iter Domain.join before
 
   let dataset_bytes (datasets : (string * Value.t list) list) : int =
     List.fold_left
@@ -275,24 +312,22 @@ module Session = struct
             Condition.broadcast t.cv;
             true)
 
-  (* Wait until [finished t] (checked under the mutex), helping execute
-     queued pool tasks in between: on a concurrency-1 session the
-     owner domain is the only executor, so waiting must double as
-     working. When nothing is takeable and the condition still fails,
-     some worker is mid-job and will broadcast [cv]. *)
+  (* Wait until [finished t] (checked under the mutex), running ready
+     jobs in between: on a concurrency-1 session the waiting caller is
+     the only executor, so waiting must double as working. When no job
+     is ready and the condition still fails, some runner is mid-job and
+     will broadcast [cv]. *)
   let wait_until (t : t) (finished : unit -> bool) : unit =
-    let rec loop () =
-      let don = Mutex.protect t.m finished in
-      if not don then
-        if Par.help t.pool then loop ()
-        else begin
-          Mutex.lock t.m;
-          if not (finished ()) then Condition.wait t.cv t.m;
+    Mutex.lock t.m;
+    while not (finished ()) do
+      match Queue.take_opt t.ready with
+      | Some j ->
           Mutex.unlock t.m;
-          loop ()
-        end
-    in
-    loop ()
+          run_job t j;
+          Mutex.lock t.m
+      | None -> Condition.wait t.cv t.m
+    done;
+    Mutex.unlock t.m
 
   let await (t : t) (j : job) : outcome =
     wait_until t (fun () ->
@@ -300,7 +335,8 @@ module Session = struct
     match j.jstate with Done o -> o | _ -> assert false
 
   let drain (t : t) : unit =
-    wait_until t (fun () -> t.queued_n = 0 && t.running = 0)
+    wait_until t (fun () ->
+        t.queued_n = 0 && t.running = 0 && List.is_empty t.runners)
 
   let stats (t : t) : stats =
     Mutex.protect t.m (fun () ->
@@ -357,11 +393,17 @@ module Session = struct
         s)
     in
     (* drain even when called twice: a second caller still waits for
-       in-flight jobs, but only the first flushes obs / frees the pool *)
+       in-flight jobs, but only the first flushes obs. [drain] leaves no
+       runner taking jobs; joining the last one to exit leaves none
+       alive *)
     drain t;
     if not already then begin
       emit_obs t;
-      Par.shutdown t.pool
+      List.iter Domain.join
+        (Mutex.protect t.m (fun () ->
+             let e = t.exited in
+             t.exited <- [];
+             e))
     end
 
   let with_session ?config f =

@@ -1,5 +1,5 @@
 (** Long-lived execution sessions: many plans in flight against one
-    session-owned domain pool, one shared lineage cache and one
+    session's own runner domains, one shared lineage cache and one
     live-byte ledger, with admission control, priorities, deadlines and
     cooperative cancellation.
 
@@ -7,10 +7,10 @@
     is the serving front door the one-shot API is re-expressed on.
     Jobs enter a bounded admission queue ({!Session.submit}; a full
     queue rejects with {!Session.Overloaded}), a bounded-concurrency
-    dispatcher moves them onto the session pool as slots and ledger
-    bytes free up, and each job runs the plan through the ordinary
-    engine with the session's shared configuration. Because every job
-    executes inside one pool task, on one domain, and the shared cache
+    dispatcher makes them ready as slots and ledger bytes free up, and
+    each job runs the plan through the ordinary engine with the
+    session's shared configuration. Because every job executes on one
+    domain, start to finish, and the shared cache
     serves byte-identical results by contract,
     each job's output and stage metrics are byte-identical to a solo
     [run_plan] at any concurrency × job mix × budget — concurrency
@@ -60,8 +60,8 @@ module Session : sig
     queued : int;  (** jobs waiting in the admission queue right now *)
     running : int;
         (** jobs dispatched and not yet finished: each holds an
-            admission slot, though it may still wait in the pool's queue
-            for a domain to run it *)
+            admission slot, though it may still wait for a domain to
+            run it *)
     queue_high_water : int;  (** deepest the admission queue has been *)
     ledger_bytes : int;  (** input bytes of running jobs right now *)
     ledger_high_water : int;
@@ -72,10 +72,14 @@ module Session : sig
 
       [config.concurrency] (default 1) bounds the jobs dispatched at
       once; [config.queue_capacity] (default 64) bounds the admission
-      queue. The session creates and owns a pool of
-      [min concurrency (Domain.recommended_domain_count ())] domains,
-      released by {!shutdown}; dispatched jobs beyond its size wait in
-      its queue. [config.cache] is the shared lineage cache (absent:
+      queue. Dispatched jobs run on the caller waiting in {!await} or
+      {!drain} and on up to
+      [min concurrency (Domain.recommended_domain_count ()) - 1] runner
+      domains the session spawns as jobs become ready; a runner exits
+      as soon as no job is ready, so at concurrency 1 the waiting
+      caller runs every job and no domain is spawned, and an idle
+      session holds no domain. Dispatched jobs beyond those domains
+      wait to be taken. [config.cache] is the shared lineage cache (absent:
       none). [config.memory_budget] is both each job's spill budget
       and the session's ledger budget: a job whose input bytes would
       overflow the ledger waits (it is never rejected for size — a lone
@@ -123,20 +127,21 @@ module Session : sig
       finished (its outcome stands). *)
   val cancel : t -> job -> bool
 
-  (** Block until the job finishes (helping execute queued work, so a
+  (** Block until the job finishes (running ready jobs, so a
       concurrency-1 session makes progress inside [await]). Returns the
       outcome — never raises for job-level failures. *)
   val await : t -> job -> outcome
 
-  (** Block until every admitted job has finished. *)
+  (** Block until every admitted job has finished and every runner
+      domain has exited. *)
   val drain : t -> unit
 
   val stats : t -> stats
 
   (** Refuse new submissions, {!drain}, flush the session's obs story
       (an ["exec.session"] span carrying the {!stats} counters and one
-      completed span per job on the ["exec"] track), and release the
-      owned pool. Idempotent. *)
+      completed span per job on the ["exec"] track), and join the last
+      runner domain, so none outlives the session. Idempotent. *)
   val shutdown : t -> unit
 
   (** [create], run, {!shutdown} — also on exceptions. *)

@@ -28,21 +28,16 @@
     is keyed by. A fragment search runs on one domain from start to
     finish, and [clear] (top of every [find_summary]) resets that
     domain's shard, so caches never leak results across searches and
-    never across domains. Env and probe-set ids come from process-wide
-    [Atomic] counters: two domains searching at once never hand out the
-    same id. *)
+    never across domains. Env and probe-set ids count up in the shard
+    too, and are never reset: every [cenv] and [probe_set] is made and
+    used inside one fragment's search, on one domain, so an id is unique
+    among the ids that domain's tables ever see. *)
 
 module Value = Casper_common.Value
 module Library = Casper_common.Library
 open Lang
 
 type cenv = { env_id : int; env : Eval.env }
-
-(* process-wide, so ids stay unique while several domains search *)
-let env_counter = Atomic.make 0
-
-let wrap (env : Eval.env) : cenv =
-  { env_id = Atomic.fetch_and_add env_counter 1 + 1; env }
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain memo shard                                               *)
@@ -57,6 +52,8 @@ type shard = {
       (** (guard id, probe-set id) -> where the guard fires *)
   elt_envs_tbl : (int * string * string list, elt_cache) Hashtbl.t;
   emit_fp : (int * int * int, int array) Hashtbl.t;
+  mutable env_last : int;  (** the last env id handed out *)
+  mutable probe_set_last : int;  (** the last probe-set id handed out *)
 }
 
 and elt_cache = {
@@ -80,9 +77,16 @@ let shard_key : shard Domain.DLS.key =
         fires_tbl = Hashtbl.create 256;
         elt_envs_tbl = Hashtbl.create 256;
         emit_fp = Hashtbl.create 4096;
+        env_last = 0;
+        probe_set_last = 0;
       })
 
 let shard () : shard = Domain.DLS.get shard_key
+
+let wrap (env : Eval.env) : cenv =
+  let sh = shard () in
+  sh.env_last <- sh.env_last + 1;
+  { env_id = sh.env_last; env }
 
 (** Fast-path cache of emit fingerprints, keyed by the interned ids of
     the emit's components: [(guard, key, value)] for key-value payloads,
@@ -101,7 +105,7 @@ let emit_fp_tbl () : (int * int * int, int array) Hashtbl.t =
 (* Memoized evaluation                                                 *)
 
 (* (expr id, env id) packed into one immediate int: both counters are
-   process-monotonic but stay far below 2^31, and an unboxed key avoids
+   domain-monotonic but stay far below 2^31, and an unboxed key avoids
    allocating a tuple per cache probe *)
 let key (eid : int) (env_id : int) : int = (eid lsl 31) lor env_id
 
@@ -191,13 +195,11 @@ let bool_of (cv : cenv) (e : expr) : bool option =
     share cells even when they fingerprint the same expression. *)
 type probe_set = { ps_id : int; ps_envs : cenv array }
 
-(* process-wide, like [env_counter]: a probe set made on one domain may
-   be fingerprinted on another *)
-let probe_set_counter = Atomic.make 0
-
 let probe_set (probes : Eval.env list) : probe_set =
+  let sh = shard () in
+  sh.probe_set_last <- sh.probe_set_last + 1;
   {
-    ps_id = Atomic.fetch_and_add probe_set_counter 1 + 1;
+    ps_id = sh.probe_set_last;
     ps_envs = Array.of_list (List.map wrap probes);
   }
 

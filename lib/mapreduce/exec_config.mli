@@ -7,15 +7,15 @@
     no spill, spill files under the system temp directory, no cache,
     session concurrency 1, admission queue 64 — at every level; no
     process-global default sits between a field and the built-in. No
-    field carries a domain pool: an engine run executes on the domain
-    that calls it, and a session creates and owns its pool.
+    field carries domains: an engine run executes on the domain that
+    calls it, and a session spawns its own runners.
 
     The environment enters only through this module: {!of_env} reads
     [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET],
     [CASPER_EXEC_CONCURRENCY], [CASPER_EXEC_QUEUE] and
     [CASPER_SPILL_DIR], and {!jobs_of_env} reads [CASPER_JOBS]. A binary
     that wants the environment calls them once and passes the record on
-    (and sizes any pool it creates itself from [jobs_of_env]); the
+    (and sizes any map it spawns itself from [jobs_of_env]); the
     library itself never reads these variables. *)
 
 module Value = Casper_common.Value
@@ -94,12 +94,11 @@ val default : t
     variable that is unset, or not a positive integer, leaves its field
     [None]; a non-integer also warns once. An unset or empty
     [CASPER_SPILL_DIR] leaves [spill_dir] [None].
-    Each call reads the environment afresh and builds a new cache. It
-    builds no pool: a pool owns domains its creator must shut down. *)
+    Each call reads the environment afresh and builds a new cache. *)
 val of_env : unit -> t
 
-(** The pool size [CASPER_JOBS] asks for: the variable when it is a
+(** The domain count [CASPER_JOBS] asks for: the variable when it is a
     positive integer, else 1 (any other value also warns once). For a
-    binary or test suite that sizes a pool it creates and owns (the
-    difftest campaign's waves). *)
+    binary or test suite that sizes the maps it spawns (the difftest
+    campaign's waves). *)
 val jobs_of_env : unit -> int

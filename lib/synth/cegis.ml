@@ -547,8 +547,8 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
         lazy
           (let dom = Statesgen.full_domain frag in
            Verifier.prepare_batch prog frag
-             (Statesgen.gen_batch ~seed:1301 ~count:config.full_states dom
-                prog frag))
+             (Statesgen.gen_batch ~seed:Verifier.full_seed
+                ~count:config.full_states dom prog frag))
       in
       let full_verify_c (c : Ir.summary) (cid : int) : Verifier.outcome =
         match Hashtbl.find_opt st.full_verdicts cid with
@@ -744,8 +744,8 @@ and decompose_multi_output ~(obs : Obs.ctx) ~(config : config) prog
         lazy
           (let dom = Statesgen.full_domain frag in
            Verifier.prepare_batch prog frag
-             (Statesgen.gen_batch ~seed:1301 ~count:config.full_states dom
-                prog frag))
+             (Statesgen.gen_batch ~seed:Verifier.full_seed
+                ~count:config.full_states dom prog frag))
       in
       let valid s =
         match Verifier.check_prepared_batch frag s (Lazy.force prepared) with

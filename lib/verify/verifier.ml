@@ -48,8 +48,10 @@ let bounded_check ?(seed = 11) ?(count = 24) (prog : program) (frag : F.t)
   check_batch prog frag summary
     (Statesgen.gen_batch ~seed ~count dom prog frag)
 
+let full_seed = 1301
+
 (** Phase 2: full verification over the large domain. *)
-let full_verify ?(seed = 1301) ?(count = 64) (prog : program) (frag : F.t)
+let full_verify ?(seed = full_seed) ?(count = 64) (prog : program) (frag : F.t)
     (summary : Ir.summary) : outcome =
   let dom = Statesgen.full_domain frag in
   check_batch prog frag summary

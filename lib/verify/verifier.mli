@@ -41,7 +41,14 @@ val bounded_check :
   Ir.summary ->
   outcome
 
-(** Phase 2 over the large adversarial domain. *)
+(** The seed phase 2 draws its states from, in {!full_verify} and in the
+    search's prepared full batch ([Cegis]). {!Statesgen.gen_batch} draws
+    states in order from one seed, so a longer batch extends a shorter
+    one. *)
+val full_seed : int
+
+(** Phase 2 over the large adversarial domain ([seed] defaults to
+    {!full_seed}). *)
 val full_verify :
   ?seed:int ->
   ?count:int ->

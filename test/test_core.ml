@@ -98,9 +98,9 @@ let test_lowest_index_exception () =
   check_str "swapped, the other one raises" "Failure(\"nth\")" seq;
   check_str "and wins" seq par
 
-(* Inside a pool task the fragments run inline on the task's domain, so
-   that domain's fast-path counters see all of their work. *)
-let test_inline_in_pool_task () =
+(* Inside a spawn_map task the fragments run inline on the task's
+   domain, so that domain's fast-path counters see all of their work. *)
+let test_inline_in_spawn_map_task () =
   let prog, frags = parse (Casper_suites.Registry.find_benchmark "Q17") in
   let units () = (Fastpath.counters ()).Fastpath.loop_units in
   let work f =
@@ -111,8 +111,7 @@ let test_inline_in_pool_task () =
   let seq = work (fun () -> sequential prog frags) in
   check "Q17's searches run loop units" true (seq > 0);
   let in_task =
-    Par.with_pool ~jobs:2 @@ fun pool ->
-    Par.parallel_map pool
+    Par.spawn_map ~jobs:2
       (fun run ->
         if run then
           Some
@@ -126,7 +125,7 @@ let test_inline_in_pool_task () =
   | [ Some (on_worker, units); None ] ->
       check "called from a task" true on_worker;
       check_int "every fragment ran on the task's domain" seq units
-  | _ -> Alcotest.fail "unexpected pool result"
+  | _ -> Alcotest.fail "unexpected spawn_map result"
 
 (* The call leaves no domain behind: the process's thread count comes
    back to where it was (a domain is an OS thread). *)
@@ -149,7 +148,7 @@ let suite =
         Alcotest.test_case "lowest-index exception propagates" `Quick
           test_lowest_index_exception;
         Alcotest.test_case "runs inline inside a pool task" `Quick
-          test_inline_in_pool_task;
+          test_inline_in_spawn_map_task;
         Alcotest.test_case "no domain outlives the call" `Quick
           test_no_domain_outlives;
       ] );

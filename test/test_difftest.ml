@@ -54,7 +54,7 @@ let test_roundtrip_generated () =
    big sibling. *)
 let test_smoke_campaign () =
   let report =
-    Harness.run_campaign ?pool:Testenv.pool ~seed:7 ~count:25
+    Harness.run_campaign ~jobs:Testenv.jobs ~seed:7 ~count:25
       ~minimize:false ()
   in
   check_int "all programs accounted for" 25
@@ -68,14 +68,14 @@ let test_smoke_campaign () =
   check "most generated programs translate" true
     (report.Harness.translated >= 15)
 
-(* Checking a wave on a pool must not move the report: program [i] is
-   generated before dispatch and its verdict depends on no other
+(* Checking a wave on several domains must not move the report: program
+   [i] is generated before dispatch and its verdict depends on no other
    program, so the counts, skip reasons, failures and log lines of an
-   inline campaign and of one on a 2-job pool are equal. A 100-candidate
-   search budget makes some programs skip, so the counts depend on
-   which programs were checked, and a pool that changed the program
-   stream would show. *)
-let test_campaign_pool_identity () =
+   inline campaign and of one whose waves map on 2 spawned domains are
+   equal. A 100-candidate search budget makes some programs skip, so the
+   counts depend on which programs were checked, and waves that changed
+   the program stream would show. *)
+let test_campaign_jobs_identity () =
   let config =
     {
       (Oracle.default_config ~seed:7 ()) with
@@ -83,27 +83,25 @@ let test_campaign_pool_identity () =
         { Casper_synth.Cegis.default_config with max_candidates = 100 };
     }
   in
-  let campaign pool =
+  let campaign jobs =
     let lines = ref [] in
     let r =
       Harness.run_campaign
         ~log:(fun l -> lines := l :: !lines)
-        ~config ?pool ~seed:7 ~count:25 ~minimize:false ()
+        ~config ~jobs ~seed:7 ~count:25 ~minimize:false ()
     in
     (r, List.rev !lines)
   in
-  let inline, inline_log = campaign None in
-  let pooled, pooled_log =
-    Casper_par.Par.with_pool ~jobs:2 (fun p -> campaign (Some p))
-  in
+  let inline, inline_log = campaign 1 in
+  let spawned, spawned_log = campaign 2 in
   check "some programs translate and some skip" true
     (inline.Harness.translated > 0 && inline.Harness.skipped > 0);
-  check_int "translated" inline.Harness.translated pooled.Harness.translated;
-  check_int "skipped" inline.Harness.skipped pooled.Harness.skipped;
+  check_int "translated" inline.Harness.translated spawned.Harness.translated;
+  check_int "skipped" inline.Harness.skipped spawned.Harness.skipped;
   check "skip reasons" true
-    (inline.Harness.skip_reasons = pooled.Harness.skip_reasons);
-  check "failures" true (inline.Harness.failures = pooled.Harness.failures);
-  check "log lines" true (inline_log <> [] && inline_log = pooled_log)
+    (inline.Harness.skip_reasons = spawned.Harness.skip_reasons);
+  check "failures" true (inline.Harness.failures = spawned.Harness.failures);
+  check "log lines" true (inline_log <> [] && inline_log = spawned_log)
 
 (* ---------------- regression corpus ---------------- *)
 
@@ -230,8 +228,8 @@ let suite =
       ] );
     ( "difftest.campaign",
       [
-        Alcotest.test_case "report identical inline and on a 2-job pool"
-          `Slow test_campaign_pool_identity;
+        Alcotest.test_case "report identical inline and on 2 spawned domains"
+          `Slow test_campaign_jobs_identity;
       ] );
     ( "difftest.shrink",
       [

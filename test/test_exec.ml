@@ -10,7 +10,6 @@ module Engine = Mapreduce.Engine
 module Cache = Mapreduce.Cache
 module Cluster = Mapreduce.Cluster
 module Value = Casper_common.Value
-module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
 module Exec = Casper_exec.Exec
 
@@ -84,9 +83,9 @@ let gated_plan gate =
 (* [hold gate s j f]: await the gated job [j] from a domain the test
    spawns, run [f] on the test domain once [j] is held at the gate, then
    open the gate — also when a check in [f] fails — and return [f]'s
-   result with [j]'s outcome. A concurrency-1 session's pool has no
-   worker, so a job runs on whichever domain awaits it; awaiting from a
-   spawned domain keeps the test domain free to submit and inspect. *)
+   result with [j]'s outcome. A concurrency-1 session spawns no runner,
+   so a job runs on whichever domain awaits it; awaiting from a spawned
+   domain keeps the test domain free to submit and inspect. *)
 let hold gate s j f =
   let waiter = Domain.spawn (fun () -> Exec.Session.await s j) in
   let x =
@@ -395,34 +394,95 @@ let test_priority_order () =
   check "priority dispatch order" true
     (List.rev !order = [ "p5"; "p1"; "p0a"; "p0b" ])
 
-(* admission slots stay at the concurrency, but the pool that runs the
-   dispatched jobs is clamped to the host's cores: a concurrency-8
-   session starts at most [cores - 1] worker domains, and all 8 jobs
-   still complete. Each domain runs with the runtime's backup thread,
-   so a worker adds two OS threads (an unclamped pool adds 14); the
-   first domain a process spawns also starts the main domain's, so one
-   is spawned and joined before counting. *)
+(* Each domain runs with the runtime's backup thread, so a runner adds
+   two OS threads; the first domain a process spawns also starts the
+   main domain's, so one is spawned and joined before counting. *)
+let threads_before_session () =
+  Domain.join (Domain.spawn ignore);
+  Testenv.steady_threads ()
+
+(* admission slots stay at the concurrency, but the runner domains that
+   take the dispatched jobs are clamped to the host's cores: during an
+   8-job burst on a concurrency-8 session at most [cores - 1] runners
+   are alive (7 unclamped runners would add 14 threads), and all 8 jobs
+   still complete. Every job reads the thread count as it runs. *)
 let test_pool_clamped_to_host () =
   let host = Domain.recommended_domain_count () in
   let config = { uncached_env with Exec.Config.concurrency = Some 8 } in
-  Domain.join (Domain.spawn ignore);
-  let before = Testenv.steady_threads () in
+  let before = threads_before_session () in
+  let peak = Atomic.make 0 in
+  let rec record k =
+    let p = Atomic.get peak in
+    if k > p && not (Atomic.compare_and_set peak p k) then record k
+  in
+  let plan =
+    Plan.(
+      data "w"
+      |>> Plan.Sample_monitor
+            {
+              label = "threads";
+              k = 1;
+              observe = (fun _ -> Option.iter record (Testenv.threads ()));
+            }
+      |>> map_to_pair (fun w -> (w, vint 1))
+      |>> reduce_by_key add_i)
+  in
   Exec.Session.with_session ~config @@ fun s ->
   check_int "admission slots" 8 (Exec.Session.concurrency s);
-  (match (before, Testenv.steady_threads ()) with
-  | Some b, Some d ->
-      check
-        (Printf.sprintf "pool adds %d threads, at most %d" (d - b)
-           (2 * (host - 1)))
-        true
-        (d - b <= 2 * (host - 1))
-  | _ -> ());
   let datasets = [ ("w", wc_words 100) ] in
-  let jobs = List.init 8 (fun _ -> Exec.Session.submit s ~datasets wc_plan) in
+  let jobs = List.init 8 (fun _ -> Exec.Session.submit s ~datasets plan) in
   List.iter
     (fun j -> ignore (completed (Exec.Session.await s j) : Engine.run))
     jobs;
-  check_int "all completed" 8 (Exec.Session.stats s).Exec.Session.jobs_completed
+  check_int "all completed" 8
+    (Exec.Session.stats s).Exec.Session.jobs_completed;
+  match before with
+  | Some b ->
+      let added = Atomic.get peak - b in
+      check
+        (Printf.sprintf "runners add %d threads at peak, at most %d" added
+           (2 * (host - 1)))
+        true
+        (added <= 2 * (host - 1))
+  | None -> ()
+
+(* A runner exits once no job is ready, so a session between bursts
+   holds no domain beyond its caller. A concurrency-2 session's gated
+   first job is taken by a runner (nobody awaits it), which shows a
+   runner alive; after the burst and [drain] the thread count is back
+   to its value before the session, and it stays there after
+   [shutdown]. A 1-core host clamps the session to no runner, so the
+   caller runs every job and there is nothing to check. *)
+let test_idle_session_keeps_no_domain () =
+  if Domain.recommended_domain_count () >= 2 then
+    match threads_before_session () with
+    | None -> ()
+    | Some before ->
+        let config = { uncached_env with Exec.Config.concurrency = Some 2 } in
+        let s = Exec.Session.create ~config () in
+        let gate = mk_gate () in
+        let j1 =
+          Exec.Session.submit s ~datasets:[ ("d", ints [ 1; 2 ]) ]
+            (gated_plan gate)
+        in
+        wait_started gate;
+        let during = Testenv.threads () in
+        open_gate gate;
+        check "a runner took the gated job" true
+          (match during with Some d -> d > before | None -> false);
+        let datasets = [ ("w", wc_words 100) ] in
+        for _ = 1 to 8 do
+          ignore (Exec.Session.submit s ~datasets wc_plan : Exec.Session.job)
+        done;
+        Exec.Session.drain s;
+        ignore (completed (Exec.Session.await s j1) : Engine.run);
+        check_int "threads after drain" before
+          (Option.value (Testenv.steady_threads ()) ~default:before);
+        Exec.Session.shutdown s;
+        check_int "threads after shutdown" before
+          (Option.value (Testenv.steady_threads ()) ~default:before);
+        check_int "all completed" 9
+          (Exec.Session.stats s).Exec.Session.jobs_completed
 
 (* ---------------- configuration ---------------- *)
 
@@ -537,19 +597,18 @@ let test_jobs_of_env_warns_on_garbage () =
   check "the warning used its one shot" false
     (Obs.warn_once ~key:"CASPER_JOBS" "warned again")
 
-(* the CI pass under CASPER_JOBS=n checks the smoke campaign's waves on
-   an n-domain pool: it cannot silently become a second 1-domain pass *)
+(* the CI pass under CASPER_JOBS=n maps the smoke campaign's waves on n
+   domains: it cannot silently become a second 1-domain pass *)
 let test_suite_pool_follows_jobs () =
-  let pool = Testenv.pool in
-  match
-    Option.bind (Sys.getenv_opt "CASPER_JOBS") (fun s ->
-        int_of_string_opt (String.trim s))
-  with
-  | Some n when n > 1 -> (
-      match pool with
-      | Some p -> check_int "suite pool size" n (Par.size p)
-      | None -> Alcotest.failf "CASPER_JOBS=%d but the suite has no pool" n)
-  | _ -> check "no pool without CASPER_JOBS > 1" true (Option.is_none pool)
+  let expected =
+    match
+      Option.bind (Sys.getenv_opt "CASPER_JOBS") (fun s ->
+          int_of_string_opt (String.trim s))
+    with
+    | Some n when n > 1 -> n
+    | _ -> 1
+  in
+  check_int "the smoke campaign's domains per wave" expected Testenv.jobs
 
 (* ---------------- the session's obs story ---------------- *)
 
@@ -609,6 +668,8 @@ let suite =
           test_priority_order;
         Alcotest.test_case "a session's pool never exceeds the host" `Quick
           test_pool_clamped_to_host;
+        Alcotest.test_case "an idle session keeps no domain" `Quick
+          test_idle_session_keeps_no_domain;
       ] );
     ( "exec.cancel",
       [

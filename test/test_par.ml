@@ -1,11 +1,10 @@
 (** Tests for the deterministic multicore runtime (lib/par).
 
-    The load-bearing property is jobs-independence: both maps must
-    equal [List.map] at every pool size, exceptions must pick the
-    lowest-index raiser, and a batch must finish on its caller alone
-    while the pool's workers are busy. A fragment search runs on one
-    domain and must come out the same on a fresh domain and on one that
-    already searched. *)
+    The load-bearing property is jobs-independence: [spawn_map] must
+    equal [List.map] at every [jobs], exceptions must pick the
+    lowest-index raiser, and no spawned domain may outlive the call. A
+    fragment search runs on one domain and must come out the same on a
+    fresh domain and on one that already searched. *)
 
 module Par = Casper_par.Par
 
@@ -13,22 +12,7 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* Shared pools for the property tests: spawning domains per qcheck
-   iteration would dominate the suite's runtime. Never shut down —
-   domains join at process exit. *)
-let pools =
-  lazy (List.map (fun jobs -> (jobs, Par.create ~jobs)) [ 1; 2; 3; 4 ])
-
-(* ---------------- maps ≡ List.map at any pool size -------------- *)
-
-let parallel_map_matches_list =
-  QCheck.Test.make ~name:"parallel_map = List.map at jobs 1-4" ~count:60
-    QCheck.(pair (fun1 Observable.int (list small_int)) (small_list int))
-    (fun (f, xs) ->
-      let fn x = QCheck.Fn.apply f x in
-      List.for_all
-        (fun (_, pool) -> Par.parallel_map pool fn xs = List.map fn xs)
-        (Lazy.force pools))
+(* ---------------- spawn_map ≡ List.map at any jobs -------------- *)
 
 (* [spawn_map] spawns domains per call; more items than jobs, so every
    domain claims several *)
@@ -42,26 +26,6 @@ let spawn_map_matches_list =
         [ 1; 2; 3; 4 ])
 
 (* ---------------- exception propagation --------------------------- *)
-
-let test_exception_lowest_index () =
-  Par.with_pool ~jobs:4 @@ fun pool ->
-  let raised =
-    try
-      ignore
-        (Par.parallel_map pool
-           (fun i ->
-             if i mod 3 = 0 then failwith (string_of_int i) else i)
-           (List.init 16 Fun.id));
-      "no exception"
-    with Failure m -> m
-  in
-  (* tasks 0, 3, 6, ... all raise; the map must re-raise the
-     submission-order-first one regardless of execution order *)
-  check_string "lowest-index exception wins" "0" raised;
-  (* the batch was fully drained: the pool is still usable *)
-  check_int "pool survives a raising batch" 10
-    (List.fold_left ( + ) 0
-       (Par.parallel_map pool Fun.id [ 1; 2; 3; 4 ]))
 
 let test_spawn_map_lowest_index () =
   let raised =
@@ -77,32 +41,25 @@ let test_spawn_map_lowest_index () =
 
 let test_spawn_map_nesting () =
   check "not on a worker outside" false (Par.on_worker ());
+  (* inside a task, every element sees [on_worker] and a nested
+     spawn_map runs inline on the element's domain *)
   let nested =
-    Par.with_pool ~jobs:2 @@ fun pool ->
     Par.spawn_map ~jobs:3
       (fun i ->
-        (* inside: a task, and pool maps run inline *)
-        (Par.on_worker (), Par.parallel_map pool succ [ i; i + 1 ]))
+        let self = Domain.self () in
+        ( Par.on_worker (),
+          Par.spawn_map ~jobs:4
+            (fun j -> (Domain.self () = self, i + j))
+            [ 1; 2; 3 ] ))
       [ 10; 20; 30; 40 ]
   in
   check "elements see on_worker" true (List.for_all fst nested);
-  check "nested map correct" true
-    (List.map snd nested = [ [ 11; 12 ]; [ 21; 22 ]; [ 31; 32 ]; [ 41; 42 ] ]);
-  check "on_worker restored" false (Par.on_worker ());
-  (* called from inside a pool task, spawn_map runs inline on that
-     task's domain *)
-  let from_task =
-    Par.with_pool ~jobs:2 @@ fun pool ->
-    Par.parallel_map pool
-      (fun i ->
-        let self = Domain.self () in
-        Par.spawn_map ~jobs:4 (fun j -> (Domain.self () = self, i + j)) [ 1; 2; 3 ])
-      [ 100; 200 ]
-  in
   check "inline inside a task" true
-    (List.for_all (List.for_all fst) from_task);
-  check "results" true
-    (List.map (List.map snd) from_task = [ [ 101; 102; 103 ]; [ 201; 202; 203 ] ]);
+    (List.for_all (fun (_, inner) -> List.for_all fst inner) nested);
+  check "nested map correct" true
+    (List.map (fun (_, inner) -> List.map snd inner) nested
+    = [ [ 11; 12; 13 ]; [ 21; 22; 23 ]; [ 31; 32; 33 ]; [ 41; 42; 43 ] ]);
+  check "on_worker restored" false (Par.on_worker ());
   check "jobs < 1 rejected" true
     (match Par.spawn_map ~jobs:0 Fun.id [ 1; 2 ] with
     | _ -> false
@@ -118,120 +75,7 @@ let test_spawn_map_no_leftover () =
       done;
       check_int "threads after five calls" n (Testenv.settled_threads n)
 
-(* ---------------- lifecycle --------------------------------------- *)
-
-let test_shutdown_and_reuse () =
-  let pool = Par.create ~jobs:2 in
-  check_int "usable before shutdown" 6
-    (List.fold_left ( + ) 0 (Par.parallel_map pool succ [ 0; 1; 2 ]));
-  Par.shutdown pool;
-  Par.shutdown pool (* idempotent *);
-  check "use after shutdown raises" true
-    (match Par.parallel_map pool succ [ 1 ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  check "jobs < 1 rejected" true
-    (match Par.create ~jobs:0 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_nested_runs_inline () =
-  Par.with_pool ~jobs:3 @@ fun pool ->
-  check "not on a worker outside a task" false (Par.on_worker ());
-  let nested =
-    Par.parallel_map pool
-      (fun i ->
-        (* inside a task: nested maps run inline, same result *)
-        (Par.on_worker (), Par.parallel_map pool succ [ i; i + 1 ]))
-      [ 10; 20 ]
-  in
-  check "tasks see on_worker" true (List.for_all fst nested);
-  check "nested map correct" true
-    (List.map snd nested = [ [ 11; 12 ]; [ 21; 22 ] ])
-
-(* [true] once [flag] is set, [false] if it is still unset after 10 s *)
-let wait_for (flag : bool Atomic.t) : bool =
-  let rec poll tries =
-    Atomic.get flag
-    || (tries > 0
-       && begin
-            Unix.sleepf 0.001;
-            poll (tries - 1)
-          end)
-  in
-  poll 10_000
-
-(* The one worker of a 2-job pool blocks in an async task, so the
-   batch's helper task stays queued behind it: the caller must claim
-   every element itself and return without waiting for the worker. *)
-let test_batch_with_busy_workers () =
-  let pool = Par.create ~jobs:2 in
-  let started = Atomic.make false and release = Atomic.make false in
-  let timed_out = Atomic.make false in
-  Par.async pool (fun () ->
-      Atomic.set started true;
-      if not (wait_for release) then Atomic.set timed_out true);
-  check "the worker took the blocking task" true (wait_for started);
-  let self = Domain.self () in
-  let xs = List.init 8 Fun.id in
-  let out =
-    Par.parallel_map pool (fun x -> (Domain.self () = self, x * x)) xs
-  in
-  let waited = Atomic.get timed_out in
-  Atomic.set release true;
-  Par.shutdown pool;
-  check "the map did not wait for the worker" false waited;
-  check "every element computed by the caller" true (List.for_all fst out);
-  check "results = List.map" true
-    (List.map snd out = List.map (fun x -> x * x) xs)
-
-(* Two domains map on one pool at once: each gets its own results and
-   its own lowest-index exception. *)
-let test_two_domains_share_pool () =
-  Par.with_pool ~jobs:3 @@ fun pool ->
-  let xs = List.init 24 Fun.id in
-  let rounds tag =
-    List.init 50 (fun r ->
-        if r mod 5 = 4 then
-          let bad = 1 + (r mod 3) in
-          match
-            Par.parallel_map pool
-              (fun x ->
-                if x mod 4 = bad then failwith (tag ^ string_of_int x) else x)
-              xs
-          with
-          | _ -> false
-          | exception Failure m -> m = tag ^ string_of_int bad
-        else
-          let f x = (x * r) + String.length tag in
-          Par.parallel_map pool f xs = List.map f xs)
-  in
-  let other = Domain.spawn (fun () -> rounds "test-domain") in
-  let mine = rounds "main" in
-  let theirs = Domain.join other in
-  check "main domain: every map right" true (List.for_all Fun.id mine);
-  check "test domain: every map right" true (List.for_all Fun.id theirs)
-
-(* An exception escaping an async task is dropped: the worker goes on
-   taking tasks, and the pool maps and shuts down as before. *)
-let test_raising_async () =
-  let before = Testenv.steady_threads () in
-  let pool = Par.create ~jobs:2 in
-  let after = Atomic.make false in
-  Par.async pool (fun () -> failwith "dropped");
-  Par.async pool (fun () -> Atomic.set after true);
-  check "the worker survived the raising task" true (wait_for after);
-  check "parallel_map still works" true
-    (Par.parallel_map pool succ (List.init 10 Fun.id) = List.init 10 succ);
-  check "shutdown does not raise" true
-    (match Par.shutdown pool with () -> true | exception _ -> false);
-  match before with
-  | None -> ()
-  | Some n ->
-      check_int "threads back to their count before the pool" n
-        (Testenv.settled_threads n)
-
-(* ---------------- pool sizing ------------------------------------- *)
+(* ---------------- domain count ------------------------------------ *)
 
 (* a pure clamp to the host's cores, which says so once *)
 let test_recommended_jobs_clamp () =
@@ -313,10 +157,7 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let suite =
   [
     qsuite "par.props"
-      [
-        parallel_map_matches_list;
-        spawn_map_matches_list;
-      ];
+      [ spawn_map_matches_list ];
     ( "par.granularity",
       [
         Alcotest.test_case "recommended_jobs clamps to host" `Quick
@@ -326,18 +167,6 @@ let suite =
       ] );
     ( "par.pool",
       [
-        Alcotest.test_case "lowest-index exception propagates" `Quick
-          test_exception_lowest_index;
-        Alcotest.test_case "shutdown is idempotent, reuse raises" `Quick
-          test_shutdown_and_reuse;
-        Alcotest.test_case "nested combinators run inline" `Quick
-          test_nested_runs_inline;
-        Alcotest.test_case "a batch finishes while every worker is busy"
-          `Quick test_batch_with_busy_workers;
-        Alcotest.test_case "two domains share one pool" `Quick
-          test_two_domains_share_pool;
-        Alcotest.test_case "a raising async task leaves the pool whole"
-          `Quick test_raising_async;
         Alcotest.test_case "spawn_map: lowest-index exception" `Quick
           test_spawn_map_lowest_index;
         Alcotest.test_case "spawn_map: nesting runs inline" `Quick

@@ -206,6 +206,18 @@ let test_synth_all_solutions_verify () =
   in
   let r = Cegis.find_summary ~config:fast_config prog frag in
   check "found some" true (not (List.is_empty r.Cegis.solutions));
+  (* [full_verify]'s 64 states extend the search's 56: both draw from
+     [Verifier.full_seed], and [Statesgen.gen_batch] draws its states in
+     order from one seed, so the first 56 are the search's batch and
+     this re-check covers a superset of it *)
+  let full count =
+    Casper_verify.Statesgen.(
+      gen_batch ~seed:Casper_verify.Verifier.full_seed ~count
+        (full_domain frag) prog frag)
+  in
+  let searched = fast_config.Cegis.full_states in
+  check "the search's states open full_verify's" true
+    (List.filteri (fun i _ -> i < searched) (full 64) = full searched);
   List.iter
     (fun (s : Cegis.solution) ->
       match Casper_verify.Verifier.full_verify prog frag s.Cegis.summary with

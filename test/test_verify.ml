@@ -526,7 +526,7 @@ let test_incremental_table2 () =
             let states =
               Sg.gen_batch ~seed:cfg.Cfg.seed ~count:cfg.Cfg.bounded_states
                 (Sg.bounded_domain frag) prog frag
-              @ Sg.gen_batch ~seed:1301 ~count:cfg.Cfg.full_states
+              @ Sg.gen_batch ~seed:V.full_seed ~count:cfg.Cfg.full_states
                   (Sg.full_domain frag) prog frag
             in
             List.iter

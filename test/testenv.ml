@@ -9,20 +9,13 @@
     [Exec.Config.default] instead. *)
 
 module Config = Casper_exec.Exec.Config
-module Par = Casper_par.Par
 
 let config = Config.of_env ()
 
-(** The pool [CASPER_JOBS] above 1 asks for, built here and shut down
-    at exit; [None] otherwise. An engine run takes no pool, so only the
-    difftest smoke campaign checks its waves on it. *)
-let pool =
-  match Config.jobs_of_env () with
-  | 1 -> None
-  | jobs ->
-      let p = Par.create ~jobs in
-      at_exit (fun () -> Par.shutdown p);
-      Some p
+(** The domains per wave [CASPER_JOBS] asks for (1 when unset). An
+    engine run spawns no domain, so only the difftest smoke campaign
+    maps its waves on them. *)
+let jobs = Config.jobs_of_env ()
 
 (** [config] for a traced run: [obs] records the run, and the
     environment's cache is left out, because a hit would skip the

@@ -108,9 +108,33 @@ if grep -n 'casper_par' lib/mapreduce/dune; then
   fail=1
 fi
 
-# Domains are spawned in lib/par only, by a pool or by spawn_map's
-# self-exiting workers: a domain left waiting elsewhere would slow every
-# stop-the-world minor collection (DESIGN.md §10). Tests are exempt.
+# There is no pool: lib/par's one map spawns domains that exit when no
+# element is left, and a session's runners exit when no job is ready.
+# The pool, its task API and the test suite's pool are gone.
+pool='\bPar\.(create|size|shutdown|with_pool|parallel_map|async|help|pool)\b'
+pool="$pool"'|\bTestenv\.pool\b'
+if grep -rnE "$pool" --include='*.ml' --include='*.mli' \
+    lib bin bench test examples perfbench; then
+  echo "the deleted domain pool reappeared"
+  fail=1
+fi
+
+# lib/ir and lib/synth keep no process-global Atomic: the search's ids
+# count per domain, in the memo shard (DESIGN.md §10). A top-level
+# binding to Atomic.make, on its line or the next, is rejected.
+if find lib/ir lib/synth -name '*.ml' | sort | xargs awk '
+    /^(let|and) / && /Atomic\.make/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+    prev ~ /^(let|and) [a-z_][A-Za-z0-9_'"'"']*( *:[^=]*)? *=$/ && /^ +Atomic\.make/ {
+      print FILENAME ":" FNR ": " $0; bad = 1 }
+    { prev = $0 }
+    END { exit !bad }'; then
+  echo "a process-global Atomic under lib/ir or lib/synth"
+  fail=1
+fi
+
+# Domains are spawned in lib/par only, by Par.spawn: a domain left
+# waiting elsewhere would slow every stop-the-world minor collection
+# (DESIGN.md §10). Tests are exempt.
 if grep -rn 'Domain\.spawn' --include='*.ml' --include='*.mli' \
     lib bin bench examples perfbench | grep -v '^lib/par/'; then
   echo "Domain.spawn outside lib/par"
