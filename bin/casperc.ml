@@ -106,22 +106,10 @@ let execute_traced (exec_config : Exec.Config.t) (obs : Obs.ctx)
     report.Casper.translations;
   !failed
 
-let compile_file path target verbose summaries_only analysis_only budget trace
-    cache_budget =
-  (* the environment is read here, once; --cache-budget replaces its
-     cache field *)
-  let exec_config =
-    let env = Exec.Config.of_env () in
-    match cache_budget with
-    | None -> env
-    | Some n ->
-        {
-          env with
-          Exec.Config.cache =
-            (if n > 0 then Some (Mapreduce.Engine.make_cache ~budget:n ())
-             else None);
-        }
-  in
+let compile_file path target verbose summaries_only analysis_only budget
+    trace =
+  (* the environment is read here, once *)
+  let exec_config = Exec.Config.of_env () in
   let src =
     let ic = open_in path in
     let n = in_channel_length ic in
@@ -261,23 +249,12 @@ let trace_arg =
               in Chrome trace_event JSON; a flat metrics JSON lands next to \
               it. Open the trace at chrome://tracing or ui.perfetto.dev.")
 
-let cache_budget_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "cache-budget" ] ~docv:"N"
-        ~doc:"Byte budget of the lineage-aware dataset cache used during \
-              simulated execution (default: \\$CASPER_CACHE_BUDGET, else \
-              off; 0 disables). Served results are byte-identical to \
-              recomputation at any budget.")
-
 let cmd =
   let doc = "translate sequential Java loop nests into MapReduce programs" in
   Cmd.v
     (Cmd.info "casperc" ~version:"1.0.0" ~doc)
     Term.(
       const compile_file $ path_arg $ target_arg $ verbose_arg
-      $ summaries_arg $ analysis_arg $ budget_arg $ trace_arg
-      $ cache_budget_arg)
+      $ summaries_arg $ analysis_arg $ budget_arg $ trace_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -68,11 +68,6 @@ let run seed count backend minimize corpus out budget jobs =
             !bad;
           if !bad > 0 then 1 else 0
       | None ->
-          let jobs =
-            match jobs with
-            | Some n -> n
-            | None -> Mapreduce.Exec_config.jobs_of_env ()
-          in
           let report =
             Difftest.Harness.run_campaign
               ~log:(fun m -> Fmt.pr "%s@." m)
@@ -141,13 +136,12 @@ let positive_int =
 
 let jobs_arg =
   Arg.(
-    value
-    & opt (some positive_int) None
+    value & opt positive_int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Domains per wave, at least 1 and clamped to the host's \
               cores: programs are checked in parallel waves of 4×$(docv) \
-              (default: \\$CASPER_JOBS, else 1). The campaign report is \
-              byte-identical at any value.")
+              (default 1). The campaign report is byte-identical at any \
+              value.")
 
 let cmd =
   let doc = "differential fuzzing of the Casper pipeline" in

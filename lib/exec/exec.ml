@@ -16,7 +16,6 @@ module Session = struct
 
   type job = {
     id : int;
-    priority : int;
     deadline : float option;  (** absolute wall-clock time *)
     j_cluster : Mapreduce.Cluster.t;
     j_datasets : (string * Value.t list) list;
@@ -29,11 +28,8 @@ module Session = struct
     mutable t_end : float;
   }
 
-  exception Overloaded
-
   type stats = {
     jobs_admitted : int;
-    jobs_rejected : int;
     jobs_cancelled : int;
     jobs_completed : int;
     jobs_failed : int;
@@ -53,16 +49,13 @@ module Session = struct
     obs : Obs.ctx;
     base : Config.t;  (** per-job engine config, cancel token excepted *)
     concurrency : int;
-    queue_capacity : int;
     ledger_budget : int option;
-    mutable queue : job list;  (** priority desc, then submission order *)
-    mutable queued_n : int;
+    mutable queue : job list;  (** submission order *)
     mutable running : int;
     mutable ledger : int;
     mutable next_id : int;
     mutable shut : bool;
     mutable admitted : int;
-    mutable rejected : int;
     mutable cancelled : int;
     mutable completed : int;
     mutable failed : int;
@@ -77,16 +70,13 @@ module Session = struct
   let now () = Unix.gettimeofday ()
 
   let create ?(config = Config.default) () : t =
-    let at_least_1 default = function
-      | Some n -> max 1 n
-      | None -> default
+    let concurrency =
+      match config.Config.concurrency with Some n -> max 1 n | None -> 1
     in
-    let concurrency = at_least_1 1 config.Config.concurrency in
-    let queue_capacity = at_least_1 64 config.Config.queue_capacity in
-    (* admission slots stay at [concurrency]; the domains that run the
+    (* job slots stay at [concurrency]; the domains that run the
        dispatched jobs (the waiting caller and its runners) are clamped
        to the host's cores, and a job beyond them simply waits in
-       [ready]. Silently: admission is unchanged, so there is nothing to
+       [ready]. Silently: dispatch is unchanged, so there is nothing to
        warn about (unlike [Par.recommended_jobs]). *)
     let max_runners =
       min concurrency (Domain.recommended_domain_count ()) - 1
@@ -109,7 +99,6 @@ module Session = struct
            which runs them while waiting in [await]/[drain]) *)
         obs = (if concurrency = 1 then config.Config.obs else None);
         concurrency = Some concurrency;
-        queue_capacity = Some queue_capacity;
       }
     in
     {
@@ -120,16 +109,13 @@ module Session = struct
       obs;
       base;
       concurrency;
-      queue_capacity;
       ledger_budget = budget;
       queue = [];
-      queued_n = 0;
       running = 0;
       ledger = 0;
       next_id = 1;
       shut = false;
       admitted = 0;
-      rejected = 0;
       cancelled = 0;
       completed = 0;
       failed = 0;
@@ -141,8 +127,6 @@ module Session = struct
     }
 
   let concurrency t = t.concurrency
-  let queue_capacity t = t.queue_capacity
-  let job_id (j : job) = j.id
 
   (* run one job on whatever domain took it from [ready]; called outside
      the session mutex *)
@@ -191,7 +175,6 @@ module Session = struct
         in
         if admits then begin
           t.queue <- rest;
-          t.queued_n <- t.queued_n - 1;
           j.jstate <- Running;
           t.running <- t.running + 1;
           t.ledger <- t.ledger + j.j_bytes;
@@ -236,7 +219,7 @@ module Session = struct
       (fun acc (_, rs) -> acc + Value.size_of_list rs)
       0 datasets
 
-  let submit ?(priority = 0) ?deadline_s ?cluster (t : t)
+  let submit ?deadline_s ?cluster (t : t)
       ~(datasets : (string * Value.t list) list) (plan : Mapreduce.Plan.t) :
       job =
     let submitted = now () in
@@ -251,14 +234,9 @@ module Session = struct
     let bytes = dataset_bytes datasets in
     Mutex.protect t.m (fun () ->
         if t.shut then invalid_arg "Exec.Session: session is shut down";
-        if t.queued_n >= t.queue_capacity then begin
-          t.rejected <- t.rejected + 1;
-          raise Overloaded
-        end;
         let j =
           {
             id = t.next_id;
-            priority;
             deadline = Option.map (fun d -> submitted +. d) deadline_s;
             j_cluster = cluster;
             j_datasets = datasets;
@@ -272,26 +250,12 @@ module Session = struct
           }
         in
         t.next_id <- t.next_id + 1;
-        (* priority queue as a sorted list: after every job of >= prio
-           (submission order within a priority level) *)
-        let rec insert = function
-          | x :: rest when x.priority >= priority -> x :: insert rest
-          | tail -> j :: tail
-        in
-        t.queue <- insert t.queue;
-        t.queued_n <- t.queued_n + 1;
-        if t.queued_n > t.q_hw then t.q_hw <- t.queued_n;
+        t.queue <- t.queue @ [ j ];
+        t.q_hw <- max t.q_hw (List.length t.queue);
         t.admitted <- t.admitted + 1;
         t.log <- j :: t.log;
         pump t;
         j)
-
-  let state (t : t) (j : job) : [ `Queued | `Running | `Done of outcome ] =
-    Mutex.protect t.m (fun () ->
-        match j.jstate with
-        | Queued -> `Queued
-        | Running -> `Running
-        | Done o -> `Done o)
 
   let cancel (t : t) (j : job) : bool =
     Mutex.protect t.m (fun () ->
@@ -304,7 +268,6 @@ module Session = struct
             true
         | Queued ->
             t.queue <- List.filter (fun x -> x != j) t.queue;
-            t.queued_n <- t.queued_n - 1;
             j.jstate <- Done (Cancelled "cancelled");
             j.t_end <- now ();
             t.cancelled <- t.cancelled + 1;
@@ -336,17 +299,16 @@ module Session = struct
 
   let drain (t : t) : unit =
     wait_until t (fun () ->
-        t.queued_n = 0 && t.running = 0 && List.is_empty t.runners)
+        List.is_empty t.queue && t.running = 0 && List.is_empty t.runners)
 
   let stats (t : t) : stats =
     Mutex.protect t.m (fun () ->
         {
           jobs_admitted = t.admitted;
-          jobs_rejected = t.rejected;
           jobs_cancelled = t.cancelled;
           jobs_completed = t.completed;
           jobs_failed = t.failed;
-          queued = t.queued_n;
+          queued = List.length t.queue;
           running = t.running;
           queue_high_water = t.q_hw;
           ledger_bytes = t.ledger;
@@ -354,13 +316,12 @@ module Session = struct
         })
 
   (* the session's trace story, flushed once from the owner domain:
-     one exec.session span carrying the admission counters, plus one
+     one exec.session span carrying the job counters, plus one
      completed span per job on the "exec" track *)
   let emit_obs (t : t) : unit =
     if Obs.enabled t.obs then
       Obs.span t.obs "exec.session" (fun () ->
           Obs.add t.obs "jobs_admitted" t.admitted;
-          Obs.add t.obs "jobs_rejected" t.rejected;
           Obs.add t.obs "jobs_cancelled" t.cancelled;
           Obs.add t.obs "jobs_completed" t.completed;
           Obs.add t.obs "jobs_failed" t.failed;
@@ -376,11 +337,7 @@ module Session = struct
                 | Queued | Running -> "unsettled"
               in
               Obs.span_at t.obs ~track:"exec"
-                ~args:
-                  [
-                    ("outcome", outcome);
-                    ("priority", string_of_int j.priority);
-                  ]
+                ~args:[ ("outcome", outcome) ]
                 ~counters:[ ("bytes", j.j_bytes) ]
                 ~t0:j.t_start ~t1:j.t_end
                 (Printf.sprintf "job-%d" j.id))

@@ -1,20 +1,19 @@
-(** Long-lived execution sessions: many plans in flight against one
-    session's own runner domains, one shared lineage cache and one
-    live-byte ledger, with admission control, priorities, deadlines and
-    cooperative cancellation.
+(** Execution sessions: many plans in flight against one session's own
+    runner domains, one shared lineage cache and one live-byte ledger,
+    with deadlines and cooperative cancellation.
 
     {!Engine.run_plan} executes one plan and returns; a {!Session.t}
-    is the serving front door the one-shot API is re-expressed on.
-    Jobs enter a bounded admission queue ({!Session.submit}; a full
-    queue rejects with {!Session.Overloaded}), a bounded-concurrency
-    dispatcher makes them ready as slots and ledger bytes free up, and
-    each job runs the plan through the ordinary engine with the
-    session's shared configuration. Because every job executes on one
-    domain, start to finish, and the shared cache
-    serves byte-identical results by contract,
-    each job's output and stage metrics are byte-identical to a solo
-    [run_plan] at any concurrency × job mix × budget — concurrency
-    moves wall-clock, never results.
+    runs many. Jobs wait in submission order ({!Session.submit}), a
+    bounded-concurrency dispatcher makes them ready as slots and ledger
+    bytes free up, and each job runs the plan through the ordinary
+    engine with the session's shared configuration. There is no
+    admission policy (no priorities, no queue bound): scheduling and
+    admission belong to the framework a generated program runs on.
+    Because every job executes on one domain, start to finish, and the
+    shared cache serves byte-identical results by contract, each job's
+    output and stage metrics are byte-identical to a solo [run_plan] at
+    any concurrency × job mix × budget — concurrency moves wall-clock,
+    never results.
 
     Cancellation is cooperative and stage-granular: {!Session.cancel}
     (or an expired deadline) flips the job's token, the engine polls it
@@ -27,9 +26,9 @@ module Value = Casper_common.Value
 
 (** The execution-configuration record ({!Mapreduce.Exec_config}):
     one [t] gathering [obs]/[memory_budget]/[spill_dir]/[cache]/
-    [cluster] plus the session knobs. A [None] field is the built-in
-    value; [of_env] is the one reader of the [CASPER_*] variables that
-    set them. *)
+    [cluster] plus the session's [concurrency]. A [None] field is the
+    built-in value; [of_env] is the one reader of the [CASPER_*]
+    variables that set some of them. *)
 module Config = Mapreduce.Exec_config
 
 module Session : sig
@@ -47,22 +46,16 @@ module Session : sig
   (** A submitted job handle. *)
   type job
 
-  (** Raised by {!submit} when the admission queue is at capacity:
-      backpressure, not failure — the caller sheds load or retries. *)
-  exception Overloaded
-
   type stats = {
-    jobs_admitted : int;
-    jobs_rejected : int;  (** {!Overloaded} submissions *)
+    jobs_admitted : int;  (** every job {!submit} accepted *)
     jobs_cancelled : int;
     jobs_completed : int;
     jobs_failed : int;
-    queued : int;  (** jobs waiting in the admission queue right now *)
+    queued : int;  (** jobs waiting for a slot right now *)
     running : int;
-        (** jobs dispatched and not yet finished: each holds an
-            admission slot, though it may still wait for a domain to
-            run it *)
-    queue_high_water : int;  (** deepest the admission queue has been *)
+        (** jobs dispatched and not yet finished: each holds a slot,
+            though it may still wait for a domain to run it *)
+    queue_high_water : int;  (** most jobs ever waiting for a slot *)
     ledger_bytes : int;  (** input bytes of running jobs right now *)
     ledger_high_water : int;
   }
@@ -71,16 +64,15 @@ module Session : sig
       {!Config.default}).
 
       [config.concurrency] (default 1) bounds the jobs dispatched at
-      once; [config.queue_capacity] (default 64) bounds the admission
-      queue. Dispatched jobs run on the caller waiting in {!await} or
-      {!drain} and on up to
-      [min concurrency (Domain.recommended_domain_count ()) - 1] runner
-      domains the session spawns as jobs become ready; a runner exits
-      as soon as no job is ready, so at concurrency 1 the waiting
+      once; the rest wait, unbounded, in submission order. Dispatched
+      jobs run on the caller waiting in {!await} or {!drain} and on up
+      to [min concurrency (Domain.recommended_domain_count ()) - 1]
+      runner domains the session spawns as jobs become ready; a runner
+      exits as soon as no job is ready, so at concurrency 1 the waiting
       caller runs every job and no domain is spawned, and an idle
       session holds no domain. Dispatched jobs beyond those domains
-      wait to be taken. [config.cache] is the shared lineage cache (absent:
-      none). [config.memory_budget] is both each job's spill budget
+      wait to be taken. [config.cache] is the shared lineage cache
+      (absent: none). [config.memory_budget] is both each job's spill budget
       and the session's ledger budget: a job whose input bytes would
       overflow the ledger waits (it is never rejected for size — a lone
       job always dispatches, and its grouped stages spill within the
@@ -94,32 +86,23 @@ module Session : sig
   val create : ?config:Config.t -> unit -> t
 
   val concurrency : t -> int
-  val queue_capacity : t -> int
 
-  (** [submit t ~datasets plan] enqueues a job and returns its handle
-      immediately (the dispatcher may already be running it). Higher
-      [priority] dispatches first (default 0; ties in submission
-      order). [deadline_s] is a relative deadline in seconds from
-      submission; once expired the job's cancellation token reports
-      true and the job completes [Cancelled "deadline"] at the next
-      stage boundary (a deadline [<= 0] cancels it before its first
-      stage). [cluster] defaults to the config's [cluster] field, else
+  (** [submit t ~datasets plan] enqueues a job behind every job
+      submitted before it and returns its handle immediately (the
+      dispatcher may already be running it). [deadline_s] is a
+      relative deadline in seconds from submission; once expired the
+      job's cancellation token reports true and the job completes
+      [Cancelled "deadline"] at the next stage boundary (a deadline
+      [<= 0] cancels it before its first stage). [cluster] defaults to the config's [cluster] field, else
       {!Mapreduce.Cluster.spark}.
-      @raise Overloaded when the admission queue is full.
       @raise Invalid_argument on a shut-down session. *)
   val submit :
-    ?priority:int ->
     ?deadline_s:float ->
     ?cluster:Mapreduce.Cluster.t ->
     t ->
     datasets:(string * Value.t list) list ->
     Mapreduce.Plan.t ->
     job
-
-  val job_id : job -> int
-
-  (** Queued, running, or finished with an {!outcome}? Never blocks. *)
-  val state : t -> job -> [ `Queued | `Running | `Done of outcome ]
 
   (** Request cancellation: a queued job completes [Cancelled]
       immediately; a running job's token flips and it stops at the next
@@ -132,7 +115,7 @@ module Session : sig
       outcome — never raises for job-level failures. *)
   val await : t -> job -> outcome
 
-  (** Block until every admitted job has finished and every runner
+  (** Block until every submitted job has finished and every runner
       domain has exited. *)
   val drain : t -> unit
 

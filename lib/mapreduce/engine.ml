@@ -113,10 +113,11 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
       else Hashtbl.add seen name ())
     datasets;
   (* Only side-effect-free plans participate, on any domain: session
-     jobs execute inside pool tasks, and their shared cache is the
-     whole point (Cache ops are mutex-guarded, and served outputs are
-     byte-identical to recomputation, so multi-domain population never
-     changes results). The key binds the resolved spill budget
+     jobs run on whichever domain takes them (a runner or the awaiting
+     caller), and their shared cache is the whole point (Cache ops are
+     mutex-guarded, and served outputs are byte-identical to
+     recomputation, so multi-domain population never changes
+     results). The key binds the resolved spill budget
      (ctx.x_budget, before any pressure adjustment below), so budgeted
      and in-memory executions of the same plan never share an entry. *)
   let cache_slot =

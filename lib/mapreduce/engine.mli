@@ -80,8 +80,8 @@ val cache_stats : cache -> Cache.stats
     materialization, keyed by lineage — plan structure with physically
     identical closures, source dataset identities, backend and resolved
     spill budget — with outputs and stage metrics byte-identical to
-    recomputation, on any domain (session jobs running inside pool
-    tasks share their session's cache). An [engine.cache] span with
+    recomputation, on any domain (a session's jobs share its cache on
+    whichever domain runs them). An [engine.cache] span with
     [cache_hits] / [cache_misses] / [cache_bytes] / [cache_evictions]
     counters records what the cache did. Cached bytes share the
     live-byte ledger with the spill budget: under pressure the engine

@@ -39,7 +39,6 @@ type t = {
   cache : cache option;
   cluster : Cluster.t option;
   concurrency : int option;
-  queue_capacity : int option;
   cancel : (unit -> bool) option;
 }
 
@@ -51,14 +50,13 @@ let default =
     cache = None;
     cluster = None;
     concurrency = None;
-    queue_capacity = None;
     cancel = None;
   }
 
-(* with [jobs_of_env], the only reader of CASPER_* variables: a
-   positive integer is the field's value; unset, zero or negative leave
-   the built-in, and garbage also warns once; a non-empty
-   CASPER_SPILL_DIR is the spill directory *)
+(* the only reader of CASPER_* variables: a positive integer is the
+   field's value; unset, zero or negative leave the built-in, and
+   garbage also warns once; a non-empty CASPER_SPILL_DIR is the spill
+   directory *)
 let of_env () =
   let positive name ~on_garbage =
     match Sys.getenv_opt name with
@@ -87,23 +85,5 @@ let of_env () =
       Option.map
         (fun budget -> make_cache ~budget ())
         (positive "CASPER_CACHE_BUDGET" ~on_garbage:"cache disabled");
-    concurrency =
-      positive "CASPER_EXEC_CONCURRENCY" ~on_garbage:"using concurrency 1";
-    queue_capacity =
-      positive "CASPER_EXEC_QUEUE" ~on_garbage:"using capacity 64";
   }
 
-let jobs_of_env () =
-  match Sys.getenv_opt "CASPER_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ ->
-          ignore
-            (Obs.warn_once ~key:"CASPER_JOBS"
-               (Printf.sprintf
-                  "CASPER_JOBS=%S is not a positive integer; using 1 domain"
-                  s)
-              : bool);
-          1)

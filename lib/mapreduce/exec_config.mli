@@ -5,18 +5,17 @@
     {!Engine.run_plan}, [Runner.run_summary] and [Exec.Session.create]
     each take one [?config]. A [None] field means the built-in value —
     no spill, spill files under the system temp directory, no cache,
-    session concurrency 1, admission queue 64 — at every level; no
+    session concurrency 1 — at every level; no
     process-global default sits between a field and the built-in. No
     field carries domains: an engine run executes on the domain that
     calls it, and a session spawns its own runners.
 
     The environment enters only through this module: {!of_env} reads
-    [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET],
-    [CASPER_EXEC_CONCURRENCY], [CASPER_EXEC_QUEUE] and
-    [CASPER_SPILL_DIR], and {!jobs_of_env} reads [CASPER_JOBS]. A binary
-    that wants the environment calls them once and passes the record on
-    (and sizes any map it spawns itself from [jobs_of_env]); the
-    library itself never reads these variables. *)
+    [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET] and [CASPER_SPILL_DIR].
+    A binary that wants the environment calls it once and passes the
+    record on; the library itself never reads these variables. Session
+    concurrency has no variable: the binary that runs a session sets
+    it. *)
 
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
@@ -76,8 +75,6 @@ type t = {
   cluster : Cluster.t option;
       (** default backend for session jobs submitted without one *)
   concurrency : int option;  (** session job-slot count (default 1) *)
-  queue_capacity : int option;
-      (** session admission-queue bound (default 64) *)
   cancel : (unit -> bool) option;
       (** cooperative cancellation token, polled at stage boundaries;
           returning [true] makes the engine raise [Engine.Cancelled] *)
@@ -88,17 +85,9 @@ val default : t
 
 (** {!default} with the environment captured as explicit fields:
     [memory_budget] from [CASPER_MEM_BUDGET], [cache] a fresh cache of
-    [CASPER_CACHE_BUDGET] bytes, [concurrency] from
-    [CASPER_EXEC_CONCURRENCY], [queue_capacity] from
-    [CASPER_EXEC_QUEUE], [spill_dir] from [CASPER_SPILL_DIR]. A numeric
-    variable that is unset, or not a positive integer, leaves its field
-    [None]; a non-integer also warns once. An unset or empty
-    [CASPER_SPILL_DIR] leaves [spill_dir] [None].
-    Each call reads the environment afresh and builds a new cache. *)
+    [CASPER_CACHE_BUDGET] bytes, [spill_dir] from [CASPER_SPILL_DIR].
+    A numeric variable that is unset, or not a positive integer, leaves
+    its field [None]; a non-integer also warns once. An unset or empty
+    [CASPER_SPILL_DIR] leaves [spill_dir] [None]. Each call reads the
+    environment afresh and builds a new cache. *)
 val of_env : unit -> t
-
-(** The domain count [CASPER_JOBS] asks for: the variable when it is a
-    positive integer, else 1 (any other value also warns once). For a
-    binary or test suite that sizes the maps it spawns (the difftest
-    campaign's waves). *)
-val jobs_of_env : unit -> int

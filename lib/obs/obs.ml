@@ -366,7 +366,7 @@ let write_trace (path : string) c : unit =
 (* ------------------------------------------------------------------ *)
 (* Once-per-process warnings                                           *)
 
-(* Keyed so a hot path (pool construction, per-run clamping) can warn
+(* Keyed so a hot path (per-call domain clamping, config reads) can warn
    on every call site without flooding stderr: the first call per key
    prints, later ones are no-ops. Mutex-guarded — warners may race from
    several domains. *)

@@ -4,7 +4,8 @@
     domains. It must return exactly what the sequential
     [List.map (translate_fragment prog)] returns, in fragment order,
     re-raise the lowest-index fragment's exception, run inline when
-    called from inside a pool task, and leave no domain behind. *)
+    called from inside a [Par.spawn_map] task, and leave no domain
+    behind. *)
 
 module Casper = Casper_core.Casper
 module Cegis = Casper_synth.Cegis
@@ -147,7 +148,7 @@ let suite =
           test_table2_equivalence;
         Alcotest.test_case "lowest-index exception propagates" `Quick
           test_lowest_index_exception;
-        Alcotest.test_case "runs inline inside a pool task" `Quick
+        Alcotest.test_case "runs inline inside a spawn_map task" `Quick
           test_inline_in_spawn_map_task;
         Alcotest.test_case "no domain outlives the call" `Quick
           test_no_domain_outlives;

@@ -53,10 +53,7 @@ let test_roundtrip_generated () =
    sessions — and must find no divergence. The scheduled CI job runs the
    big sibling. *)
 let test_smoke_campaign () =
-  let report =
-    Harness.run_campaign ~jobs:Testenv.jobs ~seed:7 ~count:25
-      ~minimize:false ()
-  in
+  let report = Harness.run_campaign ~seed:7 ~count:25 ~minimize:false () in
   check_int "all programs accounted for" 25
     (report.Harness.translated + report.Harness.skipped
     + List.length report.Harness.failures);

@@ -1,9 +1,8 @@
 (** Tests for execution sessions and the unified config surface: the
     session determinism matrix (concurrency × jobs × cache vs a solo
-    run), admission backpressure, ledger gating, cooperative
-    cancellation (no ledger-byte or temp-file leak), deadlines,
-    priority dispatch order, [Exec.Config] as the one reader of the
-    environment, and the session's obs story. *)
+    run), ledger gating, cooperative cancellation (no ledger-byte or
+    temp-file leak), deadlines, FIFO dispatch order, [Exec.Config] as
+    the one reader of the environment, and the session's obs story. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -104,7 +103,7 @@ let completed = function
 
 (* ---------------- the determinism matrix ---------------- *)
 
-(* concurrency {1,4} × job copies {1,2} × cache {off,on}: every job's
+(* concurrency {1,2,4} × job copies {1,2} × cache {off,on}: every job's
    output AND stage accounting must be byte-identical to a solo
    Engine.run_plan of the same plan — concurrency moves wall-clock,
    never results. With the cache on, later copies are served from
@@ -163,56 +162,16 @@ let test_session_determinism () =
               let st = Exec.Session.stats s in
               check_int "all jobs completed" (List.length subs)
                 st.Exec.Session.jobs_completed;
-              check_int "nothing rejected" 0 st.Exec.Session.jobs_rejected;
               check_int "ledger drained" 0 st.Exec.Session.ledger_bytes)
             [ false; true ])
         [ 1; 2 ])
     [ 1; 2; 4 ]
 
-(* ---------------- admission control ---------------- *)
+(* ---------------- dispatch ---------------- *)
 
-(* session tests take the environment's spill budget and queue bound,
-   but no cache: they pin dispatch behaviour, not memoization *)
+(* session tests take the environment's spill budget, but no cache:
+   they pin dispatch behaviour, not memoization *)
 let uncached_env = { Testenv.config with Exec.Config.cache = None }
-
-let test_backpressure () =
-  let gate = mk_gate () in
-  let config =
-    {
-      uncached_env with
-      Exec.Config.concurrency = Some 1;
-      queue_capacity = Some 1;
-    }
-  in
-  Exec.Session.with_session ~config @@ fun s ->
-  check_int "concurrency resolved" 1 (Exec.Session.concurrency s);
-  check_int "capacity resolved" 1 (Exec.Session.queue_capacity s);
-  let datasets = [ ("d", ints [ 1; 2; 3 ]) ] in
-  let j1 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  let j2, o1 =
-    hold gate s j1 (fun () ->
-        (* the slot is held: the next job queues, the one after is shed *)
-        let j2 =
-          Exec.Session.submit s ~datasets Plan.(data "d" |>> map Fun.id)
-        in
-        (match Exec.Session.submit s ~datasets (Plan.data "d") with
-        | exception Exec.Session.Overloaded -> ()
-        | _ -> Alcotest.fail "expected Overloaded at queue capacity");
-        let st = Exec.Session.stats s in
-        check_int "rejection counted" 1 st.Exec.Session.jobs_rejected;
-        check_int "one queued" 1 st.Exec.Session.queued;
-        check_int "one running" 1 st.Exec.Session.running;
-        check_int "queue high water" 1 st.Exec.Session.queue_high_water;
-        check "queued job reports `Queued" true
-          (Exec.Session.state s j2 = `Queued);
-        j2)
-  in
-  ignore (completed o1 : Engine.run);
-  ignore (completed (Exec.Session.await s j2) : Engine.run);
-  let st = Exec.Session.stats s in
-  check_int "both completed" 2 st.Exec.Session.jobs_completed;
-  check_int "admitted counts exclude rejections" 2
-    st.Exec.Session.jobs_admitted
 
 (* the ledger gates dispatch: with a budget smaller than two inputs a
    free slot stays idle until the running job releases its bytes — but
@@ -346,7 +305,14 @@ let test_cancel_queued () =
                       observe = (fun _ -> fired := true);
                     })
         in
+        (* the slot is held, so the probe job waits *)
+        let st = Exec.Session.stats s in
+        check_int "one queued" 1 st.Exec.Session.queued;
+        check_int "one running" 1 st.Exec.Session.running;
+        check_int "queue high water" 1 st.Exec.Session.queue_high_water;
         check "queued cancel accepted" true (Exec.Session.cancel s j2);
+        check_int "nothing queued after the cancel" 0
+          (Exec.Session.stats s).Exec.Session.queued;
         j2)
   in
   ignore (completed o1 : Engine.run);
@@ -355,9 +321,9 @@ let test_cancel_queued () =
   | _ -> Alcotest.fail "queued job was not cancelled");
   check "cancelled job never ran" true (not !fired)
 
-(* ---------------- priorities ---------------- *)
+(* ---------------- dispatch order ---------------- *)
 
-let test_priority_order () =
+let test_fifo_order () =
   let gate = mk_gate () in
   let order = ref [] in
   let om = Mutex.create () in
@@ -381,18 +347,18 @@ let test_priority_order () =
   let (), o1 =
     hold gate s j1 (fun () ->
         (* queued while the gate job holds the only slot: dispatch must
-           be by priority, submission order within a level *)
+           be in submission order *)
         List.iter
-          (fun (priority, tag) ->
+          (fun tag ->
             ignore
-              (Exec.Session.submit s ~priority ~datasets (tagged tag)
+              (Exec.Session.submit s ~datasets (tagged tag)
                 : Exec.Session.job))
-          [ (0, "p0a"); (5, "p5"); (1, "p1"); (0, "p0b") ])
+          [ "q1"; "q2"; "q3"; "q4" ])
   in
   ignore (completed o1 : Engine.run);
   Exec.Session.drain s;
-  check "priority dispatch order" true
-    (List.rev !order = [ "p5"; "p1"; "p0a"; "p0b" ])
+  check "FIFO dispatch order" true
+    (List.rev !order = [ "q1"; "q2"; "q3"; "q4" ])
 
 (* Each domain runs with the runtime's backup thread, so a runner adds
    two OS threads; the first domain a process spawns also starts the
@@ -401,12 +367,12 @@ let threads_before_session () =
   Domain.join (Domain.spawn ignore);
   Testenv.steady_threads ()
 
-(* admission slots stay at the concurrency, but the runner domains that
-   take the dispatched jobs are clamped to the host's cores: during an
+(* job slots stay at the concurrency, but the runner domains that take
+   the dispatched jobs are clamped to the host's cores: during an
    8-job burst on a concurrency-8 session at most [cores - 1] runners
    are alive (7 unclamped runners would add 14 threads), and all 8 jobs
    still complete. Every job reads the thread count as it runs. *)
-let test_pool_clamped_to_host () =
+let test_runners_clamped_to_host () =
   let host = Domain.recommended_domain_count () in
   let config = { uncached_env with Exec.Config.concurrency = Some 8 } in
   let before = threads_before_session () in
@@ -428,7 +394,7 @@ let test_pool_clamped_to_host () =
       |>> reduce_by_key add_i)
   in
   Exec.Session.with_session ~config @@ fun s ->
-  check_int "admission slots" 8 (Exec.Session.concurrency s);
+  check_int "job slots" 8 (Exec.Session.concurrency s);
   let datasets = [ ("w", wc_words 100) ] in
   let jobs = List.init 8 (fun _ -> Exec.Session.submit s ~datasets plan) in
   List.iter
@@ -495,10 +461,6 @@ let test_of_env () =
     | Some n when n > 0 -> Some n
     | _ -> None
   in
-  check "concurrency from CASPER_EXEC_CONCURRENCY" true
-    (cfg.Exec.Config.concurrency = positive "CASPER_EXEC_CONCURRENCY");
-  check "queue capacity from CASPER_EXEC_QUEUE" true
-    (cfg.Exec.Config.queue_capacity = positive "CASPER_EXEC_QUEUE");
   check "memory budget from CASPER_MEM_BUDGET" true
     (cfg.Exec.Config.memory_budget = positive "CASPER_MEM_BUDGET");
   check "cache from CASPER_CACHE_BUDGET" true
@@ -509,22 +471,13 @@ let test_of_env () =
     =
     match Sys.getenv_opt "CASPER_SPILL_DIR" with
     | Some d when d <> "" -> Some d
-    | _ -> None);
-  (* a session built from of_env resolves the same knobs *)
-  Exec.Session.with_session ~config:cfg @@ fun s ->
-  check_int "session concurrency"
-    (Option.value ~default:1 (positive "CASPER_EXEC_CONCURRENCY"))
-    (Exec.Session.concurrency s);
-  check_int "session queue capacity"
-    (Option.value ~default:64 (positive "CASPER_EXEC_QUEUE"))
-    (Exec.Session.queue_capacity s)
+    | _ -> None)
 
-(* only [of_env] and [jobs_of_env] read the environment: a session
-   built from the default config runs at concurrency 1, a run with the
-   default config stays in memory on the calling domain (no domain
-   started), and a spilling
-   run ignores a CASPER_SPILL_DIR that names a missing directory,
-   whatever CASPER_* says *)
+(* only [of_env] reads the environment: a session built from the
+   default config runs at concurrency 1, a run with the default config
+   stays in memory on the calling domain (no domain started), and a
+   spilling run ignores a CASPER_SPILL_DIR that names a missing
+   directory, whatever CASPER_* says *)
 let test_library_reads_no_env () =
   let missing =
     Filename.concat
@@ -532,12 +485,9 @@ let test_library_reads_no_env () =
       (Printf.sprintf "casper-missing-%d" (Unix.getpid ()))
   in
   (* no unsetenv: an unset variable comes back as a value that reads as
-     unset — "0" for a number, "1" for the pool size, "" for the
-     directory *)
+     unset — "0" for a number, "" for the directory *)
   let vars =
     [
-      ("CASPER_JOBS", "3", "1");
-      ("CASPER_EXEC_CONCURRENCY", "3", "0");
       ("CASPER_MEM_BUDGET", "1", "0");
       ("CASPER_SPILL_DIR", missing, "");
     ]
@@ -584,32 +534,6 @@ let test_library_reads_no_env () =
   check "a spilling run uses the temp directory" true
     (Obs.total obs "spill_runs" > 0)
 
-(* a bad CASPER_JOBS falls back to 1 domain, and says so once *)
-let test_jobs_of_env_warns_on_garbage () =
-  let saved = Sys.getenv_opt "CASPER_JOBS" in
-  Fun.protect
-    ~finally:(fun () ->
-      (* no unsetenv: an unset variable comes back as "1", the built-in *)
-      Unix.putenv "CASPER_JOBS" (Option.value saved ~default:"1"))
-  @@ fun () ->
-  Unix.putenv "CASPER_JOBS" "abc";
-  check_int "garbage reads as 1 domain" 1 (Exec.Config.jobs_of_env ());
-  check "the warning used its one shot" false
-    (Obs.warn_once ~key:"CASPER_JOBS" "warned again")
-
-(* the CI pass under CASPER_JOBS=n maps the smoke campaign's waves on n
-   domains: it cannot silently become a second 1-domain pass *)
-let test_suite_pool_follows_jobs () =
-  let expected =
-    match
-      Option.bind (Sys.getenv_opt "CASPER_JOBS") (fun s ->
-          int_of_string_opt (String.trim s))
-    with
-    | Some n when n > 1 -> n
-    | _ -> 1
-  in
-  check_int "the smoke campaign's domains per wave" expected Testenv.jobs
-
 (* ---------------- the session's obs story ---------------- *)
 
 let test_session_obs () =
@@ -638,7 +562,7 @@ let test_session_obs () =
     | Some v -> v
     | None -> Alcotest.fail "no exec.session span flushed at shutdown"
   in
-  check "session span carries the admission counters" true
+  check "session span carries the job counters" true
     (List.mem_assoc "jobs_admitted" sess.Obs.v_counters
     && List.mem_assoc "jobs_completed" sess.Obs.v_counters);
   check_int "jobs_completed counter" 2 (Obs.total obs "jobs_completed");
@@ -660,14 +584,11 @@ let suite =
       [
         Alcotest.test_case "determinism matrix vs solo run" `Quick
           test_session_determinism;
-        Alcotest.test_case "backpressure at queue capacity" `Quick
-          test_backpressure;
         Alcotest.test_case "ledger gates dispatch" `Quick
           test_ledger_admission;
-        Alcotest.test_case "priority dispatch order" `Quick
-          test_priority_order;
-        Alcotest.test_case "a session's pool never exceeds the host" `Quick
-          test_pool_clamped_to_host;
+        Alcotest.test_case "FIFO dispatch order" `Quick test_fifo_order;
+        Alcotest.test_case "a session's runners never exceed the host"
+          `Quick test_runners_clamped_to_host;
         Alcotest.test_case "an idle session keeps no domain" `Quick
           test_idle_session_keeps_no_domain;
       ] );
@@ -686,10 +607,6 @@ let suite =
           test_of_env;
         Alcotest.test_case "the library reads no environment" `Quick
           test_library_reads_no_env;
-        Alcotest.test_case "bad CASPER_JOBS warns" `Quick
-          test_jobs_of_env_warns_on_garbage;
-        Alcotest.test_case "the suite's pool follows CASPER_JOBS" `Quick
-          test_suite_pool_follows_jobs;
       ] );
     ( "exec.obs",
       [

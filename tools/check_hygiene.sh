@@ -35,8 +35,7 @@ fi
 
 # One reader of the environment: outside this file no CASPER_*
 # variable is read under lib/ bin/ bench/ (Exec_config.of_env owns the
-# execution knobs and the spill directory, Exec_config.jobs_of_env the
-# pool size).
+# memory and cache budgets and the spill directory).
 env_readers="lib/mapreduce/exec_config.ml"
 for f in $(grep -rl 'getenv' --include='*.ml' lib bin bench | sort); do
   case " $env_readers " in *" $f "*) continue ;; esac
@@ -129,6 +128,20 @@ if find lib/ir lib/synth -name '*.ml' | sort | xargs awk '
     { prev = $0 }
     END { exit !bad }'; then
   echo "a process-global Atomic under lib/ir or lib/synth"
+  fail=1
+fi
+
+# A session is a FIFO job runner: its priorities, its bounded admission
+# queue and the introspection only their tests used are gone, and so
+# are the variables that set session concurrency, the queue bound and
+# difftest's domains (difftest --jobs is the one way), and casperc's
+# second way to set the cache budget (CASPER_CACHE_BUDGET is the one).
+admission='\b(Overloaded|queue_capacity|jobs_rejected|job_id|jobs_of_env)\b'
+admission="$admission"'|~priority\b|Session\.state\b|Testenv\.jobs\b'
+admission="$admission"'|\bCASPER_(EXEC_QUEUE|EXEC_CONCURRENCY|JOBS)\b|cache-budget'
+if grep -rnE "$admission" --include='*.ml' --include='*.mli' --include='dune' \
+    lib bin bench test; then
+  echo "a deleted session admission policy or CASPER_* knob reappeared"
   fail=1
 fi
 
