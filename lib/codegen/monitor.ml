@@ -99,15 +99,9 @@ let estimate_from_sample (frag : F.t) (entry : Eval.env)
   in
   { guard_probs; distinct_keys = distinct; sample_size = n }
 
-(** The measured estimator: Eqns 2–4 with sampled probabilities.
-    [cached] marks datasets the engine's lineage cache holds resident,
-    so their read term is free (§5.2 with the Spark persist advantage
-    priced in). *)
-let measured_estimator ?cached (frag : F.t) (entry : Eval.env)
-    (est : estimate) ~(reduce_eps : Ir.lam_r -> Ir.ty -> float) :
-    Cost.estimator =
-  ignore frag;
-  ignore entry;
+(** The measured estimator: Eqns 2–4 with sampled probabilities. *)
+let measured_estimator (est : estimate)
+    ~(reduce_eps : Ir.lam_r -> Ir.ty -> float) : Cost.estimator =
   {
     Cost.prob =
       (fun g ->
@@ -120,7 +114,6 @@ let measured_estimator ?cached (frag : F.t) (entry : Eval.env)
     distinct_keys = (fun ~n_in -> Float.min n_in est.distinct_keys);
     join_selectivity = 0.1;
     reduce_eps;
-    cached_input = cached;
   }
 
 type choice = {
@@ -130,11 +123,8 @@ type choice = {
 }
 
 (** The monitor's decision: sample, estimate, cost each candidate, pick
-    the cheapest (§5.2 "the summary with the lowest cost is executed").
-    [cached] flags cache-resident datasets: their read term costs
-    nothing, so candidates reading them win ties against candidates
-    that must re-read cold data. *)
-let choose ?cached (prog : Minijava.Ast.program) (frag : F.t)
+    the cheapest (§5.2 "the summary with the lowest cost is executed"). *)
+let choose (prog : Minijava.Ast.program) (frag : F.t)
     (entry : Eval.env) (candidates : Ir.summary list) ~(n : float)
     (sample : Value.t list) : choice =
   (* the generated monitor reads only the first k values of the live
@@ -148,7 +138,7 @@ let choose ?cached (prog : Minijava.Ast.program) (frag : F.t)
     | `Comm_assoc -> 1.0
     | `Not_comm_assoc -> Cost.w_csg
   in
-  let estimator = measured_estimator ?cached frag entry est ~reduce_eps in
+  let estimator = measured_estimator est ~reduce_eps in
   let costs =
     List.map
       (fun s -> Cost.cost_of_summary tenv record_ty (fun _ -> n) estimator s)

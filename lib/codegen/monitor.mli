@@ -22,13 +22,8 @@ type estimate = {
 val estimate_from_sample :
   F.t -> Casper_ir.Eval.env -> Ir.summary list -> Value.t list -> estimate
 
-(** Eqns 2–4 with the sampled probabilities. [cached] marks datasets
-    the engine's lineage cache holds resident: their read term is free,
-    which is what lets the monitor prefer cache-resident plans. *)
+(** Eqns 2–4 with the sampled probabilities. *)
 val measured_estimator :
-  ?cached:(string -> bool) ->
-  F.t ->
-  Casper_ir.Eval.env ->
   estimate ->
   reduce_eps:(Ir.lam_r -> Ir.ty -> float) ->
   Casper_cost.Cost.estimator
@@ -41,10 +36,8 @@ type choice = {
 
 (** The monitor's decision on a sample of the live input, for a nominal
     record count [n]. Only the first {!sample_k} values of the sample
-    are read, however many are passed. [cached] flags cache-resident
-    datasets (see {!measured_estimator}). *)
+    are read, however many are passed. *)
 val choose :
-  ?cached:(string -> bool) ->
   Minijava.Ast.program ->
   F.t ->
   Casper_ir.Eval.env ->

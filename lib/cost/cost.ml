@@ -25,7 +25,6 @@ let w_m = 1.0
 let w_r = 2.0
 let w_j = 2.0
 let w_csg = 50.0
-let w_read = 0.5
 
 type estimator = {
   prob : Ir.expr option -> float;
@@ -36,26 +35,17 @@ type estimator = {
   join_selectivity : float;
   reduce_eps : Ir.lam_r -> Ir.ty -> float;
       (** ϵ(λr): 1 if commutative-associative else Wcsg *)
-  cached_input : (string -> bool) option;
-      (** when set, reading dataset [d] costs [w_read · N · sizeOf(rec)]
-          unless [cached_input d] says the engine's dataset cache holds
-          it resident, in which case the read is free — the cached-input
-          term that lets the runtime monitor prefer cache-resident plans
-          (the Spark [persist] advantage, DESIGN.md §13). [None] prices
-          every plan exactly as before the cache existed. *)
 }
 
 (** Static defaults: unguarded emits always fire; guarded emits get
     probability [guard_prob] (evaluated at both 0 and 1 for dominance
     checks); distinct keys default to the square root of the input. *)
-let static_estimator ?(guard_prob = 0.5) ?(reduce_eps = fun _ _ -> 1.0)
-    ?cached_input () =
+let static_estimator ?(guard_prob = 0.5) ?(reduce_eps = fun _ _ -> 1.0) () =
   {
     prob = (function None -> 1.0 | Some _ -> guard_prob);
     distinct_keys = (fun ~n_in -> Float.max 1.0 (sqrt n_in));
     join_selectivity = 0.1;
     reduce_eps;
-    cached_input;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -76,16 +66,7 @@ let stage_costs (tenv : Infer.tenv) (record_ty : string -> Ir.ty)
   in
   let rec go (n : Ir.node) : float (* count *) * stage_cost list =
     match n with
-    | Ir.Data d -> (
-        let n_in = card d in
-        match est.cached_input with
-        | None -> (n_in, [])
-        | Some resident ->
-            let cost =
-              if resident d then 0.0
-              else w_read *. n_in *. float_of_int (Ir.size_of_ty (record_ty d))
-            in
-            (n_in, [ { name = "read"; cost; out_count = n_in } ]))
+    | Ir.Data d -> (card d, [])
     | Ir.Map (src, lm) ->
         let n_in, costs = go src in
         let src_elt =

@@ -8,15 +8,12 @@ module Ir = Casper_ir.Lang
 module Infer = Casper_ir.Infer
 
 (** The paper's weights: Wm = 1, Wr = 2, Wj = 2; Wcsg = 50 penalizes a
-    reduction that is not commutative-associative (Eqn 3's ϵ); Wread
-    prices the initial dataset read when a cached-input estimator is in
-    force. *)
+    reduction that is not commutative-associative (Eqn 3's ϵ). *)
 val w_m : float
 
 val w_r : float
 val w_j : float
 val w_csg : float
-val w_read : float
 
 type estimator = {
   prob : Ir.expr option -> float;
@@ -25,19 +22,13 @@ type estimator = {
       (** unique keys a keyed reduce produces given its input count *)
   join_selectivity : float;  (** pj of Eqn 4 *)
   reduce_eps : Ir.lam_r -> Ir.ty -> float;  (** ϵ(λr) *)
-  cached_input : (string -> bool) option;
-      (** when set, reading dataset [d] costs [w_read · N · sizeOf(rec)]
-          unless [cached_input d] holds (engine dataset cache resident:
-          free). [None] = price plans exactly as before the cache. *)
 }
 
 (** Static defaults: unguarded emits fire always, guarded ones with
-    [guard_prob]; distinct keys default to √N; no cached-input term
-    unless [cached_input] is given. *)
+    [guard_prob]; distinct keys default to √N. *)
 val static_estimator :
   ?guard_prob:float ->
   ?reduce_eps:(Ir.lam_r -> Ir.ty -> float) ->
-  ?cached_input:(string -> bool) ->
   unit ->
   estimator
 

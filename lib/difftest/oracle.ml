@@ -320,14 +320,15 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                   Exec.Config.default with
                                   Exec.Config.concurrency = Some conc;
                                   cache = Some (Engine.make_cache ());
+                                  cluster = Some cluster;
                                 }
                               in
                               let outcomes =
                                 Exec.Session.with_session ~config (fun s ->
                                     let jobs =
                                       List.init 2 (fun _ ->
-                                          Exec.Session.submit s ~cluster
-                                            ~datasets t.Compile.plan)
+                                          Exec.Session.submit s ~datasets
+                                            t.Compile.plan)
                                     in
                                     List.map (Exec.Session.await s) jobs)
                               in

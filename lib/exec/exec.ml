@@ -17,16 +17,16 @@ module Session = struct
   type job = {
     id : int;
     deadline : float option;  (** absolute wall-clock time *)
-    j_cluster : Mapreduce.Cluster.t;
     j_datasets : (string * Value.t list) list;
     j_plan : Mapreduce.Plan.t;
-    j_bytes : int;  (** input bytes charged to the ledger while running *)
     cancel_flag : bool Atomic.t;
     mutable jstate : jstate;  (** guarded by the session mutex *)
-    mutable t_submit : float;
     mutable t_start : float;
     mutable t_end : float;
   }
+
+  (** what the shutdown span keeps of a settled job *)
+  type settled = { s_id : int; s_outcome : string; s_t0 : float; s_t1 : float }
 
   type stats = {
     jobs_admitted : int;
@@ -36,8 +36,6 @@ module Session = struct
     queued : int;
     running : int;
     queue_high_water : int;
-    ledger_bytes : int;
-    ledger_high_water : int;
   }
 
   type t = {
@@ -48,11 +46,10 @@ module Session = struct
     max_runners : int;
     obs : Obs.ctx;
     base : Config.t;  (** per-job engine config, cancel token excepted *)
+    cluster : Mapreduce.Cluster.t;
     concurrency : int;
-    ledger_budget : int option;
     mutable queue : job list;  (** submission order *)
     mutable running : int;
-    mutable ledger : int;
     mutable next_id : int;
     mutable shut : bool;
     mutable admitted : int;
@@ -60,8 +57,7 @@ module Session = struct
     mutable completed : int;
     mutable failed : int;
     mutable q_hw : int;
-    mutable l_hw : int;
-    mutable log : job list;  (** every admitted job, newest first *)
+    mutable log : settled list;  (** every settled job, newest first *)
     mutable runners : unit Domain.t list;  (** runner domains taking jobs *)
     mutable exited : unit Domain.t list;
         (** the runner that exited last, not yet joined *)
@@ -80,13 +76,6 @@ module Session = struct
        warn about (unlike [Par.recommended_jobs]). *)
     let max_runners =
       min concurrency (Domain.recommended_domain_count ()) - 1
-    in
-    (* one spill/ledger budget shared by every job; [<= 0] means
-       unbounded, as in the engine *)
-    let budget =
-      match config.Config.memory_budget with
-      | Some b when b > 0 -> Some b
-      | _ -> None
     in
     let obs =
       match config.Config.obs with Some o -> o | None -> Obs.null
@@ -108,11 +97,11 @@ module Session = struct
       max_runners;
       obs;
       base;
+      cluster =
+        Option.value config.Config.cluster ~default:Mapreduce.Cluster.spark;
       concurrency;
-      ledger_budget = budget;
       queue = [];
       running = 0;
-      ledger = 0;
       next_id = 1;
       shut = false;
       admitted = 0;
@@ -120,13 +109,31 @@ module Session = struct
       completed = 0;
       failed = 0;
       q_hw = 0;
-      l_hw = 0;
       log = [];
       runners = [];
       exited = [];
     }
 
   let concurrency t = t.concurrency
+
+  (* settle [j] with [outcome]; the session mutex is held *)
+  let settle (t : t) (j : job) (outcome : outcome) : unit =
+    j.jstate <- Done outcome;
+    let label =
+      match outcome with
+      | Completed _ ->
+          t.completed <- t.completed + 1;
+          "completed"
+      | Cancelled r ->
+          t.cancelled <- t.cancelled + 1;
+          r
+      | Failed _ ->
+          t.failed <- t.failed + 1;
+          "failed"
+    in
+    t.log <-
+      { s_id = j.id; s_outcome = label; s_t0 = j.t_start; s_t1 = j.t_end }
+      :: t.log
 
   (* run one job on whatever domain took it from [ready]; called outside
      the session mutex *)
@@ -140,7 +147,7 @@ module Session = struct
         in
         let cfg = { t.base with Config.cancel = Some cancelled } in
         Completed
-          (Engine.run_plan ~config:cfg ~cluster:j.j_cluster
+          (Engine.run_plan ~config:cfg ~cluster:t.cluster
              ~datasets:j.j_datasets j.j_plan)
       with
       | Engine.Cancelled ->
@@ -149,44 +156,29 @@ module Session = struct
       | e -> Failed (Printexc.to_string e)
     in
     j.t_end <- now ();
-    (* the ledger release and slot handoff must happen on every path,
-       cancellation and failure included *)
+    (* the slot handoff must happen on every path, cancellation and
+       failure included *)
     Mutex.protect t.m (fun () ->
-        t.ledger <- t.ledger - j.j_bytes;
         t.running <- t.running - 1;
-        j.jstate <- Done outcome;
-        (match outcome with
-        | Completed _ -> t.completed <- t.completed + 1
-        | Cancelled _ -> t.cancelled <- t.cancelled + 1
-        | Failed _ -> t.failed <- t.failed + 1);
+        settle t j outcome;
         pump t;
         Condition.broadcast t.cv)
 
-  (* dispatch from the queue head while slots and ledger admit; the
-     session mutex is held. Strict queue order (no skip-ahead past an
-     oversized head) keeps dispatch starvation-free. *)
+  (* dispatch from the queue head while slots are free; the session
+     mutex is held *)
   and pump (t : t) : unit =
     match t.queue with
     | j :: rest when t.running < t.concurrency ->
-        let admits =
-          match t.ledger_budget with
-          | Some b -> t.running = 0 || t.ledger + j.j_bytes <= b
-          | None -> true
-        in
-        if admits then begin
-          t.queue <- rest;
-          j.jstate <- Running;
-          t.running <- t.running + 1;
-          t.ledger <- t.ledger + j.j_bytes;
-          if t.ledger > t.l_hw then t.l_hw <- t.ledger;
-          Queue.add j t.ready;
-          if List.length t.runners < t.max_runners then
-            Option.iter
-              (fun d -> t.runners <- d :: t.runners)
-              (Par.spawn (runner t));
-          Condition.broadcast t.cv;
-          pump t
-        end
+        t.queue <- rest;
+        j.jstate <- Running;
+        t.running <- t.running + 1;
+        Queue.add j t.ready;
+        if List.length t.runners < t.max_runners then
+          Option.iter
+            (fun d -> t.runners <- d :: t.runners)
+            (Par.spawn (runner t));
+        Condition.broadcast t.cv;
+        pump t
     | _ -> ()
 
   (* A runner domain takes ready jobs until none is left, then exits:
@@ -214,47 +206,29 @@ module Session = struct
         Mutex.unlock t.m;
         List.iter Domain.join before
 
-  let dataset_bytes (datasets : (string * Value.t list) list) : int =
-    List.fold_left
-      (fun acc (_, rs) -> acc + Value.size_of_list rs)
-      0 datasets
-
-  let submit ?deadline_s ?cluster (t : t)
-      ~(datasets : (string * Value.t list) list) (plan : Mapreduce.Plan.t) :
-      job =
+  let submit ?deadline_s (t : t) ~(datasets : (string * Value.t list) list)
+      (plan : Mapreduce.Plan.t) : job =
     let submitted = now () in
-    let cluster =
-      match cluster with
-      | Some c -> c
-      | None -> (
-          match t.base.Config.cluster with
-          | Some c -> c
-          | None -> Mapreduce.Cluster.spark)
-    in
-    let bytes = dataset_bytes datasets in
     Mutex.protect t.m (fun () ->
         if t.shut then invalid_arg "Exec.Session: session is shut down";
         let j =
           {
             id = t.next_id;
             deadline = Option.map (fun d -> submitted +. d) deadline_s;
-            j_cluster = cluster;
             j_datasets = datasets;
             j_plan = plan;
-            j_bytes = bytes;
             cancel_flag = Atomic.make false;
             jstate = Queued;
-            t_submit = submitted;
             t_start = submitted;
             t_end = submitted;
           }
         in
         t.next_id <- t.next_id + 1;
         t.queue <- t.queue @ [ j ];
-        t.q_hw <- max t.q_hw (List.length t.queue);
         t.admitted <- t.admitted + 1;
-        t.log <- j :: t.log;
         pump t;
+        (* after [pump]: a job dispatched at once never waited *)
+        t.q_hw <- max t.q_hw (List.length t.queue);
         j)
 
   let cancel (t : t) (j : job) : bool =
@@ -263,14 +237,13 @@ module Session = struct
         | Done _ -> false
         | Running ->
             (* cooperative: the engine stops at its next stage boundary
-               and [run_job] settles the outcome and the ledger *)
+               and [run_job] settles the outcome *)
             Atomic.set j.cancel_flag true;
             true
         | Queued ->
             t.queue <- List.filter (fun x -> x != j) t.queue;
-            j.jstate <- Done (Cancelled "cancelled");
             j.t_end <- now ();
-            t.cancelled <- t.cancelled + 1;
+            settle t j (Cancelled "cancelled");
             pump t;
             Condition.broadcast t.cv;
             true)
@@ -311,8 +284,6 @@ module Session = struct
           queued = List.length t.queue;
           running = t.running;
           queue_high_water = t.q_hw;
-          ledger_bytes = t.ledger;
-          ledger_high_water = t.l_hw;
         })
 
   (* the session's trace story, flushed once from the owner domain:
@@ -326,22 +297,13 @@ module Session = struct
           Obs.add t.obs "jobs_completed" t.completed;
           Obs.add t.obs "jobs_failed" t.failed;
           Obs.add t.obs "queue_high_water" t.q_hw;
-          Obs.add t.obs "ledger_high_water" t.l_hw;
           List.iter
-            (fun (j : job) ->
-              let outcome =
-                match j.jstate with
-                | Done (Completed _) -> "completed"
-                | Done (Cancelled r) -> r
-                | Done (Failed _) -> "failed"
-                | Queued | Running -> "unsettled"
-              in
+            (fun s ->
               Obs.span_at t.obs ~track:"exec"
-                ~args:[ ("outcome", outcome) ]
-                ~counters:[ ("bytes", j.j_bytes) ]
-                ~t0:j.t_start ~t1:j.t_end
-                (Printf.sprintf "job-%d" j.id))
-            (List.rev t.log))
+                ~args:[ ("outcome", s.s_outcome) ]
+                ~t0:s.s_t0 ~t1:s.s_t1
+                (Printf.sprintf "job-%d" s.s_id))
+            (List.sort (fun a b -> Int.compare a.s_id b.s_id) t.log))
 
   let shutdown (t : t) : unit =
     let already = Mutex.protect t.m (fun () ->

@@ -1,11 +1,11 @@
 (** Execution sessions: many plans in flight against one session's own
-    runner domains, one shared lineage cache and one live-byte ledger,
-    with deadlines and cooperative cancellation.
+    runner domains and one shared lineage cache, with deadlines and
+    cooperative cancellation.
 
     {!Engine.run_plan} executes one plan and returns; a {!Session.t}
     runs many. Jobs wait in submission order ({!Session.submit}), a
-    bounded-concurrency dispatcher makes them ready as slots and ledger
-    bytes free up, and each job runs the plan through the ordinary
+    bounded-concurrency dispatcher makes them ready as slots free up,
+    and each job runs the plan through the ordinary
     engine with the session's shared configuration. There is no
     admission policy (no priorities, no queue bound): scheduling and
     admission belong to the framework a generated program runs on.
@@ -18,9 +18,11 @@
     Cancellation is cooperative and stage-granular: {!Session.cancel}
     (or an expired deadline) flips the job's token, the engine polls it
     at stage boundaries and raises [Engine.Cancelled], and the
-    dispatcher releases the job's ledger bytes; spill temp files are
-    swept by the grouped stages' own [Fun.protect] before the exception
-    propagates, so a cancelled job leaks neither bytes nor files. *)
+    dispatcher frees the job's slot; spill temp files are swept by the
+    grouped stages' own [Fun.protect] before the exception propagates,
+    so a cancelled job leaks no file. A settled job leaves the session
+    only its id, outcome and timestamps (for the shutdown span): its
+    datasets, plan and run are the caller's to keep or drop. *)
 
 module Value = Casper_common.Value
 
@@ -55,9 +57,9 @@ module Session : sig
     running : int;
         (** jobs dispatched and not yet finished: each holds a slot,
             though it may still wait for a domain to run it *)
-    queue_high_water : int;  (** most jobs ever waiting for a slot *)
-    ledger_bytes : int;  (** input bytes of running jobs right now *)
-    ledger_high_water : int;
+    queue_high_water : int;
+        (** most jobs ever waiting for a slot, counted after dispatch: a
+            job that took a free slot at once never waited *)
   }
 
   (** [create ?config ()] — a session over [config] (default
@@ -72,11 +74,10 @@ module Session : sig
       caller runs every job and no domain is spawned, and an idle
       session holds no domain. Dispatched jobs beyond those domains
       wait to be taken. [config.cache] is the shared lineage cache
-      (absent: none). [config.memory_budget] is both each job's spill budget
-      and the session's ledger budget: a job whose input bytes would
-      overflow the ledger waits (it is never rejected for size — a lone
-      job always dispatches, and its grouped stages spill within the
-      same budget).
+      (absent: none), bounded by its own budget. [config.memory_budget]
+      is each job's spill budget and nothing else: it never holds a job
+      back. [config.cluster] is every job's backend (default
+      {!Mapreduce.Cluster.spark}).
 
       [config.obs] records per-session counters and a per-job ["exec"]
       span track, flushed at {!shutdown}; engine-level spans inside
@@ -93,12 +94,10 @@ module Session : sig
       relative deadline in seconds from submission; once expired the
       job's cancellation token reports true and the job completes
       [Cancelled "deadline"] at the next stage boundary (a deadline
-      [<= 0] cancels it before its first stage). [cluster] defaults to the config's [cluster] field, else
-      {!Mapreduce.Cluster.spark}.
+      [<= 0] cancels it before its first stage).
       @raise Invalid_argument on a shut-down session. *)
   val submit :
     ?deadline_s:float ->
-    ?cluster:Mapreduce.Cluster.t ->
     t ->
     datasets:(string * Value.t list) list ->
     Mapreduce.Plan.t ->

@@ -150,7 +150,6 @@ let create ?budget () : 'a t =
 
 let locked (t : 'a t) f = Mutex.protect t.lock f
 let budget (t : 'a t) = t.budget
-let bytes (t : 'a t) = locked t (fun () -> t.live_bytes)
 
 let find_entry (t : 'a t) (k : key) : 'a entry option =
   List.find_opt (fun e -> e.ekey.fp = k.fp && equal_key e.ekey k) t.entries
@@ -195,9 +194,6 @@ let put (t : 'a t) (k : key) ~(bytes : int) (payload : 'a) : int =
       t.live_bytes <- t.live_bytes + e.ebytes;
       t.insertions <- t.insertions + 1;
       match t.budget with None -> 0 | Some b -> evict_to t b)
-
-let shrink_to (t : 'a t) (target : int) : int =
-  locked t (fun () -> evict_to t (max 0 target))
 
 let stats (t : 'a t) : stats =
   locked t (fun () ->

@@ -64,9 +64,6 @@ val create : ?budget:int -> unit -> 'a t
 
 val budget : 'a t -> int option
 
-(** Live bytes currently resident. *)
-val bytes : 'a t -> int
-
 (** Lookup; a hit refreshes the entry's recency. *)
 val find : 'a t -> key -> 'a option
 
@@ -75,9 +72,5 @@ val find : 'a t -> key -> 'a option
     just inserted is eligible too, so a cache with budget 1 degenerates
     to a pass-through. Returns the number of evictions. *)
 val put : 'a t -> key -> bytes:int -> 'a -> int
-
-(** Evict entries in LRU order until at most [target] bytes remain.
-    Returns the number of evictions. *)
-val shrink_to : 'a t -> int -> int
 
 val stats : 'a t -> stats

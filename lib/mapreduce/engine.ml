@@ -117,9 +117,9 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
      caller), and their shared cache is the whole point (Cache ops are
      mutex-guarded, and served outputs are byte-identical to
      recomputation, so multi-domain population never changes
-     results). The key binds the resolved spill budget
-     (ctx.x_budget, before any pressure adjustment below), so budgeted
-     and in-memory executions of the same plan never share an entry. *)
+     results). The key binds the resolved spill budget (ctx.x_budget),
+     so budgeted and in-memory executions of the same plan never share
+     an entry. *)
   let cache_slot =
     match ctx.x_cache with
     | Some c when Plan.cacheable plan ->
@@ -145,19 +145,6 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         input_bytes = e.c_input_bytes;
       }
   | None ->
-  (* eviction before spill: cached partitions count toward the same
-     live-byte ledger as the spill budget, and dropping a re-derivable
-     cache entry is always cheaper than spilling live shuffle state —
-     shed cache down to half the budget, then let the grouped stages
-     spill within what remains (outputs are budget-invariant, DESIGN.md
-     §12, so this only moves work, never results) *)
-  let budget, pressure_evictions =
-    match (cache_slot, ctx.x_budget) with
-    | Some (c, _), Some b ->
-        let ev = Cache.shrink_to c (b / 2) in
-        (Some (max 1 (b - Cache.bytes c)), ev)
-    | _ -> (ctx.x_budget, 0)
-  in
   (* a shuffle with no partitions to land records in cannot execute *)
   let check_workers () =
     if cluster.Cluster.workers <= 0 then
@@ -281,7 +268,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         and step acc v = acc := f !acc v
         and record k acc = Value.Tuple [ k; !acc ] in
         let out =
-          match budget with
+          match ctx.x_budget with
           | Some spill_budget ->
               grouped_spill label current ~spill_budget ~init ~step ~record
           | None ->
@@ -311,7 +298,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         and step cell v = cell := v :: !cell
         and record k cell = Value.Tuple [ k; Value.List (List.rev !cell) ] in
         let out =
-          match budget with
+          match ctx.x_budget with
           | Some spill_budget ->
               grouped_spill label current ~spill_budget ~init ~step ~record
           | None ->
@@ -408,14 +395,13 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   | Some (c, key) ->
       let bytes = Batch.bytes output_batch in
       let evictions =
-        pressure_evictions
-        + Cache.put c key ~bytes
-            {
-              c_batch = output_batch;
-              c_stages = stages;
-              c_input_records = input_records;
-              c_input_bytes = input_bytes;
-            }
+        Cache.put c key ~bytes
+          {
+            c_batch = output_batch;
+            c_stages = stages;
+            c_input_records = input_records;
+            c_input_bytes = input_bytes;
+          }
       in
       Obs.span obs "engine.cache" (fun () ->
           Obs.add obs "cache_misses" 1;

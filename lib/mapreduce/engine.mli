@@ -48,8 +48,8 @@ type cached_run = Exec_config.cached_run
 (** A lineage-keyed dataset cache for engine runs ({!Cache}, DESIGN.md
     §13); the same type as {!Exec_config.cache}, so a cache built
     either way can travel through a config record. Because the type is
-    transparent, the whole {!Cache} API — [stats], [find], [put],
-    [shrink_to], … — applies to it. *)
+    transparent, the whole {!Cache} API — [stats], [find], [put], … —
+    applies to it. *)
 type cache = cached_run Cache.t
 
 (** [make_cache ?budget ()] — a fresh cache; [budget] ≤ 0 or absent
@@ -83,10 +83,9 @@ val cache_stats : cache -> Cache.stats
     recomputation, on any domain (a session's jobs share its cache on
     whichever domain runs them). An [engine.cache] span with
     [cache_hits] / [cache_misses] / [cache_bytes] / [cache_evictions]
-    counters records what the cache did. Cached bytes share the
-    live-byte ledger with the spill budget: under pressure the engine
-    evicts cache entries before letting grouped stages spill
-    (DESIGN.md §13).
+    counters records what the cache did. The cache's own budget is the
+    only bound on it: [config.memory_budget] is the grouped stages'
+    spill budget and never evicts a cache entry (DESIGN.md §13).
     @raise Engine_error on unknown or duplicate dataset names, shape
     errors, shuffles on a cluster with no worker slots, and spill I/O
     failures.

@@ -118,13 +118,12 @@ let span c ?(args = []) (name : string) (f : unit -> 'a) : 'a =
       f
   end
 
-let span_at c ~(track : string) ?(args = []) ?(counters = [])
-    ~(t0 : float) ~(t1 : float) (name : string) : unit =
+let span_at c ~(track : string) ?(args = []) ~(t0 : float) ~(t1 : float)
+    (name : string) : unit =
   if c.on then begin
     let parent = match c.stack with p :: _ -> p | [] -> c.root in
     let n = make_node ~track ~t0 ~args name in
     n.t1 <- t1;
-    n.counters <- counters;
     parent.rev_children <- n :: parent.rev_children
   end
 

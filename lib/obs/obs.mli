@@ -36,14 +36,11 @@ val span : ctx -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** Record an already-completed span with explicit timestamps, e.g. a
     session's per-job track. [track] separates its timeline from the
-    wall clock's;
-    [counters] attaches pre-aggregated counters to the span (span-local
-    only — the flat per-run totals are not bumped). *)
+    wall clock's. *)
 val span_at :
   ctx ->
   track:string ->
   ?args:(string * string) list ->
-  ?counters:(string * int) list ->
   t0:float ->
   t1:float ->
   string ->

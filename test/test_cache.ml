@@ -1,9 +1,8 @@
 (** Tests for the lineage-aware dataset cache: the cross-feature
     byte-identity matrix (cache × spill budget), LRU semantics,
-    eviction-before-spill, fingerprint stability,
-    the join argument-plumbing regression, cache-served compiled
-    Iterative fragment plans, golden cache traces, and the cost model's
-    cached-input term. *)
+    fingerprint stability, the join argument-plumbing regression,
+    cache-served compiled Iterative fragment plans, and golden cache
+    traces. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -12,9 +11,6 @@ module Cluster = Mapreduce.Cluster
 module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
-module Ir = Casper_ir.Lang
-module Infer = Casper_ir.Infer
-module Cost = Casper_cost.Cost
 module Casper = Casper_core.Casper
 module Cegis = Casper_synth.Cegis
 
@@ -136,7 +132,7 @@ let test_lru_order () =
   check "a survived (recently used)" true (Cache.find c ka = Some 1);
   check "b evicted (LRU)" true (Cache.find c kb = None);
   check "c resident" true (Cache.find c kc = Some 3);
-  check_int "live bytes" 80 (Cache.bytes c);
+  check_int "live bytes" 80 (Cache.stats c).Cache.bytes;
   check_int "evictions counted" 1 (Cache.stats c).Cache.evictions
 
 let test_budget_one_degenerates () =
@@ -246,25 +242,6 @@ let test_join_threads_cache () =
   let r2 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
   check "whole-plan hit is byte-identical" true
     (r2.Engine.output = r.Engine.output && r2.Engine.stages = r.Engine.stages)
-
-(* cached partitions share the live-byte ledger with the spill budget:
-   under pressure the engine sheds cache entries (cheap, re-derivable)
-   before letting the grouped stages spill *)
-let test_eviction_before_spill () =
-  let datasets = [ ("w", wc_words 400) ] in
-  let cache = Engine.make_cache () in
-  let config = { Testenv.config with Exec.Config.cache = Some cache } in
-  let r0 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets wc_plan in
-  check "fat entry resident" true (Cache.bytes cache > 64);
-  let r1 =
-    Engine.run_plan
-      ~config:{ config with Exec.Config.memory_budget = Some 64 }
-      ~cluster:Cluster.spark ~datasets wc_plan
-  in
-  let s = Engine.cache_stats cache in
-  check "pressure evicted the resident entry" true (s.Cache.evictions > 0);
-  check "outputs unchanged by the shed + spill" true
-    (r1.Engine.output = r0.Engine.output)
 
 (* The Fig 7c driver loops re-run each compiled Iterative fragment plan
    over the same datasets: with one cache, every run after the first is
@@ -380,51 +357,6 @@ let test_cache_disabled_golden () =
     \  reduceByKey[records_out,shuffle_bytes,shuffle_records]\n"
     (Obs.shape obs)
 
-(* ---------------- the cost model's cached-input term -------------- *)
-
-let tenv = { Infer.vars = []; structs = [] }
-let record_ty _ = Ir.TString
-let card _ = 1000.0
-let ca_eps _ _ = 1.0
-
-let mk_map key value =
-  {
-    Ir.m_params = [ "w" ];
-    emits = [ { Ir.guard = None; payload = Ir.KV (key, value) } ];
-  }
-
-let read_summary d =
-  {
-    Ir.pipeline = Ir.Map (Ir.Data d, mk_map (Ir.Var "w") (Ir.CBool true));
-    bindings = [ ("o", Ir.Whole) ];
-  }
-
-let cost est s = Cost.cost_of_summary tenv record_ty card est s
-
-let test_cached_input_term () =
-  let plain = Cost.static_estimator ~guard_prob:1.0 ~reduce_eps:ca_eps () in
-  let with_resident resident =
-    Cost.static_estimator ~guard_prob:1.0 ~reduce_eps:ca_eps
-      ~cached_input:resident ()
-  in
-  let sa = read_summary "a" and sb = read_summary "b" in
-  (* no cached_input: the pre-cache formulas exactly *)
-  Alcotest.(check (float 1e-6))
-    "None prices both reads alike" (cost plain sa) (cost plain sb);
-  (* all-resident: reads are free, totals match the pre-cache cost *)
-  let all = with_resident (fun _ -> true) in
-  Alcotest.(check (float 1e-6))
-    "resident read is free" (cost plain sa) (cost all sa);
-  (* only "a" resident: the monitor now prefers the cache-resident plan
-     by exactly the Wread · N · sizeOf(String) read term *)
-  let only_a = with_resident (fun d -> d = "a") in
-  check "cache-resident plan is cheaper" true
-    (cost only_a sa < cost only_a sb);
-  Alcotest.(check (float 1e-6))
-    "cold read charged Wread·N·size"
-    (Cost.w_read *. 1000.0 *. 40.0)
-    (cost only_a sb -. cost only_a sa)
-
 let suite =
   [
     ( "cache.matrix",
@@ -447,8 +379,6 @@ let suite =
           test_monitored_plan_not_cached;
         Alcotest.test_case "join threads the cache (exec_ctx)" `Quick
           test_join_threads_cache;
-        Alcotest.test_case "eviction before spill" `Quick
-          test_eviction_before_spill;
         Alcotest.test_case "Iterative fragment plans are served" `Slow
           test_iterative_fragments_served;
       ] );
@@ -460,10 +390,5 @@ let suite =
           test_golden_cache_evict_trace;
         Alcotest.test_case "cache-disabled golden unchanged" `Quick
           test_cache_disabled_golden;
-      ] );
-    ( "cache.cost",
-      [
-        Alcotest.test_case "cached-input read term" `Quick
-          test_cached_input_term;
       ] );
   ]

@@ -328,15 +328,6 @@ let test_monitor_sample_cap () =
     (est.Monitor.sample_size = Monitor.sample_k + 1000)
 
 let test_measured_estimator_defaults () =
-  let env = [ ("ws", words [ "a" ]); ("k", Value.Str "k") ] in
-  let src =
-    {|boolean f(List<String> ws, String k) {
-        boolean found = false;
-        for (String w : ws) { if (w.equals(k)) found = true; }
-        return found;
-      }|}
-  in
-  let _prog, frag, _best, entry = translated src env in
   let est =
     {
       Monitor.guard_probs = [];
@@ -344,9 +335,7 @@ let test_measured_estimator_defaults () =
       sample_size = 0;
     }
   in
-  let e =
-    Monitor.measured_estimator frag entry est ~reduce_eps:(fun _ _ -> 1.0)
-  in
+  let e = Monitor.measured_estimator est ~reduce_eps:(fun _ _ -> 1.0) in
   check "unguarded emits always fire" true
     (e.Casper_cost.Cost.prob None = 1.0);
   check "unseen guard falls back to 0.5" true

@@ -1,8 +1,9 @@
 (** Tests for execution sessions and the unified config surface: the
     session determinism matrix (concurrency × jobs × cache vs a solo
-    run), ledger gating, cooperative cancellation (no ledger-byte or
-    temp-file leak), deadlines, FIFO dispatch order, [Exec.Config] as
-    the one reader of the environment, and the session's obs story. *)
+    run), settled jobs freeing their inputs, cooperative cancellation
+    (no temp-file leak), deadlines, FIFO dispatch order, [Exec.Config]
+    as the one reader of the environment, and the session's obs
+    story. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -162,7 +163,7 @@ let test_session_determinism () =
               let st = Exec.Session.stats s in
               check_int "all jobs completed" (List.length subs)
                 st.Exec.Session.jobs_completed;
-              check_int "ledger drained" 0 st.Exec.Session.ledger_bytes)
+              check_int "nothing left running" 0 st.Exec.Session.running)
             [ false; true ])
         [ 1; 2 ])
     [ 1; 2; 4 ]
@@ -173,45 +174,34 @@ let test_session_determinism () =
    they pin dispatch behaviour, not memoization *)
 let uncached_env = { Testenv.config with Exec.Config.cache = None }
 
-(* the ledger gates dispatch: with a budget smaller than two inputs a
-   free slot stays idle until the running job releases its bytes — but
-   a lone job always dispatches, however big *)
-let test_ledger_admission () =
-  let gate = mk_gate () in
-  let datasets = [ ("d", ints (List.init 50 Fun.id)) ] in
-  let bytes = Value.size_of_list (List.assoc "d" datasets) in
-  let config =
-    {
-      uncached_env with
-      Exec.Config.concurrency = Some 2;
-      memory_budget = Some 8;
-    }
-  in
+(* a settled job leaves the session only its id, outcome and
+   timestamps: once the caller drops the handle, nothing the session
+   holds keeps the job's input alive *)
+let test_settled_jobs_free_inputs () =
+  let config = { uncached_env with Exec.Config.concurrency = Some 1 } in
   Exec.Session.with_session ~config @@ fun s ->
-  let j1 = Exec.Session.submit s ~datasets (gated_plan gate) in
-  let j2, o1 =
-    hold gate s j1 (fun () ->
-        let j2 = Exec.Session.submit s ~datasets (gated_plan gate) in
-        let st = Exec.Session.stats s in
-        check_int "free slot idles under ledger pressure" 1
-          st.Exec.Session.running;
-        check_int "second job waits" 1 st.Exec.Session.queued;
-        check_int "ledger charged" bytes st.Exec.Session.ledger_bytes;
-        j2)
+  let w = Weak.create 1 in
+  let[@inline never] submit_and_forget () =
+    let input = ints (List.init 1000 Fun.id) in
+    Weak.set w 0 (Some input);
+    ignore
+      (Exec.Session.submit s ~datasets:[ ("d", input) ]
+         Plan.(data "d" |>> map Fun.id)
+        : Exec.Session.job)
   in
-  ignore (completed o1 : Engine.run);
-  ignore (completed (Exec.Session.await s j2) : Engine.run);
-  let st = Exec.Session.stats s in
-  check_int "never two in flight" bytes st.Exec.Session.ledger_high_water;
-  check_int "ledger drained" 0 st.Exec.Session.ledger_bytes
+  submit_and_forget ();
+  Exec.Session.drain s;
+  check_int "the job completed" 1
+    (Exec.Session.stats s).Exec.Session.jobs_completed;
+  Gc.full_major ();
+  check "the settled job's input was collected" false (Weak.check w 0)
 
 (* ---------------- cancellation ---------------- *)
 
 (* cancel mid-plan: the job settles Cancelled "cancelled" at the next
-   stage boundary, its ledger bytes are released, and no spill temp
-   file survives (the grouped stage that ran under the tiny budget
-   swept its own files) *)
-let test_cancel_releases_ledger_and_files () =
+   stage boundary and no spill temp file survives (the grouped stage
+   that ran under the tiny budget swept its own files) *)
+let test_cancel_sweeps_temp_files () =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -250,8 +240,8 @@ let test_cancel_releases_ledger_and_files () =
   let j = Exec.Session.submit s ~datasets plan in
   let (), outcome =
     hold gate s j (fun () ->
-        check "ledger charged while running" true
-          ((Exec.Session.stats s).Exec.Session.ledger_bytes > 0);
+        check_int "running when cancelled" 1
+          (Exec.Session.stats s).Exec.Session.running;
         check "cancel accepted on a running job" true
           (Exec.Session.cancel s j))
   in
@@ -260,7 +250,7 @@ let test_cancel_releases_ledger_and_files () =
   | Exec.Session.Completed _ -> Alcotest.fail "job ignored its cancel token"
   | Exec.Session.Failed m -> Alcotest.fail ("Failed instead of Cancelled: " ^ m));
   let st = Exec.Session.stats s in
-  check_int "ledger bytes released" 0 st.Exec.Session.ledger_bytes;
+  check_int "slot released" 0 st.Exec.Session.running;
   check_int "cancellation counted" 1 st.Exec.Session.jobs_cancelled;
   check "cancel after the fact is refused" true
     (not (Exec.Session.cancel s j));
@@ -294,6 +284,9 @@ let test_cancel_queued () =
   let fired = ref false in
   let j2, o1 =
     hold gate s j1 (fun () ->
+        (* j1 took the free slot at once: it never waited *)
+        check_int "no queue after a dispatched job" 0
+          (Exec.Session.stats s).Exec.Session.queue_high_water;
         let j2 =
           Exec.Session.submit s ~datasets
             Plan.(
@@ -319,7 +312,9 @@ let test_cancel_queued () =
   (match Exec.Session.await s j2 with
   | Exec.Session.Cancelled r -> check_str "queued cancellation" "cancelled" r
   | _ -> Alcotest.fail "queued job was not cancelled");
-  check "cancelled job never ran" true (not !fired)
+  check "cancelled job never ran" true (not !fired);
+  check_int "queue high water stays" 1
+    (Exec.Session.stats s).Exec.Session.queue_high_water
 
 (* ---------------- dispatch order ---------------- *)
 
@@ -584,8 +579,8 @@ let suite =
       [
         Alcotest.test_case "determinism matrix vs solo run" `Quick
           test_session_determinism;
-        Alcotest.test_case "ledger gates dispatch" `Quick
-          test_ledger_admission;
+        Alcotest.test_case "settled jobs free their inputs" `Quick
+          test_settled_jobs_free_inputs;
         Alcotest.test_case "FIFO dispatch order" `Quick test_fifo_order;
         Alcotest.test_case "a session's runners never exceed the host"
           `Quick test_runners_clamped_to_host;
@@ -594,8 +589,8 @@ let suite =
       ] );
     ( "exec.cancel",
       [
-        Alcotest.test_case "cancel releases ledger and temp files" `Quick
-          test_cancel_releases_ledger_and_files;
+        Alcotest.test_case "cancel sweeps temp files" `Quick
+          test_cancel_sweeps_temp_files;
         Alcotest.test_case "expired deadline reports Cancelled" `Quick
           test_deadline_reports_cancelled;
         Alcotest.test_case "queued job cancels without running" `Quick

@@ -145,6 +145,18 @@ if grep -rnE "$admission" --include='*.ml' --include='*.mli' --include='dune' \
   fail=1
 fi
 
+# Each memory bound has one owner: the spill budget bounds a grouped
+# stage, the cache's own budget bounds the cache. The session's byte
+# ledger, the engine's cache-pressure eviction, the cost model's
+# cached-input term and the per-job cluster override are gone.
+memory='\b(ledger_bytes|ledger_high_water|shrink_to|pressure_evictions)\b'
+memory="$memory"'|\b(cached_input|w_read|dataset_bytes|j_cluster)\b'
+if grep -rnE "$memory" --include='*.ml' --include='*.mli' \
+    lib bin bench test; then
+  echo "a deleted memory-bound mechanism reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
