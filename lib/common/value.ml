@@ -60,12 +60,14 @@ let rec equal_approx (a : t) (b : t) : bool =
       (match (Float.is_nan x, Float.is_nan y) with
       | true, true -> true
       | false, false ->
-          (* bitwise equality first: it also covers infinities, where the
-             difference below would be NaN *)
+          (* the relative tolerance holds between finite values only: with
+             an infinite side the scale is infinite too, and every finite
+             value would pass *)
           Float.equal x y
-          ||
-          let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
-          Float.abs (x -. y) <= float_rel_eps *. scale
+          || Float.is_finite x && Float.is_finite y
+             &&
+             let scale = Float.max 1.0 (Float.max (Float.abs x) (Float.abs y)) in
+             Float.abs (x -. y) <= float_rel_eps *. scale
       | _ -> false)
   | Int x, Int y -> x = y
   | Bool x, Bool y -> x = y

@@ -206,10 +206,10 @@ double[][] covarianceMatrix(double[][] data, int r, int c, double[] mu) {
     (fun rng ~n ->
       let rows = max 1 (n / 16) in
       [
-        ("mat", W.matrix rng ~rows ~cols:16 ~lo:0 ~hi:100);
+        ("mat", W.float_matrix rng ~rows ~cols:16 ~lo:0.0 ~hi:100.0);
         ("rows", Value.Int rows);
         ("cols", Value.Int 16);
-        ("data", W.matrix rng ~rows:16 ~cols:8 ~lo:0 ~hi:100);
+        ("data", W.float_matrix rng ~rows:16 ~cols:8 ~lo:0.0 ~hi:100.0);
         ("r", Value.Int 16);
         ("c", Value.Int 8);
         ("mu", W.floats rng ~n:8 ~lo:0.0 ~hi:100.0);

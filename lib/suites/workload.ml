@@ -20,6 +20,12 @@ let matrix rng ~rows ~cols ~lo ~hi =
     (List.init rows (fun _ ->
          Value.List (List.init cols (fun _ -> Value.Int (Rng.int_range rng lo hi)))))
 
+let float_matrix rng ~rows ~cols ~lo ~hi =
+  Value.List
+    (List.init rows (fun _ ->
+         Value.List
+           (List.init cols (fun _ -> Value.Float (Rng.float_range rng lo hi)))))
+
 (** Words drawn from a vocabulary of [vocab] distinct words with
     Zipf-like skew [s] (s = 0 → uniform). *)
 let words rng ~n ~vocab ~skew =

@@ -51,6 +51,18 @@ let prop_equal_approx_refl =
   QCheck.Test.make ~name:"equal_approx is reflexive (no NaN)" ~count:200
     value_arb (fun v -> Value.equal_approx v v)
 
+(* the relative tolerance must not reach ±∞: an infinite side makes the
+   scale infinite, and every finite value would pass *)
+let prop_equal_approx_finite_not_inf =
+  QCheck.Test.make ~name:"equal_approx separates finite floats from infinities"
+    ~count:500 QCheck.float (fun x ->
+      QCheck.assume (Float.is_finite x);
+      List.for_all
+        (fun inf ->
+          (not (Value.equal_approx (Value.Float x) (Value.Float inf)))
+          && not (Value.equal_approx (Value.Float inf) (Value.Float x)))
+        [ infinity; neg_infinity ])
+
 let prop_size_positive =
   QCheck.Test.make ~name:"size_of is positive" ~count:200 value_arb (fun v ->
       Value.size_of v > 0)
@@ -72,8 +84,16 @@ let test_equal_approx_float () =
     (Value.equal_approx (Value.Float 1.0) (Value.Float (1.0 +. 1e-12)));
   check "distant floats differ" false
     (Value.equal_approx (Value.Float 1.0) (Value.Float 1.1));
+  check "relative difference of 1e-7 equal" true
+    (Value.equal_approx (Value.Float 1e9) (Value.Float (1e9 *. (1.0 +. 1e-7))));
   check "infinities equal" true
     (Value.equal_approx (Value.Float infinity) (Value.Float infinity));
+  check "negative infinities equal" true
+    (Value.equal_approx (Value.Float neg_infinity) (Value.Float neg_infinity));
+  check "opposite infinities differ" false
+    (Value.equal_approx (Value.Float infinity) (Value.Float neg_infinity));
+  check "finite is not infinite" false
+    (Value.equal_approx (Value.Float 1.0) (Value.Float infinity));
   check "nan equals nan (by convention)" true
     (Value.equal_approx (Value.Float nan) (Value.Float nan));
   check "int is not float" false
@@ -277,6 +297,7 @@ let suite =
         prop_compare_refl;
         prop_compare_antisym;
         prop_equal_approx_refl;
+        prop_equal_approx_finite_not_inf;
         prop_size_positive;
         prop_to_string_matches_pp;
       ];

@@ -27,6 +27,59 @@ let test_workloads_cover_all_params () =
         prog.Minijava.Ast.methods)
     Casper_suites.Registry.all_benchmarks
 
+(* a generated value must have the runtime shape of its declared Java
+   type: an [int] matrix bound to a [double[][]] parameter makes the
+   engine integer-divide where the source divides doubles *)
+let rec has_type (prog : Minijava.Ast.program) (t : Minijava.Ast.ty)
+    (v : Value.t) : bool =
+  let open Minijava.Ast in
+  match (t, v) with
+  | (TInt | TLong | TDate), Value.Int _
+  | TFloat, Value.Float _
+  | TBool, Value.Bool _
+  | TString, Value.Str _ ->
+      true
+  | (TArray t' | TList t'), Value.List vs -> List.for_all (has_type prog t') vs
+  | TMap (k, t'), Value.List kvs ->
+      List.for_all
+        (function
+          | Value.Tuple [ a; b ] -> has_type prog k a && has_type prog t' b
+          | _ -> false)
+        kvs
+  | TClass c, Value.Struct (c', fields) -> (
+      String.equal c c'
+      &&
+      match find_class prog c with
+      | None -> false
+      | Some cd ->
+          List.for_all
+            (fun (ft, f) ->
+              match List.assoc_opt f fields with
+              | Some fv -> has_type prog ft fv
+              | None -> false)
+            cd.cfields)
+  | _ -> false
+
+let test_workloads_match_declared_types () =
+  List.iter
+    (fun (b : Casper_suites.Suite.benchmark) ->
+      let prog = Minijava.Parser.parse_program b.source in
+      let env = b.workload.Casper_suites.Suite.gen (Rng.create 7) ~n:50 in
+      List.iter
+        (fun (m : Minijava.Ast.meth) ->
+          List.iter
+            (fun (t, p) ->
+              match List.assoc_opt p env with
+              | None -> ()
+              | Some v ->
+                  check
+                    (Fmt.str "%s: param %s of %s is a %a" b.name p
+                       m.Minijava.Ast.mname Minijava.Ast.pp_ty t)
+                    true (has_type prog t v))
+            m.Minijava.Ast.params)
+        prog.Minijava.Ast.methods)
+    Casper_suites.Registry.all_benchmarks
+
 let test_workload_determinism () =
   List.iter
     (fun (b : Casper_suites.Suite.benchmark) ->
@@ -127,6 +180,8 @@ let suite =
       [
         Alcotest.test_case "cover all method params" `Quick
           test_workloads_cover_all_params;
+        Alcotest.test_case "match declared types" `Quick
+          test_workloads_match_declared_types;
         Alcotest.test_case "deterministic" `Quick test_workload_determinism;
         Alcotest.test_case "match_words skew" `Quick test_match_words_skew;
         Alcotest.test_case "words vocab" `Quick test_words_vocab;
