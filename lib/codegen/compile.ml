@@ -29,17 +29,6 @@ let compile_lam_r (env : Eval.env) (lr : Ir.lam_r) :
     Value.t -> Value.t -> Value.t =
   Eval.apply_lam_r env lr
 
-(** Is the λr of this reduce node commutative-associative? Checked the
-    same way the compiler pipeline does before codegen. *)
-let reduce_is_ca (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
-    (record_ty : string -> Ir.ty) (src : Ir.node) (lr : Ir.lam_r) : bool =
-  match Casper_ir.Infer.infer_node tenv record_ty src with
-  | `KVs (_, vty) | `Plain vty | `Recs vty -> (
-      match Casper_verify.Verifier.reducer_props env lr vty with
-      | `Comm_assoc -> true
-      | `Not_comm_assoc -> false)
-  | exception Casper_ir.Infer.Ill_typed _ -> false
-
 (** Compile a pipeline node to a plan. *)
 let rec compile_node (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
     (record_ty : string -> Ir.ty) (n : Ir.node) : Plan.t =
@@ -59,7 +48,7 @@ let rec compile_node (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
         | _ -> false
         | exception Casper_ir.Infer.Ill_typed _ -> true
       in
-      let ca = reduce_is_ca env tenv record_ty src lr in
+      let ca = Casper_cost.Cost.reduce_comm_assoc tenv record_ty src lr in
       if keyed then
         if ca then plan |>> reduce_by_key ~comm_assoc:true f
         else

@@ -100,8 +100,7 @@ let estimate_from_sample (frag : F.t) (entry : Eval.env)
   { guard_probs; distinct_keys = distinct; sample_size = n }
 
 (** The measured estimator: Eqns 2–4 with sampled probabilities. *)
-let measured_estimator (est : estimate)
-    ~(reduce_eps : Ir.lam_r -> Ir.ty -> float) : Cost.estimator =
+let measured_estimator (est : estimate) : Cost.estimator =
   {
     Cost.prob =
       (fun g ->
@@ -113,7 +112,6 @@ let measured_estimator (est : estimate)
             | None -> 0.5));
     distinct_keys = (fun ~n_in -> Float.min n_in est.distinct_keys);
     join_selectivity = 0.1;
-    reduce_eps;
   }
 
 type choice = {
@@ -133,12 +131,7 @@ let choose (prog : Minijava.Ast.program) (frag : F.t)
   let est = estimate_from_sample frag entry candidates sample in
   let tenv = Casper_synth.Cegis.tenv_of_frag prog frag in
   let record_ty = Casper_synth.Lift.record_ty_of frag in
-  let reduce_eps lr vty =
-    match Casper_verify.Verifier.reducer_props entry lr vty with
-    | `Comm_assoc -> 1.0
-    | `Not_comm_assoc -> Cost.w_csg
-  in
-  let estimator = measured_estimator est ~reduce_eps in
+  let estimator = measured_estimator est in
   let costs =
     List.map
       (fun s -> Cost.cost_of_summary tenv record_ty (fun _ -> n) estimator s)

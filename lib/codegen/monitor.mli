@@ -23,10 +23,7 @@ val estimate_from_sample :
   F.t -> Casper_ir.Eval.env -> Ir.summary list -> Value.t list -> estimate
 
 (** Eqns 2–4 with the sampled probabilities. *)
-val measured_estimator :
-  estimate ->
-  reduce_eps:(Ir.lam_r -> Ir.ty -> float) ->
-  Casper_cost.Cost.estimator
+val measured_estimator : estimate -> Casper_cost.Cost.estimator
 
 type choice = {
   chosen : int;  (** index of the candidate to execute *)

@@ -53,18 +53,10 @@ let prune_solutions (prog : Minijava.Ast.program) (frag : F.t)
   | _ ->
       let tenv = Cegis.tenv_of_frag prog frag in
       let record_ty = Casper_synth.Lift.record_ty_of frag in
-      let probe =
-        match Cegis.make_probes prog frag with p :: _ -> p | [] -> []
-      in
-      let reduce_eps lr vty =
-        match Casper_verify.Verifier.reducer_props probe lr vty with
-        | `Comm_assoc -> 1.0
-        | `Not_comm_assoc -> Casper_cost.Cost.w_csg
-      in
       let pairs = List.map (fun s -> (s.Cegis.summary, s)) sols in
       Casper_cost.Cost.prune_dominated tenv record_ty
         (fun _ -> 1_000_000.0)
-        ~reduce_eps pairs
+        pairs
       |> List.map snd
 
 let translate_fragment ?(obs = Obs.null) ?(config = Cegis.default_config)

@@ -33,20 +33,30 @@ type estimator = {
       (** number of unique keys a keyed reduce produces, given its input
           record count *)
   join_selectivity : float;
-  reduce_eps : Ir.lam_r -> Ir.ty -> float;
-      (** ϵ(λr): 1 if commutative-associative else Wcsg *)
 }
 
 (** Static defaults: unguarded emits always fire; guarded emits get
     probability [guard_prob] (evaluated at both 0 and 1 for dominance
     checks); distinct keys default to the square root of the input. *)
-let static_estimator ?(guard_prob = 0.5) ?(reduce_eps = fun _ _ -> 1.0) () =
+let static_estimator ?(guard_prob = 0.5) () =
   {
     prob = (function None -> 1.0 | Some _ -> guard_prob);
     distinct_keys = (fun ~n_in -> Float.max 1.0 (sqrt n_in));
     join_selectivity = 0.1;
-    reduce_eps;
   }
+
+(* The one call of the verifier's commutativity/associativity judgement:
+   it sets ϵ(λr) below and, through [reduce_comm_assoc], licenses
+   [reduceByKey] in codegen (§6.3). *)
+let comm_assoc (lr : Ir.lam_r) (vty : Ir.ty) : bool =
+  Casper_verify.Verifier.reducer_props lr vty = `Comm_assoc
+
+(** Is λr commutative-associative over the values [src] feeds it? *)
+let reduce_comm_assoc (tenv : Infer.tenv) (record_ty : string -> Ir.ty)
+    (src : Ir.node) (lr : Ir.lam_r) : bool =
+  match Infer.infer_node tenv record_ty src with
+  | `KVs (_, vty) | `Plain vty | `Recs vty -> comm_assoc lr vty
+  | exception Infer.Ill_typed _ -> false
 
 (* ------------------------------------------------------------------ *)
 
@@ -114,7 +124,7 @@ let stage_costs (tenv : Infer.tenv) (record_ty : string -> Ir.ty)
           | `KVs (k, v) -> (v, Ir.size_of_ty (Ir.TPair (k, v)) - 8, true)
           | `Plain t | `Recs t -> (t, Ir.size_of_ty t, false)
         in
-        let eps = est.reduce_eps lr vty in
+        let eps = if comm_assoc lr vty then 1.0 else w_csg in
         let cost = w_r *. n_in *. float_of_int rec_size *. eps in
         let out = if keyed then est.distinct_keys ~n_in else 1.0 in
         (out, costs @ [ { name = "reduce"; cost; out_count = out } ])
@@ -148,10 +158,9 @@ let cost_of_summary (tenv : Infer.tenv) (record_ty : string -> Ir.ty)
     assignment of guard probabilities? Costs are monotone and linear in
     each pᵢ, so checking the corner estimators p = 0 and p = 1 suffices
     (§5.2: solution (a) "can be disqualified at compile time"). *)
-let dominates tenv record_ty card ~reduce_eps (a : Ir.summary)
-    (b : Ir.summary) : bool =
+let dominates tenv record_ty card (a : Ir.summary) (b : Ir.summary) : bool =
   let at gp =
-    let est = static_estimator ~guard_prob:gp ~reduce_eps () in
+    let est = static_estimator ~guard_prob:gp () in
     ( cost_of_summary tenv record_ty card est a,
       cost_of_summary tenv record_ty card est b )
   in
@@ -160,13 +169,12 @@ let dominates tenv record_ty card ~reduce_eps (a : Ir.summary)
 
 (** Prune summaries that are dominated by a cheaper one in the list
     (§5.2 first paragraph). Keeps the input order of survivors. *)
-let prune_dominated tenv record_ty card ~reduce_eps
-    (sols : (Ir.summary * 'a) list) : (Ir.summary * 'a) list =
+let prune_dominated tenv record_ty card (sols : (Ir.summary * 'a) list) :
+    (Ir.summary * 'a) list =
   List.filter
     (fun (s, _) ->
       not
         (List.exists
-           (fun (s', _) ->
-             s' != s && dominates tenv record_ty card ~reduce_eps s' s)
+           (fun (s', _) -> s' != s && dominates tenv record_ty card s' s)
            sols))
     sols

@@ -21,16 +21,19 @@ type estimator = {
   distinct_keys : n_in:float -> float;
       (** unique keys a keyed reduce produces given its input count *)
   join_selectivity : float;  (** pj of Eqn 4 *)
-  reduce_eps : Ir.lam_r -> Ir.ty -> float;  (** ϵ(λr) *)
 }
 
 (** Static defaults: unguarded emits fire always, guarded ones with
     [guard_prob]; distinct keys default to √N. *)
-val static_estimator :
-  ?guard_prob:float ->
-  ?reduce_eps:(Ir.lam_r -> Ir.ty -> float) ->
-  unit ->
-  estimator
+val static_estimator : ?guard_prob:float -> unit -> estimator
+
+(** [reduce_comm_assoc tenv record_ty src lr]: is [lr] commutative and
+    associative over the values the pipeline [src] feeds it
+    ([Verifier.reducer_props]; [false] when [src] is untypeable)? It
+    licenses [reduceByKey] (§6.3); ϵ(λr) in {!stage_costs} is 1 when the
+    same judgement holds and {!w_csg} when it does not. *)
+val reduce_comm_assoc :
+  Infer.tenv -> (string -> Ir.ty) -> Ir.node -> Ir.lam_r -> bool
 
 type stage_cost = { name : string; cost : float; out_count : float }
 
@@ -63,7 +66,6 @@ val dominates :
   Infer.tenv ->
   (string -> Ir.ty) ->
   (string -> float) ->
-  reduce_eps:(Ir.lam_r -> Ir.ty -> float) ->
   Ir.summary ->
   Ir.summary ->
   bool
@@ -73,6 +75,5 @@ val prune_dominated :
   Infer.tenv ->
   (string -> Ir.ty) ->
   (string -> float) ->
-  reduce_eps:(Ir.lam_r -> Ir.ty -> float) ->
   (Ir.summary * 'a) list ->
   (Ir.summary * 'a) list

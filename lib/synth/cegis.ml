@@ -31,9 +31,6 @@ type config = {
   incremental : bool;  (** false = Table 3's flat-grammar ablation *)
   max_candidates : int;  (** search budget — the 90-minute-timeout proxy *)
   max_solutions : int;  (** stop collecting after this many verified *)
-  bounded_states : int;
-  full_states : int;
-  seed : int;
   explore_all : bool;
       (** keep climbing the class hierarchy even after a class yields
           verified summaries (used to collect every shape of solution
@@ -45,9 +42,6 @@ let default_config =
     incremental = true;
     max_candidates = 200_000;
     max_solutions = 24;
-    bounded_states = 20;
-    full_states = 56;
-    seed = 11;
     explore_all = false;
   }
 
@@ -84,7 +78,7 @@ type outcome = {
     guard that is rarely true (TPC-H Q6's five-way conjunction) would be
     observationally equal to [false] and deduplicated out of its own
     grammar. *)
-let make_probes_uncached prog (frag : F.t) : Casper_ir.Eval.env list =
+let make_probes prog (frag : F.t) : Casper_ir.Eval.env list =
   let dom = Statesgen.full_domain frag in
   let batch = Statesgen.gen_batch ~seed:97 ~count:30 dom prog frag in
   let params =
@@ -180,35 +174,6 @@ let make_probes_uncached prog (frag : F.t) : Casper_ir.Eval.env list =
             [ true; false ])
         bools;
       List.filteri (fun i _ -> i < 48) !selected
-
-(* probe selection is a pure function of the program and fragment, and
-   one fragment's search needs it twice (pool construction and solution
-   ranking), then [Casper.prune_solutions] once more. Each domain keeps
-   the probes of the last fragment it built them for; [find_summary]
-   drops them when it starts, so the cache never holds more than one
-   fragment's. *)
-let probe_cache_key :
-    (Minijava.Ast.program * F.t * Casper_ir.Eval.env list) option ref
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let cached_probes prog (frag : F.t) : Casper_ir.Eval.env list option =
-  match !(Domain.DLS.get probe_cache_key) with
-  | Some (p, f, probes) when compare (p, f) (prog, frag) = 0 -> Some probes
-  | _ -> None
-
-let make_probes prog (frag : F.t) : Casper_ir.Eval.env list =
-  match cached_probes prog frag with
-  | Some probes -> probes
-  | None ->
-      let probes = make_probes_uncached prog frag in
-      Domain.DLS.get probe_cache_key := Some (prog, frag, probes);
-      probes
-
-(* whether [make_probes] has built, on this domain, the probes of this
-   fragment *)
-let probes_built prog (frag : F.t) : bool =
-  Option.is_some (cached_probes prog frag)
 
 (* ------------------------------------------------------------------ *)
 
@@ -417,53 +382,43 @@ let tenv_of_frag prog (frag : F.t) : Casper_ir.Infer.tenv =
   }
 
 (** Is every reduction in the summary commutative-associative? Drives
-    [reduceByKey] vs [groupByKey] in codegen (§6.3) and ϵ in the cost
-    model. *)
-let summary_comm_assoc prog (frag : F.t) (probe : Casper_ir.Eval.env)
-    (s : Ir.summary) : bool =
+    [reduceByKey] vs [groupByKey] in the generated source (§6.3). *)
+let summary_comm_assoc prog (frag : F.t) (s : Ir.summary) : bool =
   let tenv = tenv_of_frag prog frag in
   let record_ty = Lift.record_ty_of frag in
   List.for_all
-    (fun (src, lr) ->
-      let vty =
-        try
-          match Casper_ir.Infer.infer_node tenv record_ty src with
-          | `KVs (_, v) -> Some v
-          | `Plain t | `Recs t -> Some t
-        with Casper_ir.Infer.Ill_typed _ -> None
-      in
-      match vty with
-      | None -> false
-      | Some vty -> (
-          match Verifier.reducer_props probe lr vty with
-          | `Comm_assoc -> true
-          | `Not_comm_assoc -> false))
+    (fun (src, lr) -> Casper_cost.Cost.reduce_comm_assoc tenv record_ty src lr)
     (reduce_nodes s)
 
-let static_cost prog (frag : F.t) (probe : Casper_ir.Eval.env)
-    (s : Ir.summary) : float =
-  let tenv = tenv_of_frag prog frag in
-  let record_ty = Lift.record_ty_of frag in
-  let reduce_eps lr vty =
-    match Verifier.reducer_props probe lr vty with
-    | `Comm_assoc -> 1.0
-    | `Not_comm_assoc -> Casper_cost.Cost.w_csg
-  in
-  let est = Casper_cost.Cost.static_estimator ~guard_prob:0.5 ~reduce_eps () in
-  Casper_cost.Cost.cost_of_summary tenv record_ty
+let static_cost prog (frag : F.t) (s : Ir.summary) : float =
+  Casper_cost.Cost.cost_of_summary (tenv_of_frag prog frag)
+    (Lift.record_ty_of frag)
     (fun _ -> 1_000_000.0)
-    est s
+    (Casper_cost.Cost.static_estimator ~guard_prob:0.5 ())
+    s
+
+(* verified summaries, with the grammar class each was found in, as
+   solutions sorted by static cost *)
+let rank prog frag (verified : (Ir.summary * int) list) : solution list =
+  List.map
+    (fun (summary, klass) ->
+      {
+        summary;
+        klass;
+        comm_assoc = summary_comm_assoc prog frag summary;
+        static_cost = static_cost prog frag summary;
+      })
+    verified
+  |> List.sort (fun a b -> Float.compare a.static_cost b.static_cost)
 
 (* ------------------------------------------------------------------ *)
 
 (** Figure 5 lines 10–24: the full search. *)
 let rec find_summary ?(obs = Obs.null) ?(config = default_config)
     (prog : Minijava.Ast.program) (frag : F.t) : outcome =
-  (* fresh memo/hash-cons tables and probes per search; interned ids are
-     monotonic, so entries from earlier searches can never alias new
-     ones *)
+  (* fresh memo/hash-cons tables per search; interned ids are monotonic,
+     so entries from earlier searches can never alias new ones *)
   Memo.clear ();
-  Domain.DLS.get probe_cache_key := None;
   let t0 = Obs.now obs in
   (* fast-path cache counters are cumulative across searches; deltas
      against this snapshot of the calling domain's record are this
@@ -480,25 +435,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
     Obs.add obs "candidates_unbuilt" st.unbuilt;
     Obs.add obs "verdict_memo_hits" (fc.Fastpath.verdict_hits - fp0.Fastpath.verdict_hits);
     Obs.add obs "blocked_set" (Hashtbl.length st.blocked);
-    let solutions =
-      match solutions with
-      | [] -> []
-      | _ ->
-          (* probes are only needed to rank solutions *)
-          let probe =
-            match make_probes prog frag with p :: _ -> p | [] -> []
-          in
-          List.map
-            (fun (summary, klass) ->
-              {
-                summary;
-                klass;
-                comm_assoc = summary_comm_assoc prog frag probe summary;
-                static_cost = static_cost prog frag probe summary;
-              })
-            solutions
-          |> List.sort (fun a b -> Float.compare a.static_cost b.static_cost)
-    in
+    let solutions = rank prog frag solutions in
     {
       solutions;
       stats =
@@ -528,27 +465,15 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
         if config.incremental then G.classes frag else [ G.flat_class frag ]
       in
       let st =
-        let phi =
-          let dom = Statesgen.bounded_domain frag in
-          Statesgen.gen_batch ~seed:(config.seed + 1) ~count:3 dom prog frag
-        in
-        make_state ~phi prog frag ~budget:config.max_candidates
+        make_state
+          ~phi:(Verifier.states Verifier.Phi prog frag)
+          prog frag ~budget:config.max_candidates
       in
       (* the bounded batch every candidate of this search is checked
          against *)
-      let bounded =
-        lazy
-          (let dom = Statesgen.bounded_domain frag in
-           Verifier.prepare_batch prog frag
-             (Statesgen.gen_batch ~seed:config.seed
-                ~count:config.bounded_states dom prog frag))
-      in
+      let bounded = lazy (Verifier.prepare_states Verifier.Bounded prog frag) in
       let full_prepared =
-        lazy
-          (let dom = Statesgen.full_domain frag in
-           Verifier.prepare_batch prog frag
-             (Statesgen.gen_batch ~seed:Verifier.full_seed
-                ~count:config.full_states dom prog frag))
+        lazy (Verifier.prepare_states Verifier.Full prog frag)
       in
       let full_verify_c (c : Ir.summary) (cid : int) : Verifier.outcome =
         match Hashtbl.find_opt st.full_verdicts cid with
@@ -740,13 +665,7 @@ and decompose_multi_output ~(obs : Obs.ctx) ~(config : config) prog
         common
     in
     let verified =
-      let prepared =
-        lazy
-          (let dom = Statesgen.full_domain frag in
-           Verifier.prepare_batch prog frag
-             (Statesgen.gen_batch ~seed:Verifier.full_seed
-                ~count:config.full_states dom prog frag))
-      in
+      let prepared = lazy (Verifier.prepare_states Verifier.Full prog frag) in
       let valid s =
         match Verifier.check_prepared_batch frag s (Lazy.force prepared) with
         | Verifier.Valid -> true
@@ -759,21 +678,7 @@ and decompose_multi_output ~(obs : Obs.ctx) ~(config : config) prog
     match verified with
     | [] -> None
     | _ ->
-        let probe =
-          match make_probes prog frag with p :: _ -> p | [] -> []
-        in
-        let solutions =
-          List.map
-            (fun summary ->
-              {
-                summary;
-                klass = 4;
-                comm_assoc = summary_comm_assoc prog frag probe summary;
-                static_cost = static_cost prog frag probe summary;
-              })
-            verified
-          |> List.sort (fun a b -> Float.compare a.static_cost b.static_cost)
-        in
+        let solutions = rank prog frag (List.map (fun s -> (s, 4)) verified) in
         Some
           {
             solutions;

@@ -6,14 +6,12 @@ module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 
 (** Search configuration. The candidate budget is the 90-minute-timeout
-    proxy; [incremental = false] is Table 3's flat-grammar ablation. *)
+    proxy; [incremental = false] is Table 3's flat-grammar ablation. The
+    states each phase checks are {!Casper_verify.Verifier.states}. *)
 type config = {
   incremental : bool;
   max_candidates : int;
   max_solutions : int;
-  bounded_states : int;  (** states per bounded model check *)
-  full_states : int;  (** states per full verification *)
-  seed : int;
   explore_all : bool;
       (** keep climbing the class hierarchy after a class yields verified
           summaries, to collect shape-diverse equivalents for dynamic
@@ -48,11 +46,6 @@ type outcome = { solutions : solution list; stats : stats }
     in grammar construction. *)
 val make_probes : Minijava.Ast.program -> F.t -> Casper_ir.Eval.env list
 
-(** Whether this domain holds the probes of [prog]'s fragment. Each
-    domain caches the probes of the last fragment [make_probes] built
-    them for, and {!find_summary} drops them when it starts. *)
-val probes_built : Minijava.Ast.program -> F.t -> bool
-
 (** {2 The Φ check of the CEGIS inner loop}
 
     Exposed so tests can drive it candidate by candidate. *)
@@ -85,8 +78,7 @@ val family_hits : search_state -> int
 val tenv_of_frag : Minijava.Ast.program -> F.t -> Casper_ir.Infer.tenv
 
 (** Is every reduction in the summary commutative-associative? *)
-val summary_comm_assoc :
-  Minijava.Ast.program -> F.t -> Casper_ir.Eval.env -> Ir.summary -> bool
+val summary_comm_assoc : Minijava.Ast.program -> F.t -> Ir.summary -> bool
 
 (** Figure 5 lines 10–24: the full search. Cost-sorted verified
     summaries; empty when the fragment is unsupported or the space is
@@ -101,8 +93,7 @@ val summary_comm_assoc :
     deterministic.
 
     The search runs on the calling domain from start to finish; it
-    first empties that domain's memo tables ({!Casper_ir.Memo.clear})
-    and probe cache. *)
+    first empties that domain's memo tables ({!Casper_ir.Memo.clear}). *)
 val find_summary :
   ?obs:Casper_obs.Obs.ctx ->
   ?config:config ->

@@ -41,21 +41,19 @@ let check_batch (prog : program) (frag : F.t) (summary : Ir.summary)
   in
   go batch
 
-(** Phase 1: bounded model checking over the small domain. *)
-let bounded_check ?(seed = 11) ?(count = 24) (prog : program) (frag : F.t)
-    (summary : Ir.summary) : outcome =
-  let dom = Statesgen.bounded_domain frag in
-  check_batch prog frag summary
-    (Statesgen.gen_batch ~seed ~count dom prog frag)
+type phase = Phi | Bounded | Full
 
-let full_seed = 1301
-
-(** Phase 2: full verification over the large domain. *)
-let full_verify ?(seed = full_seed) ?(count = 64) (prog : program) (frag : F.t)
-    (summary : Ir.summary) : outcome =
-  let dom = Statesgen.full_domain frag in
-  check_batch prog frag summary
-    (Statesgen.gen_batch ~seed ~count dom prog frag)
+(* The one place that names each judgement's states: its domain, the
+   seed its states are drawn from, and how many. *)
+let states (phase : phase) (prog : program) (frag : F.t) :
+    Minijava.Interp.env list =
+  let domain, seed, count =
+    match phase with
+    | Phi -> (Statesgen.bounded_domain, 12, 3)
+    | Bounded -> (Statesgen.bounded_domain, 11, 20)
+    | Full -> (Statesgen.full_domain, 1301, 56)
+  in
+  Statesgen.gen_batch ~seed ~count (domain frag) prog frag
 
 (* ------------------------------------------------------------------ *)
 (* Prepared batches: [check_batch] re-derives the entry state and every
@@ -82,9 +80,9 @@ let prepare_one (prog : program) (frag : F.t)
         | entry -> Some (Vc.prepare_state prog frag entry));
   }
 
-let prepare_batch (prog : program) (frag : F.t)
-    (batch : Minijava.Interp.env list) : prepared list =
-  List.map (prepare_one prog frag) batch
+let prepare_states (phase : phase) (prog : program) (frag : F.t) :
+    prepared list =
+  List.map (prepare_one prog frag) (states phase prog frag)
 
 (** [check_batch] over prepared states: same walk, same early exit, same
     outcomes. *)
@@ -140,15 +138,17 @@ let sample_values (rng : Casper_common.Rng.t) (ty : Ir.ty) ~n : Value.t list =
   List.init n (fun _ -> gen ty)
 
 (** Test commutativity and associativity of λr over its value type by
-    randomized checking. Conservative: any evaluation error counts as
-    "property does not hold". *)
-let reducer_props ?(trials = 48) (env : Casper_ir.Eval.env) (lr : Ir.lam_r)
-    (vty : Ir.ty) : [ `Comm_assoc | `Not_comm_assoc ] =
+    randomized checking. λr is evaluated with [v1] and [v2] bound and
+    nothing else, so one that names a free variable does not hold.
+    Conservative: any evaluation error counts as "property does not
+    hold". *)
+let reducer_props (lr : Ir.lam_r) (vty : Ir.ty) :
+    [ `Comm_assoc | `Not_comm_assoc ] =
   let rng = Casper_common.Rng.create 4242 in
-  let r = Casper_ir.Eval.apply_lam_r env lr in
   let ok = ref true in
   (try
-     for _ = 1 to trials do
+     let r = Casper_ir.Eval.apply_lam_r [] lr in
+     for _ = 1 to 48 do
        match sample_values rng vty ~n:3 with
        | [ a; b; c ] ->
            let comm = Value.equal_approx (r a b) (r b a) in

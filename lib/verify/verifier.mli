@@ -32,41 +32,27 @@ val check_batch :
   Minijava.Interp.env list ->
   outcome
 
-(** Phase 1 over the small bounded domain. *)
-val bounded_check :
-  ?seed:int ->
-  ?count:int ->
-  Minijava.Ast.program ->
-  F.t ->
-  Ir.summary ->
-  outcome
+(** The search's three sets of states (§4.1), each named here once:
+    - [Phi], Φ's first counter-examples: 3 states of the bounded
+      domain, seed 12;
+    - [Bounded], phase 1: 20 states of the bounded domain, seed 11;
+    - [Full], phase 2: 56 states of the full domain, seed 1301. *)
+type phase = Phi | Bounded | Full
 
-(** The seed phase 2 draws its states from, in {!full_verify} and in the
-    search's prepared full batch ([Cegis]). {!Statesgen.gen_batch} draws
-    states in order from one seed, so a longer batch extends a shorter
-    one. *)
-val full_seed : int
-
-(** Phase 2 over the large adversarial domain ([seed] defaults to
-    {!full_seed}). *)
-val full_verify :
-  ?seed:int ->
-  ?count:int ->
-  Minijava.Ast.program ->
-  F.t ->
-  Ir.summary ->
-  outcome
+(** The states of a phase ({!Statesgen.gen_batch} over its domain). *)
+val states : phase -> Minijava.Ast.program -> F.t -> Minijava.Interp.env list
 
 (** A parameter environment with its candidate-independent verification
     work (entry state, sequential prefixes, truncated datasets) computed
     lazily, once, and shared across candidates. Checking a candidate
     against prepared states yields exactly the outcomes of the plain
-    [check_batch]/[bounded_check]/[full_verify] on the same states. *)
+    {!check_batch} on the same states. *)
 type prepared
 
 val prepare_one : Minijava.Ast.program -> F.t -> Minijava.Interp.env -> prepared
-val prepare_batch :
-  Minijava.Ast.program -> F.t -> Minijava.Interp.env list -> prepared list
+
+(** A phase's {!states}, prepared. *)
+val prepare_states : phase -> Minijava.Ast.program -> F.t -> prepared list
 
 (** [check_batch] over prepared states. *)
 val check_prepared_batch : F.t -> Ir.summary -> prepared list -> outcome
@@ -87,12 +73,8 @@ val sample_values :
   Casper_common.Rng.t -> Ir.ty -> n:int -> Value.t list
 
 (** Randomized commutativity/associativity analysis of a reducer over
-    its value type — drives [reduceByKey] vs [groupByKey] (§6.3) and the
-    cost model's ϵ. Conservative: evaluation errors count as "does not
-    hold". *)
-val reducer_props :
-  ?trials:int ->
-  Casper_ir.Eval.env ->
-  Ir.lam_r ->
-  Ir.ty ->
-  [ `Comm_assoc | `Not_comm_assoc ]
+    its value type — licenses [reduceByKey] over [groupByKey] (§6.3) and
+    sets the cost model's ϵ. λr sees only its two parameters.
+    Conservative: evaluation errors count as "does not hold". Its one
+    caller is [Casper_cost.Cost]. *)
+val reducer_props : Ir.lam_r -> Ir.ty -> [ `Comm_assoc | `Not_comm_assoc ]

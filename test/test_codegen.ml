@@ -335,7 +335,7 @@ let test_measured_estimator_defaults () =
       sample_size = 0;
     }
   in
-  let e = Monitor.measured_estimator est ~reduce_eps:(fun _ _ -> 1.0) in
+  let e = Monitor.measured_estimator est in
   check "unguarded emits always fire" true
     (e.Casper_cost.Cost.prob None = 1.0);
   check "unseen guard falls back to 0.5" true

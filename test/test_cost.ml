@@ -10,8 +10,7 @@ let check = Alcotest.(check bool)
 let tenv = { Infer.vars = []; structs = [] }
 let record_ty _ = Ir.TString
 let card _ = 1000.0
-let ca_eps _ _ = 1.0
-let est ?(gp = 1.0) () = Cost.static_estimator ~guard_prob:gp ~reduce_eps:ca_eps ()
+let est ?(gp = 1.0) () = Cost.static_estimator ~guard_prob:gp ()
 
 let cost ?gp s =
   Cost.cost_of_summary tenv record_ty card (est ?gp ()) s
@@ -44,10 +43,9 @@ let test_guard_probability_scales () =
   check "p=0 < p=1" true (cost ~gp:0.0 s < cost ~gp:1.0 s);
   check "p=0 leaves only fixed reduce input" true (cost ~gp:0.0 s < 1.0)
 
+(* ϵ comes from the verifier's judgement: [or] is commutative-associative
+   over booleans, keep-left is not *)
 let test_non_ca_penalty () =
-  let eps lr _ =
-    match lr.Ir.r_body with Ir.Var _ -> Cost.w_csg | _ -> 1.0
-  in
   let non_ca = { Ir.r_left = "v1"; r_right = "v2"; r_body = Ir.Var "v1" } in
   let s lr =
     {
@@ -56,8 +54,11 @@ let test_non_ca_penalty () =
       bindings = [ ("o", Ir.AtKey (Casper_common.Value.Str "o")) ];
     }
   in
-  let e = Cost.static_estimator ~guard_prob:1.0 ~reduce_eps:eps () in
-  let c lr = Cost.cost_of_summary tenv record_ty card e (s lr) in
+  let src = Ir.Map (Ir.Data "d", mk_map (Ir.Var "w") (Ir.CBool true)) in
+  check "or is CA" true (Cost.reduce_comm_assoc tenv record_ty src or_r);
+  check "keep-left is not CA" false
+    (Cost.reduce_comm_assoc tenv record_ty src non_ca);
+  let c lr = Cost.cost_of_summary tenv record_ty card (est ()) (s lr) in
   check "Wcsg penalty applies" true (c non_ca > c or_r *. 10.0)
 
 let test_dominance () =
@@ -65,15 +66,15 @@ let test_dominance () =
   let a = keyed_bool () in
   let c = keyed_bool ~guard:(Ir.Binop (Ir.Eq, Ir.Var "w", Ir.CStr "k")) () in
   check "(c) dominates (a)" true
-    (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps c a);
+    (Cost.dominates tenv record_ty card c a);
   check "(a) does not dominate (c)" true
-    (not (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps a c))
+    (not (Cost.dominates tenv record_ty card a c))
 
 let test_prune_dominated () =
   let a = keyed_bool () in
   let c = keyed_bool ~guard:(Ir.Binop (Ir.Eq, Ir.Var "w", Ir.CStr "k")) () in
   let survivors =
-    Cost.prune_dominated tenv record_ty card ~reduce_eps:ca_eps
+    Cost.prune_dominated tenv record_ty card
       [ (a, "a"); (c, "c") ]
   in
   check "only (c) survives" true (List.map snd survivors = [ "c" ])
@@ -116,9 +117,13 @@ let test_fig8_incomparable () =
     }
   in
   let sol_c = keyed_bool ~guard:(Ir.Binop (Ir.Eq, Ir.Var "w", Ir.CStr "k1")) () in
+  (match sol_b.Ir.pipeline with
+  | Ir.Reduce (src, lr) ->
+      check "tuple-or is CA" true (Cost.reduce_comm_assoc tenv record_ty src lr)
+  | _ -> Alcotest.fail "(b) is a reduce");
   check "(b) vs (c) incomparable" true
-    ((not (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps sol_b sol_c))
-    && not (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps sol_c sol_b));
+    ((not (Cost.dominates tenv record_ty card sol_b sol_c))
+    && not (Cost.dominates tenv record_ty card sol_c sol_b));
   (* and the crossover exists: (c) cheaper at p=0, (b) cheaper at p=1 *)
   check "(c) wins at p=0" true (cost ~gp:0.0 sol_c < cost ~gp:0.0 sol_b);
   check "(b) wins at p=1" true (cost ~gp:1.0 sol_b < cost ~gp:1.0 sol_c)
@@ -155,13 +160,13 @@ let test_untypeable_max_float () =
   (* a typeable rival dominates the untypeable one, never the reverse *)
   let good = keyed_bool () in
   check "typeable dominates untypeable" true
-    (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps good bad_payload);
+    (Cost.dominates tenv record_ty card good bad_payload);
   check "untypeable never dominates" true
     (not
-       (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps bad_payload
+       (Cost.dominates tenv record_ty card bad_payload
           good));
   let survivors =
-    Cost.prune_dominated tenv record_ty card ~reduce_eps:ca_eps
+    Cost.prune_dominated tenv record_ty card
       [ (bad_payload, "bad"); (good, "good") ]
   in
   check "pruner drops the untypeable summary" true
@@ -176,10 +181,10 @@ let test_dominance_corner_ties () =
   check "equal costs at p=0" true (cost ~gp:0.0 a = cost ~gp:0.0 b);
   check "equal costs at p=1" true (cost ~gp:1.0 a = cost ~gp:1.0 b);
   check "no self-dominance on ties" true
-    ((not (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps a b))
-    && not (Cost.dominates tenv record_ty card ~reduce_eps:ca_eps b a));
+    ((not (Cost.dominates tenv record_ty card a b))
+    && not (Cost.dominates tenv record_ty card b a));
   let survivors =
-    Cost.prune_dominated tenv record_ty card ~reduce_eps:ca_eps
+    Cost.prune_dominated tenv record_ty card
       [ (a, "a"); (b, "b") ]
   in
   check "ties both survive pruning" true

@@ -37,38 +37,41 @@ let sum_summary value_expr =
     bindings = [ ("s", Ir.AtKey (Value.Str "s")) ];
   }
 
+(* phase 1 and phase 2 decide on the search's own states *)
+let phases prog frag summary =
+  let on phase = V.check_batch prog frag summary (V.states phase prog frag) in
+  (on V.Bounded, on V.Full)
+
 let test_valid_summary_accepted () =
   let prog, frag = fragment sum_src in
-  (match V.bounded_check prog frag (sum_summary (Ir.Var "data")) with
-  | V.Valid -> ()
-  | _ -> Alcotest.fail "bounded should accept");
-  match V.full_verify prog frag (sum_summary (Ir.Var "data")) with
-  | V.Valid -> ()
-  | _ -> Alcotest.fail "full should accept"
+  match phases prog frag (sum_summary (Ir.Var "data")) with
+  | V.Valid, V.Valid -> ()
+  | _ -> Alcotest.fail "both phases should accept"
 
 let test_wrong_summary_rejected () =
   let prog, frag = fragment sum_src in
   (* sums data[i] * 2 — wrong *)
   let wrong = sum_summary (Ir.Binop (Ir.Mul, Ir.Var "data", Ir.CInt 2)) in
-  match V.bounded_check prog frag wrong with
-  | V.Counterexample _ -> ()
-  | _ -> Alcotest.fail "bounded should reject"
+  match phases prog frag wrong with
+  | V.Counterexample _, V.Counterexample _ -> ()
+  | _ -> Alcotest.fail "both phases should reject"
 
 let test_two_phase_catches_bounded_artifact () =
   (* the §4.1 example: min(4, v) ≡ v in a domain bounded by 4.
      Construct a summary that sums min(4, data[i]); it agrees with the
-     true sum whenever all values are ≤ 4, which holds on many bounded
-     states but not in the full domain. *)
+     true sum whenever all values are ≤ 4, which holds on every bounded
+     state but not in the full domain. *)
   let prog, frag = fragment sum_src in
   let tricky =
     sum_summary (Ir.Binop (Ir.Min, Ir.CInt 4, Ir.Var "data"))
   in
-  (* it must be rejected by the full verifier — its wide value pool
-     contains values above 4 *)
-  match V.full_verify prog frag tricky with
-  | V.Counterexample _ -> ()
-  | V.Valid -> Alcotest.fail "full verifier missed the artifact"
-  | V.Invalid_summary m -> Alcotest.failf "unexpected invalid: %s" m
+  (* the bounded phase passes it; the full phase must reject it — its
+     wide value pool contains values above 4 *)
+  match phases prog frag tricky with
+  | V.Valid, V.Counterexample _ -> ()
+  | V.Valid, V.Valid -> Alcotest.fail "full verifier missed the artifact"
+  | _, V.Invalid_summary m -> Alcotest.failf "unexpected invalid: %s" m
+  | _ -> Alcotest.fail "bounded phase should accept the artifact"
 
 let test_check_state_reports_prefix () =
   let prog, frag = fragment sum_src in
@@ -418,17 +421,25 @@ let sparse_matches_dense =
       dense = sparse)
 
 let test_reducer_props () =
-  let env = [] in
-  let ca = V.reducer_props env add_r Ir.TInt in
+  let ca = V.reducer_props add_r Ir.TInt in
   check "addition is CA" true (ca = `Comm_assoc);
   let keep_left = { Ir.r_left = "v1"; r_right = "v2"; r_body = Ir.Var "v1" } in
   check "projection is not commutative" true
-    (V.reducer_props env keep_left Ir.TInt = `Not_comm_assoc);
+    (V.reducer_props keep_left Ir.TInt = `Not_comm_assoc);
   let sub = { add_r with Ir.r_body = Ir.Binop (Ir.Sub, Ir.Var "v1", Ir.Var "v2") } in
   check "subtraction is not associative" true
-    (V.reducer_props env sub Ir.TInt = `Not_comm_assoc);
+    (V.reducer_props sub Ir.TInt = `Not_comm_assoc);
   let fmax = { add_r with Ir.r_body = Ir.Binop (Ir.Max, Ir.Var "v1", Ir.Var "v2") } in
-  check "max is CA" true (V.reducer_props env fmax Ir.TFloat = `Comm_assoc)
+  check "max is CA" true (V.reducer_props fmax Ir.TFloat = `Comm_assoc);
+  (* λr sees only v1 and v2: a free variable cannot be evaluated, even
+     in a body that would be CA with it bound (a clamp at k) *)
+  let free =
+    { add_r with
+      Ir.r_body =
+        Ir.Binop (Ir.Min, Ir.Binop (Ir.Max, Ir.Var "v1", Ir.Var "v2"), Ir.Var "k") }
+  in
+  check "a free variable is not CA" true
+    (V.reducer_props free Ir.TInt = `Not_comm_assoc)
 
 let test_statesgen_consistency () =
   let prog, frag = fragment sum_src in
@@ -508,10 +519,7 @@ let candidates prog frag n =
    candidates as a search shares them. Also pins the work counter: a
    forced prefix cell after cell 0 resumes its loop for one unit. *)
 let test_incremental_table2 () =
-  let module Cfg = Casper_synth.Cegis in
-  let module Sg = Casper_verify.Statesgen in
   let module Fp = Casper_ir.Fastpath in
-  let cfg = Cfg.default_config in
   let diffs = ref [] and checks = ref 0 and prefixes = ref 0 in
   let forced = ref 0 and forced0 = ref 0 in
   let units0 = (Fp.counters ()).Fp.loop_units in
@@ -524,10 +532,7 @@ let test_incremental_table2 () =
             Casper_ir.Memo.clear ();
             let cands = candidates prog frag 200 in
             let states =
-              Sg.gen_batch ~seed:cfg.Cfg.seed ~count:cfg.Cfg.bounded_states
-                (Sg.bounded_domain frag) prog frag
-              @ Sg.gen_batch ~seed:V.full_seed ~count:cfg.Cfg.full_states
-                  (Sg.full_domain frag) prog frag
+              V.states V.Bounded prog frag @ V.states V.Full prog frag
             in
             List.iter
               (fun params ->

@@ -157,6 +157,17 @@ if grep -rnE "$memory" --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
+# One verifier: the combiner licence is judged once, in Cost, and each
+# phase's states are named once, in Verifier.states. The unused phase
+# entry points, the threaded ϵ closure and the search's state-count
+# fields are gone.
+verifier='\b(bounded_check|full_verify|reduce_eps|bounded_states|full_states)\b'
+if grep -rnE "$verifier" --include='*.ml' --include='*.mli' \
+    lib bin bench test; then
+  echo "a deleted verifier entry point or state knob reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
