@@ -761,7 +761,7 @@ let table4_cost_heuristics () =
     [
       name;
       Fmt.str "%.0f" (scaled (Engine.total_emitted run));
-      Fmt.str "%.1f" (Engine.effective_shuffled ~scale run /. 1048576.0);
+      Fmt.str "%.1f" (Engine.effective_shuffled ~cluster ~scale run /. 1048576.0);
       T.f (Engine.simulate_time ~cluster ~scale run);
     ]
   in

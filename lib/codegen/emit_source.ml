@@ -11,18 +11,6 @@
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 
-let java_ty : Ir.ty -> string = function
-  | Ir.TInt -> "Integer"
-  | Ir.TFloat -> "Double"
-  | Ir.TBool -> "Boolean"
-  | Ir.TString -> "String"
-  | Ir.TDate -> "Date"
-  | Ir.TTuple [ _; _ ] -> "Tuple2<Object,Object>"
-  | Ir.TTuple _ -> "Tuple"
-  | Ir.TRecord n -> n
-  | Ir.TPair _ -> "Tuple2<Object,Object>"
-  | Ir.TBag _ -> "List<Object>"
-
 let jop : Ir.binop -> string = function
   | Ir.Add -> "+"
   | Ir.Sub -> "-"

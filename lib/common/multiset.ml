@@ -12,7 +12,6 @@ let of_list l = l
 let to_list l = l
 let empty = []
 let is_empty = function [] -> true | _ -> false
-let cardinal = List.length
 let add x l = x :: l
 let union = List.rev_append
 let map = List.map

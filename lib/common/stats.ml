@@ -1,4 +1,4 @@
-(** Small numeric helpers shared by the cost model and the bench harness. *)
+(** Small numeric helpers for the bench harness. *)
 
 let mean = function
   | [] -> 0.0
@@ -8,26 +8,3 @@ let maximum = function
   | [] -> 0.0
   | x :: rest -> List.fold_left Float.max x rest
 
-let minimum = function
-  | [] -> 0.0
-  | x :: rest -> List.fold_left Float.min x rest
-
-let sum = List.fold_left ( +. ) 0.0
-let sumi = List.fold_left ( + ) 0
-
-let median l =
-  match List.sort Float.compare l with
-  | [] -> 0.0
-  | sorted ->
-      let n = List.length sorted in
-      if n mod 2 = 1 then List.nth sorted (n / 2)
-      else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.0
-
-let variance l =
-  match l with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let m = mean l in
-      mean (List.map (fun x -> (x -. m) ** 2.0) l)
-
-let stddev l = sqrt (variance l)

@@ -93,11 +93,6 @@ let rec size_of : t -> int = function
   | Tuple xs | List xs -> 8 + List.fold_left (fun a x -> a + size_of x) 0 xs
   | Struct (_, fs) -> 8 + List.fold_left (fun a (_, v) -> a + size_of v) 0 fs
 
-let size_of_array (vs : t array) : int =
-  let s = ref 0 in
-  Array.iter (fun v -> s := !s + size_of v) vs;
-  !s
-
 let size_of_list (vs : t list) : int =
   List.fold_left (fun a v -> a + size_of v) 0 vs
 
@@ -163,10 +158,6 @@ let as_float = function
 let as_bool = function Bool b -> b | v -> terr "expected bool, got %a" pp v
 let as_str = function Str s -> s | v -> terr "expected string, got %a" pp v
 let as_list = function List l -> l | v -> terr "expected list, got %a" pp v
-
-let as_tuple = function
-  | Tuple l -> l
-  | v -> terr "expected tuple, got %a" pp v
 
 let as_struct = function
   | Struct (n, fs) -> (n, fs)

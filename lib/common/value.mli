@@ -34,10 +34,7 @@ val equal_approx : t -> t -> bool
     28-byte Boolean pairs). *)
 val size_of : t -> int
 
-(** Summed {!size_of} over a whole array/list in one pass — the
-    engine's batch accounting primitive. *)
-val size_of_array : t array -> int
-
+(** Summed {!size_of} over a whole list in one pass. *)
 val size_of_list : t list -> int
 
 val pp : Format.formatter -> t -> unit
@@ -55,7 +52,6 @@ val as_float : t -> float
 val as_bool : t -> bool
 val as_str : t -> string
 val as_list : t -> t list
-val as_tuple : t -> t list
 val as_struct : t -> string * (string * t) list
 
 (** [field name v] reads a struct field. *)

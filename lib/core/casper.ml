@@ -136,25 +136,3 @@ let translate_source ?(obs = Obs.null) ?config ~suite ~benchmark
   Obs.span obs "typecheck" (fun () ->
       Minijava.Typecheck.check_program program);
   translate_program ~obs ?config ~suite ~benchmark program
-
-(* ------------------------------------------------------------------ *)
-(* Report rendering                                                    *)
-
-let pp_translation ppf (t : translation) =
-  match failure_reason t with
-  | Some r -> Fmt.pf ppf "@[<v2>%s: NOT TRANSLATED (%s)@]" t.frag.F.frag_id r
-  | None ->
-      let best = List.hd t.survivors in
-      Fmt.pf ppf
-        "@[<v2>%s: translated (%d summaries, %d survive pruning, %d TP \
-         rejections)@,%a@]"
-        t.frag.F.frag_id
-        (List.length t.outcome.Cegis.solutions)
-        (List.length t.survivors)
-        t.outcome.Cegis.stats.Cegis.tp_failures Ir.pp_summary
-        best.Cegis.summary
-
-let pp_report ppf (r : report) =
-  Fmt.pf ppf "@[<v>=== %s / %s ===@,%a@]" r.suite r.benchmark
-    (Fmt.list ~sep:Fmt.cut pp_translation)
-    r.translations

@@ -104,6 +104,3 @@ val translate_program :
   benchmark:string ->
   Minijava.Ast.program ->
   report
-
-val pp_translation : Format.formatter -> translation -> unit
-val pp_report : Format.formatter -> report -> unit

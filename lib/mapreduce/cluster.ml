@@ -32,7 +32,6 @@ type t = {
   materialize_byte_ns : float;
       (** writing intermediate results durably between jobs *)
   per_job_boundary : bool;  (** true = each shuffle ends a job (Hadoop) *)
-  combiner : bool;  (** local pre-aggregation before shuffling *)
 }
 
 let spark =
@@ -48,7 +47,6 @@ let spark =
     job_overhead_s = 2.0;
     materialize_byte_ns = 0.0;
     per_job_boundary = false;
-    combiner = true;
   }
 
 let flink =
@@ -76,7 +74,6 @@ let hadoop =
     job_overhead_s = 12.0;
     materialize_byte_ns = 1.2;
     per_job_boundary = true;
-    combiner = true;
   }
 
 (** The original single-threaded program on one core of the master node.

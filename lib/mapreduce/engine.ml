@@ -4,9 +4,10 @@
     accounts the data volumes each stage produces — records and bytes
     emitted, bytes shuffled across the (simulated) network — and charges
     wall-clock time against a {!Cluster.t} profile. Shuffle accounting
-    honors combiners: a commutative-associative reduction pre-aggregates
-    within each of the [workers] partitions and only ships the combined
-    records (Appendix E.3 measures exactly this effect).
+    honors combiners by one rule: a commutative-associative reduction
+    ships its combined output, and at nominal scale at most one
+    combined record per key per worker (Appendix E.3 measures exactly
+    this effect). The engine partitions nothing.
 
     Input datasets are in-memory samples of the nominal workload; the
     [scale] factor (nominal records / in-memory records) linearly scales
@@ -35,7 +36,7 @@ type stage_metrics = Exec_config.stage_metrics = {
   bytes_out : int;
   bytes_shuffled : int;
   is_shuffle : bool;
-  shuffle_cap_bytes : int option;
+  combined : bool;
 }
 
 type run = {
@@ -97,7 +98,7 @@ let check_cancel (ctx : exec_ctx) : unit =
     Raises {!Engine_error} when [datasets] binds the same name twice
     (the plan's reads would silently resolve to whichever binding comes
     first) and when a shuffle stage runs on a cluster with no worker
-    slots to partition across. *)
+    slots. *)
 let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
     ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
   let obs = ctx.x_obs in
@@ -145,7 +146,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         input_bytes = e.c_input_bytes;
       }
   | None ->
-  (* a shuffle with no partitions to land records in cannot execute *)
+  (* a shuffle on a cluster with no worker slots cannot execute *)
   let check_workers () =
     if cluster.Cluster.workers <= 0 then
       err "cannot shuffle on a cluster with %d workers"
@@ -239,7 +240,8 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
     let records_in = Batch.length current in
     let bytes_in = Batch.bytes current in
     let label = Plan.stage_label stage in
-    let mk ?(shuffled = 0) ?(is_shuffle = false) ?cap (out : Batch.t) =
+    let mk ?(shuffled = 0) ?(is_shuffle = false) ?(combined = false)
+        (out : Batch.t) =
       ( out,
         {
           label;
@@ -249,8 +251,16 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           bytes_out = Batch.bytes out;
           bytes_shuffled = shuffled;
           is_shuffle;
-          shuffle_cap_bytes = cap;
+          combined;
         } )
+    in
+    (* a reduction ships its input, or with a combiner (a comm-assoc
+       reduction) only its combined output: the time model bounds that
+       at one combined record per key per worker ({!capped_shuffled}) *)
+    let reduced ~comm_assoc out =
+      if comm_assoc then
+        mk ~shuffled:(Batch.bytes out) ~is_shuffle:true ~combined:true out
+      else mk ~shuffled:bytes_in ~is_shuffle:true out
     in
     match stage with
     | Plan.Flat_map { f; _ } -> mk (Batch.concat_map f current)
@@ -275,23 +285,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
               let tbl, distinct = group_kv current init step in
               grouped_output tbl distinct record
         in
-        if comm_assoc && cluster.Cluster.combiner then begin
-          (* combine within each partition, ship the combined records.
-             Keyed exchanges hash-partition by key, so every record of
-             a key combines inside a single partition and each
-             partition ships exactly its keys' combined records —
-             summed over partitions that is precisely the combined
-             output's bytes. The list engine computed this with a
-             second partition + group-fold pass over every record; the
-             identity makes the pass unnecessary (and the
-             engine.partition tests pin it). At nominal scale each
-             partition ships at most one record per key, so the true
-             bound stays workers × combined output. *)
-          let shuffled = Batch.bytes out in
-          let cap = cluster.Cluster.workers * Batch.bytes out in
-          mk ~shuffled ~is_shuffle:true ~cap out
-        end
-        else mk ~shuffled:bytes_in ~is_shuffle:true out
+        reduced ~comm_assoc out
     | Plan.Group_by_key _ ->
         check_workers ();
         let init v = ref [ v ]
@@ -308,38 +302,18 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         mk ~shuffled:bytes_in ~is_shuffle:true out
     | Plan.Global_reduce { f; comm_assoc; _ } ->
         check_workers ();
-        let n = records_in in
-        if n = 0 then mk ~shuffled:0 ~is_shuffle:true (Batch.empty ())
-        else begin
-          let src = Batch.data current in
-          let acc = ref src.(0) in
-          for i = 1 to n - 1 do
-            acc := f !acc src.(i)
-          done;
-          let result = !acc in
-          let out =
-            Batch.of_array ~bytes:(Value.size_of result) [| result |]
-          in
-          if comm_assoc && cluster.Cluster.combiner then begin
-            (* one partial per worker crosses the network; un-keyed
-               exchanges keep round-robin placement, so partition p
-               folds records p, p+w, p+2w, ... in index order *)
-            let w = cluster.Cluster.workers in
-            let shuffled = ref 0 in
-            for p = 0 to min w n - 1 do
-              let pacc = ref src.(p) in
-              let i = ref (p + w) in
-              while !i < n do
-                pacc := f !pacc src.(!i);
-                i := !i + w
-              done;
-              shuffled := !shuffled + Value.size_of !pacc
+        let out =
+          if records_in = 0 then Batch.empty ()
+          else begin
+            let src = Batch.data current in
+            let acc = ref src.(0) in
+            for i = 1 to records_in - 1 do
+              acc := f !acc src.(i)
             done;
-            let cap = w * Value.size_of result in
-            mk ~shuffled:!shuffled ~is_shuffle:true ~cap out
+            Batch.of_array ~bytes:(Value.size_of !acc) [| !acc |]
           end
-          else mk ~shuffled:bytes_in ~is_shuffle:true out
-        end
+        in
+        reduced ~comm_assoc out
     | Plan.Join_with { right; _ } ->
         check_workers ();
         (* the whole context rides along — including the cache, so a
@@ -429,12 +403,15 @@ let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
 (* ------------------------------------------------------------------ *)
 (* Wall-clock model                                                     *)
 
-(* one stage's shuffled bytes at nominal scale, combiner cap honored *)
-let capped_shuffled ~(scale : float) (m : stage_metrics) : float =
+(* one stage's shuffled bytes at nominal scale: a combined reduction
+   ships at most one combined record per key per worker, a bound that
+   does not grow with the nominal record count *)
+let capped_shuffled ~(cluster : Cluster.t) ~(scale : float)
+    (m : stage_metrics) : float =
   let linear = float_of_int m.bytes_shuffled *. scale in
-  match m.shuffle_cap_bytes with
-  | Some cap -> Float.min linear (float_of_int cap)
-  | None -> linear
+  if m.combined then
+    Float.min linear (float_of_int (cluster.Cluster.workers * m.bytes_out))
+  else linear
 
 (** Estimated wall-clock seconds for a completed run on [cluster], with
     in-memory volumes scaled by [scale] to the nominal workload: job
@@ -456,7 +433,9 @@ let simulate_time ~(cluster : Cluster.t) ~(scale : float) (r : run) : float =
     let compute =
       ns ((recs *. cpu) +. (emitted *. c.Cluster.emit_byte_ns)) /. w
     in
-    let shuffle = ns (capped_shuffled ~scale m *. c.Cluster.shuffle_byte_ns) in
+    let shuffle =
+      ns (capped_shuffled ~cluster ~scale m *. c.Cluster.shuffle_byte_ns)
+    in
     let materialize =
       if c.Cluster.per_job_boundary && m.is_shuffle then
         ns (float_of_int m.bytes_out *. scale *. c.Cluster.materialize_byte_ns)
@@ -487,10 +466,12 @@ let sequential_time ~(scale : float) ?(passes = 1) ~(records : int)
 let total_shuffled (r : run) =
   List.fold_left (fun a m -> a + m.bytes_shuffled) 0 r.stages
 
-(** Shuffled bytes at nominal scale, honoring the combiner caps the
+(** Shuffled bytes at nominal scale, honoring the combiner bound the
     time model applies. *)
-let effective_shuffled ~(scale : float) (r : run) : float =
-  List.fold_left (fun a m -> a +. capped_shuffled ~scale m) 0.0 r.stages
+let effective_shuffled ~(cluster : Cluster.t) ~(scale : float) (r : run) :
+    float =
+  List.fold_left (fun a m -> a +. capped_shuffled ~cluster ~scale m) 0.0
+    r.stages
 
 let total_emitted (r : run) =
   List.fold_left

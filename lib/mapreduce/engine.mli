@@ -27,10 +27,10 @@ type stage_metrics = Exec_config.stage_metrics = {
   bytes_out : int;
   bytes_shuffled : int;  (** bytes crossing the network at sample scale *)
   is_shuffle : bool;
-  shuffle_cap_bytes : int option;
-      (** for combiner-based reductions: the scale-invariant upper bound
-          on shuffled bytes — one combined record per key per partition,
-          which does not grow with the nominal record count *)
+  combined : bool;
+      (** a combined (commutative-associative) reduction: it shipped its
+          combined output, and at nominal scale ships at most one
+          combined record per key per worker *)
 }
 
 (** A completed plan execution. *)
@@ -111,9 +111,10 @@ val sequential_time :
 (** Total bytes emitted by non-shuffle stages, at sample scale. *)
 val total_emitted : run -> int
 
-(** Total bytes shuffled, at sample scale (raw, uncapped). *)
+(** Total bytes shuffled, at sample scale: a combined reduction counts
+    its combined output, every other shuffle its input. *)
 val total_shuffled : run -> int
 
-(** Shuffled bytes at nominal scale, honoring the combiner caps the time
-    model applies. *)
-val effective_shuffled : scale:float -> run -> float
+(** Shuffled bytes at nominal scale on [cluster], honoring the combiner
+    bound the time model applies: [workers] × combined output. *)
+val effective_shuffled : cluster:Cluster.t -> scale:float -> run -> float

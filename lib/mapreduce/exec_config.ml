@@ -14,7 +14,7 @@ type stage_metrics = {
   bytes_out : int;
   bytes_shuffled : int;
   is_shuffle : bool;
-  shuffle_cap_bytes : int option;
+  combined : bool;
 }
 
 type cached_run = {

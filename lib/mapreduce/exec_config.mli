@@ -33,10 +33,10 @@ type stage_metrics = {
   bytes_out : int;
   bytes_shuffled : int;  (** bytes crossing the network at sample scale *)
   is_shuffle : bool;
-  shuffle_cap_bytes : int option;
-      (** for combiner-based reductions: the scale-invariant upper bound
-          on shuffled bytes — one combined record per key per partition,
-          which does not grow with the nominal record count *)
+  combined : bool;
+      (** a combined (commutative-associative) reduction: it shipped its
+          combined output, and at nominal scale ships at most one
+          combined record per key per worker *)
 }
 
 (** A materialized plan result held by the dataset cache: the output

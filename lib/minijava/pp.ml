@@ -202,12 +202,3 @@ let class_to_string (c : class_decl) : string =
 let program_to_string (p : program) : string =
   String.concat "\n"
     (List.map class_to_string p.classes @ List.map meth_to_string p.methods)
-
-(* ------------------------------------------------------------------ *)
-(* Formatter interface                                                 *)
-
-let pp_expr ppf e = Fmt.string ppf (expr_to_string e)
-let pp_stmt ppf s = Fmt.string ppf (stmt_to_string s)
-let pp_meth ppf m = Fmt.string ppf (meth_to_string m)
-let pp_class ppf c = Fmt.string ppf (class_to_string c)
-let pp_program ppf p = Fmt.string ppf (program_to_string p)

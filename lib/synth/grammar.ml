@@ -30,10 +30,6 @@ type klass = {
   max_len : int;
 }
 
-let pp_klass ppf k =
-  Fmt.pf ppf "G%d(ops<=%d, emits<=%d, tuples=%b, len<=%d)" k.k_id k.max_ops
-    k.max_emits k.allow_tuples k.max_len
-
 (** The grammar hierarchy for a fragment. Join-shaped fragments get a
     single join class (their pipelines need the join operator from the
     start); everything else climbs G1 → G2 → G3. *)

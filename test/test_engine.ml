@@ -153,25 +153,28 @@ let test_shuffle_count () =
   in
   check_int "two shuffles" 2 (Plan.shuffle_count p)
 
-(* ---------------- hash partitioning ---------------- *)
+(* ---------------- combined shuffles ---------------- *)
 
-(* Keyed exchanges hash-partition, so every record of a key is combined
-   inside a single partition and a CA reduceByKey ships exactly one
-   record per key: shuffled bytes equal the combined output's bytes
-   even for hot keys. Round-robin would spread a hot key's records over
-   all partitions and ship one partial from each. *)
-let test_keyed_shuffle_colocates_keys () =
-  let p =
-    Plan.(
-      data "d"
-      |>> map_to_pair (fun x -> (vint (Value.as_int x mod 3), x))
-      |>> reduce_by_key add_i)
-  in
+(* One combiner rule: a CA reduction, keyed or global, ships exactly its
+   combined output — one record per key, even for hot keys — so shuffled
+   bytes equal the combined output's bytes. *)
+let test_combined_ships_output () =
   let d = ints (List.init 3000 (fun i -> i)) in
-  let r = run ~datasets:[ ("d", d) ] p in
-  let m = List.find (fun m -> m.Engine.is_shuffle) r.Engine.stages in
-  check_int "one combined record per key crosses the network"
-    m.Engine.bytes_out m.Engine.bytes_shuffled
+  List.iter
+    (fun (name, p) ->
+      let r = run ~datasets:[ ("d", d) ] p in
+      let m = List.find (fun m -> m.Engine.is_shuffle) r.Engine.stages in
+      check_int
+        ("one combined record per key crosses the network: " ^ name)
+        m.Engine.bytes_out m.Engine.bytes_shuffled)
+    [
+      ( "reduceByKey",
+        Plan.(
+          data "d"
+          |>> map_to_pair (fun x -> (vint (Value.as_int x mod 3), x))
+          |>> reduce_by_key add_i) );
+      ("global reduce", Plan.(data "d" |>> global_reduce add_i));
+    ]
 
 let test_keyed_partitioning_deterministic () =
   let p =
@@ -191,17 +194,27 @@ let test_keyed_partitioning_deterministic () =
         b.Engine.bytes_shuffled)
     r1.Engine.stages r2.Engine.stages
 
-(* un-keyed exchanges keep round-robin placement: a global reduce over
-   fewer records than workers ships one singleton partial per occupied
-   slot, not one combined record *)
-let test_global_reduce_partials_round_robin () =
-  let p = Plan.(data "d" |>> global_reduce add_i) in
-  let n = 10 in
-  let r = run ~datasets:[ ("d", ints (List.init n (fun i -> i))) ] p in
-  let m = List.find (fun m -> m.Engine.is_shuffle) r.Engine.stages in
-  check_int "one Int partial per occupied slot"
-    (n * Value.size_of (vint 0))
-    m.Engine.bytes_shuffled
+(* the raw counter and the nominal figure rank two plans of one sum
+   alike: a global [+] ships one combined Int, a one-key reduceByKey one
+   combined key-value pair, at sample scale and at nominal scale *)
+let test_raw_and_nominal_rank_alike () =
+  let d = ints (List.init 3000 (fun i -> i)) in
+  let global =
+    run ~datasets:[ ("d", d) ] Plan.(data "d" |>> global_reduce add_i)
+  and keyed =
+    run ~datasets:[ ("d", d) ]
+      Plan.(
+        data "d"
+        |>> map_to_pair (fun x -> (Value.Str "total", x))
+        |>> reduce_by_key add_i)
+  in
+  let nominal r =
+    Engine.effective_shuffled ~cluster:Cluster.spark ~scale:1e6 r
+  in
+  check "nominal: the global reduce ships less" true
+    (nominal global < nominal keyed);
+  check "raw: the global reduce ships less" true
+    (Engine.total_shuffled global < Engine.total_shuffled keyed)
 
 (* ---------------- out-of-core shuffle ---------------- *)
 
@@ -486,7 +499,9 @@ let test_combiner_cap_effect () =
   (* the effective shuffle volume of a combined reduction must not blow
      up with scale the way the raw sample volume does *)
   let r = wc_run 2000 in
-  let eff = Engine.effective_shuffled ~scale:1e6 r in
+  let eff =
+    Engine.effective_shuffled ~cluster:Cluster.spark ~scale:1e6 r
+  in
   let linear = float_of_int (Engine.total_shuffled r) *. 1e6 in
   check "cap engaged at large scale" true (eff < linear /. 10.0)
 
@@ -521,11 +536,11 @@ let suite =
     ( "engine.partition",
       [
         Alcotest.test_case "keyed shuffle colocates keys" `Quick
-          test_keyed_shuffle_colocates_keys;
+          test_combined_ships_output;
         Alcotest.test_case "deterministic placement" `Quick
           test_keyed_partitioning_deterministic;
-        Alcotest.test_case "global reduce stays round-robin" `Quick
-          test_global_reduce_partials_round_robin;
+        Alcotest.test_case "raw and nominal shuffle rank alike" `Quick
+          test_raw_and_nominal_rank_alike;
       ] );
     ( "engine.spill",
       [

@@ -168,6 +168,17 @@ if grep -rnE "$verifier" --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
+# One combiner rule: a reduction combines exactly when its plan stage
+# says comm_assoc, and the nominal bound on a combined shuffle is
+# derived in the time model. The always-on cluster flag and the stored
+# per-stage cap are gone.
+combiner='\bshuffle_cap_bytes\b|\bCluster\.combiner\b|\bcombiner = (true|false)\b'
+if grep -rnE "$combiner" --include='*.ml' --include='*.mli' \
+    lib bin bench test examples; then
+  echo "a deleted combiner knob or stored shuffle cap reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
