@@ -163,10 +163,14 @@ let as_struct = function
   | Struct (n, fs) -> (n, fs)
   | v -> terr "expected struct, got %a" pp v
 
+(* the first field named [name], by [String.equal]: [List.assoc_opt]
+   would compare the names with polymorphic [compare] *)
+let rec find_field name v = function
+  | [] -> terr "no field %s in %a" name pp v
+  | (n, x) :: rest -> if String.equal n name then x else find_field name v rest
+
 let field name v =
   let _, fs = as_struct v in
-  match List.assoc_opt name fs with
-  | Some x -> x
-  | None -> terr "no field %s in %a" name pp v
+  find_field name v fs
 
 let is_numeric = function Int _ | Float _ -> true | _ -> false

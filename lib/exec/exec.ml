@@ -236,8 +236,8 @@ module Session = struct
         match j.jstate with
         | Done _ -> false
         | Running ->
-            (* cooperative: the engine stops at its next stage boundary
-               and [run_job] settles the outcome *)
+            (* cooperative: the engine stops at its next poll and
+               [run_job] settles the outcome *)
             Atomic.set j.cancel_flag true;
             true
         | Queued ->

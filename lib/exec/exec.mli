@@ -15,14 +15,15 @@
     any concurrency × job mix × budget — concurrency moves wall-clock,
     never results.
 
-    Cancellation is cooperative and stage-granular: {!Session.cancel}
-    (or an expired deadline) flips the job's token, the engine polls it
-    at stage boundaries and raises [Engine.Cancelled], and the
-    dispatcher frees the job's slot; spill temp files are swept by the
-    grouped stages' own [Fun.protect] before the exception propagates,
-    so a cancelled job leaks no file. A settled job leaves the session
-    only its id, outcome and timestamps (for the shutdown span): its
-    datasets, plan and run are the caller's to keep or drop. *)
+    Cancellation is cooperative: {!Session.cancel} (or an expired
+    deadline) flips the job's token, the engine polls it before each
+    stage and every 4,096 records inside one and raises
+    [Engine.Cancelled], and the dispatcher frees the job's slot; spill
+    temp files are swept by the grouped stages before the exception
+    propagates, so a cancelled job leaks no file. A settled job leaves
+    the session only its id, outcome and timestamps (for the shutdown
+    span): its datasets, plan and run are the caller's to keep or
+    drop. *)
 
 module Value = Casper_common.Value
 
@@ -93,7 +94,7 @@ module Session : sig
       dispatcher may already be running it). [deadline_s] is a
       relative deadline in seconds from submission; once expired the
       job's cancellation token reports true and the job completes
-      [Cancelled "deadline"] at the next stage boundary (a deadline
+      [Cancelled "deadline"] at the engine's next poll (a deadline
       [<= 0] cancels it before its first stage).
       @raise Invalid_argument on a shut-down session. *)
   val submit :
@@ -104,8 +105,8 @@ module Session : sig
     job
 
   (** Request cancellation: a queued job completes [Cancelled]
-      immediately; a running job's token flips and it stops at the next
-      stage boundary. Returns [false] when the job had already
+      immediately; a running job's token flips and it stops at the
+      engine's next poll. Returns [false] when the job had already
       finished (its outcome stands). *)
   val cancel : t -> job -> bool
 

@@ -87,12 +87,15 @@ let tuple_get (v : Value.t) (i : int) : Value.t =
       | None -> err "tuple index %d out of range" i)
   | _ -> err "tuple projection of non-tuple"
 
+(* the first field named [f], by [String.equal]: [List.assoc_opt]
+   would compare the names with polymorphic [compare] *)
+let rec find_field (f : string) = function
+  | [] -> err "no field %s" f
+  | (name, x) :: rest -> if String.equal name f then x else find_field f rest
+
 let field (v : Value.t) (f : string) : Value.t =
   match v with
-  | Struct (_, fields) -> (
-      match List.assoc_opt f fields with
-      | Some x -> x
-      | None -> err "no field %s" f)
+  | Struct (_, fields) -> find_field f fields
   | _ -> err "field access on non-struct"
 
 (** Apply a resolved library method ({!Library.resolve}), turning its

@@ -1,12 +1,12 @@
 (** Array-backed record batches: the engine's physical data plane.
 
     A batch is an immutable-by-convention [Value.t array] plus a cached
-    total byte size under {!Casper_common.Value.size_of}. Stage kernels
-    ([map]/[filter]/[concat_map]) run as tight array loops over the
-    whole batch, on the calling domain, and fuse volume accounting into
-    the same pass: each kernel returns a batch whose byte size it
-    accumulated while producing the records, so the engine never
-    re-walks a dataset with a separate [List.length] + [size_of] fold. *)
+    total byte size under {!Casper_common.Value.size_of}. A {!feed} is
+    a per-record iterator: the engine's record stages are feed
+    transformers, and a stage's records either land in a batch
+    ({!collect}, which accumulates their byte size in the same pass, so
+    the engine never re-walks a dataset with a separate [List.length] +
+    [size_of] fold) or stream straight into the next stage's grouping. *)
 
 module Value = Casper_common.Value
 
@@ -21,24 +21,24 @@ val of_array : ?bytes:int -> Value.t array -> t
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
 
-(** The backing array, for single-pass consumers (grouping, folds).
+(** The backing array, for the engine's single-pass record source.
     Read-only by convention. *)
 val data : t -> Value.t array
 
 val length : t -> int
-val get : t -> int -> Value.t
 
 (** Total [Value.size_of] of the records, cached after the first call
-    (or seeded at construction by a fused kernel). *)
+    (or seeded at construction, as {!collect} does). *)
 val bytes : t -> int
 
 val empty : unit -> t
 
-(** [map f b]: [f] over every record, in order, sizes fused. *)
-val map : (Value.t -> Value.t) -> t -> t
+(** A feed hands each of its records, in order, to the sink it is
+    given. A batch is one kind of feed; a map kernel over a feed is
+    another. *)
+type feed = (Value.t -> unit) -> unit
 
-(** The records satisfying the predicate, in order, sizes fused. *)
-val filter : (Value.t -> bool) -> t -> t
-
-(** Each record's outputs, concatenated in record order, sizes fused. *)
-val concat_map : (Value.t -> Value.t list) -> t -> t
+(** Materialize a feed: its records in arrival order, their byte total
+    accumulated as they arrive. [capacity] pre-sizes the buffer (it
+    doubles when full). *)
+val collect : ?capacity:int -> feed -> t

@@ -20,14 +20,11 @@ module Obs = Casper_obs.Obs
 exception Engine_error of string
 
 (** Raised when an execution's cooperative cancellation token
-    ({!Exec_config.t} [cancel]) reports true at a stage boundary. *)
+    ({!Exec_config.t} [cancel]) reports true when it is polled. *)
 exception Cancelled
 
 let err fmt = Fmt.kstr (fun s -> raise (Engine_error s)) fmt
 
-(* the stage-metrics record lives in Exec_config so the config surface
-   and the engine share one cache type; re-exported here so existing
-   [Engine.stage_metrics] consumers are untouched *)
 type stage_metrics = Exec_config.stage_metrics = {
   label : string;
   records_in : int;
@@ -70,24 +67,27 @@ let cache_stats = Exec_config.cache_stats
 
 (** Everything a plan execution threads through to nested (join-side)
     executions, resolved once at the {!run_plan} boundary. Bundling the
-    recursive arguments into one value is what keeps the join branch
-    honest: a new knob lands in this record once and cannot be silently
-    dropped on one recursion path (the old code re-threaded each
-    optional argument by hand and forgot none — by luck, not by
-    construction). *)
+    recursive arguments into one value keeps the join branch honest: a
+    new knob lands in this record once and cannot be silently dropped on
+    one recursion path. *)
 type exec_ctx = {
   x_obs : Obs.ctx;
   x_budget : int option;  (** resolved spill budget *)
   x_spill_dir : string option;  (** [None] = the system temp directory *)
   x_cache : cache option;  (** [None] = off *)
   x_cancel : (unit -> bool) option;
-      (** cooperative cancellation token, polled at stage boundaries *)
+      (** cooperative cancellation token *)
 }
 
-(* cancellation is cooperative and stage-granular: the token is polled
-   at plan entry and before each stage, so a cancelled job stops at the
-   next boundary — after any in-flight grouped stage has already swept
-   its spill temp files via its own [Fun.protect] *)
+(* records a record loop hands on between two polls of the cancellation
+   token; a power of two *)
+let poll_every = 4096
+
+(* cancellation is cooperative: the token is polled at plan entry,
+   before each stage (or fused map and shuffle pair) and every
+   [poll_every] records of a record loop; a grouped stage that is
+   interrupted sweeps its spill temp files before [Cancelled]
+   propagates *)
 let check_cancel (ctx : exec_ctx) : unit =
   match ctx.x_cancel with
   | Some cancelled when cancelled () -> raise Cancelled
@@ -105,8 +105,6 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   check_cancel ctx;
   Obs.span obs ~args:[ ("source", plan.Plan.source) ] "engine.run_plan"
   @@ fun () ->
-  (* duplicate-name guard: one Hashtbl pass (the old List.mem_assoc scan
-     was O(n²) in the number of datasets) *)
   let seen = Hashtbl.create (max 16 (List.length datasets)) in
   List.iter
     (fun (name, _) ->
@@ -159,80 +157,152 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   in
   let input_batch = Batch.of_list input in
   let input_bytes = Batch.bytes input_batch in
-  (* Every stage runs on the calling domain: record-level stages are
-     tight array loops over the whole batch with the byte accounting
-     fused in ({!Batch}), and the cluster the plan stands for is
-     simulated from the measured volumes, never from host wall-clock.
-
-     [group_kv] hash-groups a batch of key-value records, one
+  (* Every stage runs on the calling domain, and the cluster the plan
+     stands for is simulated from the measured volumes, never from host
+     wall-clock. A record stage is a feed transformer ({!Batch.feed});
+     a batch's records enter one through [source], in index order. *)
+  let source (b : Batch.t) : Batch.feed =
+   fun sink ->
+    let src = Batch.data b in
+    for i = 0 to Array.length src - 1 do
+      if i land (poll_every - 1) = 0 then check_cancel ctx;
+      sink src.(i)
+    done
+  in
+  (* the map kernel: λm over each input record, its emits handed on in
+     record order *)
+  let emits f (input : Batch.feed) : Batch.feed =
+   fun sink -> input (fun r -> List.iter sink (f r))
+  in
+  (* [group] hash-groups key-value records in a single pass, one
      accumulator cell per key, arrival order per key = the sequential
-     left fold. *)
-  let group_kv b init step =
-    let n = Batch.length b in
-    let tbl = Hashtbl.create (max 64 (n / 4)) in
-    let distinct = ref [] in
-    let src = Batch.data b in
-    for i = 0 to n - 1 do
-      let k, v = as_kv src.(i) in
-      let key = Value.to_string k in
-      match Hashtbl.find tbl key with
-      | (_, cell) -> step cell v
-      | exception Not_found ->
-          Hashtbl.add tbl key (k, init v);
-          distinct := key :: !distinct
-    done;
-    (tbl, !distinct)
+     left fold. The output comes in key-string order: deterministic
+     regardless of hash-table iteration order, and every consumer of
+     grouped output is order-insensitive (DESIGN.md §11 records the
+     argument).
+
+     Under a spill budget the records go through a budgeted {!Spill}
+     grouper instead, which keeps values raw, spilling sorted runs when
+     the estimated live bytes exceed the budget, and folds each key's
+     values in arrival order at merge time. The fold is applied to
+     exactly the same values in exactly the same order and the output
+     comes out in the same ascending key-string order, so outputs and
+     the byte accounting are identical to the in-memory path at any
+     budget (DESIGN.md §12).
+
+     [group] consumes its feed as the records arrive and returns a
+     function that makes the output, so a fused map can feed it in the
+     map's span while the shuffle's own span makes the output. *)
+  let group label ~hint (input : Batch.feed) ~init ~step ~record :
+      unit -> Batch.t =
+    match ctx.x_budget with
+    | None ->
+        let tbl = Hashtbl.create (max 64 (hint / 4)) in
+        let distinct = ref [] in
+        input (fun r ->
+            let k, v = as_kv r in
+            let key = Value.to_string k in
+            match Hashtbl.find tbl key with
+            | _, cell -> step cell v
+            | exception Not_found ->
+                Hashtbl.add tbl key (k, init v);
+                distinct := key :: !distinct);
+        fun () ->
+          let by = ref 0 in
+          let out =
+            List.sort String.compare !distinct
+            |> List.map (fun key ->
+                   let k, cell = Hashtbl.find tbl key in
+                   let r = record k cell in
+                   by := !by + Value.size_of r;
+                   r)
+          in
+          Batch.of_array ~bytes:!by (Array.of_list out)
+    | Some spill_budget ->
+        let g =
+          Spill.create ~obs ?dir:ctx.x_spill_dir ~budget:spill_budget ~label
+            ()
+        in
+        (* no temp file survives a raising feed (λm, a cancellation, a
+           spill error) or a raising reduce: [Spill.finish] sweeps on
+           its own exit paths, this on the rest *)
+        let guarded f =
+          match f () with
+          | x -> x
+          | exception e -> (
+              let bt = Printexc.get_raw_backtrace () in
+              Spill.cleanup g;
+              match e with
+              | Spill.Spill_error m -> err "spill (%s): %s" label m
+              | e -> Printexc.raise_with_backtrace e bt)
+        in
+        guarded (fun () ->
+            input (fun r ->
+                let k, v = as_kv r in
+                Spill.add g (Value.to_string k) k v));
+        fun () ->
+          guarded @@ fun () ->
+          let rev = ref [] and by = ref 0 in
+          Spill.finish g ~init ~step ~record ~emit:(fun r ->
+              by := !by + Value.size_of r;
+              rev := r :: !rev);
+          Batch.of_array ~bytes:!by (Array.of_list (List.rev !rev))
   in
-  (* single-pass hash grouping with per-key accumulator cells (arrival
-     order per key = the sequential left fold), output in key-string
-     order: deterministic regardless of hash-table iteration order, and
-     every consumer of grouped output is order-insensitive (DESIGN.md
-     §11 records the argument) *)
-  let grouped_output tbl distinct record =
-    (* tbl : (string, Value.t * _) Hashtbl.t; output in key-string order *)
-    let sorted = List.sort String.compare distinct in
-    let by = ref 0 in
-    let out =
-      Array.of_list
-        (List.map
-           (fun key ->
-             let k, cell = Hashtbl.find tbl key in
-             let r = record k cell in
-             by := !by + Value.size_of r;
-             r)
-           sorted)
-    in
-    Batch.of_array ~bytes:!by out
+  (* a shuffle stage consumes its input feed like [group]: whether it
+     combines, and the function that makes its output *)
+  let shuffle (stage : Plan.stage) ~hint (input : Batch.feed) :
+      bool * (unit -> Batch.t) =
+    let label = Plan.stage_label stage in
+    match stage with
+    | Plan.Reduce_by_key { f; comm_assoc; _ } ->
+        ( comm_assoc,
+          group label ~hint input ~init:ref
+            ~step:(fun acc v -> acc := f !acc v)
+            ~record:(fun k acc -> Value.Tuple [ k; !acc ]) )
+    | Plan.Group_by_key _ ->
+        ( false,
+          group label ~hint input
+            ~init:(fun v -> ref [ v ])
+            ~step:(fun cell v -> cell := v :: !cell)
+            ~record:(fun k cell ->
+              Value.Tuple [ k; Value.List (List.rev !cell) ]) )
+    | Plan.Global_reduce { f; comm_assoc; _ } ->
+        let acc = ref None in
+        input (fun v ->
+            acc := Some (match !acc with None -> v | Some a -> f a v));
+        ( comm_assoc,
+          fun () ->
+            match !acc with
+            | None -> Batch.empty ()
+            | Some v -> Batch.of_array ~bytes:(Value.size_of v) [| v |] )
+    | _ -> invalid_arg "Engine: not a shuffle stage"
   in
-  (* out-of-core variant of [group_kv] + [grouped_output]: feed the
-     records in arrival order through a budgeted {!Spill} grouper —
-     which keeps values raw, spilling sorted runs when the estimated
-     live bytes exceed the budget — and fold each key's values in
-     arrival order at merge time. The fold is applied to exactly the
-     same values in exactly the same order and the output comes out in
-     the same ascending key-string order, so outputs and the byte
-     accounting are identical to the in-memory path at any budget
-     (DESIGN.md §12). The [Fun.protect] sweep guarantees no temp file
-     survives a raising reduce function. *)
-  let grouped_spill label (b : Batch.t) ~spill_budget ~init ~step ~record :
-      Batch.t =
-    let src = Batch.data b in
-    let g =
-      Spill.create ~obs ?dir:ctx.x_spill_dir ~budget:spill_budget ~label ()
-    in
-    try
-      Fun.protect ~finally:(fun () -> Spill.cleanup g) @@ fun () ->
-      for i = 0 to Batch.length b - 1 do
-        let k, v = as_kv src.(i) in
-        Spill.add g (Value.to_string k) k v
-      done;
-      let rev = ref [] and by = ref 0 in
-      Spill.finish g ~init ~step ~record
-        ~emit:(fun r ->
-          by := !by + Value.size_of r;
-          rev := r :: !rev);
-      Batch.of_array ~bytes:!by (Array.of_list (List.rev !rev))
-    with Spill.Spill_error m -> err "spill (%s): %s" label m
+  let measured label ~records_in ~bytes_in ~records_out ~bytes_out =
+    {
+      label;
+      records_in;
+      records_out;
+      bytes_in;
+      bytes_out;
+      bytes_shuffled = 0;
+      is_shuffle = false;
+      combined = false;
+    }
+  in
+  let of_batch label ~records_in ~bytes_in out =
+    measured label ~records_in ~bytes_in ~records_out:(Batch.length out)
+      ~bytes_out:(Batch.bytes out)
+  in
+  (* a reduction ships its input, or with a combiner (a comm-assoc
+     reduction) only its combined output: the time model bounds that
+     at one combined record per key per worker ({!capped_shuffled}) *)
+  let shuffled label ~records_in ~bytes_in ~combined out =
+    {
+      (of_batch label ~records_in ~bytes_in out) with
+      bytes_shuffled = (if combined then Batch.bytes out else bytes_in);
+      is_shuffle = true;
+      combined;
+    }
   in
   let nested_metrics = ref [] in
   let exec (current : Batch.t) (stage : Plan.stage) :
@@ -240,80 +310,25 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
     let records_in = Batch.length current in
     let bytes_in = Batch.bytes current in
     let label = Plan.stage_label stage in
-    let mk ?(shuffled = 0) ?(is_shuffle = false) ?(combined = false)
-        (out : Batch.t) =
-      ( out,
-        {
-          label;
-          records_in;
-          records_out = Batch.length out;
-          bytes_in;
-          bytes_out = Batch.bytes out;
-          bytes_shuffled = shuffled;
-          is_shuffle;
-          combined;
-        } )
-    in
-    (* a reduction ships its input, or with a combiner (a comm-assoc
-       reduction) only its combined output: the time model bounds that
-       at one combined record per key per worker ({!capped_shuffled}) *)
-    let reduced ~comm_assoc out =
-      if comm_assoc then
-        mk ~shuffled:(Batch.bytes out) ~is_shuffle:true ~combined:true out
-      else mk ~shuffled:bytes_in ~is_shuffle:true out
+    let input = source current in
+    let collect feed =
+      let out = Batch.collect ~capacity:records_in feed in
+      (out, of_batch label ~records_in ~bytes_in out)
     in
     match stage with
-    | Plan.Flat_map { f; _ } -> mk (Batch.concat_map f current)
-    | Plan.Filter { p; _ } -> mk (Batch.filter p current)
+    | Plan.Flat_map { f; _ } -> collect (emits f input)
+    | Plan.Filter { p; _ } ->
+        collect (fun sink -> input (fun r -> if p r then sink r))
     | Plan.Map_values { f; _ } ->
-        mk
-          (Batch.map
-             (fun r ->
-               let k, v = as_kv r in
-               Value.Tuple [ k; f v ])
-             current)
-    | Plan.Reduce_by_key { f; comm_assoc; _ } ->
+        collect (fun sink ->
+            input (fun r ->
+                let k, v = as_kv r in
+                sink (Value.Tuple [ k; f v ])))
+    | Plan.Reduce_by_key _ | Plan.Group_by_key _ | Plan.Global_reduce _ ->
         check_workers ();
-        let init v = ref v
-        and step acc v = acc := f !acc v
-        and record k acc = Value.Tuple [ k; !acc ] in
-        let out =
-          match ctx.x_budget with
-          | Some spill_budget ->
-              grouped_spill label current ~spill_budget ~init ~step ~record
-          | None ->
-              let tbl, distinct = group_kv current init step in
-              grouped_output tbl distinct record
-        in
-        reduced ~comm_assoc out
-    | Plan.Group_by_key _ ->
-        check_workers ();
-        let init v = ref [ v ]
-        and step cell v = cell := v :: !cell
-        and record k cell = Value.Tuple [ k; Value.List (List.rev !cell) ] in
-        let out =
-          match ctx.x_budget with
-          | Some spill_budget ->
-              grouped_spill label current ~spill_budget ~init ~step ~record
-          | None ->
-              let tbl, distinct = group_kv current init step in
-              grouped_output tbl distinct record
-        in
-        mk ~shuffled:bytes_in ~is_shuffle:true out
-    | Plan.Global_reduce { f; comm_assoc; _ } ->
-        check_workers ();
-        let out =
-          if records_in = 0 then Batch.empty ()
-          else begin
-            let src = Batch.data current in
-            let acc = ref src.(0) in
-            for i = 1 to records_in - 1 do
-              acc := f !acc src.(i)
-            done;
-            Batch.of_array ~bytes:(Value.size_of !acc) [| !acc |]
-          end
-        in
-        reduced ~comm_assoc out
+        let combined, build = shuffle stage ~hint:records_in input in
+        let out = build () in
+        (out, shuffled label ~records_in ~bytes_in ~combined out)
     | Plan.Join_with { right; _ } ->
         check_workers ();
         (* the whole context rides along — including the cache, so a
@@ -333,31 +348,74 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           |> List.rev_map (fun (_, v2) ->
                  Value.Tuple [ k; Value.Tuple [ v1; v2 ] ])
         in
-        let joined = Batch.concat_map probe current in
-        let shuffled = bytes_in + Value.size_of_list right_run.output in
-        mk ~shuffled ~is_shuffle:true joined
+        let joined, m = collect (emits probe input) in
+        let bytes_shuffled = bytes_in + Value.size_of_list right_run.output in
+        (joined, { m with bytes_shuffled; is_shuffle = true })
     | Plan.Sample_monitor { k; observe; _ } ->
         let kk = max 0 (min k records_in) in
         observe (Array.to_list (Array.sub (Batch.data current) 0 kk));
-        mk current
+        (current, of_batch label ~records_in ~bytes_in current)
   in
-  let output_batch, rev_stages =
-    List.fold_left
-      (fun (cur, ms) stage ->
+  (* a stage's span, carrying its record and shuffle counters *)
+  let in_span label f =
+    Obs.span obs label @@ fun () ->
+    let out, m = f () in
+    Obs.add obs "records_out" m.records_out;
+    if m.is_shuffle then begin
+      Obs.add obs "shuffle_records" m.records_in;
+      Obs.add obs "shuffle_bytes" m.bytes_shuffled
+    end;
+    (out, m)
+  in
+  (* A map stage followed by a shuffle runs as one pass, the map-side
+     combine of paper §6.3: each record λm emits is counted and sized,
+     then fed straight into the shuffle's grouping or fold. The map's
+     span covers that pass and the shuffle's span building its output;
+     both stages report the metrics of the unfused pair. On a cluster
+     without workers the pair runs unfused, so λm's errors still come
+     before the shuffle's. *)
+  let rec run cur ms = function
+    | [] -> (cur, ms)
+    | Plan.Flat_map { f; label }
+      :: (( Plan.Reduce_by_key _ | Plan.Group_by_key _ | Plan.Global_reduce _
+          ) as next)
+      :: rest
+      when cluster.Cluster.workers > 0 ->
+        check_cancel ctx;
+        let records_in = Batch.length cur and bytes_in = Batch.bytes cur in
+        let n = ref 0 and by = ref 0 in
+        let counted sink v =
+          incr n;
+          by := !by + Value.size_of v;
+          sink v
+        in
+        let (combined, build), m_map =
+          in_span label @@ fun () ->
+          let c =
+            shuffle next ~hint:records_in (fun sink ->
+                emits f (source cur) (counted sink))
+          in
+          ( c,
+            measured label ~records_in ~bytes_in ~records_out:!n
+              ~bytes_out:!by )
+        in
+        let out, m =
+          let label = Plan.stage_label next in
+          in_span label @@ fun () ->
+          let out = build () in
+          ( out,
+            shuffled label ~records_in:m_map.records_out
+              ~bytes_in:m_map.bytes_out ~combined out )
+        in
+        run out (m :: m_map :: ms) rest
+    | stage :: rest ->
         check_cancel ctx;
         let out, m =
-          Obs.span obs (Plan.stage_label stage) @@ fun () ->
-          let out, m = exec cur stage in
-          Obs.add obs "records_out" m.records_out;
-          if m.is_shuffle then begin
-            Obs.add obs "shuffle_records" m.records_in;
-            Obs.add obs "shuffle_bytes" m.bytes_shuffled
-          end;
-          (out, m)
+          in_span (Plan.stage_label stage) (fun () -> exec cur stage)
         in
-        (out, m :: ms))
-      (input_batch, []) plan.Plan.stages
+        run out (m :: ms) rest
   in
+  let output_batch, rev_stages = run input_batch [] plan.Plan.stages in
   let stages = !nested_metrics @ List.rev rev_stages in
   let input_records = Batch.length input_batch in
   (* populate the cache with the materialized result and the metrics a

@@ -11,9 +11,10 @@ module Value = Casper_common.Value
 exception Engine_error of string
 
 (** Raised when an execution's cooperative cancellation token
-    ({!Exec_config.t} [cancel]) reports true at a stage boundary — at
-    plan entry or between stages, never mid-stage, so grouped stages
-    have already swept their spill temp files when it propagates. *)
+    ({!Exec_config.t} [cancel]) reports true: it is polled at plan
+    entry, before each stage and every 4,096 records of a stage's
+    record loop. A grouped stage it interrupts has swept its spill temp
+    files when it propagates. *)
 exception Cancelled
 
 (** Volume accounting for one executed stage (defined in
@@ -66,7 +67,10 @@ val cache_stats : cache -> Cache.stats
     record and shuffle-volume counters. Every stage runs on the calling
     domain: the run starts no domain and uses no pool, and the cluster
     it stands for is simulated from the measured volumes (DESIGN.md
-    §10). [config.cancel] is polled at stage boundaries.
+    §10). A map stage directly followed by a shuffle runs as one pass
+    that feeds each emitted record into the shuffle's grouping or fold
+    (a map-side combine), with the metrics of the two stages run apart.
+    [config.cancel] is polled as {!Cancelled} says.
 
     [config.memory_budget] bounds the estimated live bytes a grouped
     shuffle (reduceByKey / groupByKey) may buffer before spilling sorted
@@ -89,8 +93,7 @@ val cache_stats : cache -> Cache.stats
     @raise Engine_error on unknown or duplicate dataset names, shape
     errors, shuffles on a cluster with no worker slots, and spill I/O
     failures.
-    @raise Cancelled when [config]'s cancellation token reports true at
-    a stage boundary. *)
+    @raise Cancelled when [config]'s cancellation token reports true. *)
 val run_plan :
   ?config:Exec_config.t ->
   cluster:Cluster.t ->

@@ -76,8 +76,9 @@ type t = {
       (** default backend for session jobs submitted without one *)
   concurrency : int option;  (** session job-slot count (default 1) *)
   cancel : (unit -> bool) option;
-      (** cooperative cancellation token, polled at stage boundaries;
-          returning [true] makes the engine raise [Engine.Cancelled] *)
+      (** cooperative cancellation token, polled before each stage and
+          every 4,096 records inside one; returning [true] makes the
+          engine raise [Engine.Cancelled] *)
 }
 
 (** All fields [None]: every knob takes its built-in value. *)

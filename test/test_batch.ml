@@ -2,7 +2,8 @@
     every batched stage must produce the same output as the reference
     list semantics, and the final stage's volume accounting — fused
     into the producing loop — must equal the output's own count and
-    byte size. *)
+    byte size; a map fused with the shuffle after it must account both
+    stages as the list semantics do. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -161,6 +162,54 @@ let prop_pipeline =
              Value.Tuple [ Value.Int (Value.size_of v mod 4); v ])
       |> ref_reduce_by_key combine)
 
+(* a map directly followed by a shuffle runs as one fused pass; every
+   stage of the pair, not just the last, must still account exactly
+   what the list semantics produce, in memory and under a spill budget *)
+let fm_kv v =
+  List.map
+    (fun x -> Value.Tuple [ Value.Int (Value.size_of x mod 4); x ])
+    (fm v)
+
+let prop_fused_accounting =
+  QCheck.Test.make ~name:"flatMap |> shuffle: every stage's accounting"
+    ~count:20 bag_arb (fun records ->
+      let emitted = List.concat_map fm_kv records in
+      let pairs =
+        [
+          (Plan.reduce_by_key combine, ref_reduce_by_key combine emitted);
+          ( Plan.reduce_by_key ~comm_assoc:false combine,
+            ref_reduce_by_key combine emitted );
+          (Plan.group_by_key (), ref_group_by_key emitted);
+          (Plan.global_reduce combine, ref_global_reduce combine emitted);
+        ]
+      in
+      let accounts (m : Engine.stage_metrics) ins outs =
+        m.Engine.records_in = List.length ins
+        && m.Engine.bytes_in = Value.size_of_list ins
+        && m.Engine.records_out = List.length outs
+        && m.Engine.bytes_out = Value.size_of_list outs
+      in
+      List.for_all
+        (fun (shuffle, expected) ->
+          List.for_all
+            (fun memory_budget ->
+              let r =
+                Engine.run_plan
+                  ~config:{ Testenv.config with Testenv.Config.memory_budget }
+                  ~cluster:Cluster.spark
+                  ~datasets:[ ("d", records) ]
+                  Plan.(data "d" |>> flat_map fm_kv |>> shuffle)
+              in
+              r.Engine.output = expected
+              &&
+              match r.Engine.stages with
+              | [ map; grouped ] ->
+                  accounts map records emitted
+                  && accounts grouped emitted expected
+              | _ -> false)
+            [ None; Some 64 ])
+        pairs)
+
 (* ---------------- edge cases ---------------- *)
 
 let edge_plans =
@@ -233,6 +282,7 @@ let suite =
         prop_group_by_key;
         prop_global_reduce;
         prop_pipeline;
+        prop_fused_accounting;
       ];
     ( "batch.edges",
       [

@@ -361,47 +361,56 @@ let test_spill_missing_run () =
       check "names the failed open" true (String.starts_with ~prefix:"open " m)
   | () -> Alcotest.fail "expected a spill error for the missing run"
 
-(* the fix the issue calls out: a reduce function that throws mid-merge
-   must not leak run files — the Fun.protect sweep runs on every exit
-   path, including the error one *)
-let test_spill_cleanup_on_failure () =
+(* [f dir] with [dir] a fresh empty directory, removed afterwards *)
+let with_temp_dir name f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "casper-spill-test-%d" (Unix.getpid ()))
+      (Printf.sprintf "casper-%s-%d" name (Unix.getpid ()))
   in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-  else Sys.mkdir dir 0o700;
+  let clear () =
+    Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir)
+  in
+  if Sys.file_exists dir then clear () else Sys.mkdir dir 0o700;
   Fun.protect
     ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
+      clear ();
       Sys.rmdir dir)
-  @@ fun () ->
-  let boom _ _ = failwith "reduce exploded" in
-  let p =
-    Plan.(
-      data "d"
-      |>> map_to_pair (fun x -> (vint (Value.as_int x mod 3), x))
-      |>> reduce_by_key boom)
-  in
-  let datasets = [ ("d", ints (List.init 200 (fun i -> i))) ] in
-  (match
-     Engine.run_plan
-       ~config:
-         {
-           Testenv.config with
-           Exec.Config.memory_budget = Some 1;
-           spill_dir = Some dir;
-         }
-       ~cluster:Cluster.spark ~datasets p
-   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected the reduce to raise");
-  check_int "no temp files survive the failing reduce" 0
-    (Array.length (Sys.readdir dir))
+    (fun () -> f dir)
+
+(* no temp file survives a failing λ under a spill budget: neither a
+   reduce function that throws mid-merge nor a map function that throws
+   midway through the pass that feeds the spill grouper — the sweep runs
+   on every exit path, including the error one *)
+let test_spill_cleanup_on_failure () =
+  with_temp_dir "spill-test" @@ fun dir ->
+  let pair x = (vint (Value.as_int x mod 3), x) in
+  List.iter
+    (fun (lm, lr, expected) ->
+      let p = Plan.(data "d" |>> map_to_pair lm |>> reduce_by_key lr) in
+      let datasets = [ ("d", ints (List.init 200 (fun i -> i))) ] in
+      (match
+         Engine.run_plan
+           ~config:
+             {
+               Testenv.config with
+               Exec.Config.memory_budget = Some 1;
+               spill_dir = Some dir;
+             }
+           ~cluster:Cluster.spark ~datasets p
+       with
+      | exception Failure m ->
+          Alcotest.(check string) "the λ's error" expected m
+      | _ -> Alcotest.failf "expected %S" expected);
+      check_int ("no temp files survive: " ^ expected) 0
+        (Array.length (Sys.readdir dir)))
+    [
+      (pair, (fun _ _ -> failwith "reduce exploded"), "reduce exploded");
+      ( (fun x ->
+          if Value.as_int x = 100 then failwith "map exploded" else pair x),
+        add_i,
+        "map exploded" );
+    ]
 
 let test_spill_join_passthrough () =
   let left = Plan.(data "a" |>> map_to_pair (fun x -> (x, x))) in
@@ -462,6 +471,51 @@ let test_missing_spill_dir () =
       check "error names the directory" true (contains msg missing)
   | _ -> Alcotest.fail "expected an engine error for a missing spill_dir");
   check "nothing created" false (Sys.file_exists missing)
+
+(* ---------------- cancellation ---------------- *)
+
+(* the cancellation token is polled inside a stage's record loop, not
+   only between stages: a token that turns true once λm has seen 1,000
+   of 20,000 records stops the run before λm sees 5,000 — in a map
+   alone, in a map fused with each kind of shuffle, in memory and under
+   a spill budget, leaving no temp file behind *)
+let test_cancel_inside_a_stage () =
+  with_temp_dir "cancel-test" @@ fun dir ->
+  let datasets = [ ("d", ints (List.init 20_000 Fun.id)) ] in
+  List.iter
+    (fun (name, shuffle) ->
+      List.iter
+        (fun memory_budget ->
+          let seen = ref 0 in
+          let lm x =
+            incr seen;
+            (vint (Value.as_int x mod 7), x)
+          in
+          let p =
+            List.fold_left Plan.( |>> ) Plan.(data "d" |>> map_to_pair lm)
+              shuffle
+          in
+          let config =
+            {
+              Exec.Config.default with
+              Exec.Config.memory_budget;
+              spill_dir = Some dir;
+              cancel = Some (fun () -> !seen >= 1_000);
+            }
+          in
+          (match Engine.run_plan ~config ~cluster:Cluster.spark ~datasets p with
+          | exception Engine.Cancelled -> ()
+          | _ -> Alcotest.failf "%s ran to the end" name);
+          check (name ^ ": stopped early") true (!seen < 5_000);
+          check_int (name ^ ": no temp file") 0
+            (Array.length (Sys.readdir dir)))
+        [ None; Some 64 ])
+    [
+      ("map", []);
+      ("map |> reduceByKey", [ Plan.reduce_by_key add_i ]);
+      ("map |> groupByKey", [ Plan.group_by_key () ]);
+      ("map |> reduce", [ Plan.global_reduce (fun a _ -> a) ]);
+    ]
 
 (* ---------------- time model ---------------- *)
 
@@ -562,6 +616,11 @@ let suite =
       [
         Alcotest.test_case "missing spill_dir is a clean error" `Quick
           test_missing_spill_dir;
+      ] );
+    ( "engine.cancel",
+      [
+        Alcotest.test_case "cancel polls inside a stage" `Quick
+          test_cancel_inside_a_stage;
       ] );
     ( "engine.time",
       [
