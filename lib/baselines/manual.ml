@@ -80,26 +80,9 @@ let wikipedia_pagecount : Plan.t =
             (Value.field "page" v, Value.field "views" v))
     |>> reduce_by_key ~label:"reduceByKey(+)" add_i)
 
-(** Database select: filter + sum (the developer used Spark's built-in
-    [filter]/[sum] instead of an explicit map/reduce — §7.2 notes such
-    variants made no performance difference). *)
-let database_select ~threshold : Plan.t =
-  Plan.(
-    data "rows"
-    |>> filter ~label:"filter" (fun r ->
-            Value.as_float (Value.field "amount" r) > threshold)
-    |>> map ~label:"map amount" (fun r -> Value.field "amount" r)
-    |>> global_reduce ~label:"sum" add_f)
-
 (** Anscombe transform: a pure map. *)
 let anscombe : Plan.t =
   Plan.(
     data "pa"
     |>> map ~label:"map anscombe" (fun v ->
             Value.Float (2.0 *. sqrt (Value.as_float v +. 0.375))))
-
-(** Red-to-magenta: pure per-pixel map over the channel tuples. *)
-let red_to_magenta : Plan.t =
-  Plan.(
-    data "r"
-    |>> map ~label:"map channel" (fun v -> v))

@@ -67,65 +67,30 @@ let rec compile_node (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
       |>> join_with (compile_node env tenv record_ty b)
 
 (** Rebuild the fragment's output variables from a plan's output records
-    (mirrors {!Casper_ir.Eval.apply_summary}'s extraction semantics). *)
-let materialize (s : Ir.summary) (shapes : (string * Eval.out_shape) list)
+    by {!Casper_ir.Eval.extract_binding}, the reader verification uses:
+    a [Proj] binding reads the records as values, any other binding as
+    key-value pairs. *)
+let read_outputs (s : Ir.summary) (shapes : (string * Eval.out_shape) list)
     (init : Eval.env) (output : Value.t list) : (string * Value.t) list =
-  let kvs () =
-    List.map
-      (fun r ->
-        match r with
-        | Value.Tuple [ k; v ] -> (k, v)
-        | v -> err "expected key-value output, got %s" (Value.to_string v))
-      output
+  let pairs =
+    lazy
+      (Eval.Pairs
+         (List.map
+            (function
+              | Value.Tuple [ k; v ] -> (k, v)
+              | v -> err "expected key-value output, got %a" Value.pp v)
+            output))
   in
   List.map
-    (fun (var, ex) ->
-      let init_v () =
-        match List.assoc_opt var init with
-        | Some v -> v
-        | None -> err "no initial value for %s" var
+    (fun ((var, ex) as b) ->
+      let bag =
+        match ex with
+        | Ir.Proj _ -> Eval.Vals output
+        | Ir.AtKey _ | Ir.Whole -> Lazy.force pairs
       in
-      let shape =
-        match List.assoc_opt var shapes with
-        | Some s -> s
-        | None -> Eval.Scalar
-      in
-      let value =
-        match (ex, shape) with
-        | Ir.AtKey k, _ -> (
-            match
-              List.find_opt (fun (k', _) -> Value.equal k k') (kvs ())
-            with
-            | Some (_, v) -> v
-            | None -> init_v ())
-        | Ir.Whole, Eval.Arr ->
-            let arr = Array.of_list (Value.as_list (init_v ())) in
-            List.iter
-              (fun (k, v) ->
-                match k with
-                | Value.Int i when i >= 0 && i < Array.length arr ->
-                    arr.(i) <- v
-                | _ -> err "bad array key")
-              (kvs ());
-            Value.List (Array.to_list arr)
-        | Ir.Whole, _ ->
-            Value.List
-              (List.sort Value.compare
-                 (List.map (fun (k, v) -> Value.Tuple [ k; v ]) (kvs ())))
-        | Ir.Proj i, _ -> (
-            match output with
-            | [] -> init_v ()
-            | [ v ] -> (
-                match i with
-                | None -> v
-                | Some idx -> (
-                    match v with
-                    | Value.Tuple xs when idx < List.length xs ->
-                        List.nth xs idx
-                    | _ -> err "projection of non-tuple"))
-            | _ -> err "global reduction yielded several records")
-      in
-      (var, value))
+      match Eval.extract_binding bag init shapes b with
+      | v -> (var, v)
+      | exception Eval.Eval_error m -> err "%s" m)
     s.Ir.bindings
 
 type translated = {
@@ -145,5 +110,5 @@ let compile (prog : Minijava.Ast.program) (frag : F.t) (entry : Eval.env)
   {
     plan;
     summary = s;
-    read_outputs = (fun out -> materialize s shapes entry out);
+    read_outputs = read_outputs s shapes entry;
   }

@@ -71,7 +71,7 @@ let estimate_from_sample (frag : F.t) (entry : Eval.env)
   in
   (* distinct keys actually emitted by the first map stage *)
   let distinct =
-    let tbl = Hashtbl.create 64 in
+    let tbl = Value.Tbl.create 64 in
     List.iter
       (fun (s : Ir.summary) ->
         let rec first_map = function
@@ -89,13 +89,13 @@ let estimate_from_sample (frag : F.t) (entry : Eval.env)
                 match f r with
                 | `KV kvs ->
                     List.iter
-                      (fun (k, _) -> Hashtbl.replace tbl (Value.to_string k) ())
+                      (fun (k, _) -> Value.Tbl.replace tbl k ())
                       kvs
                 | `V _ -> ()
                 | exception _ -> ())
               bound)
       summaries;
-    float_of_int (max 1 (Hashtbl.length tbl))
+    float_of_int (max 1 (Value.Tbl.length tbl))
   in
   { guard_probs; distinct_keys = distinct; sample_size = n }
 

@@ -45,18 +45,12 @@ let run_sequential ~(scale : float) ?(passes = 1)
   let outputs =
     List.map (fun (v, _, _) -> (v, List.assoc v final)) frag.outputs
   in
+  let datasets = datasets_of prog frag entry in
   let records =
-    List.fold_left
-      (fun acc (_, rs) -> acc + List.length rs)
-      0
-      (datasets_of prog frag entry)
+    List.fold_left (fun acc (_, rs) -> acc + List.length rs) 0 datasets
   in
   let bytes =
-    List.fold_left
-      (fun acc (_, rs) ->
-        acc + List.fold_left (fun a r -> a + Value.size_of r) 0 rs)
-      0
-      (datasets_of prog frag entry)
+    List.fold_left (fun acc (_, rs) -> acc + Value.size_of_list rs) 0 datasets
   in
   ( outputs,
     Mapreduce.Engine.sequential_time ~scale ~passes ~records ~bytes () )

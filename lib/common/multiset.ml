@@ -8,25 +8,6 @@
 
 type 'a t = 'a list
 
-let of_list l = l
-let to_list l = l
-let empty = []
-let is_empty = function [] -> true | _ -> false
-let add x l = x :: l
-let union = List.rev_append
-let map = List.map
-let concat_map f l = List.concat_map f l
-let filter = List.filter
-let fold = List.fold_left
-let iter = List.iter
-
-(** Bag equality under a total order. *)
-let equal ~compare a b =
-  List.length a = List.length b
-  && List.equal
-       (fun x y -> compare x y = 0)
-       (List.sort compare a) (List.sort compare b)
-
 (** Bag equality of value multisets with float tolerance: sort both sides
     with the exact order, then compare pairwise approximately. Sorting by
     the exact order can pair up slightly-different floats inconsistently
@@ -38,27 +19,21 @@ let equal_values (a : Value.t t) (b : Value.t t) =
        (List.sort Value.compare a)
        (List.sort Value.compare b)
 
-(** Group a bag of key-value pairs by key; the per-key bags preserve
-    first-seen key order for deterministic iteration. Accumulates into
-    mutable cells so each pair costs one hash lookup (no
-    [Hashtbl.replace] re-probe per record). *)
+(** Group a bag of key-value pairs by key under {!Value.equal}; the
+    per-key bags preserve first-seen key order for deterministic
+    iteration. Accumulates into mutable cells so each pair costs one
+    hash lookup. *)
 let group_by_key (pairs : (Value.t * Value.t) list) :
     (Value.t * Value.t list) list =
-  let tbl : (string, Value.t * Value.t list ref) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let tbl : Value.t list ref Value.Tbl.t = Value.Tbl.create 64 in
   let order = ref [] in
   List.iter
     (fun (k, v) ->
-      let key = Value.to_string k in
-      match Hashtbl.find_opt tbl key with
-      | Some (_, cell) -> cell := v :: !cell
+      match Value.Tbl.find_opt tbl k with
+      | Some cell -> cell := v :: !cell
       | None ->
-          Hashtbl.add tbl key (k, ref [ v ]);
-          order := key :: !order)
+          let cell = ref [ v ] in
+          Value.Tbl.add tbl k cell;
+          order := (k, cell) :: !order)
     pairs;
-  List.rev_map
-    (fun key ->
-      let k, cell = Hashtbl.find tbl key in
-      (k, List.rev !cell))
-    !order
+  List.rev_map (fun (k, cell) -> (k, List.rev !cell)) !order

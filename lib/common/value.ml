@@ -49,6 +49,33 @@ and tag = function
 
 let equal a b = compare a b = 0
 
+(* Agrees with [equal]: it reads what [compare] reads and nothing else.
+   A struct hashes its name and field values but not its field names;
+   [Hashtbl.seeded_hash] maps both zeros to one hash and every NaN to
+   another; the tag keeps [Int 7] and [Float 7.0] apart; a tuple or list
+   chains every component through the seed, however deep. *)
+let rec hash_with seed v =
+  let seed = seed + tag v in
+  match v with
+  | Int n -> Hashtbl.seeded_hash seed n
+  | Float f -> Hashtbl.seeded_hash seed f
+  | Bool b -> Hashtbl.seeded_hash seed b
+  | Str s -> Hashtbl.seeded_hash seed s
+  | Tuple xs | List xs -> List.fold_left hash_with seed xs
+  | Struct (n, fs) ->
+      List.fold_left
+        (fun h (_, x) -> hash_with h x)
+        (Hashtbl.seeded_hash seed n) fs
+
+let hash v = hash_with 0 v
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 (* Relative tolerance used when comparing summaries that involve floating
    point: the sequential loop and the MapReduce pipeline may reduce in a
    different association order. *)
@@ -108,15 +135,17 @@ let rec pp ppf = function
         Fmt.(list ~sep:comma (pair ~sep:(any "=") string pp))
         fs
 
-(* [to_string] sits on the engine's hottest path: every keyed shuffle
-   stringifies each record's key to hash and group by. Spinning up a
-   formatter per call ([Fmt.str]) costs more than the conversion
-   itself, so scalar keys — the overwhelmingly common case — take a
-   direct path. Scalars render on one line regardless of margin, so
-   the bytes are identical to the [pp] output ([Fmt.int] is ["%d"],
-   [Fmt.float] is ["%g"], and [Printf]'s ["%S"] matches [Format]'s);
-   a property test pins the equivalence. Nested values keep the
-   formatter so any future pretty-printing tweaks stay in one place. *)
+(* [to_string]'s hot caller is the search's fingerprint interner
+   ([Memo.value_id]), which prints every probe value; keys are grouped
+   by [hash] and [equal], never by their printed form, because [%g]
+   prints 1234567.0 and 1234568.0 alike and [Int 7] like [Float 7.0].
+   Spinning up a formatter per call ([Fmt.str]) costs more than the
+   conversion itself, so scalars take a direct path. Scalars render on
+   one line regardless of margin, so the bytes are identical to the
+   [pp] output ([Fmt.int] is ["%d"], [Fmt.float] is ["%g"], and
+   [Printf]'s ["%S"] matches [Format]'s); a property test pins the
+   equivalence. Nested values keep the formatter so any future
+   pretty-printing tweaks stay in one place. *)
 let to_string v =
   match v with
   | Int n -> string_of_int n
@@ -172,5 +201,3 @@ let rec find_field name v = function
 let field name v =
   let _, fs = as_struct v in
   find_field name v fs
-
-let is_numeric = function Int _ | Float _ -> true | _ -> false

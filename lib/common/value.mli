@@ -19,6 +19,17 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+(** Agrees with {!equal}: equal values hash alike. It reads every
+    component of a tuple, list or struct, a struct's name and field
+    values but not its field names (which {!compare} ignores); both
+    zeros hash alike, and so do all NaNs. *)
+val hash : t -> int
+
+(** Hash tables keyed by value under {!equal}: the one key identity of
+    the engine's shuffles and joins, the spill grouper and the IR
+    evaluator's reduce. *)
+module Tbl : Hashtbl.S with type key = t
+
 (** Relative tolerance for float comparison in {!equal_approx}: the
     sequential loop and the MapReduce pipeline may reduce in different
     association orders. *)
@@ -56,5 +67,3 @@ val as_struct : t -> string * (string * t) list
 
 (** [field name v] reads a struct field. *)
 val field : string -> t -> t
-
-val is_numeric : t -> bool

@@ -371,7 +371,7 @@ let rec stage_pipeline ~(lr_ran : bool ref) (base : cenv) (n : node) :
    - the mixed-shapes check then sees every emit so far, as
      [Eval.map_bag] does once all records are mapped;
    - pairs fold into one accumulator per key, keys identified by
-     [Value.to_string] and kept in first-seen order as
+     [Value.equal] and kept in first-seen order as
      [Multiset.group_by_key] keeps them. From-scratch reduction folds
      whole groups in that order, so a unit that adds values to several
      keys is folded group by group in key order, not in emit order: the
@@ -410,7 +410,7 @@ let prefix_fold ~(lr_ran : bool ref) (base : cenv) (d : string) (lm : lam_m)
   in
   (* records mapped so far, and what they emitted, newest first *)
   let seen = ref 0 and kvs = ref [] and vs = ref [] in
-  let groups : (string, group) Hashtbl.t = Hashtbl.create 16 in
+  let groups : group Value.Tbl.t = Value.Tbl.create 16 in
   let order = ref [] (* newest first *) and total = ref None in
   let rec drop n l =
     match l with _ :: l' when n > 0 -> drop (n - 1) l' | _ -> l
@@ -441,17 +441,16 @@ let prefix_fold ~(lr_ran : bool ref) (base : cenv) (d : string) (lm : lam_m)
         let touched = ref [] in
         List.iter
           (fun (k, v) ->
-            let s = Value.to_string k in
-            match Hashtbl.find_opt groups s with
+            match Value.Tbl.find_opt groups k with
             | Some g ->
                 (match g.g_new with [] -> touched := g :: !touched | _ -> ());
                 g.g_new <- v :: g.g_new
             | None ->
                 let g =
-                  { g_key = k; g_rank = Hashtbl.length groups; g_acc = v;
+                  { g_key = k; g_rank = Value.Tbl.length groups; g_acc = v;
                     g_new = [] }
                 in
-                Hashtbl.add groups s g;
+                Value.Tbl.add groups k g;
                 order := g :: !order)
           (List.rev !new_kvs);
         List.iter

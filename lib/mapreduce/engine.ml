@@ -45,7 +45,7 @@ type run = {
 
 let as_kv = function
   | Value.Tuple [ k; v ] -> (k, v)
-  | v -> err "expected a key-value record, got %s" (Value.to_string v)
+  | v -> err "expected a key-value record, got %a" Value.pp v
 
 (* ------------------------------------------------------------------ *)
 (* Dataset cache plumbing                                               *)
@@ -175,18 +175,19 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
    fun sink -> input (fun r -> List.iter sink (f r))
   in
   (* [group] hash-groups key-value records in a single pass, one
-     accumulator cell per key, arrival order per key = the sequential
-     left fold. The output comes in key-string order: deterministic
-     regardless of hash-table iteration order, and every consumer of
-     grouped output is order-insensitive (DESIGN.md §11 records the
-     argument).
+     accumulator cell per key ({!Value.Tbl}: keys are identified by
+     {!Value.equal}, as the IR's reduce identifies them), arrival order
+     per key = the sequential left fold. The output comes in ascending
+     {!Value.compare} order of the keys: deterministic regardless of
+     hash-table iteration order, and every consumer of grouped output is
+     order-insensitive (DESIGN.md §11 records the argument).
 
      Under a spill budget the records go through a budgeted {!Spill}
      grouper instead, which keeps values raw, spilling sorted runs when
      the estimated live bytes exceed the budget, and folds each key's
      values in arrival order at merge time. The fold is applied to
      exactly the same values in exactly the same order and the output
-     comes out in the same ascending key-string order, so outputs and
+     comes out in the same key order, so outputs and
      the byte accounting are identical to the in-memory path at any
      budget (DESIGN.md §12).
 
@@ -197,22 +198,18 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
       unit -> Batch.t =
     match ctx.x_budget with
     | None ->
-        let tbl = Hashtbl.create (max 64 (hint / 4)) in
-        let distinct = ref [] in
+        let tbl = Value.Tbl.create (max 64 (hint / 4)) in
         input (fun r ->
             let k, v = as_kv r in
-            let key = Value.to_string k in
-            match Hashtbl.find tbl key with
-            | _, cell -> step cell v
-            | exception Not_found ->
-                Hashtbl.add tbl key (k, init v);
-                distinct := key :: !distinct);
+            match Value.Tbl.find tbl k with
+            | cell -> step cell v
+            | exception Not_found -> Value.Tbl.add tbl k (init v));
         fun () ->
           let by = ref 0 in
           let out =
-            List.sort String.compare !distinct
-            |> List.map (fun key ->
-                   let k, cell = Hashtbl.find tbl key in
+            Value.Tbl.fold (fun k cell acc -> (k, cell) :: acc) tbl []
+            |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
+            |> List.map (fun (k, cell) ->
                    let r = record k cell in
                    by := !by + Value.size_of r;
                    r)
@@ -239,7 +236,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         guarded (fun () ->
             input (fun r ->
                 let k, v = as_kv r in
-                Spill.add g (Value.to_string k) k v));
+                Spill.add g k v));
         fun () ->
           guarded @@ fun () ->
           let rev = ref [] and by = ref 0 in
@@ -336,17 +333,16 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
            its previous materialization *)
         let right_run = exec_plan ctx ~cluster ~datasets right in
         nested_metrics := !nested_metrics @ right_run.stages;
-        let tbl = Hashtbl.create 256 in
+        let tbl = Value.Tbl.create 256 in
         List.iter
           (fun r ->
             let k, v = as_kv r in
-            Hashtbl.add tbl (Value.to_string k) (k, v))
+            Value.Tbl.add tbl k v)
           right_run.output;
         let probe r =
           let k, v1 = as_kv r in
-          Hashtbl.find_all tbl (Value.to_string k)
-          |> List.rev_map (fun (_, v2) ->
-                 Value.Tuple [ k; Value.Tuple [ v1; v2 ] ])
+          Value.Tbl.find_all tbl k
+          |> List.rev_map (fun v2 -> Value.Tuple [ k; Value.Tuple [ v1; v2 ] ])
         in
         let joined, m = collect (emits probe input) in
         let bytes_shuffled = bytes_in + Value.size_of_list right_run.output in

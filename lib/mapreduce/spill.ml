@@ -15,23 +15,28 @@ let max_fanin = 64
    reverse arrival order (merging partially folded accumulators would
    break byte-identity for non-associative reduce functions)            *)
 
-type entry = { ek : Value.t; mutable vals_rev : Value.t list }
-
 type table = {
-  tbl : (string, entry) Hashtbl.t;
-  mutable distinct : string list;
+  tbl : Value.t list ref Value.Tbl.t;  (* first-arrival key -> values *)
   mutable count : int;  (* records, not keys *)
 }
 
-let table_create () = { tbl = Hashtbl.create 64; distinct = []; count = 0 }
+let table_create () = { tbl = Value.Tbl.create 64; count = 0 }
 
-let table_add m key k v =
-  (match Hashtbl.find_opt m.tbl key with
-  | Some e -> e.vals_rev <- v :: e.vals_rev
-  | None ->
-      Hashtbl.add m.tbl key { ek = k; vals_rev = [ v ] };
-      m.distinct <- key :: m.distinct);
+let table_add m k v =
+  (match Value.Tbl.find_opt m.tbl k with
+  | Some vals_rev -> vals_rev := v :: !vals_rev
+  | None -> Value.Tbl.add m.tbl k (ref [ v ]));
   m.count <- m.count + 1
+
+(* one key's values in arrival order *)
+type group = { gk : Value.t; gvals : Value.t list }
+
+(* the table's groups in ascending key order *)
+let sorted m =
+  Value.Tbl.fold
+    (fun k vals_rev acc -> { gk = k; gvals = List.rev !vals_rev } :: acc)
+    m.tbl []
+  |> List.sort (fun a b -> Value.compare a.gk b.gk)
 
 type t = {
   budget : int;
@@ -128,9 +133,9 @@ let cleanup t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Run files: Codec header, then per key (ascending key-string order):
-   varint key-string length + key string, framed key value, varint
-   value count, framed values in arrival order                         *)
+(* Run files: Codec header, then per key (ascending {!Value.compare}
+   order): framed key value, varint value count, framed values in
+   arrival order                                                       *)
 
 type writer = { oc : out_channel; buf : Buffer.t; mutable bytes : int }
 
@@ -146,9 +151,7 @@ let writer_flush w =
   Buffer.clear w.buf
 
 (* [segments] are value lists of one key in arrival order *)
-let write_group w ~key ~k ~segments =
-  Codec.write_varint w.buf (String.length key);
-  Buffer.add_string w.buf key;
+let write_group w ~k ~segments =
   Codec.write_framed w.buf k;
   let count = List.fold_left (fun a vs -> a + List.length vs) 0 segments in
   Codec.write_varint w.buf count;
@@ -161,20 +164,14 @@ let writer_close w =
   w.bytes
 
 let write_table path m =
-  let keys = List.sort String.compare m.distinct in
   let w = writer_open path in
   Fun.protect ~finally:(fun () -> close_out_noerr w.oc) @@ fun () ->
-  List.iter
-    (fun key ->
-      let e = Hashtbl.find m.tbl key in
-      write_group w ~key ~k:e.ek ~segments:[ List.rev e.vals_rev ])
-    keys;
+  List.iter (fun g -> write_group w ~k:g.gk ~segments:[ g.gvals ]) (sorted m);
   writer_close w
 
 (* ------------------------------------------------------------------ *)
 (* Run readers and the k-way merge                                     *)
 
-type group = { gkey : string; gk : Value.t; gvals : Value.t list }
 type reader = { mutable cur : group option; next : unit -> group option }
 
 let in_varint_cont ic first =
@@ -189,11 +186,13 @@ let in_varint_cont ic first =
 
 let in_varint ic = in_varint_cont ic (input_byte ic)
 
-let in_framed ic =
-  let len = in_varint ic in
+let in_framed_cont ic first =
+  let len = in_varint_cont ic first in
   if len < 0 then err "negative frame length in run file";
   let payload = really_input_string ic len in
   try Codec.decode payload with Codec.Codec_error m -> err "corrupt run: %s" m
+
+let in_framed ic = in_framed_cont ic (input_byte ic)
 
 (* EOF at a group boundary ends the run; anywhere else it is corruption *)
 let read_group ic =
@@ -201,30 +200,26 @@ let read_group ic =
   | exception End_of_file -> None
   | b0 -> (
       try
-        let klen = in_varint_cont ic b0 in
-        if klen < 0 then err "negative key length in run file";
-        let key = really_input_string ic klen in
-        let k = in_framed ic in
+        let k = in_framed_cont ic b0 in
         let count = in_varint ic in
         if count < 0 then err "negative value count in run file";
         let vals = List.init count (fun _ -> in_framed ic) in
-        Some { gkey = key; gk = k; gvals = vals }
+        Some { gk = k; gvals = vals }
       with End_of_file -> err "truncated run file")
 
 let file_reader ic = { cur = None; next = (fun () -> read_group ic) }
 
 let mem_reader m =
-  let rest = ref (List.sort String.compare m.distinct) in
+  let rest = ref (sorted m) in
   {
     cur = None;
     next =
       (fun () ->
         match !rest with
         | [] -> None
-        | key :: tl ->
+        | g :: tl ->
             rest := tl;
-            let e = Hashtbl.find m.tbl key in
-            Some { gkey = key; gk = e.ek; gvals = List.rev e.vals_rev });
+            Some g);
   }
 
 let advance r = r.cur <- r.next ()
@@ -242,26 +237,23 @@ let merge readers ~emit_group =
         (fun acc r ->
           match (r.cur, acc) with
           | None, _ -> acc
-          | Some g, None -> Some g.gkey
-          | Some g, Some k -> if String.compare g.gkey k < 0 then Some g.gkey else acc)
+          | Some g, None -> Some g.gk
+          | Some g, Some k -> if Value.compare g.gk k < 0 then Some g.gk else acc)
         None readers
     in
     match best with
     | None -> ()
     | Some key ->
-        let rep = ref None and segs = ref [] in
+        let segs = ref [] in
         List.iter
           (fun r ->
             match r.cur with
-            | Some g when String.equal g.gkey key ->
-                (match !rep with None -> rep := Some g.gk | Some _ -> ());
+            | Some g when Value.equal g.gk key ->
                 segs := g.gvals :: !segs;
                 advance r
             | _ -> ())
           readers;
-        (match !rep with
-        | Some k -> emit_group key k (List.rev !segs)
-        | None -> assert false);
+        emit_group key (List.rev !segs);
         loop ()
   in
   loop ()
@@ -299,7 +291,7 @@ let compact t =
     let path = fresh_path t in
     let w = writer_open path in
     Fun.protect ~finally:(fun () -> close_out_noerr w.oc) @@ fun () ->
-    merge readers ~emit_group:(fun key k segs -> write_group w ~key ~k ~segments:segs);
+    merge readers ~emit_group:(fun k segs -> write_group w ~k ~segments:segs);
     let bytes = writer_close w in
     t.bytes_spilled <- t.bytes_spilled + bytes;
     Obs.add t.obs "spill_bytes" bytes;
@@ -324,9 +316,9 @@ let spill t =
     t.live_bytes <- 0
   end
 
-let add t key k v =
+let add t k v =
   if t.cleaned then err "add to a finished grouper";
-  table_add t.mem key k v;
+  table_add t.mem k v;
   t.live_bytes <- t.live_bytes + Value.size_of k + Value.size_of v;
   if t.live_bytes > t.budget then spill t
 
@@ -335,8 +327,7 @@ let add t key k v =
 let finish t ~init ~step ~record ~emit =
   if t.cleaned then err "finish on a finished grouper";
   Fun.protect ~finally:(fun () -> cleanup t) @@ fun () ->
-  let fold_group key k segments =
-    ignore (key : string);
+  let fold_group k segments =
     let cell = ref None in
     List.iter
       (List.iter (fun v ->

@@ -3,11 +3,11 @@
     A grouper buffers key-value records in memory, charging each record
     at the engine's byte model ({!Casper_common.Value.size_of} of key
     and value). When the estimated live bytes exceed the budget, the
-    buffer is sorted by key string and appended to disk as one *run*
+    buffer is sorted by key and appended to disk as one *run*
     ({!Codec} binary format, versioned header, length-prefixed frames),
     and the buffer is cleared. [finish] streams a k-way merge over the
     runs plus the in-memory tail, emitting one folded record per key in
-    ascending key-string order — with the per-key left fold applied in
+    ascending {!Casper_common.Value.compare} order — with the per-key left fold applied in
     exact arrival order, so the result is byte-identical to the fully
     in-memory grouping at any budget (DESIGN.md §12 has the argument).
 
@@ -51,12 +51,12 @@ val create :
   unit ->
   t
 
-(** Feed the next record in arrival order. [key] must be the key's
-    {!Value.to_string} form. May spill. *)
-val add : t -> string -> Value.t -> Value.t -> unit
+(** [add t k v] feeds the next record in arrival order; keys are
+    identified by {!Value.equal}. May spill. *)
+val add : t -> Value.t -> Value.t -> unit
 
 (** Merge runs and the in-memory tail; for each key in ascending
-    key-string order, fold its values in arrival order — [init] on the
+    {!Value.compare} order, fold its values in arrival order — [init] on the
     first, [step] on the rest — then call [emit (record key cell)].
     Sweeps all temp files before returning, also on exceptions. The
     grouper cannot be used afterwards. *)

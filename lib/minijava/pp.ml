@@ -169,11 +169,6 @@ let rec bpf_stmt buf ind (s : stmt) : unit =
 
 and bpf_body buf ind stmts = List.iter (bpf_stmt buf (ind + 1)) stmts
 
-let stmt_to_string (s : stmt) : string =
-  let buf = Buffer.create 256 in
-  bpf_stmt buf 0 s;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Declarations and programs                                           *)
 

@@ -25,8 +25,6 @@ let ( let* ) s f = Seq.concat_map f s
 let vals_list pools ~max_len ty =
   List.filter (fun e -> G.glen pools e <= max_len) (G.exprs_of_ty pools ty)
 
-let vals pools ~max_len ty = seq_of_list (vals_list pools ~max_len ty)
-
 (* Deduplicated (guard, key, value) emit candidates: two emits that fire
    on the same probes with the same key and value are the same grammar
    production. This is what keeps class traversal tractable.

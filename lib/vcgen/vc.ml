@@ -21,7 +21,6 @@
 
 module F = Casper_analysis.Fragment
 module Value = Casper_common.Value
-module Multiset = Casper_common.Multiset
 module Ir = Casper_ir.Lang
 module Eval = Casper_ir.Eval
 open Minijava.Ast

@@ -68,6 +68,40 @@ let test_roundtrip_all_backends () =
         (Runner.outputs_agree frag seq r.Runner.outputs))
     [ Mapreduce.Cluster.spark; Mapreduce.Cluster.flink; Mapreduce.Cluster.hadoop ]
 
+(* Double keys that print alike under %g (1.23457e+06) are still two
+   keys: the engine groups them by value, as the interpreter's Map does,
+   in memory and through the spill grouper *)
+let test_roundtrip_double_keys () =
+  let src =
+    {|Map<Double, Integer> count(List<Double> xs) {
+      Map<Double, Integer> counts = new HashMap<>();
+      for (Double x : xs) counts.put(x, counts.getOrDefault(x, 0) + 1);
+      return counts;
+    }|}
+  in
+  let xs = [ 1234567.0; 1234568.0; 2.5 ] in
+  let env = [ ("xs", Value.List (List.map (fun f -> Value.Float f) xs)) ] in
+  let prog, frag, best, entry = translated src env in
+  let seq, _ = Runner.run_sequential ~scale:1.0 prog frag entry in
+  List.iter
+    (fun budget ->
+      let r =
+        Runner.run_summary
+          ~config:
+            { Testenv.config with
+              Casper_exec.Exec.Config.memory_budget = Some budget }
+          ~cluster:Mapreduce.Cluster.spark ~scale:1.0 prog frag entry
+          best.Cegis.summary
+      in
+      let tag = Printf.sprintf "budget %d: " budget in
+      check (tag ^ "outputs agree") true
+        (Runner.outputs_agree frag seq r.Runner.outputs);
+      check (tag ^ "three keys") true
+        (match List.assoc "counts" r.Runner.outputs with
+        | Value.List pairs -> List.length pairs = 3
+        | _ -> false))
+    [ 0; 64 ]
+
 (* compiled plan output == direct IR evaluation *)
 let test_plan_matches_ir_eval () =
   let env = [ ("words", words [ "a"; "a"; "b" ]) ] in
@@ -466,6 +500,8 @@ let suite =
       [
         Alcotest.test_case "wordcount" `Quick test_roundtrip_wordcount;
         Alcotest.test_case "all backends" `Quick test_roundtrip_all_backends;
+        Alcotest.test_case "double keys that print alike" `Quick
+          test_roundtrip_double_keys;
         Alcotest.test_case "plan = IR eval" `Quick test_plan_matches_ir_eval;
         Alcotest.test_case "non-CA groupByKey path" `Quick
           test_non_ca_group_by_key_path;

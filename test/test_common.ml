@@ -73,6 +73,72 @@ let prop_to_string_matches_pp =
   QCheck.Test.make ~name:"to_string equals the pp rendering" ~count:300
     value_arb (fun v -> String.equal (Value.to_string v) (Fmt.str "%a" Value.pp v))
 
+(* keys where [Value.equal] and structural identity part ways: both
+   zeros, NaNs, structs of one name, tuples nested past the depth
+   [Hashtbl.hash] reads *)
+let key_gen : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  sized @@ fix (fun self n ->
+      let scalar =
+        oneof
+          [
+            map (fun i -> Value.Int i) (int_range (-3) 3);
+            map (fun f -> Value.Float f)
+              (oneofl [ 0.0; -0.0; nan; -.nan; 1.0; 1234567.0; 1234568.0 ]);
+            map (fun s -> Value.Str s) (oneofl [ ""; "a"; "b" ]);
+          ]
+      in
+      if n <= 0 then scalar
+      else
+        let sub = list_size (int_bound 4) (self (n / 2)) in
+        frequency
+          [
+            (2, scalar);
+            (1, map (fun l -> Value.Tuple l) sub);
+            (1, map (fun l -> Value.List l) sub);
+            ( 1,
+              map
+                (fun l -> Value.Struct ("S", List.mapi (fun i v -> (string_of_int i, v)) l))
+                sub );
+          ])
+
+(* a value [Value.equal] to [v] but built differently: the other zero,
+   another NaN bit pattern, renamed struct fields *)
+let rec twin (v : Value.t) : Value.t =
+  match v with
+  | Value.Float f when f = 0.0 -> Value.Float (-.f)
+  | Value.Float f when Float.is_nan f ->
+      Value.Float (Int64.float_of_bits 0x7ff0_0000_0000_0abcL)
+  | Value.Tuple xs -> Value.Tuple (List.map twin xs)
+  | Value.List xs -> Value.List (List.map twin xs)
+  | Value.Struct (n, fs) ->
+      Value.Struct (n, List.map (fun (f, x) -> ("f" ^ f, twin x)) fs)
+  | v -> v
+
+let prop_hash_agrees_with_equal =
+  QCheck.Test.make ~name:"Value.equal a b => Value.hash a = Value.hash b"
+    ~count:500
+    (QCheck.make ~print:Value.to_string key_gen)
+    (fun a ->
+      let b = twin a in
+      let deep = Value.Tuple [ Value.Tuple [ Value.Tuple [ a ] ] ] in
+      Value.equal a b
+      && Value.hash a = Value.hash b
+      && Value.hash deep = Value.hash (twin deep))
+
+(* the hash reads every component: tuples differing only in the last of
+   twelve components, or twelve levels down, land in different buckets
+   (a depth- or count-limited hash would collide on every such pair) *)
+let test_hash_reads_every_component () =
+  let flat last = Value.Tuple (List.init 11 (fun _ -> Value.Int 0) @ [ last ]) in
+  let rec nested d last = if d = 0 then last else Value.Tuple [ nested (d - 1) last ] in
+  let distinct mk =
+    let hs = List.init 8 (fun i -> Value.hash (mk (Value.Int i))) in
+    List.length (List.sort_uniq Int.compare hs) = 8
+  in
+  check "flat tuple" true (distinct flat);
+  check "nested tuple" true (distinct (nested 12))
+
 let test_sizes () =
   check_int "bool size (paper: 10)" 10 (Value.size_of (Value.Bool true));
   check_int "int size" 12 (Value.size_of (Value.Int 5));
@@ -291,6 +357,8 @@ let suite =
         Alcotest.test_case "approx float equality" `Quick
           test_equal_approx_float;
         Alcotest.test_case "accessors" `Quick test_accessors;
+        Alcotest.test_case "hash reads every component" `Quick
+          test_hash_reads_every_component;
       ] );
     qsuite "common.value.props"
       [
@@ -300,6 +368,7 @@ let suite =
         prop_equal_approx_finite_not_inf;
         prop_size_positive;
         prop_to_string_matches_pp;
+        prop_hash_agrees_with_equal;
       ];
     ( "common.multiset",
       [ Alcotest.test_case "group_by_key" `Quick test_group_by_key ] );

@@ -346,7 +346,7 @@ let test_spill_missing_run () =
   @@ fun () ->
   let g = Spill.create ~dir ~budget:1 ~label:"missing" () in
   Fun.protect ~finally:(fun () -> Spill.cleanup g) @@ fun () ->
-  List.iter (fun i -> Spill.add g (string_of_int i) (vint i) (vint i)) [ 1; 2 ];
+  List.iter (fun i -> Spill.add g (vint i) (vint i)) [ 1; 2 ];
   check_int "both records spilled" 2 (Spill.stats g).Spill.runs_written;
   Array.iter
     (fun sub ->
@@ -567,6 +567,41 @@ let test_speedup_grows_with_scale () =
   in
   check "Fig 9 shape: speedup grows" true (speedup 1e6 > speedup 1e4)
 
+(* Keys that print alike — 1234567.0 and 1234568.0 under %g, Int 7
+   and Float 7.0 — are different values: every keyed shuffle and the
+   join keep them apart, in memory and through the spill grouper, and
+   grouped output comes in ascending [Value.compare] order *)
+let test_keys_by_value () =
+  let f x = Value.Float x in
+  let keys = [ f 1234567.0; f 1234568.0; vint 7; f 7.0; f 1234567.0; vint 7 ] in
+  let datasets =
+    [
+      ("d", List.mapi (fun i k -> kv k (vint i)) keys);
+      ("r", [ kv (f 1234567.0) (Value.Str "a"); kv (vint 7) (Value.Str "b") ]);
+    ]
+  in
+  List.iter
+    (fun memory_budget ->
+      let out plan = (run_spill ~memory_budget plan datasets).Engine.output in
+      let tag s = Printf.sprintf "budget %d: %s" memory_budget s in
+      check (tag "reduceByKey") true
+        (out Plan.(data "d" |>> reduce_by_key add_i)
+        = [ kv (vint 7) (vint 7); kv (f 7.0) (vint 3);
+            kv (f 1234567.0) (vint 4); kv (f 1234568.0) (vint 1) ]);
+      check (tag "groupByKey") true
+        (out Plan.(data "d" |>> group_by_key ())
+        = [ kv (vint 7) (Value.List (ints [ 2; 5 ]));
+            kv (f 7.0) (Value.List (ints [ 3 ]));
+            kv (f 1234567.0) (Value.List (ints [ 0; 4 ]));
+            kv (f 1234568.0) (Value.List (ints [ 1 ])) ]);
+      check (tag "join") true
+        (out Plan.(data "d" |>> join_with (data "r"))
+        = [ kv (f 1234567.0) (Value.Tuple [ vint 0; Value.Str "a" ]);
+            kv (vint 7) (Value.Tuple [ vint 2; Value.Str "b" ]);
+            kv (f 1234567.0) (Value.Tuple [ vint 4; Value.Str "a" ]);
+            kv (vint 7) (Value.Tuple [ vint 5; Value.Str "b" ]) ]))
+    [ 0; 64 ]
+
 let suite =
   [
     ( "engine.stages",
@@ -595,6 +630,8 @@ let suite =
           test_keyed_partitioning_deterministic;
         Alcotest.test_case "raw and nominal shuffle rank alike" `Quick
           test_raw_and_nominal_rank_alike;
+        Alcotest.test_case "keys grouped and joined by value" `Quick
+          test_keys_by_value;
       ] );
     ( "engine.spill",
       [

@@ -96,6 +96,22 @@ let test_reduce_by_key () =
         (List.exists (fun (k, v) -> Value.equal k (vint 5) && Value.equal v (vint 2)) kvs)
   | _ -> Alcotest.fail "expected pairs"
 
+(* keys that print alike (1234567.0 and 1234568.0 under %g, Int 7 and
+   Float 7.0) are different values, so different groups *)
+let test_reduce_keys_by_value () =
+  let node =
+    Ir.Reduce (Ir.Map (Ir.Data "d", id_map [ "x" ] (Ir.Var "x") (Ir.CInt 1)), add_r)
+  in
+  let f x = Value.Float x in
+  let data = [ f 1234567.0; f 1234568.0; vint 7; f 7.0; f 1234567.0 ] in
+  match Eval.eval_node [] [ ("d", data) ] node with
+  | Eval.Pairs kvs ->
+      check "one group per value" true
+        (kvs
+        = [ (f 1234567.0, vint 2); (f 1234568.0, vint 1); (vint 7, vint 1);
+            (f 7.0, vint 1) ])
+  | _ -> Alcotest.fail "expected pairs"
+
 let test_global_reduce () =
   let lm = { Ir.m_params = [ "x" ]; emits = [ { Ir.guard = None; payload = Ir.Val (Ir.Var "x") } ] } in
   match
@@ -558,6 +574,8 @@ let suite =
         Alcotest.test_case "map keyed" `Quick test_map_keyed;
         Alcotest.test_case "guarded map" `Quick test_map_guard;
         Alcotest.test_case "reduce by key" `Quick test_reduce_by_key;
+        Alcotest.test_case "keys grouped by value" `Quick
+          test_reduce_keys_by_value;
         Alcotest.test_case "global reduce" `Quick test_global_reduce;
         Alcotest.test_case "reduce empty" `Quick test_reduce_empty;
         Alcotest.test_case "join" `Quick test_join;
