@@ -28,7 +28,7 @@ val datasets_of :
     a [config.cache] here still serves repeats within a single plan
     (join sides). *)
 val run_summary :
-  ?config:Mapreduce.Exec_config.t ->
+  ?config:Mapreduce.Engine.Config.t ->
   cluster:Mapreduce.Cluster.t ->
   scale:float ->
   Minijava.Ast.program ->

@@ -79,6 +79,15 @@ let render_outputs (outs : (string * Value.t) list) : string =
 let with_budget b =
   { Exec.Config.default with Exec.Config.memory_budget = Some b }
 
+(** How run [r] departs from [base]: [None] when their outputs agree
+    element by element under {!Value.equal} (so a NaN matches a NaN)
+    and their stage metrics are equal, else which of the two differs. *)
+let run_divergence ~(base : Engine.run) (r : Engine.run) : string option =
+  if not (List.equal Value.equal r.Engine.output base.Engine.output) then
+    Some "outputs"
+  else if r.Engine.stages <> base.Engine.stages then Some "stage accounting"
+  else None
+
 let solutions_equal (a : Cegis.solution list) (b : Cegis.solution list) : bool
     =
   List.length a = List.length b
@@ -233,86 +242,55 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                           rest
                     | [] -> ());
 
-                    let t = Compile.compile prog frag entry summary in
-                    let datasets = Runner.datasets_of prog frag entry in
-                    (* out-of-core shuffle: a ~1 KB budget forces every
-                       grouped stage to spill sorted runs; outputs and
-                       stage accounting must be byte-identical to the
-                       forced in-memory path (the out-of-core shuffle
-                       contract, DESIGN.md §12). First state only: the
-                       engine path is state-independent. *)
-                    if ei = 0 then
+                    (* engine identity, first state only (the engine
+                       path is state-independent): on every backend the
+                       plan run out of core, against dataset caches and
+                       through serving sessions must read as the plain
+                       in-memory uncached run *)
+                    if ei = 0 then begin
+                      let plan =
+                        (Compile.compile prog frag entry summary).Compile.plan
+                      in
+                      let datasets = Runner.datasets_of prog frag entry in
                       List.iter
                         (fun (cluster : Cluster.t) ->
-                          let tag = "spill:" ^ cluster.Cluster.name in
-                          let rm =
-                            Engine.run_plan ~cluster ~datasets t.Compile.plan
+                          let run config =
+                            Engine.run_plan ~config ~cluster ~datasets plan
                           in
-                          let rs =
-                            Engine.run_plan ~config:(with_budget 1024)
-                              ~cluster ~datasets t.Compile.plan
+                          let base = run Exec.Config.default in
+                          let tag stage = stage ^ ":" ^ cluster.Cluster.name in
+                          let check stage what r =
+                            match run_divergence ~base r with
+                            | None -> ()
+                            | Some d -> fail (tag stage) "%s changed %s" what d
                           in
-                          if rs.Engine.output <> rm.Engine.output then
-                            fail tag
-                              "outputs differ at a 1 KB budget vs in-memory";
-                          if rs.Engine.stages <> rm.Engine.stages then
-                            fail tag
-                              "stage accounting differs at a 1 KB budget vs \
-                               in-memory")
-                        cfg.backends;
-                    (* dataset cache: a tiny budget forces eviction
-                       churn on every insert; an unbounded cache run
-                       twice serves the second run from cache — in both
-                       cases outputs and stage accounting must be
-                       byte-identical to the uncached run (the
-                       lineage-cache contract, DESIGN.md §13). First
-                       state only: the engine path is
-                       state-independent. *)
-                    if ei = 0 then
-                      List.iter
-                        (fun (cluster : Cluster.t) ->
-                          let tag = "cache:" ^ cluster.Cluster.name in
-                          let base =
-                            Engine.run_plan ~cluster ~datasets t.Compile.plan
-                          in
-                          let check what (r : Engine.run) =
-                            if r.Engine.output <> base.Engine.output then
-                              fail tag "%s changed outputs" what;
-                            if r.Engine.stages <> base.Engine.stages then
-                              fail tag "%s changed stage accounting" what
-                          in
-                          let run cache () =
-                            Engine.run_plan
-                              ~config:
-                                {
-                                  Exec.Config.default with
-                                  Exec.Config.cache = Some cache;
-                                }
-                              ~cluster ~datasets t.Compile.plan
+                          (* out-of-core shuffle: a ~1 KB budget forces
+                             every grouped stage to spill sorted runs
+                             (DESIGN.md §12) *)
+                          check "spill" "a 1 KB budget"
+                            (run (with_budget 1024));
+                          (* dataset cache: a tiny budget forces eviction
+                             churn on every insert, and an unbounded
+                             cache serves the second run (DESIGN.md §13) *)
+                          let cached c =
+                            run
+                              {
+                                Exec.Config.default with
+                                Exec.Config.cache = Some c;
+                              }
                           in
                           let tiny = Engine.make_cache ~budget:64 () in
-                          check "a 64 B cache (cold)" (run tiny ());
-                          check "a 64 B cache (warm)" (run tiny ());
+                          check "cache" "a 64 B cache (cold)" (cached tiny);
+                          check "cache" "a 64 B cache (warm)" (cached tiny);
                           let unbounded = Engine.make_cache () in
-                          check "an unbounded cache (cold)"
-                            (run unbounded ());
-                          check "an unbounded cache (hot)" (run unbounded ()))
-                        cfg.backends;
-                    (* serving sessions: the plan submitted twice to an
-                       Exec.Session at concurrency 1 and 4, sharing one
-                       explicit cache (so the second job is served),
-                       must produce runs byte-identical to a solo
-                       uncached Engine.run_plan regardless of dispatch
-                       interleaving (the serving contract, DESIGN.md
-                       §14). First state only: the engine path is
-                       state-independent. *)
-                    if ei = 0 then
-                      List.iter
-                        (fun (cluster : Cluster.t) ->
-                          let tag = "session:" ^ cluster.Cluster.name in
-                          let base =
-                            Engine.run_plan ~cluster ~datasets t.Compile.plan
-                          in
+                          check "cache" "an unbounded cache (cold)"
+                            (cached unbounded);
+                          check "cache" "an unbounded cache (hot)"
+                            (cached unbounded);
+                          (* serving sessions: the plan submitted twice at
+                             concurrency 1 and 4 over one shared cache, so
+                             the second job is served, whatever the
+                             dispatch interleaving (DESIGN.md §14) *)
                           List.iter
                             (fun conc ->
                               let config =
@@ -323,43 +301,29 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
                                   cluster = Some cluster;
                                 }
                               in
-                              let outcomes =
-                                Exec.Session.with_session ~config (fun s ->
-                                    let jobs =
-                                      List.init 2 (fun _ ->
-                                          Exec.Session.submit s ~datasets
-                                            t.Compile.plan)
-                                    in
-                                    List.map (Exec.Session.await s) jobs)
-                              in
-                              List.iteri
-                                (fun i outcome ->
-                                  match outcome with
-                                  | Exec.Session.Completed r ->
-                                      if r.Engine.output <> base.Engine.output
-                                      then
-                                        fail tag
-                                          "job %d at concurrency %d changed \
-                                           outputs"
-                                          i conc;
-                                      if r.Engine.stages <> base.Engine.stages
-                                      then
-                                        fail tag
-                                          "job %d at concurrency %d changed \
-                                           stage accounting"
-                                          i conc
-                                  | Exec.Session.Cancelled r ->
-                                      fail tag
-                                        "job %d at concurrency %d reported \
-                                         spurious cancellation: %s"
-                                        i conc r
-                                  | Exec.Session.Failed m ->
-                                      fail tag
-                                        "job %d at concurrency %d failed: %s"
-                                        i conc m)
-                                outcomes)
+                              Exec.Session.with_session ~config (fun s ->
+                                  List.init 2 (fun _ ->
+                                      Exec.Session.submit s ~datasets plan)
+                                  |> List.map (Exec.Session.await s))
+                              |> List.iteri (fun i outcome ->
+                                     let job =
+                                       Fmt.str "job %d at concurrency %d" i
+                                         conc
+                                     in
+                                     match outcome with
+                                     | Exec.Session.Completed r ->
+                                         check "session" job r
+                                     | Exec.Session.Cancelled r ->
+                                         fail (tag "session")
+                                           "%s reported spurious \
+                                            cancellation: %s"
+                                           job r
+                                     | Exec.Session.Failed m ->
+                                         fail (tag "session") "%s failed: %s"
+                                           job m))
                             [ 1; 4 ])
-                        cfg.backends)
+                        cfg.backends
+                    end)
               envs;
             Translated frag.F.frag_id)
   with

@@ -4,7 +4,7 @@ module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
 module Par = Casper_par.Par
 module Engine = Mapreduce.Engine
-module Config = Mapreduce.Exec_config
+module Config = Mapreduce.Engine.Config
 
 module Session = struct
   type outcome =

@@ -1,5 +1,5 @@
 (** Execution sessions: many plans in flight against one session's own
-    runner domains and one shared lineage cache, with deadlines and
+    runner domains and one shared dataset cache, with deadlines and
     cooperative cancellation.
 
     {!Engine.run_plan} executes one plan and returns; a {!Session.t}
@@ -9,6 +9,10 @@
     engine with the session's shared configuration. There is no
     admission policy (no priorities, no queue bound): scheduling and
     admission belong to the framework a generated program runs on.
+    A job is served from the shared cache when an earlier job ran the
+    same plan object over the same dataset lists (the cache keys by
+    identity, DESIGN.md §13), so a client that resubmits a plan passes
+    the plan it built once.
     Because every job executes on one domain, start to finish, and the
     shared cache serves byte-identical results by contract, each job's
     output and stage metrics are byte-identical to a solo [run_plan] at
@@ -27,12 +31,12 @@
 
 module Value = Casper_common.Value
 
-(** The execution-configuration record ({!Mapreduce.Exec_config}):
+(** The execution-configuration record ({!Mapreduce.Engine.Config}):
     one [t] gathering [obs]/[memory_budget]/[spill_dir]/[cache]/
-    [cluster] plus the session's [concurrency]. A [None] field is the
-    built-in value; [of_env] is the one reader of the [CASPER_*]
+    [cluster]/[cancel] plus the session's [concurrency]. A [None] field
+    is the built-in value; [of_env] is the one reader of the [CASPER_*]
     variables that set some of them. *)
-module Config = Mapreduce.Exec_config
+module Config = Mapreduce.Engine.Config
 
 module Session : sig
   type t
@@ -74,7 +78,7 @@ module Session : sig
       exits as soon as no job is ready, so at concurrency 1 the waiting
       caller runs every job and no domain is spawned, and an idle
       session holds no domain. Dispatched jobs beyond those domains
-      wait to be taken. [config.cache] is the shared lineage cache
+      wait to be taken. [config.cache] is the shared dataset cache
       (absent: none), bounded by its own budget. [config.memory_budget]
       is each job's spill budget and nothing else: it never holds a job
       back. [config.cluster] is every job's backend (default

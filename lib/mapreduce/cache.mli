@@ -1,20 +1,18 @@
-(** Lineage-aware dataset cache with byte-budgeted LRU eviction.
+(** Dataset cache with byte-budgeted LRU eviction.
 
-    The cache maps the full lineage of a materialized result — the plan
-    that produced it, the source datasets it read, the backend it ran
-    on and the spill budget in force — to the result itself, so
-    repeated subplans (join sides inside one plan, cross-call reuse in
-    iterative workloads) can be served without recomputation.
+    The cache maps the lineage of a materialized result — the plan
+    object that produced it, the source datasets it read, the backend
+    it ran on and the spill budget in force — to the result itself, so
+    a plan run again (a session job submitted twice, a join side, an
+    iterative driver re-running one compiled plan) is served without
+    recomputation.
 
-    A {!key} captures that lineage. Correctness rests on equality, not
-    hashing: two keys are equal when their plans are structurally equal
-    with every stage closure physically identical ([==]), their source
-    dataset lists are physically identical, and cluster and spill
-    budget match. The {!fingerprint} is a bucketing hint computed from
-    the structural skeleton only (source names, stage constructors,
-    labels, flags, backend signature) — no closures and no hash-cons
-    ids enter it, so it is stable across {!Casper_ir.Hashcons.clear}
-    and re-interning.
+    A {!key} captures that lineage by identity, as Spark's [cache()]
+    persists one RDD object: two keys are equal when their plans are
+    the same object ([==]), their source dataset lists are physically
+    identical, and cluster and spill budget are equal. A plan rebuilt
+    alike, even from the same stage values, is a new lineage: the cache
+    never compares plan structure.
 
     Entries are byte-accounted ({!Casper_common.Value} sizes of the
     materialized partition) against an optional budget; inserting past
@@ -24,7 +22,7 @@
 
 module Value = Casper_common.Value
 
-(** Lineage identity of one materialized subplan result. *)
+(** Lineage identity of one materialized plan result. *)
 type key
 
 (** Build the key for [plan] run over [datasets] on [cluster] with the
@@ -36,14 +34,6 @@ val key :
   datasets:(string * Value.t list) list ->
   Plan.t ->
   key
-
-(** Structural-skeleton hash of the key: a bucketing hint, never an
-    equality proof. Stable across {!Casper_ir.Hashcons.clear}. *)
-val fingerprint : key -> int
-
-(** Full lineage equality: structural plan skeleton, physically
-    identical closures and dataset lists, equal cluster and budget. *)
-val equal_key : key -> key -> bool
 
 (** A cache holding values of type ['a]. *)
 type 'a t

@@ -20,12 +20,12 @@ module Obs = Casper_obs.Obs
 exception Engine_error of string
 
 (** Raised when an execution's cooperative cancellation token
-    ({!Exec_config.t} [cancel]) reports true when it is polled. *)
+    ({!Config.t} [cancel]) reports true when it is polled. *)
 exception Cancelled
 
 let err fmt = Fmt.kstr (fun s -> raise (Engine_error s)) fmt
 
-type stage_metrics = Exec_config.stage_metrics = {
+type stage_metrics = {
   label : string;
   records_in : int;
   records_out : int;
@@ -48,36 +48,72 @@ let as_kv = function
   | v -> err "expected a key-value record, got %a" Value.pp v
 
 (* ------------------------------------------------------------------ *)
-(* Dataset cache plumbing                                               *)
+(* Dataset cache and configuration                                      *)
 
-type cached_run = Exec_config.cached_run = {
-  c_batch : Batch.t;
-  c_stages : stage_metrics list;
-  c_input_records : int;
-  c_input_bytes : int;
-}
+type cache = run Cache.t
 
-type cache = Exec_config.cache
+let make_cache ?budget () : cache = Cache.create ?budget ()
+let cache_stats (c : cache) = Cache.stats c
 
-let make_cache = Exec_config.make_cache
-let cache_stats = Exec_config.cache_stats
+module Config = struct
+  type t = {
+    obs : Obs.ctx option;
+    memory_budget : int option;
+    spill_dir : string option;
+    cache : cache option;
+    cluster : Cluster.t option;
+    concurrency : int option;
+    cancel : (unit -> bool) option;
+  }
+
+  let default =
+    {
+      obs = None;
+      memory_budget = None;
+      spill_dir = None;
+      cache = None;
+      cluster = None;
+      concurrency = None;
+      cancel = None;
+    }
+
+  (* the only reader of CASPER_* variables: a positive integer is the
+     field's value; unset, zero or negative leave the built-in, and
+     garbage also warns once; a non-empty CASPER_SPILL_DIR is the spill
+     directory *)
+  let of_env () =
+    let positive name ~on_garbage =
+      match Sys.getenv_opt name with
+      | None -> None
+      | Some raw -> (
+          match int_of_string_opt (String.trim raw) with
+          | Some n when n > 0 -> Some n
+          | Some _ -> None
+          | None ->
+              ignore
+                (Obs.warn_once ~key:name
+                   (Printf.sprintf "%s=%S is not an integer; %s" name raw
+                      on_garbage)
+                  : bool);
+              None)
+    in
+    {
+      default with
+      memory_budget =
+        positive "CASPER_MEM_BUDGET" ~on_garbage:"running unbounded";
+      spill_dir =
+        (match Sys.getenv_opt "CASPER_SPILL_DIR" with
+        | Some d when d <> "" -> Some d
+        | _ -> None);
+      cache =
+        Option.map
+          (fun budget -> make_cache ~budget ())
+          (positive "CASPER_CACHE_BUDGET" ~on_garbage:"cache disabled");
+    }
+end
 
 (* ------------------------------------------------------------------ *)
 (* Plan execution                                                       *)
-
-(** Everything a plan execution threads through to nested (join-side)
-    executions, resolved once at the {!run_plan} boundary. Bundling the
-    recursive arguments into one value keeps the join branch honest: a
-    new knob lands in this record once and cannot be silently dropped on
-    one recursion path. *)
-type exec_ctx = {
-  x_obs : Obs.ctx;
-  x_budget : int option;  (** resolved spill budget *)
-  x_spill_dir : string option;  (** [None] = the system temp directory *)
-  x_cache : cache option;  (** [None] = off *)
-  x_cancel : (unit -> bool) option;
-      (** cooperative cancellation token *)
-}
 
 (* records a record loop hands on between two polls of the cancellation
    token; a power of two *)
@@ -88,21 +124,23 @@ let poll_every = 4096
    [poll_every] records of a record loop; a grouped stage that is
    interrupted sweeps its spill temp files before [Cancelled]
    propagates *)
-let check_cancel (ctx : exec_ctx) : unit =
-  match ctx.x_cancel with
+let check_cancel (config : Config.t) : unit =
+  match config.cancel with
   | Some cancelled when cancelled () -> raise Cancelled
   | _ -> ()
 
-(** Execute one plan over named datasets.
+(** Execute one plan over named datasets under [config], whose spill
+    budget {!run_plan} has normalized ([None] or positive). A join side
+    runs under the same [config].
 
     Raises {!Engine_error} when [datasets] binds the same name twice
     (the plan's reads would silently resolve to whichever binding comes
     first) and when a shuffle stage runs on a cluster with no worker
     slots. *)
-let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
+let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
     ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
-  let obs = ctx.x_obs in
-  check_cancel ctx;
+  let obs = Option.value config.obs ~default:Obs.null in
+  check_cancel config;
   Obs.span obs ~args:[ ("source", plan.Plan.source) ] "engine.run_plan"
   @@ fun () ->
   let seen = Hashtbl.create (max 16 (List.length datasets)) in
@@ -111,38 +149,23 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
       if Hashtbl.mem seen name then err "duplicate dataset name %s" name
       else Hashtbl.add seen name ())
     datasets;
-  (* Only side-effect-free plans participate, on any domain: session
-     jobs run on whichever domain takes them (a runner or the awaiting
-     caller), and their shared cache is the whole point (Cache ops are
-     mutex-guarded, and served outputs are byte-identical to
-     recomputation, so multi-domain population never changes
-     results). The key binds the resolved spill budget (ctx.x_budget),
-     so budgeted and in-memory executions of the same plan never share
-     an entry. *)
+  (* Every plan participates, on any domain: session jobs run on
+     whichever domain takes them (a runner or the awaiting caller), and
+     their shared cache is the whole point (Cache ops are mutex-guarded,
+     and served runs are byte-identical to recomputation, so
+     multi-domain population never changes results). The key binds the
+     resolved spill budget, so budgeted and in-memory executions of the
+     same plan never share an entry. *)
   let cache_slot =
-    match ctx.x_cache with
-    | Some c when Plan.cacheable plan ->
-        Some (c, Cache.key ~cluster ~budget:ctx.x_budget ~datasets plan)
-    | _ -> None
+    Option.map
+      (fun c ->
+        (c, Cache.key ~cluster ~budget:config.memory_budget ~datasets plan))
+      config.cache
   in
-  let served =
-    match cache_slot with
-    | None -> None
-    | Some (c, key) -> (
-        match Cache.find c key with
-        | None -> None
-        | Some e ->
-            Obs.span obs "engine.cache" (fun () -> Obs.add obs "cache_hits" 1);
-            Some e)
-  in
-  match served with
-  | Some e ->
-      {
-        output = Batch.to_list e.c_batch;
-        stages = e.c_stages;
-        input_records = e.c_input_records;
-        input_bytes = e.c_input_bytes;
-      }
+  match Option.bind cache_slot (fun (c, key) -> Cache.find c key) with
+  | Some r ->
+      Obs.span obs "engine.cache" (fun () -> Obs.add obs "cache_hits" 1);
+      r
   | None ->
   (* a shuffle on a cluster with no worker slots cannot execute *)
   let check_workers () =
@@ -165,7 +188,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
    fun sink ->
     let src = Batch.data b in
     for i = 0 to Array.length src - 1 do
-      if i land (poll_every - 1) = 0 then check_cancel ctx;
+      if i land (poll_every - 1) = 0 then check_cancel config;
       sink src.(i)
     done
   in
@@ -196,7 +219,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
      map's span while the shuffle's own span makes the output. *)
   let group label ~hint (input : Batch.feed) ~init ~step ~record :
       unit -> Batch.t =
-    match ctx.x_budget with
+    match config.memory_budget with
     | None ->
         let tbl = Value.Tbl.create (max 64 (hint / 4)) in
         input (fun r ->
@@ -217,7 +240,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           Batch.of_array ~bytes:!by (Array.of_list out)
     | Some spill_budget ->
         let g =
-          Spill.create ~obs ?dir:ctx.x_spill_dir ~budget:spill_budget ~label
+          Spill.create ~obs ?dir:config.spill_dir ~budget:spill_budget ~label
             ()
         in
         (* no temp file survives a raising feed (λm, a cancellation, a
@@ -328,10 +351,9 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         (out, shuffled label ~records_in ~bytes_in ~combined out)
     | Plan.Join_with { right; _ } ->
         check_workers ();
-        (* the whole context rides along — including the cache, so a
-           join side repeated across (or within) plans is served from
-           its previous materialization *)
-        let right_run = exec_plan ctx ~cluster ~datasets right in
+        (* the whole config rides along — including the cache, so a
+           join side run again is served from its previous run *)
+        let right_run = exec_plan config ~cluster ~datasets right in
         nested_metrics := !nested_metrics @ right_run.stages;
         let tbl = Value.Tbl.create 256 in
         List.iter
@@ -347,10 +369,6 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         let joined, m = collect (emits probe input) in
         let bytes_shuffled = bytes_in + Value.size_of_list right_run.output in
         (joined, { m with bytes_shuffled; is_shuffle = true })
-    | Plan.Sample_monitor { k; observe; _ } ->
-        let kk = max 0 (min k records_in) in
-        observe (Array.to_list (Array.sub (Batch.data current) 0 kk));
-        (current, of_batch label ~records_in ~bytes_in current)
   in
   (* a stage's span, carrying its record and shuffle counters *)
   let in_span label f =
@@ -377,7 +395,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
           ) as next)
       :: rest
       when cluster.Cluster.workers > 0 ->
-        check_cancel ctx;
+        check_cancel config;
         let records_in = Batch.length cur and bytes_in = Batch.bytes cur in
         let n = ref 0 and by = ref 0 in
         let counted sink v =
@@ -405,7 +423,7 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
         in
         run out (m :: m_map :: ms) rest
     | stage :: rest ->
-        check_cancel ctx;
+        check_cancel config;
         let out, m =
           in_span (Plan.stage_label stage) (fun () -> exec cur stage)
         in
@@ -413,46 +431,36 @@ let rec exec_plan (ctx : exec_ctx) ~(cluster : Cluster.t)
   in
   let output_batch, rev_stages = run input_batch [] plan.Plan.stages in
   let stages = !nested_metrics @ List.rev rev_stages in
-  let input_records = Batch.length input_batch in
-  (* populate the cache with the materialized result and the metrics a
-     future hit must report as if recomputed; insertion may evict in
-     LRU order (including this very entry when it alone overflows the
-     budget) *)
+  let run =
+    {
+      output = Batch.to_list output_batch;
+      stages;
+      input_records = Batch.length input_batch;
+      input_bytes;
+    }
+  in
+  (* populate the cache with the run a future hit reports as if
+     recomputed; insertion may evict in LRU order (including this very
+     entry when it alone overflows the budget) *)
   (match cache_slot with
   | None -> ()
   | Some (c, key) ->
       let bytes = Batch.bytes output_batch in
-      let evictions =
-        Cache.put c key ~bytes
-          {
-            c_batch = output_batch;
-            c_stages = stages;
-            c_input_records = input_records;
-            c_input_bytes = input_bytes;
-          }
-      in
+      let evictions = Cache.put c key ~bytes run in
       Obs.span obs "engine.cache" (fun () ->
           Obs.add obs "cache_misses" 1;
           Obs.add obs "cache_bytes" bytes;
           if evictions > 0 then Obs.add obs "cache_evictions" evictions));
-  { output = Batch.to_list output_batch; stages; input_records; input_bytes }
+  run
 
-let run_plan ?(config = Exec_config.default) ~(cluster : Cluster.t)
+let run_plan ?(config = Config.default) ~(cluster : Cluster.t)
     ~(datasets : (string * Value.t list) list) (plan : Plan.t) : run =
-  exec_plan
-    {
-      x_obs = Option.value config.Exec_config.obs ~default:Obs.null;
-      (* [<= 0] means unbounded, so callers can force the in-memory
-         path explicitly *)
-      x_budget =
-        (match config.Exec_config.memory_budget with
-        | Some b when b > 0 -> Some b
-        | _ -> None);
-      x_spill_dir = config.Exec_config.spill_dir;
-      x_cache = config.Exec_config.cache;
-      x_cancel = config.Exec_config.cancel;
-    }
-    ~cluster ~datasets plan
+  (* [<= 0] means unbounded, so callers can force the in-memory path
+     explicitly *)
+  let memory_budget =
+    match config.memory_budget with Some b when b > 0 -> Some b | _ -> None
+  in
+  exec_plan { config with memory_budget } ~cluster ~datasets plan
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock model                                                     *)

@@ -11,16 +11,14 @@ module Value = Casper_common.Value
 exception Engine_error of string
 
 (** Raised when an execution's cooperative cancellation token
-    ({!Exec_config.t} [cancel]) reports true: it is polled at plan
+    ({!Config.t} [cancel]) reports true: it is polled at plan
     entry, before each stage and every 4,096 records of a stage's
     record loop. A grouped stage it interrupts has swept its spill temp
     files when it propagates. *)
 exception Cancelled
 
-(** Volume accounting for one executed stage (defined in
-    {!Exec_config} so the config surface shares the cache type;
-    re-exported here unchanged). *)
-type stage_metrics = Exec_config.stage_metrics = {
+(** Volume accounting for one executed stage. *)
+type stage_metrics = {
   label : string;
   records_in : int;
   records_out : int;
@@ -42,16 +40,12 @@ type run = {
   input_bytes : int;
 }
 
-(** A materialized plan result held by the dataset cache: output
-    partition plus the metrics a served run reports as if recomputed. *)
-type cached_run = Exec_config.cached_run
-
-(** A lineage-keyed dataset cache for engine runs ({!Cache}, DESIGN.md
-    §13); the same type as {!Exec_config.cache}, so a cache built
-    either way can travel through a config record. Because the type is
-    transparent, the whole {!Cache} API — [stats], [find], [put], … —
-    applies to it. *)
-type cache = cached_run Cache.t
+(** A dataset cache of engine runs ({!Cache}, DESIGN.md §13): an entry
+    is the {!run} a plan object produced, served whole to the next run
+    of the same plan object over the same dataset lists. Because the
+    type is transparent, the whole {!Cache} API — [stats], [find],
+    [put], … — applies to it. *)
+type cache = run Cache.t
 
 (** [make_cache ?budget ()] — a fresh cache; [budget] ≤ 0 or absent
     means unbounded. *)
@@ -59,8 +53,60 @@ val make_cache : ?budget:int -> unit -> cache
 
 val cache_stats : cache -> Cache.stats
 
+(** The one execution-configuration surface for the engine and the
+    session layer ([Exec.Config] re-exports this module).
+
+    A {!t} record is the only way to configure an execution:
+    {!run_plan}, [Runner.run_summary] and [Exec.Session.create] each
+    take one [?config]. A [None] field means the built-in value — no
+    spill, spill files under the system temp directory, no cache,
+    session concurrency 1 — at every level; no process-global default
+    sits between a field and the built-in. No field carries domains: an
+    engine run executes on the domain that calls it, and a session
+    spawns its own runners.
+
+    The environment enters only through {!of_env}, which reads
+    [CASPER_MEM_BUDGET], [CASPER_CACHE_BUDGET] and [CASPER_SPILL_DIR].
+    A binary that wants the environment calls it once and passes the
+    record on; the library itself never reads these variables. Session
+    concurrency has no variable: the binary that runs a session sets
+    it. *)
+module Config : sig
+  (** Everything an execution may want decided for it. Every field is
+      optional; [None] means the built-in value. *)
+  type t = {
+    obs : Casper_obs.Obs.ctx option;
+        (** observability context (default: disabled) *)
+    memory_budget : int option;
+        (** spill budget in bytes (default, or [<= 0]: in-memory) *)
+    spill_dir : string option;
+        (** directory spill files are created under (default: the
+            system temp directory); it must exist *)
+    cache : cache option;  (** dataset cache (default: none) *)
+    cluster : Cluster.t option;
+        (** default backend for session jobs submitted without one *)
+    concurrency : int option;  (** session job-slot count (default 1) *)
+    cancel : (unit -> bool) option;
+        (** cooperative cancellation token, polled as {!Cancelled}
+            says; returning [true] makes the engine raise it *)
+  }
+
+  (** All fields [None]: every knob takes its built-in value. *)
+  val default : t
+
+  (** {!default} with the environment captured as explicit fields:
+      [memory_budget] from [CASPER_MEM_BUDGET], [cache] a fresh cache
+      of [CASPER_CACHE_BUDGET] bytes, [spill_dir] from
+      [CASPER_SPILL_DIR]. A numeric variable that is unset, or not a
+      positive integer, leaves its field [None]; a non-integer also
+      warns once. An unset or empty [CASPER_SPILL_DIR] leaves
+      [spill_dir] [None]. Each call reads the environment afresh and
+      builds a new cache. *)
+  val of_env : unit -> t
+end
+
 (** Execute a plan over named in-memory datasets under [config]
-    (default {!Exec_config.default}: every knob at its built-in value).
+    (default {!Config.default}: every knob at its built-in value).
 
     [config.obs] (default disabled) records an
     "engine.run_plan" span with one child span per stage, carrying
@@ -79,11 +125,10 @@ val cache_stats : cache -> Cache.stats
     in-memory path. Outputs, stage metrics and traces are byte-identical
     at any budget.
 
-    [config.cache] (default none) serves repeated side-effect-free
-    subplans (join sides, cross-call reuse) from their previous
-    materialization, keyed by lineage — plan structure with physically
-    identical closures, source dataset identities, backend and resolved
-    spill budget — with outputs and stage metrics byte-identical to
+    [config.cache] (default none) serves a plan, or a join side, run
+    again from its previous run, keyed by identity — the same plan
+    object, the same dataset lists, an equal backend and resolved spill
+    budget — with outputs and stage metrics byte-identical to
     recomputation, on any domain (a session's jobs share its cache on
     whichever domain runs them). An [engine.cache] span with
     [cache_hits] / [cache_misses] / [cache_bytes] / [cache_evictions]
@@ -95,7 +140,7 @@ val cache_stats : cache -> Cache.stats
     failures.
     @raise Cancelled when [config]'s cancellation token reports true. *)
 val run_plan :
-  ?config:Exec_config.t ->
+  ?config:Config.t ->
   cluster:Cluster.t ->
   datasets:(string * Value.t list) list ->
   Plan.t ->

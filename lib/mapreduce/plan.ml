@@ -32,9 +32,6 @@ type stage =
   | Join_with of { label : string; right : t }
       (** inner equi-join of two keyed datasets:
           (k,v1) ⋈ (k,v2) → (k,(v1,v2)) *)
-  | Sample_monitor of { label : string; k : int; observe : Value.t list -> unit }
-      (** pass-through stage the generated runtime monitor uses to
-          observe the first [k] records (§5.2) *)
 
 and t = { source : string; stages : stage list }
 
@@ -69,8 +66,7 @@ let stage_label = function
   | Group_by_key { label }
   | Map_values { label; _ }
   | Global_reduce { label; _ }
-  | Join_with { label; _ }
-  | Sample_monitor { label; _ } ->
+  | Join_with { label; _ } ->
       label
 
 (** Source dataset names the plan reads — the main source first, then
@@ -92,25 +88,3 @@ let sources (p : t) : string list =
   in
   go p;
   List.rev !rev
-
-(** Whether replaying a previous run of the plan is observationally
-    equivalent to re-executing it. [Sample_monitor] stages carry an
-    [observe] side effect that must fire on every run, so plans
-    containing one (anywhere, including join sides) are not cacheable. *)
-let rec cacheable (p : t) : bool =
-  List.for_all
-    (function
-      | Sample_monitor _ -> false
-      | Join_with { right; _ } -> cacheable right
-      | _ -> true)
-    p.stages
-
-(** Number of shuffle boundaries (= job boundaries on Hadoop). *)
-let rec shuffle_count (p : t) : int =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | Reduce_by_key _ | Group_by_key _ | Global_reduce _ -> acc + 1
-      | Join_with { right; _ } -> acc + 1 + shuffle_count right
-      | _ -> acc)
-    0 p.stages

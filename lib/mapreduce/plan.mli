@@ -30,13 +30,6 @@ type stage =
     }
   | Join_with of { label : string; right : t }
       (** inner equi-join: (k,v1) ⋈ (k,v2) → (k,(v1,v2)) *)
-  | Sample_monitor of {
-      label : string;
-      k : int;
-      observe : Value.t list -> unit;
-    }
-      (** pass-through stage used by the generated runtime monitor to
-          observe the first [k] records (§5.2) *)
 
 and t = { source : string; stages : stage list }
 
@@ -66,12 +59,3 @@ val stage_label : stage -> string
 (** Source dataset names the plan reads — the main source first, then
     each join side depth-first — with duplicates removed. *)
 val sources : t -> string list
-
-(** Whether replaying a previous run of the plan is observationally
-    equivalent to re-executing it: [false] iff the plan contains a
-    [Sample_monitor] stage (anywhere, including join sides), whose
-    [observe] side effect must fire on every run. *)
-val cacheable : t -> bool
-
-(** Number of shuffle boundaries (= job boundaries on Hadoop). *)
-val shuffle_count : t -> int

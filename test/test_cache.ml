@@ -1,8 +1,7 @@
-(** Tests for the lineage-aware dataset cache: the cross-feature
-    byte-identity matrix (cache × spill budget), LRU semantics,
-    fingerprint stability, the join argument-plumbing regression,
-    cache-served compiled Iterative fragment plans, and golden cache
-    traces. *)
+(** Tests for the dataset cache: the cross-feature byte-identity
+    matrix (cache × spill budget), LRU semantics, identity keys, the
+    join argument-plumbing regression, cache-served compiled Iterative
+    fragment plans, and golden cache traces. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -141,72 +140,41 @@ let test_budget_one_degenerates () =
   check_int "insert immediately evicts itself" 1 (Cache.put c ka ~bytes:40 1);
   check "nothing resident" true (Cache.find c ka = None)
 
-(* the fingerprint hashes the structural skeleton only — no closures,
-   no hash-cons ids — so clearing and re-interning the IR interners
-   cannot move an entry to a different bucket *)
-let test_fingerprint_stable_across_hashcons_clear () =
+(* a key is the plan object's identity: two plans built alike from the
+   very same stage values are two lineages, while one plan object run
+   again over the same dataset list is served *)
+let test_plans_keyed_by_identity () =
+  let stage = Plan.map_to_pair (fun w -> (w, vint 1)) in
+  let reduce = Plan.reduce_by_key add_i in
+  let build () = Plan.(data "w" |>> stage |>> reduce) in
+  let p1 = build () and p2 = build () in
   let datasets = [ ("w", wc_words 100) ] in
-  let env = Testenv.config in
-  let budget = env.Exec.Config.memory_budget in
-  let k1 = Cache.key ~cluster:Cluster.spark ~budget ~datasets wc_plan in
   let cache = Engine.make_cache () in
-  ignore
-    (Engine.run_plan
-       ~config:{ env with Exec.Config.cache = Some cache }
-       ~cluster:Cluster.spark ~datasets wc_plan
-      : Engine.run);
-  Casper_ir.Hashcons.clear ();
-  let k2 = Cache.key ~cluster:Cluster.spark ~budget ~datasets wc_plan in
-  check_int "fingerprint unchanged by Hashcons.clear" (Cache.fingerprint k1)
-    (Cache.fingerprint k2);
-  check "keys equal" true (Cache.equal_key k1 k2);
-  check "entry still served" true (Option.is_some (Cache.find cache k2))
-
-(* same skeleton, different closures: same bucket, different lineage *)
-let test_fingerprint_is_not_equality () =
-  let p1 = Plan.(data "d" |>> map (fun x -> x)) in
-  let p2 = Plan.(data "d" |>> map (fun x -> x)) in
-  let d = [ ("d", ints [ 1 ]) ] in
-  let k1 = Cache.key ~cluster:Cluster.spark ~budget:None ~datasets:d p1 in
-  let k2 = Cache.key ~cluster:Cluster.spark ~budget:None ~datasets:d p2 in
-  check_int "same skeleton, same fingerprint" (Cache.fingerprint k1)
-    (Cache.fingerprint k2);
-  check "different closures, different lineage" false
-    (Cache.equal_key k1 k2)
+  let run plan =
+    Engine.run_plan
+      ~config:{ Exec.Config.default with Exec.Config.cache = Some cache }
+      ~cluster:Cluster.spark ~datasets plan
+  in
+  let r1 = run p1 in
+  let r2 = run p2 in
+  check_int "a plan built alike shares no entry" 0
+    (Engine.cache_stats cache).Cache.hits;
+  check_int "each object has its own entry" 2
+    (Engine.cache_stats cache).Cache.insertions;
+  let r3 = run p1 in
+  check_int "the same plan object is served" 1
+    (Engine.cache_stats cache).Cache.hits;
+  check "served run is byte-identical" true
+    (r1.Engine.output = r2.Engine.output
+    && r3.Engine.output = r1.Engine.output
+    && r3.Engine.stages = r1.Engine.stages)
 
 (* ---------------- engine integration ---------------- *)
 
-let test_plan_sources_and_cacheable () =
-  let join = mk_plan 3 in
-  check "join sources" true (Plan.sources join = [ "d"; "e" ]);
-  check "wc cacheable" true (Plan.cacheable wc_plan);
-  let monitored =
-    Plan.(
-      data "d"
-      |>> Plan.Sample_monitor { label = "monitor"; k = 3; observe = ignore })
-  in
-  check "sample_monitor is not cacheable" false (Plan.cacheable monitored)
+let test_plan_sources () =
+  check "join sources" true (Plan.sources (mk_plan 3) = [ "d"; "e" ])
 
-(* Sample_monitor's observe side effect must fire on every run, so
-   monitored plans bypass the cache entirely *)
-let test_monitored_plan_not_cached () =
-  let count = ref 0 in
-  let plan =
-    Plan.(
-      data "d"
-      |>> Plan.Sample_monitor
-            { label = "monitor"; k = 2; observe = (fun _ -> incr count) })
-  in
-  let datasets = [ ("d", ints [ 1; 2; 3 ]) ] in
-  let cache = Engine.make_cache () in
-  let config = { Testenv.config with Exec.Config.cache = Some cache } in
-  let r1 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
-  let r2 = Engine.run_plan ~config ~cluster:Cluster.spark ~datasets plan in
-  check_int "observe fired on both runs" 2 !count;
-  check_int "nothing inserted" 0 (Engine.cache_stats cache).Cache.insertions;
-  check "outputs still equal" true (r1.Engine.output = r2.Engine.output)
-
-(* the regression the exec_ctx refactor exists for: a recursive
+(* the regression the config threading exists for: a recursive
    (join-side) execution must see the same optional arguments as the
    top-level call — had the cache been dropped on the join branch, the
    join side would never populate and the standalone run below would
@@ -364,20 +332,15 @@ let suite =
     ( "cache.unit",
       [
         Alcotest.test_case "LRU eviction order" `Quick test_lru_order;
-        Alcotest.test_case "fingerprint stable across Hashcons.clear" `Quick
-          test_fingerprint_stable_across_hashcons_clear;
         Alcotest.test_case "budget 1 degenerates to pass-through" `Quick
           test_budget_one_degenerates;
-        Alcotest.test_case "fingerprint is not equality" `Quick
-          test_fingerprint_is_not_equality;
+        Alcotest.test_case "plans are keyed by identity" `Quick
+          test_plans_keyed_by_identity;
       ] );
     ( "cache.engine",
       [
-        Alcotest.test_case "plan sources + cacheable" `Quick
-          test_plan_sources_and_cacheable;
-        Alcotest.test_case "monitored plans bypass the cache" `Quick
-          test_monitored_plan_not_cached;
-        Alcotest.test_case "join threads the cache (exec_ctx)" `Quick
+        Alcotest.test_case "plan sources" `Quick test_plan_sources;
+        Alcotest.test_case "join threads the cache" `Quick
           test_join_threads_cache;
         Alcotest.test_case "Iterative fragment plans are served" `Slow
           test_iterative_fragments_served;

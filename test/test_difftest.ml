@@ -205,6 +205,32 @@ let qcheck_tracing_transparent =
                  (fun (s : Cegis.solution) -> s.Cegis.summary)
                  traced.Cegis.solutions)
 
+(* ---------------- the engine-identity comparator ---------------- *)
+
+(* Two runs of one plan over a NaN value read alike: outputs compare by
+   Value.equal, under which NaN equals NaN, where polymorphic equality
+   would call them different. A changed output or stage still shows. *)
+let test_run_divergence_nan () =
+  let module Engine = Mapreduce.Engine in
+  let module Value = Casper_common.Value in
+  let plan = Mapreduce.Plan.(data "d" |>> reduce_by_key (fun a _ -> a)) in
+  let datasets =
+    [ ("d", [ Value.Tuple [ Value.Int 1; Value.Float Float.nan ] ]) ]
+  in
+  let run () =
+    Engine.run_plan ~cluster:Mapreduce.Cluster.spark ~datasets plan
+  in
+  let base = run () and r = run () in
+  check "polymorphic equality sees a difference" true
+    (r.Engine.output <> base.Engine.output);
+  check "runs over NaN agree" true (Oracle.run_divergence ~base r = None);
+  check "a changed output shows" true
+    (Oracle.run_divergence ~base { r with Engine.output = [] }
+    = Some "outputs");
+  check "a changed stage shows" true
+    (Oracle.run_divergence ~base { r with Engine.stages = [] }
+    = Some "stage accounting")
+
 (* ---------------- suite ---------------- *)
 
 let suite =
@@ -222,6 +248,8 @@ let suite =
           test_smoke_campaign;
         Alcotest.test_case "regression corpus replays clean" `Slow
           test_corpus_replay;
+        Alcotest.test_case "engine runs over NaN compare equal" `Quick
+          test_run_divergence_nan;
       ] );
     ( "difftest.campaign",
       [

@@ -142,17 +142,6 @@ let test_shuffle_without_workers () =
   | exception Engine.Engine_error _ -> ()
   | _ -> Alcotest.fail "expected engine error on zero-worker shuffle"
 
-let test_shuffle_count () =
-  let p =
-    Plan.(
-      data "d"
-      |>> map_to_pair (fun x -> (x, x))
-      |>> reduce_by_key add_i
-      |>> map_values (fun v -> v)
-      |>> global_reduce add_i)
-  in
-  check_int "two shuffles" 2 (Plan.shuffle_count p)
-
 (* ---------------- combined shuffles ---------------- *)
 
 (* One combiner rule: a CA reduction, keyed or global, ships exactly its
@@ -620,7 +609,6 @@ let suite =
         Alcotest.test_case "many datasets" `Quick test_many_datasets;
         Alcotest.test_case "shuffle without workers" `Quick
           test_shuffle_without_workers;
-        Alcotest.test_case "shuffle count" `Quick test_shuffle_count;
       ] );
     ( "engine.partition",
       [

@@ -38,8 +38,9 @@ let join_datasets =
     ("e", List.init 12 (fun i -> kv (vint (i mod 7)) (vint i)));
   ]
 
-(* A gate a plan stage blocks on, so tests can hold a job mid-run on
-   another domain while the test domain keeps submitting. *)
+(* A gate a map stage blocks on at its first record, so tests can hold
+   a job mid-run on another domain while the test domain keeps
+   submitting; once open, every record passes. *)
 type gate = {
   g : Mutex.t;
   gcv : Condition.t;
@@ -51,7 +52,7 @@ let mk_gate () =
   { g = Mutex.create (); gcv = Condition.create ();
     started = false; release = false }
 
-let gate_observe gate _ =
+let gate_wait gate =
   Mutex.lock gate.g;
   gate.started <- true;
   Condition.broadcast gate.gcv;
@@ -73,12 +74,12 @@ let open_gate gate =
   Condition.broadcast gate.gcv;
   Mutex.unlock gate.g
 
-let gated_plan gate =
-  Plan.(
-    data "d"
-    |>> Plan.Sample_monitor
-          { label = "gate"; k = 1; observe = gate_observe gate }
-    |>> map Fun.id)
+let gate_stage gate =
+  Plan.map ~label:"gate" (fun x ->
+      gate_wait gate;
+      x)
+
+let gated_plan gate = Plan.(data "d" |>> gate_stage gate |>> map Fun.id)
 
 (* [hold gate s j f]: await the gated job [j] from a domain the test
    spawns, run [f] on the test domain once [j] is held at the gate, then
@@ -223,8 +224,7 @@ let test_cancel_sweeps_temp_files () =
       data "d"
       |>> map_to_pair (fun x -> (vint (Value.as_int x mod 5), x))
       |>> reduce_by_key add_i
-      |>> Plan.Sample_monitor
-            { label = "gate"; k = 1; observe = gate_observe gate }
+      |>> gate_stage gate
       |>> map Fun.id)
   in
   let config =
@@ -291,12 +291,9 @@ let test_cancel_queued () =
           Exec.Session.submit s ~datasets
             Plan.(
               data "d"
-              |>> Plan.Sample_monitor
-                    {
-                      label = "probe";
-                      k = 1;
-                      observe = (fun _ -> fired := true);
-                    })
+              |>> map (fun x ->
+                      fired := true;
+                      x))
         in
         (* the slot is held, so the probe job waits *)
         let st = Exec.Session.stats s in
@@ -325,15 +322,10 @@ let test_fifo_order () =
   let tagged tag =
     Plan.(
       data "d"
-      |>> Plan.Sample_monitor
-            {
-              label = tag;
-              k = 1;
-              observe =
-                (fun _ ->
-                  Mutex.protect om (fun () -> order := tag :: !order));
-            }
-      |>> map Fun.id)
+      |>> map (fun x ->
+              Mutex.protect om (fun () ->
+                  if not (List.mem tag !order) then order := tag :: !order);
+              x))
   in
   let config = { uncached_env with Exec.Config.concurrency = Some 1 } in
   Exec.Session.with_session ~config @@ fun s ->
@@ -379,12 +371,9 @@ let test_runners_clamped_to_host () =
   let plan =
     Plan.(
       data "w"
-      |>> Plan.Sample_monitor
-            {
-              label = "threads";
-              k = 1;
-              observe = (fun _ -> Option.iter record (Testenv.threads ()));
-            }
+      |>> map (fun x ->
+              Option.iter record (Testenv.threads ());
+              x)
       |>> map_to_pair (fun w -> (w, vint 1))
       |>> reduce_by_key add_i)
   in

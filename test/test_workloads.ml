@@ -155,25 +155,6 @@ let test_registry_census () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
-(* the engine's Sample_monitor stage (used by the generated monitor) *)
-let test_sample_monitor_stage () =
-  let seen = ref [] in
-  let plan =
-    Mapreduce.Plan.(
-      data "d"
-      |>> Mapreduce.Plan.Sample_monitor
-            { label = "sample"; k = 3; observe = (fun l -> seen := l) }
-      |>> map (fun x -> x))
-  in
-  let ds = [ ("d", List.init 10 (fun i -> Value.Int i)) ] in
-  let run =
-    Mapreduce.Engine.run_plan ~config:Testenv.config
-      ~cluster:Mapreduce.Cluster.spark ~datasets:ds
-      plan
-  in
-  check_int "pass-through" 10 (List.length run.Mapreduce.Engine.output);
-  check_int "observed first k" 3 (List.length !seen)
-
 let suite =
   [
     ( "workloads",
@@ -189,7 +170,5 @@ let suite =
         Alcotest.test_case "matrix dims" `Quick test_matrix_dims;
         Alcotest.test_case "scale_of" `Quick test_scale_of;
         Alcotest.test_case "registry" `Quick test_registry_census;
-        Alcotest.test_case "sample monitor stage" `Quick
-          test_sample_monitor_stage;
       ] );
   ]

@@ -34,20 +34,20 @@ if grep -rn '^<<<<<<< \|^>>>>>>> ' --include='*.ml' --include='*.mli' \
 fi
 
 # One reader of the environment: outside this file no CASPER_*
-# variable is read under lib/ bin/ bench/ (Exec_config.of_env owns the
-# memory and cache budgets and the spill directory).
-env_readers="lib/mapreduce/exec_config.ml"
+# variable is read under lib/ bin/ bench/ (Engine.Config.of_env owns
+# the memory and cache budgets and the spill directory).
+env_readers="lib/mapreduce/engine.ml"
 for f in $(grep -rl 'getenv' --include='*.ml' lib bin bench | sort); do
   case " $env_readers " in *" $f "*) continue ;; esac
   if grep -q '"CASPER_' "$f"; then
-    echo "CASPER_* read outside Exec_config: $f"
+    echo "CASPER_* read outside Engine.Config: $f"
     grep -n '"CASPER_' "$f" | head -3
     fail=1
   fi
 done
 
 # The process-global defaults are gone, the default pool included;
-# configuration travels in an Exec_config.t record only, and a pool is
+# configuration travels in an Engine.Config.t record only, and a pool is
 # created, owned and passed in by its caller. The speculative search is gone too: a
 # fragment search runs on one domain, so the memo needs no generation.
 # lib/par keeps one task queue and one claim loop: the work-stealing
@@ -176,6 +176,19 @@ combiner='\bshuffle_cap_bytes\b|\bCluster\.combiner\b|\bcombiner = (true|false)\
 if grep -rnE "$combiner" --include='*.ml' --include='*.mli' \
     lib bin bench test examples; then
   echo "a deleted combiner knob or stored shuffle cap reappeared"
+  fail=1
+fi
+
+# The engine owns its config, and the dataset cache keys a run by the
+# plan object's identity: the separate config module, the cached-run
+# mirror record, the engine's context mirror, the structural lineage
+# key, the test-only monitor stage with its cacheability check, and the
+# shuffle count only a test read are gone.
+identity='\b(Exec_config|cached_run|exec_ctx|skeleton_hash|plan_equal|equal_key)\b'
+identity="$identity"'|\b(Sample_monitor|cacheable|shuffle_count)\b'
+if grep -rnE "$identity" --include='*.ml' --include='*.mli' --include='dune' \
+    lib bin bench test examples; then
+  echo "a deleted config module, lineage key or monitor stage reappeared"
   fail=1
 fi
 
