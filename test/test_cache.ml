@@ -332,10 +332,10 @@ let suite =
     ( "cache.unit",
       [
         Alcotest.test_case "LRU eviction order" `Quick test_lru_order;
-        Alcotest.test_case "budget 1 degenerates to pass-through" `Quick
-          test_budget_one_degenerates;
         Alcotest.test_case "plans are keyed by identity" `Quick
           test_plans_keyed_by_identity;
+        Alcotest.test_case "budget 1 degenerates to pass-through" `Quick
+          test_budget_one_degenerates;
       ] );
     ( "cache.engine",
       [
