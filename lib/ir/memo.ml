@@ -23,6 +23,10 @@
       they print the same values on every probe ([fastpath.dedup] checks
       emit dedup against a dedup by printed strings).
 
+    [counters] says how much work the caches saved. Each mechanism is
+    kept honest by a narrow reference test of its own (DESIGN.md §9),
+    not by the counters.
+
     Domain-safety (DESIGN.md §10): every memo table is a per-domain
     shard ([Domain.DLS]), consistent with the per-domain hash-consing it
     is keyed by. A fragment search runs on one domain from start to
@@ -42,6 +46,18 @@ type cenv = { env_id : int; env : Eval.env }
 (* ------------------------------------------------------------------ *)
 (* Per-domain memo shard                                               *)
 
+(** Cache-effectiveness counters, read by the [synthesis] span and the
+    tests. All are cumulative: {!clear} does not reset them. *)
+type counters = {
+  mutable eval_hits : int;  (** memoized (expr, env) evaluations reused *)
+  mutable eval_misses : int;  (** memoized evaluations computed *)
+  mutable cell_hits : int;  (** per-(probe set, expr) cell arrays reused *)
+  mutable cell_misses : int;  (** cell arrays computed *)
+  mutable loop_units : int;
+      (** outer loop units run by prepared prefixes: one per prefix
+          cell resumed from its predecessor, which runs at most one *)
+}
+
 type shard = {
   eval_tbl : (int, (Value.t, exn) result) Hashtbl.t;
   str_ids : (string, int) Hashtbl.t;
@@ -54,6 +70,7 @@ type shard = {
   emit_fp : (int * int * int, int array) Hashtbl.t;
   mutable env_last : int;  (** the last env id handed out *)
   mutable probe_set_last : int;  (** the last probe-set id handed out *)
+  counters : counters;
 }
 
 and elt_cache = {
@@ -79,9 +96,22 @@ let shard_key : shard Domain.DLS.key =
         emit_fp = Hashtbl.create 4096;
         env_last = 0;
         probe_set_last = 0;
+        counters =
+          {
+            eval_hits = 0;
+            eval_misses = 0;
+            cell_hits = 0;
+            cell_misses = 0;
+            loop_units = 0;
+          };
       })
 
 let shard () : shard = Domain.DLS.get shard_key
+
+(** The calling domain's counters: searches on other domains never
+    write to them, so a delta taken on one domain is that domain's
+    work. *)
+let counters () : counters = (shard ()).counters
 
 let wrap (env : Eval.env) : cenv =
   let sh = shard () in
@@ -118,9 +148,9 @@ let rec meval (cv : cenv) (e : expr) : Value.t =
   | CStr s -> Str s
   | Var v -> Eval.lookup cv.env v
   | _ -> (
-      let eval_tbl = (shard ()).eval_tbl in
+      let sh = shard () in
+      let eval_tbl = sh.eval_tbl and c = sh.counters in
       let key = key (Hashcons.expr_id e) cv.env_id in
-      let c = Fastpath.counters () in
       match Hashtbl.find_opt eval_tbl key with
       | Some (Ok v) ->
           c.eval_hits <- c.eval_hits + 1;
@@ -214,7 +244,7 @@ let probe_set (probes : Eval.env list) : probe_set =
 let cached (tbl : (int, 'a array) Hashtbl.t) (ps : probe_set) (e : expr)
     (cell : cenv -> 'a) : 'a array =
   let k = key (Hashcons.expr_id e) ps.ps_id in
-  let c = Fastpath.counters () in
+  let c = counters () in
   match Hashtbl.find_opt tbl k with
   | Some a ->
       c.cell_hits <- c.cell_hits + 1;
@@ -496,7 +526,8 @@ let stage_prefixes ~(lr_ran : bool ref) (base : cenv) (n : node) :
     cells and cell arrays, emit fingerprints, element environments,
     interned expressions and summaries). Called at the top of
     [find_summary] so memory is bounded by one fragment's search; env
-    ids keep counting so stale ids can never collide. *)
+    ids and the {!counters} keep counting, so stale ids can never
+    collide. *)
 let clear () =
   let sh = shard () in
   Hashtbl.reset sh.eval_tbl;

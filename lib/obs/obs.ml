@@ -1,5 +1,5 @@
-(** The pipeline observability substrate: hierarchical spans, typed
-    counters and gauges, and Chrome [trace_event] export.
+(** The pipeline observability substrate: hierarchical spans, integer
+    counters, and Chrome [trace_event] export.
 
     One {!ctx} is threaded through the whole pipeline — program
     analysis, grammar generation, the CEGIS rounds, bounded and full
@@ -13,7 +13,7 @@
     Disabled contexts ({!null}) are cheap no-ops: every operation starts
     with one flag check and touches nothing else, so instrumentation can
     stay unconditionally in place on hot paths (the <2% overhead budget
-    the CI smoke bench enforces).
+    the [obs.overhead] test enforces).
 
     Only the domain that created a context writes to it. Work that runs
     on another domain records into a {!fork} of the context, which its
@@ -60,10 +60,9 @@ type ctx = {
   on : bool;
   clock : clock;
   root : node;
-  lock : Mutex.t;  (** guards totals and gauges *)
+  lock : Mutex.t;  (** guards totals *)
   mutable stack : node list;  (** open spans, innermost first; ends at root *)
   totals : (string, int) Hashtbl.t;
-  mutable gauges : (string * float) list;
 }
 
 let make_node ~track ~t0 ?(args = []) name =
@@ -79,7 +78,6 @@ let null : ctx =
     lock = Mutex.create ();
     stack = [];
     totals = Hashtbl.create 1;
-    gauges = [];
   }
 
 let create ?(clock = wall_clock) () : ctx =
@@ -91,7 +89,6 @@ let create ?(clock = wall_clock) () : ctx =
     lock = Mutex.create ();
     stack = [ root ];
     totals = Hashtbl.create 64;
-    gauges = [];
   }
 
 let enabled c = c.on
@@ -128,7 +125,7 @@ let span_at c ~(track : string) ?(args = []) ~(t0 : float) ~(t1 : float)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Counters and gauges                                                  *)
+(* Counters                                                             *)
 
 let rec bump assoc key d =
   match assoc with
@@ -148,11 +145,6 @@ let add c (key : string) (d : int) : unit =
         let prev = try Hashtbl.find c.totals key with Not_found -> 0 in
         Hashtbl.replace c.totals key (prev + d))
   end
-
-let set_gauge c (key : string) (v : float) : unit =
-  if c.on then
-    Mutex.protect c.lock (fun () ->
-        c.gauges <- (key, v) :: List.remove_assoc key c.gauges)
 
 let total c (key : string) : int =
   if not c.on then 0
@@ -181,7 +173,6 @@ let fork c : ctx =
       lock = Mutex.create ();
       stack = [ root ];
       totals = Hashtbl.create 64;
-      gauges = [];
     }
 
 (* the child's top-level spans (and any counter added outside them)
@@ -195,20 +186,16 @@ let graft c (child : ctx) : unit =
       List.fold_left
         (fun acc (k, d) -> bump acc k d)
         top.counters child.root.counters;
-    let totals, gauges =
+    let totals =
       Mutex.protect child.lock (fun () ->
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) child.totals [],
-           child.gauges))
+          Hashtbl.fold (fun k v acc -> (k, v) :: acc) child.totals [])
     in
     Mutex.protect c.lock (fun () ->
         List.iter
           (fun (k, d) ->
             let prev = try Hashtbl.find c.totals k with Not_found -> 0 in
             Hashtbl.replace c.totals k (prev + d))
-          totals;
-        List.iter
-          (fun (k, v) -> c.gauges <- (k, v) :: List.remove_assoc k c.gauges)
-          gauges)
+          totals)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -292,11 +279,7 @@ let metrics c : J.t =
     Hashtbl.fold (fun k v acc -> (k, J.Int v) :: acc) c.totals []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let gauges =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) c.gauges
-    |> List.map (fun (k, v) -> (k, J.Float v))
-  in
-  J.Obj [ ("counters", J.Obj counters); ("gauges", J.Obj gauges) ]
+  J.Obj [ ("counters", J.Obj counters) ]
 
 (** Chrome [trace_event] JSON (the object format): complete ("X")
     duration events, one thread id per track, each track rebased so its

@@ -1,8 +1,8 @@
 (** Pipeline observability: hierarchical spans with an injectable
-    deterministic clock, typed counters and gauges, and Chrome
-    [trace_event] export. Disabled contexts ({!null}) reduce every
-    operation to a flag check, so instrumentation stays in place on hot
-    paths at <2% cost (the CI smoke bench enforces the budget).
+    deterministic clock, integer counters, and Chrome [trace_event]
+    export. Disabled contexts ({!null}) reduce every operation to a flag
+    check, so instrumentation stays in place on hot paths at <2% cost
+    (the [obs.overhead] test enforces the budget).
 
     Only the domain that created a context writes to it: work on another
     domain records into a {!fork} and is folded back with {!graft}. *)
@@ -50,8 +50,6 @@ val span_at :
     per-run totals. *)
 val add : ctx -> string -> int -> unit
 
-val set_gauge : ctx -> string -> float -> unit
-
 (** Flat total of a counter (0 when never bumped, or disabled). *)
 val total : ctx -> string -> int
 
@@ -63,8 +61,8 @@ val fork : ctx -> ctx
 
 (** [graft parent child], on [parent]'s owner once [child]'s work has
     finished: [child]'s top-level spans are appended under [parent]'s
-    innermost open span, in order, and its counter totals and gauges
-    are added to [parent]'s — the tree a sequential run under [parent]
+    innermost open span, in order, and its counter totals are added to
+    [parent]'s — the tree a sequential run under [parent]
     would have recorded. A no-op when either context is disabled. *)
 val graft : ctx -> ctx -> unit
 
@@ -90,7 +88,7 @@ val well_formed : ctx -> bool
     assert against. *)
 val shape : ctx -> string
 
-(** Flat metrics: {["counters"]} (ints) and {["gauges"]} (floats). *)
+(** Flat metrics: {["counters"]}, the per-run counter totals. *)
 val metrics : ctx -> Casper_common.Jsonout.t
 
 (** Chrome [trace_event] JSON ("X" complete events, one tid per track,

@@ -14,7 +14,12 @@
     the blocked candidate instead, which visits the same candidates in
     the same order minus the blocked set — the observable behaviour of
     "restart with grammar G − Ω − Δ" without re-enumerating the
-    prefix. *)
+    prefix.
+
+    No candidate is judged twice on the same evidence, so the search
+    keeps no verdicts (DESIGN.md §16): Φ's refutations go to the dead
+    sets the enumerator reads, and a candidate a verifier judged is
+    blocked or refuted by its own counter-example. *)
 
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
@@ -24,7 +29,6 @@ module Statesgen = Casper_verify.Statesgen
 module Vc = Casper_vcgen.Vc
 module Value = Casper_common.Value
 module Memo = Casper_ir.Memo
-module Fastpath = Casper_ir.Fastpath
 module Obs = Casper_obs.Obs
 
 type config = {
@@ -178,23 +182,12 @@ let make_probes prog (frag : F.t) : Casper_ir.Eval.env list =
 (* ------------------------------------------------------------------ *)
 
 type search_state = {
-  mutable phi_prepared : (int * Verifier.prepared) list;
-      (** the counter-example states Φ, prepared, with per-state ids;
-          newest first *)
-  mutable next_sid : int;
-  phi_passed : (int, unit) Hashtbl.t;
-      (** packed (candidate key, Φ-state id) of the states a candidate
-          passed; they survive across grammar classes, so a candidate
-          re-encountered in a higher class re-checks only Φ states added
-          since *)
+  mutable phi_prepared : Verifier.prepared list;
+      (** the counter-example states Φ, prepared, newest first *)
   dead : Enumerate.dead;
       (** the keys Φ has refuted, search-wide; the enumerator reads them
           to leave refuted candidates unbuilt *)
-  mutable family_hits : int;
-      (** Φ checks answered by a refuted family or projection *)
   mutable unbuilt : int;  (** candidates counted from [Bulk] items *)
-  bounded_verdicts : (int, Verifier.outcome) Hashtbl.t;
-  full_verdicts : (int, Verifier.outcome) Hashtbl.t;
   blocked : (int, unit) Hashtbl.t;
       (** Ω ∪ Δ, by the construction key each candidate was enumerated
           under (see [Enumerate]) *)
@@ -206,24 +199,14 @@ type search_state = {
 
 let add_phi (st : search_state) prog frag (state : Minijava.Interp.env) :
     unit =
-  let sid = st.next_sid in
-  st.next_sid <- sid + 1;
-  st.phi_prepared <-
-    (sid, Verifier.prepare_one prog frag state) :: st.phi_prepared
+  st.phi_prepared <- Verifier.prepare_one prog frag state :: st.phi_prepared
 
 let make_state ?(phi = []) prog frag ~budget : search_state =
   let st =
     {
       phi_prepared = [];
-      next_sid = 0;
-      (* probed with [mem] only, never iterated: they grow with the
-         search instead of allocating for the largest one up front *)
-      phi_passed = Hashtbl.create 256;
       dead = Enumerate.make_dead ();
-      family_hits = 0;
       unbuilt = 0;
-      bounded_verdicts = Hashtbl.create 64;
-      full_verdicts = Hashtbl.create 16;
       blocked = Hashtbl.create 64;
       tried = 0;
       iters = 0;
@@ -235,7 +218,7 @@ let make_state ?(phi = []) prog frag ~budget : search_state =
   List.iter (add_phi st prog frag) (List.rev phi);
   st
 
-let family_hits (st : search_state) : int = st.family_hits
+let dead (st : search_state) : Enumerate.dead = st.dead
 
 (* Ω ∪ Δ insertion, by construction key *)
 let block (st : search_state) (cid : int) : unit =
@@ -254,39 +237,19 @@ let refute (st : search_state) (c : Enumerate.cand) ~lr_ran
     | Some p -> Hashtbl.replace d.scopes p ()
     | None -> ())
 
-let phi_key cid sid = (cid lsl 31) lor sid
-
-(* The Φ check, with passes memoized per (candidate, state) and
-   refutations kept in the dead sets. Same walk order and early exit as
-   [Verifier.check_batch] over Φ, so outcomes are identical: a refuted
-   key only answers for a candidate that Φ would refute anyway, and a
-   memoized pass only skips re-computing a conjunct already decided for
-   this candidate. *)
-let holds_on_cached (st : search_state) frag (c : Enumerate.cand) : bool =
-  let d = st.dead in
-  if Hashtbl.mem d.cands c.key then false
-  else if Enumerate.scope_dead d ~family:c.family ~projs:c.projs then (
-    st.family_hits <- st.family_hits + 1;
-    false)
-  else
-    let rec walk = function
-      | [] -> true
-      | (sid, p) :: rest -> (
-          let key = phi_key c.key sid in
-          if Hashtbl.mem st.phi_passed key then (
-            let fc = Fastpath.counters () in
-            fc.Fastpath.phi_hits <- fc.Fastpath.phi_hits + 1;
-            walk rest)
-          else
-            match Verifier.check_prepared_one frag c.summary p with
-            | Verifier.Passes ->
-                Hashtbl.add st.phi_passed key ();
-                walk rest
-            | Verifier.Refuted { lr_ran; output } ->
-                refute st c ~lr_ran ~output;
-                false)
-    in
-    walk st.phi_prepared
+(* The Φ check: the walk order and early exit of [Verifier.check_batch]
+   over Φ, newest state first, with the refutation kept in the dead
+   sets. A candidate that comes back is refuted by a state newer than
+   every state it passed (DESIGN.md §16), so passes are not kept. *)
+let holds_on_phi (st : search_state) frag (c : Enumerate.cand) : bool =
+  List.for_all
+    (fun p ->
+      match Verifier.check_prepared_one frag c.summary p with
+      | Verifier.Passes -> true
+      | Verifier.Refuted { lr_ran; output } ->
+          refute st c ~lr_ran ~output;
+          false)
+    st.phi_prepared
 
 (** Figure 5 lines 1–8: find the next candidate in [cands] that survives
     Φ and bounded model checking. [bounded] is the pre-generated bounded
@@ -323,17 +286,7 @@ let synthesize (st : search_state) prog frag ~(obs : Obs.ctx)
   in
   let bounded_verdict (c : Enumerate.cand) : Verifier.outcome =
     Obs.span obs "bounded-verify" @@ fun () ->
-    match Hashtbl.find_opt st.bounded_verdicts c.key with
-    | Some o ->
-        let fc = Fastpath.counters () in
-        fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
-        o
-    | None ->
-        let o =
-          Verifier.check_prepared_batch frag c.summary (Lazy.force bounded)
-        in
-        Hashtbl.add st.bounded_verdicts c.key o;
-        o
+    Verifier.check_prepared_batch frag c.summary (Lazy.force bounded)
   in
   let rec go (s : Enumerate.item Seq.t) =
     if st.tried >= st.budget then None
@@ -347,7 +300,7 @@ let synthesize (st : search_state) prog frag ~(obs : Obs.ctx)
           if Hashtbl.mem st.blocked c.key then go rest
           else (
             st.tried <- st.tried + 1;
-            if not (holds_on_cached st frag c) then go rest
+            if not (holds_on_phi st frag c) then go rest
             else (
               st.iters <- st.iters + 1;
               match bounded_verdict c with
@@ -420,20 +373,17 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
      so entries from earlier searches can never alias new ones *)
   Memo.clear ();
   let t0 = Obs.now obs in
-  (* fast-path cache counters are cumulative across searches; deltas
+  (* memo counters are cumulative across searches; deltas
      against this snapshot of the calling domain's record are this
      search's hit/miss contribution *)
-  let fc = Fastpath.counters () in
-  let fp0 = { fc with Fastpath.eval_hits = fc.Fastpath.eval_hits } in
+  let fc = Memo.counters () in
+  let fp0 = { fc with Memo.eval_hits = fc.Memo.eval_hits } in
   let finish ~classes ~timed_out st solutions =
-    Obs.add obs "memo_cell_hits" (fc.Fastpath.cell_hits - fp0.Fastpath.cell_hits);
-    Obs.add obs "memo_cell_misses" (fc.Fastpath.cell_misses - fp0.Fastpath.cell_misses);
-    Obs.add obs "memo_eval_hits" (fc.Fastpath.eval_hits - fp0.Fastpath.eval_hits);
-    Obs.add obs "memo_eval_misses" (fc.Fastpath.eval_misses - fp0.Fastpath.eval_misses);
-    Obs.add obs "phi_memo_hits" (fc.Fastpath.phi_hits - fp0.Fastpath.phi_hits);
-    Obs.add obs "phi_family_hits" st.family_hits;
+    Obs.add obs "memo_cell_hits" (fc.Memo.cell_hits - fp0.Memo.cell_hits);
+    Obs.add obs "memo_cell_misses" (fc.Memo.cell_misses - fp0.Memo.cell_misses);
+    Obs.add obs "memo_eval_hits" (fc.Memo.eval_hits - fp0.Memo.eval_hits);
+    Obs.add obs "memo_eval_misses" (fc.Memo.eval_misses - fp0.Memo.eval_misses);
     Obs.add obs "candidates_unbuilt" st.unbuilt;
-    Obs.add obs "verdict_memo_hits" (fc.Fastpath.verdict_hits - fp0.Fastpath.verdict_hits);
     Obs.add obs "blocked_set" (Hashtbl.length st.blocked);
     let solutions = rank prog frag solutions in
     {
@@ -475,19 +425,6 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
       let full_prepared =
         lazy (Verifier.prepare_states Verifier.Full prog frag)
       in
-      let full_verify_c (c : Ir.summary) (cid : int) : Verifier.outcome =
-        match Hashtbl.find_opt st.full_verdicts cid with
-        | Some o ->
-            let fc = Fastpath.counters () in
-            fc.Fastpath.verdict_hits <- fc.Fastpath.verdict_hits + 1;
-            o
-        | None ->
-            let o =
-              Verifier.check_prepared_batch frag c (Lazy.force full_prepared)
-            in
-            Hashtbl.add st.full_verdicts cid o;
-            o
-      in
       let delta = ref [] in
       (* once the budget or solution quota is hit, candidate shapes not
          yet forced can be skipped wholesale: the consumer below stops
@@ -524,7 +461,8 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
                       block st c.key;
                       (match
                          Obs.span obs "full-verify" (fun () ->
-                             full_verify_c c.summary c.key)
+                             Verifier.check_prepared_batch frag c.summary
+                               (Lazy.force full_prepared))
                        with
                       | Verifier.Valid ->
                           delta := (c.summary, k.G.k_id) :: !delta

@@ -50,7 +50,7 @@ val make_probes : Minijava.Ast.program -> F.t -> Casper_ir.Eval.env list
 
     Exposed so tests can drive it candidate by candidate. *)
 
-(** One search's Φ, verdict tables and counts. *)
+(** One search's Φ, dead sets, blocked set and counts. *)
 type search_state
 
 (** A search state over the counter-example states [phi] (parameter
@@ -62,17 +62,18 @@ val make_state :
   budget:int ->
   search_state
 
-(** [holds_on_cached st frag c]: does candidate [c] hold on every state
-    of Φ? A refutation is kept search-wide under the candidate's key;
-    one reached before any λr ran is also kept under its family key
-    (the candidates that differ from it only in λr) and, when it names
-    an output, under that output's projection key. A candidate under a
-    refuted key is refuted without a check. *)
-val holds_on_cached : search_state -> F.t -> Enumerate.cand -> bool
+(** [holds_on_phi st frag c]: does candidate [c] hold on every state of
+    Φ? The states are checked newest first, up to the first that
+    refutes [c]. A refutation is kept search-wide under the candidate's
+    key; one reached before any λr ran is also kept under its family
+    key (the candidates that differ from it only in λr) and, when it
+    names an output, under that output's projection key. The check
+    itself reads none of them: the enumerator does, before it builds a
+    candidate. *)
+val holds_on_phi : search_state -> F.t -> Enumerate.cand -> bool
 
-(** Φ checks [holds_on_cached] answered from a refuted family or
-    projection. *)
-val family_hits : search_state -> int
+(** The keys Φ has refuted so far in this search. *)
+val dead : search_state -> Enumerate.dead
 
 (** IR typing environment of a fragment's free scalars. *)
 val tenv_of_frag : Minijava.Ast.program -> F.t -> Casper_ir.Infer.tenv
@@ -86,8 +87,8 @@ val summary_comm_assoc : Minijava.Ast.program -> F.t -> Ir.summary -> bool
 
     [obs] (default disabled) records the search as spans — "synthesis" →
     "grammar" / per-"class" → "round" → "bounded-verify", plus
-    "full-verify" — with candidate, iteration, TP-failure, fast-path
-    memo-hit, Φ-family-hit, unbuilt-candidate and blocked-set counters;
+    "full-verify" — with candidate, iteration, TP-failure, memo-hit,
+    unbuilt-candidate and blocked-set counters;
     it also supplies the clock behind
     [elapsed_s], so a virtual-clock context makes the statistic
     deterministic.

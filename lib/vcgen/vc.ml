@@ -466,7 +466,7 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
             steps.(k) <-
               lazy
                 (let prev = Lazy.force steps.(k - 1) in
-                 let c = Casper_ir.Fastpath.counters () in
+                 let c = Casper_ir.Memo.counters () in
                  c.loop_units <- c.loop_units + 1;
                  prev.s_next ())
           done;

@@ -75,6 +75,8 @@ val sample_values :
 (** Randomized commutativity/associativity analysis of a reducer over
     its value type — licenses [reduceByKey] over [groupByKey] (§6.3) and
     sets the cost model's ϵ. λr sees only its two parameters.
-    Conservative: evaluation errors count as "does not hold". Its one
-    caller is [Casper_cost.Cost]. *)
+    Conservative: evaluation errors count as "does not hold", and so
+    does a value type holding a record or a bag, which
+    {!sample_values} cannot draw. Its one caller is
+    [Casper_cost.Cost]. *)
 val reducer_props : Ir.lam_r -> Ir.ty -> [ `Comm_assoc | `Not_comm_assoc ]

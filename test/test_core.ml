@@ -12,8 +12,8 @@ module Cegis = Casper_synth.Cegis
 module F = Casper_analysis.Fragment
 module An = Casper_analysis.Analyze
 module Suite = Casper_suites.Suite
-module Fastpath = Casper_ir.Fastpath
 module Par = Casper_par.Par
+module Memo = Casper_ir.Memo
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -100,10 +100,10 @@ let test_lowest_index_exception () =
   check_str "and wins" seq par
 
 (* Inside a spawn_map task the fragments run inline on the task's
-   domain, so that domain's fast-path counters see all of their work. *)
+   domain, so that domain's memo counters see all of their work. *)
 let test_inline_in_spawn_map_task () =
   let prog, frags = parse (Casper_suites.Registry.find_benchmark "Q17") in
-  let units () = (Fastpath.counters ()).Fastpath.loop_units in
+  let units () = (Memo.counters ()).Memo.loop_units in
   let work f =
     let u0 = units () in
     ignore (f ());

@@ -8,7 +8,6 @@
 module Ir = Casper_ir.Lang
 module H = Casper_ir.Hashcons
 module Memo = Casper_ir.Memo
-module Fastpath = Casper_ir.Fastpath
 module Eval = Casper_ir.Eval
 module An = Casper_analysis.Analyze
 module F = Casper_analysis.Fragment
@@ -267,8 +266,8 @@ let test_cells_keyed_by_probe_set () =
   let e = H.binop Ir.Add (H.var "x") (H.cint 1) in
   let probes xs = Memo.probe_set (List.map (fun x -> [ ("x", Value.Int x) ]) xs) in
   let ps1 = probes [ 1; 2 ] and ps2 = probes [ 1; 2 ] and ps3 = probes [ 5 ] in
-  let c = Fastpath.counters () in
-  let misses () = c.Fastpath.cell_misses and hits () = c.Fastpath.cell_hits in
+  let c = Memo.counters () in
+  let misses () = c.Memo.cell_misses and hits () = c.Memo.cell_hits in
   let m0 = misses () and h0 = hits () in
   let a1 = Memo.cells ps1 e in
   check "the same set answers from the cache" true (Memo.cells ps1 e == a1);

@@ -1,5 +1,5 @@
-(** Tests for the MiniJava front end: lexer, parser, type checker,
-    interpreter and loop normalization. *)
+(** Tests for the MiniJava front end: lexer, parser, type checker and
+    interpreter. *)
 
 open Minijava
 module Value = Casper_common.Value
@@ -272,34 +272,6 @@ let prop_interp_max =
       in
       Value.equal r (vint (List.fold_left max (-1000000) l)))
 
-(* ---------------- Loop normalization ---------------- *)
-
-let test_loopnorm_for () =
-  let p = parse "int f(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }" in
-  let p' = Loopnorm.normalize_program p in
-  let m = List.hd p'.Ast.methods in
-  let has_canonical =
-    List.exists
-      (function Ast.While (Ast.BoolLit true, _) -> true | _ -> false)
-      m.Ast.body
-  in
-  check "canonical while(true)" true has_canonical;
-  (* normalization preserves semantics *)
-  let r = Interp.run_method p' "f" [ vint 5 ] in
-  check "same result" true (Value.equal r (vint 10))
-
-let test_loopnorm_foreach () =
-  let p = parse "int f(List<Integer> l) { int s = 0; for (int x : l) s += x; return s; }" in
-  let p' = Loopnorm.normalize_program p in
-  let r = Interp.run_method p' "f" [ vints [ 2; 3 ] ] in
-  check "foreach preserved" true (Value.equal r (vint 5))
-
-let test_loopnorm_dowhile () =
-  let p = parse "int f() { int i = 0; do { i++; } while (i < 4); return i; }" in
-  let p' = Loopnorm.normalize_program p in
-  check "do-while preserved" true
-    (Value.equal (Interp.run_method p' "f" []) (vint 4))
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suite =
@@ -350,10 +322,4 @@ let suite =
         Alcotest.test_case "float widening" `Quick test_interp_float_widening;
       ] );
     qsuite "minijava.interp.props" [ prop_interp_sum; prop_interp_max ];
-    ( "minijava.loopnorm",
-      [
-        Alcotest.test_case "for loop" `Quick test_loopnorm_for;
-        Alcotest.test_case "foreach" `Quick test_loopnorm_foreach;
-        Alcotest.test_case "do-while" `Quick test_loopnorm_dowhile;
-      ] );
   ]

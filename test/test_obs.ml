@@ -90,7 +90,6 @@ let test_disabled_noops () =
   let r = Obs.span obs "a" (fun () -> Obs.add obs "k" 1; 42) in
   check_int "span still runs the body" 42 r;
   Obs.span_at obs ~track:"exec" ~t0:0.0 ~t1:1.0 "t";
-  Obs.set_gauge obs "g" 1.0;
   check "tree stays empty" true (Obs.tree obs = []);
   check_int "totals stay empty" 0 (Obs.total obs "k");
   check "trivially well formed" true (Obs.well_formed obs);
@@ -162,7 +161,7 @@ let wordcount_shape =
    typecheck\n\
    analysis[fragments,unsupported_fragments]\n\
    fragment\n\
-  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses,phi_family_hits,phi_memo_hits,verdict_memo_hits]\n\
+  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses]\n\
   \    grammar\n\
   \    class\n\
   \      round[candidates]\n\
@@ -184,7 +183,7 @@ let mean_shape =
    typecheck\n\
    analysis[fragments,unsupported_fragments]\n\
    fragment\n\
-  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses,phi_family_hits,phi_memo_hits,verdict_memo_hits]\n\
+  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses]\n\
   \    grammar\n\
   \    class\n\
   \      round\n\
@@ -203,7 +202,7 @@ let q6_shape =
    typecheck\n\
    analysis[fragments,unsupported_fragments]\n\
    fragment\n\
-  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses,phi_family_hits,phi_memo_hits,verdict_memo_hits]\n\
+  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses]\n\
   \    grammar\n\
   \    class\n\
   \      round\n\

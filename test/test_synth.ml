@@ -380,16 +380,20 @@ let test_family_needs_reducer_blind_failure () =
   let twice = once @ once in
   let sum = lr (Ir.Binop (Ir.Add, v1, v2)) in
   let holds c key family =
-    Cegis.holds_on_cached st frag
+    Cegis.holds_on_phi st frag
       { Casper_synth.Enumerate.summary = c; key; family; projs = [] }
   in
+  let family_dead family =
+    Casper_synth.Enumerate.scope_dead (Cegis.dead st) ~family ~projs:[]
+  in
   check "x once, keep-first fails" false (holds (keyed once (lr v1)) 1 10);
-  check "x once, sum is refuted by its family" false
-    (holds (keyed once sum) 2 10);
-  check_int "one family hit" 1 (Cegis.family_hits st);
+  check "its family is refuted" true (family_dead 10);
+  check "x once, sum fails too" false (holds (keyed once sum) 2 10);
   check "x twice, keep-first fails" false (holds (keyed twice (lr v1)) 3 20);
+  check "a failure after λr ran leaves the family live" false
+    (family_dead 20);
   check "x twice, sum holds" true (holds (keyed twice sum) 4 20);
-  check_int "still one family hit" 1 (Cegis.family_hits st)
+  check "the family stays live" false (family_dead 20)
 
 (* ---------------- keyed projections ---------------- *)
 
@@ -477,17 +481,23 @@ let test_projection_marks_the_failing_output () =
   let t1 = emit "t" x and t2 = emit "t" (Ir.Binop (Ir.Add, x, Ir.CInt 0)) in
   let sum = lr (Ir.Binop (Ir.Add, v1, v2)) in
   let holds c key family projs =
-    Cegis.holds_on_cached st frag
+    Cegis.holds_on_phi st frag
       { Casper_synth.Enumerate.summary = c; key; family; projs }
+  in
+  (* no check below refutes family 0, so only the projection answers *)
+  let proj_dead p =
+    Casper_synth.Enumerate.scope_dead (Cegis.dead st) ~family:0
+      ~projs:[ ("s", p) ]
   in
   check "s emits x: refuted on s" false
     (holds (keyed2 wrong_s t1 sum) 1 10 [ ("s", 100); ("t", 200) ]);
-  check "same s emit, other t emit and family: refuted by projection" false
+  check "s's projection is refuted" true (proj_dead 100);
+  check "t's projection is not" false (proj_dead 200);
+  check "same s emit, other t emit and family: refuted" false
     (holds (keyed2 wrong_s t2 (lr v1)) 2 20 [ ("s", 100); ("t", 201) ]);
-  check_int "one projection hit" 1 (Cegis.family_hits st);
   check "t's projection stays live" true
     (holds (keyed2 right_s t1 sum) 3 30 [ ("s", 101); ("t", 200) ]);
-  check_int "still one hit" 1 (Cegis.family_hits st)
+  check "and stays unrefuted" false (proj_dead 200)
 
 (* ---------------- work left unbuilt ---------------- *)
 

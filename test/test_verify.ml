@@ -439,7 +439,22 @@ let test_reducer_props () =
         Ir.Binop (Ir.Min, Ir.Binop (Ir.Max, Ir.Var "v1", Ir.Var "v2"), Ir.Var "k") }
   in
   check "a free variable is not CA" true
-    (V.reducer_props free Ir.TInt = `Not_comm_assoc)
+    (V.reducer_props free Ir.TInt = `Not_comm_assoc);
+  (* records and bags cannot be sampled: keep-left must not read as CA
+     over them, alone or inside a tuple whose other part is summed *)
+  check "keep-left over a record is not CA" true
+    (V.reducer_props keep_left (Ir.TRecord "Point") = `Not_comm_assoc);
+  check "keep-left over a bag is not CA" true
+    (V.reducer_props keep_left (Ir.TBag Ir.TInt) = `Not_comm_assoc);
+  let get v i = Ir.TupleGet (Ir.Var v, i) in
+  let sum_keep_left =
+    { add_r with
+      Ir.r_body =
+        Ir.MkTuple [ Ir.Binop (Ir.Add, get "v1" 0, get "v2" 0); get "v1" 1 ] }
+  in
+  check "sum and keep-left over (int, record) is not CA" true
+    (V.reducer_props sum_keep_left (Ir.TTuple [ Ir.TInt; Ir.TRecord "Point" ])
+    = `Not_comm_assoc)
 
 let test_statesgen_consistency () =
   let prog, frag = fragment sum_src in
@@ -519,10 +534,10 @@ let candidates prog frag n =
    candidates as a search shares them. Also pins the work counter: a
    forced prefix cell after cell 0 resumes its loop for one unit. *)
 let test_incremental_table2 () =
-  let module Fp = Casper_ir.Fastpath in
+  let module Memo = Casper_ir.Memo in
   let diffs = ref [] and checks = ref 0 and prefixes = ref 0 in
   let forced = ref 0 and forced0 = ref 0 in
-  let units0 = (Fp.counters ()).Fp.loop_units in
+  let units0 = (Memo.counters ()).Memo.loop_units in
   List.iter
     (fun (b : Casper_suites.Suite.benchmark) ->
       let prog = Parser.parse_program b.source in
@@ -568,7 +583,7 @@ let test_incremental_table2 () =
   Alcotest.(check int)
     "loop units = forced cells - forced cell 0s"
     (!forced - !forced0)
-    ((Fp.counters ()).Fp.loop_units - units0)
+    ((Memo.counters ()).Memo.loop_units - units0)
 
 let ints l = Value.List (List.map (fun i -> Value.Int i) l)
 

@@ -192,6 +192,19 @@ if grep -rnE "$identity" --include='*.ml' --include='*.mli' --include='dune' \
   fail=1
 fi
 
+# The search keeps no verdicts: no candidate is judged twice on the same
+# evidence, so the Φ-pass memo, the bounded and full verdict caches, the
+# Φ check's dead-set lookups and their counters are gone; the memo's
+# counters live in Memo. Obs keeps counters only, and there is no
+# loop-normalization pass.
+memos='\b(phi_passed|bounded_verdicts|full_verdicts|verdict_hits|phi_hits|family_hits)\b'
+memos="$memos"'|\b(holds_on_cached|phi_memo_hits|verdict_memo_hits|phi_family_hits)\b'
+memos="$memos"'|\b(Fastpath|set_gauge|Loopnorm)\b'
+if grep -rnE "$memos" lib bin bench test examples; then
+  echo "a deleted search cache, its counter, Fastpath, Obs gauges or Loopnorm reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
