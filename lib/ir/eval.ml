@@ -65,9 +65,8 @@ let eval_binop op a b =
   | Max -> num2 max Float.max a b
 
 (* ------------------------------------------------------------------ *)
-(* Per-constructor helpers: [eval_expr], {!Memo.step} and staged code
-   all evaluate these constructors through here, so the three raise the
-   same errors. *)
+(* Per-constructor helpers: [eval_expr] and staged code both evaluate
+   these constructors through here, so the two raise the same errors. *)
 
 let lookup (env : env) (v : string) : Value.t =
   match List.assoc_opt v env with
@@ -321,15 +320,15 @@ let elements = function
   | Pairs l -> List.map (fun (k, v) -> Value.Tuple [ k; v ]) l
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline stages over bags, shared by [eval_node] and its memoized
-   mirror in {!Memo}. *)
+(* Pipeline stages over bags, shared by [eval_node] and the incremental
+   prefixes of {!Memo.stage_prefixes}. *)
 
-(** Union what [f i elt] emits for every element [elt] at index [i]. *)
-let map_bag (f : int -> Value.t -> emitted) (elts : Value.t list) : bag =
+(** Union what [f elt] emits for every element [elt]. *)
+let map_bag (f : Value.t -> emitted) (elts : Value.t list) : bag =
   let kvs = ref [] and vs = ref [] in
-  List.iteri
-    (fun i elt ->
-      match f i elt with
+  List.iter
+    (fun elt ->
+      match f elt with
       | `KV l -> kvs := List.rev_append l !kvs
       | `V l -> vs := List.rev_append l !vs)
     elts;
@@ -351,7 +350,7 @@ let dataset (datasets : (string * Value.t list) list) (d : string) :
 type staged_node = (string * Value.t list) list -> bag
 
 let map_node (src : staged_node) (f : Value.t -> emitted) : staged_node =
- fun datasets -> map_bag (fun _ elt -> f elt) (elements (src datasets))
+ fun datasets -> map_bag f (elements (src datasets))
 
 (** Fold λr over each key's group of a bag of pairs, or over the whole
     bag otherwise. *)

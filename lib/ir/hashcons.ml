@@ -1,109 +1,80 @@
-(** Hash-consing for IR expressions and summaries.
+(** Hash-consing for IR expressions.
 
-    Every structurally distinct expression (and summary) gets a stable
-    small integer id for the lifetime of one synthesis run. Ids are what
-    make the fast path cheap: memoized evaluation is keyed by
-    [(expr id, env id)], observational fingerprints are arrays of
-    interned value ids, and the CEGIS blocked set Ω ∪ Δ is a hash set of
-    construction keys — [key_of] interns the list
-    [shape tag :: component ids] each enumeration shape assembles its
-    candidate from, so no candidate is ever deep-hashed or
-    pretty-printed during the search.
+    Every structurally distinct expression gets a stable small integer
+    id for the lifetime of one synthesis run. Ids are what make the fast
+    path cheap: fingerprint cells are cached by [(expr id, probe-set
+    id)], observational fingerprints are arrays of interned value ids,
+    and the CEGIS blocked set Ω ∪ Δ is a hash set of construction keys —
+    [key_of] interns the list [shape tag :: component ids] each
+    enumeration shape assembles its candidate from, so no candidate is
+    ever deep-hashed or pretty-printed during the search.
 
     Domain-safety: all interner state is a per-domain shard
     ([Domain.DLS]), so ids are only meaningful within the domain that
     interned them — which is exactly how they are used: every id-keyed
-    cache (memoized evaluation, fingerprints, verdicts, the blocked set)
-    lives in the same domain as the interner that produced its keys.
-    Nothing is shared, so nothing needs a lock, and the single-domain
-    fast path pays only a [Domain.DLS.get] (an array read) per intern.
-    See DESIGN.md §10 for why sharding was chosen over a shared atomic
-    table.
+    cache (fingerprint cells, the blocked set) lives in the same domain
+    as the interner that produced its keys. Nothing is shared, so
+    nothing needs a lock, and the single-domain fast path pays only a
+    [Domain.DLS.get] (an array read) per intern. See DESIGN.md §10 for
+    why sharding was chosen over a shared atomic table.
 
-    Interning uses structural equality over a deep polymorphic hash
-    ([Hashtbl.hash] only examines ~10 nodes, which would collapse every
-    candidate sharing a pipeline prefix into one bucket). Float corner
-    cases: an expression containing a NaN constant is never equal to
-    itself under [(=)], so it re-interns under a fresh id each time —
-    caches miss but every id still denotes one structural class, so
-    results are unaffected (and no MiniJava suite produces NaN
-    literals).
+    Interning uses structural equality over the bounded polymorphic
+    hash ([Hashtbl.hash], which examines at most 10 meaningful words:
+    pool expressions are small). Float corner cases: an expression
+    containing a NaN constant is never equal to itself under [(=)], so
+    it re-interns under a fresh id each time — caches miss but every id
+    still denotes one structural class, so results are unaffected (and
+    no MiniJava suite produces NaN literals).
 
     [clear] empties the calling domain's tables (called at the top of
     each [find_summary] so memory stays bounded by one fragment's
     search) but never reuses ids: counters are monotonic per domain, so
     a stale id can never collide with a post-clear one. *)
 
-module type INTERNABLE = sig
-  type t
-
-  val hash : t -> int
-end
-
-module Interner (T : INTERNABLE) = struct
-  module Tbl = Hashtbl.Make (struct
-    type t = T.t
-
-    (* smart constructors hand back canonical representatives, so the
-       overwhelmingly common lookup is resolved by pointer equality *)
-    let equal (a : t) (b : t) = a == b || a = b
-    let hash = T.hash
-  end)
-
-  type shard = { tbl : (T.t * int) Tbl.t; mutable next : int }
-
-  (* small, and grown by the search that needs more: [clear] runs at the
-     top of every fragment search and [Tbl.reset] shrinks the table back
-     to this initial size, so a large one would be reallocated by every
-     search, most of which intern a few thousand values. Growth doubles,
-     so a large search rehashes each entry about once on average. *)
-  let shard : shard Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> { tbl = Tbl.create 4096; next = 0 })
-
-  let clear () = Tbl.reset (Domain.DLS.get shard).tbl
-
-  (** Canonical representative and id of [x]'s structural class, in the
-      calling domain's shard. *)
-  let intern (x : T.t) : T.t * int =
-    let s = Domain.DLS.get shard in
-    match Tbl.find_opt s.tbl x with
-    | Some entry -> entry
-    | None ->
-        let i = s.next in
-        s.next <- i + 1;
-        Tbl.add s.tbl x (x, i);
-        (x, i)
-end
-
-module E = Interner (struct
+module Tbl = Hashtbl.Make (struct
   type t = Lang.expr
 
-  (* [expr_id] runs on every memoized-eval node and every fingerprint
-     cell, so its hash must be O(1)-bounded: the default polymorphic
-     hash examines at most 10 meaningful words. Pool expressions are
-     small (≲10 nodes), so collisions are rare, and the structural
-     comparison that resolves them fails fast. *)
+  (* smart constructors hand back canonical representatives, so the
+     overwhelmingly common lookup is resolved by pointer equality *)
+  let equal (a : t) (b : t) = a == b || a = b
+
+  (* [expr_id] runs on every fingerprint cell lookup and every
+     construction key, so its hash must be O(1)-bounded: the default
+     polymorphic hash examines at most 10 meaningful words. Pool
+     expressions are small (≲10 nodes), so collisions are rare, and the
+     structural comparison that resolves them fails fast. *)
   let hash (e : t) = Hashtbl.hash e
 end)
 
-module S = Interner (struct
-  type t = Lang.summary
+type shard = { tbl : (Lang.expr * int) Tbl.t; mutable next : int }
 
-  (* runs once per enumerated candidate, so keep it bounded: 40
-     meaningful words reach the emit guards/keys/values that distinguish
-     candidates, without paying a full-tree traversal. Collisions fall
-     back to structural equality, which short-circuits on the physically
-     shared (hash-consed) subtrees. *)
-  let hash (s : t) = Hashtbl.hash_param 40 80 s
-end)
+(* small, and grown by the search that needs more: [clear] runs at the
+   top of every fragment search and [Tbl.reset] shrinks the table back
+   to this initial size, so a large one would be reallocated by every
+   search, most of which intern a few thousand expressions. Growth
+   doubles, so a large search rehashes each entry about once on
+   average. *)
+let shard : shard Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { tbl = Tbl.create 4096; next = 0 })
+
+(* canonical representative and id of [e]'s structural class, in the
+   calling domain's shard *)
+let intern (e : Lang.expr) : Lang.expr * int =
+  let s = Domain.DLS.get shard in
+  match Tbl.find_opt s.tbl e with
+  | Some entry -> entry
+  | None ->
+      let i = s.next in
+      s.next <- i + 1;
+      Tbl.add s.tbl e (e, i);
+      (e, i)
 
 (** Canonical representative of an expression: structurally equal
     expressions share one physical value, so later interning and
     comparison hit the pointer-equality fast path. *)
-let expr (e : Lang.expr) : Lang.expr = fst (E.intern e)
+let expr (e : Lang.expr) : Lang.expr = fst (intern e)
 
-let expr_id (e : Lang.expr) : int = snd (E.intern e)
-let summary_id (s : Lang.summary) : int = snd (S.intern s)
+let expr_id (e : Lang.expr) : int = snd (intern e)
 
 (* ------------------------------------------------------------------ *)
 (* Smart constructors: build interned nodes so that grammar pools,
@@ -197,8 +168,7 @@ let key_of (components : int list) : int =
       i
 
 let clear () =
-  E.clear ();
-  S.clear ();
+  Tbl.reset (Domain.DLS.get shard).tbl;
   let s = Domain.DLS.get key_shard in
   Hashtbl.reset s.emit_tbl;
   Hashtbl.reset s.key_tbl

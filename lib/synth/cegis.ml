@@ -377,12 +377,10 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
      against this snapshot of the calling domain's record are this
      search's hit/miss contribution *)
   let fc = Memo.counters () in
-  let fp0 = { fc with Memo.eval_hits = fc.Memo.eval_hits } in
+  let hits0 = fc.Memo.cell_hits and misses0 = fc.Memo.cell_misses in
   let finish ~classes ~timed_out st solutions =
-    Obs.add obs "memo_cell_hits" (fc.Memo.cell_hits - fp0.Memo.cell_hits);
-    Obs.add obs "memo_cell_misses" (fc.Memo.cell_misses - fp0.Memo.cell_misses);
-    Obs.add obs "memo_eval_hits" (fc.Memo.eval_hits - fp0.Memo.eval_hits);
-    Obs.add obs "memo_eval_misses" (fc.Memo.eval_misses - fp0.Memo.eval_misses);
+    Obs.add obs "memo_cell_hits" (fc.Memo.cell_hits - hits0);
+    Obs.add obs "memo_cell_misses" (fc.Memo.cell_misses - misses0);
     Obs.add obs "candidates_unbuilt" st.unbuilt;
     Obs.add obs "blocked_set" (Hashtbl.length st.blocked);
     let solutions = rank prog frag solutions in

@@ -36,42 +36,31 @@ let vals_list pools ~max_len ty =
    checks this against a dedup by printed strings). *)
 let emit_fingerprint (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) :
     Memo.fp =
-  let ps = pools.G.cprobes in
   (* every class re-proposes combinations of the same pool components:
-     cache the computed cells per (guard, key, value) id triple *)
-  let ckey =
-    let gid = match guard with None -> -1 | Some g -> H.expr_id g in
-    match payload with
-    | Ir.KV (k, v) -> (gid, H.expr_id k, H.expr_id v)
-    | Ir.Val v -> (gid, -2, H.expr_id v)
+     interleave their cached cell arrays *)
+  let ps = pools.G.cprobes in
+  let fired =
+    match guard with
+    | None -> fun _ -> true
+    | Some g ->
+        let f = Memo.fires ps g in
+        fun i -> f.(i)
   in
-  match Hashtbl.find_opt (Memo.emit_fp_tbl ()) ckey with
-  | Some a -> a
-  | None ->
-      (* a miss interleaves the components' cached cell arrays *)
-      let fired =
-        match guard with
-        | None -> fun _ -> true
-        | Some g ->
-            let f = Memo.fires ps g in
-            fun i -> f.(i)
-      in
-      let key_cell, vc =
-        match payload with
-        | Ir.KV (k, v) ->
-            let kc = Memo.cells ps k in
-            ((fun i -> kc.(i)), Memo.cells ps v)
-        | Ir.Val v -> ((fun _ -> -2), Memo.cells ps v)
-      in
-      let n = Array.length vc in
-      let a = Array.make (2 * n) (-1) in
-      for i = 0 to n - 1 do
-        if fired i then (
-          a.(2 * i) <- key_cell i;
-          a.((2 * i) + 1) <- vc.(i))
-      done;
-      Hashtbl.add (Memo.emit_fp_tbl ()) ckey a;
-      a
+  let key_cell, vc =
+    match payload with
+    | Ir.KV (k, v) ->
+        let kc = Memo.cells ps k in
+        ((fun i -> kc.(i)), Memo.cells ps v)
+    | Ir.Val v -> ((fun _ -> -2), Memo.cells ps v)
+  in
+  let n = Array.length vc in
+  let a = Array.make (2 * n) (-1) in
+  for i = 0 to n - 1 do
+    if fired i then (
+      a.(2 * i) <- key_cell i;
+      a.((2 * i) + 1) <- vc.(i))
+  done;
+  a
 
 (** Observational dedup of emit candidates, capped at [limit] survivors.
     The cap is applied *during* filtering: once [limit] distinct emits

@@ -127,7 +127,8 @@ type pools = {
   strings : Ir.expr list;
   probes : probe;
   cprobes : Memo.probe_set;
-      (** [probes], wrapped once: the key of their fingerprint cells *)
+      (** [probes] under one probe-set id: the key of their fingerprint
+          cells *)
   ops : Ir.binop list;
   structs : (string * (string * Ir.ty) list) list;
   harvested : (Ir.expr, unit) Hashtbl.t;

@@ -379,8 +379,6 @@ type prefix_cell =
 
 type prepared_state = {
   p_entry : env;
-  p_cenv : Casper_ir.Memo.cenv;
-      (** [p_entry] wrapped once, keying the memoized emit evaluations *)
   p_shapes : (string * Eval.out_shape) list;
   p_init_lens : (string, int) Hashtbl.t;
       (** length of each array output's initial value in [p_entry] *)
@@ -492,7 +490,6 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
   in
   {
     p_entry = entry;
-    p_cenv = Casper_ir.Memo.wrap entry;
     p_shapes = shapes_of frag;
     p_init_lens = Hashtbl.create 4;
     p_outer = outer;
@@ -522,7 +519,7 @@ let init_len (ps : prepared_state) (var : string) (l : Value.t list) : int =
     decided. When it is [false], every summary that differs from this one
     only in its λrs gets the same result on this state: the prefixes up
     to the deciding one produce the same bags for all of them (see
-    {!Casper_ir.Memo.stage_pipeline}). *)
+    {!Casper_ir.Memo.stage_prefixes}). *)
 let check_prepared (frag : F.t) (summary : Ir.summary)
     (ps : prepared_state) : check_result * bool =
   let lr_ran = ref false in
@@ -532,7 +529,7 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
     | Ok n -> (
         let cells = Lazy.force ps.p_cells in
         let run =
-          Casper_ir.Memo.stage_prefixes ~lr_ran ps.p_cenv summary.Ir.pipeline
+          Casper_ir.Memo.stage_prefixes ~lr_ran ps.p_entry summary.Ir.pipeline
         in
         let rec go k =
           if k > n then Holds

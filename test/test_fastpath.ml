@@ -1,16 +1,14 @@
 (** Tests for the synthesis fast path: hash-consed ids, construction
-    keys, memoized evaluation, fingerprint dedup and the cell caches.
-    Each mechanism is checked against a plain reference of its own
-    (memoized eval against [Eval.eval_expr], id fingerprints against
-    printed strings); [synth.golden] and [verify.incremental] check the
-    search they make up. *)
+    keys, fingerprint dedup and the cell cache. Each mechanism is
+    checked against a plain reference of its own (id fingerprints
+    against printed strings); [synth.golden] and [verify.incremental]
+    check the search they make up. *)
 
 module Ir = Casper_ir.Lang
 module H = Casper_ir.Hashcons
 module Memo = Casper_ir.Memo
 module Eval = Casper_ir.Eval
 module An = Casper_analysis.Analyze
-module F = Casper_analysis.Fragment
 module G = Casper_synth.Grammar
 module Cegis = Casper_synth.Cegis
 module Enumerate = Casper_synth.Enumerate
@@ -34,21 +32,6 @@ let test_expr_ids () =
   check_int "smart-constructed and raw exprs share an id" (H.expr_id s1)
     (H.expr_id a)
 
-let test_summary_ids () =
-  let mk v =
-    {
-      Ir.pipeline =
-        Ir.Reduce
-          ( Ir.Data "d",
-            { Ir.r_left = "v1"; r_right = "v2"; r_body = Ir.Var v } );
-      bindings = [ ("s", Ir.Proj None) ];
-    }
-  in
-  check_int "equal summaries share an id" (H.summary_id (mk "v1"))
-    (H.summary_id (mk "v1"));
-  check "distinct summaries get distinct ids" true
-    (H.summary_id (mk "v1") <> H.summary_id (mk "v2"))
-
 let test_emit_and_construction_keys () =
   let v = Ir.Var "v" in
   let e_val = { Ir.guard = None; payload = Ir.Val v } in
@@ -65,12 +48,11 @@ let test_emit_and_construction_keys () =
   check "different component lists get different keys" true
     (H.key_of [ 1; 2; 3 ] <> H.key_of [ 1; 2 ])
 
-(* ---------------- memoized eval == plain eval ---------------- *)
+(* ---------------- id stability ---------------- *)
 
-(* random well-typed integer expressions over x, y — arithmetic the
-   evaluator cannot fault on (no division, no floats), conditionals on
-   integer comparisons and on their conjunctions, disjunctions and
-   negations, so the memoized short-circuits are exercised *)
+(* random well-typed integer expressions over x, y: arithmetic,
+   conditionals on integer comparisons and on their conjunctions,
+   disjunctions and negations *)
 let gen_expr : Ir.expr QCheck.Gen.t =
   let open QCheck.Gen in
   sized @@ fix (fun self n ->
@@ -106,9 +88,6 @@ let gen_expr : Ir.expr QCheck.Gen.t =
             map3 (fun c t e -> Ir.If (c, t, e)) cond sub sub;
           ])
 
-let expr_arb =
-  QCheck.make ~print:(Fmt.str "%a" Ir.pp_expr) gen_expr
-
 (* Ids must survive a save/clear/re-intern cycle without collisions:
    [H.clear] empties the tables but never rewinds the counters, so a
    stale id saved before the clear can never alias a fresh one, and
@@ -139,17 +118,6 @@ let test_ids_stable_across_clear () =
   check "post-clear ids never collide with saved ids" true
     (List.for_all (fun id -> id > max_before) ids2);
   check_partition ids2
-
-let memo_eval_matches_plain =
-  QCheck.Test.make ~name:"memoized eval equals plain eval" ~count:500
-    (QCheck.triple expr_arb QCheck.small_int QCheck.small_int)
-    (fun (e, x, y) ->
-      let env = [ ("x", Value.Int x); ("y", Value.Int y) ] in
-      let cv = Memo.wrap env in
-      let plain = Eval.eval_expr env e in
-      Value.equal (Memo.meval cv e) plain
-      (* a second evaluation exercises the memo-hit path *)
-      && Value.equal (Memo.meval cv e) plain)
 
 (* ---------------- observational dedup ---------------- *)
 
@@ -189,8 +157,7 @@ let printed_behaviour (pools : G.pools) ({ Ir.guard; payload } : Ir.emit) =
   in
   Array.to_list
     (Array.map
-       (fun (cv : Memo.cenv) ->
-         let env = cv.Memo.env in
+       (fun env ->
          let fires =
            match guard with
            | None -> true
@@ -288,41 +255,18 @@ let test_cells_keyed_by_probe_set () =
   check_int "clear empties the cache" 1 (misses () - m1);
   check "cells recomputed after clear are fresh arrays" true (a1' != a1)
 
-(* PCA/colMeans iterates a matrix: the memoized map binds each record's
-   environment once per state, so most evaluations on its later
-   prefixes are memo hits (before records were shared across prefixes,
-   misses outnumbered hits four to one) *)
-let test_matrix_search_hits_memo () =
-  let b = Casper_suites.Registry.find_benchmark "PCA" in
-  let prog = Minijava.Parser.parse_program b.source in
-  let frag =
-    List.find
-      (fun (f : F.t) -> String.equal f.F.frag_id "colMeans#0")
-      (An.fragments_of_program prog ~suite:b.suite ~benchmark:b.name)
-  in
-  let obs = Casper_obs.Obs.create () in
-  ignore (Cegis.find_summary ~obs prog frag);
-  let hits = Casper_obs.Obs.total obs "memo_eval_hits"
-  and misses = Casper_obs.Obs.total obs "memo_eval_misses" in
-  check (Fmt.str "%d memo hits > %d misses" hits misses) true (hits > misses)
-
 (* ---------------- suite ---------------- *)
-
-let qsuite name tests =
-  (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suite =
   [
     ( "fastpath.ids",
       [
         Alcotest.test_case "expression interning" `Quick test_expr_ids;
-        Alcotest.test_case "summary interning" `Quick test_summary_ids;
         Alcotest.test_case "emit ids and construction keys" `Quick
           test_emit_and_construction_keys;
         Alcotest.test_case "ids stable across clear" `Quick
           test_ids_stable_across_clear;
       ] );
-    qsuite "fastpath.eval.props" [ memo_eval_matches_plain ];
     ( "fastpath.dedup",
       [
         Alcotest.test_case "cap applies during filtering" `Quick
@@ -334,7 +278,5 @@ let suite =
       [
         Alcotest.test_case "keyed by probe set, emptied by clear" `Quick
           test_cells_keyed_by_probe_set;
-        Alcotest.test_case "matrix search reuses element envs" `Quick
-          test_matrix_search_hits_memo;
       ] );
   ]

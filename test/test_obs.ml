@@ -161,7 +161,7 @@ let wordcount_shape =
    typecheck\n\
    analysis[fragments,unsupported_fragments]\n\
    fragment\n\
-  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses]\n\
+  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses]\n\
   \    grammar\n\
   \    class\n\
   \      round[candidates]\n\
@@ -183,7 +183,7 @@ let mean_shape =
    typecheck\n\
    analysis[fragments,unsupported_fragments]\n\
    fragment\n\
-  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses]\n\
+  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses]\n\
   \    grammar\n\
   \    class\n\
   \      round\n\
@@ -202,7 +202,7 @@ let q6_shape =
    typecheck\n\
    analysis[fragments,unsupported_fragments]\n\
    fragment\n\
-  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses,memo_eval_hits,memo_eval_misses]\n\
+  \  synthesis[blocked_set,candidates_unbuilt,memo_cell_hits,memo_cell_misses]\n\
   \    grammar\n\
   \    class\n\
   \      round\n\

@@ -126,9 +126,16 @@ let test_datasets_at_matrix () =
   let all = Vc.datasets_at prog frag entry 2 in
   Alcotest.(check int) "all records" 4 (List.length (snd (List.hd all)))
 
-(* SArrays and SMatrix prefixes share their records: a prepared state
-   builds each record once, so the element environments the memoized
-   map binds for prefix k extend to prefix k + 1 *)
+(* [xs] is physically the first records of [ys] *)
+let rec begins_physically (xs : Value.t list) (ys : Value.t list) : bool =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs', y :: ys' -> x == y && begins_physically xs' ys'
+  | _ :: _, [] -> false
+
+(* SArrays and SMatrix prefixes share their records: [Vc.datasets_at]
+   builds each record once per prepared state, so prefix k + 1 does not
+   rebuild the records of prefix k *)
 let test_prefix_records_shared () =
   let prefix_records (ps : Vc.prepared_state) =
     Array.to_list
@@ -150,7 +157,7 @@ let test_prefix_records_shared () =
       (List.fold_left
          (fun prev recs ->
            check (what ^ ": prefix k's records begin prefix k + 1") true
-             (Casper_ir.Memo.phys_prefix prev recs
+             (begins_physically prev recs
              && List.length recs > List.length prev);
            recs)
          (List.hd prefixes) (List.tl prefixes))
@@ -699,6 +706,129 @@ let test_incremental_cases () =
   Alcotest.check result "a map over a map" Vc.Holds
     (incremental_case "fallback" twice [ 1; 2; 3 ])
 
+(* ---------------- prefix folds against the staged reference -------------- *)
+
+(* integer expressions over [vars] (over the first component of a
+   record too, when [proj]), with [Div] and [Mod] so that evaluation can
+   raise *)
+let gen_arith ?(proj = false) (vars : string list) : Ir.expr QCheck.Gen.t =
+  let open QCheck.Gen in
+  let var = oneofl (List.map (fun v -> Ir.Var v) vars) in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [
+               (4, var);
+               ((if proj then 2 else 0), map (fun v -> Ir.TupleGet (v, 0)) var);
+               (3, map (fun i -> Ir.CInt i) (int_range (-1) 3));
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           let sub = self (n / 2) in
+           frequency
+             [
+               (1, leaf);
+               ( 3,
+                 map3
+                   (fun op x y -> Ir.Binop (op, x, y))
+                   (frequency
+                      [
+                        (3, oneofl [ Ir.Add; Ir.Sub; Ir.Mul ]);
+                        (1, oneofl [ Ir.Div; Ir.Mod ]);
+                      ])
+                   sub sub );
+               ( 1,
+                 map3
+                   (fun c t e -> Ir.If (Ir.Binop (Ir.Lt, c, Ir.CInt 1), t, e))
+                   sub sub sub );
+             ])
+
+(* λm over [x], or over [x] and [y]: guarded or not, all pairs or all
+   plain values, now and then a mix *)
+let gen_lam_m : Ir.lam_m QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* m_params = oneofl [ [ "x" ]; [ "x"; "y" ] ] in
+  let e = gen_arith ~proj:(List.length m_params = 1) m_params in
+  let* kind = frequency [ (2, return `KV); (2, return `V); (1, return `Mix) ] in
+  let emit =
+    let* guard =
+      option ~ratio:0.4 (map (fun g -> Ir.Binop (Ir.Lt, g, Ir.CInt 2)) e)
+    in
+    let kv = map2 (fun k v -> Ir.KV (k, v)) e e
+    and v = map (fun v -> Ir.Val v) e in
+    let+ payload =
+      match kind with `KV -> kv | `V -> v | `Mix -> oneof [ kv; v ]
+    in
+    { Ir.guard; payload }
+  in
+  let+ emits = list_size (int_range 1 3) emit in
+  { Ir.m_params; emits }
+
+let gen_lam_r : Ir.lam_r QCheck.Gen.t =
+  QCheck.Gen.map
+    (fun r_body -> { Ir.r_left = "v1"; r_right = "v2"; r_body })
+    (gen_arith [ "v1"; "v2" ])
+
+(* ints and tuples of arity 1-3, so a two-parameter λm binds some
+   records and not others *)
+let gen_record : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let int = map (fun i -> Value.Int i) (int_range (-1) 4) in
+  let tuple n = map (fun l -> Value.Tuple l) (list_repeat n int) in
+  frequency [ (2, int); (3, tuple 2); (1, tuple 1); (1, tuple 3) ]
+
+(* a map, reduce∘map or map∘reduce∘map over dataset [d], its records
+   and the sizes of the units they arrive in *)
+let gen_fold_case =
+  let open QCheck.Gen in
+  let src = map (fun lm -> Ir.Map (Ir.Data "d", lm)) gen_lam_m in
+  let* pipeline =
+    oneof
+      [
+        src;
+        map2 (fun m lr -> Ir.Reduce (m, lr)) src gen_lam_r;
+        map3 (fun m lr post -> Ir.Map (Ir.Reduce (m, lr), post)) src gen_lam_r
+          gen_lam_m;
+      ]
+  in
+  triple (return pipeline)
+    (list_size (int_range 0 8) gen_record)
+    (list_size (int_range 1 8) (int_range 1 3))
+
+let print_fold_case (pipeline, records, units) =
+  Fmt.str "%a@.records %s@.units %s" Ir.pp_node pipeline
+    (Value.to_string (Value.List records))
+    (String.concat " " (List.map string_of_int units))
+
+(* [Memo.stage_prefixes] run as [Vc.check_prepared] runs it, on prefixes
+   that grow unit by unit, stopping at the first exception: at each
+   prefix, the same bag or the same exception as [Eval.stage_node]
+   staged from scratch, and the same [lr_ran] over the prefixes so far *)
+let prefix_folds_match_staged =
+  QCheck.Test.make ~name:"prefix folds equal the staged reference" ~count:20_000
+    (QCheck.make ~print:print_fold_case gen_fold_case)
+    (fun (pipeline, records, units) ->
+      let inc_ran = ref false and ref_ran = ref false in
+      let run = Casper_ir.Memo.stage_prefixes ~lr_ran:inc_ran [] pipeline in
+      let n = List.length records in
+      let rec walk k units =
+        let datasets = [ ("d", List.filteri (fun i _ -> i < k) records) ] in
+        let got = outcome (fun () -> run datasets) in
+        let want =
+          outcome (fun () ->
+              Casper_ir.Eval.stage_node ~lr_ran:ref_ran [] pipeline datasets)
+        in
+        got = want && !inc_ran = !ref_ran
+        && (Result.is_error got || k >= n
+           ||
+           match units with
+           | u :: us -> walk (min n (k + u)) us
+           | [] -> walk n [])
+      in
+      walk 0 units)
+
 let suite =
   [
     ( "verify.incremental",
@@ -706,6 +836,8 @@ let suite =
         Alcotest.test_case "targeted cases" `Quick test_incremental_cases;
         Alcotest.test_case "Table 2: first 200 candidates" `Slow
           test_incremental_table2;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+          prefix_folds_match_staged;
       ] );
     ( "verify.phases",
       [

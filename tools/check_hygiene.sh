@@ -205,6 +205,18 @@ if grep -rnE "$memos" lib bin bench test examples; then
   fail=1
 fi
 
+# One evaluator: the search evaluates the IR through Eval only. Memo's
+# memoized evaluator with its wrapped envs, the element-env cache, the
+# emit-fingerprint cache, the summary interner and the counters only
+# they fed are gone.
+evals='\b(meval|cenv|map_elt_envs|elt_envs_tbl|apply_lam_m_c|stage_pipeline)\b'
+evals="$evals"'|\b(phys_prefix|emit_fp_tbl|memo_eval_hits|memo_eval_misses)\b'
+evals="$evals"'|\b(summary_id|p_cenv)\b'
+if grep -rnE "$evals" lib bin bench test examples; then
+  echo "a deleted memoized evaluator, its caches or its counters reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
