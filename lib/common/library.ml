@@ -13,7 +13,10 @@ open Value
 
 exception Unknown_method of string
 
-(** Parse "YYYY-MM-DD" into a monotone day count; raises
+(** The monotone day count of year [y], month [m], day [d]. *)
+let day_count y m d = (y * 372) + (m * 31) + d
+
+(** Parse "YYYY-MM-DD" into its {!day_count}; raises
     {!Value.Type_error} on a malformed literal. *)
 let parse_date s =
   let part p =
@@ -22,7 +25,7 @@ let parse_date s =
     | None -> terr "Util.parseDate: malformed date literal %S" s
   in
   match String.split_on_char '-' s with
-  | [ y; m; d ] -> (part y * 372) + (part m * 31) + part d
+  | [ y; m; d ] -> day_count (part y) (part m) (part d)
   | _ -> terr "Util.parseDate: malformed date literal %S" s
 
 let num2 f g a b =

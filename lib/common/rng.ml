@@ -9,9 +9,12 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
+(* the state's increment per draw *)
+let gamma = 0x9E3779B97F4A7C15L
+
 let next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
+  t.state <- add t.state gamma;
   let z = t.state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -20,6 +23,10 @@ let next_int64 t =
 let split t =
   let s = next_int64 t in
   { state = s }
+
+(** Advance [t] past [k] draws of {!next_int64} in O(1), leaving it as
+    [k] draws would: each draw adds [gamma] to the state. *)
+let skip t k = t.state <- Int64.add t.state (Int64.mul (Int64.of_int k) gamma)
 
 (** Uniform int in [0, bound). [bound] must be positive. *)
 let int t bound =
@@ -60,21 +67,31 @@ let shuffle t l =
 
 (** Zipf-like skewed choice over [0, n): rank r with weight 1/(r+1)^s.
     Used to generate skewed key distributions for the dynamic-tuning
-    experiments (§7.4). *)
-let zipf t ~n ~s =
+    experiments (§7.4). [zipf ~n ~s] builds the weight table once and
+    returns the sampler; each draw costs one {!float} and O(log n)
+    comparisons, and returns the rank a linear scan of the running
+    weight sums would: the first [i <= n - 2] whose sum exceeds the
+    scaled draw, else [n - 1]. *)
+let zipf ~n ~s =
   if n <= 0 then invalid_arg "Rng.zipf";
   let weights =
     Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) s)
   in
   let total = Array.fold_left ( +. ) 0.0 weights in
-  let x = float t *. total in
-  let rec go i acc =
-    if i >= n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.0
+  (* running sums, added left to right like the scan: nondecreasing, so
+     [x < cum.(i)] turns true at most once as [i] grows *)
+  let cum = Array.copy weights in
+  for i = 1 to n - 1 do
+    cum.(i) <- cum.(i - 1) +. weights.(i)
+  done;
+  fun t ->
+    let x = float t *. total in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if x < cum.(mid) then hi := mid else lo := mid + 1
+    done;
+    !lo
 
 (** A lowercase ASCII word of length in [min_len, max_len]. *)
 let word t ~min_len ~max_len =

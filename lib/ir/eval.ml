@@ -323,6 +323,10 @@ let elements = function
 (* Pipeline stages over bags, shared by [eval_node] and the incremental
    prefixes of {!Memo.stage_prefixes}. *)
 
+(** The error of a map whose records emitted both pairs and plain
+    values; [Memo]'s prefix fold raises it too. *)
+let mixed_shapes () = err "map emits mixed shapes across records"
+
 (** Union what [f elt] emits for every element [elt]. *)
 let map_bag (f : Value.t -> emitted) (elts : Value.t list) : bag =
   let kvs = ref [] and vs = ref [] in
@@ -336,7 +340,7 @@ let map_bag (f : Value.t -> emitted) (elts : Value.t list) : bag =
   | [], [] -> Pairs []
   | kvs, [] -> Pairs kvs
   | [], vs -> Vals vs
-  | _ -> err "map emits mixed shapes across records"
+  | _ -> mixed_shapes ()
 
 let dataset (datasets : (string * Value.t list) list) (d : string) :
     Value.t list =

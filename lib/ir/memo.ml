@@ -210,11 +210,6 @@ type group = {
   mutable g_new : Value.t list;  (** the current unit's values, newest first *)
 }
 
-(* [Eval.map_bag]'s error: records emitted both pairs and plain values.
-   The targeted cases of verify.incremental pin the two messages equal. *)
-let mixed_shapes () =
-  raise (Eval.Eval_error "map emits mixed shapes across records")
-
 (* [Map (Data d, lm)], reduced by [lr] when given *)
 let prefix_fold ~(lr_ran : bool ref) (env : Eval.env) (d : string)
     (lm : lam_m) (lr : lam_r option) : Eval.staged_node =
@@ -253,9 +248,11 @@ let prefix_fold ~(lr_ran : bool ref) (env : Eval.env) (d : string)
         | [], [] -> Eval.Pairs []
         | kvs, [] -> Eval.Pairs (List.rev kvs)
         | [], vs -> Eval.Vals (List.rev vs)
-        | _ -> mixed_shapes ())
+        | _ -> Eval.mixed_shapes ())
     | Some f -> (
-        (match (!kvs, !vs) with _ :: _, _ :: _ -> mixed_shapes () | _ -> ());
+        (match (!kvs, !vs) with
+        | _ :: _, _ :: _ -> Eval.mixed_shapes ()
+        | _ -> ());
         let touched = ref [] in
         List.iter
           (fun (k, v) ->

@@ -32,13 +32,17 @@ Map<String, Integer> pagecount(List<PageView> log) {
 |}
     "pagecount"
     (fun rng ~n ->
+      let pages = Array.init 200 (Fmt.str "page%03d") in
+      let rank = Rng.zipf ~n:200 ~s:1.1 in
       [
         ( "log",
+          (* list elements are evaluated right to left: [views] is drawn
+             before [page], and reordering the fields changes the input *)
           W.structs rng ~n (fun rng ->
               Value.Struct
                 ( "PageView",
                   [
-                    ("page", Value.Str (Fmt.str "page%03d" (Rng.zipf rng ~n:200 ~s:1.1)));
+                    ("page", Value.Str pages.(rank rng));
                     ("views", Value.Int (Rng.int_range rng 1 50));
                   ] )) );
       ])

@@ -22,8 +22,8 @@ class LineItem {
 |}
 
 let db_env rng ~n =
-  let db = Tpch.Gen.generate ~seed:(Rng.int rng 1000000) ~lineitems:n () in
-  [ ("lineitem", Value.List db.Tpch.Gen.lineitem) ]
+  let seed = Rng.int rng 1000000 in
+  [ ("lineitem", Value.List (Tpch.Gen.lineitems ~seed ~n ())) ]
 
 let b ?(sample = 8_000) name source main gen : Suite.benchmark =
   {

@@ -4,7 +4,9 @@
     25/50/75 GB with controllable skew (§7.2, §7.4); these helpers
     produce the in-memory samples that stand in for them, with the same
     knobs: record count, match probability, key skew. All generation is
-    deterministic given the RNG seed. *)
+    deterministic given the RNG seed. Each generator does constant work
+    per record: what every record draws from, such as the Zipf sampler
+    and the word dictionary of {!words}, is built once per call. *)
 
 module Value = Casper_common.Value
 module Rng = Casper_common.Rng
@@ -29,12 +31,9 @@ let float_matrix rng ~rows ~cols ~lo ~hi =
 (** Words drawn from a vocabulary of [vocab] distinct words with
     Zipf-like skew [s] (s = 0 → uniform). *)
 let words rng ~n ~vocab ~skew =
-  let dict =
-    Array.init vocab (fun i -> Fmt.str "w%04d" i)
-  in
-  Value.List
-    (List.init n (fun _ ->
-         Value.Str dict.(Rng.zipf rng ~n:vocab ~s:skew)))
+  let dict = Array.init vocab (fun i -> Fmt.str "w%04d" i) in
+  let rank = Rng.zipf ~n:vocab ~s:skew in
+  Value.List (List.init n (fun _ -> Value.Str dict.(rank rng)))
 
 (** Word stream where a fraction [p1] matches [key1] and [p2] matches
     [key2] (the StringMatch skew datasets of §7.4). *)

@@ -14,7 +14,7 @@ let date rng =
   let y = 1992 + Rng.int rng 7 in
   let m = 1 + Rng.int rng 12 in
   let d = 1 + Rng.int rng 28 in
-  Library.parse_date (Fmt.str "%04d-%02d-%02d" y m d)
+  Library.day_count y m d
 
 let brands = [| "Brand#12"; "Brand#23"; "Brand#34"; "Brand#45"; "Brand#55" |]
 
@@ -44,8 +44,9 @@ let part rng ~key : Value.t =
     ( "Part",
       [
         ("p_partkey", Value.Int key);
-        ("p_brand", Value.Str (Rng.pick rng (Array.to_list brands)));
-        ("p_container", Value.Str (Rng.pick rng (Array.to_list containers)));
+        ("p_brand", Value.Str brands.(Rng.int rng (Array.length brands)));
+        ( "p_container",
+          Value.Str containers.(Rng.int rng (Array.length containers)) );
         ("p_retailprice", Value.Float (Rng.float_range rng 900.0 2000.0));
       ] )
 
@@ -75,20 +76,45 @@ type db = {
   partsupp : Value.t list;
 }
 
+let sizes lineitems = (max 8 (lineitems / 30), max 4 (lineitems / 300))
+
+let lineitem_rows rng ~n ~parts ~suppliers =
+  List.init n (fun _ -> lineitem rng ~parts ~suppliers)
+
 (** Generate a database with ~[lineitems] lineitem rows (the other
     relations scale with TPC-H's ratios). *)
 let generate ?(seed = 7) ~(lineitems : int) () : db =
   let rng = Rng.create seed in
-  let parts = max 8 (lineitems / 30) in
-  let suppliers = max 4 (lineitems / 300) in
+  let parts, suppliers = sizes lineitems in
+  (* lineitem is drawn last, after the rows [lineitems] skips *)
+  let partsupp =
+    List.init (parts * 2) (fun _ -> partsupp rng ~parts ~suppliers)
+  in
+  let supplier = List.init suppliers (fun i -> supplier rng ~key:(i + 1)) in
+  let part = List.init parts (fun i -> part rng ~key:(i + 1)) in
   {
-    lineitem =
-      List.init lineitems (fun _ -> lineitem rng ~parts ~suppliers);
-    part = List.init parts (fun i -> part rng ~key:(i + 1));
-    supplier = List.init suppliers (fun i -> supplier rng ~key:(i + 1));
-    partsupp =
-      List.init (parts * 2) (fun _ -> partsupp rng ~parts ~suppliers);
+    lineitem = lineitem_rows rng ~n:lineitems ~parts ~suppliers;
+    part;
+    supplier;
+    partsupp;
   }
+
+(* the Rng draws of one partsupp, supplier and part row; the
+   baselines.tpch "generator shape" test holds [lineitems] to [generate] *)
+let partsupp_draws = 4
+let supplier_draws = 1
+let part_draws = 3
+
+(** [(generate ?seed ~lineitems:n ()).lineitem] without building the
+    other relations: it skips their draws. *)
+let lineitems ?(seed = 7) ~n () : Value.t list =
+  let rng = Rng.create seed in
+  let parts, suppliers = sizes n in
+  Rng.skip rng
+    ((parts * 2 * partsupp_draws)
+    + (suppliers * supplier_draws)
+    + (parts * part_draws));
+  lineitem_rows rng ~n ~parts ~suppliers
 
 let datasets (db : db) : (string * Value.t list) list =
   [

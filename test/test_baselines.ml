@@ -127,6 +127,9 @@ let test_tpch_gen_shape () =
   let db = Tpch.Gen.generate ~seed:1 ~lineitems:500 () in
   check_int "lineitems" 500 (List.length db.Tpch.Gen.lineitem);
   check "parts nonempty" true (List.length db.Tpch.Gen.part > 0);
+  check "lineitems alone equal generate's" true
+    (List.equal Value.equal db.Tpch.Gen.lineitem
+       (Tpch.Gen.lineitems ~seed:1 ~n:500 ()));
   List.iter
     (fun l ->
       let q = Value.as_int (Value.field "l_quantity" l) in

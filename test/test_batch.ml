@@ -264,11 +264,9 @@ let test_grouped_output_sorted () =
     (keys = List.init 10 (fun i -> Value.Int (i + 1)));
   check_int "all keys present" 10 (List.length keys)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suite =
   [
-    qsuite "batch.props"
+    Testenv.qsuite "batch.props"
       [
         prop_flat_map;
         prop_filter;

@@ -328,7 +328,7 @@ let test_cache_disabled_golden () =
 let suite =
   [
     ( "cache.matrix",
-      [ QCheck_alcotest.to_alcotest prop_cache_matrix ] );
+      [ Testenv.qcheck prop_cache_matrix ] );
     ( "cache.unit",
       [
         Alcotest.test_case "LRU eviction order" `Quick test_lru_order;

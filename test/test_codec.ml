@@ -218,8 +218,6 @@ let test_malformed () =
    | exception Codec.Codec_error _ -> ()
    | _ -> Alcotest.fail "frame length/payload mismatch accepted")
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suite =
   [
     ( "codec.golden",
@@ -229,7 +227,7 @@ let suite =
         Alcotest.test_case "header" `Quick test_header;
         Alcotest.test_case "malformed input" `Quick test_malformed;
       ] );
-    qsuite "codec.props"
+    Testenv.qsuite "codec.props"
       [
         prop_round_trip;
         prop_size_exact;

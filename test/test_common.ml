@@ -233,8 +233,80 @@ let prop_zipf_bounds =
     QCheck.(pair small_int (int_range 1 50))
     (fun (seed, n) ->
       let rng = Rng.create seed in
-      let v = Rng.zipf rng ~n ~s:1.0 in
+      let v = Rng.zipf ~n ~s:1.0 rng in
       v >= 0 && v < n)
+
+(* [Rng.zipf]'s reference: the linear scan of the running weight sums
+   that its table search replaces *)
+let zipf_scan ~n ~s =
+  let weights =
+    Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) s)
+  in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  fun rng ->
+    let x = Rng.float rng *. total in
+    let rec go i acc =
+      if i >= n - 1 then i
+      else
+        let acc = acc +. weights.(i) in
+        if x < acc then i else go (i + 1) acc
+    in
+    go 0 0.0
+
+(* a generator whose next [Rng.float] is [k /. 2^53]: splitmix64's
+   output mix is a bijection, so undo it *)
+let rng_drawing k =
+  let open Int64 in
+  let unshift y by =
+    let x = ref y in
+    for _ = 1 to 64 / by + 1 do
+      x := logxor y (shift_right_logical !x by)
+    done;
+    !x
+  in
+  let inverse c =
+    let x = ref c in
+    for _ = 1 to 5 do
+      x := mul !x (sub 2L (mul c !x))
+    done;
+    !x
+  in
+  let z = shift_left (of_int k) 11 in
+  let z = mul (unshift z 31) (inverse 0x94D049BB133111EBL) in
+  let z = mul (unshift z 27) (inverse 0xBF58476D1CE4E5B9L) in
+  { Rng.state = sub (unshift z 30) Rng.gamma }
+
+let test_zipf_matches_scan () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun s ->
+          let rank = Rng.zipf ~n ~s and scan = zipf_scan ~n ~s in
+          List.iter
+            (fun seed ->
+              let a = Rng.create seed and b = Rng.create seed in
+              for k = 1 to 10_000 do
+                let got = rank a and want = scan b in
+                if got <> want then
+                  Alcotest.failf "n=%d s=%g seed %d draw %d: %d, scan %d" n s
+                    seed k got want
+              done)
+            [ 1; 2; 3 ])
+        [ 0.0; 0.5; 1.0; 1.1; 2.0 ])
+    [ 1; 2; 3; 200; 500; 5000 ];
+  (* a draw landing exactly on a running sum goes to the next rank:
+     with s = 0 the sums are 1, 2, ..., so x = u * n ties at u = j / n *)
+  let half = 1 lsl 52 and quarter = 1 lsl 51 in
+  List.iter
+    (fun (n, k) ->
+      check_int "crafted draw" k
+        (Int64.to_int
+           (Int64.shift_right_logical (Rng.next_int64 (rng_drawing k)) 11));
+      check_int
+        (Fmt.str "n=%d tie at %d/2^53" n k)
+        (zipf_scan ~n ~s:0.0 (rng_drawing k))
+        (Rng.zipf ~n ~s:0.0 (rng_drawing k)))
+    [ (2, half); (4, quarter); (4, half); (4, 3 * quarter) ]
 
 let test_bernoulli_extremes () =
   let rng = Rng.create 1 in
@@ -347,8 +419,6 @@ let test_tablefmt () =
        (String.split_on_char '\n' s));
   check_str "fx formats" "2.5x" (T.fx 2.54)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suite =
   [
     ( "common.value",
@@ -360,7 +430,7 @@ let suite =
         Alcotest.test_case "hash reads every component" `Quick
           test_hash_reads_every_component;
       ] );
-    qsuite "common.value.props"
+    Testenv.qsuite "common.value.props"
       [
         prop_compare_refl;
         prop_compare_antisym;
@@ -372,14 +442,16 @@ let suite =
       ];
     ( "common.multiset",
       [ Alcotest.test_case "group_by_key" `Quick test_group_by_key ] );
-    qsuite "common.multiset.props"
+    Testenv.qsuite "common.multiset.props"
       [ prop_bag_equal_shuffle; prop_group_preserves_count ];
     ( "common.rng",
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
         Alcotest.test_case "bernoulli extremes" `Quick test_bernoulli_extremes;
+        Alcotest.test_case "zipf table equals the scan" `Quick
+          test_zipf_matches_scan;
       ] );
-    qsuite "common.rng.props" [ prop_rng_bounds; prop_zipf_bounds ];
+    Testenv.qsuite "common.rng.props" [ prop_rng_bounds; prop_zipf_bounds ];
     ( "common.library",
       [
         Alcotest.test_case "math models" `Quick test_library_math;

@@ -220,5 +220,5 @@ let suite =
           test_dominance_corner_ties;
       ] );
     ( "cost.props",
-      List.map QCheck_alcotest.to_alcotest [ prop_cost_monotone_in_n ] );
+      [ Testenv.qcheck prop_cost_monotone_in_n ] );
   ]

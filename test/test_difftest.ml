@@ -264,5 +264,5 @@ let suite =
           test_shrinker_keeps_failing_input_well_formed;
       ] );
     ( "difftest.obs",
-      [ QCheck_alcotest.to_alcotest qcheck_tracing_transparent ] );
+      [ Testenv.qcheck qcheck_tracing_transparent ] );
   ]

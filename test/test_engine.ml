@@ -635,7 +635,7 @@ let suite =
           test_spill_cleanup_on_failure;
         Alcotest.test_case "join passthrough" `Quick
           test_spill_join_passthrough;
-        QCheck_alcotest.to_alcotest prop_spill_matrix;
+        Testenv.qcheck prop_spill_matrix;
       ] );
     ( "engine.config",
       [

@@ -557,8 +557,6 @@ let test_pp_and_metrics () =
   check_int "expr size of v/cols" 3
     (Ir.expr_size (Ir.Binop (Ir.Div, Ir.Var "v", Ir.Var "cols")))
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suite =
   [
     ( "ir.eval.expr",
@@ -591,7 +589,7 @@ let suite =
           test_apply_summary_array_oob;
         Alcotest.test_case "tuple projection" `Quick test_apply_summary_proj;
       ] );
-    qsuite "ir.eval.props" [ prop_reduce_perm_invariant ];
+    Testenv.qsuite "ir.eval.props" [ prop_reduce_perm_invariant ];
     ( "ir.eval.staged",
       [
         Alcotest.test_case "binop operands right to left" `Quick
@@ -599,7 +597,7 @@ let suite =
         Alcotest.test_case "emit value before key" `Quick
           test_staged_emit_order;
       ] );
-    qsuite "ir.eval.staged.props" [ prop_staged_lam_m; prop_staged_lam_r ];
+    Testenv.qsuite "ir.eval.staged.props" [ prop_staged_lam_m; prop_staged_lam_r ];
     ( "ir.infer",
       [
         Alcotest.test_case "expressions" `Quick test_infer_exprs;

@@ -272,8 +272,6 @@ let prop_interp_max =
       in
       Value.equal r (vint (List.fold_left max (-1000000) l)))
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suite =
   [
     ( "minijava.lexer",
@@ -321,5 +319,5 @@ let suite =
         Alcotest.test_case "string concat" `Quick test_interp_string_concat;
         Alcotest.test_case "float widening" `Quick test_interp_float_widening;
       ] );
-    qsuite "minijava.interp.props" [ prop_interp_sum; prop_interp_max ];
+    Testenv.qsuite "minijava.interp.props" [ prop_interp_sum; prop_interp_max ];
   ]

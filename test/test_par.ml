@@ -152,11 +152,9 @@ let test_search_domain_reuse () =
       check (tag ^ ": solutions identical") true (sols_a = sols_b))
     (List.combine cases fresh) reused
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suite =
   [
-    qsuite "par.props"
+    Testenv.qsuite "par.props"
       [ spawn_map_matches_list ];
     ( "par.granularity",
       [

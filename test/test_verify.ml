@@ -836,8 +836,7 @@ let suite =
         Alcotest.test_case "targeted cases" `Quick test_incremental_cases;
         Alcotest.test_case "Table 2: first 200 candidates" `Slow
           test_incremental_table2;
-        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
-          prefix_folds_match_staged;
+        Testenv.qcheck prefix_folds_match_staged;
       ] );
     ( "verify.phases",
       [
@@ -858,7 +857,7 @@ let suite =
         Alcotest.test_case "short inputs fail alike" `Quick
           test_short_inputs_fail_alike;
       ] );
-    ("verify.sparse", [ QCheck_alcotest.to_alcotest sparse_matches_dense ]);
+    ("verify.sparse", [ Testenv.qcheck sparse_matches_dense ]);
     ( "verify.props",
       [
         Alcotest.test_case "reducer algebra" `Quick test_reducer_props;

@@ -155,8 +155,36 @@ let test_registry_census () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* the MD5 of every Registry benchmark's printed input at two sizes,
+   one line each, against test/corpus/workload_digests.txt: a generator
+   that draws in another order or maps a draw differently shows here *)
+let test_inputs_pinned () =
+  let digest (b : Casper_suites.Suite.benchmark) (seed, n) =
+    let env = b.workload.Casper_suites.Suite.gen (Rng.create seed) ~n in
+    let text =
+      String.concat ""
+        (List.map (fun (x, v) -> x ^ "=" ^ Value.to_string v ^ "\n") env)
+    in
+    Fmt.str "%s/%s seed %d n %d %s" b.suite b.name seed n
+      (Digest.to_hex (Digest.string text))
+  in
+  let actual =
+    List.concat_map
+      (fun b -> List.map (digest b) [ (1, 300); (7, 3000) ])
+      Casper_suites.Registry.all_benchmarks
+  in
+  let golden =
+    In_channel.with_open_bin "corpus/workload_digests.txt" In_channel.input_lines
+  in
+  Alcotest.(check (list string)) "input digests" golden actual
+
 let suite =
   [
+    ( "suites.workload",
+      [
+        Alcotest.test_case "generated inputs are pinned" `Quick
+          test_inputs_pinned;
+      ] );
     ( "workloads",
       [
         Alcotest.test_case "cover all method params" `Quick

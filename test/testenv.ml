@@ -16,6 +16,14 @@ let config = Config.of_env ()
     stages whose spans and counters the test reads. *)
 let traced obs = { config with Config.obs = Some obs; cache = None }
 
+(** [QCheck_alcotest.to_alcotest] from a fixed seed: every run tests
+    the same cases, and a failure reproduces without its printed seed. *)
+let qcheck t =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t
+
+(** A suite of QCheck properties, each run by {!qcheck}. *)
+let qsuite name tests = (name, List.map qcheck tests)
+
 (** The process's OS thread count (one per live domain, plus runtime
     helpers), from [/proc/self/status]; [None] where that file is
     missing. *)
