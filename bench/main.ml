@@ -216,9 +216,8 @@ let fig7b_tpch () =
             | Some (Value.List l) -> l
             | _ -> []
           in
-          let db = Tpch.Gen.generate ~seed:5 ~lineitems:(List.length li) () in
           ("lineitem", li)
-          :: List.remove_assoc "lineitem" (Tpch.Gen.datasets db)
+          :: Tpch.Gen.dimensions ~seed:5 ~lineitems:(List.length li) ()
         in
         let sql =
           match q with

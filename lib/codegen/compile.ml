@@ -19,11 +19,13 @@ exception Codegen_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Codegen_error s)) fmt
 
-(** Compile λm into a flatMap closure, staged once per plan. [env]
-    carries the fragment's free scalars (Casper broadcasts these in the
-    generated glue code). *)
-let compile_lam_m (env : Eval.env) (lm : Ir.lam_m) : Value.t -> Value.t list =
-  Eval.stage_lam_m env lm
+(** Compile λm into a flatMap closure that pushes each emit to the
+    next stage as it fires, staged once per plan. [env] carries the
+    fragment's free scalars (Casper broadcasts these in the generated
+    glue code). *)
+let compile_lam_m (env : Eval.env) (lm : Ir.lam_m) :
+    Value.t -> (Value.t -> unit) -> unit =
+  Eval.push_lam_m env lm
 
 let compile_lam_r (env : Eval.env) (lr : Ir.lam_r) :
     Value.t -> Value.t -> Value.t =
@@ -37,7 +39,7 @@ let rec compile_node (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
   | Ir.Map (src, lm) ->
       let open Plan in
       compile_node env tenv record_ty src
-      |>> flat_map ~label:"flatMapToPair" (compile_lam_m env lm)
+      |>> Flat_map { label = "flatMapToPair"; f = compile_lam_m env lm }
   | Ir.Reduce (src, lr) ->
       let open Plan in
       let plan = compile_node env tenv record_ty src in

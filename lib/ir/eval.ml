@@ -68,10 +68,12 @@ let eval_binop op a b =
 (* Per-constructor helpers: [eval_expr] and staged code both evaluate
    these constructors through here, so the two raise the same errors. *)
 
-let lookup (env : env) (v : string) : Value.t =
-  match List.assoc_opt v env with
-  | Some x -> x
-  | None -> err "unbound IR variable %s" v
+(* the innermost binding of [v], by [String.equal]: [List.assoc_opt]
+   would compare the names with polymorphic [compare] *)
+let rec lookup (env : env) (v : string) : Value.t =
+  match env with
+  | [] -> err "unbound IR variable %s" v
+  | (name, x) :: rest -> if String.equal name v then x else lookup rest v
 
 let neg : Value.t -> Value.t = function
   | Int n -> Int (-n)
@@ -161,6 +163,74 @@ let rec slot_of (v : string) (i : int) : string list -> int option = function
   | [] -> None
   | p :: ps -> if String.equal p v then Some i else slot_of v (i + 1) ps
 
+let vtrue = Value.Bool true
+let vfalse = Value.Bool false
+
+(* [Binop (op, a, b)] with [op] resolved once, [b] evaluated before
+   [a]. An int or a float pair takes a fast path through the arithmetic
+   and ordering operators that computes what [eval_binop] computes:
+   [Value.compare] orders two floats by [Float.compare], NaN lowest.
+   Every other pair, and every other operator, goes to [eval_binop]. *)
+let stage_binop (op : binop) (a : code) (b : code) : code =
+  match op with
+  | Add -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> Value.Int (x + y)
+        | Value.Float x, Value.Float y -> Value.Float (x +. y)
+        | x, y -> eval_binop Add x y)
+  | Sub -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> Value.Int (x - y)
+        | Value.Float x, Value.Float y -> Value.Float (x -. y)
+        | x, y -> eval_binop Sub x y)
+  | Mul -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> Value.Int (x * y)
+        | Value.Float x, Value.Float y -> Value.Float (x *. y)
+        | x, y -> eval_binop Mul x y)
+  | Lt -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> if x < y then vtrue else vfalse
+        | Value.Float x, Value.Float y ->
+            if Float.compare x y < 0 then vtrue else vfalse
+        | x, y -> eval_binop Lt x y)
+  | Le -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> if x <= y then vtrue else vfalse
+        | Value.Float x, Value.Float y ->
+            if Float.compare x y <= 0 then vtrue else vfalse
+        | x, y -> eval_binop Le x y)
+  | Gt -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> if x > y then vtrue else vfalse
+        | Value.Float x, Value.Float y ->
+            if Float.compare x y > 0 then vtrue else vfalse
+        | x, y -> eval_binop Gt x y)
+  | Ge -> (
+      fun s ->
+        let y = b s in
+        match (a s, y) with
+        | Value.Int x, Value.Int y -> if x >= y then vtrue else vfalse
+        | Value.Float x, Value.Float y ->
+            if Float.compare x y >= 0 then vtrue else vfalse
+        | x, y -> eval_binop Ge x y)
+  | op ->
+      fun s ->
+        let y = b s in
+        eval_binop op (a s) y
+
 let stage (env : env) (params : string list) (e : expr) : code =
   let rec go (e : expr) : code =
     match e with
@@ -195,11 +265,7 @@ let stage (env : env) (params : string list) (e : expr) : code =
     | Binop (Or, a, b) ->
         let a = go a and b = go b in
         fun s -> if Value.as_bool (a s) then Bool true else b s
-    | Binop (op, a, b) ->
-        let a = go a and b = go b in
-        fun s ->
-          let y = b s in
-          eval_binop op (a s) y
+    | Binop (op, a, b) -> stage_binop op (go a) (go b)
     | Call (name, args) -> (
         let f = Library.resolve name in
         match List.map go args with
@@ -252,14 +318,12 @@ let param_slots ?(lead = 0) (params : string list) : Value.t -> Value.t array
 
 let mixed_emits () = err "λm mixes key-value and plain emits"
 
-(** λm staged against [env]: the result runs every emit whose guard
-    holds on one record. Key-value emits are built with [kv] (value
-    evaluated before key); [finish] receives them and the plain values,
-    each in emit order. A record that fires both kinds raises once
-    every emit has run, so [finish] sees at most one non-empty list. *)
-let stage_emits ~(kv : Value.t -> Value.t -> 'k)
-    ~(finish : 'k list -> Value.t list -> 'r) (env : env) (lm : lam_m) :
-    Value.t -> 'r =
+(** λm staged against [env], in the IR's semantics: what one record
+    emits, as key-value pairs (value evaluated before key) or plain
+    values, each in emit order ([`KV []] when nothing fires). A record
+    that fires both kinds raises once every emit has run. Partially
+    apply it once per node: staging happens then. *)
+let apply_lam_m (env : env) (lm : lam_m) : Value.t -> emitted =
   let code = stage env lm.m_params and bind = param_slots lm.m_params in
   let staged =
     List.map
@@ -271,17 +335,16 @@ let stage_emits ~(kv : Value.t -> Value.t -> 'k)
               Either.Left
                 (fun s ->
                   let y = x s in
-                  kv (k s) y)
-          | Val x ->
-              let x = code x in
-              Either.Right x ))
+                  (k s, y))
+          | Val x -> Either.Right (code x) ))
       lm.emits
   in
   let rec run s kvs vs = function
     | [] -> (
         match (kvs, vs) with
         | _ :: _, _ :: _ -> mixed_emits ()
-        | _ -> finish (List.rev kvs) (List.rev vs))
+        | kvs, [] -> `KV (List.rev kvs)
+        | [], vs -> `V (List.rev vs))
     | (guard, emit) :: rest -> (
         match guard with
         | Some g when not (Value.as_bool (g s)) -> run s kvs vs rest
@@ -292,21 +355,57 @@ let stage_emits ~(kv : Value.t -> Value.t -> 'k)
   in
   fun elt -> run (bind elt) [] [] staged
 
-(** [finish] for the IR's semantics: what one record emits, as
-    key-value pairs or plain values ([`KV []] when nothing fires). *)
-let kv_or_v kvs vs : emitted = match vs with [] -> `KV kvs | _ -> `V vs
-
-(** λm staged against [env], as the engine runs it: each record maps to
-    the records it emits, [Tuple [k; v]] for a key-value emit. *)
-let stage_lam_m : env -> lam_m -> Value.t -> Value.t list =
-  stage_emits
-    ~kv:(fun k v -> Value.Tuple [ k; v ])
-    ~finish:(fun kvs vs -> match vs with [] -> kvs | _ -> vs)
-
-(** λm staged against [env], in the IR's semantics ({!kv_or_v}).
-    Partially apply it once per node: staging happens then. *)
-let apply_lam_m : env -> lam_m -> Value.t -> emitted =
-  stage_emits ~kv:(fun k v -> (k, v)) ~finish:kv_or_v
+(** λm staged against [env], as the engine runs it: [push_lam_m env lm
+    r sink] hands each emit of record [r] to [sink] as it fires, in emit
+    order, [Tuple [k; v]] for a key-value emit (value evaluated before
+    key). So an error of a later emit comes after [sink] has taken the
+    earlier ones. Only a λm whose emits mix key-value and plain
+    payloads buffers a record's emits: a record that fires both kinds
+    raises once every emit has run, before [sink] sees any. *)
+let push_lam_m (env : env) (lm : lam_m) :
+    Value.t -> (Value.t -> unit) -> unit =
+  let code = stage env lm.m_params and bind = param_slots lm.m_params in
+  let is_kv { payload; _ } = match payload with KV _ -> true | Val _ -> false in
+  let stage_emit ({ guard; payload } : emit) :
+      Value.t array -> (Value.t -> unit) -> unit =
+    let fire =
+      match payload with
+      | KV (k, x) ->
+          let k = code k and x = code x in
+          fun s sink ->
+            let y = x s in
+            sink (Value.Tuple [ k s; y ])
+      | Val x ->
+          let x = code x in
+          fun s sink -> sink (x s)
+    in
+    match guard with
+    | None -> fire
+    | Some g ->
+        let g = code g in
+        fun s sink -> if Value.as_bool (g s) then fire s sink
+  in
+  let rec run s sink = function
+    | [] -> ()
+    | e :: rest ->
+        e s sink;
+        run s sink rest
+  in
+  let staged = List.map stage_emit lm.emits
+  and kinds = List.map is_kv lm.emits in
+  if List.mem true kinds && List.mem false kinds then fun elt sink ->
+    let s = bind elt and kvs = ref [] and vs = ref [] in
+    List.iter2
+      (fun kv e ->
+        e s (fun v -> if kv then kvs := v :: !kvs else vs := v :: !vs))
+      kinds staged;
+    match (!kvs, !vs) with
+    | _ :: _, _ :: _ -> mixed_emits ()
+    | l, [] | [], l -> List.iter sink (List.rev l)
+  else
+    match staged with
+    | [ e ] -> fun elt sink -> e (bind elt) sink
+    | staged -> fun elt sink -> run (bind elt) sink staged
 
 (** λr staged against [env]; partially apply it once per node. *)
 let apply_lam_r (env : env) (lr : lam_r) : Value.t -> Value.t -> Value.t =

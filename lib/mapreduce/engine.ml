@@ -192,10 +192,10 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
       sink src.(i)
     done
   in
-  (* the map kernel: λm over each input record, its emits handed on in
-     record order *)
+  (* the map kernel: λm over each input record, each emit handed on to
+     the next stage's sink as it fires, in record order *)
   let emits f (input : Batch.feed) : Batch.feed =
-   fun sink -> input (fun r -> List.iter sink (f r))
+   fun sink -> input (fun r -> f r sink)
   in
   (* [group] hash-groups key-value records in a single pass, one
      accumulator cell per key ({!Value.Tbl}: keys are identified by
@@ -361,10 +361,11 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
             let k, v = as_kv r in
             Value.Tbl.add tbl k v)
           right_run.output;
-        let probe r =
+        let probe r sink =
           let k, v1 = as_kv r in
-          Value.Tbl.find_all tbl k
-          |> List.rev_map (fun v2 -> Value.Tuple [ k; Value.Tuple [ v1; v2 ] ])
+          List.iter
+            (fun v2 -> sink (Value.Tuple [ k; Value.Tuple [ v1; v2 ] ]))
+            (List.rev (Value.Tbl.find_all tbl k))
         in
         let joined, m = collect (emits probe input) in
         let bytes_shuffled = bytes_in + Value.size_of_list right_run.output in

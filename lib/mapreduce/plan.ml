@@ -11,8 +11,9 @@ module Value = Casper_common.Value
 type kv = Value.t * Value.t
 
 type stage =
-  | Flat_map of { label : string; f : Value.t -> Value.t list }
-      (** flatMap / flatMapToPair: one record to zero or more *)
+  | Flat_map of { label : string; f : Value.t -> (Value.t -> unit) -> unit }
+      (** flatMap / flatMapToPair: [f r sink] hands each of the zero or
+          more records [r] maps to to [sink], in order *)
   | Filter of { label : string; p : Value.t -> bool }
   | Reduce_by_key of {
       label : string;
@@ -38,15 +39,21 @@ and t = { source : string; stages : stage list }
 let data source = { source; stages = [] }
 let ( |>> ) plan stage = { plan with stages = plan.stages @ [ stage ] }
 
-let flat_map ?(label = "flatMap") f = Flat_map { label; f }
-let filter ?(label = "filter") p = Filter { label; p }
+let flat_map ?(label = "flatMap") f =
+  Flat_map { label; f = (fun x sink -> List.iter sink (f x)) }
 
-let map ?(label = "map") f =
-  Flat_map { label; f = (fun x -> [ f x ]) }
+let filter ?(label = "filter") p = Filter { label; p }
+let map ?(label = "map") f = Flat_map { label; f = (fun x sink -> sink (f x)) }
 
 let map_to_pair ?(label = "mapToPair") f =
   Flat_map
-    { label; f = (fun x -> let k, v = f x in [ Value.Tuple [ k; v ] ]) }
+    {
+      label;
+      f =
+        (fun x sink ->
+          let k, v = f x in
+          sink (Value.Tuple [ k; v ]));
+    }
 
 let reduce_by_key ?(label = "reduceByKey") ?(comm_assoc = true) f =
   Reduce_by_key { label; f; comm_assoc }

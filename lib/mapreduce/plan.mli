@@ -11,8 +11,9 @@ module Value = Casper_common.Value
 type kv = Value.t * Value.t
 
 type stage =
-  | Flat_map of { label : string; f : Value.t -> Value.t list }
-      (** flatMap / flatMapToPair: one record to zero or more *)
+  | Flat_map of { label : string; f : Value.t -> (Value.t -> unit) -> unit }
+      (** flatMap / flatMapToPair: [f r sink] hands each of the zero or
+          more records [r] maps to to [sink], in order *)
   | Filter of { label : string; p : Value.t -> bool }
   | Reduce_by_key of {
       label : string;

@@ -27,12 +27,22 @@ exception Break_exc of env
 exception Continue_exc of env
 exception Return_exc of Value.t option
 
-let lookup (env : env) v =
-  match List.assoc_opt v env with
-  | Some x -> x
-  | None -> err "unbound variable %s" v
+(* Names are compared by [String.equal]; [List.assoc_opt] and
+   [List.remove_assoc] would use polymorphic [compare]. *)
 
-let bind (env : env) v x : env = (v, x) :: List.remove_assoc v env
+let rec lookup (env : env) v =
+  match env with
+  | [] -> err "unbound variable %s" v
+  | (name, x) :: rest -> if String.equal name v then x else lookup rest v
+
+(* [env] without the first binding of [v] *)
+let rec unbind (env : env) v : env =
+  match env with
+  | [] -> []
+  | ((name, _) as b) :: rest ->
+      if String.equal name v then rest else b :: unbind rest v
+
+let bind (env : env) v x : env = (v, x) :: unbind env v
 
 let rec default_value prog = function
   | TInt | TLong | TDate -> Value.Int 0
@@ -204,8 +214,13 @@ let rec eval st (env : env) (e : expr) : Value.t =
           Bool (Option.is_some (map_get pairs k))
       | List pairs, "getOrDefault", [ k; d ] ->
           Option.value (map_get pairs k) ~default:d
-      | Struct (_, fields), _, [] when List.mem_assoc name fields ->
-          List.assoc name fields
+      | Struct (_, fields), _, [] ->
+          (* a getter: the first field named [name] *)
+          let rec getter = function
+            | [] -> err "unsupported method call %s" name
+            | (f, x) :: rest -> if String.equal f name then x else getter rest
+          in
+          getter fields
       | _ -> err "unsupported method call %s" name)
   | NewArray (t, dims) ->
       let dim_vals = List.map (fun d -> as_int (eval st env d)) dims in

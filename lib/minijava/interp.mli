@@ -15,6 +15,14 @@ exception Break_exc of env
 exception Continue_exc of env
 exception Return_exc of Value.t option
 
+(** The first binding of a name in an environment.
+    @raise Runtime_error when the name is unbound. *)
+val lookup : env -> string -> Value.t
+
+(** [bind env v x] binds [v] to [x] in front of [env] without [v]'s
+    first binding. *)
+val bind : env -> string -> Value.t -> env
+
 (** Default (zero) value of a declared type. *)
 val default_value : Ast.program -> Ast.ty -> Value.t
 

@@ -81,23 +81,37 @@ let sizes lineitems = (max 8 (lineitems / 30), max 4 (lineitems / 300))
 let lineitem_rows rng ~n ~parts ~suppliers =
   List.init n (fun _ -> lineitem rng ~parts ~suppliers)
 
+(* part, supplier and partsupp, drawn before lineitem *)
+let dimension_rows rng ~parts ~suppliers =
+  let partsupp =
+    List.init (parts * 2) (fun _ -> partsupp rng ~parts ~suppliers)
+  in
+  let supplier = List.init suppliers (fun i -> supplier rng ~key:(i + 1)) in
+  let part = List.init parts (fun i -> part rng ~key:(i + 1)) in
+  (part, supplier, partsupp)
+
 (** Generate a database with ~[lineitems] lineitem rows (the other
     relations scale with TPC-H's ratios). *)
 let generate ?(seed = 7) ~(lineitems : int) () : db =
   let rng = Rng.create seed in
   let parts, suppliers = sizes lineitems in
   (* lineitem is drawn last, after the rows [lineitems] skips *)
-  let partsupp =
-    List.init (parts * 2) (fun _ -> partsupp rng ~parts ~suppliers)
-  in
-  let supplier = List.init suppliers (fun i -> supplier rng ~key:(i + 1)) in
-  let part = List.init parts (fun i -> part rng ~key:(i + 1)) in
+  let part, supplier, partsupp = dimension_rows rng ~parts ~suppliers in
   {
     lineitem = lineitem_rows rng ~n:lineitems ~parts ~suppliers;
     part;
     supplier;
     partsupp;
   }
+
+(** [datasets (generate ?seed ~lineitems ())] without the lineitem
+    relation, which it never draws: part, supplier and partsupp. *)
+let dimensions ?(seed = 7) ~(lineitems : int) () :
+    (string * Value.t list) list =
+  let rng = Rng.create seed in
+  let parts, suppliers = sizes lineitems in
+  let part, supplier, partsupp = dimension_rows rng ~parts ~suppliers in
+  [ ("part", part); ("supplier", supplier); ("partsupp", partsupp) ]
 
 (* the Rng draws of one partsupp, supplier and part row; the
    baselines.tpch "generator shape" test holds [lineitems] to [generate] *)

@@ -130,6 +130,11 @@ let test_tpch_gen_shape () =
   check "lineitems alone equal generate's" true
     (List.equal Value.equal db.Tpch.Gen.lineitem
        (Tpch.Gen.lineitems ~seed:1 ~n:500 ()));
+  check "dimensions alone equal generate's" true
+    (List.equal
+       (fun (n1, r1) (n2, r2) -> String.equal n1 n2 && List.equal Value.equal r1 r2)
+       (List.remove_assoc "lineitem" (Tpch.Gen.datasets db))
+       (Tpch.Gen.dimensions ~seed:1 ~lineitems:500 ()));
   List.iter
     (fun l ->
       let q = Value.as_int (Value.field "l_quantity" l) in

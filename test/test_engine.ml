@@ -7,6 +7,8 @@ module Cluster = Mapreduce.Cluster
 module Exec = Casper_exec.Exec
 module Value = Casper_common.Value
 module Obs = Casper_obs.Obs
+module Ir = Casper_ir.Lang
+module Eval = Casper_ir.Eval
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -591,6 +593,74 @@ let test_keys_by_value () =
             kv (vint 7) (Value.Tuple [ vint 5; Value.Str "b" ]) ]))
     [ 0; 64 ]
 
+(* λm as the code generator compiles it: [x] is the record *)
+let compiled_lam_m payloads =
+  let emits = List.map (fun payload -> { Ir.guard = None; payload }) payloads in
+  Plan.Flat_map
+    {
+      label = "flatMapToPair";
+      f = Eval.push_lam_m [] { Ir.m_params = [ "x" ]; emits };
+    }
+
+(* a λm whose emits mix key-value and plain payloads raises through the
+   engine before the next stage sees an emit of the record: a fused
+   λr that would raise on the second emit never runs *)
+let test_mixed_emits_raise () =
+  let lm =
+    compiled_lam_m
+      Ir.
+        [
+          KV (CInt 0, Var "x"); KV (CInt 0, Var "x"); Val (Var "x");
+        ]
+  in
+  let expected = Eval.Eval_error "λm mixes key-value and plain emits" in
+  List.iter
+    (fun (name, p) ->
+      Alcotest.check_raises name expected (fun () ->
+          ignore (run ~datasets:[ ("d", ints [ 1; 2 ]) ] p)))
+    [
+      ("flatMap alone", Plan.(data "d" |>> lm));
+      ( "fused with reduceByKey",
+        Plan.(data "d" |>> lm |>> reduce_by_key (fun _ _ -> failwith "λr")) );
+    ]
+
+(* λm hands each emit on as it fires (DESIGN.md §15): in memory, a fused
+   reduceByKey's λr that raises on an earlier emit of a record wins over
+   λm's error on a later emit of the same record. Under a spill budget
+   λr runs only once the map has finished, so λm's error wins there. *)
+let test_emit_error_precedence () =
+  with_temp_dir "emit-order-test" @@ fun dir ->
+  let lm =
+    compiled_lam_m
+      Ir.
+        [
+          KV (CInt 0, Var "x");
+          KV (CInt 0, Var "x");
+          KV (CInt 0, Binop (Mod, Var "x", CInt 0));
+        ]
+  in
+  let lr =
+    Eval.apply_lam_r [] { Ir.r_left = "a"; r_right = "b"; r_body = Ir.Var "zz" }
+  in
+  let p = Plan.(data "d" |>> lm |>> reduce_by_key lr) in
+  let raises name config expected =
+    Alcotest.check_raises name (Eval.Eval_error expected) (fun () ->
+        ignore
+          (Engine.run_plan ~config ~cluster:Cluster.spark
+             ~datasets:[ ("d", ints [ 1 ]) ]
+             p))
+  in
+  raises "in memory: λr on the second emit" Exec.Config.default
+    "unbound IR variable zz";
+  raises "spilled: λm's third emit"
+    {
+      Exec.Config.default with
+      Exec.Config.memory_budget = Some 1;
+      spill_dir = Some dir;
+    }
+    "mod by zero";
+  check_int "no temp files survive" 0 (Array.length (Sys.readdir dir))
+
 let suite =
   [
     ( "engine.stages",
@@ -609,6 +679,10 @@ let suite =
         Alcotest.test_case "many datasets" `Quick test_many_datasets;
         Alcotest.test_case "shuffle without workers" `Quick
           test_shuffle_without_workers;
+        Alcotest.test_case "mixed λm emits raise" `Quick
+          test_mixed_emits_raise;
+        Alcotest.test_case "emit error precedence" `Quick
+          test_emit_error_precedence;
       ] );
     ( "engine.partition",
       [

@@ -464,7 +464,12 @@ let prop_staged_lam_m =
         (fun () -> emitted (Eval.apply_lam_m free_env lm record))
         reference
       && same_outcome
-           (fun () -> Value.List (Eval.stage_lam_m free_env lm record))
+           (fun () ->
+             (* the engine's push kernel, its pushes collected *)
+             let pushed = ref [] in
+             Eval.push_lam_m free_env lm record (fun v ->
+                 pushed := v :: !pushed);
+             Value.List (List.rev !pushed))
            (fun () ->
              match ref_lam_m free_env lm record with
              | `KV kvs ->
@@ -483,16 +488,85 @@ let prop_staged_lam_r =
         (fun () -> Eval.apply_lam_r free_env lr a b)
         (fun () -> ref_lam_r free_env lr a b))
 
+(* the operators staged code resolves to a fast path, and others *)
+let staged_ops = Ir.[ Add; Sub; Mul; Lt; Le; Gt; Ge; Div; Eq; Min ]
+
 (* both operands fail: the right one is evaluated first *)
 let test_staged_binop_order () =
-  let e =
-    Ir.Binop (Ir.Add, Ir.Binop (Ir.Div, Ir.CInt 1, Ir.CInt 0), Ir.Var "zz")
+  List.iter
+    (fun op ->
+      let e =
+        Ir.Binop (op, Ir.Binop (Ir.Div, Ir.CInt 1, Ir.CInt 0), Ir.Var "zz")
+      in
+      let expected = Eval.Eval_error "unbound IR variable zz" in
+      let name = Fmt.str "%a" Ir.pp_expr e in
+      Alcotest.check_raises ("eval_expr " ^ name) expected (fun () ->
+          ignore (Eval.eval_expr [] e));
+      Alcotest.check_raises ("staged " ^ name) expected (fun () ->
+          ignore (Eval.stage [] [] e [||])))
+    staged_ops
+
+(* every operand pair of a fast path's edge, and pairs that miss it:
+   staged code gives [eval_expr]'s value bit for bit (the sign of a
+   zero, a NaN), or its exception and message *)
+let test_staged_binop_table () =
+  let f x = Value.Float x and nan = Float.nan in
+  let pairs =
+    [
+      (vint 3, vint 5);
+      (vint 5, vint 3);
+      (vint 4, vint 4);
+      (vint max_int, vint 1);
+      (f 1.5, f 2.5);
+      (f 2.5, f 2.5);
+      (f 2.5, f (-1.0));
+      (vint 2, f 2.0);
+      (f 2.0, vint 2);
+      (vint 1, f 0.5);
+      (f nan, f nan);
+      (f nan, f 1.0);
+      (f 1.0, f nan);
+      (f (-0.0), f 0.0);
+      (f 0.0, f (-0.0));
+      (f (-0.0), f (-0.0));
+      (Value.Str "ab", Value.Str "c");
+      (Value.Str "a", vint 1);
+      (Value.Bool true, Value.Bool false);
+      (Value.Bool false, vint 0);
+      (vint 0, Value.Bool true);
+    ]
   in
-  let expected = Eval.Eval_error "unbound IR variable zz" in
-  Alcotest.check_raises "eval_expr" expected (fun () ->
-      ignore (Eval.eval_expr [] e));
-  Alcotest.check_raises "staged" expected (fun () ->
-      ignore (Eval.stage [] [] e [||]))
+  let same_bits a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> Value.equal a b
+  in
+  let outcome f =
+    match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+  in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (x, y) ->
+          let e = Ir.Binop (op, Ir.Var "x", Ir.Var "y") in
+          let staged = Eval.stage [] [ "x"; "y" ] e in
+          let name =
+            Fmt.str "%a on %a, %a" Ir.pp_expr e Value.pp x Value.pp y
+          in
+          match
+            ( outcome (fun () -> staged [| x; y |]),
+              outcome (fun () -> Eval.eval_expr [ ("x", x); ("y", y) ] e) )
+          with
+          | Ok a, Ok b ->
+              if not (same_bits a b) then
+                Alcotest.failf "%s: staged %a, eval_expr %a" name Value.pp a
+                  Value.pp b
+          | Error a, Error b -> Alcotest.(check string) name b a
+          | Ok _, Error m | Error m, Ok _ ->
+              Alcotest.failf "%s: only one side raised %s" name m)
+        pairs)
+    staged_ops
 
 (* key and value both fail: the value is evaluated first *)
 let test_staged_emit_order () =
@@ -502,8 +576,8 @@ let test_staged_emit_order () =
   let expected = Eval.Eval_error "unbound IR variable zz" in
   Alcotest.check_raises "apply_lam_m" expected (fun () ->
       ignore (Eval.apply_lam_m [] lm (vint 1)));
-  Alcotest.check_raises "stage_lam_m" expected (fun () ->
-      ignore (Eval.stage_lam_m [] lm (vint 1)));
+  Alcotest.check_raises "push_lam_m" expected (fun () ->
+      Eval.push_lam_m [] lm (vint 1) ignore);
   Alcotest.check_raises "reference" expected (fun () ->
       ignore (ref_lam_m [] lm (vint 1)))
 
@@ -596,6 +670,8 @@ let suite =
           test_staged_binop_order;
         Alcotest.test_case "emit value before key" `Quick
           test_staged_emit_order;
+        Alcotest.test_case "binop operand table" `Quick
+          test_staged_binop_table;
       ] );
     Testenv.qsuite "ir.eval.staged.props" [ prop_staged_lam_m; prop_staged_lam_r ];
     ( "ir.infer",

@@ -272,6 +272,55 @@ let prop_interp_max =
       in
       Value.equal r (vint (List.fold_left max (-1000000) l)))
 
+(* property: on environments that bind some names twice, [lookup],
+   [bind] and a struct's no-argument getter read the first binding, as
+   [List.assoc_opt] and [List.remove_assoc] do, with the same errors *)
+let prop_interp_lookup =
+  let names = [ "a"; "b"; "c"; "ab" ] in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_bound 8) (pair (oneofl names) (int_range 0 9)))
+        (oneofl ("zz" :: names))
+        (int_range 10 19))
+  in
+  let print (env, v, x) =
+    Fmt.str "[%s] %s %d"
+      (String.concat "; " (List.map (fun (n, i) -> Fmt.str "%s=%d" n i) env))
+      v x
+  in
+  QCheck.Test.make ~name:"lookup, bind and getter read the first binding"
+    ~count:300 (QCheck.make ~print gen) (fun (env, v, x) ->
+      let env = List.map (fun (n, i) -> (n, vint i)) env in
+      let outcome f =
+        match f () with
+        | r -> Ok r
+        | exception Interp.Runtime_error m -> Error m
+      in
+      let expect unbound =
+        match List.assoc_opt v env with
+        | Some r -> Ok r
+        | None -> Error (unbound ^ v)
+      in
+      let same a b =
+        match (a, b) with
+        | Ok a, Ok b -> Value.equal a b
+        | Error a, Error b -> String.equal a b
+        | _ -> false
+      in
+      let getter () =
+        Interp.eval_expr
+          { Ast.classes = []; methods = [] }
+          [ ("s", Value.Struct ("S", env)) ]
+          (Ast.MethodCall (Ast.Var "s", v, []))
+      in
+      same (outcome (fun () -> Interp.lookup env v)) (expect "unbound variable ")
+      && same (outcome getter) (expect "unsupported method call ")
+      && List.equal
+           (fun (n1, x1) (n2, x2) -> String.equal n1 n2 && Value.equal x1 x2)
+           (Interp.bind env v (vint x))
+           ((v, vint x) :: List.remove_assoc v env))
+
 let suite =
   [
     ( "minijava.lexer",
@@ -319,5 +368,6 @@ let suite =
         Alcotest.test_case "string concat" `Quick test_interp_string_concat;
         Alcotest.test_case "float widening" `Quick test_interp_float_widening;
       ] );
-    Testenv.qsuite "minijava.interp.props" [ prop_interp_sum; prop_interp_max ];
+    Testenv.qsuite "minijava.interp.props"
+      [ prop_interp_sum; prop_interp_max; prop_interp_lookup ];
   ]

@@ -217,6 +217,14 @@ if grep -rnE "$evals" lib bin bench test examples; then
   fail=1
 fi
 
+# The engine runs λm through one kernel, Eval.push_lam_m, which hands
+# each emit to the next stage as it fires; the list-returning kernel it
+# replaced is gone.
+if grep -rnE '\bstage_lam_m\b' lib bin bench test examples; then
+  echo "the deleted list-returning λm kernel reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
