@@ -1,4 +1,4 @@
-(** Deterministic splittable pseudo-random generator (splitmix64).
+(** Deterministic pseudo-random generator (splitmix64).
 
     Everything in the reproduction that needs randomness — synthetic
     workload generation, the synthesizer's initial program states, the
@@ -19,10 +19,6 @@ let next_int64 t =
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
-
-let split t =
-  let s = next_int64 t in
-  { state = s }
 
 (** Advance [t] past [k] draws of {!next_int64} in O(1), leaving it as
     [k] draws would: each draw adds [gamma] to the state. *)

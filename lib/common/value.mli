@@ -30,11 +30,6 @@ val hash : t -> int
     evaluator's reduce. *)
 module Tbl : Hashtbl.S with type key = t
 
-(** Relative tolerance for float comparison in {!equal_approx}: the
-    sequential loop and the MapReduce pipeline may reduce in different
-    association orders. *)
-val float_rel_eps : float
-
 (** Structural equality with float tolerance. Infinities compare equal
     to themselves, and NaN to NaN (both sides diverging identically is
     agreement for verification purposes). *)

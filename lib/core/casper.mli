@@ -39,11 +39,6 @@ val translated : translation -> bool
     it translated. *)
 val failure_reason : translation -> string option
 
-(** Drop summaries dominated at every guard-probability assignment by a
-    cheaper verified summary (§5.2). *)
-val prune_solutions :
-  Minijava.Ast.program -> F.t -> Cegis.solution list -> Cegis.solution list
-
 (** Translate a single analyzed fragment. [obs] (default disabled)
     wraps the work in a "fragment" span with "synthesis", "cost-prune"
     and per-target "codegen" children. *)

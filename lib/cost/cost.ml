@@ -21,6 +21,8 @@
 module Ir = Casper_ir.Lang
 module Infer = Casper_ir.Infer
 
+(* the paper's weights: Wm = 1, Wr = 2, Wj = 2; Wcsg = 50 penalizes a
+   reduction that is not commutative-associative (Eqn 3's ϵ) *)
 let w_m = 1.0
 let w_r = 2.0
 let w_j = 2.0

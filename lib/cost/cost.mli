@@ -7,14 +7,6 @@
 module Ir = Casper_ir.Lang
 module Infer = Casper_ir.Infer
 
-(** The paper's weights: Wm = 1, Wr = 2, Wj = 2; Wcsg = 50 penalizes a
-    reduction that is not commutative-associative (Eqn 3's ϵ). *)
-val w_m : float
-
-val w_r : float
-val w_j : float
-val w_csg : float
-
 type estimator = {
   prob : Ir.expr option -> float;
       (** probability that an emit with this guard fires (pᵢ) *)
@@ -30,27 +22,18 @@ val static_estimator : ?guard_prob:float -> unit -> estimator
 (** [reduce_comm_assoc tenv record_ty src lr]: is [lr] commutative and
     associative over the values the pipeline [src] feeds it
     ([Verifier.reducer_props]; [false] when [src] is untypeable)? It
-    licenses [reduceByKey] (§6.3); ϵ(λr) in {!stage_costs} is 1 when the
-    same judgement holds and {!w_csg} when it does not. *)
+    licenses [reduceByKey] (§6.3); ϵ(λr) in the cost is 1 when the same
+    judgement holds and Wcsg = 50 when it does not. *)
 val reduce_comm_assoc :
   Infer.tenv -> (string -> Ir.ty) -> Ir.node -> Ir.lam_r -> bool
 
-type stage_cost = { name : string; cost : float; out_count : float }
-
 exception Untypeable
 
-(** Per-stage costs, composing record counts through the pipeline
-    ([count] of §5.1). [record_ty] gives each dataset's element type,
-    [card] its cardinality. *)
-val stage_costs :
-  Infer.tenv ->
-  (string -> Ir.ty) ->
-  (string -> float) ->
-  estimator ->
-  Ir.node ->
-  stage_cost list
-
-(** Total cost of a summary ([Float.max_float] when untypeable). *)
+(** Total cost of a summary ([Float.max_float] when untypeable): the sum
+    of its stages' costs, composing record counts through the pipeline
+    ([count] of §5.1), with the paper's weights Wm = 1, Wr = 2, Wj = 2.
+    [record_ty] gives each dataset's element type, [card] its
+    cardinality. *)
 val cost_of_summary :
   Infer.tenv ->
   (string -> Ir.ty) ->

@@ -17,10 +17,6 @@ type summary = {
   body : Ir.expr;  (** the new accumulator value *)
 }
 
-(** Denotation: left fold of [body] over the records. *)
-val eval_fold :
-  Casper_ir.Eval.env -> summary -> Value.t -> Value.t list -> Value.t
-
 val pp : Format.formatter -> summary -> unit
 
 type check = Ok | Refuted | Skip

@@ -1,22 +1,15 @@
 (** Hash-consing for IR expressions.
 
-    Every structurally distinct expression gets a stable small integer
-    id for the lifetime of one synthesis run. Ids are what make the fast
-    path cheap: fingerprint cells are cached by [(expr id, probe-set
-    id)], observational fingerprints are arrays of interned value ids,
-    and the CEGIS blocked set Ω ∪ Δ is a hash set of construction keys —
-    [key_of] interns the list [shape tag :: component ids] each
-    enumeration shape assembles its candidate from, so no candidate is
-    ever deep-hashed or pretty-printed during the search.
-
-    Domain-safety: all interner state is a per-domain shard
-    ([Domain.DLS]), so ids are only meaningful within the domain that
-    interned them — which is exactly how they are used: every id-keyed
-    cache (fingerprint cells, the blocked set) lives in the same domain
-    as the interner that produced its keys. Nothing is shared, so
-    nothing needs a lock, and the single-domain fast path pays only a
-    [Domain.DLS.get] (an array read) per intern. See DESIGN.md §10 for
-    why sharding was chosen over a shared atomic table.
+    An interner ({!t}) gives every structurally distinct expression a
+    small integer id. One search makes one interner ([Grammar.build]
+    does, and keeps it in the pools the enumerator reads), and its ids
+    mean something only to the tables of that search: construction keys
+    are interned as the list [shape tag :: component ids] each
+    enumeration shape assembles its candidate from, so the CEGIS
+    blocked set Ω ∪ Δ is a hash set of ints and no candidate is ever
+    deep-hashed or pretty-printed during the search. Nothing here is
+    shared between searches, so nothing needs a lock, and an interner
+    is freed with the search that made it.
 
     Interning uses structural equality over the bounded polymorphic
     hash ([Hashtbl.hash], which examines at most 10 meaningful words:
@@ -24,12 +17,7 @@
     containing a NaN constant is never equal to itself under [(=)], so
     it re-interns under a fresh id each time — caches miss but every id
     still denotes one structural class, so results are unaffected (and
-    no MiniJava suite produces NaN literals).
-
-    [clear] empties the calling domain's tables (called at the top of
-    each [find_summary] so memory stays bounded by one fragment's
-    search) but never reuses ids: counters are monotonic per domain, so
-    a stale id can never collide with a post-clear one. *)
+    no MiniJava suite produces NaN literals). *)
 
 module Tbl = Hashtbl.Make (struct
   type t = Lang.expr
@@ -38,76 +26,71 @@ module Tbl = Hashtbl.Make (struct
      overwhelmingly common lookup is resolved by pointer equality *)
   let equal (a : t) (b : t) = a == b || a = b
 
-  (* [expr_id] runs on every fingerprint cell lookup and every
-     construction key, so its hash must be O(1)-bounded: the default
-     polymorphic hash examines at most 10 meaningful words. Pool
-     expressions are small (≲10 nodes), so collisions are rare, and the
-     structural comparison that resolves them fails fast. *)
+  (* [expr_id] runs on every construction key, and the fingerprint
+     cells are keyed by expression, so the hash must be O(1)-bounded:
+     the default polymorphic hash examines at most 10 meaningful words.
+     Pool expressions are small (≲10 nodes), so collisions are rare, and
+     the structural comparison that resolves them fails fast. *)
   let hash (e : t) = Hashtbl.hash e
 end)
 
-type shard = { tbl : (Lang.expr * int) Tbl.t; mutable next : int }
+(* Both tables start small and grow with the search: over the Table-2
+   fragments a search interns at most about 600 expressions and up to
+   31,000 candidate keys, most searches far fewer. Growth doubles, so a
+   large search rehashes each entry about once on average. Nothing is
+   ever removed, so a table's size is its next id. *)
+type t = { exprs : (Lang.expr * int) Tbl.t; keys : (int list, int) Hashtbl.t }
 
-(* small, and grown by the search that needs more: [clear] runs at the
-   top of every fragment search and [Tbl.reset] shrinks the table back
-   to this initial size, so a large one would be reallocated by every
-   search, most of which intern a few thousand expressions. Growth
-   doubles, so a large search rehashes each entry about once on
-   average. *)
-let shard : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { tbl = Tbl.create 4096; next = 0 })
+let create () : t = { exprs = Tbl.create 1024; keys = Hashtbl.create 4096 }
 
-(* canonical representative and id of [e]'s structural class, in the
-   calling domain's shard *)
-let intern (e : Lang.expr) : Lang.expr * int =
-  let s = Domain.DLS.get shard in
-  match Tbl.find_opt s.tbl e with
+(* canonical representative and id of [e]'s structural class *)
+let intern (h : t) (e : Lang.expr) : Lang.expr * int =
+  match Tbl.find_opt h.exprs e with
   | Some entry -> entry
   | None ->
-      let i = s.next in
-      s.next <- i + 1;
-      Tbl.add s.tbl e (e, i);
-      (e, i)
+      let entry = (e, Tbl.length h.exprs) in
+      Tbl.add h.exprs e entry;
+      entry
 
 (** Canonical representative of an expression: structurally equal
     expressions share one physical value, so later interning and
     comparison hit the pointer-equality fast path. *)
-let expr (e : Lang.expr) : Lang.expr = fst (intern e)
+let expr (h : t) (e : Lang.expr) : Lang.expr = fst (intern h e)
 
-let expr_id (e : Lang.expr) : int = snd (intern e)
+let expr_id (h : t) (e : Lang.expr) : int = snd (intern h e)
 
 (* ------------------------------------------------------------------ *)
-(* Smart constructors: build interned nodes so that grammar pools,
-   lifted sub-expressions and enumerated candidates physically share
-   common subtrees. *)
+(* Smart constructors: build interned nodes so that grammar pools and
+   enumerated candidates physically share common subtrees. *)
 
 open Lang
 
-let cint n = expr (CInt n)
-let cfloat f = expr (CFloat f)
-let cbool b = expr (CBool b)
-let cstr s = expr (CStr s)
-let var v = expr (Var v)
-let unop op a = expr (Unop (op, a))
-let binop op a b = expr (Binop (op, a, b))
-let call f args = expr (Call (f, args))
-let mktuple es = expr (MkTuple es)
-let tupleget a i = expr (TupleGet (a, i))
-let field a f = expr (Field (a, f))
-let ite c t e = expr (If (c, t, e))
+let cint h n = expr h (CInt n)
+let cfloat h f = expr h (CFloat f)
+let cbool h b = expr h (CBool b)
+let cstr h s = expr h (CStr s)
+let var h v = expr h (Var v)
+let unop h op a = expr h (Unop (op, a))
+let binop h op a b = expr h (Binop (op, a, b))
+let call h f args = expr h (Call (f, args))
+let mktuple h es = expr h (MkTuple es)
+let tupleget h a i = expr h (TupleGet (a, i))
+let field h a f = expr h (Field (a, f))
+let ite h c t e = expr h (If (c, t, e))
 
 (** Rebuild an arbitrary expression bottom-up through the smart
     constructors, maximizing physical sharing. *)
-let rec intern_deep (e : Lang.expr) : Lang.expr =
+let rec intern_deep (h : t) (e : Lang.expr) : Lang.expr =
+  let deep = intern_deep h in
   match e with
-  | CInt _ | CFloat _ | CBool _ | CStr _ | Var _ -> expr e
-  | Unop (op, a) -> unop op (intern_deep a)
-  | Binop (op, a, b) -> binop op (intern_deep a) (intern_deep b)
-  | Call (f, args) -> call f (List.map intern_deep args)
-  | MkTuple es -> mktuple (List.map intern_deep es)
-  | TupleGet (a, i) -> tupleget (intern_deep a) i
-  | Field (a, f) -> field (intern_deep a) f
-  | If (c, t, e') -> ite (intern_deep c) (intern_deep t) (intern_deep e')
+  | CInt _ | CFloat _ | CBool _ | CStr _ | Var _ -> expr h e
+  | Unop (op, a) -> unop h op (deep a)
+  | Binop (op, a, b) -> binop h op (deep a) (deep b)
+  | Call (f, args) -> call h f (List.map deep args)
+  | MkTuple es -> mktuple h (List.map deep es)
+  | TupleGet (a, i) -> tupleget h (deep a) i
+  | Field (a, f) -> field h (deep a) f
+  | If (c, t, e') -> ite h (deep c) (deep t) (deep e')
 
 (* ------------------------------------------------------------------ *)
 (* Construction-time candidate keys.
@@ -116,59 +99,24 @@ let rec intern_deep (e : Lang.expr) : Lang.expr =
    already-interned components (emits, reducers, post-map expressions),
    so a candidate is identified by its shape tag plus the ids of its
    components — no hash of the assembled summary record is ever needed.
-   [emit_id] interns an emit as the triple of its component expression
-   ids; [key_of] interns the component-id list of one candidate. Both
+   [key_of] interns the component-id list of one candidate; [emit_id]
+   interns an emit as the list [-3; guard id; key id; value id]. Both
    are injective: expression ids are bijective with interned
    expressions, the sentinel slots (-1 no guard, -2 value payload)
    cannot collide with real ids, and each shape uses a distinct leading
-   tag with a fixed component layout. Per-domain like the interners. *)
+   tag (the shapes' are positive) with a fixed component layout. *)
 
-type key_shard = {
-  emit_tbl : (int * int * int, int) Hashtbl.t;
-  mutable emit_next : int;
-  key_tbl : (int list, int) Hashtbl.t;
-  mutable key_next : int;
-}
-
-(* sized like the interners, small and grown by the search: [clear]
-   shrinks both tables back to this size *)
-let key_shard : key_shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        emit_tbl = Hashtbl.create 4096;
-        emit_next = 0;
-        key_tbl = Hashtbl.create 4096;
-        key_next = 0;
-      })
-
-let emit_id ({ guard; payload } : Lang.emit) : int =
-  let s = Domain.DLS.get key_shard in
-  let gid = match guard with None -> -1 | Some g -> expr_id g in
-  let triple =
-    match payload with
-    | Lang.KV (k, v) -> (gid, expr_id k, expr_id v)
-    | Lang.Val v -> (gid, -2, expr_id v)
-  in
-  match Hashtbl.find_opt s.emit_tbl triple with
+let key_of (h : t) (components : int list) : int =
+  match Hashtbl.find_opt h.keys components with
   | Some i -> i
   | None ->
-      let i = s.emit_next in
-      s.emit_next <- i + 1;
-      Hashtbl.add s.emit_tbl triple i;
+      let i = Hashtbl.length h.keys in
+      Hashtbl.add h.keys components i;
       i
 
-let key_of (components : int list) : int =
-  let s = Domain.DLS.get key_shard in
-  match Hashtbl.find_opt s.key_tbl components with
-  | Some i -> i
-  | None ->
-      let i = s.key_next in
-      s.key_next <- i + 1;
-      Hashtbl.add s.key_tbl components i;
-      i
-
-let clear () =
-  Tbl.reset (Domain.DLS.get shard).tbl;
-  let s = Domain.DLS.get key_shard in
-  Hashtbl.reset s.emit_tbl;
-  Hashtbl.reset s.key_tbl
+let emit_id (h : t) ({ guard; payload } : Lang.emit) : int =
+  let gid = match guard with None -> -1 | Some g -> expr_id h g in
+  key_of h
+    (match payload with
+    | Lang.KV (k, v) -> [ -3; gid; expr_id h k; expr_id h v ]
+    | Lang.Val v -> [ -3; gid; -2; expr_id h v ])

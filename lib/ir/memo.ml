@@ -1,109 +1,87 @@
-(** Interned observational fingerprints and incremental prefixes.
+(** Observational fingerprints and incremental prefixes.
 
-    - [value_id] is the fingerprint cell: the id of an expression's
-      printed value on one probe (errors intern as ["#err"]). Interning
-      by the printed string — not by the structural value — reproduces
+    - A [probe_set] is a search's probe environments together with the
+      cells computed on them. It owns its tables: they are freed with
+      it, and two probe sets never share a cell.
+    - [cells] is an expression's observational fingerprint on a probe
+      set: the id of its printed value on every probe (errors intern as
+      ["#err"]), computed once per (probe set, expression). Interning by
+      the printed string — not by the structural value — reproduces
       exactly the observational-equivalence classes of the original
       string-concatenation fingerprints (e.g. [Int 1] and [Float 1.0]
-      both print as ["1"] and must stay in one class).
-    - [cells] is an expression's cells on every probe of a
-      [probe_set], computed once per (probe set, expression): its
-      observational fingerprint. Two expressions share one exactly when
-      they print the same values on every probe ([fastpath.dedup] checks
-      emit dedup against a dedup by printed strings).
+      both print as ["1"] and must stay in one class). Two expressions
+      share a fingerprint exactly when they print the same values on
+      every probe ([fastpath.dedup] checks emit dedup against a dedup by
+      printed strings).
     - [stage_prefixes] runs a candidate's pipeline on the growing
       prefixes of one state's data, folding in only the records each
       prefix adds ([verify.incremental] checks it against
       {!Eval.stage_node} run from scratch).
 
     Every expression is evaluated by {!Eval}: [eval_expr] for a cell,
-    staged closures for a prefix. [counters] counts the cell arrays
-    reused and computed, and the loop units prepared prefixes ran; each
-    mechanism is kept honest by a narrow reference test of its own
-    (DESIGN.md §9), not by the counters.
-
-    Domain-safety (DESIGN.md §10): every memo table is a per-domain
-    shard ([Domain.DLS]), consistent with the per-domain hash-consing it
-    is keyed by. A fragment search runs on one domain from start to
-    finish, and [clear] (top of every [find_summary]) resets that
-    domain's shard, so caches never leak results across searches and
-    never across domains. Probe-set ids count up in the shard too, and
-    are never reset: every [probe_set] is made and used inside one
-    fragment's search, on one domain, so an id is unique among the ids
-    that domain's tables ever see. *)
+    staged closures for a prefix. A probe set's [counts] tally the cell
+    arrays reused and computed; the probe sets of one search share one
+    tally, which the [synthesis] span reports. Each mechanism is kept
+    honest by a narrow reference test of its own (DESIGN.md §9), not by
+    the counters. *)
 
 module Value = Casper_common.Value
 open Lang
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain memo shard                                               *)
-
-(** Cache-effectiveness counters, read by the [synthesis] span and the
-    tests. All are cumulative: {!clear} does not reset them. *)
-type counters = {
-  mutable cell_hits : int;  (** per-(probe set, expr) cell arrays reused *)
-  mutable cell_misses : int;  (** cell arrays computed *)
-  mutable loop_units : int;
-      (** outer loop units run by prepared prefixes: one per prefix
-          cell resumed from its predecessor, which runs at most one *)
-}
-
-type shard = {
-  str_ids : (string, int) Hashtbl.t;
-  mutable str_next : int;
-  cells_tbl : (int, int array) Hashtbl.t;
-      (** (expr id, probe-set id) -> the expression's value cells *)
-  fires_tbl : (int, bool array) Hashtbl.t;
-      (** (guard id, probe-set id) -> where the guard fires *)
-  mutable probe_set_last : int;  (** the last probe-set id handed out *)
-  counters : counters;
-}
-
-(* Every table starts small and grows with the search. [Hashtbl.reset]
-   shrinks a table back to its initial size, and [clear] resets them all
-   at the top of every fragment search: a large initial size would be
-   paid again by every search, most of which fill a few thousand
-   entries. Growth doubles, so a large search rehashes each entry about
-   once on average. *)
-let shard_key : shard Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        str_ids = Hashtbl.create 4096;
-        str_next = 0;
-        cells_tbl = Hashtbl.create 4096;
-        fires_tbl = Hashtbl.create 256;
-        probe_set_last = 0;
-        counters = { cell_hits = 0; cell_misses = 0; loop_units = 0 };
-      })
-
-let shard () : shard = Domain.DLS.get shard_key
-
-(** The calling domain's counters: searches on other domains never
-    write to them, so a delta taken on one domain is that domain's
-    work. *)
-let counters () : counters = (shard ()).counters
-
-(* ------------------------------------------------------------------ *)
 (* Fingerprint cells                                                   *)
 
-(* printed value -> small id; the id space is shared by every dedup
-   table of one domain so fingerprints are plain int arrays *)
-let id_of_string (s : string) : int =
-  let sh = shard () in
-  match Hashtbl.find_opt sh.str_ids s with
+(** Cell-cache effectiveness of one search. *)
+type counts = {
+  mutable cell_hits : int;  (** per-(probe set, expr) cell arrays reused *)
+  mutable cell_misses : int;  (** cell arrays computed *)
+}
+
+(** A probe set: probe environments and the cells computed on them.
+    Cell arrays are cached per expression, so a combination of pool
+    components copies cached arrays instead of evaluating a cell per
+    probe: every (guard, key, value) emit reads all three components on
+    every probe, and one pool expression recurs in hundreds of
+    combinations. The arrays become fingerprint keys: they are never
+    mutated. *)
+type probe_set = {
+  ps_envs : Eval.env array;
+  ps_counts : counts;  (** shared by the probe sets of one search *)
+  ps_values : (string, int) Hashtbl.t;
+      (** printed value -> small id, so fingerprints are int arrays *)
+  ps_cells : int array Hashcons.Tbl.t;  (** expression -> its cells *)
+  ps_fires : bool array Hashcons.Tbl.t;  (** guard -> where it fires *)
+}
+
+(* Every table starts small and grows: over the Table-2 fragments a
+   probe set holds at most about 200 printed values and cell arrays and
+   30 firing vectors. Growth doubles, so a larger one rehashes each entry
+   about once on average. *)
+let probe_set (counts : counts) (probes : Eval.env list) : probe_set =
+  {
+    ps_envs = Array.of_list probes;
+    ps_counts = counts;
+    ps_values = Hashtbl.create 256;
+    ps_cells = Hashcons.Tbl.create 256;
+    ps_fires = Hashcons.Tbl.create 64;
+  }
+
+(* printed value -> small id, in [ps]'s id space: the table only grows,
+   so its size is the next id *)
+let id_of_string (ps : probe_set) (s : string) : int =
+  match Hashtbl.find_opt ps.ps_values s with
   | Some i -> i
   | None ->
-      let i = sh.str_next in
-      sh.str_next <- i + 1;
-      Hashtbl.add sh.str_ids s i;
+      let i = Hashtbl.length ps.ps_values in
+      Hashtbl.add ps.ps_values s i;
       i
 
 (** Fingerprint cell of [e] in [env]: the interned printed value,
     ["#err"] on any evaluation error. Interning the printed form keeps
     [Int 1] and [Float 1.0] in one class, as printed-string fingerprints
     do. *)
-let value_id (env : Eval.env) (e : expr) : int =
-  id_of_string
+let value_id (ps : probe_set) (env : Eval.env) (e : expr) : int =
+  id_of_string ps
     (match Eval.eval_expr env e with
     | v -> Value.to_string v
     | exception _ -> "#err")
@@ -116,53 +94,31 @@ let bool_of (env : Eval.env) (e : expr) : bool option =
   | _ -> None
   | exception _ -> None
 
-(** A probe set: probe environments under an id of their own. The id
-    keys the cell caches below, so two probe sets never share cells even
-    when they fingerprint the same expression. *)
-type probe_set = { ps_id : int; ps_envs : Eval.env array }
-
-let probe_set (probes : Eval.env list) : probe_set =
-  let sh = shard () in
-  sh.probe_set_last <- sh.probe_set_last + 1;
-  { ps_id = sh.probe_set_last; ps_envs = Array.of_list probes }
-
-(* Per-(probe set, expression) cell arrays, keyed by (expr id, probe-set
-   id) packed into one immediate int: both counters are domain-monotonic
-   but stay far below 2^31, and an unboxed key avoids allocating a tuple
-   per cache probe. A cache of single (expression, probe) cells would
-   pay a table probe per cell for little reuse; whole arrays pay one
-   probe per expression. They pay off in the emit fingerprints: every
-   (guard, key, value) combination reads all three components on every
-   probe, and one pool expression recurs in hundreds of combinations, so
-   a combination copies cached arrays instead of evaluating two cells
-   per probe. The arrays become fingerprint keys: they are never
-   mutated. *)
-let cached (tbl : (int, 'a array) Hashtbl.t) (ps : probe_set) (e : expr)
+let cached (ps : probe_set) (tbl : 'a array Hashcons.Tbl.t) (e : expr)
     (cell : Eval.env -> 'a) : 'a array =
-  let k = (Hashcons.expr_id e lsl 31) lor ps.ps_id in
-  let c = counters () in
-  match Hashtbl.find_opt tbl k with
+  let c = ps.ps_counts in
+  match Hashcons.Tbl.find_opt tbl e with
   | Some a ->
       c.cell_hits <- c.cell_hits + 1;
       a
   | None ->
       c.cell_misses <- c.cell_misses + 1;
       let a = Array.map cell ps.ps_envs in
-      Hashtbl.add tbl k a;
+      Hashcons.Tbl.add tbl e a;
       a
 
 (** [value_id] of [e] on every probe of [ps], in probe order. *)
 let cells (ps : probe_set) (e : expr) : int array =
-  cached (shard ()).cells_tbl ps e (fun env -> value_id env e)
+  cached ps ps.ps_cells e (fun env -> value_id ps env e)
 
 (** Where guard [g] fires on the probes of [ps]: [bool_of] is
     [Some true]; a non-boolean result or an error does not fire. *)
 let fires (ps : probe_set) (g : expr) : bool array =
-  cached (shard ()).fires_tbl ps g (fun env -> bool_of env g = Some true)
+  cached ps ps.ps_fires g (fun env -> bool_of env g = Some true)
 
 (** Observational fingerprint key: interned value-cell ids, one or more
-    per probe ({!cells} for an expression). One printed-value sequence
-    maps to one key. *)
+    per probe ({!cells} for an expression). Within one probe set, one
+    printed-value sequence maps to one key. *)
 type fp = int array
 
 (** Hash table keyed by fingerprints. The generic hash only examines ~10
@@ -310,17 +266,3 @@ let stage_prefixes ~(lr_ran : bool ref) (env : Eval.env) (n : node) :
         (prefix_fold ~lr_ran env d lm (Some lr))
         (Eval.apply_lam_m env post)
   | _ -> Eval.stage_node ~lr_ran env n
-
-(* ------------------------------------------------------------------ *)
-
-(** Drop the calling domain's memo tables (interned printed values,
-    cell arrays, interned expressions and emits). Called at the top of
-    [find_summary] so memory is bounded by one fragment's search;
-    probe-set ids and the {!counters} keep counting, so stale ids can
-    never collide. *)
-let clear () =
-  let sh = shard () in
-  Hashtbl.reset sh.str_ids;
-  Hashtbl.reset sh.cells_tbl;
-  Hashtbl.reset sh.fires_tbl;
-  Hashcons.clear ()

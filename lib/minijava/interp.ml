@@ -44,6 +44,7 @@ let rec unbind (env : env) v : env =
 
 let bind (env : env) v x : env = (v, x) :: unbind env v
 
+(* default (zero) value of a declared type *)
 let rec default_value prog = function
   | TInt | TLong | TDate -> Value.Int 0
   | TFloat -> Value.Float 0.0

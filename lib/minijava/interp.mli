@@ -23,9 +23,6 @@ val lookup : env -> string -> Value.t
     first binding. *)
 val bind : env -> string -> Value.t -> env
 
-(** Default (zero) value of a declared type. *)
-val default_value : Ast.program -> Ast.ty -> Value.t
-
 (** Run a named method on argument values.
     @raise Runtime_error on dynamic faults (out-of-bounds, division by
     zero, arity mismatches, exceeding the step budget). *)

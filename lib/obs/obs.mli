@@ -93,8 +93,6 @@ val metrics : ctx -> Casper_common.Jsonout.t
 
 (** Chrome [trace_event] JSON ("X" complete events, one tid per track,
     metrics embedded under the extra "metrics" key). *)
-val to_chrome : ctx -> Casper_common.Jsonout.t
-
 val to_chrome_string : ctx -> string
 
 (** Write the Chrome trace to [path] and the flat metrics next to it,

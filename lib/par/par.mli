@@ -13,9 +13,8 @@
     domain.
 
     Maps called from inside a map task run inline sequentially (same
-    results — a nested map just loses its parallelism), which keeps
-    domain-local caches (memo shards, interners) consistent within one
-    logical search.
+    results — a nested map just loses its parallelism), so a task
+    spawns no domains of its own.
 
     {!spawn} is the one way onto another domain: no code outside
     [lib/par] calls [Domain.spawn]. *)

@@ -369,18 +369,24 @@ let rank prog frag (verified : (Ir.summary * int) list) : solution list =
 (** Figure 5 lines 10–24: the full search. *)
 let rec find_summary ?(obs = Obs.null) ?(config = default_config)
     (prog : Minijava.Ast.program) (frag : F.t) : outcome =
-  (* fresh memo/hash-cons tables per search; interned ids are monotonic,
-     so entries from earlier searches can never alias new ones *)
-  Memo.clear ();
   let t0 = Obs.now obs in
-  (* memo counters are cumulative across searches; deltas
-     against this snapshot of the calling domain's record are this
-     search's hit/miss contribution *)
-  let fc = Memo.counters () in
-  let hits0 = fc.Memo.cell_hits and misses0 = fc.Memo.cell_misses in
+  (* the search's tables: its interner and fingerprint cells live in
+     the pools, built by the class loop (a fragment solved by
+     decomposition never pays for them) and freed with the search *)
+  let pools =
+    lazy
+      (Obs.span obs "grammar" (fun () ->
+           G.build prog frag (make_probes prog frag)))
+  in
   let finish ~classes ~timed_out st solutions =
-    Obs.add obs "memo_cell_hits" (fc.Memo.cell_hits - hits0);
-    Obs.add obs "memo_cell_misses" (fc.Memo.cell_misses - misses0);
+    let hits, misses =
+      if Lazy.is_val pools then
+        let c = (Lazy.force pools).G.cprobes.Memo.ps_counts in
+        (c.Memo.cell_hits, c.Memo.cell_misses)
+      else (0, 0)
+    in
+    Obs.add obs "memo_cell_hits" hits;
+    Obs.add obs "memo_cell_misses" misses;
     Obs.add obs "candidates_unbuilt" st.unbuilt;
     Obs.add obs "blocked_set" (Hashtbl.length st.blocked);
     let solutions = rank prog frag solutions in
@@ -402,13 +408,6 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
   | Some _ ->
       finish ~classes:0 ~timed_out:false (make_state prog frag ~budget:0) []
   | None ->
-      (* pools are only needed by the class loop — built lazily so a
-         fragment solved by decomposition never pays for them *)
-      let pools =
-        lazy
-          (Obs.span obs "grammar" (fun () ->
-               G.build prog frag (make_probes prog frag)))
-      in
       let klasses =
         if config.incremental then G.classes frag else [ G.flat_class frag ]
       in

@@ -78,9 +78,6 @@ val dead : search_state -> Enumerate.dead
 (** IR typing environment of a fragment's free scalars. *)
 val tenv_of_frag : Minijava.Ast.program -> F.t -> Casper_ir.Infer.tenv
 
-(** Is every reduction in the summary commutative-associative? *)
-val summary_comm_assoc : Minijava.Ast.program -> F.t -> Ir.summary -> bool
-
 (** Figure 5 lines 10–24: the full search. Cost-sorted verified
     summaries; empty when the fragment is unsupported or the space is
     exhausted/budget spent without a verifiable candidate.
@@ -93,8 +90,10 @@ val summary_comm_assoc : Minijava.Ast.program -> F.t -> Ir.summary -> bool
     [elapsed_s], so a virtual-clock context makes the statistic
     deterministic.
 
-    The search runs on the calling domain from start to finish; it
-    first empties that domain's memo tables ({!Casper_ir.Memo.clear}). *)
+    The search runs on the calling domain from start to finish. Every
+    table it fills (its interner, fingerprint cells, blocked and dead
+    sets) is its own and is freed with it, so searches share nothing,
+    one nested in another included. *)
 val find_summary :
   ?obs:Casper_obs.Obs.ctx ->
   ?config:config ->

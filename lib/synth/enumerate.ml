@@ -140,19 +140,20 @@ let key_out_ty (t : Minijava.Ast.ty) : Ir.ty =
     plus the fragment's scalars. *)
 let post_pool (pools : G.pools) ~(v : string) (vt : Ir.ty) ~(out_ty : Ir.ty)
     : Ir.expr list =
+  let hc = pools.G.hc in
   let terminals =
     match vt with
-    | Ir.TTuple ts -> List.mapi (fun i _ -> H.tupleget (H.var v) i) ts
-    | _ -> [ H.var v ]
+    | Ir.TTuple ts -> List.mapi (fun i _ -> H.tupleget hc (H.var hc v) i) ts
+    | _ -> [ H.var hc v ]
   in
   let scalar_terms =
     List.filter_map
       (fun (s, t) ->
         match t with
-        | Ir.TInt | Ir.TFloat -> Some (H.var s)
+        | Ir.TInt | Ir.TFloat -> Some (H.var hc s)
         | _ -> None)
       pools.G.scalars
-    @ [ H.cint 1; H.cint 2; H.cfloat 1.0 ]
+    @ [ H.cint hc 1; H.cint hc 2; H.cfloat hc 1.0 ]
   in
   let arith =
     List.filter G.is_arith (Ir.Add :: Ir.Sub :: Ir.Div :: pools.G.ops)
@@ -163,7 +164,7 @@ let post_pool (pools : G.pools) ~(v : string) (vt : Ir.ty) ~(out_ty : Ir.ty)
       (fun op ->
         List.concat_map
           (fun a ->
-            List.map (fun b -> H.binop op a b) (terminals @ scalar_terms))
+            List.map (fun b -> H.binop hc op a b) (terminals @ scalar_terms))
           terminals)
       arith
   in
@@ -196,7 +197,7 @@ let post_pool (pools : G.pools) ~(v : string) (vt : Ir.ty) ~(out_ty : Ir.ty)
   let probes =
     List.concat_map (fun s -> List.map (fun b -> (v, s) :: b) bases) samples
   in
-  G.dedupe ~limit:16 probes well_typed
+  G.dedupe pools ~limit:16 probes well_typed
 
 (* --------------------------------------------------------------- *)
 (* Shape generators                                                 *)
@@ -217,16 +218,16 @@ let param_names pools = List.map fst pools.G.params
    candidate alone. The keyed shape adds one projection key per output,
    [11; i; emit id]: the candidates whose output [i] is emitted by that
    emit (DESIGN.md §16). *)
-let emits_ids (l : Ir.emit list) : (Ir.emit * int) list =
-  List.map (fun e -> (e, H.emit_id e)) l
+let emits_ids hc (l : Ir.emit list) : (Ir.emit * int) list =
+  List.map (fun e -> (e, H.emit_id hc e)) l
 
-let exprs_ids (l : Ir.expr list) : (Ir.expr * int) list =
-  List.map (fun e -> (e, H.expr_id e)) l
+let exprs_ids hc (l : Ir.expr list) : (Ir.expr * int) list =
+  List.map (fun e -> (e, H.expr_id hc e)) l
 
 (* reducers all bind the same parameter names, so the body id alone
    identifies one *)
-let reducers_ids (l : Ir.lam_r list) : (Ir.lam_r * int) list =
-  List.map (fun lr -> (lr, H.expr_id lr.Ir.r_body)) l
+let reducers_ids hc (l : Ir.lam_r list) : (Ir.lam_r * int) list =
+  List.map (fun lr -> (lr, H.expr_id hc lr.Ir.r_body)) l
 
 (* --------------------------------------------------------------- *)
 (* Items and dead sets                                              *)
@@ -303,20 +304,21 @@ let family_items (dead : dead) ~family ~projs ~(key : int -> int)
 (** 1 op: global reduce directly over a list of scalar records. *)
 let shape_reduce_only (dead : dead) (frag : F.t) (pools : G.pools)
     (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   match (frag.schema, frag.outputs) with
   | F.SList { elem_ty; _ }, [ (out, _, F.KScalar) ] ->
       let ety = Casper_analysis.Analyze.ir_ty elem_ty in
       (match ety with
       | Ir.TInt | Ir.TFloat | Ir.TBool | Ir.TString ->
           let d = F.primary_dataset frag in
-          family_items dead ~family:(H.key_of [ 1 ]) ~projs:[]
-            ~key:(fun rid -> H.key_of [ 1; rid ])
+          family_items dead ~family:(H.key_of hc [ 1 ]) ~projs:[]
+            ~key:(fun rid -> H.key_of hc [ 1; rid ])
             (fun lr ->
               {
                 Ir.pipeline = Ir.Reduce (Ir.Data d, lr);
                 bindings = [ (out, Ir.Proj None) ];
               })
-            (reducers_ids (G.reducers pools ety))
+            (reducers_ids hc (G.reducers pools ety))
       | _ -> Seq.empty)
   | _ ->
       ignore k;
@@ -325,6 +327,7 @@ let shape_reduce_only (dead : dead) (frag : F.t) (pools : G.pools)
 (** 1 op: map only — keyed output rebuilt per record. *)
 let shape_map_only (dead : dead) (frag : F.t) (pools : G.pools)
     (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -338,13 +341,13 @@ let shape_map_only (dead : dead) (frag : F.t) (pools : G.pools)
       in
       Seq.map
         (fun (e, eid) ->
-          let key = H.key_of [ 2; eid ] in
+          let key = H.key_of hc [ 2; eid ] in
           one_item dead ~key ~family:key ~projs:[] (fun () ->
               {
                 Ir.pipeline = Ir.Map (Ir.Data d, mk_map_emits params [ e ]);
                 bindings = [ (out, Ir.Whole) ];
               }))
-        (seq_of_list (emits_ids emits))
+        (seq_of_list (emits_ids hc emits))
   | _ -> Seq.empty
 
 (** Emit-candidate list for one scalar output, observationally deduped
@@ -352,13 +355,14 @@ let shape_map_only (dead : dead) (frag : F.t) (pools : G.pools)
     the probes). *)
 let scalar_emits (pools : G.pools) (k : G.klass) (out : string)
     (oty : Ir.ty) : Ir.emit list =
+  let hc = pools.G.hc in
   (* every emit shares the fixed key [CStr out], so the general emit
      fingerprint collapses to the (guard, value) behaviour — the same
      dedup classes as fingerprinting the value alone *)
   let combos =
     let* g = seq_of_list (G.guards pools ~max_len:k.max_len) in
     Seq.map
-      (fun v -> { Ir.guard = g; payload = Ir.KV (H.cstr out, v) })
+      (fun v -> { Ir.guard = g; payload = Ir.KV (H.cstr hc out, v) })
       (seq_of_list (vals_list pools ~max_len:k.max_len oty))
   in
   dedupe_emits_seq pools ~limit:64 combos
@@ -366,6 +370,7 @@ let scalar_emits (pools : G.pools) (k : G.klass) (out : string)
 (** 2 ops: reduce(map(data)) — keyed by output-variable id. *)
 let shape_map_reduce_keyed (dead : dead) (frag : F.t) (pools : G.pools)
     (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -388,17 +393,17 @@ let shape_map_reduce_keyed (dead : dead) (frag : F.t) (pools : G.pools)
           List.mapi
             (fun i (o, t) ->
               List.map
-                (fun (e, eid) -> (e, eid, H.key_of [ 11; i; eid ]))
-                (emits_ids (scalar_emits pools k o t)))
+                (fun (e, eid) -> (e, eid, H.key_of hc [ 11; i; eid ]))
+                (emits_ids hc (scalar_emits pools k o t)))
             scalars
         in
-        let reducers = reducers_ids (G.reducers pools vty) in
-        let key eids rid = H.key_of ((3 :: eids) @ [ rid ]) in
+        let reducers = reducers_ids hc (G.reducers pools vty) in
+        let key eids rid = H.key_of hc ((3 :: eids) @ [ rid ]) in
         let family picks =
           let emits = List.map (fun (e, _, _) -> e) picks in
           let eids = List.map (fun (_, eid, _) -> eid) picks in
           family_items dead
-            ~family:(H.key_of (3 :: eids))
+            ~family:(H.key_of hc (3 :: eids))
             ~projs:(List.map2 (fun (o, _) (_, _, p) -> (o, p)) scalars picks)
             ~key:(key eids)
             (fun lr ->
@@ -447,6 +452,7 @@ let shape_map_reduce_keyed (dead : dead) (frag : F.t) (pools : G.pools)
 (** 2 ops: global reduce over plain emitted values (tuple style). *)
 let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
     (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -471,10 +477,10 @@ let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
             (G.guards pools ~max_len:k.max_len)
           |> dedupe_emits pools
         in
-        let reducers = reducers_ids (G.reducers pools oty) in
-        let* e, eid = seq_of_list (emits_ids emits) in
-        family_items dead ~family:(H.key_of [ 4; eid ]) ~projs:[]
-          ~key:(fun rid -> H.key_of [ 4; eid; rid ])
+        let reducers = reducers_ids hc (G.reducers pools oty) in
+        let* e, eid = seq_of_list (emits_ids hc emits) in
+        family_items dead ~family:(H.key_of hc [ 4; eid ]) ~projs:[]
+          ~key:(fun rid -> H.key_of hc [ 4; eid; rid ])
           (fun lr ->
             {
               Ir.pipeline =
@@ -486,7 +492,7 @@ let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
         let slot_pools =
           List.map
             (fun (_, t) ->
-              exprs_ids (G.cap 10 (vals_list pools ~max_len:k.max_len t)))
+              exprs_ids hc (G.cap 10 (vals_list pools ~max_len:k.max_len t)))
             scalars
         in
         let rec cart = function
@@ -496,12 +502,12 @@ let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
               Seq.map (fun tl -> e :: tl) (cart rest)
         in
         let vty = Ir.TTuple (List.map snd scalars) in
-        let reducers = reducers_ids (G.reducers pools vty) in
+        let reducers = reducers_ids hc (G.reducers pools vty) in
         let* picks = cart slot_pools in
         let slots = List.map fst picks in
         let sids = List.map snd picks in
-        family_items dead ~family:(H.key_of (5 :: sids)) ~projs:[]
-          ~key:(fun rid -> H.key_of ((5 :: sids) @ [ rid ]))
+        family_items dead ~family:(H.key_of hc (5 :: sids)) ~projs:[]
+          ~key:(fun rid -> H.key_of hc ((5 :: sids) @ [ rid ]))
           (fun lr ->
             {
                 Ir.pipeline =
@@ -525,13 +531,14 @@ let shape_map_reduce_global (dead : dead) (frag : F.t) (pools : G.pools)
 (** 2 ops: reduce(map(data)) for a keyed (array/map) output. *)
 let shape_map_reduce_collection (dead : dead) (frag : F.t) (pools : G.pools)
     (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
       let params = param_names pools in
       let kty = key_out_ty oty and vty = elem_out_ty oty in
       let emits =
-        emits_ids
+        emits_ids hc
           (kv_emits pools k ~limit:4096
              ~key_pool:(G.cap 8 (vals_list pools ~max_len:k.max_len kty))
              ~val_pool:(G.cap 14 (vals_list pools ~max_len:k.max_len vty))
@@ -568,12 +575,12 @@ let shape_map_reduce_collection (dead : dead) (frag : F.t) (pools : G.pools)
                       h))
                h)
       in
-      let reducers = reducers_ids (G.reducers pools vty) in
+      let reducers = reducers_ids hc (G.reducers pools vty) in
       let* picks = seq_of_list (single @ pairs @ triples) in
       let body = List.map fst picks in
       let eids = List.map snd picks in
-      family_items dead ~family:(H.key_of (6 :: eids)) ~projs:[]
-        ~key:(fun rid -> H.key_of ((6 :: eids) @ [ rid ]))
+      family_items dead ~family:(H.key_of hc (6 :: eids)) ~projs:[]
+        ~key:(fun rid -> H.key_of hc ((6 :: eids) @ [ rid ]))
         (fun lr ->
           {
             Ir.pipeline =
@@ -587,6 +594,7 @@ let shape_map_reduce_collection (dead : dead) (frag : F.t) (pools : G.pools)
     that rewrites each reduced value (row-wise mean's [v / cols]). *)
 let shape_map_reduce_map_collection (dead : dead) (frag : F.t)
     (pools : G.pools) (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   match frag.outputs with
   | [ (out, oty, (F.KArray | F.KMap)) ] ->
       let d = F.primary_dataset frag in
@@ -602,20 +610,20 @@ let shape_map_reduce_map_collection (dead : dead) (frag : F.t)
          when the first candidate needs it *)
       let post =
         lazy
-          (exprs_ids
+          (exprs_ids hc
              (List.filter
                 (fun e -> e <> Ir.Var "v")
                 (post_pool pools ~v:"v" vty ~out_ty:(elem_out_ty oty))))
       in
-      let* e, eid = seq_of_list (emits_ids emits) in
-      let* lr, rid = seq_of_list (reducers_ids (G.reducers pools vty)) in
+      let* e, eid = seq_of_list (emits_ids hc emits) in
+      let* lr, rid = seq_of_list (reducers_ids hc (G.reducers pools vty)) in
       (* a family (fixed emit and post-map) is spread over the reducer
          loop, so each member is looked up on its own *)
       Seq.map
         (fun (e2, pid) ->
           one_item dead
-            ~key:(H.key_of [ 7; eid; rid; pid ])
-            ~family:(H.key_of [ 7; eid; pid ])
+            ~key:(H.key_of hc [ 7; eid; rid; pid ])
+            ~family:(H.key_of hc [ 7; eid; pid ])
             ~projs:[]
           @@ fun () ->
             {
@@ -642,6 +650,7 @@ let shape_map_reduce_map_collection (dead : dead) (frag : F.t)
     (Delta's [max - min]). *)
 let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
     (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   let scalars =
     List.filter_map
       (fun (v, t, kd) ->
@@ -666,14 +675,14 @@ let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
     (* the post-map pool depends on the base type alone: built once per
        type, when the first candidate needs it *)
     let post_p =
-      lazy (exprs_ids (G.cap 8 (post_pool pools ~v:"t" vty ~out_ty:bty)))
+      lazy (exprs_ids hc (G.cap 8 (post_pool pools ~v:"t" vty ~out_ty:bty)))
     in
     let* b, bid =
-      seq_of_list (exprs_ids (G.cap 8 (vals_list pools ~max_len:k.max_len bty)))
+      seq_of_list (exprs_ids hc (G.cap 8 (vals_list pools ~max_len:k.max_len bty)))
     in
     let* lr, rid =
       seq_of_list
-        (reducers_ids
+        (reducers_ids hc
            (List.filter
               (fun lr ->
                 match lr.Ir.r_body with Ir.MkTuple _ -> true | _ -> false)
@@ -690,8 +699,8 @@ let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
     Seq.map
       (fun choices ->
         one_item dead
-          ~key:(H.key_of (8 :: bid :: rid :: pids choices))
-          ~family:(H.key_of (8 :: bid :: pids choices))
+          ~key:(H.key_of hc (8 :: bid :: rid :: pids choices))
+          ~family:(H.key_of hc (8 :: bid :: pids choices))
           ~projs:[]
         @@ fun () ->
           {
@@ -721,17 +730,17 @@ let shape_map_reduce_map_global (dead : dead) (frag : F.t) (pools : G.pools)
 (* --------------------------------------------------------------- *)
 (* Join shapes                                                      *)
 
-let rec subst (m : (string * Ir.expr) list) (e : Ir.expr) : Ir.expr =
+let rec subst hc (m : (string * Ir.expr) list) (e : Ir.expr) : Ir.expr =
   match e with
   | Ir.Var v -> ( match List.assoc_opt v m with Some e' -> e' | None -> e)
   | Ir.CInt _ | Ir.CFloat _ | Ir.CBool _ | Ir.CStr _ -> e
-  | Ir.Unop (op, a) -> H.unop op (subst m a)
-  | Ir.Binop (op, a, b) -> H.binop op (subst m a) (subst m b)
-  | Ir.Call (f, args) -> H.call f (List.map (subst m) args)
-  | Ir.MkTuple es -> H.mktuple (List.map (subst m) es)
-  | Ir.TupleGet (a, i) -> H.tupleget (subst m a) i
-  | Ir.Field (a, f) -> H.field (subst m a) f
-  | Ir.If (a, b, c) -> H.ite (subst m a) (subst m b) (subst m c)
+  | Ir.Unop (op, a) -> H.unop hc op (subst hc m a)
+  | Ir.Binop (op, a, b) -> H.binop hc op (subst hc m a) (subst hc m b)
+  | Ir.Call (f, args) -> H.call hc f (List.map (subst hc m) args)
+  | Ir.MkTuple es -> H.mktuple hc (List.map (subst hc m) es)
+  | Ir.TupleGet (a, i) -> H.tupleget hc (subst hc m a) i
+  | Ir.Field (a, f) -> H.field hc (subst hc m a) f
+  | Ir.If (a, b, c) -> H.ite hc (subst hc m a) (subst hc m b) (subst hc m c)
 
 (** Join-key candidates: equality conditions in the body that compare an
     [x1]-only expression with an [x2]-only expression, plus same-typed
@@ -797,13 +806,14 @@ let join_keys (prog : Minijava.Ast.program) (frag : F.t) (pools : G.pools) :
     joined pair. *)
 let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
     (pools : G.pools) (k : G.klass) : item Seq.t =
+  let hc = pools.G.hc in
   match frag.schema with
   | F.SJoin { d1; x1; d2; x2; _ } ->
       let keys = join_keys prog frag pools in
       if List.is_empty keys then Seq.empty
       else
         let keys =
-          List.map (fun (k1, k2) -> (k1, k2, H.expr_id k1, H.expr_id k2)) keys
+          List.map (fun (k1, k2) -> (k1, k2, H.expr_id hc k1, H.expr_id hc k2)) keys
         in
         let m =
           [
@@ -825,12 +835,12 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
         in
         let substituted_harvested = Hashtbl.create 32 in
         Hashtbl.iter
-          (fun e () -> Hashtbl.replace substituted_harvested (subst m e) ())
+          (fun e () -> Hashtbl.replace substituted_harvested (subst hc m e) ())
           pools.G.harvested;
         let keep e = Hashtbl.mem substituted_harvested e in
         let size e = if keep e then 1 else Ir.expr_size e in
         let lift_pool pool =
-          G.dedupe ~keep ~size joined_probes (List.map (subst m) pool)
+          G.dedupe pools ~keep ~size joined_probes (List.map (subst hc m) pool)
         in
         let ints = lift_pool pools.G.ints
         and floats = lift_pool pools.G.floats
@@ -853,17 +863,17 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
           (None, -1)
           :: List.map
                (fun (b, i) -> (Some b, i))
-               (exprs_ids (G.cap 12 bools))
+               (exprs_ids hc (G.cap 12 bools))
         in
         (match scalars with
         | [ (out, oty) ] ->
             let* key1, key2, k1id, k2id = seq_of_list keys in
             let* g, gid = seq_of_list (guards_of bools) in
-            let* v, vid = seq_of_list (exprs_ids (G.cap 16 (val_pool oty))) in
+            let* v, vid = seq_of_list (exprs_ids hc (G.cap 16 (val_pool oty))) in
             family_items dead
-              ~family:(H.key_of [ 9; k1id; k2id; gid; vid ])
+              ~family:(H.key_of hc [ 9; k1id; k2id; gid; vid ])
               ~projs:[]
-              ~key:(fun rid -> H.key_of [ 9; k1id; k2id; gid; vid; rid ])
+              ~key:(fun rid -> H.key_of hc [ 9; k1id; k2id; gid; vid; rid ])
               (fun lr ->
                 let core =
                   Ir.Join
@@ -901,7 +911,7 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
                         lr );
                   bindings = [ (out, Ir.AtKey (Value.Str out)) ];
                 })
-              (reducers_ids (G.reducers pools oty))
+              (reducers_ids hc (G.reducers pools oty))
         | _ -> (
             match frag.outputs with
             | [ (out, oty, (F.KMap | F.KArray)) ] ->
@@ -914,16 +924,16 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
                   | _ -> []
                 in
                 let* key1, key2, k1id, k2id = seq_of_list keys in
-                let* okey, okid = seq_of_list (exprs_ids (G.cap 8 kpool)) in
+                let* okey, okid = seq_of_list (exprs_ids hc (G.cap 8 kpool)) in
                 let* g, gid = seq_of_list (guards_of bools) in
                 let* v, vid =
-                  seq_of_list (exprs_ids (G.cap 16 (val_pool vty)))
+                  seq_of_list (exprs_ids hc (G.cap 16 (val_pool vty)))
                 in
                 family_items dead
-                  ~family:(H.key_of [ 10; k1id; k2id; okid; gid; vid ])
+                  ~family:(H.key_of hc [ 10; k1id; k2id; okid; gid; vid ])
                   ~projs:[]
                   ~key:(fun rid ->
-                    H.key_of [ 10; k1id; k2id; okid; gid; vid; rid ])
+                    H.key_of hc [ 10; k1id; k2id; okid; gid; vid; rid ])
                   (fun lr ->
                     let core =
                       Ir.Join
@@ -961,7 +971,7 @@ let shape_join (dead : dead) (prog : Minijava.Ast.program) (frag : F.t)
                             lr );
                       bindings = [ (out, Ir.Whole) ];
                     })
-                  (reducers_ids (G.reducers pools vty))
+                  (reducers_ids hc (G.reducers pools vty))
             | _ -> Seq.empty))
         |> fun s ->
         ignore k;

@@ -111,10 +111,6 @@ let dedupe_c ?(keep = fun _ -> false) ?(size = Ir.expr_size) ?limit
   go sorted;
   List.rev !out
 
-let dedupe ?keep ?size ?limit (probes : probe) (exprs : Ir.expr list) :
-    Ir.expr list =
-  dedupe_c ?keep ?size ?limit (Memo.probe_set probes) exprs
-
 (* ------------------------------------------------------------------ *)
 (* Typed expression pools                                              *)
 
@@ -127,8 +123,11 @@ type pools = {
   strings : Ir.expr list;
   probes : probe;
   cprobes : Memo.probe_set;
-      (** [probes] under one probe-set id: the key of their fingerprint
-          cells *)
+      (** [probes] with their fingerprint cells; its counts are the
+          search's *)
+  hc : H.t;
+      (** the search's interner: pool expressions are its canonical
+          representatives, and candidate keys are its ids *)
   ops : Ir.binop list;
   structs : (string * (string * Ir.ty) list) list;
   harvested : (Ir.expr, unit) Hashtbl.t;
@@ -170,7 +169,8 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
       frag.input_scalars
   in
   let structs = Casper_analysis.Analyze.struct_table prog in
-  let harvested = Lift.harvest prog frag in
+  let hc = H.create () in
+  let harvested = List.map (H.intern_deep hc) (Lift.harvest prog frag) in
   (* terminals: params, scalars, record fields, constants *)
   let field_accesses =
     List.concat_map
@@ -179,7 +179,7 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
         | Ir.TRecord name -> (
             match List.assoc_opt name structs with
             | Some fields ->
-                List.map (fun (f, _) -> H.field (H.var p) f) fields
+                List.map (fun (f, _) -> H.field hc (H.var hc p) f) fields
             | None -> [])
         | _ -> [])
       (params @ scalars)
@@ -187,22 +187,24 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
   let const_exprs =
     List.filter_map
       (function
-        | Value.Int n -> Some (H.cint n)
-        | Value.Float f -> Some (H.cfloat f)
-        | Value.Str s -> Some (H.cstr s)
-        | Value.Bool b -> Some (H.cbool b)
+        | Value.Int n -> Some (H.cint hc n)
+        | Value.Float f -> Some (H.cfloat hc f)
+        | Value.Str s -> Some (H.cstr hc s)
+        | Value.Bool b -> Some (H.cbool hc b)
         | _ -> None)
       frag.constants
   in
   let terminals =
-    List.map (fun (p, _) -> H.var p) (params @ scalars)
+    List.map (fun (p, _) -> H.var hc p) (params @ scalars)
     @ field_accesses @ const_exprs
-    @ [ H.cint 0; H.cint 1; H.cfloat 1.0 ]
+    @ [ H.cint hc 0; H.cint hc 1; H.cfloat hc 1.0 ]
     @ harvested
   in
   let harvested_tbl = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace harvested_tbl e ()) harvested;
-  let cprobes = Memo.probe_set probes in
+  let cprobes =
+    Memo.probe_set { Memo.cell_hits = 0; cell_misses = 0 } probes
+  in
   let dummy =
     {
       params;
@@ -213,6 +215,7 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
       strings = [];
       probes;
       cprobes;
+      hc;
       ops = frag.operators;
       structs;
       harvested = harvested_tbl;
@@ -244,7 +247,7 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
           (fun a ->
             List.filter_map
               (fun b ->
-                let e = H.binop op a b in
+                let e = H.binop hc op a b in
                 if non_const e then Some e else None)
               (cap 10 pool))
           (cap 10 pool))
@@ -263,7 +266,7 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
             (fun a ->
               List.filter_map
                 (fun b ->
-                  let e = H.binop op a b in
+                  let e = H.binop hc op a b in
                   if non_const e then Some e else None)
                 (cap 8 ints0))
             (cap 8 floats0))
@@ -278,7 +281,7 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
           (fun a ->
             List.filter_map
               (fun b ->
-                let e = H.binop op a b in
+                let e = H.binop hc op a b in
                 if non_const e then Some e else None)
               (cap 8 pool))
           (cap 8 pool))
@@ -298,10 +301,18 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
     strings;
     probes;
     cprobes;
+    hc;
     ops = frag.operators;
     structs;
     harvested = harvested_tbl;
   }
+
+(** [dedupe_c] on other probes, whose cells count as [p]'s search's. *)
+let dedupe (p : pools) ?keep ?size ?limit (probes : probe)
+    (exprs : Ir.expr list) : Ir.expr list =
+  dedupe_c ?keep ?size ?limit
+    (Memo.probe_set p.cprobes.Memo.ps_counts probes)
+    exprs
 
 let exprs_of_ty (p : pools) : Ir.ty -> Ir.expr list = function
   | Ir.TInt | Ir.TDate -> p.ints

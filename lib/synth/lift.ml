@@ -11,7 +11,6 @@
 
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
-module H = Casper_ir.Hashcons
 open Minijava.Ast
 
 (** λm parameter names and IR types for a fragment's records. *)
@@ -92,53 +91,53 @@ let lift (frag : F.t) (prog : program) : expr -> Ir.expr option =
   let rec go (e : expr) : Ir.expr option =
     let open Option in
     match e with
-    | IntLit n -> Some (H.cint n)
-    | FloatLit f -> Some (H.cfloat f)
-    | BoolLit b -> Some (H.cbool b)
-    | StrLit s -> Some (H.cstr s)
+    | IntLit n -> Some (Ir.CInt n)
+    | FloatLit f -> Some (Ir.CFloat f)
+    | BoolLit b -> Some (Ir.CBool b)
+    | StrLit s -> Some (Ir.CStr s)
     | Var v -> (
         match frag.schema with
-        | F.SList { elem; _ } when String.equal v elem -> Some (H.var v)
-        | F.SArrays { idx; _ } when String.equal v idx -> Some (H.var v)
+        | F.SList { elem; _ } when String.equal v elem -> Some (Ir.Var v)
+        | F.SArrays { idx; _ } when String.equal v idx -> Some (Ir.Var v)
         | F.SMatrix { i; j; _ } when String.equal v i || String.equal v j ->
-            Some (H.var v)
+            Some (Ir.Var v)
         | F.SJoin { x1; x2; _ } when String.equal v x1 || String.equal v x2
           ->
-            Some (H.var v)
-        | _ -> if List.mem v scalars then Some (H.var v) else None)
+            Some (Ir.Var v)
+        | _ -> if List.mem v scalars then Some (Ir.Var v) else None)
     | Index (Var a, Var i) -> (
         match frag.schema with
         | F.SArrays { idx; arrays; _ }
           when String.equal i idx && List.mem_assoc a arrays ->
-            Some (H.var a)
+            Some (Ir.Var a)
         | _ -> None)
     | Index (Index (Var m, Var i'), Var j') -> (
         match frag.schema with
         | F.SMatrix { data; i; j; _ }
           when String.equal m data && String.equal i' i
                && String.equal j' j ->
-            Some (H.var "v")
+            Some (Ir.Var "v")
         | _ -> None)
-    | Field (r, f) -> bind (go r) (fun r' -> Some (H.field r' f))
-    | Unop (Neg, a) -> bind (go a) (fun a' -> Some (H.unop Ir.Neg a'))
-    | Unop (Not, a) -> bind (go a) (fun a' -> Some (H.unop Ir.Not a'))
+    | Field (r, f) -> bind (go r) (fun r' -> Some (Ir.Field (r', f)))
+    | Unop (Neg, a) -> bind (go a) (fun a' -> Some (Ir.Unop (Ir.Neg, a')))
+    | Unop (Not, a) -> bind (go a) (fun a' -> Some (Ir.Unop (Ir.Not, a')))
     | Unop (BitNot, _) -> None
     | Binop (op, a, b) -> (
         match List.assoc_opt op binop_map with
         | None -> None
         | Some op' ->
             bind (go a) (fun a' ->
-                bind (go b) (fun b' -> Some (H.binop op' a' b'))))
+                bind (go b) (fun b' -> Some (Ir.Binop (op', a', b')))))
     | Call ("Math.min", [ a; b ]) ->
         bind (go a) (fun a' ->
-            bind (go b) (fun b' -> Some (H.binop Ir.Min a' b')))
+            bind (go b) (fun b' -> Some (Ir.Binop (Ir.Min, a', b'))))
     | Call ("Math.max", [ a; b ]) ->
         bind (go a) (fun a' ->
-            bind (go b) (fun b' -> Some (H.binop Ir.Max a' b')))
+            bind (go b) (fun b' -> Some (Ir.Binop (Ir.Max, a', b'))))
     | Call (name, args) when Casper_common.Library.is_known name ->
         let args' = List.filter_map go args in
         if List.length args' = List.length args then
-          Some (H.call name args')
+          Some (Ir.Call (name, args'))
         else None
     | Call (name, args) -> (
         (* user-defined method: inline the body (§6.1) *)
@@ -156,22 +155,22 @@ let lift (frag : F.t) (prog : program) : expr -> Ir.expr option =
             let all = recv :: args in
             let all' = List.filter_map go all in
             if List.length all' = List.length all then
-              Some (H.call ("String." ^ name) all')
+              Some (Ir.Call ("String." ^ name, all'))
             else None
         | Some TDate when String.equal name "before" || String.equal name "after"
           ->
             let all = recv :: args in
             let all' = List.filter_map go all in
             if List.length all' = List.length all then
-              Some (H.call ("Date." ^ name) all')
+              Some (Ir.Call ("Date." ^ name, all'))
             else None
         | Some (TClass _) when List.is_empty args ->
-            bind (go recv) (fun r' -> Some (H.field r' name))
+            bind (go recv) (fun r' -> Some (Ir.Field (r', name)))
         | _ -> None)
     | Ternary (c, a, b) ->
         bind (go c) (fun c' ->
             bind (go a) (fun a' ->
-                bind (go b) (fun b' -> Some (H.ite c' a' b'))))
+                bind (go b) (fun b' -> Some (Ir.If (c', a', b')))))
     | Cast ((TInt | TLong), a) -> go a
     | Cast (TFloat, a) ->
         (* numeric promotion is implicit in the IR *)

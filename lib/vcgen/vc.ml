@@ -385,6 +385,9 @@ type prepared_state = {
   p_outer : (int, exn) result Lazy.t;
   p_cells : prefix_cell Lazy.t array Lazy.t;
       (** one cell per prefix 0..n when [p_outer] is [Ok n] *)
+  mutable p_loop_units : int;
+      (** outer loop units run for [p_cells]: one per cell resumed from
+          its predecessor, which runs at most one *)
 }
 
 (* [run_prefix]'s run over one prefix, and the run over the next prefix
@@ -451,7 +454,16 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
       (fun (v, _, kind) -> if kind = F.KArray then Some v else None)
       frag.outputs
   in
-  let cells =
+  let rec ps =
+    {
+      p_entry = entry;
+      p_shapes = shapes_of frag;
+      p_init_lens = Hashtbl.create 4;
+      p_outer = outer;
+      p_cells = cells;
+      p_loop_units = 0;
+    }
+  and cells =
     lazy
       (match Lazy.force outer with
       | Error _ -> [||]
@@ -464,8 +476,7 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
             steps.(k) <-
               lazy
                 (let prev = Lazy.force steps.(k - 1) in
-                 let c = Casper_ir.Memo.counters () in
-                 c.loop_units <- c.loop_units + 1;
+                 ps.p_loop_units <- ps.p_loop_units + 1;
                  prev.s_next ())
           done;
           let seq_at k = (Lazy.force steps.(k)).s_env in
@@ -488,13 +499,7 @@ let prepare_state (prog : program) (frag : F.t) (entry : env) :
                            }
                      | exception e -> PRaise e))))
   in
-  {
-    p_entry = entry;
-    p_shapes = shapes_of frag;
-    p_init_lens = Hashtbl.create 4;
-    p_outer = outer;
-    p_cells = cells;
-  }
+  ps
 
 (* [p_entry] binds each output to one initial value, so one length per
    output *)

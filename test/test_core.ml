@@ -13,7 +13,7 @@ module F = Casper_analysis.Fragment
 module An = Casper_analysis.Analyze
 module Suite = Casper_suites.Suite
 module Par = Casper_par.Par
-module Memo = Casper_ir.Memo
+module Obs = Casper_obs.Obs
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -100,32 +100,35 @@ let test_lowest_index_exception () =
   check_str "and wins" seq par
 
 (* Inside a spawn_map task the fragments run inline on the task's
-   domain, so that domain's memo counters see all of their work. *)
+   domain. The witness is the trace clock: each fragment's search reads
+   it on the domain that runs the search, so a fragment spawned off the
+   task's domain would read it from another domain. *)
 let test_inline_in_spawn_map_task () =
-  let prog, frags = parse (Casper_suites.Registry.find_benchmark "Q17") in
-  let units () = (Memo.counters ()).Memo.loop_units in
-  let work f =
-    let u0 = units () in
-    ignore (f ());
-    units () - u0
+  let prog, _ = parse (Casper_suites.Registry.find_benchmark "Q17") in
+  let m = Mutex.create () and readers = ref [] in
+  let clock () =
+    let d = (Domain.self () :> int) in
+    Mutex.protect m (fun () ->
+        if not (List.mem d !readers) then readers := d :: !readers);
+    Unix.gettimeofday ()
   in
-  let seq = work (fun () -> sequential prog frags) in
-  check "Q17's searches run loop units" true (seq > 0);
   let in_task =
     Par.spawn_map ~jobs:2
       (fun run ->
-        if run then
-          Some
-            ( Par.on_worker (),
-              work (fun () ->
-                  Casper.translate_program ~suite:"tpch" ~benchmark:"Q17" prog) )
+        if run then (
+          let obs = Obs.create ~clock () in
+          ignore
+            (Casper.translate_program ~obs ~suite:"tpch" ~benchmark:"Q17" prog);
+          Some (Par.on_worker (), (Domain.self () :> int), obs))
         else None)
       [ true; false ]
   in
   match in_task with
-  | [ Some (on_worker, units); None ] ->
+  | [ Some (on_worker, task_domain, obs); None ] ->
       check "called from a task" true on_worker;
-      check_int "every fragment ran on the task's domain" seq units
+      check "Q17's searches ran" true (Obs.total obs "candidates" > 0);
+      check "every fragment read the clock on the task's domain" true
+        (!readers = [ task_domain ])
   | _ -> Alcotest.fail "unexpected spawn_map result"
 
 (* The call leaves no domain behind: the process's thread count comes

@@ -20,33 +20,35 @@ let check_int = Alcotest.(check int)
 (* ---------------- hash-consed ids ---------------- *)
 
 let test_expr_ids () =
+  let h = H.create () in
   let a = Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 1) in
   let b = Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 1) in
   let c = Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 2) in
-  check_int "equal exprs share an id" (H.expr_id a) (H.expr_id b);
-  check "distinct exprs get distinct ids" true (H.expr_id a <> H.expr_id c);
-  let s1 = H.binop Ir.Add (H.var "x") (H.cint 1) in
-  let s2 = H.binop Ir.Add (H.var "x") (H.cint 1) in
+  check_int "equal exprs share an id" (H.expr_id h a) (H.expr_id h b);
+  check "distinct exprs get distinct ids" true (H.expr_id h a <> H.expr_id h c);
+  let s1 = H.binop h Ir.Add (H.var h "x") (H.cint h 1) in
+  let s2 = H.binop h Ir.Add (H.var h "x") (H.cint h 1) in
   check "smart constructors return the canonical representative" true
     (s1 == s2);
-  check_int "smart-constructed and raw exprs share an id" (H.expr_id s1)
-    (H.expr_id a)
+  check_int "smart-constructed and raw exprs share an id" (H.expr_id h s1)
+    (H.expr_id h a)
 
 let test_emit_and_construction_keys () =
+  let h = H.create () in
   let v = Ir.Var "v" in
   let e_val = { Ir.guard = None; payload = Ir.Val v } in
   let e_kv = { Ir.guard = None; payload = Ir.KV (v, v) } in
   let e_guarded = { Ir.guard = Some (Ir.CBool true); payload = Ir.Val v } in
   check "Val and KV payloads never collide" true
-    (H.emit_id e_val <> H.emit_id e_kv);
+    (H.emit_id h e_val <> H.emit_id h e_kv);
   check "guarded and unguarded emits never collide" true
-    (H.emit_id e_val <> H.emit_id e_guarded);
-  check_int "emit ids are stable across rebuilds" (H.emit_id e_val)
-    (H.emit_id { Ir.guard = None; payload = Ir.Val (Ir.Var "v") });
-  check_int "key_of interns by component list" (H.key_of [ 1; 2; 3 ])
-    (H.key_of [ 1; 2; 3 ]);
+    (H.emit_id h e_val <> H.emit_id h e_guarded);
+  check_int "emit ids are stable across rebuilds" (H.emit_id h e_val)
+    (H.emit_id h { Ir.guard = None; payload = Ir.Val (Ir.Var "v") });
+  check_int "key_of interns by component list" (H.key_of h [ 1; 2; 3 ])
+    (H.key_of h [ 1; 2; 3 ]);
   check "different component lists get different keys" true
-    (H.key_of [ 1; 2; 3 ] <> H.key_of [ 1; 2 ])
+    (H.key_of h [ 1; 2; 3 ] <> H.key_of h [ 1; 2 ])
 
 (* ---------------- id stability ---------------- *)
 
@@ -88,18 +90,18 @@ let gen_expr : Ir.expr QCheck.Gen.t =
             map3 (fun c t e -> Ir.If (c, t, e)) cond sub sub;
           ])
 
-(* Ids must survive a save/clear/re-intern cycle without collisions:
-   [H.clear] empties the tables but never rewinds the counters, so a
-   stale id saved before the clear can never alias a fresh one, and
-   within each generation the id partition matches structural
-   equality. *)
-let test_ids_stable_across_clear () =
+(* Within one interner the id partition matches structural equality
+   and an id never changes. Each search makes its own interner: a second
+   one fed the same expressions in the same order hands out the same
+   ids, and feeding it leaves the first one's ids as they were. *)
+let test_ids_stable_per_interner () =
   let rand = Random.State.make [| 0x5eed |] in
   let exprs = QCheck.Gen.generate ~rand ~n:120 gen_expr in
-  H.clear ();
-  let ids1 = List.map H.expr_id exprs in
+  let h1 = H.create () in
+  let ids1 = List.map (H.expr_id h1) exprs in
   List.iter2
-    (fun e id -> check_int "ids are stable within a generation" id (H.expr_id e))
+    (fun e id ->
+      check_int "ids are stable within an interner" id (H.expr_id h1 e))
     exprs ids1;
   let check_partition ids =
     List.iter2
@@ -112,12 +114,11 @@ let test_ids_stable_across_clear () =
       exprs ids
   in
   check_partition ids1;
-  let max_before = List.fold_left max (-1) ids1 in
-  H.clear ();
-  let ids2 = List.map H.expr_id exprs in
-  check "post-clear ids never collide with saved ids" true
-    (List.for_all (fun id -> id > max_before) ids2);
-  check_partition ids2
+  let h2 = H.create () in
+  let ids2 = List.map (H.expr_id h2) exprs in
+  check "another interner hands out the same ids" true (ids1 = ids2);
+  check "and leaves the first one's ids alone" true
+    (List.map (H.expr_id h1) exprs = ids1)
 
 (* ---------------- observational dedup ---------------- *)
 
@@ -227,33 +228,43 @@ let test_dedupe_mode_equivalence () =
 
 (* cells are cached per (probe set, expression): a second read on the
    same set is the cached array itself, another set over other
-   environments gets its own cells, and [Memo.clear] drops them all *)
+   environments gets its own cells, and the tables are the probe set's
+   own: once it is dropped its cell arrays and firing vectors are
+   collected (a search's probe sets die with the search) *)
 let test_cells_keyed_by_probe_set () =
-  Memo.clear ();
-  let e = H.binop Ir.Add (H.var "x") (H.cint 1) in
-  let probes xs = Memo.probe_set (List.map (fun x -> [ ("x", Value.Int x) ]) xs) in
+  let h = H.create () in
+  let e = H.binop h Ir.Add (H.var h "x") (H.cint h 1) in
+  let g = H.binop h Ir.Lt (H.var h "x") (H.cint h 2) in
+  let counts = { Memo.cell_hits = 0; cell_misses = 0 } in
+  let probes xs =
+    Memo.probe_set counts (List.map (fun x -> [ ("x", Value.Int x) ]) xs)
+  in
   let ps1 = probes [ 1; 2 ] and ps2 = probes [ 1; 2 ] and ps3 = probes [ 5 ] in
-  let c = Memo.counters () in
-  let misses () = c.Memo.cell_misses and hits () = c.Memo.cell_hits in
-  let m0 = misses () and h0 = hits () in
   let a1 = Memo.cells ps1 e in
   check "the same set answers from the cache" true (Memo.cells ps1 e == a1);
-  check_int "one miss, one hit" 1 (misses () - m0);
-  check_int "one hit" 1 (hits () - h0);
+  check_int "one miss" 1 counts.Memo.cell_misses;
+  check_int "one hit" 1 counts.Memo.cell_hits;
   let a2 = Memo.cells ps2 e in
   check "an equal set of other environments gets its own cells" true
     (a2 != a1 && a2 = a1);
   check_int "one cell per probe" 1 (Array.length (Memo.cells ps3 e));
-  check "other probes, other cells" true (Memo.cells ps3 e <> [| a1.(0) |]);
+  check "other probes, other cells: x + 1 prints as 6 on x = 5" true
+    (Memo.cells ps3 e = Memo.cells ps3 (H.cint h 6)
+    && Memo.cells ps3 e <> Memo.cells ps3 (H.cint h 2));
   check "guard firing vectors are cached the same way" true
-    (let g = H.binop Ir.Lt (H.var "x") (H.cint 2) in
-     let f = Memo.fires ps1 g in
+    (let f = Memo.fires ps1 g in
      f = [| true; false |] && Memo.fires ps1 g == f);
-  let m1 = misses () in
-  Memo.clear ();
-  let a1' = Memo.cells ps1 e in
-  check_int "clear empties the cache" 1 (misses () - m1);
-  check "cells recomputed after clear are fresh arrays" true (a1' != a1)
+  let cells_w = Weak.create 1 and fires_w = Weak.create 1 in
+  let[@inline never] fill_and_drop () =
+    let ps = probes [ 1; 2 ] in
+    Weak.set cells_w 0 (Some (Memo.cells ps e));
+    Weak.set fires_w 0 (Some (Memo.fires ps g))
+  in
+  fill_and_drop ();
+  Gc.full_major ();
+  check "a dropped probe set's cell array was collected" false
+    (Weak.check cells_w 0);
+  check "and its firing vector" false (Weak.check fires_w 0)
 
 (* ---------------- suite ---------------- *)
 
@@ -264,8 +275,8 @@ let suite =
         Alcotest.test_case "expression interning" `Quick test_expr_ids;
         Alcotest.test_case "emit ids and construction keys" `Quick
           test_emit_and_construction_keys;
-        Alcotest.test_case "ids stable across clear" `Quick
-          test_ids_stable_across_clear;
+        Alcotest.test_case "ids stable per interner" `Quick
+          test_ids_stable_per_interner;
       ] );
     ( "fastpath.dedup",
       [
@@ -276,7 +287,7 @@ let suite =
       ] );
     ( "fastpath.cells",
       [
-        Alcotest.test_case "keyed by probe set, emptied by clear" `Quick
+        Alcotest.test_case "keyed by probe set, emptied when dropped" `Quick
           test_cells_keyed_by_probe_set;
       ] );
   ]

@@ -95,28 +95,28 @@ let test_warn_once_is_once () =
 
 (* ---------------- search domain-independence ---------------- *)
 
-(* A search runs on one domain from start to finish and empties that
-   domain's memo shard at entry, but interner and env ids keep counting
-   across searches. A domain that already searched another fragment
-   must therefore find the same stats and solutions as a fresh one: no
-   leftover shard state, and no outcome that depends on an id's value.
-   Two fragments without a summary (mostly unbuilt candidates), one
-   with several, and three that translate in a few CEGIS rounds; the
-   domain is first used by PCA/colMeans, a large matrix search. *)
+let fragment (bench, frag_id) =
+  let b = Casper_suites.Registry.find_benchmark bench in
+  let prog = Minijava.Parser.parse_program b.source in
+  let frag =
+    List.find
+      (fun (f : Casper_analysis.Fragment.t) ->
+        String.equal f.Casper_analysis.Fragment.frag_id frag_id)
+      (Casper_analysis.Analyze.fragments_of_program prog ~suite:b.suite
+         ~benchmark:b.name)
+  in
+  (bench ^ "/" ^ frag_id, prog, frag)
+
+(* A search runs on one domain from start to finish, and every table it
+   fills is its own: nothing of one search is left on the domain for
+   the next. A domain that already searched another fragment must
+   therefore find the same stats and solutions as a fresh one: no
+   outcome that depends on what the domain ran before. Two fragments
+   without a summary (mostly unbuilt candidates), one with several, and
+   three that translate in a few CEGIS rounds; the domain is first used
+   by PCA/colMeans, a large matrix search. *)
 let test_search_domain_reuse () =
   let module Cegis = Casper_synth.Cegis in
-  let fragment (bench, frag_id) =
-    let b = Casper_suites.Registry.find_benchmark bench in
-    let prog = Minijava.Parser.parse_program b.source in
-    let frag =
-      List.find
-        (fun (f : Casper_analysis.Fragment.t) ->
-          String.equal f.Casper_analysis.Fragment.frag_id frag_id)
-        (Casper_analysis.Analyze.fragments_of_program prog ~suite:b.suite
-           ~benchmark:b.name)
-    in
-    (bench ^ "/" ^ frag_id, prog, frag)
-  in
   let cases =
     List.map fragment
       [
@@ -152,6 +152,63 @@ let test_search_domain_reuse () =
       check (tag ^ ": solutions identical") true (sols_a = sols_b))
     (List.combine cases fresh) reused
 
+(* One search's enumeration interleaved with a whole other search on
+   the same domain. StringMatch's candidates are consumed as its search
+   consumes them: a built candidate goes through the Φ check, whose
+   refutations leave later candidates unbuilt. WordCount's whole search
+   runs after the first 100 items. The items and the unbuilt count must
+   equal an uninterleaved run's: the other search touches none of this
+   one's tables. *)
+let test_searches_interleave () =
+  let module Cegis = Casper_synth.Cegis in
+  let module E = Casper_synth.Enumerate in
+  let module G = Casper_synth.Grammar in
+  let module V = Casper_verify.Verifier in
+  let _, prog_b, frag_b = fragment ("WordCount", "wordcount#0") in
+  let run ~between =
+    let _, prog, frag = fragment ("StringMatch", "stringmatch#0") in
+    let pools = G.build prog frag (Cegis.make_probes prog frag) in
+    let st =
+      Cegis.make_state ~phi:(V.states V.Phi prog frag) prog frag
+        ~budget:max_int
+    in
+    let unbuilt = ref 0 in
+    let consume = function
+      | E.Cand c ->
+          ignore (Cegis.holds_on_phi st frag c);
+          Casper_ir.Lang.summary_to_string c.E.summary
+      | E.Bulk { n; _ } ->
+          unbuilt := !unbuilt + n;
+          Printf.sprintf "%d unbuilt" n
+    in
+    (* consumed one item at a time: re-running a prefix of the sequence
+       would repeat its Φ checks *)
+    let rec take n s acc =
+      if n = 0 then (List.rev acc, s)
+      else
+        match s () with
+        | Seq.Nil -> (List.rev acc, Seq.empty)
+        | Seq.Cons (it, rest) -> take (n - 1) rest (consume it :: acc)
+    in
+    let items =
+      List.to_seq (G.classes frag)
+      |> Seq.concat_map (fun k ->
+             E.candidates ~dead:(Cegis.dead st) prog frag pools k)
+    in
+    let first, rest = take 100 items [] in
+    between ();
+    let second, _ = take 3000 rest [] in
+    (first @ second, !unbuilt)
+  in
+  let alone, unbuilt_alone = run ~between:ignore in
+  let interleaved, unbuilt_interleaved =
+    run ~between:(fun () -> ignore (Cegis.find_summary prog_b frag_b))
+  in
+  check "some candidates are left unbuilt" true (unbuilt_alone > 0);
+  Alcotest.(check (list string)) "the same items" alone interleaved;
+  Alcotest.(check int) "the same unbuilt count" unbuilt_alone
+    unbuilt_interleaved
+
 let suite =
   [
     Testenv.qsuite "par.props"
@@ -176,5 +233,7 @@ let suite =
       [
         Alcotest.test_case "search identical on a reused domain" `Slow
           test_search_domain_reuse;
+        Alcotest.test_case "searches interleaved on one domain" `Quick
+          test_searches_interleave;
       ] );
   ]

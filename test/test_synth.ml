@@ -124,16 +124,22 @@ let test_pools_typed () =
        pools.G.floats)
 
 let test_dedupe_keeps_harvested () =
-  let probes = [ [ ("x", Casper_common.Value.Int 1) ] ] in
+  let probes =
+    Casper_ir.Memo.probe_set
+      { Casper_ir.Memo.cell_hits = 0; cell_misses = 0 }
+      [ [ ("x", Casper_common.Value.Int 1) ] ]
+  in
   (* x+0 and x are observationally equal; keep must protect the second *)
   let kept =
-    G.dedupe
+    G.dedupe_c
       ~keep:(fun e -> e = Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 0))
       probes
       [ Ir.Var "x"; Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 0) ]
   in
   check_int "both kept" 2 (List.length kept);
-  let dropped = G.dedupe probes [ Ir.Var "x"; Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 0) ] in
+  let dropped =
+    G.dedupe_c probes [ Ir.Var "x"; Ir.Binop (Ir.Add, Ir.Var "x", Ir.CInt 0) ]
+  in
   check_int "without keep, one dropped" 1 (List.length dropped)
 
 (* ---------------- end-to-end synthesis ---------------- *)

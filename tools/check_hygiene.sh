@@ -118,16 +118,31 @@ if grep -rnE "$pool" --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
-# lib/ir and lib/synth keep no process-global Atomic: the search's ids
-# count per domain, in the memo shard (DESIGN.md §10). A top-level
-# binding to Atomic.make, on its line or the next, is rejected.
-if find lib/ir lib/synth -name '*.ml' | sort | xargs awk '
+# A search owns every table it fills: its interner, candidate keys,
+# fingerprint cells and their counts are values the search makes and
+# drops with it (DESIGN.md §10). So the search's libraries (lib/ir,
+# lib/synth, lib/vcgen, lib/verify) keep no domain-local state: no
+# Domain.DLS, and no process-global Atomic (a top-level binding to
+# Atomic.make, on its line or the next). The per-domain memo and
+# hash-cons shards, their clear functions, the per-domain counters'
+# reader and the global probe-set counter are gone (whole words).
+search_libs="lib/ir lib/synth lib/vcgen lib/verify"
+if grep -rn 'Domain\.DLS' --include='*.ml' --include='*.mli' $search_libs; then
+  echo "Domain.DLS in a search library"
+  fail=1
+fi
+if find $search_libs -name '*.ml' | sort | xargs awk '
     /^(let|and) / && /Atomic\.make/ { print FILENAME ":" FNR ": " $0; bad = 1 }
     prev ~ /^(let|and) [a-z_][A-Za-z0-9_'"'"']*( *:[^=]*)? *=$/ && /^ +Atomic\.make/ {
       print FILENAME ":" FNR ": " $0; bad = 1 }
     { prev = $0 }
     END { exit !bad }'; then
-  echo "a process-global Atomic under lib/ir or lib/synth"
+  echo "a process-global Atomic in a search library"
+  fail=1
+fi
+shards='\b(Memo\.clear|Hashcons\.clear|Memo\.counters|shard_key|key_shard|probe_set_last)\b'
+if grep -rnE "$shards" lib bin bench test examples; then
+  echo "a deleted per-domain shard, its clear, its counters or the probe-set counter reappeared"
   fail=1
 fi
 
@@ -194,9 +209,9 @@ fi
 
 # The search keeps no verdicts: no candidate is judged twice on the same
 # evidence, so the Φ-pass memo, the bounded and full verdict caches, the
-# Φ check's dead-set lookups and their counters are gone; the memo's
-# counters live in Memo. Obs keeps counters only, and there is no
-# loop-normalization pass.
+# Φ check's dead-set lookups and their counters are gone; the cell
+# counts live in the search's probe sets. Obs keeps counters only, and
+# there is no loop-normalization pass.
 memos='\b(phi_passed|bounded_verdicts|full_verdicts|verdict_hits|phi_hits|family_hits)\b'
 memos="$memos"'|\b(holds_on_cached|phi_memo_hits|verdict_memo_hits|phi_family_hits)\b'
 memos="$memos"'|\b(Fastpath|set_gauge|Loopnorm)\b'
