@@ -15,6 +15,7 @@ module Cegis = Casper_synth.Cegis
 module Casper = Casper_core.Casper
 module Obs = Casper_obs.Obs
 module Exec = Casper_exec.Exec
+module Vc = Casper_vcgen.Vc
 open Cmdliner
 
 let pp_analysis ppf (frag : F.t) =
@@ -161,7 +162,7 @@ let compile_file path target verbose summaries_only analysis_only budget
               let best = List.hd t.Casper.survivors in
               Fmt.pr "--- %s ---@." t.Casper.frag.F.frag_id;
               if verbose then begin
-                Fmt.pr "verification conditions:@.%a@.@." Vc_pp.pp
+                Fmt.pr "verification conditions:@.%a@.@." Vc.pp_clauses
                   t.Casper.frag;
                 Fmt.pr "synthesis: %d candidates, %d CEGIS iterations, %d \
                         theorem-prover rejections, %.2fs@."

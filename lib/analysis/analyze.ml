@@ -1,11 +1,3 @@
-(** The program analyzer (paper §3.2, §6.1–6.2, Appendix D).
-
-    Identifies translatable code fragments (loops that iterate data
-    structures), extracts the facts that drive grammar generation —
-    variables in scope, variables modified, operators and library methods
-    used — and classifies fragments that the IR cannot express, with the
-    same failure taxonomy the paper reports. *)
-
 open Minijava.Ast
 module F = Fragment
 module Value = Casper_common.Value

@@ -1,16 +1,3 @@
-(** Code fragments and their iteration schemas.
-
-    A fragment is a loop nest that Casper's analyzer selected for
-    translation (§6.2), together with the statements preceding it in the
-    enclosing method (which establish the entry state: accumulator
-    initializations, parsed constants, output allocations).
-
-    The iteration schema describes how the loop consumes data — which
-    dataset(s) it reads and what a *record* looks like to the IR mapper.
-    This is what lets verification truncate the data to a prefix
-    (Figure 4's [mat\[0..i\]]) and lets the engine convert live inputs
-    into key-value records. *)
-
 open Minijava.Ast
 
 type schema =
@@ -40,7 +27,6 @@ type schema =
       ty2 : ty;
     }  (** nested iteration over two datasets — join-shaped fragment *)
 
-(** Syntactic features of a fragment (Appendix E.1). *)
 type feature =
   | FConditionals
   | FUserDefinedTypes
@@ -55,7 +41,6 @@ let feature_name = function
   | FMultipleDatasets -> "Multiple Datasets"
   | FMultidimDataset -> "Multidim. Dataset"
 
-(** Why a fragment cannot be translated (§7.1 failure taxonomy). *)
 type unsupported =
   | Unmodeled_method of string
       (** library method with no IR model (Fiji/ImageJ failures) *)
@@ -103,7 +88,6 @@ let datasets_of_schema = function
   | SMatrix { data; _ } -> [ data ]
   | SJoin { d1; d2; _ } -> [ d1; d2 ]
 
-(** The dataset whose prefix the loop invariant truncates. *)
 let primary_dataset f =
   match f.schema with
   | SList { data; _ } | SMatrix { data; _ } -> data

@@ -1,27 +1,15 @@
-(** Hand-written Spark reference implementations (§7.2).
-
-    The paper hired Spark developers through UpWork to rewrite the
-    non-SQL benchmarks (Appendix E.2 lists the hiring bar). These plans
-    play that role: idiomatic single-pass implementations, including the
-    one case where the human beat Casper by exploiting domain knowledge
-    — the 3D Histogram developer knew RGB values are bounded by 256·3
-    and used Spark's [aggregate] with a fixed-size array, avoiding the
-    per-key shuffle Casper generates. *)
-
 module Value = Casper_common.Value
 module Plan = Mapreduce.Plan
 
 let add_f a b = Value.Float (Value.as_float a +. Value.as_float b)
 let add_i a b = Value.Int (Value.as_int a + Value.as_int b)
 
-(** WordCount: the canonical mapToPair + reduceByKey. *)
 let word_count : Plan.t =
   Plan.(
     data "words"
     |>> map_to_pair ~label:"mapToPair" (fun w -> (w, Value.Int 1))
     |>> reduce_by_key ~label:"reduceByKey(+)" add_i)
 
-(** StringMatch: emit only on match (the paper's efficient encoding). *)
 let string_match ~key1 ~key2 : Plan.t =
   Plan.(
     data "words"
@@ -35,7 +23,6 @@ let string_match ~key1 ~key2 : Plan.t =
     |>> reduce_by_key ~label:"reduceByKey(||)" (fun a b ->
             Value.Bool (Value.as_bool a || Value.as_bool b)))
 
-(** Linear regression: one pass folding the five sums as a tuple. *)
 let linear_regression : Plan.t =
   Plan.(
     data "points"
@@ -56,10 +43,6 @@ let linear_regression : Plan.t =
                 Value.Tuple (List.map2 add_f xs ys)
             | _ -> a))
 
-(** 3D Histogram via the developer's [aggregate] trick: each partition
-    folds into a bounded 768-slot array, only the per-partition arrays
-    are combined — modeled as a map stage emitting per-partition
-    pre-combined entries and a cheap keyed merge. *)
 let histogram_aggregate : Plan.t =
   Plan.(
     data "pixels"
@@ -72,7 +55,6 @@ let histogram_aggregate : Plan.t =
             ])
     |>> reduce_by_key ~label:"combine partials" add_i)
 
-(** Wikipedia page count: classic keyed sum. *)
 let wikipedia_pagecount : Plan.t =
   Plan.(
     data "log"
@@ -80,7 +62,6 @@ let wikipedia_pagecount : Plan.t =
             (Value.field "page" v, Value.field "views" v))
     |>> reduce_by_key ~label:"reduceByKey(+)" add_i)
 
-(** Anscombe transform: a pure map. *)
 let anscombe : Plan.t =
   Plan.(
     data "pa"

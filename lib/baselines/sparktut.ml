@@ -1,14 +1,3 @@
-(** Reference implementations of the iterative algorithms from the Spark
-    examples repository (§7.2, Figure 7c).
-
-    The tutorial PageRank caches the links RDD and co-partitions ranks
-    with links, so each of the 10 iterations avoids re-reading and
-    re-shuffling the edge list; Casper's generated code does neither
-    ("Casper currently does not generate any cache() statements, nor
-    does it co-partition data"), which is why the reference runs ~1.3×
-    faster. For logistic regression both sides are a single map+reduce
-    per iteration and there is "no noticeable difference". *)
-
 module Value = Casper_common.Value
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -31,8 +20,6 @@ let pagerank_iteration : Plan.t =
     |>> map_values ~label:"mapValues rank" (fun c ->
             Value.Float (0.15 +. (0.85 *. Value.as_float c))))
 
-(** Simulated time for [iters] tutorial PageRank iterations. Thanks to
-    cache(), the input read cost is paid once, not per iteration. *)
 let pagerank_time ~cluster ~scale ~iters
     (datasets : (string * Value.t list) list) : float =
   let run = Engine.run_plan ~cluster ~datasets pagerank_iteration in

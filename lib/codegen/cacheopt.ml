@@ -1,16 +1,3 @@
-(** Cache-insertion for iterative workloads.
-
-    §7.2 attributes PageRank's 1.3× gap to the reference implementation
-    to Casper "not generating any cache() statements" and points at
-    SystemML-style heuristics as the fix. This module implements that
-    future-work extension: a heuristic that decides when the generated
-    program should cache its input RDD across iterations, plus the
-    iterative time model that realizes the saving.
-
-    Heuristic (the standard one): cache when the input will be consumed
-    more than once and the bytes saved by not re-reading exceed the
-    one-time cost of materializing the dataset in memory. *)
-
 module Engine = Mapreduce.Engine
 module Cluster = Mapreduce.Cluster
 
@@ -34,8 +21,6 @@ let decide ~(cluster : Cluster.t) ~(scale : float) ~(iters : int)
   { cache = reread > materialize; reread_cost_s = reread;
     materialize_cost_s = materialize }
 
-(** Modeled wall-clock of [iters] iterations of the same job, with or
-    without the cache() the heuristic inserts. *)
 let iterative_time ~(cluster : Cluster.t) ~(scale : float) ~(iters : int)
     ?(cached = false) (run : Engine.run) : float =
   let one = Engine.simulate_time ~cluster ~scale run in
@@ -49,8 +34,6 @@ let iterative_time ~(cluster : Cluster.t) ~(scale : float) ~(iters : int)
     one +. materialize
     +. (float_of_int (max 0 (iters - 1)) *. (one -. one_read))
 
-(** Apply the heuristic end to end: decide, then price the better
-    variant. Returns (time, cached?). *)
 let run_iterative ~cluster ~scale ~iters (run : Engine.run) : float * bool =
   let d = decide ~cluster ~scale ~iters run in
   if d.cache then (iterative_time ~cluster ~scale ~iters ~cached:true run, true)

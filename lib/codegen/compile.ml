@@ -1,14 +1,3 @@
-(** Compiling verified program summaries into executable dataflow plans.
-
-    This is the executable half of Casper's code generator (§6.3): the
-    same summary that is pretty-printed as Spark/Hadoop/Flink source
-    (see {!Emit_source}) is compiled here into a {!Mapreduce.Plan.t} of
-    OCaml closures so it actually runs on the engine. API variants are
-    selected from λ types exactly as Appendix C's translation rules do —
-    and, as §6.3 requires, [reduceByKey] is used only when the reduction
-    is commutative-associative, with the safe [groupByKey] fold
-    otherwise. *)
-
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 module Eval = Casper_ir.Eval
@@ -19,19 +8,10 @@ exception Codegen_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Codegen_error s)) fmt
 
-(** Compile λm into a flatMap closure that pushes each emit to the
-    next stage as it fires, staged once per plan. [env] carries the
-    fragment's free scalars (Casper broadcasts these in the generated
-    glue code). *)
-let compile_lam_m (env : Eval.env) (lm : Ir.lam_m) :
-    Value.t -> (Value.t -> unit) -> unit =
-  Eval.push_lam_m env lm
-
-let compile_lam_r (env : Eval.env) (lr : Ir.lam_r) :
-    Value.t -> Value.t -> Value.t =
-  Eval.apply_lam_r env lr
-
-(** Compile a pipeline node to a plan. *)
+(** Compile a pipeline node to a plan. λm and λr are staged once per
+    plan ([Eval.push_lam_m], which pushes each emit to the next stage as
+    it fires, and [Eval.apply_lam_r]). [env] carries the fragment's free
+    scalars (Casper broadcasts these in the generated glue code). *)
 let rec compile_node (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
     (record_ty : string -> Ir.ty) (n : Ir.node) : Plan.t =
   match n with
@@ -39,11 +19,11 @@ let rec compile_node (env : Eval.env) (tenv : Casper_ir.Infer.tenv)
   | Ir.Map (src, lm) ->
       let open Plan in
       compile_node env tenv record_ty src
-      |>> Flat_map { label = "flatMapToPair"; f = compile_lam_m env lm }
+      |>> Flat_map { label = "flatMapToPair"; f = Eval.push_lam_m env lm }
   | Ir.Reduce (src, lr) ->
       let open Plan in
       let plan = compile_node env tenv record_ty src in
-      let f = compile_lam_r env lr in
+      let f = Eval.apply_lam_r env lr in
       let keyed =
         match Casper_ir.Infer.infer_node tenv record_ty src with
         | `KVs _ -> true
@@ -101,8 +81,6 @@ type translated = {
   read_outputs : Value.t list -> (string * Value.t) list;
 }
 
-(** Compile a verified summary for a fragment, against an entry
-    environment (free scalars + output initial values). *)
 let compile (prog : Minijava.Ast.program) (frag : F.t) (entry : Eval.env)
     (s : Ir.summary) : translated =
   let tenv = Casper_synth.Cegis.tenv_of_frag prog frag in

@@ -1,13 +1,3 @@
-(** Concrete-syntax code generation (Appendix C).
-
-    Pretty-prints a verified summary as Java source against the Spark
-    RDD, Hadoop MapReduce, and Flink DataSet APIs, selecting the API
-    variant from λ types (flatMapToPair vs mapToPair vs map, reduceByKey
-    vs reduce vs groupByKey), and emitting the glue the paper describes
-    in §6.3: context creation, RDD/DataSet conversion, broadcast of free
-    variables, and the alias guard of footnote 1 when a fragment takes
-    two potentially-aliased inputs. *)
-
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 

@@ -1,8 +1,3 @@
-(** A minimal JSON writer — enough to emit Chrome traces and their
-    metrics files without an external dependency. Output is plain
-    ASCII; floats print with [%.6g] and non-finite values degrade to
-    [null] (JSON has no representation for them). *)
-
 type t =
   | Null
   | Bool of bool

@@ -1,6 +1,3 @@
-(** ASCII table rendering for the benchmark harness, so the experiment
-    output reads like the paper's tables. *)
-
 type align = Left | Right
 
 let pad align width s =
@@ -11,8 +8,6 @@ let pad align width s =
     | Left -> s ^ String.make (width - n) ' '
     | Right -> String.make (width - n) ' ' ^ s
 
-(** Render [rows] (first row is the header) with per-column alignment.
-    Missing alignments default to Left. *)
 let render ?(aligns = []) (rows : string list list) : string =
   match rows with
   | [] -> ""

@@ -1,14 +1,3 @@
-(** Fuzz campaigns and corpus replay.
-
-    A campaign is fully determined by its seed: program [i] of campaign
-    [seed] is always the same program, so any failure can be replayed
-    from the (seed, index) pair alone — and is also reported as
-    compilable source, minimized when requested.
-
-    The regression corpus ([test/corpus/*.mj]) is plain MiniJava source,
-    one program per file; {!replay_corpus} pushes every file through the
-    oracle, which is how past reproducers stay fixed in tier-1. *)
-
 module Rng = Casper_common.Rng
 module Par = Casper_par.Par
 
@@ -37,18 +26,6 @@ let still_fails cfg ~name p =
   | Oracle.Diverged _ -> true
   | Oracle.Translated _ | Oracle.Skipped _ -> false
 
-(** Run [count] generated programs through the oracle.
-
-    Programs are generated sequentially from the campaign rng — program
-    [i] of campaign [seed] is the same at any [jobs] (default 1: the
-    campaign runs inline) — then checked in waves of [4 × jobs], each
-    wave mapped across [jobs] domains spawned for it
-    ({!Casper_par.Par.spawn_map}), and the wave's verdicts are folded
-    into the report in index order. A program's verdict is independent
-    of every other program's (the oracle's caches are domain-local and
-    outcome-transparent), so the report — counts, skip reasons,
-    failures, log lines — is byte-identical at any [jobs]. Shrinking
-    runs on the submitting domain, off the critical path. *)
 let run_campaign ?(log = ignore) ?config ?(shrink_budget = 150) ?(jobs = 1)
     ~(seed : int) ~(count : int) ~(minimize : bool) () : report =
   let cfg =
@@ -125,7 +102,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** All [*.mj] files under [dir], sorted, each run through the oracle. *)
 let replay_corpus ?config ~(dir : string) () :
     (string * Oracle.verdict) list =
   let cfg =
@@ -141,8 +117,6 @@ let replay_corpus ?config ~(dir : string) () :
 (* ------------------------------------------------------------------ *)
 (* Reproducer files                                                    *)
 
-(** Write a failure's (minimized, when present) source to
-    [dir/repro-<index>.mj]; returns the path. *)
 let write_repro ~(dir : string) (fl : failure) : string =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path = Filename.concat dir (Fmt.str "repro-%d.mj" fl.index) in

@@ -1,22 +1,3 @@
-(** The differential pipeline oracle.
-
-    One generated program is pushed through the full stack — printer →
-    parser → typechecker → fragment analysis → CEGIS synthesis (once
-    untraced, once traced) → verification on fresh states → compilation
-    → the simulated engine on every backend — and the result multisets
-    are compared at every stage boundary against the
-    {!Minijava.Interp} reference execution. The engine run is then
-    repeated out of core, against dataset caches and through serving
-    sessions, and each must match the plain run byte for byte.
-
-    Verdicts are three-valued: [Translated] (every check passed),
-    [Skipped] (the pipeline *declined* the program — unsupported
-    fragment, exhausted search budget, or an input state on which the
-    sequential reference itself faults), and [Diverged] (two stages
-    disagree, or a stage crashed — always a bug worth a reproducer).
-    Skips are not failures: the fuzzer checks translation soundness, not
-    completeness. *)
-
 module An = Casper_analysis.Analyze
 module F = Casper_analysis.Fragment
 module Cegis = Casper_synth.Cegis
@@ -79,9 +60,6 @@ let render_outputs (outs : (string * Value.t) list) : string =
 let with_budget b =
   { Exec.Config.default with Exec.Config.memory_budget = Some b }
 
-(** How run [r] departs from [base]: [None] when their outputs agree
-    element by element under {!Value.equal} (so a NaN matches a NaN)
-    and their stage metrics are equal, else which of the two differs. *)
 let run_divergence ~(base : Engine.run) (r : Engine.run) : string option =
   if not (List.equal Value.equal r.Engine.output base.Engine.output) then
     Some "outputs"
@@ -109,7 +87,6 @@ let stats_equal (a : Cegis.stats) (b : Cegis.stats) : bool =
 (* ------------------------------------------------------------------ *)
 (* The oracle                                                          *)
 
-(** Check one parsed program. [name] labels the fragment in reports. *)
 let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
     verdict =
   let src = Pp.program_to_string prog in
@@ -334,8 +311,6 @@ let check_parsed (cfg : config) ~(name : string) (prog : Ast.program) :
   | Engine.Engine_error m ->
       Diverged { stage = "engine"; detail = m; source = src }
 
-(** Check source text (corpus replay): parse errors are printer-stage
-    divergences, everything else as {!check_parsed}. *)
 let check_source (cfg : config) ~(name : string) (src : string) : verdict =
   match Parser.parse_program src with
   | prog -> check_parsed cfg ~name prog

@@ -1,19 +1,3 @@
-(** QCheck-style shrinking of a diverging program to a minimal
-    reproducer.
-
-    Greedy descent over one-step syntactic reductions: drop a statement,
-    collapse a conditional to one of its arms, replace an operator
-    application by one of its operands, shrink literals toward zero.
-    A candidate is adopted when it still parses, typechecks, and makes
-    the oracle report a divergence (any stage — the minimal form of a
-    bug often fails earlier in the pipeline than the original). Each
-    adoption restarts the scan, so the result is a local fixed point:
-    no single reduction of the reported program still diverges.
-
-    The oracle is expensive (two synthesis runs per candidate), so the
-    total number of oracle calls is capped by [budget]; the best program
-    found so far is returned when the budget runs out. *)
-
 open Minijava.Ast
 
 (* ------------------------------------------------------------------ *)
@@ -148,8 +132,6 @@ let well_formed (p : program) : bool =
       | Minijava.Typecheck.Type_error _ ) ->
       false
 
-(** Shrink [prog] while [still_fails] holds, spending at most [budget]
-    oracle calls. Returns the smallest failing program found. *)
 let minimize ?(budget = 150) ~(still_fails : program -> bool)
     (prog : program) : program =
   let calls = ref 0 in

@@ -53,6 +53,7 @@ let pp ppf (s : summary) =
 
 type check = Ok | Refuted | Skip
 
+(* check the summary against one entry state over all data prefixes *)
 let check_state prog (frag : F.t) (s : summary)
     (entry : Minijava.Interp.env) : check =
   match Vc.outer_count prog frag entry with
@@ -96,13 +97,14 @@ let verify ?(seed = 2203) ?(count = 48) prog (frag : F.t) (s : summary) :
 (* ------------------------------------------------------------------ *)
 (* Flat search: candidate bodies over {acc} ∪ record params ∪ scalars,
    one operator layer plus guarded accumulation, constant size bound
-   (no incremental grammar hierarchy — matching the paper's setup). *)
+   (no incremental grammar hierarchy — matching the paper's setup).
+   [candidates] yields the candidate folds of a single-scalar-output
+   fragment. *)
 
 let candidates prog (frag : F.t) : summary Seq.t =
   match frag.outputs with
   | [ (out, oty, F.KScalar) ] ->
-      let probes = Casper_synth.Cegis.make_probes prog frag in
-      let pools = G.build prog frag probes in
+      let pools = G.build prog frag in
       let params = List.map fst (Casper_synth.Lift.record_params frag) in
       let acc = "acc" in
       let ty = Casper_analysis.Analyze.ir_ty oty in

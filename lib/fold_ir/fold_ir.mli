@@ -19,18 +19,9 @@ type summary = {
 
 val pp : Format.formatter -> summary -> unit
 
-type check = Ok | Refuted | Skip
-
-(** Check the summary against one entry state over all data prefixes. *)
-val check_state :
-  Minijava.Ast.program -> F.t -> summary -> Minijava.Interp.env -> check
-
 (** Full verification over the large state domain. *)
 val verify :
   ?seed:int -> ?count:int -> Minijava.Ast.program -> F.t -> summary -> bool
-
-(** Candidate folds for a single-scalar-output fragment. *)
-val candidates : Minijava.Ast.program -> F.t -> summary Seq.t
 
 type outcome = {
   found : summary list;  (** one fold per scalar output *)

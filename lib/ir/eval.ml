@@ -1,11 +1,3 @@
-(** Evaluator for the IR: the denotational semantics of §2.1.
-
-    [map] concurrently applies λm to every record and unions the emitted
-    multisets; [reduce] groups pairs by key and folds λr over each group
-    (or folds globally when the bag holds plain values); [join] matches
-    pairs on keys. Verification compares these denotations against the
-    MiniJava interpreter. *)
-
 open Lang
 module Value = Casper_common.Value
 module Library = Casper_common.Library
@@ -17,14 +9,11 @@ let err fmt = Fmt.kstr (fun s -> raise (Eval_error s)) fmt
 
 type env = (string * Value.t) list
 
-(** A pipeline stage's output: key-value pairs or plain values. Input
-    datasets are [Records]. *)
 type bag =
   | Records of Value.t list
   | Pairs of (Value.t * Value.t) list
   | Vals of Value.t list
 
-(** What λm emits for one record: key-value pairs or plain values. *)
 type emitted = [ `KV of (Value.t * Value.t) list | `V of Value.t list ]
 
 let num2 fi ff a b =
@@ -107,10 +96,6 @@ let call (f : Value.t list -> Value.t) (argv : Value.t list) : Value.t =
   | Library.Unknown_method m -> err "unknown library method %s" m
   | Value.Type_error m -> err "%s" m
 
-(** One-shot evaluation of [e] in [env]. Operands of a binary operator
-    are evaluated right to left ([b] before [a]), call arguments and
-    tuple components left to right; staged code keeps this order so the
-    same error surfaces when several operands would fail. *)
 let rec eval_expr (env : env) (e : expr) : Value.t =
   match e with
   | CInt n -> Int n
@@ -137,7 +122,6 @@ let arity_error (params : string list) (elt : Value.t) =
   err "λm arity mismatch: %d params vs record %s" (List.length params)
     (Value.to_string elt)
 
-(** Bind λm parameters to the components of a record. *)
 let bind_params (env : env) (params : string list) (elt : Value.t) : env =
   match (params, elt) with
   | [ p ], _ -> (p, elt) :: env
@@ -296,10 +280,6 @@ let stage (env : env) (params : string list) (e : expr) : code =
   in
   go e
 
-(** [param_slots ~lead params] binds a record to slots the way
-    [bind_params] binds it to names: slot [lead + i] holds the i-th
-    component (the whole record for a single parameter). The [lead]
-    leading slots are left for the caller to fill. *)
 let param_slots ?(lead = 0) (params : string list) : Value.t -> Value.t array
     =
   match params with
@@ -318,11 +298,6 @@ let param_slots ?(lead = 0) (params : string list) : Value.t -> Value.t array
 
 let mixed_emits () = err "λm mixes key-value and plain emits"
 
-(** λm staged against [env], in the IR's semantics: what one record
-    emits, as key-value pairs (value evaluated before key) or plain
-    values, each in emit order ([`KV []] when nothing fires). A record
-    that fires both kinds raises once every emit has run. Partially
-    apply it once per node: staging happens then. *)
 let apply_lam_m (env : env) (lm : lam_m) : Value.t -> emitted =
   let code = stage env lm.m_params and bind = param_slots lm.m_params in
   let staged =
@@ -355,13 +330,6 @@ let apply_lam_m (env : env) (lm : lam_m) : Value.t -> emitted =
   in
   fun elt -> run (bind elt) [] [] staged
 
-(** λm staged against [env], as the engine runs it: [push_lam_m env lm
-    r sink] hands each emit of record [r] to [sink] as it fires, in emit
-    order, [Tuple [k; v]] for a key-value emit (value evaluated before
-    key). So an error of a later emit comes after [sink] has taken the
-    earlier ones. Only a λm whose emits mix key-value and plain
-    payloads buffers a record's emits: a record that fires both kinds
-    raises once every emit has run, before [sink] sees any. *)
 let push_lam_m (env : env) (lm : lam_m) :
     Value.t -> (Value.t -> unit) -> unit =
   let code = stage env lm.m_params and bind = param_slots lm.m_params in
@@ -407,7 +375,6 @@ let push_lam_m (env : env) (lm : lam_m) :
     | [ e ] -> fun elt sink -> e (bind elt) sink
     | staged -> fun elt sink -> run (bind elt) sink staged
 
-(** λr staged against [env]; partially apply it once per node. *)
 let apply_lam_r (env : env) (lr : lam_r) : Value.t -> Value.t -> Value.t =
   let body = stage env [ lr.r_left; lr.r_right ] lr.r_body in
   fun a b -> body [| a; b |]
@@ -422,8 +389,6 @@ let elements = function
 (* Pipeline stages over bags, shared by [eval_node] and the incremental
    prefixes of {!Memo.stage_prefixes}. *)
 
-(** The error of a map whose records emitted both pairs and plain
-    values; [Memo]'s prefix fold raises it too. *)
 let mixed_shapes () = err "map emits mixed shapes across records"
 
 (** Union what [f elt] emits for every element [elt]. *)
@@ -447,9 +412,6 @@ let dataset (datasets : (string * Value.t list) list) (d : string) :
   | Some records -> records
   | None -> err "unknown dataset %s" d
 
-(** A pipeline whose λs are staged: it evaluates the pipeline on any
-    datasets. Verification stages a summary once per entry state and
-    runs it on every prefix of the data. *)
 type staged_node = (string * Value.t list) list -> bag
 
 let map_node (src : staged_node) (f : Value.t -> emitted) : staged_node =
@@ -491,8 +453,6 @@ let join_node (a : staged_node) (b : staged_node) : staged_node =
            l1)
   | _ -> err "join expects key-value inputs on both sides"
 
-(** Stage pipeline [n] against [env]. Every λr application sets
-    [lr_ran], when given. *)
 let rec stage_node ?lr_ran (env : env) (n : node) : staged_node =
   match n with
   | Data d -> fun datasets -> Records (dataset datasets d)
@@ -510,18 +470,15 @@ let rec stage_node ?lr_ran (env : env) (n : node) : staged_node =
   | Join (a, b) ->
       join_node (stage_node ?lr_ran env a) (stage_node ?lr_ran env b)
 
-(** The denotation of a pipeline node. *)
 let eval_node (env : env) (datasets : (string * Value.t list) list) (n : node)
     : bag =
   stage_node env n datasets
 
-(** Shape of an output variable, used to materialize pipeline results. *)
 type out_shape =
   | Scalar
   | Arr  (** fixed-size array: rebuilt from the initial value by Int key *)
   | MapAssoc  (** Java Map: the result *is* the association *)
 
-(** The initial value of output [var] in [init]. *)
 let init_value (init : env) (var : string) : Value.t =
   match List.assoc_opt var init with
   | Some x -> x
@@ -530,17 +487,12 @@ let init_value (init : env) (var : string) : Value.t =
 let shape_of (shapes : (string * out_shape) list) (var : string) : out_shape =
   match List.assoc_opt var shapes with Some s -> s | None -> Scalar
 
-(** The position key [k] writes to in an array output of length [len]. *)
 let array_pos (len : int) (k : Value.t) : int =
   match k with
   | Value.Int i when i >= 0 && i < len -> i
   | Value.Int i -> err "array key %d out of bounds" i
   | k -> err "non-integer array key %s" (Value.to_string k)
 
-(** The value of one bound output variable from the pipeline [result],
-    against initial values [init] — the default for keys the pipeline
-    never emitted (this is exactly the initiation VC's base case: empty
-    data ⇒ outputs keep their initial values). *)
 let extract_binding (result : bag) (init : env)
     (shapes : (string * out_shape) list) ((var, ex) : string * extract) :
     Value.t =
@@ -575,15 +527,11 @@ let extract_binding (result : bag) (init : env)
   | Proj _, Vals _, _ -> err "global reduction yielded multiple values"
   | _ -> err "extraction/result shape mismatch for %s" var
 
-(** Compute the value of each bound output variable ({!extract_binding}),
-    in binding order. *)
 let extract_outputs (result : bag) (init : env)
     (shapes : (string * out_shape) list) (s : summary) : env =
   List.map (fun ((var, _) as b) -> (var, extract_binding result init shapes b))
     s.bindings
 
-(** [apply_summary], staged once against [env]: the result takes the
-    datasets and the initial values. *)
 let stage_summary ?lr_ran (env : env) (shapes : (string * out_shape) list)
     (s : summary) : (string * Value.t list) list -> env -> env =
   let run = stage_node ?lr_ran env s.pipeline in

@@ -1,24 +1,3 @@
-(** Hash-consing for IR expressions.
-
-    An interner ({!t}) gives every structurally distinct expression a
-    small integer id. One search makes one interner ([Grammar.build]
-    does, and keeps it in the pools the enumerator reads), and its ids
-    mean something only to the tables of that search: construction keys
-    are interned as the list [shape tag :: component ids] each
-    enumeration shape assembles its candidate from, so the CEGIS
-    blocked set Ω ∪ Δ is a hash set of ints and no candidate is ever
-    deep-hashed or pretty-printed during the search. Nothing here is
-    shared between searches, so nothing needs a lock, and an interner
-    is freed with the search that made it.
-
-    Interning uses structural equality over the bounded polymorphic
-    hash ([Hashtbl.hash], which examines at most 10 meaningful words:
-    pool expressions are small). Float corner cases: an expression
-    containing a NaN constant is never equal to itself under [(=)], so
-    it re-interns under a fresh id each time — caches miss but every id
-    still denotes one structural class, so results are unaffected (and
-    no MiniJava suite produces NaN literals). *)
-
 module Tbl = Hashtbl.Make (struct
   type t = Lang.expr
 
@@ -78,8 +57,6 @@ let tupleget h a i = expr h (TupleGet (a, i))
 let field h a f = expr h (Field (a, f))
 let ite h c t e = expr h (If (c, t, e))
 
-(** Rebuild an arbitrary expression bottom-up through the smart
-    constructors, maximizing physical sharing. *)
 let rec intern_deep (h : t) (e : Lang.expr) : Lang.expr =
   let deep = intern_deep h in
   match e with

@@ -1,11 +1,5 @@
-(** Type inference for IR expressions and pipelines.
-
-    Grammar generation is type-directed (§3.2: "Casper also uses type
-    information of variables to prune invalid production rules"), and the
-    code generator dispatches on λ types to select API variants
-    (Appendix C). *)
-
 open Lang
+module Library = Casper_common.Library
 
 exception Ill_typed of string
 
@@ -23,25 +17,15 @@ let lookup_var tenv v =
   | None -> err "unbound %s" v
 
 let library_ret name args_ty =
-  match (name, args_ty) with
-  | ("Math.min" | "Math.max" | "Math.abs"), (t :: _) -> t
-  | ( ( "Math.sqrt" | "Math.pow" | "Math.exp" | "Math.log" | "Math.floor"
-      | "Math.ceil" | "Math.signum" | "Double.parseDouble" ),
-      _ ) ->
-      TFloat
-  | ("Math.round" | "Integer.parseInt" | "String.length" | "String.compareTo"), _
-    ->
-      TInt
-  | "Util.parseDate", _ -> TDate
-  | ( ( "String.equals" | "String.equalsIgnoreCase" | "String.contains"
-      | "String.startsWith" | "String.isEmpty" | "Date.before" | "Date.after"
-      ),
-      _ ) ->
-      TBool
-  | ("String.toLowerCase" | "String.toUpperCase" | "String.charAt"), _ ->
-      TString
-  | "String.split", _ -> TBag TString
-  | _ -> err "unknown library method %s" name
+  match (Library.kind name, args_ty) with
+  | Some K_numeric_arg, t :: _ -> t
+  | Some K_int, _ -> TInt
+  | Some K_float, _ -> TFloat
+  | Some K_bool, _ -> TBool
+  | Some K_string, _ -> TString
+  | Some K_date, _ -> TDate
+  | Some K_strings, _ -> TBag TString
+  | (Some K_numeric_arg | None), _ -> err "unknown library method %s" name
 
 let is_num = function TInt | TFloat -> true | _ -> false
 
@@ -84,8 +68,6 @@ let rec infer (tenv : tenv) (e : expr) : ty =
       | t -> err "field %s of non-record %s" f (Fmt.str "%a" pp_ty t))
   | If (_, t, _) -> infer tenv t
 
-(** Element type produced by a pipeline, given the record type of each
-    named dataset. [`KVs (k,v)] for keyed stages, [`Plain t] otherwise. *)
 let rec infer_node (tenv : tenv) (record_ty : string -> ty) (n : node) :
     [ `Recs of ty | `KVs of ty * ty | `Plain of ty ] =
   match n with

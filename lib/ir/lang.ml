@@ -1,13 +1,3 @@
-(** Casper's high-level intermediate representation for program summaries
-    (paper §3.1, Figure 3, Appendix B).
-
-    A program summary (PS) asserts that every output variable of a code
-    fragment equals the result of a [map]/[reduce]/[join] pipeline over
-    the fragment's input data. Transformer functions λm and λr are
-    restricted exactly as in the paper: λm bodies are sequences of
-    (optionally guarded) [emit] statements producing key-value pairs or
-    plain values; λr bodies are single expressions. *)
-
 type ty =
   | TInt
   | TFloat
@@ -32,8 +22,6 @@ let rec pp_ty ppf = function
 
 let ty_equal (a : ty) (b : ty) = a = b
 
-(** Byte size of a value of this type — the cost model's [sizeOf]
-    (paper §7.4: 40 for String, 10 for Boolean, 28 for a Boolean pair). *)
 let rec size_of_ty = function
   | TInt | TDate -> 12
   | TFloat -> 16
@@ -77,9 +65,6 @@ type expr =
   | Field of expr * string
   | If of expr * expr * expr
 
-(** One emit statement of a λm body: an optional guard, and a payload that
-    is either a key-value pair (feeding keyed reduction) or a plain value
-    (feeding a global reduction). *)
 type payload = KV of expr * expr | Val of expr
 type emit = { guard : expr option; payload : payload }
 
@@ -103,8 +88,6 @@ type node =
       (** all pairs of elements with matching keys: (k,v1) ⋈ (k,v2) →
           (k,(v1,v2)) *)
 
-(** How an output variable reads its value out of the pipeline result
-    (Figure 3: [∀v. v = MR] or [∀v. v = MR\[vid\]]). *)
 type extract =
   | Whole
       (** the variable (an array or map) is the whole associative result *)
@@ -130,8 +113,6 @@ let rec node_datasets = function
   | Map (n, _) | Reduce (n, _) -> node_datasets n
   | Join (a, b) -> node_datasets a @ node_datasets b
 
-(** Number of map/reduce/join operations — the "Mean # Op" metric of
-    Table 2. *)
 let rec op_count = function
   | Data _ -> 0
   | Map (n, _) | Reduce (n, _) -> 1 + op_count n

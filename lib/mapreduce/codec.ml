@@ -96,6 +96,7 @@ let write_str buf s =
   write_varint buf (String.length s);
   Buffer.add_string buf s
 
+(* append the encoding of a value (payload only) *)
 let rec write buf = function
   | Value.Int n ->
       Buffer.add_char buf '\000';
@@ -135,6 +136,7 @@ let read_str s pos =
   pos := !pos + len;
   r
 
+(* decode one value at [!pos], advancing [pos] past it *)
 let rec read s pos =
   if !pos >= String.length s then err "truncated value";
   let tag = Char.code s.[!pos] in

@@ -5,12 +5,12 @@
     IEEE-754 bits for floats (NaN payloads and signed zeros round-trip
     bit-exactly). Every frame is length-prefixed so a reader can skip or
     validate a record without decoding it, and run files start with a
-    versioned header ({!magic}, {!version}) so a format change can never
+    versioned header ({!write_header}) so a format change can never
     be misread as data.
 
     [decode (encode v)] is structurally identical to [v] for every
     value, and {!encoded_size} is exact: it returns precisely the number
-    of bytes {!write} emits (the QCheck properties in [test_codec.ml]
+    of bytes {!encode} returns (the QCheck properties in [test_codec.ml]
     pin both). For struct-free values the encoding is also no larger
     than the engine's {!Casper_common.Value.size_of} byte model — the
     spill path's disk footprint never exceeds its accounted memory
@@ -21,12 +21,8 @@ module Value = Casper_common.Value
 
 exception Codec_error of string
 
-(** Run-file header: 4 magic bytes followed by one version byte. *)
-val magic : string
-
-val version : int
-
-(** [write_header buf] emits {!magic} + {!version}. *)
+(** [write_header buf] emits the run-file header: 4 magic bytes
+    followed by one version byte. *)
 val write_header : Buffer.t -> unit
 
 val header_size : int
@@ -52,13 +48,6 @@ val varint_size : int -> int
 
 (** Exact byte length of the encoding of [v] (payload only, no frame). *)
 val encoded_size : Value.t -> int
-
-(** Append the encoding of [v] (payload only). *)
-val write : Buffer.t -> Value.t -> unit
-
-(** [read s pos] decodes one value at [!pos], advancing [pos] past it.
-    @raise Codec_error on malformed input. *)
-val read : string -> int ref -> Value.t
 
 (** The payload of one value as a string. *)
 val encode : Value.t -> string

@@ -1,8 +1,3 @@
-(** Abstract syntax for MiniJava — the sequential Java subset Casper's
-    front-end accepts (paper §6.1: basic types and operators, primitive
-    arrays and collections, user-defined types, conditionals, all loop
-    forms, inlined methods, modeled library methods). *)
-
 type ty =
   | TInt
   | TLong
@@ -172,14 +167,12 @@ let rec fold_stmt ~(expr : 'a -> expr -> 'a) ~(stmt : 'a -> stmt -> 'a)
 let fold_stmts ~expr ~stmt acc l =
   List.fold_left (fold_stmt ~expr ~stmt) acc l
 
-(** Variables read anywhere in an expression. *)
 let vars_of_expr e =
   fold_expr
     (fun acc -> function Var v -> v :: acc | _ -> acc)
     [] e
   |> List.sort_uniq String.compare
 
-(** Variables assigned (as lvalue roots) anywhere in a statement list. *)
 let assigned_vars (stmts : stmt list) : string list =
   let rec lv_root = function
     | LVar v -> Some v
@@ -203,7 +196,6 @@ let assigned_vars (stmts : stmt list) : string list =
     [] stmts
   |> List.sort_uniq String.compare
 
-(** Variables read anywhere in a statement list. *)
 let read_vars (stmts : stmt list) : string list =
   fold_stmts
     ~expr:(fun acc -> function Var v -> v :: acc | _ -> acc)

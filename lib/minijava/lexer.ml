@@ -1,6 +1,3 @@
-(** Hand-written lexer for MiniJava. Produces a token list with line
-    numbers for error reporting. *)
-
 type token =
   | INT of int
   | FLOAT of float
@@ -189,7 +186,6 @@ let next_token lx : token * int =
       else (IDENT text, line)
   | Some _ -> (lex_punct lx, line)
 
-(** Tokenize the whole input. *)
 let tokenize (src : string) : (token * int) list =
   let lx = make src in
   let rec go acc =

@@ -1,6 +1,3 @@
-(** Recursive-descent parser for MiniJava. The Polyglot substitute: it
-    turns Java-like source text into {!Ast.program}. *)
-
 open Ast
 open Lexer
 
@@ -533,7 +530,6 @@ let parse_method p : meth =
   let body = parse_block p in
   { mname; ret; params; body }
 
-(** Parse a full program: a sequence of class declarations and methods. *)
 let parse_program (src : string) : program =
   let p = make (tokenize src) in
   let rec go classes methods =
@@ -544,7 +540,6 @@ let parse_program (src : string) : program =
   in
   go [] []
 
-(** Parse a single expression (used in tests). *)
 let parse_expr_string (src : string) : expr =
   let p = make (tokenize src) in
   parse_expr p

@@ -1,29 +1,21 @@
-(** Source printer for MiniJava — the inverse of {!Parser}.
+(* Printing choices forced by the parser/lexer:
 
-    The printer targets *re-parseability*, not pretty layout: every
-    shrunk fuzzer failure and counter-example environment is reported as
-    source that [Parser.parse_program] accepts and maps back to the same
-    AST. The invariant tested (and the one that matters for reproducers)
-    is idempotence: [parse (print (parse src))] equals [parse src].
-
-    Printing choices forced by the parser/lexer:
-
-    - Sub-expressions that are not primary/postfix forms (binops,
-      unops, ternaries, casts, negative literals) are parenthesized.
-      Parentheses are AST-transparent, so this is always safe and never
-      changes the parse.
-    - Float literals always carry a digit on both sides of the dot
-      ([1.0], not [1.]) because the lexer requires one; the shortest
-      representation that round-trips through [float_of_string] is used.
-    - Op-assignments and [i++] have no dedicated AST form — the parser
-      desugars them — so they print as plain assignments, which re-parse
-      to the identical AST.
-    - Bodies are always braced; [for] headers carry at most one init and
-      one update statement (all the parser accepts). A [For] node with
-      more — which the parser itself can never produce — is desugared to
-      a block with a [while] loop so the printer stays total.
-    - Constructor generics are dropped ([new ArrayList()]): the parser
-      skips them, so they were never in the AST to begin with. *)
+   - Sub-expressions that are not primary/postfix forms (binops,
+     unops, ternaries, casts, negative literals) are parenthesized.
+     Parentheses are AST-transparent, so this is always safe and never
+     changes the parse.
+   - Float literals always carry a digit on both sides of the dot
+     ([1.0], not [1.]) because the lexer requires one; the shortest
+     representation that round-trips through [float_of_string] is used.
+   - Op-assignments and [i++] have no dedicated AST form — the parser
+     desugars them — so they print as plain assignments, which re-parse
+     to the identical AST.
+   - Bodies are always braced; [for] headers carry at most one init and
+     one update statement (all the parser accepts). A [For] node with
+     more — which the parser itself can never produce — is desugared to
+     a block with a [while] loop so the printer stays total.
+   - Constructor generics are dropped ([new ArrayList()]): the parser
+     skips them, so they were never in the AST to begin with. *)
 
 open Ast
 

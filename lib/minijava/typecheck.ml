@@ -1,11 +1,5 @@
-(** Lightweight type inference for MiniJava.
-
-    The program analyzer needs the static types of every variable in scope
-    at a fragment boundary (paper §3.2 uses type information to prune the
-    search-space grammar), and the code generator needs expression types to
-    pick API variants (Appendix C). *)
-
 open Ast
+module Library = Casper_common.Library
 
 exception Type_error of string
 
@@ -34,23 +28,17 @@ let join_num a b =
   | TLong, _ | _, TLong -> TLong
   | _ -> TInt
 
-let library_ret name =
-  match name with
-  | "Math.min" | "Math.max" | "Math.abs" -> None (* depends on args *)
-  | "Math.sqrt" | "Math.pow" | "Math.exp" | "Math.log" | "Math.floor"
-  | "Math.ceil" | "Math.signum" | "Double.parseDouble" ->
-      Some TFloat
-  | "Math.round" | "Integer.parseInt" | "String.length" | "String.compareTo"
-    ->
-      Some TInt
-  | "Util.parseDate" -> Some TDate
-  | "String.equals" | "String.equalsIgnoreCase" | "String.contains"
-  | "String.startsWith" | "String.isEmpty" | "Date.before" | "Date.after" ->
-      Some TBool
-  | "String.toLowerCase" | "String.toUpperCase" | "String.charAt" ->
-      Some TString
-  | "String.split" -> Some (TList TString)
-  | _ -> None
+(* the type of a library method's result; [args] are needed only when
+   it follows the arguments (Math.min/max/abs) *)
+let library_ret (kind : Library.kind) (args : ty list Lazy.t) =
+  match kind with
+  | K_numeric_arg -> List.fold_left join_num TInt (Lazy.force args)
+  | K_int -> TInt
+  | K_float -> TFloat
+  | K_bool -> TBool
+  | K_string -> TString
+  | K_date -> TDate
+  | K_strings -> TList TString
 
 let rec infer prog (env : env) (e : expr) : ty =
   match e with
@@ -81,30 +69,24 @@ let rec infer prog (env : env) (e : expr) : ty =
       | t -> err "field access on %s" (ty_to_string t))
   | ArrLen _ -> TInt
   | Call (name, args) -> (
-      match library_ret name with
-      | Some t -> t
+      match Library.kind name with
+      | Some kind -> library_ret kind (lazy (List.map (infer prog env) args))
       | None -> (
-          match name with
-          | "Math.min" | "Math.max" | "Math.abs" ->
-              List.fold_left
-                (fun acc a -> join_num acc (infer prog env a))
-                TInt args
-          | _ -> (
-              (* user-defined method *)
-              match find_method prog name with
-              | Some m -> m.ret
-              | None ->
-                  (* unmodeled external library call (ImageJ etc.):
-                     typed leniently so the analyzer can report the
-                     fragment as untranslatable rather than the front
-                     end rejecting the file *)
-                  if String.contains name '.' then TFloat
-                  else err "unknown method %s" name)))
+          (* user-defined method *)
+          match find_method prog name with
+          | Some m -> m.ret
+          | None ->
+              (* unmodeled external library call (ImageJ etc.):
+                 typed leniently so the analyzer can report the
+                 fragment as untranslatable rather than the front
+                 end rejecting the file *)
+              if String.contains name '.' then TFloat
+              else err "unknown method %s" name))
   | MethodCall (recv, name, args) -> (
       match (infer prog env recv, name) with
       | TString, _ -> (
-          match library_ret ("String." ^ name) with
-          | Some t -> t
+          match Library.kind ("String." ^ name) with
+          | Some kind -> library_ret kind (lazy [])
           | None -> err "unknown String method %s" name)
       | TDate, ("before" | "after") -> TBool
       | TList t, ("get" | "remove") -> t
@@ -129,9 +111,6 @@ let rec infer prog (env : env) (e : expr) : ty =
   | Ternary (_, a, _) -> infer prog env a
   | Cast (t, _) -> t
 
-(** Collect the static environment of a method: params plus every local
-    declaration, in source order. Declared types win over inferred
-    constructor types (e.g. [List<Foo> l = new ArrayList<>()]). *)
 let method_env (m : meth) : env =
   let rec of_stmts env stmts =
     List.fold_left

@@ -1,5 +1,3 @@
-(** All seven benchmark suites (Table 1's rows). *)
-
 let suites : (string * Suite.benchmark list) list =
   [
     ("Phoenix", Phoenix.all);

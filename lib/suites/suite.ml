@@ -1,9 +1,3 @@
-(** Benchmark descriptors for the seven suites of §7.1.
-
-    Every benchmark carries its sequential MiniJava source (the input
-    Casper translates), the method that holds its translatable loops,
-    and a workload generator used by the performance experiments. *)
-
 module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 

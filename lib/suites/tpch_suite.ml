@@ -1,8 +1,3 @@
-(** The TPC-H suite (§7.1): sequential Java implementations of Q1, Q6,
-    Q15 and Q17 — written by hand exactly as the paper's authors did —
-    covering aggregations, group-bys, joins and nested queries. 10 code
-    fragments, all translated by Casper. *)
-
 module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 

@@ -73,112 +73,6 @@ type outcome = {
 
 (* ------------------------------------------------------------------ *)
 
-(** Probe environments for observational dedup: λm-parameter bindings
-    drawn from real fragment states.
-
-    Probe selection is coverage-guided: for every boolean sub-expression
-    harvested from the fragment body we make sure the probe set contains
-    states where it fires and states where it does not — otherwise a
-    guard that is rarely true (TPC-H Q6's five-way conjunction) would be
-    observationally equal to [false] and deduplicated out of its own
-    grammar. *)
-let make_probes prog (frag : F.t) : Casper_ir.Eval.env list =
-  let dom = Statesgen.full_domain frag in
-  let batch = Statesgen.gen_batch ~seed:97 ~count:30 dom prog frag in
-  let params =
-    match frag.F.schema with
-    (* join fragments: records of d1 bind x1; x2 is bound from d2 in a
-       separate pass below *)
-    | F.SJoin { x1; _ } -> [ (x1, Casper_ir.Lang.TInt) ]
-    | _ -> Lift.record_params frag
-  in
-  let probes =
-    List.concat_map
-      (fun penv ->
-        match Vc.entry_of_params prog frag penv with
-        | exception _ -> []
-        | entry -> (
-            match
-              Vc.datasets_at prog frag entry (Vc.outer_count prog frag entry)
-            with
-            | exception _ -> []
-            | dsets ->
-                let records =
-                  match dsets with (_, rs) :: _ -> rs | [] -> []
-                in
-                List.filteri
-                  (fun i _ -> i < 3)
-                  (List.map
-                     (fun r ->
-                       try
-                         Casper_ir.Eval.bind_params entry
-                           (List.map fst params) r
-                       with _ -> entry)
-                     records)))
-      batch
-  in
-  (* join fragments additionally need x2 bound from d2; cycle through the
-     right side's records so x2 varies across probes *)
-  let probes =
-    match frag.schema with
-    | F.SJoin { d2; x2; _ } ->
-        List.mapi
-          (fun i env ->
-            match List.assoc_opt d2 env with
-            | Some (Value.List (_ :: _ as es)) ->
-                (x2, List.nth es (i mod List.length es)) :: env
-            | _ -> env)
-          probes
-    | _ -> probes
-  in
-  match probes with
-  | [] -> [ [] ]
-  | pool ->
-      let base = List.filteri (fun i _ -> i < 16) pool in
-      (* coverage pass: for each harvested boolean, add probes until it
-         has at least two firing and two non-firing states (when the
-         pool contains any) *)
-      let bools =
-        List.filter
-          (fun e ->
-            match e with
-            | Ir.Binop ((Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne
-                        | Ir.And | Ir.Or), _, _)
-            | Ir.Unop (Ir.Not, _) | Ir.Call _ ->
-                true
-            | _ -> false)
-          (Lift.harvest prog frag)
-      in
-      let eval_bool env e =
-        match Casper_ir.Eval.eval_expr env e with
-        | Value.Bool b -> Some b
-        | _ -> None
-        | exception _ -> None
-      in
-      let selected = ref base in
-      List.iter
-        (fun b ->
-          let count v =
-            List.length
-              (List.filter (fun env -> eval_bool env b = Some v) !selected)
-          in
-          List.iter
-            (fun want ->
-              let missing = 2 - count want in
-              if missing > 0 then
-                let extra =
-                  List.filter
-                    (fun env ->
-                      eval_bool env b = Some want
-                      && not (List.memq env !selected))
-                    pool
-                in
-                selected :=
-                  !selected @ List.filteri (fun i _ -> i < missing) extra)
-            [ true; false ])
-        bools;
-      List.filteri (fun i _ -> i < 48) !selected
-
 (* ------------------------------------------------------------------ *)
 
 type search_state = {
@@ -376,7 +270,7 @@ let rec find_summary ?(obs = Obs.null) ?(config = default_config)
   let pools =
     lazy
       (Obs.span obs "grammar" (fun () ->
-           G.build prog frag (make_probes prog frag)))
+           G.build prog frag))
   in
   let finish ~classes ~timed_out st solutions =
     let hits, misses =

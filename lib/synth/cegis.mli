@@ -41,11 +41,6 @@ type stats = {
 
 type outcome = { solutions : solution list; stats : stats }
 
-(** Probe environments binding λm parameters, drawn from real fragment
-    states with guard-coverage selection; used for observational dedup
-    in grammar construction. *)
-val make_probes : Minijava.Ast.program -> F.t -> Casper_ir.Eval.env list
-
 (** {2 The Φ check of the CEGIS inner loop}
 
     Exposed so tests can drive it candidate by candidate. *)

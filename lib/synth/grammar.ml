@@ -1,26 +1,11 @@
-(** Search-space grammars, generated per fragment and organized as the
-    incremental hierarchy of §4.2 / Figure 6.
-
-    A grammar class bounds four syntactic features: the number of
-    MapReduce operations, the number of emits per λm, whether tuple
-    keys/values are allowed, and the expression length. Every summary
-    expressible in class Gᵢ is expressible in Gⱼ for j > i.
-
-    Expression pools are built from the fragment's own terminals —
-    record components, in-scope inputs, constants — closed under the
-    operators and library methods the code uses (§3.2), with the loop
-    body's lifted sub-expressions as additional productions (the
-    Appendix D generator specializes its grammar to the fragment the
-    same way). Pools are deduplicated *observationally*: two productions
-    with identical behaviour on a set of probe states are the same
-    production. *)
-
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 module Value = Casper_common.Value
 module Eval = Casper_ir.Eval
 module Memo = Casper_ir.Memo
 module H = Casper_ir.Hashcons
+module Statesgen = Casper_verify.Statesgen
+module Vc = Casper_vcgen.Vc
 
 type klass = {
   k_id : int;
@@ -30,9 +15,6 @@ type klass = {
   max_len : int;
 }
 
-(** The grammar hierarchy for a fragment. Join-shaped fragments get a
-    single join class (their pipelines need the join operator from the
-    start); everything else climbs G1 → G2 → G3. *)
 let classes (frag : F.t) : klass list =
   match frag.schema with
   | F.SJoin _ ->
@@ -53,8 +35,6 @@ let classes (frag : F.t) : klass list =
           max_len = 14 };
       ]
 
-(** The flat (non-incremental) grammar used by the Table 3 ablation: the
-    most expressive class only, with generous bounds. *)
 let flat_class (frag : F.t) : klass =
   match classes frag with
   | [] -> assert false
@@ -68,13 +48,6 @@ let flat_class (frag : F.t) : klass =
 type probe = Eval.env list
 (** environments binding λ parameters and free scalars *)
 
-(** Keep the structurally smallest expression per behaviour, capped at
-    [limit] survivors. The result is sorted by expression size —
-    enumeration visits cheap productions first, which is what biases the
-    search towards inexpensive summaries (§4.2). The cap is applied
-    *during* filtering, so expressions past it never pay fingerprint
-    cost; the output is identical to filtering everything and capping
-    afterwards. *)
 let dedupe_c ?(keep = fun _ -> false) ?(size = Ir.expr_size) ?limit
     (cprobes : Memo.probe_set) (exprs : Ir.expr list) : Ir.expr list =
   let sorted =
@@ -136,7 +109,6 @@ type pools = {
           class expression-length bound treats them as size 1 *)
 }
 
-(** Grammar length of an expression: harvested productions are leaves. *)
 let glen (p : pools) (e : Ir.expr) : int =
   if Hashtbl.mem p.harvested e then 1 else Ir.expr_size e
 
@@ -158,10 +130,112 @@ let is_cmp = function
   | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne -> true
   | _ -> false
 
-(** Build the pools for a fragment. [probes] must bind every λm
-    parameter and every input scalar. *)
-let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
-    =
+(** Probe environments for observational dedup: λm-parameter bindings
+    drawn from real fragment states.
+
+    Probe selection is coverage-guided: for every boolean sub-expression
+    harvested from the fragment body we make sure the probe set contains
+    states where it fires and states where it does not — otherwise a
+    guard that is rarely true (TPC-H Q6's five-way conjunction) would be
+    observationally equal to [false] and deduplicated out of its own
+    grammar. The booleans are [harvested], the fragment's lifted
+    sub-expressions. *)
+let make_probes prog (frag : F.t) (harvested : Ir.expr list) : probe =
+  let dom = Statesgen.full_domain frag in
+  let batch = Statesgen.gen_batch ~seed:97 ~count:30 dom prog frag in
+  let params =
+    match frag.F.schema with
+    (* join fragments: records of d1 bind x1; x2 is bound from d2 in a
+       separate pass below *)
+    | F.SJoin { x1; _ } -> [ (x1, Ir.TInt) ]
+    | _ -> Lift.record_params frag
+  in
+  let probes =
+    List.concat_map
+      (fun penv ->
+        match Vc.entry_of_params prog frag penv with
+        | exception _ -> []
+        | entry -> (
+            match
+              Vc.datasets_at prog frag entry (Vc.outer_count prog frag entry)
+            with
+            | exception _ -> []
+            | dsets ->
+                let records =
+                  match dsets with (_, rs) :: _ -> rs | [] -> []
+                in
+                List.filteri
+                  (fun i _ -> i < 3)
+                  (List.map
+                     (fun r ->
+                       try Eval.bind_params entry (List.map fst params) r
+                       with _ -> entry)
+                     records)))
+      batch
+  in
+  (* join fragments additionally need x2 bound from d2; cycle through the
+     right side's records so x2 varies across probes *)
+  let probes =
+    match frag.schema with
+    | F.SJoin { d2; x2; _ } ->
+        List.mapi
+          (fun i env ->
+            match List.assoc_opt d2 env with
+            | Some (Value.List (_ :: _ as es)) ->
+                (x2, List.nth es (i mod List.length es)) :: env
+            | _ -> env)
+          probes
+    | _ -> probes
+  in
+  match probes with
+  | [] -> [ [] ]
+  | pool ->
+      let base = List.filteri (fun i _ -> i < 16) pool in
+      (* coverage pass: for each harvested boolean, add probes until it
+         has at least two firing and two non-firing states (when the
+         pool contains any) *)
+      let bools =
+        List.filter
+          (fun e ->
+            match e with
+            | Ir.Binop ((Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne
+                        | Ir.And | Ir.Or), _, _)
+            | Ir.Unop (Ir.Not, _) | Ir.Call _ ->
+                true
+            | _ -> false)
+          harvested
+      in
+      let eval_bool env e =
+        match Eval.eval_expr env e with
+        | Value.Bool b -> Some b
+        | _ -> None
+        | exception _ -> None
+      in
+      let selected = ref base in
+      List.iter
+        (fun b ->
+          let count v =
+            List.length
+              (List.filter (fun env -> eval_bool env b = Some v) !selected)
+          in
+          List.iter
+            (fun want ->
+              let missing = 2 - count want in
+              if missing > 0 then
+                let extra =
+                  List.filter
+                    (fun env ->
+                      eval_bool env b = Some want
+                      && not (List.memq env !selected))
+                    pool
+                in
+                selected :=
+                  !selected @ List.filteri (fun i _ -> i < missing) extra)
+            [ true; false ])
+        bools;
+      List.filteri (fun i _ -> i < 48) !selected
+
+let build (prog : Minijava.Ast.program) (frag : F.t) : pools =
   let params = Lift.record_params frag in
   let scalars =
     List.map
@@ -169,8 +243,10 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
       frag.input_scalars
   in
   let structs = Casper_analysis.Analyze.struct_table prog in
+  let raw = Lift.harvest prog frag in
+  let probes = make_probes prog frag raw in
   let hc = H.create () in
-  let harvested = List.map (H.intern_deep hc) (Lift.harvest prog frag) in
+  let harvested = List.map (H.intern_deep hc) raw in
   (* terminals: params, scalars, record fields, constants *)
   let field_accesses =
     List.concat_map
@@ -307,7 +383,6 @@ let build (prog : Minijava.Ast.program) (frag : F.t) (probes : probe) : pools
     harvested = harvested_tbl;
   }
 
-(** [dedupe_c] on other probes, whose cells count as [p]'s search's. *)
 let dedupe (p : pools) ?keep ?size ?limit (probes : probe)
     (exprs : Ir.expr list) : Ir.expr list =
   dedupe_c ?keep ?size ?limit
@@ -321,7 +396,6 @@ let exprs_of_ty (p : pools) : Ir.ty -> Ir.expr list = function
   | Ir.TString -> p.strings
   | _ -> []
 
-(** Guard alternatives for an emit: unguarded first. *)
 let guards (p : pools) ~(max_len : int) : Ir.expr option list =
   None
   :: List.filter_map
@@ -349,9 +423,6 @@ let reducer_ops_for (p : pools) (t : Ir.ty) : Ir.binop list =
   | Ir.TString -> []
   | _ -> []
 
-(** λr candidates for value type [t]. Includes the degenerate "keep one
-    side" reducers — genuine members of the search space that the
-    verifier must reject. *)
 let reducers (p : pools) (t : Ir.ty) : Ir.lam_r list =
   let v1 = "v1" and v2 = "v2" in
   let mk body = { Ir.r_left = v1; r_right = v2; r_body = body } in

@@ -1,19 +1,7 @@
-(** Lifting MiniJava expressions into the IR.
-
-    The search-space grammar Casper generates is specialized to the input
-    fragment (§3.2, Appendix D): its production rules are built from the
-    operators, constants and library methods the code uses. We go the
-    same way the Appendix D generator does — every sub-expression of the
-    loop body that mentions only record components and in-scope inputs is
-    lifted into an IR expression and becomes a terminal of the grammar.
-    Accesses to the current record (list element, [a\[i\]], [m\[i\]\[j\]])
-    become λm parameters. *)
-
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 open Minijava.Ast
 
-(** λm parameter names and IR types for a fragment's records. *)
 let record_params (frag : F.t) : (string * Ir.ty) list =
   let ir = Casper_analysis.Analyze.ir_ty in
   match frag.schema with
@@ -25,7 +13,6 @@ let record_params (frag : F.t) : (string * Ir.ty) list =
       [ (i, Ir.TInt); (j, Ir.TInt); (v, ir elem_ty) ]
   | F.SJoin { x1; ty1; x2; ty2; _ } -> [ (x1, ir ty1); (x2, ir ty2) ]
 
-(** IR record type of each dataset, as seen by [Data] nodes. *)
 let record_ty_of (frag : F.t) (d : string) : Ir.ty =
   let ir = Casper_analysis.Analyze.ir_ty in
   match frag.schema with
@@ -81,10 +68,6 @@ let inlinable_body (prog : program) (name : string) : (string list * expr) optio
       Some (List.map snd params, e)
   | _ -> None
 
-(** Lift one expression. [scalars] are the in-scope input variables;
-    record component accesses are rewritten to λm parameters. Returns
-    [None] when the expression reaches outside the IR (outputs, unmapped
-    accesses, unmodeled methods). *)
 let lift (frag : F.t) (prog : program) : expr -> Ir.expr option =
   let scalars = List.map fst frag.input_scalars in
   let env = Minijava.Typecheck.method_env frag.meth in
@@ -179,7 +162,6 @@ let lift (frag : F.t) (prog : program) : expr -> Ir.expr option =
   in
   go
 
-(** All lifted sub-expressions of the fragment body, deduplicated. *)
 let harvest (prog : program) (frag : F.t) : Ir.expr list =
   let lift1 = lift frag prog in
   let acc =

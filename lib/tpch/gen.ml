@@ -1,11 +1,3 @@
-(** Synthetic TPC-H data generator (scaled-down dbgen substitute).
-
-    Produces the relations the paper's TPC-H experiments touch —
-    lineitem, part, supplier, partsupp — as {!Casper_common.Value}
-    structs with the TPC-H value distributions that matter to the
-    queries: shipdate spread over 1992–1998, discount in 0.00–0.10,
-    quantity 1–50, a small set of brands and containers. *)
-
 module Value = Casper_common.Value
 module Rng = Casper_common.Rng
 module Library = Casper_common.Library
@@ -90,8 +82,6 @@ let dimension_rows rng ~parts ~suppliers =
   let part = List.init parts (fun i -> part rng ~key:(i + 1)) in
   (part, supplier, partsupp)
 
-(** Generate a database with ~[lineitems] lineitem rows (the other
-    relations scale with TPC-H's ratios). *)
 let generate ?(seed = 7) ~(lineitems : int) () : db =
   let rng = Rng.create seed in
   let parts, suppliers = sizes lineitems in
@@ -104,8 +94,6 @@ let generate ?(seed = 7) ~(lineitems : int) () : db =
     partsupp;
   }
 
-(** [datasets (generate ?seed ~lineitems ())] without the lineitem
-    relation, which it never draws: part, supplier and partsupp. *)
 let dimensions ?(seed = 7) ~(lineitems : int) () :
     (string * Value.t list) list =
   let rng = Rng.create seed in
@@ -119,8 +107,6 @@ let partsupp_draws = 4
 let supplier_draws = 1
 let part_draws = 3
 
-(** [(generate ?seed ~lineitems:n ()).lineitem] without building the
-    other relations: it skips their draws. *)
 let lineitems ?(seed = 7) ~n () : Value.t list =
   let rng = Rng.create seed in
   let parts, suppliers = sizes n in

@@ -1,23 +1,3 @@
-(** SparkSQL-substitute reference plans for the TPC-H experiments
-    (Fig. 7b).
-
-    These are hand-built physical plans with the *shapes* the paper
-    observed in SparkSQL's query plans — that is where the runtime
-    differences it reports come from:
-
-    - Q1 and Q6: SparkSQL's two-phase aggregation exchanges un-combined
-      rows (extra data shuffling), where Casper's translation combines
-      locally ("we attribute this to the extra data shuffling performed
-      by the SparkSQL query plan").
-    - Q15: the plan scans the lineitem relation twice (revenue subquery
-      + join against its max), where Casper's implementation scans it
-      once.
-    - Q17: SparkSQL schedules the correlated subquery as a broadcast
-      join and beats Casper's shuffle join by ~1.7×.
-
-    Each query returns the list of engine runs it performs; its time is
-    the sum over runs. *)
-
 module Value = Casper_common.Value
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine

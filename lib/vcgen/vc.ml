@@ -1,24 +1,3 @@
-(** Verification conditions for program summaries (paper §3.3, Figure 4).
-
-    For a fragment that iterates a dataset, Casper synthesizes the loop
-    invariant in the standard prefix form
-
-      Inv(σ, i)  ≡  bounds(i) ∧ outputs(σ) = ⟦MR⟧(data[0..i])
-
-    which turns the three Hoare clauses into executable checks:
-
-    - initiation:   outputs at loop entry  = ⟦MR⟧ over the empty prefix
-    - continuation: if outputs = ⟦MR⟧(data[0..k]) then after one more
-      iteration outputs = ⟦MR⟧(data[0..k+1])
-    - termination:  outputs at loop exit = ⟦MR⟧ over all data — the
-      program summary itself.
-
-    Because the loop body is deterministic, checking that the outputs
-    after executing the loop over every prefix of the data equal the IR
-    denotation over that prefix discharges all three clauses for the
-    given program state. The bounded and full verifiers quantify over
-    states; this module provides the per-state check. *)
-
 module F = Casper_analysis.Fragment
 module Value = Casper_common.Value
 module Ir = Casper_ir.Lang
@@ -31,12 +10,9 @@ let err fmt = Fmt.kstr (fun s -> raise (Vc_error s)) fmt
 
 type env = Minijava.Interp.env
 
-(** Run the fragment's preceding statements to establish the entry state
-    from a generated parameter environment. *)
 let entry_of_params (prog : program) (frag : F.t) (params_env : env) : env =
   Minijava.Interp.run_stmts prog params_env frag.pre
 
-(** Number of outer iteration units in the entry state. *)
 let outer_count (prog : program) (frag : F.t) (entry : env) : int =
   match frag.schema with
   | F.SList { data; _ } | F.SJoin { d1 = data; _ } ->
@@ -67,13 +43,6 @@ let grow (row : int -> Value.t list) : int -> Value.t list =
     done;
     !acc
 
-(** The IR-side datasets of the entry state, truncated to the first [k]
-    outer units. Records follow the iteration schema: list elements as
-    themselves, counted arrays as (i, a[i], …), matrices as (i, j, v).
-    Partially applied to an entry state, the result builds each
-    counted-array and matrix record once and shares it with every
-    prefix; each prefix raises what building it from scratch would
-    raise. *)
 let datasets_at (prog : program) (frag : F.t) (entry : env) :
     int -> (string * Value.t list) list =
   match frag.schema with
@@ -143,7 +112,6 @@ let datasets_at (prog : program) (frag : F.t) (entry : env) :
           (d2, Value.as_list (List.assoc d2 entry));
         ]
 
-(** Execute the loop over the first [k] outer units only. *)
 let run_prefix (prog : program) (frag : F.t) (entry : env) (k : int) : env =
   let loop =
     match (frag.loop, frag.schema) with
@@ -186,8 +154,6 @@ let shapes_of (frag : F.t) : (string * Eval.out_shape) list =
         | F.KMap -> Eval.MapAssoc ))
     frag.outputs
 
-(** Canonicalize a Java [Map] value (bag of key-value tuples) for
-    comparison. *)
 let canon_output kind (v : Value.t) : Value.t =
   match (kind, v) with
   | F.KMap, Value.List pairs -> Value.List (List.sort Value.compare pairs)
@@ -200,8 +166,6 @@ type check_result =
   | Ir_error of string  (** the summary itself is not evaluable *)
   | State_skipped of string  (** the sequential code faulted on this state *)
 
-(* first of [outputs] whose sequential value disagrees with the IR
-   denotation *)
 let output_mismatch (outputs : (string * ty * F.out_kind) list)
     (seq_env : env) (mr_out : Eval.env) : string option =
   List.find_map
@@ -214,11 +178,6 @@ let output_mismatch (outputs : (string * ty * F.out_kind) list)
           else Some v)
     outputs
 
-(** Check all three VC clauses of the candidate summary on one entry
-    state: compare sequential execution against the IR denotation on
-    every prefix of the data (prefix 0 = initiation, successive prefixes
-    = continuation, full data = termination). [lr_ran], when given, is
-    set by every λr application, as in {!check_prepared}. *)
 let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
     (entry : env) : check_result =
   let shapes = shapes_of frag in
@@ -257,17 +216,10 @@ let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
    positions where the expected array differs from the initial one
    ([expect]), computed once per prefix. *)
 
-(** One extracted output: a [Whole] binding of an array output as its
-    initial array, that array's length, and every write, newest first;
-    any other binding as its value. *)
 type extracted =
   | Dense of Value.t
   | Sparse of { init : Value.t list; len : int; writes : (int * Value.t) list }
 
-(** [Eval.extract_outputs], with array outputs left [Sparse].
-    [init_len var l] is the length of [var]'s initial array [l]. Raises
-    what [Eval.extract_outputs] raises, in the same order: bindings in
-    order, and within an array binding its writes in bag order. *)
 let extract_sparse ~(init_len : string -> Value.t list -> int)
     (result : Eval.bag) (init : Eval.env)
     (shapes : (string * Eval.out_shape) list) (s : Ir.summary) :
@@ -287,16 +239,12 @@ let extract_sparse ~(init_len : string -> Value.t list -> int)
       | _ -> (var, Dense (Eval.extract_binding result init shapes b)))
     s.bindings
 
-(** What one array output must equal on one prefix. *)
 type expect =
   | Diff of { exp : Value.t array; diff : int list }
       (** the expected array, as long as the initial one, and the
           positions where the two differ under [Value.equal_approx] *)
   | Whole_value of Value.t  (** any other expected value *)
 
-(** The expected value of array output [var] after [seq_env], against
-    its initial value in [init]. Raises [Not_found] where
-    {!output_mismatch} does: [var] unbound in [seq_env]. *)
 let expect_of (seq_env : env) (init : Eval.env) (var : string) : expect =
   let expected = List.assoc var seq_env in
   match (expected, List.assoc_opt var init) with
@@ -334,11 +282,6 @@ let sparse_equal (x : expect) ~(init : Value.t list) ~len
       List.iter (fun (i, v) -> arr.(i) <- v) (List.rev writes);
       Value.equal_approx expected (Value.List (Array.to_list arr))
 
-(** {!output_mismatch} over {!extract_sparse}'s outputs, extracted with
-    the shapes of [outputs] ({!shapes_of}): the same verdict, the same
-    failing output and the same exception. [expect v] is
-    [expect_of seq_env init v] for the [init] they were extracted
-    against. *)
 let sparse_mismatch (outputs : (string * ty * F.out_kind) list)
     (seq_env : env) (expect : string -> expect)
     (outs : (string * extracted) list) : string option =
@@ -394,14 +337,6 @@ type prepared_state = {
    made from it *)
 type seq_step = { s_env : env; s_next : unit -> seq_step }
 
-(** [run_prefix prog frag entry] over prefixes 0, 1, 2, …, incremental:
-    the result runs prefix 0, and each step's [s_next] runs the next
-    prefix by resuming the step's paused loop
-    ({!Minijava.Interp.counted_resume}): [For] and counted [While] loops
-    go on with a bound one larger, [ForEach] loops with the next element.
-    A step equals [run_prefix] on its prefix in environment, step count
-    and fault. A loop [run_prefix] does not truncate runs whole at prefix
-    0, and every later prefix shares that run. *)
 let seq_steps (prog : program) (frag : F.t) (entry : env) :
     unit -> seq_step =
   let module I = Minijava.Interp in
@@ -511,20 +446,6 @@ let init_len (ps : prepared_state) (var : string) (l : Value.t list) : int =
       Hashtbl.add ps.p_init_lens var n;
       n
 
-(** [check_state], against a prepared state. Identical outcomes: both
-    walk prefixes 0..n in order and stop at the first failure, so a
-    cached cell is only ever consulted at the same point the plain check
-    would have computed it; array outputs are compared sparsely
-    ({!sparse_mismatch}), with the same verdicts. The pipeline runs
-    incrementally, each prefix folding in only the records it adds
-    ({!Casper_ir.Memo.stage_prefixes}), with the same values and
-    errors.
-
-    The flag says whether any λr was applied before the result was
-    decided. When it is [false], every summary that differs from this one
-    only in its λrs gets the same result on this state: the prefixes up
-    to the deciding one produce the same bags for all of them (see
-    {!Casper_ir.Memo.stage_prefixes}). *)
 let check_prepared (frag : F.t) (summary : Ir.summary)
     (ps : prepared_state) : check_result * bool =
   let lr_ran = ref false in
@@ -560,8 +481,6 @@ let check_prepared (frag : F.t) (summary : Ir.summary)
   in
   (result, !lr_ran)
 
-(** Render the symbolic VC clauses for documentation / debugging output
-    (the shape of Figure 4(b)). *)
 let pp_clauses ppf (frag : F.t) =
   let d = F.primary_dataset frag in
   let outs = String.concat ", " (List.map (fun (v, _, _) -> v) frag.outputs) in

@@ -1,20 +1,3 @@
-(** Program-state generation for the two verification phases.
-
-    The bounded model checker (the Sketch substitute, §3.4) explores a
-    small finite domain — tiny datasets, ints from a narrow pool — so
-    candidate checking is fast, and so that semantically-wrong candidates
-    can *pass* here and be caught by the full verifier, which is exactly
-    the phenomenon Casper's two-phase verification exists to handle
-    (§4.1, "assume we bound the integer inputs to have a maximum value
-    of 4").
-
-    The full verifier (the Dafny substitute) uses a much larger domain:
-    longer datasets, wide value ranges, adversarial values (negatives,
-    duplicates, zero, extreme magnitudes) and many trials.
-
-    Both domains mix in the fragment's own constants so that guards like
-    [discount >= 0.05] or [word == key1] are exercised on both sides. *)
-
 module F = Casper_analysis.Fragment
 module Value = Casper_common.Value
 module Rng = Casper_common.Rng
@@ -129,8 +112,6 @@ let gen_params (rng : Rng.t) (dom : domain) (prog : program) (frag : F.t)
   in
   List.map gen_param frag.meth.params
 
-(** A deterministic batch of parameter environments covering sizes 0,1
-    and random sizes up to the domain maximum. *)
 let gen_batch ~(seed : int) ~(count : int) (dom : domain) (prog : program)
     (frag : F.t) : Minijava.Interp.env list =
   let rng = Rng.create seed in

@@ -134,7 +134,7 @@ let sum_fragment () =
 
 let test_dedupe_cap_during_filter () =
   let prog, frag = sum_fragment () in
-  let pools = G.build prog frag (Cegis.make_probes prog frag) in
+  let pools = G.build prog frag in
   (* constants observe as themselves, so distinctness is the constant's
      value; each appears twice and only the first survives *)
   let emit i = { Ir.guard = None; payload = Ir.Val (Ir.CInt i) } in
@@ -193,7 +193,7 @@ let printed_dedupe pools ~limit emits =
    ([Int 1] and [Float 1.0]), failing values and a non-boolean guard *)
 let test_dedupe_mode_equivalence () =
   let prog, frag = sum_fragment () in
-  let pools = G.build prog frag (Cegis.make_probes prog frag) in
+  let pools = G.build prog frag in
   let vals = G.cap 12 (G.exprs_of_ty pools Ir.TInt) in
   let x = List.hd vals in
   let vals =

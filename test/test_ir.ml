@@ -612,6 +612,61 @@ let test_infer_illtyped () =
   | exception Infer.Ill_typed _ -> ()
   | _ -> Alcotest.fail "expected ill-typed"
 
+(* every modeled method returns a value of its declared kind, on every
+   sample argument list of its declared arity that it accepts, and
+   accepts at least one *)
+let test_library_kinds () =
+  let module Library = Casper_common.Library in
+  let samples =
+    Value.[ Int 3; Float 2.5; Bool true; Str "1994-01-02"; Str "7"; Str "-" ]
+  in
+  let rec arg_lists n =
+    if n = 0 then [ [] ]
+    else
+      List.concat_map
+        (fun v -> List.map (List.cons v) (arg_lists (n - 1)))
+        samples
+  in
+  let same_ctor (a : Value.t) (b : Value.t) =
+    match (a, b) with Int _, Int _ | Float _, Float _ -> true | _ -> false
+  in
+  List.iter
+    (fun (name, arity) ->
+      let kind = Option.get (Library.kind name) in
+      let has_kind args (v : Value.t) =
+        match (kind, v) with
+        | (Library.K_int | K_date), Int _
+        | K_float, Float _
+        | K_bool, Bool _
+        | K_string, Str _ ->
+            true
+        | K_strings, List vs ->
+            List.for_all (function Value.Str _ -> true | _ -> false) vs
+        | K_numeric_arg, (Int _ | Float _) ->
+            (* all-int or all-float arguments keep their type *)
+            not (List.for_all (same_ctor (List.hd args)) args)
+            || same_ctor v (List.hd args)
+        | _ -> false
+      in
+      let accepted =
+        List.filter_map
+          (fun args ->
+            match Library.apply name args with
+            | v -> Some (args, v)
+            | exception (Library.Unknown_method _ | Value.Type_error _) -> None)
+          (arg_lists arity)
+      in
+      check (name ^ " accepts a sample") true (accepted <> []);
+      List.iter
+        (fun (args, v) ->
+          check
+            (Fmt.str "%s %a returns its kind" name
+               Fmt.(Dump.list Value.pp)
+               args)
+            true (has_kind args v))
+        accepted)
+    Library.known
+
 (* ---------------- printing & metrics ---------------- *)
 
 let test_pp_and_metrics () =
@@ -679,6 +734,7 @@ let suite =
         Alcotest.test_case "expressions" `Quick test_infer_exprs;
         Alcotest.test_case "pipeline" `Quick test_infer_node;
         Alcotest.test_case "ill-typed" `Quick test_infer_illtyped;
+        Alcotest.test_case "library method kinds" `Quick test_library_kinds;
       ] );
     ( "ir.pp",
       [ Alcotest.test_case "printing & metrics" `Quick test_pp_and_metrics ] );

@@ -167,7 +167,7 @@ let test_searches_interleave () =
   let _, prog_b, frag_b = fragment ("WordCount", "wordcount#0") in
   let run ~between =
     let _, prog, frag = fragment ("StringMatch", "stringmatch#0") in
-    let pools = G.build prog frag (Cegis.make_probes prog frag) in
+    let pools = G.build prog frag in
     let st =
       Cegis.make_state ~phi:(V.states V.Phi prog frag) prog frag
         ~budget:max_int

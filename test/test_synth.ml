@@ -107,8 +107,7 @@ let test_pools_typed () =
     fragment
       "double f(double[] x, int n) { double s = 0; for (int i = 0; i < n; i++) s += x[i]; return s; }"
   in
-  let probes = Cegis.make_probes prog frag in
-  let pools = G.build prog frag probes in
+  let pools = G.build prog frag in
   check "float pool has the element" true
     (List.mem (Ir.Var "x") pools.G.floats);
   check "int pool has the index" true (List.mem (Ir.Var "i") pools.G.ints);
@@ -525,7 +524,7 @@ let test_bulk_expands_to_candidates () =
   in
   List.iter
     (fun (prog, frag) ->
-      let pools = G.build prog frag (Cegis.make_probes prog frag) in
+      let pools = G.build prog frag in
       let items dead =
         List.to_seq (G.classes frag)
         |> Seq.concat_map (fun k -> E.candidates ~dead prog frag pools k)

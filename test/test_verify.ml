@@ -529,7 +529,7 @@ let same_prefixes prog (frag : F.t) entry =
 let candidates prog frag n =
   let module G = Casper_synth.Grammar in
   let module E = Casper_synth.Enumerate in
-  let pools = G.build prog frag (Casper_synth.Cegis.make_probes prog frag) in
+  let pools = G.build prog frag in
   let dead = E.make_dead () in
   List.to_seq (G.classes frag)
   |> Seq.concat_map (fun k -> E.candidates ~dead prog frag pools k)

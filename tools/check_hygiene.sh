@@ -249,6 +249,39 @@ if grep -rn 'Domain\.spawn' --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
+# Every lib/ module states its interface: each lib/**/*.ml has an
+# .mli, and each value an .mli exports (val or external) is named, as a
+# whole word, in a .ml/.mli outside its own module under lib, bin,
+# bench, test, examples or perfbench. A value only its own module uses
+# stays out of the interface (DESIGN.md §17).
+for ml in $(find lib -name '*.ml' | sort); do
+  if [ ! -f "${ml}i" ]; then
+    echo "no interface: $ml"
+    fail=1
+  fi
+done
+set -f
+unnamed=$(for mli in $(find lib -name '*.mli' | sort); do
+  ml=${mli%i}
+  for name in $(sed -nE \
+      "s/^ *(val|external) +(\( *([^ )]+) *\)|([a-z_][A-Za-z0-9_']*)) *:.*/\3\4/p" \
+      "$mli"); do
+    case $name in
+      [a-z_]*) match=-w ;;
+      *) match=-F ;;
+    esac
+    grep -rl $match --include='*.ml' --include='*.mli' -e "$name" \
+        lib bin bench test examples perfbench |
+      grep -qvx -e "$ml" -e "$mli" || echo "$mli: $name"
+  done
+done)
+set +f
+if [ -n "$unnamed" ]; then
+  echo "$unnamed"
+  echo "an interface exports a value no other module names"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "hygiene check FAILED"
   exit 1
