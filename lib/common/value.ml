@@ -117,11 +117,19 @@ let rec size_of : t -> int = function
   | Float _ -> 16
   | Bool _ -> 10
   | Str s -> 24 + String.length s
-  | Tuple xs | List xs -> 8 + List.fold_left (fun a x -> a + size_of x) 0 xs
-  | Struct (_, fs) -> 8 + List.fold_left (fun a (_, v) -> a + size_of v) 0 fs
+  | Tuple xs | List xs -> sizes 8 xs
+  | Struct (_, fs) -> field_sizes 8 fs
 
-let size_of_list (vs : t list) : int =
-  List.fold_left (fun a v -> a + size_of v) 0 vs
+(* [acc] plus the sizes of a list's elements, by direct recursion: the
+   engine sizes every record it makes, and a fold's closure costs an
+   indirect call per element *)
+and sizes acc = function [] -> acc | x :: xs -> sizes (acc + size_of x) xs
+
+and field_sizes acc = function
+  | [] -> acc
+  | (_, v) :: fs -> field_sizes (acc + size_of v) fs
+
+let size_of_list (vs : t list) : int = sizes 0 vs
 
 let rec pp ppf = function
   | Int n -> Fmt.int ppf n

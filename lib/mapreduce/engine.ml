@@ -119,6 +119,35 @@ end
    token; a power of two *)
 let poll_every = 4096
 
+(* A stage's records as the list the engine was given or made, with its
+   record count and its total {!Value.size_of}, both known when the
+   batch is built: an input is walked once for them, and every stage
+   counts and sizes its records in the pass that makes them. Nothing
+   here is an array, so a run allocates nothing straight into the major
+   heap for its records (DESIGN.md §11). *)
+type batch = { records : Value.t list; length : int; bytes : int }
+
+let of_list (records : Value.t list) : batch =
+  let rec go length bytes = function
+    | [] -> { records; length; bytes }
+    | r :: rest -> go (length + 1) (bytes + Value.size_of r) rest
+  in
+  go 0 0 records
+
+(* A feed hands each of its records, in order, to the sink it is given:
+   a batch is one kind of feed, a map kernel over a feed another. *)
+type feed = (Value.t -> unit) -> unit
+
+(* materialize a feed: its records in arrival order, counted and sized
+   as they arrive *)
+let collect (feed : feed) : batch =
+  let rev = ref [] and length = ref 0 and bytes = ref 0 in
+  feed (fun r ->
+      rev := r :: !rev;
+      incr length;
+      bytes := !bytes + Value.size_of r);
+  { records = List.rev !rev; length = !length; bytes = !bytes }
+
 (* cancellation is cooperative: the token is polled at plan entry,
    before each stage (or fused map and shuffle pair) and every
    [poll_every] records of a record loop; a grouped stage that is
@@ -178,25 +207,25 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
     | Some l -> l
     | None -> err "unknown dataset %s" plan.Plan.source
   in
-  let input_batch = Batch.of_list input in
-  let input_bytes = Batch.bytes input_batch in
+  let input_batch = of_list input in
   (* Every stage runs on the calling domain, and the cluster the plan
      stands for is simulated from the measured volumes, never from host
-     wall-clock. A record stage is a feed transformer ({!Batch.feed});
-     a batch's records enter one through [source], in index order. *)
-  let source (b : Batch.t) : Batch.feed =
+     wall-clock. A record stage is a feed transformer ({!feed}); a
+     batch's records enter one through [source], in list order. *)
+  let source (b : batch) : feed =
    fun sink ->
-    let src = Batch.data b in
-    for i = 0 to Array.length src - 1 do
-      if i land (poll_every - 1) = 0 then check_cancel config;
-      sink src.(i)
-    done
+    let rec go i = function
+      | [] -> ()
+      | r :: rest ->
+          if i land (poll_every - 1) = 0 then check_cancel config;
+          sink r;
+          go (i + 1) rest
+    in
+    go 0 b.records
   in
   (* the map kernel: λm over each input record, each emit handed on to
      the next stage's sink as it fires, in record order *)
-  let emits f (input : Batch.feed) : Batch.feed =
-   fun sink -> input (fun r -> f r sink)
-  in
+  let emits f (input : feed) : feed = fun sink -> input (fun r -> f r sink) in
   (* [group] hash-groups key-value records in a single pass, one
      accumulator cell per key ({!Value.Tbl}: keys are identified by
      {!Value.equal}, as the IR's reduce identifies them), arrival order
@@ -217,11 +246,12 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
      [group] consumes its feed as the records arrive and returns a
      function that makes the output, so a fused map can feed it in the
      map's span while the shuffle's own span makes the output. *)
-  let group label ~hint (input : Batch.feed) ~init ~step ~record :
-      unit -> Batch.t =
+  let group label ~hint (input : feed) ~init ~step ~record : unit -> batch =
     match config.memory_budget with
     | None ->
-        let tbl = Value.Tbl.create (max 64 (hint / 4)) in
+        (* at most 128 buckets to start with, so the table is a
+           minor-heap block; it grows with the keys it meets *)
+        let tbl = Value.Tbl.create (min 128 hint) in
         input (fun r ->
             let k, v = as_kv r in
             match Value.Tbl.find tbl k with
@@ -229,7 +259,7 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
             | exception Not_found -> Value.Tbl.add tbl k (init v));
         fun () ->
           let by = ref 0 in
-          let out =
+          let records =
             Value.Tbl.fold (fun k cell acc -> (k, cell) :: acc) tbl []
             |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
             |> List.map (fun (k, cell) ->
@@ -237,7 +267,7 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
                    by := !by + Value.size_of r;
                    r)
           in
-          Batch.of_array ~bytes:!by (Array.of_list out)
+          { records; length = Value.Tbl.length tbl; bytes = !by }
     | Some spill_budget ->
         let g =
           Spill.create ~obs ?dir:config.spill_dir ~budget:spill_budget ~label
@@ -262,16 +292,12 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
                 Spill.add g k v));
         fun () ->
           guarded @@ fun () ->
-          let rev = ref [] and by = ref 0 in
-          Spill.finish g ~init ~step ~record ~emit:(fun r ->
-              by := !by + Value.size_of r;
-              rev := r :: !rev);
-          Batch.of_array ~bytes:!by (Array.of_list (List.rev !rev))
+          collect (fun emit -> Spill.finish g ~init ~step ~record ~emit)
   in
   (* a shuffle stage consumes its input feed like [group]: whether it
      combines, and the function that makes its output *)
-  let shuffle (stage : Plan.stage) ~hint (input : Batch.feed) :
-      bool * (unit -> Batch.t) =
+  let shuffle (stage : Plan.stage) ~hint (input : feed) :
+      bool * (unit -> batch) =
     let label = Plan.stage_label stage in
     match stage with
     | Plan.Reduce_by_key { f; comm_assoc; _ } ->
@@ -293,8 +319,9 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
         ( comm_assoc,
           fun () ->
             match !acc with
-            | None -> Batch.empty ()
-            | Some v -> Batch.of_array ~bytes:(Value.size_of v) [| v |] )
+            | None -> { records = []; length = 0; bytes = 0 }
+            | Some v ->
+                { records = [ v ]; length = 1; bytes = Value.size_of v } )
     | _ -> invalid_arg "Engine: not a shuffle stage"
   in
   let measured label ~records_in ~bytes_in ~records_out ~bytes_out =
@@ -310,8 +337,8 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
     }
   in
   let of_batch label ~records_in ~bytes_in out =
-    measured label ~records_in ~bytes_in ~records_out:(Batch.length out)
-      ~bytes_out:(Batch.bytes out)
+    measured label ~records_in ~bytes_in ~records_out:out.length
+      ~bytes_out:out.bytes
   in
   (* a reduction ships its input, or with a combiner (a comm-assoc
      reduction) only its combined output: the time model bounds that
@@ -319,20 +346,18 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
   let shuffled label ~records_in ~bytes_in ~combined out =
     {
       (of_batch label ~records_in ~bytes_in out) with
-      bytes_shuffled = (if combined then Batch.bytes out else bytes_in);
+      bytes_shuffled = (if combined then out.bytes else bytes_in);
       is_shuffle = true;
       combined;
     }
   in
   let nested_metrics = ref [] in
-  let exec (current : Batch.t) (stage : Plan.stage) :
-      Batch.t * stage_metrics =
-    let records_in = Batch.length current in
-    let bytes_in = Batch.bytes current in
+  let exec (current : batch) (stage : Plan.stage) : batch * stage_metrics =
+    let records_in = current.length and bytes_in = current.bytes in
     let label = Plan.stage_label stage in
     let input = source current in
     let collect feed =
-      let out = Batch.collect ~capacity:records_in feed in
+      let out = collect feed in
       (out, of_batch label ~records_in ~bytes_in out)
     in
     match stage with
@@ -397,7 +422,7 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
       :: rest
       when cluster.Cluster.workers > 0 ->
         check_cancel config;
-        let records_in = Batch.length cur and bytes_in = Batch.bytes cur in
+        let records_in = cur.length and bytes_in = cur.bytes in
         let n = ref 0 and by = ref 0 in
         let counted sink v =
           incr n;
@@ -430,14 +455,14 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
         in
         run out (m :: ms) rest
   in
-  let output_batch, rev_stages = run input_batch [] plan.Plan.stages in
+  let out, rev_stages = run input_batch [] plan.Plan.stages in
   let stages = !nested_metrics @ List.rev rev_stages in
   let run =
     {
-      output = Batch.to_list output_batch;
+      output = out.records;
       stages;
-      input_records = Batch.length input_batch;
-      input_bytes;
+      input_records = input_batch.length;
+      input_bytes = input_batch.bytes;
     }
   in
   (* populate the cache with the run a future hit reports as if
@@ -446,7 +471,7 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
   (match cache_slot with
   | None -> ()
   | Some (c, key) ->
-      let bytes = Batch.bytes output_batch in
+      let bytes = out.bytes in
       let evictions = Cache.put c key ~bytes run in
       Obs.span obs "engine.cache" (fun () ->
           Obs.add obs "cache_misses" 1;

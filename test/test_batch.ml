@@ -1,9 +1,10 @@
-(** Batch-equivalence properties for the array-backed engine data plane:
-    every batched stage must produce the same output as the reference
-    list semantics, and the final stage's volume accounting — fused
-    into the producing loop — must equal the output's own count and
-    byte size; a map fused with the shuffle after it must account both
-    stages as the list semantics do. *)
+(** Batch-equivalence properties for the engine's list-backed data
+    plane: every stage must produce the same output as the reference
+    list semantics; the run's input accounting and the first stage's
+    must equal the input's own count and byte size, and the final
+    stage's — fused into the producing loop — the output's; a map fused
+    with the shuffle after it must account both stages as the list
+    semantics do. *)
 
 module Plan = Mapreduce.Plan
 module Engine = Mapreduce.Engine
@@ -16,17 +17,24 @@ let check_int = Alcotest.(check int)
 let run_batched plan datasets =
   Engine.run_plan ~config:Testenv.config ~cluster:Cluster.spark ~datasets plan
 
-(* the run agrees with [expected] structurally, and its last stage
-   accounts exactly the records and bytes it produced *)
-let agrees plan datasets expected =
-  let r = run_batched plan datasets in
+(* the run over [records] agrees with [expected] structurally, the run
+   and its first stage account exactly the records and bytes they read,
+   and its last stage those it produced. For plans without a join only:
+   a join's right-side stages come first in [stages]. *)
+let agrees plan records expected =
+  let r = run_batched plan [ ("d", records) ] in
+  let n = List.length records and bytes = Value.size_of_list records in
   r.Engine.output = expected
+  && r.Engine.input_records = n
+  && r.Engine.input_bytes = bytes
   &&
-  match List.rev r.Engine.stages with
-  | [] -> false
-  | last :: _ ->
-      last.Engine.records_out = List.length expected
+  match (r.Engine.stages, List.rev r.Engine.stages) with
+  | first :: _, last :: _ ->
+      first.Engine.records_in = n
+      && first.Engine.bytes_in = bytes
+      && last.Engine.records_out = List.length expected
       && last.Engine.bytes_out = Value.size_of_list expected
+  | _ -> false
 
 (* ---------------- reference list semantics ---------------- *)
 
@@ -104,7 +112,7 @@ let kv_bag_arb =
 
 let mk_prop name arb plan_of expected_of =
   QCheck.Test.make ~name ~count:20 arb (fun records ->
-      agrees (plan_of ()) [ ("d", records) ] (expected_of records))
+      agrees (plan_of ()) records (expected_of records))
 
 (* ---------------- stage properties ---------------- *)
 
@@ -237,7 +245,7 @@ let test_empty_input () =
   List.iter
     (fun (name, plan) ->
       check (name ^ " on empty input") true
-        (agrees plan [ ("d", []) ] (edge_expected name [])))
+        (agrees plan [] (edge_expected name [])))
     edge_plans
 
 let test_single_record () =
@@ -245,7 +253,7 @@ let test_single_record () =
   List.iter
     (fun (name, plan) ->
       check (name ^ " on one record") true
-        (agrees plan [ ("d", records) ] (edge_expected name records)))
+        (agrees plan records (edge_expected name records)))
     edge_plans
 
 (* the output of a grouped stage is sorted by [Value.compare] of its keys,

@@ -38,6 +38,52 @@ let value_gen : Value.t QCheck.Gen.t =
 
 let value_arb = QCheck.make ~print:Value.to_string value_gen
 
+(* the byte-size model as a fold, kept apart from {!Value.size_of}'s
+   direct recursion *)
+let rec ref_size_of : Value.t -> int = function
+  | Value.Int _ -> 12
+  | Value.Float _ -> 16
+  | Value.Bool _ -> 10
+  | Value.Str s -> 24 + String.length s
+  | Value.Tuple xs | Value.List xs ->
+      List.fold_left (fun a x -> a + ref_size_of x) 8 xs
+  | Value.Struct (_, fs) ->
+      List.fold_left (fun a (_, v) -> a + ref_size_of v) 8 fs
+
+(* tuples, lists and structs nested up to three deep over
+   [value_gen]'s values *)
+let nested_gen : Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  fix
+    (fun self depth ->
+      if depth = 0 then value_gen
+      else
+        let sub = list_size (int_bound 3) (self (depth - 1)) in
+        frequency
+          [
+            (1, value_gen);
+            (1, map (fun l -> Value.Tuple l) sub);
+            (1, map (fun l -> Value.List l) sub);
+            ( 1,
+              map2
+                (fun name l ->
+                  Value.Struct
+                    (name, List.mapi (fun i v -> (Printf.sprintf "f%d" i, v)) l))
+                (string_size (int_bound 3))
+                sub );
+          ])
+    3
+
+let prop_size_of_reference =
+  QCheck.Test.make ~name:"Value.size_of = the reference fold" ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map Value.to_string l))
+       QCheck.Gen.(list_size (int_bound 4) nested_gen))
+    (fun vs ->
+      List.for_all (fun v -> Value.size_of v = ref_size_of v) vs
+      && Value.size_of_list vs
+         = List.fold_left (fun a v -> a + ref_size_of v) 0 vs)
+
 let prop_compare_refl =
   QCheck.Test.make ~name:"Value.compare is reflexive" ~count:200 value_arb
     (fun v -> Value.compare v v = 0)
@@ -439,6 +485,7 @@ let suite =
         prop_size_positive;
         prop_to_string_matches_pp;
         prop_hash_agrees_with_equal;
+        prop_size_of_reference;
       ];
     ( "common.multiset",
       [ Alcotest.test_case "group_by_key" `Quick test_group_by_key ] );

@@ -661,6 +661,66 @@ let test_emit_error_precedence () =
     "mod by zero";
   check_int "no temp files survive" 0 (Array.length (Sys.readdir dir))
 
+(* Every record an engine run makes is a list cell or a value of a few
+   words, all born in the minor heap: a run allocates nothing straight
+   into the major heap (DESIGN.md §11). Each plan runs in memory, with
+   no cache, over 3,000 records with 100 distinct keys. Between two
+   [Gc.minor] calls, the words that reached the major heap without
+   being promoted from the minor heap are the run's direct major
+   allocations: a block of more than 256 words, such as an array copy
+   of the input or a hash table sized by the input, shows up here. A
+   grouping table grows with the keys it meets, so the bound holds
+   while a table holds at most 256 keys. The counts are the calling
+   domain's own ([Gc.counters]): [Gc.quick_stat]'s major-word count is
+   sampled, and reads short when a major slice runs inside the
+   measured run. *)
+let test_no_major_allocation () =
+  let facts =
+    List.init 3_000 (fun i ->
+        Value.Tuple [ vint (i mod 100); Value.Str (string_of_int i) ])
+  and dims = List.init 100 (fun i -> kv (vint i) (vint (i * i))) in
+  let datasets = [ ("facts", facts); ("dims", dims) ] in
+  (* λm (k, s) -> emit (k, 1), staged as the engine runs compiled
+     summaries *)
+  let count_keys =
+    Plan.Flat_map
+      {
+        label = "count";
+        f =
+          Eval.push_lam_m []
+            {
+              Ir.m_params = [ "k"; "s" ];
+              emits =
+                [ { Ir.guard = None; payload = Ir.KV (Ir.Var "k", Ir.CInt 1) } ];
+            };
+      }
+  in
+  let plans =
+    [
+      ( "flatMap -> reduceByKey",
+        Plan.(data "facts" |>> count_keys |>> reduce_by_key add_i) );
+      ("map-only", Plan.(data "facts" |>> map (fun r -> kv r (vint 1))));
+      ( "global reduce",
+        Plan.(data "facts" |>> map (fun _ -> vint 1) |>> global_reduce add_i)
+      );
+      ("join", Plan.(data "facts" |>> join_with (data "dims")));
+    ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      Gc.minor ();
+      let _, p0, m0 = Gc.counters () in
+      let r =
+        Engine.run_plan ~config:Exec.Config.default ~cluster:Cluster.spark
+          ~datasets plan
+      in
+      Gc.minor ();
+      let _, p1, m1 = Gc.counters () in
+      check (name ^ ": ran") true (r.Engine.output <> []);
+      check_int (name ^ ": direct major words") 0
+        (int_of_float (m1 -. m0 -. (p1 -. p0))))
+    plans
+
 let suite =
   [
     ( "engine.stages",
@@ -720,6 +780,11 @@ let suite =
       [
         Alcotest.test_case "cancel polls inside a stage" `Quick
           test_cancel_inside_a_stage;
+      ] );
+    ( "engine.alloc",
+      [
+        Alcotest.test_case "no direct major allocation per run" `Quick
+          test_no_major_allocation;
       ] );
     ( "engine.time",
       [

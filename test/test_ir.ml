@@ -419,7 +419,9 @@ let any_expr (vars : string list) : Ir.expr G.t =
    bool guards, int emits) or arbitrary *)
 let lam_m_gen : (Ir.lam_m * Value.t) G.t =
   let open G in
-  let* params = oneofl [ [ "x" ]; [ "x"; "y" ]; [ "x"; "x" ] ] in
+  let* params =
+    oneofl [ [ "x" ]; [ "x"; "y" ]; [ "x"; "x" ]; [ "x"; "y"; "z" ] ]
+  in
   let* typed = bool in
   let vars = params @ [ "a"; "b" ] in
   let e = if typed then int_expr vars else any_expr vars in
@@ -581,6 +583,43 @@ let test_staged_emit_order () =
   Alcotest.check_raises "reference" expected (fun () ->
       ignore (ref_lam_m [] lm (vint 1)))
 
+(* [param_slots ~lead] puts what [bind_params] binds in slots [lead]
+   onward, for one, two and three parameters (a repeated name too), on
+   records of every arity; a record of the wrong arity raises
+   [bind_params]'s error. [lead = 1] is [Fold_ir]'s accumulator slot. *)
+let test_param_slots () =
+  let records =
+    [
+      vint 7;
+      Value.Tuple [];
+      Value.Tuple [ vint 1; vint 2 ];
+      Value.Tuple [ vint 1; Value.Str "b"; vint 3 ];
+      Value.List [ vint 1; vint 2 ];
+    ]
+  in
+  List.iter
+    (fun params ->
+      List.iter
+        (fun lead ->
+          List.iter
+            (fun r ->
+              let name =
+                Fmt.str "(%s) lead %d on %a" (String.concat ", " params) lead
+                  Value.pp r
+              in
+              check name true
+                (same_outcome
+                   (fun () ->
+                     let slots = Eval.param_slots ~lead params r in
+                     Value.List
+                       (Array.to_list
+                          (Array.sub slots lead (List.length params))))
+                   (fun () ->
+                     Value.List (List.map snd (Eval.bind_params [] params r)))))
+            records)
+        [ 0; 1 ])
+    [ [ "x" ]; [ "x"; "y" ]; [ "x"; "x" ]; [ "x"; "y"; "z" ] ]
+
 (* ---------------- type inference ---------------- *)
 
 let tenv = { Infer.vars = [ ("n", Ir.TInt); ("s", Ir.TString) ]; structs = [ ("P", [ ("x", Ir.TFloat) ]) ] }
@@ -727,6 +766,7 @@ let suite =
           test_staged_emit_order;
         Alcotest.test_case "binop operand table" `Quick
           test_staged_binop_table;
+        Alcotest.test_case "λm parameter slots" `Quick test_param_slots;
       ] );
     Testenv.qsuite "ir.eval.staged.props" [ prop_staged_lam_m; prop_staged_lam_r ];
     ( "ir.infer",

@@ -240,6 +240,15 @@ if grep -rnE '\bstage_lam_m\b' lib bin bench test examples; then
   fail=1
 fi
 
+# The engine runs on the lists it is given: a batch is a record list
+# with its length and byte total, built in engine.ml (DESIGN.md §11).
+# The array-backed Batch module and its lazily computed byte total are
+# gone.
+if grep -rnE '\bbytes_memo\b|\bBatch\.' lib bin bench test; then
+  echo "the deleted array-backed batch reappeared"
+  fail=1
+fi
+
 # Domains are spawned in lib/par only, by Par.spawn: a domain left
 # waiting elsewhere would slow every stop-the-world minor collection
 # (DESIGN.md §10). Tests are exempt.
