@@ -13,15 +13,10 @@
     seconds. EXPERIMENTS.md records paper-vs-measured for each
     experiment. *)
 
-module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
-module Cegis = Casper_synth.Cegis
-module Casper = Casper_core.Casper
-module Runner = Casper_codegen.Runner
 module Monitor = Casper_codegen.Monitor
 module Vc = Casper_vcgen.Vc
 module Value = Casper_common.Value
-module Rng = Casper_common.Rng
 module Cluster = Mapreduce.Cluster
 module Engine = Mapreduce.Engine
 module Plan = Mapreduce.Plan
@@ -42,18 +37,21 @@ let table1_feasibility () =
       let speedups = ref [] in
       List.iter
         (fun (b : Casper_suites.Suite.benchmark) ->
-          let report = translate b in
+          let report, env, scale = setup b in
           List.iter
             (fun (t : Casper.translation) ->
               incr total;
               if Casper.translated t then incr ok)
             report.Casper.translations;
-          match run_benchmark b with
-          | Some perf ->
-              if not perf.all_agree then
+          match
+            Casper.run ~cluster:Cluster.spark ~scale report.Casper.program env
+              report.Casper.translations
+          with
+          | [] -> ()
+          | runs ->
+              if not (List.for_all (fun r -> r.Casper.agree) runs) then
                 Fmt.pr "  !! %s: translated outputs DISAGREE@." b.name;
-              speedups := perf.speedup :: !speedups
-          | None -> ())
+              speedups := speedup b runs :: !speedups)
         benches;
       rows :=
         [
@@ -94,26 +92,19 @@ let fig7a_vs_baselines () =
     List.map
       (fun (label, bench, frag_id) ->
         let b = Casper_suites.Registry.find_benchmark bench in
-        let report = translate b in
+        let report, env, scale = setup b in
         let t = find_translation b frag_id in
-        let env = workload b () in
-        let sample = b.workload.Casper_suites.Suite.sample_n in
-        let scale = Casper_suites.Suite.scale_of b ~sample in
-        let prog = report.Casper.program in
-        let entry = Vc.entry_of_params prog t.Casper.frag env in
-        let seq_s =
-          snd (Runner.run_sequential ~scale prog t.Casper.frag entry)
+        let runs =
+          List.map
+            (fun cluster ->
+              match
+                Casper.run ~cluster ~scale report.Casper.program env [ t ]
+              with
+              | [ r ] -> r
+              | _ -> failwith (frag_id ^ ": no run"))
+            [ Cluster.spark; Cluster.flink; Cluster.hadoop ]
         in
-        let casper cluster =
-          match t.Casper.survivors with
-          | best :: _ ->
-              let r =
-                Runner.run_summary ~cluster ~scale prog t.Casper.frag entry
-                  best.Cegis.summary
-              in
-              T.fx (seq_s /. r.Runner.time_s)
-          | [] -> "-"
-        in
+        let { Casper.entry; seq_s; _ } = List.hd runs in
         let mold =
           match Baselines.Mold.translate_fragment t.Casper.frag with
           | Baselines.Mold.Translated tr ->
@@ -157,14 +148,10 @@ let fig7a_vs_baselines () =
                 (seq_s /. Engine.simulate_time ~cluster:Cluster.spark ~scale run)
           | None -> "-"
         in
-        [
-          label;
-          mold;
-          manual;
-          casper Cluster.spark;
-          casper Cluster.flink;
-          casper Cluster.hadoop;
-        ])
+        label :: mold :: manual
+        :: List.map
+             (fun r -> T.fx (seq_s /. r.Casper.result.Runner.time_s))
+             runs)
       cases
   in
   T.print
@@ -178,38 +165,26 @@ let fig7a_vs_baselines () =
 (* ------------------------------------------------------------------ *)
 (* Figure 7b: TPC-H — Casper vs SparkSQL                                *)
 
+(* the modeled time of the translated plans, summed over the runs *)
+let casper_time ~cluster ~scale (report : Casper.report) env translations =
+  List.fold_left
+    (fun acc r -> acc +. r.Casper.result.Runner.time_s)
+    0.0
+    (Casper.run ~cluster ~scale report.Casper.program env translations)
+
 let fig7b_tpch () =
   section "Figure 7b: TPC-H runtime, Casper vs SparkSQL";
   let cluster = Cluster.spark in
-  let run_casper bench =
-    let b = Casper_suites.Registry.find_benchmark bench in
-    let report = translate b in
-    let env = workload b () in
-    let sample = b.workload.Casper_suites.Suite.sample_n in
-    let scale = Casper_suites.Suite.scale_of b ~sample in
-    let prog = report.Casper.program in
-    ( List.fold_left
-        (fun acc (t : Casper.translation) ->
-          match t.Casper.survivors with
-          | best :: _ -> (
-              try
-                let entry = Vc.entry_of_params prog t.Casper.frag env in
-                let r =
-                  Runner.run_summary ~cluster ~scale prog t.Casper.frag entry
-                    best.Cegis.summary
-                in
-                acc +. r.Runner.time_s
-              with _ -> acc)
-          | [] -> acc)
-        0.0 report.Casper.translations,
-      env,
-      scale )
-  in
   let d s = Casper_common.Library.parse_date s in
   let rows =
     List.map
       (fun q ->
-        let casper_s, env, scale = run_casper q in
+        let report, env, scale =
+          setup (Casper_suites.Registry.find_benchmark q)
+        in
+        let casper_s =
+          casper_time ~cluster ~scale report env report.Casper.translations
+        in
         let datasets =
           let li =
             match List.assoc_opt "lineitem" env with
@@ -248,29 +223,15 @@ let fig7c_iterative () =
   let cluster = Cluster.spark in
   let iters = 10 in
   let row bench ~per_iter_frags ref_time =
-    let b = Casper_suites.Registry.find_benchmark bench in
-    let report = translate b in
-    let env = workload b () in
-    let sample = b.workload.Casper_suites.Suite.sample_n in
-    let scale = Casper_suites.Suite.scale_of b ~sample in
-    let prog = report.Casper.program in
+    let report, env, scale =
+      setup (Casper_suites.Registry.find_benchmark bench)
+    in
     let per_iter =
-      List.fold_left
-        (fun acc (t : Casper.translation) ->
-          if not (List.mem t.Casper.frag.F.frag_id per_iter_frags) then acc
-          else
-          match t.Casper.survivors with
-          | best :: _ -> (
-              try
-                let entry = Vc.entry_of_params prog t.Casper.frag env in
-                let r =
-                  Runner.run_summary ~cluster ~scale prog t.Casper.frag entry
-                    best.Cegis.summary
-                in
-                acc +. r.Runner.time_s
-              with _ -> acc)
-          | [] -> acc)
-        0.0 report.Casper.translations
+      casper_time ~cluster ~scale report env
+        (List.filter
+           (fun (t : Casper.translation) ->
+             List.mem t.Casper.frag.F.frag_id per_iter_frags)
+           report.Casper.translations)
     in
     let casper_s = float_of_int iters *. per_iter in
     let ref_s = ref_time ~scale env in
@@ -302,26 +263,14 @@ let cache_ablation () =
     "Extension: cache() insertion closes the Fig 7c PageRank gap";
   let cluster = Cluster.spark in
   let iters = 10 in
-  let b = Casper_suites.Registry.find_benchmark "PageRank" in
-  let report = translate b in
-  let env = workload b () in
-  let sample = b.workload.Casper_suites.Suite.sample_n in
-  let scale = Casper_suites.Suite.scale_of b ~sample in
-  let prog = report.Casper.program in
+  let report, env, scale =
+    setup (Casper_suites.Registry.find_benchmark "PageRank")
+  in
   let runs =
-    List.filter_map
-      (fun (t : Casper.translation) ->
-        match t.Casper.survivors with
-        | best :: _ -> (
-            try
-              let entry = Vc.entry_of_params prog t.Casper.frag env in
-              Some
-                (Runner.run_summary ~cluster ~scale prog t.Casper.frag entry
-                   best.Cegis.summary)
-                .Runner.run
-            with _ -> None)
-        | [] -> None)
-      report.Casper.translations
+    List.map
+      (fun r -> r.Casper.result.Runner.run)
+      (Casper.run ~cluster ~scale report.Casper.program env
+         report.Casper.translations)
   in
   let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 runs in
   let plain =
@@ -791,35 +740,15 @@ let fig9_scalability () =
   let rows =
     List.map
       (fun (label, bench) ->
-        let b = Casper_suites.Registry.find_benchmark bench in
-        let report = translate b in
-        let env = workload b () in
-        let sample = b.workload.Casper_suites.Suite.sample_n in
-        let prog = report.Casper.program in
+        let report, env, base =
+          setup (Casper_suites.Registry.find_benchmark bench)
+        in
         (* execute each fragment once; re-cost the same run at every
            nominal size (the engine separates execution from the time
            model exactly for this) *)
-        let base = Casper_suites.Suite.scale_of b ~sample in
         let runs =
-          List.filter_map
-            (fun (t : Casper.translation) ->
-              match t.Casper.survivors with
-              | best :: _ -> (
-                  try
-                    let entry = Vc.entry_of_params prog t.Casper.frag env in
-                    let seq1 =
-                      snd
-                        (Runner.run_sequential ~scale:1.0 prog t.Casper.frag
-                           entry)
-                    in
-                    let r =
-                      Runner.run_summary ~cluster:Cluster.spark ~scale:1.0
-                        prog t.Casper.frag entry best.Cegis.summary
-                    in
-                    Some (seq1, r.Runner.run)
-                  with _ -> None)
-              | [] -> None)
-            report.Casper.translations
+          Casper.run ~cluster:Cluster.spark ~scale:1.0 report.Casper.program
+            env report.Casper.translations
         in
         label
         :: List.map
@@ -827,11 +756,12 @@ let fig9_scalability () =
                let scale = base *. (gb /. 75.0) in
                let seq = ref 0.0 and mr = ref 0.0 in
                List.iter
-                 (fun (seq1, run) ->
-                   seq := !seq +. (seq1 *. scale);
+                 (fun (r : Casper.run) ->
+                   seq := !seq +. (r.Casper.seq_s *. scale);
                    mr :=
                      !mr
-                     +. Engine.simulate_time ~cluster:Cluster.spark ~scale run)
+                     +. Engine.simulate_time ~cluster:Cluster.spark ~scale
+                          r.Casper.result.Runner.run)
                  runs;
                if !mr > 0.0 then T.fx (!seq /. !mr) else "-")
              sizes)

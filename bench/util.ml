@@ -1,17 +1,12 @@
 (** Shared machinery for the experiment harness: cached translation of
-    benchmarks, workload materialization, and per-fragment performance
-    runs on the simulated cluster. *)
+    benchmarks, their workload samples, and the benchmark-level speedup
+    of their runs ({!Casper_core.Casper.run}). *)
 
 module F = Casper_analysis.Fragment
-module Ir = Casper_ir.Lang
 module Cegis = Casper_synth.Cegis
 module Casper = Casper_core.Casper
 module Runner = Casper_codegen.Runner
-module Vc = Casper_vcgen.Vc
-module Value = Casper_common.Value
 module Rng = Casper_common.Rng
-module Cluster = Mapreduce.Cluster
-module T = Casper_common.Tablefmt
 
 let bench_config = { Cegis.default_config with Cegis.max_candidates = 60_000 }
 
@@ -38,87 +33,23 @@ let find_translation (b : Casper_suites.Suite.benchmark) (frag_id : string) :
       String.equal t.Casper.frag.F.frag_id frag_id)
     r.Casper.translations
 
-(** Materialize a workload sample: the parameter environment for the
-    benchmark's methods at ~[n] records. *)
-let workload ?(seed = 2024) (b : Casper_suites.Suite.benchmark) ?n () :
-    Minijava.Interp.env =
-  let n = Option.value n ~default:b.workload.Casper_suites.Suite.sample_n in
-  b.workload.Casper_suites.Suite.gen (Rng.create seed) ~n
-
-type frag_perf = {
-  frag_id : string;
-  seq_s : float;
-  mr_s : float;
-  agree : bool;  (** translated outputs match the sequential run *)
-  run : Mapreduce.Engine.run;
-}
-
-(** Run one translated fragment and its sequential original on a
-    workload environment. *)
-let run_fragment ~cluster ~scale (report : Casper.report)
-    (t : Casper.translation) (env : Minijava.Interp.env) : frag_perf option =
-  match t.Casper.survivors with
-  | [] -> None
-  | best :: _ -> (
-      try
-        let prog = report.Casper.program in
-        let frag = t.Casper.frag in
-        let entry = Vc.entry_of_params prog frag env in
-        let passes = 1 in
-        let seq_outputs, seq_s =
-          Runner.run_sequential ~scale ~passes prog frag entry
-        in
-        let r =
-          Runner.run_summary ~cluster ~scale prog frag entry
-            best.Cegis.summary
-        in
-        Some
-          {
-            frag_id = frag.F.frag_id;
-            seq_s;
-            mr_s = r.Runner.time_s;
-            agree = Runner.outputs_agree frag seq_outputs r.Runner.outputs;
-            run = r.Runner.run;
-          }
-      with _ -> None)
-
-type bench_perf = {
-  name : string;
-  suite : string;
-  speedup : float;
-  frags : frag_perf list;
-  all_agree : bool;
-}
-
-(** Benchmark-level performance: total sequential vs total translated
-    time over all translated fragments, times the workload's pass
-    count. *)
-let run_benchmark ?(cluster = Cluster.spark) ?n
-    (b : Casper_suites.Suite.benchmark) : bench_perf option =
+(** A benchmark's translation, its workload sample and the scale from
+    that sample to the nominal input size. *)
+let setup (b : Casper_suites.Suite.benchmark) :
+    Casper.report * Minijava.Interp.env * float =
   let report = translate b in
-  let env = workload b ?n () in
-  let sample =
-    Option.value n ~default:b.workload.Casper_suites.Suite.sample_n
-  in
-  let scale = Casper_suites.Suite.scale_of b ~sample in
-  let frags =
-    List.filter_map
-      (fun t -> run_fragment ~cluster ~scale report t env)
-      report.Casper.translations
-  in
-  if List.is_empty frags then None
-  else
-    let passes = float_of_int b.workload.Casper_suites.Suite.passes in
-    let seq = passes *. List.fold_left (fun a f -> a +. f.seq_s) 0.0 frags in
-    let mr = passes *. List.fold_left (fun a f -> a +. f.mr_s) 0.0 frags in
-    Some
-      {
-        name = b.name;
-        suite = b.suite;
-        speedup = seq /. mr;
-        frags;
-        all_agree = List.for_all (fun f -> f.agree) frags;
-      }
+  let sample = b.workload.Casper_suites.Suite.sample_n in
+  let env = b.workload.Casper_suites.Suite.gen (Rng.create 2024) ~n:sample in
+  (report, env, Casper_suites.Suite.scale_of b ~sample)
+
+(** Benchmark-level speedup: total sequential over total translated time
+    of the runs, each times the workload's pass count. *)
+let speedup (b : Casper_suites.Suite.benchmark) (runs : Casper.run list) :
+    float =
+  let passes = float_of_int b.workload.Casper_suites.Suite.passes in
+  let total f = passes *. List.fold_left (fun a r -> a +. f r) 0.0 runs in
+  total (fun r -> r.Casper.seq_s)
+  /. total (fun r -> r.Casper.result.Runner.time_s)
 
 let section title =
   Fmt.pr "@.%s@.%s@.@." title (String.make (String.length title) '=')

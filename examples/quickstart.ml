@@ -51,24 +51,15 @@ let () =
       ("cols", Value.Int cols);
     ]
   in
-  let entry = Casper_vcgen.Vc.entry_of_params report.Casper.program t.Casper.frag env in
-  let seq_out, seq_s =
-    Casper_codegen.Runner.run_sequential ~scale:1e5 report.Casper.program
-      t.Casper.frag entry
+  let r =
+    List.hd
+      (Casper.run ~cluster:Mapreduce.Cluster.spark ~scale:1e5
+         report.Casper.program env [ t ])
   in
-  let mr =
-    Casper_codegen.Runner.run_summary ~cluster:Mapreduce.Cluster.spark
-      ~scale:1e5 report.Casper.program t.Casper.frag entry
-      best.Cegis.summary
-  in
-  let agree =
-    Casper_codegen.Runner.outputs_agree t.Casper.frag seq_out
-      mr.Casper_codegen.Runner.outputs
-  in
+  let mr_s = r.Casper.result.Casper_codegen.Runner.time_s in
   Fmt.pr "Executed on a %dx%d matrix (scaled to ~20M rows):@." rows cols;
-  Fmt.pr "  sequential: %.1f s (modeled)@." seq_s;
-  Fmt.pr "  Spark plan: %.1f s (modeled)  → %.1fx speedup@."
-    mr.Casper_codegen.Runner.time_s
-    (seq_s /. mr.Casper_codegen.Runner.time_s);
-  Fmt.pr "  outputs agree: %b@." agree;
-  assert agree
+  Fmt.pr "  sequential: %.1f s (modeled)@." r.Casper.seq_s;
+  Fmt.pr "  Spark plan: %.1f s (modeled)  → %.1fx speedup@." mr_s
+    (r.Casper.seq_s /. mr_s);
+  Fmt.pr "  outputs agree: %b@." r.Casper.agree;
+  assert r.Casper.agree

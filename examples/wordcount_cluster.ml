@@ -11,7 +11,6 @@
 module Casper = Casper_core.Casper
 module Cegis = Casper_synth.Cegis
 module Runner = Casper_codegen.Runner
-module Value = Casper_common.Value
 module Engine = Mapreduce.Engine
 
 let () =
@@ -27,26 +26,25 @@ let () =
   let env =
     [ ("words", Casper_suites.Workload.words rng ~n:8000 ~vocab:500 ~skew:1.0) ]
   in
-  let entry =
-    Casper_vcgen.Vc.entry_of_params report.Casper.program t.Casper.frag env
-  in
   let scale = 750_000_000.0 /. 8000.0 in
-  let seq_out, seq_s =
-    Runner.run_sequential ~scale report.Casper.program t.Casper.frag entry
+  let clusters = Mapreduce.Cluster.[ spark; flink; hadoop ] in
+  let runs =
+    List.concat_map
+      (fun cluster ->
+        Casper.run ~cluster ~scale report.Casper.program env [ t ])
+      clusters
   in
+  let seq_s = (List.hd runs).Casper.seq_s in
   Fmt.pr "sequential (1 core): %.1f s (modeled, 75GB-scale workload)@.@."
     seq_s;
-  List.iter
-    (fun cluster ->
-      let r =
-        Runner.run_summary ~cluster ~scale report.Casper.program t.Casper.frag
-          entry best.Cegis.summary
-      in
-      assert (Runner.outputs_agree t.Casper.frag seq_out r.Runner.outputs);
+  List.iter2
+    (fun (cluster : Mapreduce.Cluster.t) (r : Casper.run) ->
+      let mr = r.Casper.result in
+      assert r.Casper.agree;
       Fmt.pr "%-8s %6.1f s  (%.1fx)   emitted %s MB, shuffled %s MB (sample)@."
-        cluster.Mapreduce.Cluster.name r.Runner.time_s
-        (seq_s /. r.Runner.time_s)
-        (Casper_common.Tablefmt.mb (Engine.total_emitted r.Runner.run))
-        (Casper_common.Tablefmt.mb (Engine.total_shuffled r.Runner.run)))
-    [ Mapreduce.Cluster.spark; Mapreduce.Cluster.flink; Mapreduce.Cluster.hadoop ];
+        cluster.Mapreduce.Cluster.name mr.Runner.time_s
+        (seq_s /. mr.Runner.time_s)
+        (Casper_common.Tablefmt.mb (Engine.total_emitted mr.Runner.run))
+        (Casper_common.Tablefmt.mb (Engine.total_shuffled mr.Runner.run)))
+    clusters runs;
   Fmt.pr "@.Generated Hadoop code:@.%s@." (Option.get t.Casper.hadoop_src)

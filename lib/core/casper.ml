@@ -12,6 +12,8 @@ module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 module Cegis = Casper_synth.Cegis
 module Obs = Casper_obs.Obs
+module Runner = Casper_codegen.Runner
+module Value = Casper_common.Value
 
 type translation = {
   frag : F.t;
@@ -136,3 +138,47 @@ let translate_source ?(obs = Obs.null) ?config ~suite ~benchmark
   Obs.span obs "typecheck" (fun () ->
       Minijava.Typecheck.check_program program);
   translate_program ~obs ?config ~suite ~benchmark program
+
+type run = {
+  frag : F.t;
+  entry : Minijava.Interp.env;
+  seq_outputs : (string * Value.t) list;
+  seq_s : float;
+  result : Runner.result;
+  agree : bool;
+}
+
+(* The §7 measurement: the cheapest survivor's plan and the sequential
+   original on the same entry state. A state on which the original
+   faults is no input for the fragment, as in the verifier
+   ([Verifier.check_batch]); every other exception is the caller's. *)
+let run ?config ~cluster ~scale (prog : Minijava.Ast.program)
+    (env : Minijava.Interp.env) (translations : translation list) : run list
+    =
+  List.filter_map
+    (fun (t : translation) ->
+      match t.survivors with
+      | [] -> None
+      | best :: _ -> (
+          let frag = t.frag in
+          match
+            let entry = Casper_vcgen.Vc.entry_of_params prog frag env in
+            (entry, Runner.run_sequential ~scale prog frag entry)
+          with
+          | exception Minijava.Interp.Runtime_error _ -> None
+          | entry, (seq_outputs, seq_s) ->
+              let result =
+                Runner.run_summary ?config ~cluster ~scale prog frag entry
+                  best.Cegis.summary
+              in
+              Some
+                {
+                  frag;
+                  entry;
+                  seq_outputs;
+                  seq_s;
+                  result;
+                  agree =
+                    Runner.outputs_agree frag seq_outputs result.Runner.outputs;
+                }))
+    translations

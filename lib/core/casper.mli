@@ -8,6 +8,7 @@
 module F = Casper_analysis.Fragment
 module Ir = Casper_ir.Lang
 module Cegis = Casper_synth.Cegis
+module Runner = Casper_codegen.Runner
 
 (** The result of translating one code fragment. *)
 type translation = {
@@ -99,3 +100,33 @@ val translate_program :
   benchmark:string ->
   Minijava.Ast.program ->
   report
+
+(** One translated fragment run on a workload (paper §7): its plan and
+    its sequential original on the same entry state. *)
+type run = {
+  frag : F.t;
+  entry : Minijava.Interp.env;
+      (** the state after the fragment's preceding statements *)
+  seq_outputs : (string * Casper_common.Value.t) list;
+      (** the original's outputs on [entry] *)
+  seq_s : float;  (** the original's modeled single-core time *)
+  result : Runner.result;  (** the cheapest survivor's plan on [entry] *)
+  agree : bool;  (** {!Runner.outputs_agree} of the two outputs *)
+}
+
+(** [run ?config ~cluster ~scale prog env translations] runs, in order,
+    each of [translations] that has a survivor on the parameter
+    environment [env] of [prog]: {!Runner.run_sequential} and
+    {!Runner.run_summary} of the cheapest survivor, both at [scale], the
+    plan on [cluster] under [config]. A fragment whose preceding
+    statements or loop raise [Minijava.Interp.Runtime_error] on [env] has
+    no run, as such a state is skipped in verification; every other
+    exception propagates. *)
+val run :
+  ?config:Mapreduce.Engine.Config.t ->
+  cluster:Mapreduce.Cluster.t ->
+  scale:float ->
+  Minijava.Ast.program ->
+  Minijava.Interp.env ->
+  translation list ->
+  run list

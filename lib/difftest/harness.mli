@@ -32,8 +32,8 @@ type report = {
     wave mapped across [jobs] domains spawned for it
     ({!Casper_par.Par.spawn_map}), and the wave's verdicts are folded
     into the report in index order. A program's verdict is independent
-    of every other program's (the oracle's caches are domain-local and
-    outcome-transparent), so the report — counts, skip reasons,
+    of every other program's (the oracle keeps no state between
+    programs), so the report — counts, skip reasons,
     failures, log lines — is byte-identical at any [jobs]. Shrinking
     runs on the submitting domain, off the critical path. *)
 val run_campaign :

@@ -48,38 +48,14 @@ let pp ppf (s : summary) =
 
 (* ------------------------------------------------------------------ *)
 (* Verification: the same three Hoare clauses, discharged over prefixes
-   of the data (folds satisfy the prefix invariant definitionally, so
-   only the body equivalence is at stake). *)
+   of the data by the MapReduce IR's own walk ([Vc.check_denotation]),
+   with the fold as the outputs' denotation (folds satisfy the prefix
+   invariant definitionally, so only the body equivalence is at
+   stake). *)
 
-type check = Ok | Refuted | Skip
-
-(* check the summary against one entry state over all data prefixes *)
-let check_state prog (frag : F.t) (s : summary)
-    (entry : Minijava.Interp.env) : check =
-  match Vc.outer_count prog frag entry with
-  | exception _ -> Skip
-  | n -> (
-      let rec go k =
-        if k > n then Ok
-        else
-          match Vc.run_prefix prog frag entry k with
-          | exception Minijava.Interp.Runtime_error _ -> Skip
-          | seq_env -> (
-              let records =
-                match Vc.datasets_at prog frag entry k with
-                | (_, rs) :: _ -> rs
-                | [] -> []
-              in
-              let init = List.assoc s.output entry in
-              match eval_fold entry s init records with
-              | exception _ -> Refuted
-              | folded ->
-                  if
-                    Value.equal_approx folded (List.assoc s.output seq_env)
-                  then go (k + 1)
-                  else Refuted)
-      in
-      try go 0 with _ -> Skip)
+let denote (s : summary) (entry : Minijava.Interp.env) datasets : Eval.env =
+  let records = match datasets with (_, rs) :: _ -> rs | [] -> [] in
+  [ (s.output, eval_fold entry s (List.assoc s.output entry) records) ]
 
 let verify ?(seed = 2203) ?(count = 48) prog (frag : F.t) (s : summary) :
     bool =
@@ -88,10 +64,11 @@ let verify ?(seed = 2203) ?(count = 48) prog (frag : F.t) (s : summary) :
   List.for_all
     (fun params ->
       match Vc.entry_of_params prog frag params with
-      | exception _ -> true
-      | entry -> ( match check_state prog frag s entry with
-                   | Refuted -> false
-                   | Ok | Skip -> true))
+      | exception Minijava.Interp.Runtime_error _ -> true
+      | entry -> (
+          match Vc.check_denotation prog frag entry (denote s entry) with
+          | Vc.Holds | Vc.State_skipped _ -> true
+          | Vc.Fails _ | Vc.Ir_error _ -> false))
     batch
 
 (* ------------------------------------------------------------------ *)

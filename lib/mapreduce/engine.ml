@@ -380,17 +380,20 @@ let rec exec_plan (config : Config.t) ~(cluster : Cluster.t)
            join side run again is served from its previous run *)
         let right_run = exec_plan config ~cluster ~datasets right in
         nested_metrics := !nested_metrics @ right_run.stages;
+        (* one cell per right-side key, its values in arrival order *)
         let tbl = Value.Tbl.create 256 in
+        let values k = Option.value (Value.Tbl.find_opt tbl k) ~default:[] in
         List.iter
           (fun r ->
             let k, v = as_kv r in
-            Value.Tbl.add tbl k v)
+            Value.Tbl.replace tbl k (v :: values k))
           right_run.output;
+        Value.Tbl.filter_map_inplace (fun _ vs -> Some (List.rev vs)) tbl;
         let probe r sink =
           let k, v1 = as_kv r in
           List.iter
             (fun v2 -> sink (Value.Tuple [ k; Value.Tuple [ v1; v2 ] ]))
-            (List.rev (Value.Tbl.find_all tbl k))
+            (values k)
         in
         let joined, m = collect (emits probe input) in
         let bytes_shuffled = bytes_in + Value.size_of_list right_run.output in

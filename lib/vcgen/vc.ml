@@ -178,13 +178,11 @@ let output_mismatch (outputs : (string * ty * F.out_kind) list)
           else Some v)
     outputs
 
-let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
-    (entry : env) : check_result =
-  let shapes = shapes_of frag in
+let check_denotation (prog : program) (frag : F.t) (entry : env)
+    (denote : (string * Value.t list) list -> Eval.env) : check_result =
   match outer_count prog frag entry with
   | exception e -> State_skipped (Printexc.to_string e)
   | n -> (
-      let apply = Eval.stage_summary ?lr_ran entry shapes summary in
       let rec go k =
         if k > n then Holds
         else
@@ -196,7 +194,7 @@ let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
           | None -> State_skipped (Fmt.str "sequential fault at prefix %d" k)
           | Some seq_env -> (
               let datasets = datasets_at prog frag entry k in
-              match apply datasets entry with
+              match denote datasets with
               | exception Eval.Eval_error m -> Ir_error m
               | exception Value.Type_error m -> Ir_error m
               | mr_out -> (
@@ -205,6 +203,11 @@ let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
                   | None -> go (k + 1)))
       in
       try go 0 with Vc_error m -> Ir_error m)
+
+let check_state ?lr_ran (prog : program) (frag : F.t) (summary : Ir.summary)
+    (entry : env) : check_result =
+  let apply = Eval.stage_summary ?lr_ran entry (shapes_of frag) summary in
+  check_denotation prog frag entry (fun datasets -> apply datasets entry)
 
 (* ------------------------------------------------------------------ *)
 (* Sparse array outputs.

@@ -69,11 +69,29 @@ val output_mismatch :
   (string * Minijava.Ast.ty * F.out_kind) list ->
   env -> Eval.env -> string option
 
+(** The walk that checks a denotation of the outputs on one entry state:
+    [check_denotation prog frag entry denote] compares the sequential
+    outputs after each prefix [k] of the data, [k] = 0 to
+    {!outer_count}, with [denote] applied to the datasets of that prefix
+    ({!datasets_at}), and stops at the first disagreement. An
+    [Eval.Eval_error] or [Value.Type_error] raised by [denote], and a
+    [Vc_error], are [Ir_error]; a state whose {!outer_count} raises, or
+    on whose prefix the sequential code raises
+    [Minijava.Interp.Runtime_error], is [State_skipped]. Every other
+    exception propagates. *)
+val check_denotation :
+  Minijava.Ast.program ->
+  F.t ->
+  env ->
+  ((string * Value.t list) list -> Eval.env) ->
+  check_result
+
 (** Check all three VC clauses of the candidate summary on one entry
     state: compare sequential execution against the IR denotation on
     every prefix of the data (prefix 0 = initiation, successive prefixes
-    = continuation, full data = termination). [lr_ran], when given, is
-    set by every λr application, as in {!check_prepared}. *)
+    = continuation, full data = termination): {!check_denotation} of
+    the summary's IR denotation ({!Eval.stage_summary}). [lr_ran], when
+    given, is set by every λr application, as in {!check_prepared}. *)
 val check_state :
   ?lr_ran:bool ref ->
   Minijava.Ast.program -> F.t -> Ir.summary -> env -> check_result

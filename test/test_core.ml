@@ -5,7 +5,9 @@
     [List.map (translate_fragment prog)] returns, in fragment order,
     re-raise the lowest-index fragment's exception, run inline when
     called from inside a [Par.spawn_map] task, and leave no domain
-    behind. *)
+    behind. [Casper.run] runs translated fragments against their
+    originals: one run per translation with a survivor, in order, none
+    for a state the original faults on, and every other failure raised. *)
 
 module Casper = Casper_core.Casper
 module Cegis = Casper_synth.Cegis
@@ -14,6 +16,8 @@ module An = Casper_analysis.Analyze
 module Suite = Casper_suites.Suite
 module Par = Casper_par.Par
 module Obs = Casper_obs.Obs
+module Value = Casper_common.Value
+module Cluster = Mapreduce.Cluster
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -143,8 +147,63 @@ let test_no_domain_outlives () =
   | None -> ()
   | Some n -> check_int "threads after the call" n (Testenv.settled_threads n)
 
+(* [Casper.run] on a two-fragment program: [scaled]'s statements before
+   its loop divide by [k], so on [k = 0] its original faults. *)
+let run_source =
+  {|
+int sum(List<Integer> data) {
+  int total = 0;
+  for (int x : data)
+    total += x;
+  return total;
+}
+
+int scaled(List<Integer> data, int k) {
+  int unit = 100 / k;
+  int total = 0;
+  for (int x : data)
+    total += x * unit;
+  return total;
+}
+|}
+
+let run_on ?(cluster = Cluster.spark) k =
+  let r = Casper.translate_source ~suite:"test" ~benchmark:"run" run_source in
+  let data = Value.List (List.init 50 (fun i -> Value.Int i)) in
+  let env = [ ("data", data); ("k", Value.Int k) ] in
+  Casper.run ~config:Testenv.config ~cluster ~scale:1.0 r.Casper.program env
+    r.Casper.translations
+
+let run_ids = List.map (fun (r : Casper.run) -> r.Casper.frag.F.frag_id)
+
+let test_run_order () =
+  let runs = run_on 4 in
+  Alcotest.(check (list string))
+    "one run per translation, in order" [ "sum#0"; "scaled#0" ] (run_ids runs);
+  List.iter
+    (fun (r : Casper.run) -> check "outputs agree" true r.Casper.agree)
+    runs
+
+let test_run_skips_faulting_state () =
+  Alcotest.(check (list string))
+    "only the fragment whose original runs" [ "sum#0" ] (run_ids (run_on 0))
+
+let test_run_propagates_engine_error () =
+  match run_on ~cluster:{ Cluster.spark with Cluster.workers = 0 } 4 with
+  | _ -> Alcotest.fail "a cluster without workers ran a shuffle"
+  | exception Mapreduce.Engine.Engine_error _ -> ()
+
 let suite =
   [
+    ( "core.run",
+      [
+        Alcotest.test_case "runs in translation order, agreeing" `Quick
+          test_run_order;
+        Alcotest.test_case "a state the original faults on has no run" `Quick
+          test_run_skips_faulting_state;
+        Alcotest.test_case "a 0-worker cluster's Engine_error propagates"
+          `Quick test_run_propagates_engine_error;
+      ] );
     ( "core.fragments",
       [
         Alcotest.test_case "Table 2: translate_program = List.map" `Slow

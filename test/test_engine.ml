@@ -704,6 +704,8 @@ let test_no_major_allocation () =
         Plan.(data "facts" |>> map (fun _ -> vint 1) |>> global_reduce add_i)
       );
       ("join", Plan.(data "facts" |>> join_with (data "dims")));
+      ( "join, 3,000-record right side",
+        Plan.(data "dims" |>> join_with (data "facts")) );
     ]
   in
   List.iter

@@ -72,31 +72,17 @@ let output_test bench_name () =
   let b = Casper_suites.Registry.find_benchmark bench_name in
   let r = report b in
   let env = b.workload.Casper_suites.Suite.gen (Casper_common.Rng.create 11) ~n:500 in
-  let prog = r.Casper.program in
-  let checked = ref 0 in
+  let runs =
+    Casper.run ~config:Testenv.config ~cluster:Mapreduce.Cluster.spark
+      ~scale:1.0 r.Casper.program env r.Casper.translations
+  in
   List.iter
-    (fun (t : Casper.translation) ->
-      match t.Casper.survivors with
-      | best :: _ ->
-          (try
-             let entry = Vc.entry_of_params prog t.Casper.frag env in
-             let seq, _ =
-               Runner.run_sequential ~scale:1.0 prog t.Casper.frag entry
-             in
-             let run =
-               Runner.run_summary ~config:Testenv.config
-                 ~cluster:Mapreduce.Cluster.spark ~scale:1.0
-                 prog t.Casper.frag entry best.Cegis.summary
-             in
-             incr checked;
-             check
-               (bench_name ^ "/" ^ t.Casper.frag.F.frag_id)
-               true
-               (Runner.outputs_agree t.Casper.frag seq run.Runner.outputs)
-           with Minijava.Interp.Runtime_error _ -> ())
-      | [] -> ())
-    r.Casper.translations;
-  check (bench_name ^ ": at least one fragment checked") true (!checked > 0)
+    (fun (run : Casper.run) ->
+      check
+        (bench_name ^ "/" ^ run.Casper.frag.F.frag_id)
+        true run.Casper.agree)
+    runs;
+  check (bench_name ^ ": at least one fragment checked") true (runs <> [])
 
 let output_benchmarks =
   [

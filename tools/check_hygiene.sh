@@ -258,6 +258,15 @@ if grep -rn 'Domain\.spawn' --include='*.ml' --include='*.mli' \
   fail=1
 fi
 
+# No catch-all handler where a swallowed failure would change a
+# result: the bench runs translations through Casper.run, which skips
+# only a state the original faults on, and Fold-IR verification goes
+# through Vc.check_denotation. A failure there fails its bench section.
+if grep -rnE 'with _ ->|exception _ ->' --include='*.ml' bench lib/fold_ir; then
+  echo "catch-all handler under bench/ or lib/fold_ir/"
+  fail=1
+fi
+
 # Every lib/ module states its interface: each lib/**/*.ml has an
 # .mli, and each value an .mli exports (val or external) is named, as a
 # whole word, in a .ml/.mli outside its own module under lib, bin,
